@@ -10,12 +10,20 @@ the workers run.  An :class:`ExecutionBackend` makes that seam explicit:
   (``multiprocessing``, spawn-safe): per-shard workloads ship as pickled
   :class:`~repro.parallel.ipc.ShardTask` messages, every child rebuilds a
   read-only :class:`~repro.storage.bucket_store.StoreSnapshot` of the
-  archive, and the coordinator advances all shards concurrently in virtual
-  time windows.  Work stealing becomes message passing: at each window
-  barrier the coordinator re-assigns the most starving bucket queue from a
-  busy shard to an idle one (:class:`~repro.parallel.ipc.ReleaseBucket` /
+  archive, and the channel coordinator
+  (:class:`repro.reliability.runtime.ShardCoordinator`) advances all
+  shards concurrently in virtual time windows.  Work stealing becomes
+  message passing: at each window barrier the coordinator re-assigns the
+  most starving bucket queue from a busy shard to an idle one
+  (:class:`~repro.parallel.ipc.ReleaseBucket` /
   :class:`~repro.parallel.ipc.AdoptBucket`), exactly the whole-queue
   migration rule of the in-process engine.
+
+That coordinator is the only driver of message-passing shards: the
+process backend always runs it, and the virtual backend runs it over
+in-process channels when a run asks for checkpoint/recovery.  This module
+keeps the pieces of it that are pure bookkeeping — the arrival fan-out,
+the per-shard :class:`ShardView`, the steal rule and the outcome merge.
 
 Both backends return the same :class:`BackendOutcome` — one merged
 :class:`~repro.core.engine.EngineReport`, a
@@ -29,7 +37,6 @@ which is what the process backend exists to improve.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -49,16 +56,9 @@ from repro.parallel.ipc import (
     AdoptBucket,
     BatchRecord,
     BucketQueueMeta,
-    Finalize,
     ReleaseBucket,
-    ReleasedBucket,
-    RunWindow,
-    ShardTask,
-    Shutdown,
     WindowReport,
-    WorkerFailure,
     WorkerResult,
-    shard_worker_main,
 )
 from repro.parallel.sharding import ShardPlan, make_shard_plan
 from repro.parallel.worker import StagedShare
@@ -71,10 +71,6 @@ from repro.workload.query import CrossMatchQuery
 
 if TYPE_CHECKING:
     from repro.reliability.config import ReliabilityConfig, ReliabilityReport
-
-#: How long the coordinator waits on a single worker-process reply before
-#: declaring the run wedged (generous: windows are seconds of real work).
-REPLY_TIMEOUT_S = 600.0
 
 #: Default steal window, as a multiple of the bucket-read cost ``Tb``: long
 #: enough that a window amortises tens of services (every barrier costs one
@@ -93,9 +89,8 @@ def fan_out_arrivals(
 ) -> List[List[StagedShare]]:
     """Build every shard's arrival schedule (the virtual engine's fan-out).
 
-    Shared by the process coordinator and the reliability coordinator:
-    per-shard schedules are the unit of recovery — a shard restored from a
-    checkpoint replays exactly the tail of the schedule built here.
+    Per-shard schedules are the unit of recovery — a shard restored from
+    a checkpoint replays exactly the tail of the schedule built here.
     """
     preprocessor = QueryPreProcessor(spec.layout)
     arrivals: List[List[StagedShare]] = [[] for _ in range(spec.workers)]
@@ -174,10 +169,9 @@ def merge_backend_outcome(
 ) -> BackendOutcome:
     """Merge per-shard batch records and accounting into one outcome.
 
-    The single merge rule the process coordinator and the reliability
-    coordinator share: services are replayed in global virtual-time order
-    (the step order of the in-process engine) so cross-shard completion
-    bookkeeping is identical to the virtual backend's.
+    Services are replayed in global virtual-time order (the step order of
+    the in-process engine) so cross-shard completion bookkeeping is
+    identical to the virtual backend's.
     """
     batches.sort(key=lambda r: (r.started_at_ms, r.worker_id, r.seq))
     for record in batches:
@@ -253,10 +247,11 @@ class ParallelRunSpec:
     #: Virtual-time window between steal barriers of the process backend;
     #: ``None`` derives it from the cost model's bucket-read time.
     steal_quantum_ms: Optional[float] = None
-    #: Checkpoint/recovery configuration.  When set, both backends route
-    #: through the reliability coordinator: the run is always windowed
-    #: (barriers are where checkpoints are captured and crashes injected),
-    #: and dead shards are restored from their latest checkpoint.
+    #: Checkpoint/recovery configuration.  When set, both backends run
+    #: the channel coordinator with its barrier hooks on: the run is
+    #: always windowed (barriers are where checkpoints are captured and
+    #: crashes injected), and dead shards are restored from their latest
+    #: checkpoint.
     reliability: Optional["ReliabilityConfig"] = None
 
     def resolved_plan(self) -> ShardPlan:
@@ -335,9 +330,9 @@ class VirtualBackend(ExecutionBackend):
 
     def execute(self, spec: ParallelRunSpec) -> BackendOutcome:
         if spec.reliability is not None:
-            from repro.reliability.runtime import execute_with_reliability
+            from repro.reliability.runtime import InlineChannel, ShardCoordinator
 
-            return execute_with_reliability(spec, backend_name=self.name)
+            return ShardCoordinator(spec, self.name, InlineChannel).execute()
         started = time.perf_counter()
         engine = ParallelEngine(
             spec.layout,
@@ -406,10 +401,7 @@ class ShardView:
 
     Tracks only what steal and boundary decisions need — the shard's
     clock, its pending-queue metadata and its next staged arrival — and
-    folds each :class:`~repro.parallel.ipc.WindowReport` back in.  Shared
-    by the process coordinator below and the reliability coordinator
-    (:mod:`repro.reliability.runtime`), so both compute identical window
-    boundaries.
+    folds each :class:`~repro.parallel.ipc.WindowReport` back in.
     """
 
     def __init__(self, worker_id: int, arrivals: Sequence[StagedShare]):
@@ -426,6 +418,23 @@ class ShardView:
         self.next_staged_ms = report.next_staged_ms
         self.drained = report.drained
 
+    def apply_adopt(self, message: AdoptBucket) -> None:
+        """Fold a delivered migration into the view (mirrors the shard's adopt)."""
+        if message.entries:
+            enqueues = [entry.enqueue_time_ms for entry in message.entries]
+            self.pending[message.bucket_index] = BucketQueueMeta(
+                bucket_index=message.bucket_index,
+                entry_count=len(message.entries),
+                oldest_enqueue_ms=min(enqueues),
+                newest_enqueue_ms=max(enqueues),
+            )
+        if message.staged:
+            staged_first = min(share.arrival_ms for share in message.staged)
+            if self.next_staged_ms is None or staged_first < self.next_staged_ms:
+                self.next_staged_ms = staged_first
+        self.clock_ms = max(self.clock_ms, message.clock_ms)
+        self.drained = not self.pending and self.next_staged_ms is None
+
     def boundary_candidate_ms(self) -> Optional[float]:
         """Earliest virtual time at which this shard can make progress."""
         if self.drained:
@@ -441,9 +450,8 @@ def run_steal_round(
     views: Sequence[ShardView],
     steal_records: List[StealRecord],
     events: WorkerEventLog,
-    release: Callable[[ShardView, int], ReleasedBucket],
-    adopt: Callable[[ShardView, AdoptBucket], None],
-) -> List[Tuple[StealRecord, ReleasedBucket, AdoptBucket]]:
+    request: Callable[[int, object], object],
+) -> List[Tuple[StealRecord, AdoptBucket]]:
     """Window-barrier work stealing: idle shards adopt starving queues.
 
     The rule matches the in-process engine: each idle shard (no queued
@@ -454,13 +462,13 @@ def run_steal_round(
     their not-yet-ingested staged shares, so batching is preserved and
     future arrivals follow the queue.
 
-    The single steal rule both coordinators share: the process backend
-    drives it with plain pipe requests, the reliability coordinator with
-    crash-recovering channel calls.  Returns the round's migrations as
-    ``(record, released, adopt message)`` so callers can journal them
-    (recovery re-settles bucket ownership by replaying the journal).
+    *request* ``(worker_id, message) -> reply`` is the coordinator's
+    crash-recovering round trip; both halves of a migration go through
+    it.  Returns the round's migrations as ``(record, adopt message)`` so
+    the caller can journal them (recovery re-settles bucket ownership by
+    replaying the journal).
     """
-    migrations: List[Tuple[StealRecord, ReleasedBucket, AdoptBucket]] = []
+    migrations: List[Tuple[StealRecord, AdoptBucket]] = []
     thieves = sorted(
         (view for view in views if not view.pending),
         key=lambda view: (view.clock_ms, view.worker_id),
@@ -481,7 +489,7 @@ def run_steal_round(
         start_ms = max(thief.clock_ms, meta.newest_enqueue_ms)
         if start_ms >= victim.clock_ms:
             continue  # migration would not start the service any earlier
-        released = release(victim, bucket_index)
+        released = request(victim.worker_id, ReleaseBucket(bucket_index))
         if not released.entries:
             continue  # defensive: the queue vanished between windows
         message = AdoptBucket(
@@ -490,23 +498,11 @@ def run_steal_round(
             staged=released.staged,
             clock_ms=start_ms,
         )
-        adopt(thief, message)
+        request(thief.worker_id, message)
         del victim.pending[bucket_index]
         victim.next_staged_ms = released.next_staged_ms
         victim.drained = not victim.pending and victim.next_staged_ms is None
-        enqueues = [entry.enqueue_time_ms for entry in released.entries]
-        thief.pending[bucket_index] = BucketQueueMeta(
-            bucket_index=bucket_index,
-            entry_count=len(released.entries),
-            oldest_enqueue_ms=min(enqueues),
-            newest_enqueue_ms=max(enqueues),
-        )
-        if released.staged:
-            staged_first = min(share.arrival_ms for share in released.staged)
-            if thief.next_staged_ms is None or staged_first < thief.next_staged_ms:
-                thief.next_staged_ms = staged_first
-        thief.clock_ms = max(thief.clock_ms, start_ms)
-        thief.drained = False
+        thief.apply_adopt(message)
         record = StealRecord(
             time_ms=start_ms,
             bucket_index=bucket_index,
@@ -515,62 +511,29 @@ def run_steal_round(
             entry_count=len(released.entries),
         )
         steal_records.append(record)
-        migrations.append((record, released, message))
+        migrations.append((record, message))
         events.record(
             thief.worker_id, Event(start_ms, EventKind.WORK_STOLEN, payload=record)
         )
     return migrations
 
 
-class _ShardHandle(ShardView):
-    """The coordinator's view of one worker process, plus its pipe."""
-
-    def __init__(self, worker_id: int, process, conn, arrivals: Sequence[StagedShare]):
-        super().__init__(worker_id, arrivals)
-        self.process = process
-        self.conn = conn
-        self.result: Optional[WorkerResult] = None
-
-    def send(self, message) -> None:
-        self.conn.send(message)
-
-    def recv(self):
-        if not self.conn.poll(REPLY_TIMEOUT_S):
-            raise RuntimeError(
-                f"shard worker {self.worker_id} sent no reply within "
-                f"{REPLY_TIMEOUT_S:g}s; aborting the run"
-            )
-        try:
-            reply = self.conn.recv()
-        except (EOFError, ConnectionResetError) as error:
-            raise RuntimeError(
-                f"shard worker {self.worker_id} died without replying "
-                f"(exit code {self.process.exitcode})"
-            ) from error
-        if isinstance(reply, WorkerFailure):
-            raise RuntimeError(
-                f"shard worker {reply.worker_id} failed:\n{reply.traceback_text}"
-            )
-        return reply
-
-    def request(self, message):
-        self.send(message)
-        return self.recv()
-
-
 class ProcessBackend(ExecutionBackend):
     """One OS process per shard worker, coordinated over pipes.
 
-    The coordinator pre-computes every shard's full arrival schedule (the
-    same fan-out the virtual engine performs), ships it with a read-only
-    store snapshot to each child, then advances all shards concurrently:
+    The channel coordinator pre-computes every shard's full arrival
+    schedule (the same fan-out the virtual engine performs), ships it with
+    a read-only store snapshot to each child, then advances all shards
+    concurrently:
 
     * stealing disabled — a single drain message per shard, maximal
       parallelism, each shard a pure function of its schedule;
     * stealing enabled — bounded virtual-time windows; at every barrier
       idle shards adopt the most starving foreign bucket queue (entries
       *and* staged future), the same whole-queue migration rule as the
-      in-process engine, now expressed as messages.
+      in-process engine, now expressed as messages;
+    * ``spec.reliability`` set — always windowed, with checkpoints, crash
+      injection/recovery and scale events at the barriers.
 
     Virtual-clock accounting (busy time, I/O, services, per-query bucket
     coverage) is identical to the virtual backend by construction; the
@@ -582,152 +545,13 @@ class ProcessBackend(ExecutionBackend):
     def __init__(self, start_method: str = "spawn"):
         self.start_method = start_method
 
-    # -- setup ----------------------------------------------------------- #
-
     def execute(self, spec: ParallelRunSpec) -> BackendOutcome:
-        if spec.reliability is not None:
-            from repro.reliability.runtime import execute_with_reliability
+        from repro.reliability.runtime import ProcessChannel, ShardCoordinator
 
-            return execute_with_reliability(
-                spec, backend_name=self.name, start_method=self.start_method
-            )
-        started = time.perf_counter()
-        plan = spec.resolved_plan()
-        tracker = CompletionTracker()
-        events = WorkerEventLog()
-        arrivals = fan_out_arrivals(spec, plan, tracker, events)
-        snapshot = spec.store.snapshot()
-        context = multiprocessing.get_context(self.start_method)
-        handles: List[_ShardHandle] = []
-        batches: List[BatchRecord] = []
-        steal_records: List[StealRecord] = []
-        try:
-            for worker_id in range(spec.workers):
-                policy = spec.policy if worker_id == 0 else self._clone(spec.policy)
-                task = ShardTask(
-                    worker_id=worker_id,
-                    config=spec.config,
-                    policy=policy,
-                    snapshot=snapshot,
-                    index=spec.index,
-                    arrivals=tuple(arrivals[worker_id]),
-                )
-                parent_conn, child_conn = context.Pipe()
-                process = context.Process(
-                    target=shard_worker_main,
-                    args=(child_conn, task),
-                    daemon=True,
-                    name=f"liferaft-shard-{worker_id}",
-                )
-                process.start()
-                child_conn.close()
-                handles.append(_ShardHandle(worker_id, process, parent_conn, arrivals[worker_id]))
-            window_boundaries: List[float] = []
-            if spec.enable_stealing and spec.workers > 1:
-                self._windowed_run(
-                    spec, handles, batches, steal_records, events, window_boundaries
-                )
-            else:
-                self._run_window(handles, None, batches)
-            results = [handle.request(Finalize()) for handle in handles]
-        finally:
-            self._shutdown(handles)
-        elapsed = time.perf_counter() - started
-        return merge_backend_outcome(
-            self.name,
-            spec,
-            plan,
-            tracker,
-            events,
-            batches,
-            steal_records,
-            results,
-            elapsed,
-            window_boundaries_ms=window_boundaries,
-        )
+        return ShardCoordinator(
+            spec, self.name, lambda task: ProcessChannel(task, self.start_method)
+        ).execute()
 
-    @staticmethod
-    def _clone(policy: SchedulingPolicy) -> SchedulingPolicy:
-        clone = getattr(policy, "clone", None)
-        if clone is None:
-            raise TypeError(
-                f"policy {policy!r} does not support clone(); "
-                "per-shard schedulers must be constructible per worker"
-            )
-        return clone()
-
-    # -- the coordinator loop -------------------------------------------- #
-
-    @staticmethod
-    def _run_window(
-        handles: Sequence[_ShardHandle],
-        until_ms: Optional[float],
-        batches: List[BatchRecord],
-    ) -> None:
-        """One concurrent window: broadcast first, then collect every reply."""
-        active = [handle for handle in handles if not handle.drained]
-        for handle in active:
-            handle.send(RunWindow(until_ms))
-        for handle in active:
-            report = handle.recv()
-            handle.apply_window(report)
-            batches.extend(report.batches)
-
-    def _windowed_run(
-        self,
-        spec: ParallelRunSpec,
-        handles: List[_ShardHandle],
-        batches: List[BatchRecord],
-        steal_records: List[StealRecord],
-        events: WorkerEventLog,
-        window_boundaries: Optional[List[float]] = None,
-    ) -> None:
-        quantum = spec.quantum_ms()
-        while True:
-            candidates = [
-                candidate
-                for handle in handles
-                if (candidate := handle.boundary_candidate_ms()) is not None
-            ]
-            if not candidates:
-                return
-            boundary = min(candidates) + quantum
-            if window_boundaries is not None:
-                window_boundaries.append(boundary)
-            self._run_window(handles, boundary, batches)
-            if all(handle.drained for handle in handles):
-                return
-            self._steal_round(handles, steal_records, events)
-
-    @staticmethod
-    def _steal_round(
-        handles: Sequence[_ShardHandle],
-        steal_records: List[StealRecord],
-        events: WorkerEventLog,
-    ) -> None:
-        """One shared-rule steal round (see :func:`run_steal_round`),
-        driven over plain pipe requests."""
-        run_steal_round(
-            handles,
-            steal_records,
-            events,
-            release=lambda victim, bucket: victim.request(ReleaseBucket(bucket)),
-            adopt=lambda thief, message: thief.request(message),
-        )
-
-    @staticmethod
-    def _shutdown(handles: Sequence[_ShardHandle]) -> None:
-        for handle in handles:
-            try:
-                handle.send(Shutdown())
-            except (OSError, ValueError):
-                pass
-        for handle in handles:
-            handle.process.join(timeout=10.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=10.0)
-            handle.conn.close()
 
 #: Registry of execution backends by name.
 EXECUTION_BACKENDS = {

@@ -1,8 +1,8 @@
 """Inter-process machinery of the multiprocessing execution backend.
 
 One OS process per shard worker, one duplex pipe per process, and a small
-synchronous message protocol driven by the coordinator in
-:class:`repro.parallel.backend.ProcessBackend`:
+synchronous message protocol driven by the channel coordinator
+(:class:`repro.reliability.runtime.ShardCoordinator`):
 
 * the child is constructed from a pickled :class:`ShardTask` — engine
   config, a cloned scheduling policy, a read-only
@@ -23,8 +23,10 @@ synchronous message protocol driven by the coordinator in
   batch numbering at the checkpoint's cursor.
 
 Everything the protocol ships must pickle under the ``spawn`` start
-method; the replay logic itself lives in :class:`ShardReplayer`, which is
-plain in-process code so tests can drive it without forking.
+method; the replay logic and the message dispatch
+(:meth:`ShardReplayer.handle`) are plain in-process code, so the worker
+process and the in-process channel of the virtual backend answer every
+message through the very same function.
 
 The replayer applies the same local rule as the in-process engine's
 staged intake — deliver arrivals at or before the clock, jump an idle
@@ -35,6 +37,7 @@ pin this down).
 
 from __future__ import annotations
 
+import time
 import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -279,6 +282,50 @@ class ShardReplayer:
         #: the lost originals did.
         self.seq = start_seq
 
+    @classmethod
+    def from_task(cls, task: ShardTask) -> "ShardReplayer":
+        """Rebuild a shard from its pickled task (child-side setup).
+
+        The layout comes from the restored store, not the snapshot
+        directly: path-based snapshots carry no layout (the store file
+        does), and the in-memory variant restores the same object either
+        way.  With :attr:`ShardTask.checkpoint_path` set the shard is then
+        restored from that checkpoint and resumes emitting batch records at
+        its cursor; the checkpoint is generation-bound — restoring against
+        a store that was re-ingested since the capture fails cleanly.
+        """
+        store = BucketStore.from_snapshot(task.snapshot)
+        worker = build_shard_worker(
+            task.worker_id, store.layout, store, task.policy, task.config, index=task.index
+        )
+        for share in task.arrivals:
+            worker.stage(share)
+        if task.checkpoint_path is None:
+            return cls(worker)
+        from repro.reliability.checkpoint import restore_worker
+
+        state = restore_worker(task.checkpoint_path, worker, expected_generation=store.generation)
+        return cls(worker, start_seq=state.seq)
+
+    def handle(self, message):
+        """Answer one coordinator message (the whole protocol, one place)."""
+        if isinstance(message, RunWindow):
+            return self.window_report(self.advance(message.until_ms))
+        if isinstance(message, ReleaseBucket):
+            return self.release(message.bucket_index)
+        if isinstance(message, ReleaseAllBuckets):
+            return self.release_all()
+        if isinstance(message, AdoptBucket):
+            self.adopt(message)
+            return Ack(self.worker.worker_id)
+        if isinstance(message, CaptureCheckpoint):
+            return self.capture_checkpoint(message)
+        if isinstance(message, Finalize):
+            # Every message-passing shard owns a private store rebuilt
+            # from the snapshot, so its real-domain registry rides along.
+            return worker_result(self.worker, include_store_telemetry=True)
+        raise TypeError(f"unexpected coordinator message: {message!r}")
+
     def advance(self, until_ms: Optional[float]) -> List[BatchRecord]:
         """Run services starting before *until_ms* (``None`` = drain all)."""
         worker = self.worker
@@ -375,47 +422,20 @@ class ShardReplayer:
         worker.now_ms = max(worker.now_ms, message.clock_ms)
         worker.steals += 1
 
+    def capture_checkpoint(self, message: CaptureCheckpoint) -> CheckpointWritten:
+        """Write the shard's resumable state at the current barrier."""
+        from repro.reliability.checkpoint import checkpoint_worker
 
-def build_task_worker(task: ShardTask) -> ShardWorker:
-    """Restore a shard worker from its pickled task (child-side setup).
-
-    The layout comes from the restored store, not the snapshot directly:
-    path-based snapshots carry no layout (the store file does), and the
-    in-memory variant restores the same object either way.
-    """
-    store = BucketStore.from_snapshot(task.snapshot)
-    worker = build_shard_worker(
-        task.worker_id,
-        store.layout,
-        store,
-        task.policy,
-        task.config,
-        index=task.index,
-    )
-    for share in task.arrivals:
-        worker.stage(share)
-    return worker
-
-
-def prepare_task_worker(task: ShardTask) -> Tuple[ShardWorker, int]:
-    """Build a task's worker, restoring it from a checkpoint when one is set.
-
-    Returns ``(worker, start_seq)``: a fresh shard starts emitting batch
-    records at 0, a recovered shard resumes at its checkpoint's cursor.
-    The checkpoint is generation-bound — restoring against a store that
-    was re-ingested since the capture fails cleanly.
-    """
-    worker = build_task_worker(task)
-    if task.checkpoint_path is None:
-        return worker, 0
-    from repro.reliability.checkpoint import restore_worker
-
-    state = restore_worker(
-        task.checkpoint_path,
-        worker,
-        expected_generation=worker.loop.cache.store.generation,
-    )
-    return worker, state.seq
+        started = time.perf_counter()
+        info = checkpoint_worker(message.path, self.worker, self.seq, message.window_index)
+        return CheckpointWritten(
+            worker_id=self.worker.worker_id,
+            window_index=message.window_index,
+            clock_ms=self.worker.now_ms,
+            seq=self.seq,
+            byte_size=info.byte_size,
+            real_elapsed_s=time.perf_counter() - started,
+        )
 
 
 def worker_result(worker: ShardWorker, include_store_telemetry: bool = False) -> WorkerResult:
@@ -457,45 +477,9 @@ def worker_result(worker: ShardWorker, include_store_telemetry: bool = False) ->
 def shard_worker_main(conn, task: ShardTask) -> None:
     """Entry point of one worker process (must be importable for spawn)."""
     try:
-        worker, start_seq = prepare_task_worker(task)
-        replayer = ShardReplayer(worker, start_seq=start_seq)
-        while True:
-            message = conn.recv()
-            if isinstance(message, RunWindow):
-                batches = replayer.advance(message.until_ms)
-                conn.send(replayer.window_report(batches))
-            elif isinstance(message, ReleaseBucket):
-                conn.send(replayer.release(message.bucket_index))
-            elif isinstance(message, ReleaseAllBuckets):
-                conn.send(replayer.release_all())
-            elif isinstance(message, AdoptBucket):
-                replayer.adopt(message)
-                conn.send(Ack(task.worker_id))
-            elif isinstance(message, CaptureCheckpoint):
-                import time
-
-                from repro.reliability.checkpoint import checkpoint_worker
-
-                started = time.perf_counter()
-                info = checkpoint_worker(
-                    message.path, worker, replayer.seq, message.window_index
-                )
-                conn.send(
-                    CheckpointWritten(
-                        worker_id=task.worker_id,
-                        window_index=message.window_index,
-                        clock_ms=worker.now_ms,
-                        seq=replayer.seq,
-                        byte_size=info.byte_size,
-                        real_elapsed_s=time.perf_counter() - started,
-                    )
-                )
-            elif isinstance(message, Finalize):
-                conn.send(worker_result(worker, include_store_telemetry=True))
-            elif isinstance(message, Shutdown):
-                return
-            else:
-                raise TypeError(f"unexpected coordinator message: {message!r}")
+        replayer = ShardReplayer.from_task(task)
+        while not isinstance(message := conn.recv(), Shutdown):
+            conn.send(replayer.handle(message))
     except EOFError:
         # Coordinator went away (e.g. it raised); exit quietly.
         return

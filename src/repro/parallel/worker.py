@@ -216,6 +216,25 @@ def build_shard_worker(
     return ShardWorker(worker_id, loop)
 
 
+def clone_policy(prototype: SchedulingPolicy, worker_id: int) -> SchedulingPolicy:
+    """Per-shard scheduler: clone the prototype (worker 0 may reuse it).
+
+    Worker 0 keeps the prototype itself so a single-worker pool behaves
+    bit-for-bit like the serial engine built around the same instance.
+    The one cloning rule of every topology: the in-process pool below and
+    the message-passing coordinator both build their shards through it.
+    """
+    if worker_id == 0:
+        return prototype
+    clone = getattr(prototype, "clone", None)
+    if clone is None:
+        raise TypeError(
+            f"policy {prototype!r} does not support clone(); "
+            "per-shard schedulers must be constructible per worker"
+        )
+    return clone()
+
+
 class WorkerPool:
     """Builds and owns the shard workers of one parallel engine."""
 
@@ -242,28 +261,11 @@ class WorkerPool:
             )
         self.workers: List[ShardWorker] = []
         for worker_id in range(workers):
-            policy = self._clone_policy(policy_prototype, worker_id)
+            policy = clone_policy(policy_prototype, worker_id)
             loop = build_service_loop(
                 layout, store, policy, config, index=index, shard=worker_id
             )
             self.workers.append(ShardWorker(worker_id, loop))
-
-    @staticmethod
-    def _clone_policy(prototype: SchedulingPolicy, worker_id: int) -> SchedulingPolicy:
-        """Per-shard scheduler: clone the prototype (worker 0 may reuse it).
-
-        Worker 0 keeps the prototype itself so a single-worker pool behaves
-        bit-for-bit like the serial engine built around the same instance.
-        """
-        if worker_id == 0:
-            return prototype
-        clone = getattr(prototype, "clone", None)
-        if clone is None:
-            raise TypeError(
-                f"policy {prototype!r} does not support clone(); "
-                "per-shard schedulers must be constructible per worker"
-            )
-        return clone()
 
     def __len__(self) -> int:
         return len(self.workers)

@@ -1,20 +1,27 @@
-"""The recovery coordinator: windowed execution with checkpoints and crashes.
+"""The channel coordinator: the one driver of message-passing shards.
 
-This module is the runtime half of the reliability subsystem.  When a
-:class:`~repro.reliability.config.ReliabilityConfig` is attached to a
-parallel run, both execution backends route here instead of their normal
-drive loops, and the run proceeds in bounded virtual-time windows even
-with stealing disabled — **window barriers are where checkpoints are
-captured and where crashes are injected and detected**.
+Every run whose shards are reached by messages goes through
+:class:`ShardCoordinator` — the process backend always, the virtual
+backend when a :class:`~repro.reliability.config.ReliabilityConfig` is
+attached.  The coordinator fans the trace out into per-shard arrival
+schedules, then advances all shards concurrently:
 
-The coordinator drives :class:`ShardChannel` abstractions so one recovery
-implementation serves both backends:
+* stealing ineffective and no reliability — one ``RunWindow(None)`` drain
+  per shard, a single round trip;
+* otherwise — bounded virtual-time windows.  At every barrier idle shards
+  steal the most starving foreign queue, and, **only when the run carries
+  a reliability config**, the barrier hooks fire: scheduled crashes are
+  injected, dead shards are detected and recovered, planned scale events
+  execute and checkpoints are captured under the configured cadence.
 
-* :class:`ProcessChannel` — one OS process per shard over a pipe (the
-  process backend).  A due crash point really ``SIGKILL``\\ s the child;
-  detection is the broken pipe at the next message exchange.
+The coordinator talks to :class:`ShardChannel` message pipes, so one loop
+serves both backends:
+
+* :class:`ProcessChannel` — one OS process per shard over a pipe.  A due
+  crash point really ``SIGKILL``\\ s the child; detection is the broken
+  pipe at the next message exchange.
 * :class:`InlineChannel` — the shard's :class:`~repro.parallel.ipc.
-  ShardReplayer` driven in-process (the virtual backend).  A crash
+  ShardReplayer` answering the same messages in-process.  A crash
   discards the live worker object, simulating the same total state loss
   deterministically.
 
@@ -28,7 +35,8 @@ re-run the schedule tail.  Because every shard is a pure function of its
 admitted schedule, the recovered run's virtual-clock outcome — completion
 sets, per-query chunk sequences, every parity field — is identical to an
 uninterrupted run (``tests/reliability/`` pins this across backends and
-worker counts with stealing off).
+worker counts with stealing off).  Without a reliability config a dead
+shard is simply the run's typed failure.
 """
 
 from __future__ import annotations
@@ -41,10 +49,9 @@ import tempfile
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.parallel.backend import (
-    REPLY_TIMEOUT_S,
     BackendOutcome,
     ParallelRunSpec,
     ShardView,
@@ -56,14 +63,11 @@ from repro.parallel.engine import CompletionTracker, StealRecord
 from repro.parallel.ipc import (
     AdoptBucket,
     BatchRecord,
-    BucketQueueMeta,
     CaptureCheckpoint,
     CheckpointWritten,
     Finalize,
     ReleaseAllBuckets,
     ReleaseBucket,
-    ReleasedAll,
-    ReleasedBucket,
     RunWindow,
     ShardReplayer,
     ShardTask,
@@ -71,96 +75,65 @@ from repro.parallel.ipc import (
     WindowReport,
     WorkerFailure,
     WorkerResult,
-    prepare_task_worker,
     shard_worker_main,
-    worker_result,
 )
+from repro.parallel.worker import StagedShare, clone_policy
 from repro.reliability.checkpoint import (
     CHECKPOINT_SUFFIX,
     RUN_CHECKPOINT_WORKER,
     RunCheckpoint,
-    checkpoint_worker,
     write_checkpoint,
 )
 from repro.reliability.config import RecoveryEvent, ReliabilityReport
-from repro.reliability.elastic import ScaleRecord
+from repro.reliability.elastic import ScalePlan, ScaleRecord
+from repro.reliability.faults import FaultPlan
 from repro.sim.events import WorkerEventLog
 
+#: How long the coordinator waits on a single worker-process reply before
+#: declaring the run wedged (generous: windows are seconds of real work).
+REPLY_TIMEOUT_S = 600.0
+
 #: Poll granularity while waiting on a child reply (liveness checks run
-#: between polls so a SIGKILLed child is detected promptly).  The wedge
-#: threshold itself is the process backend's ``REPLY_TIMEOUT_S``.
+#: between polls so a dead child is detected promptly).
 POLL_INTERVAL_S = 0.05
 
 
 class ChannelCrashed(RuntimeError):
     """A shard died (real kill or simulated) before/while replying."""
 
-    def __init__(self, worker_id: int) -> None:
-        super().__init__(f"shard worker {worker_id} crashed")
+    def __init__(self, worker_id: int, exit_code: Optional[int] = None) -> None:
+        super().__init__(f"shard worker {worker_id} died without replying (exit code {exit_code})")
         self.worker_id = worker_id
 
 
 class ShardChannel(ABC):
-    """One shard as the recovery coordinator sees it."""
+    """One shard as the coordinator sees it: a killable message pipe.
+
+    The protocol is strictly request/reply (the messages of
+    :mod:`repro.parallel.ipc`), split into :meth:`send` and
+    :meth:`receive` so the coordinator can post a window or a checkpoint
+    capture to every shard before collecting any reply — real per-window
+    work then runs concurrently across worker processes.
+    """
 
     def __init__(self, task: ShardTask) -> None:
         self.task = task
         self.worker_id = task.worker_id
-        self._pending_window: Optional[Tuple[Optional[float]]] = None
-        self._pending_checkpoint: Optional[Tuple[str, int]] = None
 
     @abstractmethod
-    def advance(self, until_ms: Optional[float]) -> WindowReport:
-        """Run one window; raises :class:`ChannelCrashed` on a dead shard."""
-
-    # The begin/collect split lets the coordinator broadcast a window (or
-    # a checkpoint round) to every shard before collecting any reply, so
-    # real per-window work runs concurrently across worker processes.
-    # The base implementations are synchronous (the inline channel has no
-    # concurrency to exploit); the process channel overrides them to
-    # really pipeline over its pipe.
-
-    def begin_window(self, until_ms: Optional[float]) -> None:
-        """Stage one window; the work happens at :meth:`collect_window`."""
-        self._pending_window = (until_ms,)
-
-    def collect_window(self) -> WindowReport:
-        """Finish the staged window (raises :class:`ChannelCrashed`)."""
-        assert self._pending_window is not None, "collect_window without begin"
-        (until_ms,) = self._pending_window
-        self._pending_window = None
-        return self.advance(until_ms)
-
-    def begin_checkpoint(self, path: str, window_index: int) -> None:
-        """Stage one checkpoint capture for :meth:`collect_checkpoint`."""
-        self._pending_checkpoint = (path, window_index)
-
-    def collect_checkpoint(self) -> CheckpointWritten:
-        """Finish the staged checkpoint capture."""
-        assert self._pending_checkpoint is not None, "collect without begin"
-        path, window_index = self._pending_checkpoint
-        self._pending_checkpoint = None
-        return self.checkpoint(path, window_index)
+    def send(self, message) -> None:
+        """Post one message.  Never raises: a dead shard surfaces at
+        :meth:`receive`, so a broadcast needs no crash handling mid-fan-out."""
 
     @abstractmethod
-    def release(self, bucket_index: int) -> ReleasedBucket:
-        """Extract one whole workload queue (steal source / re-settlement)."""
+    def receive(self):
+        """The reply to the last :meth:`send`; raises
+        :class:`ChannelCrashed` on a dead shard."""
 
-    @abstractmethod
-    def release_all(self) -> ReleasedAll:
-        """Evacuate every queue, pending and staged (planned scale-down)."""
-
-    @abstractmethod
-    def adopt(self, message: AdoptBucket) -> None:
-        """Deliver a migrated queue (steal target / re-settlement)."""
-
-    @abstractmethod
-    def checkpoint(self, path: str, window_index: int) -> CheckpointWritten:
-        """Capture the shard's state into an ``.lrcp`` file."""
-
-    @abstractmethod
-    def finalize(self) -> WorkerResult:
-        """Collect the shard's final accounting."""
+    def request(self, message):
+        """One synchronous round trip."""
+        self.send(message)
+        return self.receive()
 
     @abstractmethod
     def kill(self) -> None:
@@ -173,74 +146,42 @@ class ShardChannel(ABC):
 
     @abstractmethod
     def shutdown(self) -> None:
-        """Tear the shard down at the end of the run."""
+        """Tear the shard down (a posted ``Shutdown`` lets it exit first)."""
 
 
 class InlineChannel(ShardChannel):
     """The in-process shard used by the virtual backend's reliability path.
 
-    The replay machinery is exactly the worker process's
-    (:func:`~repro.parallel.ipc.prepare_task_worker` +
-    :class:`~repro.parallel.ipc.ShardReplayer`), minus the fork — so a
-    simulated crash/recovery exercises the identical restore code path the
-    real process backend runs.
+    Setup and message dispatch are exactly the worker process's
+    (``ShardReplayer.from_task`` + ``ShardReplayer.handle``), minus the
+    fork — so a simulated crash/recovery exercises the identical restore
+    code path the real process backend runs.  The work of a message
+    happens at :meth:`receive`.
     """
 
     def __init__(self, task: ShardTask) -> None:
         super().__init__(task)
+        self._inbox = None
         self._replayer: Optional[ShardReplayer] = None
-        self._boot(None)
+        self.respawn(None)
 
-    def _boot(self, checkpoint_path: Optional[str]) -> None:
-        task = dataclasses.replace(self.task, checkpoint_path=checkpoint_path)
-        worker, start_seq = prepare_task_worker(task)
-        self._replayer = ShardReplayer(worker, start_seq=start_seq)
+    def send(self, message) -> None:
+        self._inbox = message
 
-    def _live(self) -> ShardReplayer:
+    def receive(self):
         if self._replayer is None:
             raise ChannelCrashed(self.worker_id)
-        return self._replayer
-
-    def advance(self, until_ms: Optional[float]) -> WindowReport:
-        replayer = self._live()
-        return replayer.window_report(replayer.advance(until_ms))
-
-    def release(self, bucket_index: int) -> ReleasedBucket:
-        return self._live().release(bucket_index)
-
-    def release_all(self) -> ReleasedAll:
-        return self._live().release_all()
-
-    def adopt(self, message: AdoptBucket) -> None:
-        self._live().adopt(message)
-
-    def checkpoint(self, path: str, window_index: int) -> CheckpointWritten:
-        replayer = self._live()
-        started = time.perf_counter()
-        info = checkpoint_worker(path, replayer.worker, replayer.seq, window_index)
-        return CheckpointWritten(
-            worker_id=self.worker_id,
-            window_index=window_index,
-            clock_ms=replayer.worker.now_ms,
-            seq=replayer.seq,
-            byte_size=info.byte_size,
-            real_elapsed_s=time.perf_counter() - started,
-        )
-
-    def finalize(self) -> WorkerResult:
-        # Inline reliability shards own a private store rebuilt from the
-        # snapshot (exactly as a worker process does), so its real-domain
-        # registry rides the shard's result just like the process path.
-        return worker_result(self._live().worker, include_store_telemetry=True)
+        return self._replayer.handle(self._inbox)
 
     def kill(self) -> None:
         self._replayer = None  # every bit of shard state is gone
 
     def respawn(self, checkpoint_path: Optional[str]) -> None:
-        self._boot(checkpoint_path)
+        self._replayer = ShardReplayer.from_task(
+            dataclasses.replace(self.task, checkpoint_path=checkpoint_path)
+        )
 
-    def shutdown(self) -> None:
-        self._replayer = None
+    shutdown = kill
 
 
 class ProcessChannel(ShardChannel):
@@ -251,50 +192,38 @@ class ProcessChannel(ShardChannel):
         self._context = multiprocessing.get_context(start_method)
         self._process = None
         self._conn = None
-        self._window_send_failed = False
-        self._checkpoint_send_failed = False
-        self._spawn(None)
+        self._send_failed = False
+        self.respawn(None)
 
-    def _spawn(self, checkpoint_path: Optional[str]) -> None:
-        task = dataclasses.replace(self.task, checkpoint_path=checkpoint_path)
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=shard_worker_main,
-            args=(child_conn, task),
-            daemon=True,
-            name=f"liferaft-shard-{self.worker_id}",
-        )
-        process.start()
-        child_conn.close()
-        self._process = process
-        self._conn = parent_conn
+    def _crashed(self) -> ChannelCrashed:
+        exit_code = None
+        if self._process is not None:
+            self._process.join(timeout=1.0)  # let a dying child be reaped
+            exit_code = self._process.exitcode
+        return ChannelCrashed(self.worker_id, exit_code)
 
-    def _send(self, message) -> None:
-        if self._conn is None:
-            raise ChannelCrashed(self.worker_id)
-        try:
-            self._conn.send(message)
-        except (OSError, ValueError) as error:
-            raise ChannelCrashed(self.worker_id) from error
+    def send(self, message) -> None:
+        self._send_failed = True
+        if self._conn is not None:
+            try:
+                self._conn.send(message)
+                self._send_failed = False
+            except (OSError, ValueError):
+                pass
 
-    def _request(self, message):
-        self._send(message)
-        return self._receive()
-
-    def _receive(self):
-        if self._conn is None:
-            raise ChannelCrashed(self.worker_id)
+    def receive(self):
+        if self._send_failed:
+            raise self._crashed()
         deadline = time.monotonic() + REPLY_TIMEOUT_S
         while True:
             try:
                 if self._conn.poll(POLL_INTERVAL_S):
                     break
             except (OSError, ValueError) as error:
-                raise ChannelCrashed(self.worker_id) from error
-            if self._process is not None and not self._process.is_alive():
-                # Dead and the pipe has drained: nothing more is coming.
-                if not self._conn.poll(0):
-                    raise ChannelCrashed(self.worker_id)
+                raise self._crashed() from error
+            # Dead and the pipe has drained: nothing more is coming.
+            if not self._process.is_alive() and not self._conn.poll(0):
+                raise self._crashed()
             if time.monotonic() > deadline:
                 raise RuntimeError(
                     f"shard worker {self.worker_id} sent no reply within "
@@ -302,57 +231,13 @@ class ProcessChannel(ShardChannel):
                 )
         try:
             reply = self._conn.recv()
-        except (EOFError, ConnectionResetError, OSError) as error:
-            raise ChannelCrashed(self.worker_id) from error
+        except (EOFError, OSError) as error:
+            raise self._crashed() from error
         if isinstance(reply, WorkerFailure):
             raise RuntimeError(
                 f"shard worker {reply.worker_id} failed:\n{reply.traceback_text}"
             )
         return reply
-
-    def advance(self, until_ms: Optional[float]) -> WindowReport:
-        return self._request(RunWindow(until_ms))
-
-    def begin_window(self, until_ms: Optional[float]) -> None:
-        # A failed send is surfaced at collect time so the coordinator's
-        # broadcast loop never has to handle crashes mid-fan-out.
-        self._window_send_failed = False
-        try:
-            self._send(RunWindow(until_ms))
-        except ChannelCrashed:
-            self._window_send_failed = True
-
-    def collect_window(self) -> WindowReport:
-        if self._window_send_failed:
-            raise ChannelCrashed(self.worker_id)
-        return self._receive()
-
-    def begin_checkpoint(self, path: str, window_index: int) -> None:
-        self._checkpoint_send_failed = False
-        try:
-            self._send(CaptureCheckpoint(path, window_index))
-        except ChannelCrashed:
-            self._checkpoint_send_failed = True
-
-    def collect_checkpoint(self) -> CheckpointWritten:
-        if self._checkpoint_send_failed:
-            raise ChannelCrashed(self.worker_id)
-        return self._receive()
-
-    def release(self, bucket_index: int) -> ReleasedBucket:
-        return self._request(ReleaseBucket(bucket_index))
-
-    def release_all(self) -> ReleasedAll:
-        return self._request(ReleaseAllBuckets())
-
-    def adopt(self, message: AdoptBucket) -> None:
-        self._request(message)
-
-    def checkpoint(self, path: str, window_index: int) -> CheckpointWritten:
-        return self._request(CaptureCheckpoint(path, window_index))
-
-    def finalize(self) -> WorkerResult:
-        return self._request(Finalize())
 
     def kill(self) -> None:
         if self._process is not None:
@@ -364,14 +249,18 @@ class ProcessChannel(ShardChannel):
 
     def respawn(self, checkpoint_path: Optional[str]) -> None:
         self.kill()
-        self._spawn(checkpoint_path)
+        task = dataclasses.replace(self.task, checkpoint_path=checkpoint_path)
+        self._conn, child_conn = self._context.Pipe()
+        self._process = self._context.Process(
+            target=shard_worker_main,
+            args=(child_conn, task),
+            daemon=True,
+            name=f"liferaft-shard-{self.worker_id}",
+        )
+        self._process.start()
+        child_conn.close()
 
     def shutdown(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.send(Shutdown())
-            except (OSError, ValueError):
-                pass
         if self._process is not None:
             self._process.join(timeout=10.0)
             if self._process.is_alive():
@@ -389,39 +278,30 @@ class _JournaledSteal:
 
     window_index: int
     record: StealRecord
-    released: ReleasedBucket
     adopt: AdoptBucket
 
 
-@dataclass
-class _LatestCheckpoint:
-    """The newest durable state of one shard."""
-
-    path: str
-    window_index: int
-    seq: int
-    clock_ms: float
-
-
-class RecoveryCoordinator:
-    """Drives one reliable run: windows, checkpoints, crashes, recovery."""
+class ShardCoordinator:
+    """Drives one message-passing run; see the module docstring."""
 
     def __init__(
         self,
         spec: ParallelRunSpec,
         backend_name: str,
-        start_method: str = "spawn",
+        channel_factory: Callable[[ShardTask], ShardChannel],
     ) -> None:
-        assert spec.reliability is not None
+        #: The run's wall clock includes backend setup (plan, fan-out, spawn).
+        self._started = time.perf_counter()
         self.spec = spec
         self.backend_name = backend_name
-        self.start_method = start_method
-        self.rel = spec.reliability
+        self.channel_factory = channel_factory
+        #: ``None`` switches every barrier hook off (see the module docstring).
+        self.rel = rel = spec.reliability
         self.plan = spec.resolved_plan()
         self.tracker = CompletionTracker()
         self.events = WorkerEventLog()
-        self.faults = self.rel.fault_plan()
-        self.scale = self.rel.scale_plan()
+        self.faults = rel.fault_plan() if rel is not None else FaultPlan()
+        self.scale = rel.scale_plan() if rel is not None else ScalePlan()
         self.scale.validate(spec.workers)
         if self.scale.total_ups() and not spec.enable_stealing:
             raise ValueError(
@@ -437,99 +317,88 @@ class RecoveryCoordinator:
                     f"but the run has workers 0..{max_worker - 1} "
                     "(worker ids are 0-based; scale-ups take sequential ids)"
                 )
-        self.quantum_ms = (
-            self.rel.window_quantum_ms
-            if self.rel.window_quantum_ms is not None
-            else spec.quantum_ms()
-        )
+        self.stealing = spec.enable_stealing and max_worker > 1
         self.arrivals = fan_out_arrivals(spec, self.plan, self.tracker, self.events)
-        self.generation = spec.store.generation
+        #: Every shard — scale-up joiners included — boots from this snapshot.
+        self.snapshot = spec.store.snapshot()
         self.channels: List[ShardChannel] = []
         self.views: List[ShardView] = []
-        self.policies = [self.rel.build_policy() for _ in range(spec.workers)]
+        self.policies: list = []
         self.batches: List[BatchRecord] = []
         self.steal_records: List[StealRecord] = []
         self.window_boundaries: List[float] = []
+        #: Index of the window in flight; the number of windows run once
+        #: the loop has ended.
+        self.window_index = 0
         self.journal: List[_JournaledSteal] = []
         #: Next expected batch seq per shard (the emitted-record cursor).
-        self.accepted_seq: Dict[int, int] = {w: 0 for w in range(spec.workers)}
-        self.latest: Dict[int, _LatestCheckpoint] = {}
-        self.recovery_budget = {
-            w: self.rel.max_recoveries_per_worker for w in range(spec.workers)
-        }
+        self.accepted_seq: Dict[int, int] = {}
+        #: Newest durable state per shard: the file and its summary.
+        self.latest: Dict[int, Tuple[str, CheckpointWritten]] = {}
+        self.recovery_budget: Dict[int, int] = {}
         #: Workers that have executed a planned departure, and their
         #: finalized accounting (collected at departure time, not run end).
         self.departed: set = set()
         self.final_results: Dict[int, WorkerResult] = {}
-        self.report = ReliabilityReport(checkpoint_dir="", cadence=self.rel.cadence)
+        self.report = (
+            ReliabilityReport(checkpoint_dir="", cadence=rel.cadence)
+            if rel is not None
+            else None
+        )
 
     # -- setup / teardown -------------------------------------------------- #
 
-    def _build_channels(self, checkpoint_dir: str) -> None:
-        # Kept for scale-ups: a joining shard boots from the same store
-        # snapshot as the initial pool.
-        self._snapshot = self.spec.store.snapshot()
-        for worker_id in range(self.spec.workers):
-            policy = (
-                self.spec.policy if worker_id == 0 else self._clone(self.spec.policy)
-            )
-            self._spawn_shard(worker_id, policy, self.arrivals[worker_id])
-        self.report.checkpoint_dir = checkpoint_dir
-
-    def _spawn_shard(self, worker_id: int, policy, arrivals) -> None:
+    def _spawn_shard(self, arrivals: Sequence[StagedShare]) -> None:
+        """Boot the next shard; a scale-up joiner passes an empty schedule."""
+        worker_id = len(self.channels)
         task = ShardTask(
             worker_id=worker_id,
             config=self.spec.config,
-            policy=policy,
-            snapshot=self._snapshot,
+            policy=clone_policy(self.spec.policy, worker_id),
+            snapshot=self.snapshot,
             index=self.spec.index,
             arrivals=tuple(arrivals),
         )
-        if self.backend_name == "process":
-            channel: ShardChannel = ProcessChannel(task, self.start_method)
-        else:
-            channel = InlineChannel(task)
-        self.channels.append(channel)
+        self.channels.append(self.channel_factory(task))
         self.views.append(ShardView(worker_id, arrivals))
-
-    @staticmethod
-    def _clone(policy):
-        clone = getattr(policy, "clone", None)
-        if clone is None:
-            raise TypeError(
-                f"policy {policy!r} does not support clone(); "
-                "per-shard schedulers must be constructible per worker"
-            )
-        return clone()
+        self.accepted_seq[worker_id] = 0
+        if self.rel is not None:
+            self.policies.append(self.rel.build_policy())
+            self.recovery_budget[worker_id] = self.rel.max_recoveries_per_worker
 
     # -- the run ----------------------------------------------------------- #
 
     def execute(self) -> BackendOutcome:
-        started = time.perf_counter()
-        owns_dir = self.rel.checkpoint_dir is None
-        checkpoint_dir = self.rel.checkpoint_dir or tempfile.mkdtemp(
-            prefix="liferaft-ckpt-"
-        )
-        os.makedirs(checkpoint_dir, exist_ok=True)
+        owned_dir = None
+        if self.rel is not None:
+            if self.rel.checkpoint_dir is None:
+                owned_dir = tempfile.mkdtemp(prefix="liferaft-ckpt-")
+            self.report.checkpoint_dir = self.rel.checkpoint_dir or owned_dir
+            os.makedirs(self.report.checkpoint_dir, exist_ok=True)
         try:
-            self._build_channels(checkpoint_dir)
-            try:
-                self._window_loop(checkpoint_dir)
-                # Departed shards were finalized at their barrier; the
-                # survivors are finalized now.
-                results = [
-                    self.final_results[channel.worker_id]
-                    if channel.worker_id in self.departed
-                    else self._finalize_with_recovery(channel)
-                    for channel in self.channels
-                ]
-            finally:
-                for channel in self.channels:
-                    channel.shutdown()
+            for arrivals in self.arrivals:
+                self._spawn_shard(arrivals)
+            if self.rel is not None or self.stealing:
+                self._window_loop()
+            else:
+                self._run_window(None)  # one drain message per shard
+            # Departed shards were finalized at their barrier; the
+            # survivors are finalized now.
+            results = [
+                self.final_results[worker_id]
+                if worker_id in self.departed
+                else self._request(worker_id, Finalize())
+                for worker_id in range(len(self.channels))
+            ]
         finally:
-            if owns_dir:
-                shutil.rmtree(checkpoint_dir, ignore_errors=True)
-        elapsed = time.perf_counter() - started
+            for channel in self.channels:
+                channel.send(Shutdown())  # every child exits concurrently
+            for channel in self.channels:
+                channel.shutdown()
+            if owned_dir is not None:
+                shutil.rmtree(owned_dir, ignore_errors=True)
+        if self.report is not None:
+            self.report.windows = self.window_index
         return merge_backend_outcome(
             self.backend_name,
             self.spec,
@@ -539,15 +408,17 @@ class RecoveryCoordinator:
             self.batches,
             self.steal_records,
             results,
-            elapsed,
+            time.perf_counter() - self._started,
             reliability=self.report,
             window_boundaries_ms=self.window_boundaries,
         )
 
-    def _window_loop(self, checkpoint_dir: str) -> None:
-        window_index = 0
-        stealing = self.spec.enable_stealing and (
-            self.spec.workers > 1 or self.scale.total_ups() > 0
+    def _window_loop(self) -> None:
+        rel = self.rel
+        quantum_ms = (
+            rel.window_quantum_ms
+            if rel is not None and rel.window_quantum_ms is not None
+            else self.spec.quantum_ms()
         )
         while True:
             candidates = [
@@ -557,56 +428,63 @@ class RecoveryCoordinator:
             ]
             if not candidates:
                 break
-            boundary = min(candidates) + self.quantum_ms
+            boundary = min(candidates) + quantum_ms
             self.window_boundaries.append(boundary)
             # Inject this window's scheduled crashes: the shard dies while
             # the window is (about to be) in flight, exactly as a machine
             # failure would land mid-computation.
             for view, channel in zip(self.views, self.channels):
-                if not view.drained and self.faults.crash_due(
-                    channel.worker_id, window_index
-                ):
+                if not view.drained and self.faults.crash_due(channel.worker_id, self.window_index):
                     channel.kill()
                     self.report.crashes_injected += 1
-            # Broadcast the window to every live shard before collecting
-            # any reply, so real per-window work (page reads, decodes)
-            # runs concurrently across worker processes; crashed shards
-            # surface at collect time and are recovered after every
-            # in-flight reply has drained (re-settlement must not talk to
-            # a shard with a window outstanding).
-            active = [
-                (view, channel)
-                for view, channel in zip(self.views, self.channels)
-                if not view.drained
-            ]
-            for _view, channel in active:
-                channel.begin_window(boundary)
-            crashed: List[Tuple[ShardView, ShardChannel]] = []
-            for view, channel in active:
-                try:
-                    report = channel.collect_window()
-                except ChannelCrashed:
-                    crashed.append((view, channel))
-                    continue
-                self._accept(report)
-                view.apply_window(report)
-            for view, channel in crashed:
-                report = self._advance_with_recovery(channel, view, boundary, window_index)
-                self._accept(report)
-                view.apply_window(report)
+            self._run_window(boundary)
             if self.scale:
-                self._scale_round(window_index)
-            if all(view.drained for view in self.views):
-                self.report.windows = window_index + 1
+                self._scale_round()
+            drained = all(view.drained for view in self.views)
+            if not drained:
+                if self.stealing:
+                    self._steal_round()
+                if rel is not None:
+                    self._checkpoint_round()
+            self.window_index += 1
+            if drained:
                 break
-            if stealing:
-                self._steal_round(window_index)
-            self._checkpoint_round(checkpoint_dir, window_index)
-            window_index += 1
-            self.report.windows = window_index
 
-    def _accept(self, report: WindowReport) -> None:
-        """Accept a window's batch records behind the per-shard cursor.
+    def _broadcast(self, messages: Dict[int, object]) -> Tuple[list, List[int]]:
+        """Post every message before collecting any reply.
+
+        Real per-shard work (page reads, decodes, checkpoint writes) then
+        runs concurrently across worker processes.  Returns the replies
+        and the ids of shards found dead; those are recovered by the
+        caller only after every in-flight reply has drained
+        (re-settlement must not talk to a shard with a reply outstanding).
+        """
+        for worker_id, message in messages.items():
+            self.channels[worker_id].send(message)
+        replies, crashed = [], []
+        for worker_id in messages:
+            try:
+                replies.append(self.channels[worker_id].receive())
+            except ChannelCrashed:
+                crashed.append(worker_id)
+        return replies, crashed
+
+    def _run_window(self, until_ms: Optional[float]) -> None:
+        """Advance every undrained shard to *until_ms* (``None`` = drain)."""
+        reports, crashed = self._broadcast(
+            {
+                view.worker_id: RunWindow(until_ms)
+                for view in self.views
+                if not view.drained
+            }
+        )
+        for report in reports:
+            self._apply_window(report)
+        for worker_id in crashed:
+            self._apply_window(self._request(worker_id, RunWindow(until_ms)))
+
+    def _apply_window(self, report: WindowReport) -> None:
+        """Accept a window's batch records and refresh the shard's view.
 
         Exactly-once: a record is accepted only at its expected sequence
         number.  After a recovery the cursor rewinds to the checkpoint's
@@ -625,38 +503,33 @@ class RecoveryCoordinator:
             self.batches.append(record)
             cursor += 1
         self.accepted_seq[report.worker_id] = cursor
+        self.views[report.worker_id].apply_window(report)
 
     # -- crash recovery ---------------------------------------------------- #
 
-    def _advance_with_recovery(
-        self,
-        channel: ShardChannel,
-        view: ShardView,
-        boundary: Optional[float],
-        window_index: int,
-    ) -> WindowReport:
+    def _request(self, worker_id: int, message):
+        """One round trip that survives the shard dying: recover, re-send.
+
+        Every coordinator request outside a broadcast goes through here,
+        so there is one retry rule.  Re-sending is always safe — the
+        restored shard has not seen the message, and migrations are
+        journaled only after both halves were delivered.
+        """
+        channel = self.channels[worker_id]
         while True:
             try:
-                return channel.advance(boundary)
+                return channel.request(message)
             except ChannelCrashed:
-                self._recover(channel, view, window_index)
+                if self.rel is None:
+                    raise  # no recovery configured: the death is the outcome
+                self._recover(worker_id)
+                if isinstance(message, Finalize):
+                    # A recovered shard may have a schedule tail to replay
+                    # before its accounting is final again.
+                    self._apply_window(self._request(worker_id, RunWindow(None)))
 
-    def _finalize_with_recovery(self, channel: ShardChannel) -> WorkerResult:
-        view = self.views[channel.worker_id]
-        while True:
-            try:
-                return channel.finalize()
-            except ChannelCrashed:
-                self._recover(channel, view, self.report.windows)
-                # A recovered shard may have a schedule tail to replay
-                # before its accounting is final again.
-                report = self._advance_with_recovery(channel, view, None, self.report.windows)
-                self._accept(report)
-                view.apply_window(report)
-
-    def _recover(self, channel: ShardChannel, view: ShardView, window_index: int) -> None:
+    def _recover(self, worker_id: int) -> None:
         """Restore a dead shard from its latest checkpoint and re-settle."""
-        worker_id = channel.worker_id
         if self.recovery_budget[worker_id] <= 0:
             raise RuntimeError(
                 f"shard worker {worker_id} exceeded "
@@ -664,41 +537,32 @@ class RecoveryCoordinator:
             )
         self.recovery_budget[worker_id] -= 1
         started = time.perf_counter()
-        latest = self.latest.get(worker_id)
-        checkpoint_path = latest.path if latest is not None else None
-        checkpoint_seq = latest.seq if latest is not None else 0
-        checkpoint_window = latest.window_index if latest is not None else -1
-        channel.respawn(checkpoint_path)
+        checkpoint_path, written = self.latest.get(worker_id, (None, None))
+        checkpoint_seq = written.seq if written is not None else 0
+        checkpoint_window = written.window_index if written is not None else -1
+        self.channels[worker_id].respawn(checkpoint_path)
         # Rewind the emitted-record cursor: everything at or past the
         # checkpoint's seq is lost work the replay will re-produce.
-        replayed = [
+        kept = [
             record
             for record in self.batches
-            if record.worker_id == worker_id and record.seq >= checkpoint_seq
+            if not (record.worker_id == worker_id and record.seq >= checkpoint_seq)
         ]
-        if replayed:
-            self.batches = [
-                record
-                for record in self.batches
-                if not (record.worker_id == worker_id and record.seq >= checkpoint_seq)
-            ]
+        services_replayed = len(self.batches) - len(kept)
+        self.batches = kept
         self.accepted_seq[worker_id] = checkpoint_seq
-        # _resettle ends by probing the restored shard (an empty window),
-        # which refreshes the coordinator's view in the same round trip.
-        self._resettle(channel, view, checkpoint_window)
+        self._resettle(worker_id, checkpoint_window)
         self.report.recoveries.append(
             RecoveryEvent(
                 worker_id=worker_id,
-                window_index=window_index,
+                window_index=self.window_index,
                 checkpoint_window=checkpoint_window,
-                services_replayed=len(replayed),
+                services_replayed=services_replayed,
                 real_latency_s=time.perf_counter() - started,
             )
         )
 
-    def _resettle(
-        self, channel: ShardChannel, view: ShardView, checkpoint_window: int
-    ) -> None:
+    def _resettle(self, worker_id: int, checkpoint_window: int) -> None:
         """Replay post-checkpoint queue migrations involving the shard.
 
         Steals are settled through the coordinator, so every migrated
@@ -714,30 +578,29 @@ class RecoveryCoordinator:
         migrations — only steals from strictly later windows are replayed
         (replaying window ``w``'s would double-adopt their entries).
         """
-        worker_id = channel.worker_id
-        touched: List[int] = []
+        channel = self.channels[worker_id]
+        touched: set = set()
         for steal in self.journal:
             if steal.window_index <= checkpoint_window:
                 continue
             if steal.record.thief_id == worker_id:
-                channel.adopt(steal.adopt)
+                channel.request(steal.adopt)
             elif steal.record.victim_id == worker_id:
-                released = channel.release(steal.record.bucket_index)
-                if released.entries or released.staged:
-                    owner = self._current_owner(steal.record.bucket_index)
-                    if owner != worker_id:
-                        self.channels[owner].adopt(
-                            AdoptBucket(
-                                bucket_index=steal.record.bucket_index,
-                                entries=released.entries,
-                                staged=released.staged,
-                                clock_ms=0.0,
-                            )
+                released = channel.request(ReleaseBucket(steal.record.bucket_index))
+                owner = self._current_owner(steal.record.bucket_index)
+                if (released.entries or released.staged) and owner != worker_id:
+                    self.channels[owner].request(
+                        AdoptBucket(
+                            bucket_index=steal.record.bucket_index,
+                            entries=released.entries,
+                            staged=released.staged,
+                            clock_ms=0.0,
                         )
-                        touched.append(owner)
-        view.apply_window(channel.advance(0.0))
-        for owner in set(touched):
-            self.views[owner].apply_window(self.channels[owner].advance(0.0))
+                    )
+                    touched.add(owner)
+        # An empty window per touched shard refreshes the coordinator's view.
+        for shard in [worker_id, *sorted(touched)]:
+            self._apply_window(self.channels[shard].request(RunWindow(0.0)))
 
     def _current_owner(self, bucket_index: int) -> int:
         """Who owns a bucket's queue now: the plan, or the latest thief."""
@@ -749,36 +612,29 @@ class RecoveryCoordinator:
 
     # -- planned elasticity (window-barrier scale events) ------------------- #
 
-    def _scale_round(self, window_index: int) -> None:
+    def _scale_round(self) -> None:
         """Execute this barrier's planned membership changes.
 
         Joins run before departures (a newcomer is immediately eligible
         to adopt a leaver's queues, and the pool can never empty at a
-        barrier that has both).
+        barrier that has both).  A joiner is a cold shard with an empty
+        arrival schedule: its view starts drained, so it costs nothing
+        until the next steal round hands it a starving queue — the same
+        seam ordinary stealing uses.
         """
-        for _ in range(self.scale.ups_due(window_index)):
-            self._scale_up(window_index)
-        for worker_id in self.scale.downs_due(window_index):
-            self._scale_down(worker_id, window_index)
+        for _ in range(self.scale.ups_due(self.window_index)):
+            self._spawn_shard(())
+            self.report.scale_events.append(
+                ScaleRecord(
+                    kind="up",
+                    worker_id=len(self.channels) - 1,
+                    window_index=self.window_index,
+                )
+            )
+        for worker_id in self.scale.downs_due(self.window_index):
+            self._scale_down(worker_id)
 
-    def _scale_up(self, window_index: int) -> None:
-        """One worker joins: a cold shard with an empty arrival schedule.
-
-        The new shard's view starts drained, so it costs nothing until
-        the next steal round hands it a starving queue — the same seam
-        ordinary stealing uses.
-        """
-        worker_id = len(self.channels)
-        self.arrivals.append([])
-        self._spawn_shard(worker_id, self._clone(self.spec.policy), ())
-        self.policies.append(self.rel.build_policy())
-        self.accepted_seq[worker_id] = 0
-        self.recovery_budget[worker_id] = self.rel.max_recoveries_per_worker
-        self.report.scale_events.append(
-            ScaleRecord(kind="up", worker_id=worker_id, window_index=window_index)
-        )
-
-    def _scale_down(self, worker_id: int, window_index: int) -> None:
+    def _scale_down(self, worker_id: int) -> None:
         """One worker departs: evacuate, finalize, shut down.
 
         Every queue (pending entries *and* not-yet-ingested staged
@@ -788,9 +644,7 @@ class RecoveryCoordinator:
         correctly.  The departing shard's accounting is captured now and
         merged at run end.
         """
-        channel = self.channels[worker_id]
-        view = self.views[worker_id]
-        released_all = self._release_all_with_recovery(channel, view, window_index)
+        released_all = self._request(worker_id, ReleaseAllBuckets())
         targets = sorted(
             (
                 target
@@ -805,52 +659,39 @@ class RecoveryCoordinator:
             for released in released_all.buckets
             if released.entries or released.staged
         ]
-        entries_migrated = 0
         for position, released in enumerate(buckets):
             target = targets[position % len(targets)]
             enqueues = [entry.enqueue_time_ms for entry in released.entries]
-            start_ms = max(target.clock_ms, max(enqueues, default=0.0))
             message = AdoptBucket(
                 bucket_index=released.bucket_index,
                 entries=released.entries,
                 staged=released.staged,
-                clock_ms=start_ms,
+                clock_ms=max(target.clock_ms, max(enqueues, default=0.0)),
             )
-            self._adopt_with_recovery(target, message, window_index)
-            entries_migrated += len(released.entries)
+            self._request(target.worker_id, message)
+            target.apply_adopt(message)
             # Journaled like a steal (ownership tracking / re-settlement)
             # but NOT appended to steal_records: a planned departure is
             # not a steal in the run's workload accounting.
             self.journal.append(
                 _JournaledSteal(
-                    window_index=window_index,
+                    window_index=self.window_index,
                     record=StealRecord(
-                        time_ms=start_ms,
+                        time_ms=message.clock_ms,
                         bucket_index=released.bucket_index,
                         victim_id=worker_id,
                         thief_id=target.worker_id,
                         entry_count=len(released.entries),
                     ),
-                    released=released,
                     adopt=message,
                 )
             )
-            if released.entries:
-                target.pending[released.bucket_index] = BucketQueueMeta(
-                    bucket_index=released.bucket_index,
-                    entry_count=len(released.entries),
-                    oldest_enqueue_ms=min(enqueues),
-                    newest_enqueue_ms=max(enqueues),
-                )
-            if released.staged:
-                staged_first = min(share.arrival_ms for share in released.staged)
-                if target.next_staged_ms is None or staged_first < target.next_staged_ms:
-                    target.next_staged_ms = staged_first
-            target.clock_ms = max(target.clock_ms, start_ms)
-            target.drained = not target.pending and target.next_staged_ms is None
-        self.final_results[worker_id] = self._finalize_with_recovery(channel)
+        self.final_results[worker_id] = self._request(worker_id, Finalize())
+        channel = self.channels[worker_id]
+        channel.send(Shutdown())
         channel.shutdown()
         self.departed.add(worker_id)
+        view = self.views[worker_id]
         view.pending = {}
         view.next_staged_ms = None
         view.drained = True
@@ -858,112 +699,63 @@ class RecoveryCoordinator:
             ScaleRecord(
                 kind="down",
                 worker_id=worker_id,
-                window_index=window_index,
+                window_index=self.window_index,
                 buckets_migrated=len(buckets),
-                entries_migrated=entries_migrated,
+                entries_migrated=sum(len(released.entries) for released in buckets),
             )
         )
 
-    def _release_all_with_recovery(
-        self, channel: ShardChannel, view: ShardView, window_index: int
-    ) -> ReleasedAll:
-        while True:
-            try:
-                return channel.release_all()
-            except ChannelCrashed:
-                self._recover(channel, view, window_index)
-
-    def _adopt_with_recovery(
-        self, target: ShardView, message: AdoptBucket, window_index: int
-    ) -> None:
-        channel = self.channels[target.worker_id]
-        while True:
-            try:
-                channel.adopt(message)
-                return
-            except ChannelCrashed:
-                self._recover(channel, target, window_index)
-
     # -- stealing (window-barrier, journaled) ------------------------------- #
 
-    def _steal_round(self, window_index: int) -> None:
-        """One shared-rule steal round (see
-        :func:`repro.parallel.backend.run_steal_round`), driven through
-        crash-recovering channel calls, with every migration journaled so
-        recovery can re-settle bucket ownership after a crash."""
+    def _steal_round(self) -> None:
+        """One steal round (:func:`repro.parallel.backend.run_steal_round`)
+        over crash-recovering round trips.  With recovery configured every
+        migration is journaled so a later recovery can re-settle bucket
+        ownership."""
         migrations = run_steal_round(
             [view for view in self.views if view.worker_id not in self.departed],
             self.steal_records,
             self.events,
-            release=lambda victim, bucket: self._release_with_recovery(
-                victim, bucket, window_index
-            ),
-            adopt=lambda thief, message: self.channels[thief.worker_id].adopt(message),
+            self._request,
         )
-        for record, released, adopt in migrations:
-            self.journal.append(
-                _JournaledSteal(
-                    window_index=window_index,
-                    record=record,
-                    released=released,
-                    adopt=adopt,
-                )
+        if self.rel is not None:
+            self.journal.extend(
+                _JournaledSteal(self.window_index, record, adopt)
+                for record, adopt in migrations
             )
-
-    def _release_with_recovery(
-        self, view: ShardView, bucket_index: int, window_index: int
-    ) -> ReleasedBucket:
-        channel = self.channels[view.worker_id]
-        while True:
-            try:
-                return channel.release(bucket_index)
-            except ChannelCrashed:
-                self._recover(channel, view, window_index)
 
     # -- checkpoint cadence ------------------------------------------------- #
 
-    def _checkpoint_round(self, checkpoint_dir: str, window_index: int) -> None:
-        # Broadcast the captures first: each shard serialises and writes
-        # its own .lrcp file, so checkpoint I/O runs concurrently across
-        # worker processes.
-        due: List[Tuple[ShardView, ShardChannel, str]] = []
-        for view, channel, policy in zip(self.views, self.channels, self.policies):
-            if view.drained:
-                continue
-            if not policy.due(window_index, view.clock_ms):
-                continue
-            path = os.path.join(
+    def _checkpoint_round(self) -> None:
+        window_index = self.window_index
+        checkpoint_dir = self.report.checkpoint_dir
+        paths = {
+            view.worker_id: os.path.join(
                 checkpoint_dir,
-                f"shard{channel.worker_id:02d}-w{window_index:06d}{CHECKPOINT_SUFFIX}",
+                f"shard{view.worker_id:02d}-w{window_index:06d}{CHECKPOINT_SUFFIX}",
             )
-            channel.begin_checkpoint(path, window_index)
-            due.append((view, channel, path))
-        wrote_any = False
-        failed: List[Tuple[ShardView, ShardChannel]] = []
-        for view, channel, path in due:
-            try:
-                written = channel.collect_checkpoint()
-            except ChannelCrashed:
-                # An unplanned death while checkpointing: note it and skip
-                # the capture — recovery waits until every in-flight reply
-                # has drained (re-settlement must not talk to a shard with
-                # a capture outstanding); the next barrier retries.
-                failed.append((view, channel))
-                continue
-            self.latest[channel.worker_id] = _LatestCheckpoint(
-                path=path,
-                window_index=window_index,
-                seq=written.seq,
-                clock_ms=written.clock_ms,
-            )
+            for view, policy in zip(self.views, self.policies)
+            if not view.drained and policy.due(window_index, view.clock_ms)
+        }
+        # Each shard serialises and writes its own .lrcp file, so
+        # checkpoint I/O runs concurrently across worker processes.
+        captures, crashed = self._broadcast(
+            {
+                worker_id: CaptureCheckpoint(path, window_index)
+                for worker_id, path in paths.items()
+            }
+        )
+        for written in captures:
+            self.latest[written.worker_id] = (paths[written.worker_id], written)
             self.report.checkpoints_written += 1
             self.report.checkpoint_bytes += written.byte_size
             self.report.checkpoint_real_s += written.real_elapsed_s
             self.report.checkpoint_marks.append(written)
-            wrote_any = True
-        for view, channel in failed:
-            self._recover(channel, view, window_index)
-        if wrote_any:
+        # An unplanned death while checkpointing: skip the capture and
+        # recover; the next barrier retries.
+        for worker_id in crashed:
+            self._recover(worker_id)
+        if captures:
             # The coordinator's own durable state rides alongside: the
             # cross-shard completion tracker and the per-shard
             # emitted-record cursor (the result streams' chunk cursor).
@@ -976,7 +768,7 @@ class RecoveryCoordinator:
                 worker_id=RUN_CHECKPOINT_WORKER,
                 window_index=window_index,
                 clock_ms=max((view.clock_ms for view in self.views), default=0.0),
-                generation=self.generation,
+                generation=self.spec.store.generation,
                 payload_obj=RunCheckpoint(
                     window_index=window_index,
                     tracker=self.tracker,
@@ -988,20 +780,10 @@ class RecoveryCoordinator:
             self.report.checkpoint_real_s += time.perf_counter() - started
 
 
-def execute_with_reliability(
-    spec: ParallelRunSpec,
-    backend_name: str,
-    start_method: str = "spawn",
-) -> BackendOutcome:
-    """Run *spec* under the recovery coordinator (both backends call this)."""
-    return RecoveryCoordinator(spec, backend_name, start_method).execute()
-
-
 __all__ = [
     "ChannelCrashed",
     "InlineChannel",
     "ProcessChannel",
-    "RecoveryCoordinator",
     "ShardChannel",
-    "execute_with_reliability",
+    "ShardCoordinator",
 ]
