@@ -1,9 +1,10 @@
 """Benchmark ratchet: compare two ``--bench-json`` snapshots, fail on regression.
 
-The committed baselines (``BENCH_storage.json``, ``BENCH_parallel.json`` at
-the repository root) pin the performance the storage and parallel subsystems
-have already demonstrated.  CI reruns the same benchmarks, writes a candidate
-snapshot with ``--bench-json``, and this module compares the two::
+The committed baselines (``BENCH_storage.json``, ``BENCH_parallel.json``,
+``BENCH_scheduler.json`` at the repository root) pin the performance the
+storage and parallel subsystems and the scheduler have already demonstrated.
+CI reruns the same benchmarks, writes a candidate snapshot with
+``--bench-json``, and this module compares the two::
 
     python -m benchmarks.ratchet BENCH_storage.json candidate.json
 
@@ -41,6 +42,11 @@ RATCHETED_METRICS: Dict[str, str] = {
     # parallel: virtual-clock scaling quality (deterministic)
     "speedup_2x": "higher",
     "speedup_4x": "higher",
+    # scheduler: one decision must not scale with the pending set — the
+    # dimensionless growth (µs at 4,096 pending ÷ µs at 256) is the ratchet
+    # a slower machine cannot move; the absolute figure rides beside it
+    "decision_growth_16x": "lower",
+    "decision_us_at_4096": "lower",
 }
 
 #: Default allowed relative regression before the ratchet fails.

@@ -1,0 +1,100 @@
+"""Benchmarks of one LifeRaft scheduling decision against the pending-set depth.
+
+The decision reads the workload manager's scheduling index, so its cost
+must not grow with the number of pending buckets.  What is ratcheted is the
+*shape*: ``decision_growth_16x`` — microseconds per decision at 4,096
+pending buckets over microseconds at 256, a dimensionless number that is the
+same on a fast and a slow machine (a full rescan of the pending set reads
+≈ 17 here, the indexed decision ≈ 1.5) — and, beside it, the absolute
+``decision_us_at_4096``.  ``BENCH_scheduler.json`` at the repository root is
+the committed baseline (``--bench-json``; compare with ``benchmarks.ratchet``).
+"""
+
+import time
+
+import pytest
+
+from repro.core.bucket_cache import BucketCacheManager
+from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig, WorkItem
+from repro.core.workload_manager import WorkloadManager
+from repro.storage.bucket_store import BucketStore
+from repro.storage.partitioner import BucketPartitioner
+
+#: The decision may cost at most this many times more at 16× the depth.
+MAX_GROWTH_16X = 3.0
+
+
+def one_entry_queues(pending: int):
+    """*pending* single-entry queues, every one its own age group, all cold."""
+    layout = BucketPartitioner().partition_density(pending)
+    manager = WorkloadManager()
+    for bucket in range(pending):
+        manager.add_query(bucket, {bucket: 100 + bucket % 7}, float(bucket))
+    return manager, BucketCacheManager(BucketStore(layout), 20), float(pending) + 1_000.0
+
+
+def mixed_queues(pending: int = 1_024):
+    """Shared arrival times, deep queues, a heavy tail of sizes, a warm cache."""
+    layout = BucketPartitioner().partition_density(pending)
+    manager = WorkloadManager()
+    for query_id in range(pending):
+        # Every fourth share is up to 40x larger: a few queues dwarf the rest.
+        footprint = {
+            (query_id * 37 + k * 101) % pending: 5
+            + (query_id * 13 + k * 7) % (8_000 if k == 3 else 200)
+            for k in range(4)
+        }
+        manager.add_query(query_id, footprint, 250.0 * (query_id // 3))
+    cache = BucketCacheManager(BucketStore(layout), 20)
+    for bucket in range(0, pending, pending // 20):
+        cache.load(bucket)
+    return manager, cache, 250.0 * pending
+
+
+def decision_us(scheduler, manager, cache, now_ms, samples: int = 40, calls: int = 50) -> float:
+    """Best-of-*samples* microseconds of one ``next_work`` (mean over *calls*).
+
+    The state is not drained between calls: every call makes the same
+    decision, so the floor over samples is the decision's cost with the
+    host's noise removed.
+    """
+    best = float("inf")
+    for _ in range(samples):
+        started = time.perf_counter()
+        for _ in range(calls):
+            scheduler.next_work(manager, cache, now_ms)
+        best = min(best, time.perf_counter() - started)
+    return best / calls * 1e6
+
+
+def test_bench_decision_vs_pending_depth(benchmark):
+    shallow = one_entry_queues(256)
+    deep = one_entry_queues(4_096)
+    scheduler = LifeRaftScheduler(SchedulerConfig(alpha=0.25))
+    work = benchmark.pedantic(scheduler.next_work, args=deep, rounds=200, iterations=1)
+    assert isinstance(work, WorkItem)
+    us_at_256 = decision_us(scheduler, *shallow)
+    us_at_4096 = decision_us(scheduler, *deep)
+    growth = us_at_4096 / us_at_256
+    benchmark.extra_info["decision_us_at_256"] = round(us_at_256, 3)
+    benchmark.extra_info["decision_us_at_4096"] = round(us_at_4096, 3)
+    benchmark.extra_info["decision_growth_16x"] = round(growth, 3)
+    assert growth <= MAX_GROWTH_16X, (
+        f"a decision costs {growth:.1f}x more at 16x the pending buckets "
+        f"({us_at_256:.1f} -> {us_at_4096:.1f} us): it scales with the backlog again"
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+def test_bench_decision_mixed_ages_and_residents(benchmark, alpha):
+    manager, cache, now_ms = mixed_queues()
+    scheduler = LifeRaftScheduler(SchedulerConfig(alpha=alpha))
+    work = benchmark.pedantic(
+        scheduler.next_work, args=(manager, cache, now_ms), rounds=200, iterations=1
+    )
+    assert isinstance(work, WorkItem)
+    benchmark.extra_info["pending_buckets"] = manager.pending_bucket_count()
+    benchmark.extra_info["age_groups"] = len(list(manager.age_groups()))
+    benchmark.extra_info["decision_us_mixed"] = round(
+        decision_us(scheduler, manager, cache, now_ms), 3
+    )

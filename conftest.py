@@ -10,9 +10,17 @@ differs, and both point at the same source tree for an editable install.
 import os
 import sys
 
+from hypothesis import settings
+
 _SRC = os.path.join(os.path.dirname(__file__), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
+
+# CI selects this with ``--hypothesis-profile=ci``: the property tests —
+# above all the indexed-decision-vs-oracle state machine — run deep, and
+# derandomised so a red build reproduces on the next push and on a laptop.
+# A test's own ``max_examples`` still wins; local runs keep the default.
+settings.register_profile("ci", max_examples=500, derandomize=True, deadline=None)
 
 
 def pytest_addoption(parser):

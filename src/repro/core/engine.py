@@ -310,7 +310,7 @@ class ServiceLoop:
         count = len(self._s_queue_depth.samples)
         while (count + 1) * window_ms <= now_ms + _SERIES_TIME_EPS:
             self._s_queue_depth.record(count, self.manager.pending_entries())
-            self._s_backlog_buckets.record(count, len(self.manager.pending_buckets()))
+            self._s_backlog_buckets.record(count, self.manager.pending_bucket_count())
             self._s_cache_buckets.record(count, len(self.cache.resident_buckets()))
             if self._s_page_cache_buckets is not None:
                 self._s_page_cache_buckets.record(

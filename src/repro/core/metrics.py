@@ -182,24 +182,25 @@ def aged_workload_throughput(
         Age bias in ``[0, 1]``; 0 selects the most contentious bucket, 1
         schedules purely by arrival order.
     cost, max_age_ms, normalize:
-        When *normalize* is true (the default) ``ut`` is divided by its
-        upper bound ``1/Tm`` (requires *cost*) and ``age_ms`` by
-        *max_age_ms* (the age of the oldest request over all queues), so
-        both terms are comparable and intermediate α values interpolate
-        meaningfully.  With ``normalize=False`` the raw paper formula is
-        used.
+        When *normalize* is true (the default) ``ut`` is scaled by ``Tm``,
+        the inverse of its upper bound ``1/Tm`` (requires *cost*), and
+        ``age_ms`` divided by *max_age_ms* (the age of the oldest request
+        over all queues), so both terms are comparable and intermediate α
+        values interpolate meaningfully.  With ``normalize=False`` the raw
+        paper formula is used.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be within [0, 1]")
     if age_ms < 0:
         raise ValueError("age cannot be negative")
+    # Operation for operation the expression ``LifeRaftScheduler`` evaluates
+    # (``ut·Tm``, not ``ut / (1/Tm)``): the two agree bit for bit, not to an ulp.
     if not normalize:
-        return ut * (1.0 - alpha) + age_ms * alpha
+        return (1.0 - alpha) * ut + alpha * age_ms
     if cost is None:
         raise ValueError("normalised combination requires a CostModel")
-    ut_term = ut / cost.max_workload_throughput
     if max_age_ms is None or max_age_ms <= 0:
         age_term = 0.0
     else:
         age_term = min(1.0, age_ms / max_age_ms)
-    return ut_term * (1.0 - alpha) + age_term * alpha
+    return (1.0 - alpha) * ut * cost.tm_ms + alpha * age_term

@@ -17,11 +17,11 @@ the *entire* workload queue of the chosen bucket.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Protocol, Tuple
+from typing import Callable, Dict, Optional, Protocol, Tuple
 
 from repro.core.bucket_cache import BucketCacheManager
 from repro.core.join_evaluator import JoinStrategy
-from repro.core.metrics import CostModel, aged_workload_throughput, workload_throughput
+from repro.core.metrics import CostModel
 from repro.core.workload_manager import WorkloadManager
 
 
@@ -121,6 +121,33 @@ class LifeRaftScheduler:
         """Adjust the age bias (the adaptive controller calls this online)."""
         self.config = self.config.with_alpha(alpha)
 
+    def _ua(self, now_ms: float, max_age_ms: float) -> Callable[[int, float, float], float]:
+        """Equations (1)–(2) for one instant: ``ua(queue size, oldest enqueue ms, io ms)``.
+
+        The only place the metric is computed: :meth:`score`,
+        :meth:`rank_buckets` and every comparison in :meth:`next_work`
+        (candidates *and* pruning bounds) call the returned function, so
+        they agree bit for bit.  *io ms* is ``Tb`` for a cold bucket and 0
+        for a cache-resident one (the φ(i) of Equation 1).
+        """
+        cfg = self.config
+        tm = cfg.cost.tm_ms
+        alpha = cfg.alpha
+        one_minus_alpha = 1.0 - alpha
+        normalize = cfg.normalize_metric
+
+        def ua(queue_objects: int, oldest_ms: float, io_ms: float) -> float:
+            ut = queue_objects / (io_ms + tm * queue_objects) if queue_objects else 0.0
+            age = now_ms - oldest_ms
+            if age < 0.0:
+                age = 0.0
+            if normalize:
+                age_term = (age / max_age_ms) if max_age_ms > 0 else 0.0
+                return one_minus_alpha * ut * tm + alpha * age_term
+            return one_minus_alpha * ut + alpha * age
+
+        return ua
+
     def score(
         self,
         bucket_index: int,
@@ -130,29 +157,24 @@ class LifeRaftScheduler:
         max_age_ms: Optional[float] = None,
     ) -> float:
         """The aged workload throughput ``Ua`` of one bucket right now."""
-        cfg = self.config
-        queue_objects = manager.queue_size(bucket_index)
-        ut = workload_throughput(queue_objects, cache.resident(bucket_index), cfg.cost)
-        age = manager.oldest_age_ms(bucket_index, now_ms)
         if max_age_ms is None:
             max_age_ms = manager.max_pending_age_ms(now_ms)
-        return aged_workload_throughput(
-            ut,
-            age,
-            cfg.alpha,
-            cost=cfg.cost,
-            max_age_ms=max_age_ms,
-            normalize=cfg.normalize_metric,
+        return self._ua(now_ms, max_age_ms)(
+            manager.queue_size(bucket_index),
+            manager.oldest_bucket_enqueue_ms(bucket_index),
+            0.0 if cache.resident(bucket_index) else self.config.cost.tb_ms,
         )
 
     def rank_buckets(
         self, manager: WorkloadManager, cache: BucketCacheManager, now_ms: float
     ) -> Dict[int, float]:
         """Score every pending bucket (exposed for tests and introspection)."""
-        max_age = manager.max_pending_age_ms(now_ms)
+        ua = self._ua(now_ms, manager.max_pending_age_ms(now_ms))
+        tb = self.config.cost.tb_ms
+        pending = manager.pending_among(manager.pending_buckets())
         return {
-            bucket: self.score(bucket, manager, cache, now_ms, max_age)
-            for bucket in manager.pending_buckets()
+            bucket: ua(queue_objects, oldest_ms, 0.0 if cache.resident(bucket) else tb)
+            for bucket, queue_objects, oldest_ms in pending
         }
 
     def next_work(
@@ -161,38 +183,49 @@ class LifeRaftScheduler:
         """Pick the pending bucket with the highest ``Ua``.
 
         Ties are broken toward the lower bucket index so behaviour is
-        deterministic (and therefore reproducible across runs).  The body is
-        a tight hand-inlined loop over the manager's pending-state snapshot:
-        it runs once per bucket service over potentially thousands of
-        pending buckets, which makes it the hot path of every simulation.
+        deterministic (and therefore reproducible across runs).
+
+        The choice is the one a scan of every pending bucket would make, but
+        only a few are scored.  ``ua`` never decreases when a cold queue
+        grows or its oldest request ages (each floating-point operation in
+        it is monotone; for the queue size see the README's ``core/``
+        section), and the manager keeps the pending buckets sorted both
+        ways.  Resident queues (at most the cache capacity) are scored
+        first.  Then the two orders are read in step, every bucket scored as
+        if cold — the next-largest queue, and the next-oldest age group, down
+        the group only while its scores still tie the best — until
+        ``ua(next size, next age)``, which no bucket unseen in both orders
+        can exceed, falls below the best.  (A resident bucket met again
+        scores no higher cold than it already did, so it changes nothing.)
         """
-        state = manager.pending_state(now_ms)
-        if not state:
+        if not manager.has_pending_work():
             return None
         self.decisions += 1
-        cfg = self.config
-        tb = cfg.cost.tb_ms
-        tm = cfg.cost.tm_ms
-        alpha = cfg.alpha
-        one_minus_alpha = 1.0 - alpha
-        normalize = cfg.normalize_metric
-        resident = cache.resident
-        max_age = max(age for _bucket, _size, age in state)
-        best_bucket: Optional[int] = None
+        ua = self._ua(now_ms, manager.max_pending_age_ms(now_ms))
+        tb = self.config.cost.tb_ms
         best_score = float("-inf")
-        for bucket, queue_objects, age in state:
-            io_term = 0.0 if resident(bucket) else tb
-            ut = queue_objects / (io_term + tm * queue_objects) if queue_objects else 0.0
-            if normalize:
-                age_term = (age / max_age) if max_age > 0 else 0.0
-                score = one_minus_alpha * ut * tm + alpha * age_term
-            else:
-                score = one_minus_alpha * ut + alpha * age
-            if score > best_score or (
-                score == best_score and (best_bucket is None or bucket < best_bucket)
-            ):
+        best_bucket = -1
+        for bucket, queue_objects, oldest_ms in manager.pending_among(cache.resident_buckets()):
+            score = ua(queue_objects, oldest_ms, 0.0)
+            if score > best_score or (score == best_score and bucket < best_bucket):
                 best_score = score
                 best_bucket = bucket
-        if best_bucket is None:
-            return None
+        # There are no more age groups than pending buckets, so the size
+        # order cannot run out before the groups do.
+        by_size = iter(manager.size_order())
+        for group_ms, group in manager.age_groups():
+            negated_size, bucket, oldest_ms = next(by_size)
+            if ua(-negated_size, group_ms, tb) < best_score:
+                break
+            score = ua(-negated_size, oldest_ms, tb)
+            if score > best_score or (score == best_score and bucket < best_bucket):
+                best_score = score
+                best_bucket = bucket
+            for negated_size, bucket, _ in group:
+                score = ua(-negated_size, group_ms, tb)
+                if score < best_score:
+                    break
+                if score > best_score or bucket < best_bucket:
+                    best_score = score
+                    best_bucket = bucket
         return WorkItem(bucket_index=best_bucket)

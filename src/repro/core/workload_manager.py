@@ -13,16 +13,17 @@ age of the oldest query in each queue".  Concretely it owns:
 
 The manager is deliberately policy-free: schedulers read its state (queue
 sizes, oldest ages) and the engine mutates it (enqueue on arrival, drain on
-service).  Queue size and oldest-request age are maintained incrementally
-because the scheduler consults them for every pending bucket on every
-scheduling decision — the hot loop of the whole system.
+service).  Every queue's size and oldest-request age are maintained
+incrementally, and so is the **scheduling index** over them (see
+:class:`WorkloadManager`): a scheduling decision reads a handful of index
+entries instead of rescoring every pending bucket.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.workload.query import CrossMatchObject
 
@@ -132,8 +133,37 @@ class _QueryState:
         return not self.remaining_buckets
 
 
+#: One scheduling-index entry: ``(-queue size, bucket index, oldest enqueue
+#: time)``, so a sorted list has its largest queue first and equal sizes by
+#: bucket index (the bucket is unique, so the time never decides an order).
+IndexEntry = Tuple[int, int, float]
+
+
 class WorkloadManager:
-    """Owns the workload queues and the query-to-queue mapping."""
+    """Owns the workload queues and the query-to-queue mapping.
+
+    **Invariant — no empty queue is ever stored**: ``_queues`` holds exactly
+    the buckets with pending work (a queue is created by its first entry and
+    deleted by the drain or release that empties it), so the dict itself
+    answers "is there work" and "which buckets".
+
+    **The scheduling index** is derived from the queues and kept equal to
+    them by every mutation (``add_query``, ``drain_bucket``, full or
+    partial, ``adopt_bucket``, ``release_bucket``): one :data:`IndexEntry`
+    per pending bucket, never a stale one, held in two sorted orders.  The
+    key is free of α, the cost model and the normalisation, so nothing a
+    scheduler is configured with can invalidate it:
+
+    * ``_by_size`` — every entry, largest queue first;
+    * ``_groups`` — the same entries grouped by oldest enqueue time, each
+      group largest queue first (every bucket a query touches shares that
+      query's arrival time, so there are far fewer groups than buckets);
+      ``_group_times`` lists the groups' times ascending, so the oldest
+      pending request is ``_group_times[0]``.
+
+    The index is never pickled: a checkpoint carries the queues, and
+    ``__setstate__`` rebuilds the index from them.
+    """
 
     def __init__(self) -> None:
         self._queues: Dict[int, WorkloadQueue] = {}
@@ -142,6 +172,57 @@ class WorkloadManager:
         #: Query ids in arrival order with a cursor for oldest_pending_query().
         self._arrival_order: List[int] = []
         self._arrival_cursor = 0
+        self._rebuild_index()
+
+    # ------------------------------------------------------------------ #
+    # scheduling index (derived state)
+    # ------------------------------------------------------------------ #
+
+    def _rebuild_index(self) -> None:
+        """Derive the scheduling index and the entry count from the queues."""
+        self._by_size: List[IndexEntry] = sorted(
+            (-queue._total_objects, queue.bucket_index, queue._oldest_ms)
+            for queue in self._queues.values()
+        )
+        self._groups: Dict[float, List[IndexEntry]] = {}
+        for entry in self._by_size:
+            self._groups.setdefault(entry[2], []).append(entry)
+        self._group_times: List[float] = sorted(self._groups)
+        self._pending_entries = sum(len(queue.entries) for queue in self._queues.values())
+
+    def _index(self, queue: WorkloadQueue) -> None:
+        """Enter a non-empty queue under its current key."""
+        oldest_ms = queue._oldest_ms
+        entry = (-queue._total_objects, queue.bucket_index, oldest_ms)
+        group = self._groups.get(oldest_ms)
+        if group is None:
+            self._groups[oldest_ms] = [entry]
+            insort(self._group_times, oldest_ms)
+        else:
+            insort(group, entry)
+        insort(self._by_size, entry)
+
+    def _unindex(self, queue: WorkloadQueue) -> None:
+        """Remove a queue's entry; call *before* changing the queue."""
+        oldest_ms = queue._oldest_ms
+        entry = (-queue._total_objects, queue.bucket_index, oldest_ms)
+        group = self._groups[oldest_ms]
+        if len(group) == 1:
+            del self._groups[oldest_ms]
+            del self._group_times[bisect_left(self._group_times, oldest_ms)]
+        else:
+            del group[bisect_left(group, entry)]
+        del self._by_size[bisect_left(self._by_size, entry)]
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for derived in ("_by_size", "_groups", "_group_times", "_pending_entries"):
+            del state[derived]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._rebuild_index()
 
     # ------------------------------------------------------------------ #
     # intake
@@ -185,6 +266,8 @@ class WorkloadManager:
             if queue is None:
                 queue = WorkloadQueue(bucket_index)
                 self._queues[bucket_index] = queue
+            else:
+                self._unindex(queue)
             queue.append(
                 WorkloadEntry(
                     query_id=query_id,
@@ -193,6 +276,8 @@ class WorkloadManager:
                     objects=objects,
                 )
             )
+            self._index(queue)
+            self._pending_entries += 1
             total_objects += count
         state = self._queries.get(query_id)
         if state is not None:
@@ -228,7 +313,7 @@ class WorkloadManager:
         if self._arrival_order:
             last_id = self._arrival_order[-1]
             if key < (self._queries[last_id].arrival_time_ms, last_id):
-                position = bisect.bisect_right(
+                position = bisect_right(
                     self._arrival_order,
                     key,
                     key=lambda qid: (self._queries[qid].arrival_time_ms, qid),
@@ -246,29 +331,46 @@ class WorkloadManager:
 
     def pending_buckets(self) -> List[int]:
         """Bucket indices with non-empty workload queues."""
-        return [index for index, queue in self._queues.items() if queue]
+        return list(self._queues)
+
+    def pending_bucket_count(self) -> int:
+        """Number of buckets with pending work."""
+        return len(self._queues)
 
     def pending_entries(self) -> int:
         """Entries waiting across all queues (one per (query, bucket) share)."""
-        return sum(len(queue) for queue in self._queues.values())
-
-    def pending_state(self, now_ms: float) -> List[Tuple[int, int, float]]:
-        """One-pass snapshot for schedulers: (bucket, queue size, age in ms).
-
-        This is the hot path of every scheduling decision; building the
-        snapshot in one sweep avoids per-bucket method dispatch.
-        """
-        state: List[Tuple[int, int, float]] = []
-        for index, queue in self._queues.items():
-            if queue.entries:
-                state.append(
-                    (index, queue._total_objects, max(0.0, now_ms - queue._oldest_ms))
-                )
-        return state
+        return self._pending_entries
 
     def has_pending_work(self) -> bool:
         """``True`` when any workload queue is non-empty."""
-        return any(self._queues.values())
+        return bool(self._queues)
+
+    def age_groups(self) -> Iterator[Tuple[float, Sequence[IndexEntry]]]:
+        """The scheduling index by age: ``(oldest enqueue time, entries)``, oldest first.
+
+        One pair per distinct oldest enqueue time; *entries* are the queues
+        whose oldest request has that time, largest queue first and equal
+        sizes by bucket index.  The lists are the live index: read, never
+        modify.
+        """
+        groups = self._groups
+        return ((oldest_ms, groups[oldest_ms]) for oldest_ms in self._group_times)
+
+    def size_order(self) -> Sequence[IndexEntry]:
+        """The scheduling index by size: every pending bucket, largest queue first.
+
+        The live index: read, never modify.
+        """
+        return self._by_size
+
+    def pending_among(self, buckets: Iterable[int]) -> List[Tuple[int, int, float]]:
+        """``(bucket, queue size, oldest enqueue time)`` of each pending one of *buckets*."""
+        queues = self._queues
+        return [
+            (bucket, queue._total_objects, queue._oldest_ms)
+            for bucket in buckets
+            if (queue := queues.get(bucket)) is not None
+        ]
 
     def queue(self, bucket_index: int) -> WorkloadQueue:
         """The workload queue of *bucket_index* (empty queue if none yet)."""
@@ -288,15 +390,9 @@ class WorkloadManager:
 
     def max_pending_age_ms(self, now_ms: float) -> float:
         """Age of the oldest request over all queues (normalisation reference)."""
-        oldest: Optional[float] = None
-        for queue in self._queues.values():
-            if queue.entries:
-                t = queue._oldest_ms
-                if oldest is None or t < oldest:
-                    oldest = t
-        if oldest is None:
+        if not self._group_times:
             return 0.0
-        return max(0.0, now_ms - oldest)
+        return max(0.0, now_ms - self._group_times[0])
 
     def pending_queries(self) -> List[int]:
         """Queries submitted but not yet complete, ordered by arrival time."""
@@ -346,12 +442,14 @@ class WorkloadManager:
         Completed queries are stamped with *now_ms* as completion time.
         """
         queue = self._queues.get(bucket_index)
-        if queue is None or not queue.entries:
+        if queue is None:
             return [], []
+        self._unindex(queue)
         if query_ids is None:
             drained = queue.drain_all()
         else:
             drained = queue.remove_queries(set(query_ids))
+        self._pending_entries -= len(drained)
         completed: List[int] = []
         for entry in drained:
             state = self._queries[entry.query_id]
@@ -360,9 +458,9 @@ class WorkloadManager:
                 state.completion_time_ms = now_ms
                 completed.append(entry.query_id)
                 self._completed.append(entry.query_id)
-        if not queue.entries:
-            # Keep the dict small: drop empty queues so pending_buckets()
-            # stays proportional to the live working set.
+        if queue.entries:
+            self._index(queue)
+        else:
             del self._queues[bucket_index]
         return drained, completed
 
@@ -373,9 +471,7 @@ class WorkloadManager:
     def oldest_bucket_enqueue_ms(self, bucket_index: int) -> float:
         """Enqueue time of the oldest entry in a bucket's queue (inf if empty)."""
         queue = self._queues.get(bucket_index)
-        if queue is None or not queue.entries:
-            return float("inf")
-        return queue.oldest_enqueue_time_ms
+        return queue._oldest_ms if queue is not None else float("inf")
 
     def release_bucket(self, bucket_index: int) -> List[WorkloadEntry]:
         """Hand a whole workload queue to another manager (steal source).
@@ -387,9 +483,11 @@ class WorkloadManager:
         by either manager.
         """
         queue = self._queues.get(bucket_index)
-        if queue is None or not queue.entries:
+        if queue is None:
             return []
+        self._unindex(queue)
         entries = queue.drain_all()
+        self._pending_entries -= len(entries)
         del self._queues[bucket_index]
         for query_id in {entry.query_id for entry in entries}:
             state = self._queries.get(query_id)
@@ -411,6 +509,9 @@ class WorkloadManager:
         if queue is None:
             queue = WorkloadQueue(bucket_index)
             self._queues[bucket_index] = queue
+        else:
+            self._unindex(queue)
+        self._pending_entries += len(entries)
         for entry in entries:
             queue.append(entry)
             state = self._queries.get(entry.query_id)
@@ -430,6 +531,7 @@ class WorkloadManager:
                 state.remaining_buckets.add(bucket_index)
                 state.total_buckets += 1
                 state.total_objects += entry.object_count
+        self._index(queue)
         # Adoption can re-open a query the oldest_pending_query() cursor has
         # already skipped (its local share drained before the steal) and can
         # insert behind the cursor; rewind so no pending query is ever missed.

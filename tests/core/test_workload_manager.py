@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.workload_manager import WorkloadEntry, WorkloadManager, WorkloadQueue
+from tests.core.scheduler_oracle import pending_state
 
 
 class TestWorkloadEntry:
@@ -75,7 +76,7 @@ class TestSchedulerFacingState:
         manager.add_query(1, {2: 5}, 1_000.0)
         manager.add_query(2, {2: 7, 9: 3}, 2_000.0)
         assert sorted(manager.pending_buckets()) == [2, 9]
-        state = dict((b, (size, age)) for b, size, age in manager.pending_state(3_000.0))
+        state = dict((b, (size, age)) for b, size, age in pending_state(manager, 3_000.0))
         assert state[2] == (12, 2_000.0)
         assert state[9] == (3, 1_000.0)
         assert manager.max_pending_age_ms(3_000.0) == 2_000.0

@@ -190,6 +190,48 @@ class TestShardStateFidelity:
             or recovered.manager.completed_queries()
         )
 
+    def test_scheduling_index_is_not_checkpointed(self, layout, tmp_path):
+        """The manager's scheduling index is derived state: ``.lrcp`` files
+        carry the queues only (the byte size below was recorded at the
+        commit before the index existed), and a restored worker rebuilds the
+        index and picks the same buckets to the end of the run."""
+
+        def stage_deep(worker):
+            # Three shares per arrival time over 16 buckets: deep queues,
+            # shared oldest-enqueue times, many buckets pending at once.
+            for i in range(60):
+                worker.stage(
+                    StagedShare(
+                        arrival_ms=40.0 * (i // 3),
+                        query_id=i // 3,
+                        bucket_index=(i * 5 + 3) % BUCKETS,
+                        payload=50 + (i % 4) * 25,
+                    )
+                )
+
+        reference = build_worker(layout)
+        stage_deep(reference)
+        reference_records = ShardReplayer(reference).advance(None)
+
+        subject = build_worker(layout)
+        stage_deep(subject)
+        replayer = ShardReplayer(subject)
+        head = replayer.advance(3_000.0)
+        assert len(subject.manager.pending_buckets()) > 8
+        path = tmp_path / "deep.lrcp"
+        info = checkpoint_worker(path, subject, replayer.seq, window_index=1)
+        assert info.byte_size == 6_397
+
+        recovered = build_worker(layout)
+        stage_deep(recovered)
+        state = restore_worker(path, recovered)
+        assert recovered.manager.size_order() == subject.manager.size_order()
+        assert list(recovered.manager.age_groups()) == list(subject.manager.age_groups())
+        tail = ShardReplayer(recovered, start_seq=state.seq).advance(None)
+        assert [(r.seq, r.bucket_index, r.queries_served) for r in head + tail] == [
+            (r.seq, r.bucket_index, r.queries_served) for r in reference_records
+        ]
+
     def test_restore_rejects_wrong_worker(self, layout, tmp_path):
         worker = build_worker(layout, worker_id=0)
         stage_workload(worker)

@@ -66,6 +66,13 @@ class TestCompare:
         failures, _ = compare(snapshot(columnar_decode_mb_per_s=700.0), candidate)
         assert failures and "scale mismatch" in failures[0]
 
+    def test_lower_is_better_metrics_fail_when_they_rise(self):
+        base = snapshot(decision_growth_16x=1.6, decision_us_at_4096=9.0)
+        failures, _ = compare(base, snapshot(decision_growth_16x=1.2, decision_us_at_4096=5.0))
+        assert failures == []
+        failures, _ = compare(base, snapshot(decision_growth_16x=17.0, decision_us_at_4096=9.5))
+        assert len(failures) == 1 and "decision_growth_16x" in failures[0]
+
     def test_unratcheted_metrics_are_ignored(self):
         failures, _ = compare(
             snapshot(columnar_decode_mb_per_s=700.0, file_megabytes=100.0),
