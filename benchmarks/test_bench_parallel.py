@@ -51,7 +51,9 @@ def test_bench_parallel_process_backend(benchmark):
 
     The headline records both the virtual-time speedup (must match the
     virtual backend's) and the measured wall-clock speedup of 4 worker
-    processes over 1.  This benchmark uses a paper-sized partition (4,096
+    processes over 1 — both rows on workers booted before the sweep
+    (``boot_pass_s``), so the ratio compares work, not interpreter
+    start-up.  This benchmark uses a paper-sized partition (4,096
     buckets, 2,000 queries) regardless of the bench scale: per-service
     scheduler work grows with the pending-bucket count, so only a deep
     partition gives the worker processes enough real computation to
@@ -78,6 +80,9 @@ def test_bench_parallel_process_backend(benchmark):
     record_headline(benchmark, result)
     benchmark.extra_info["cpu_count"] = os.cpu_count() or 1
     benchmark.extra_info["backend"] = "process"
+    # Ratcheted under its own name: the virtual sweeps above also record a
+    # ``wall_speedup_4x``, but theirs are 0.05 s runs and stay unratcheted.
+    benchmark.extra_info["process_wall_speedup_4x"] = benchmark.extra_info["wall_speedup_4x"]
     # Virtual-clock scheduling quality is backend-invariant.
     assert result.headline["speedup_4x"] > 1.5
     # The wall-clock measurement is always recorded in the bench JSON.

@@ -30,6 +30,7 @@ from repro.experiments.common import (
 from repro.reliability import FaultPlan, ReliabilityConfig
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import VIRTUAL_CLOCK_PARITY_FIELDS, Simulator
+from repro.telemetry.registry import metric_value
 from repro.workload.generator import QueryTrace
 
 #: Cadences on the experiment's x axis (finest to sparsest, then a
@@ -109,6 +110,7 @@ def run(
                 report.recovery_count,
                 report.services_replayed,
                 report.recovery_real_s,
+                metric_value(result.telemetry, "coordinator.boot_s"),
                 "yes" if parity else "NO",
             )
         )
@@ -133,6 +135,7 @@ def run(
             "recoveries",
             "services replayed",
             "recovery real (s)",
+            "boot (s)",
             "parity",
         ),
         rows=rows,
@@ -140,6 +143,8 @@ def run(
         notes=(
             f"{WORKERS} shard workers, crash plan {CRASH_PLAN} (worker@window), "
             f"window quantum {WINDOW_BUCKET_READS:g} bucket reads, stealing off; "
-            f"trace replayed at {SATURATION_FACTOR:g}x serial capacity"
+            f"trace replayed at {SATURATION_FACTOR:g}x serial capacity; on the "
+            "process backend the clean run boots the workers, so a row's boot "
+            "seconds are its respawns alone (part of its recovery seconds)"
         ),
     )

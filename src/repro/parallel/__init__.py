@@ -39,6 +39,7 @@ from repro.parallel.backend import (
     make_backend,
 )
 from repro.parallel.engine import ParallelEngine, ParallelReport
+from repro.parallel.ipc import shutdown_workers
 from repro.parallel.sharding import (
     SHARD_STRATEGIES,
     ShardPlan,
@@ -65,4 +66,5 @@ __all__ = [
     "make_shard_plan",
     "partition_round_robin",
     "partition_zones",
+    "shutdown_workers",
 ]

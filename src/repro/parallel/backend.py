@@ -59,6 +59,7 @@ from repro.parallel.ipc import (
     ReleaseBucket,
     WindowReport,
     WorkerResult,
+    trim_idle_workers,
 )
 from repro.parallel.sharding import ShardPlan, make_shard_plan
 from repro.parallel.worker import StagedShare
@@ -123,6 +124,7 @@ def coordinator_snapshot(
     steal_count: int = 0,
     window_count: int = 0,
     reliability: Optional["ReliabilityReport"] = None,
+    worker_processes: Optional[Dict[str, float]] = None,
 ) -> Optional[dict]:
     """Coordinator-side accounting as a mergeable telemetry snapshot.
 
@@ -132,12 +134,18 @@ def coordinator_snapshot(
     are operational profile.  Counters are only created when non-zero so
     that backends which never window (the virtual interleaver) produce
     snapshots bit-identical to a single-drain process run.
+    *worker_processes* is the process backend's boot accounting
+    (``coordinator.workers_booted`` / ``workers_reused`` / ``boot_s``): it
+    says whether the run's ``real_elapsed_s`` paid for interpreter boots.
     """
     registry = MetricsRegistry()
-    if steal_count:
-        registry.counter("coordinator.steals", domain=REAL_DOMAIN).inc(steal_count)
-    if window_count:
-        registry.counter("coordinator.windows", domain=REAL_DOMAIN).inc(window_count)
+    for name, value in (
+        ("coordinator.steals", steal_count),
+        ("coordinator.windows", window_count),
+        *(worker_processes or {}).items(),
+    ):
+        if value:
+            registry.counter(name, domain=REAL_DOMAIN).inc(value)
     if reliability is not None:
         for name, value in (
             ("reliability.windows", reliability.windows),
@@ -166,6 +174,7 @@ def merge_backend_outcome(
     elapsed_s: float,
     reliability: Optional["ReliabilityReport"] = None,
     window_boundaries_ms: Optional[List[float]] = None,
+    worker_processes: Optional[Dict[str, float]] = None,
 ) -> BackendOutcome:
     """Merge per-shard batch records and accounting into one outcome.
 
@@ -199,6 +208,7 @@ def merge_backend_outcome(
                 steal_count=len(steal_records),
                 window_count=len(boundaries),
                 reliability=reliability,
+                worker_processes=worker_processes,
             )
         ]
     )
@@ -542,15 +552,14 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, start_method: str = "spawn"):
-        self.start_method = start_method
-
     def execute(self, spec: ParallelRunSpec) -> BackendOutcome:
         from repro.reliability.runtime import ProcessChannel, ShardCoordinator
 
-        return ShardCoordinator(
-            spec, self.name, lambda task: ProcessChannel(task, self.start_method)
-        ).execute()
+        coordinator = ShardCoordinator(spec, self.name, ProcessChannel)
+        outcome = coordinator.execute()
+        # The run's workers are idle now; keep no more than it had shards.
+        trim_idle_workers(len(coordinator.channels))
+        return outcome
 
 
 #: Registry of execution backends by name.

@@ -2,10 +2,16 @@
 
 One OS process per shard worker, one duplex pipe per process, and a small
 synchronous message protocol driven by the channel coordinator
-(:class:`repro.reliability.runtime.ShardCoordinator`):
+(:class:`repro.reliability.runtime.ShardCoordinator`).  A worker process
+has one lifecycle (:func:`shard_worker_main`): *boot → idle → serve a
+task → idle … → exit when the pipe closes*.  It is started with nothing
+but its end of the pipe, so N of them boot concurrently, and a run that
+ends normally hands its workers to this module's idle list
+(:func:`release_worker`), from which the next run in the same parent
+draws (:func:`acquire_worker`) before booting anything:
 
-* the child is constructed from a pickled :class:`ShardTask` — engine
-  config, a cloned scheduling policy, a read-only
+* a pickled :class:`ShardTask` opens a run — engine config, a cloned
+  scheduling policy, a read-only
   :class:`~repro.storage.bucket_store.StoreSnapshot` and the shard's full
   arrival schedule as :class:`~repro.parallel.worker.StagedShare`s;
 * :class:`RunWindow` advances the shard's virtual clock up to a boundary
@@ -20,7 +26,9 @@ synchronous message protocol driven by the channel coordinator
 * :class:`CaptureCheckpoint` has the child write its resumable state as a
   ``.lrcp`` file (see :mod:`repro.reliability.checkpoint`); a respawned
   child restores from :attr:`ShardTask.checkpoint_path` and resumes its
-  batch numbering at the checkpoint's cursor.
+  batch numbering at the checkpoint's cursor;
+* :class:`EndTask` closes the run: the child closes its store, drops the
+  shard and is idle again.
 
 Everything the protocol ships must pickle under the ``spawn`` start
 method; the replay logic and the message dispatch
@@ -37,10 +45,11 @@ pin this down).
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.engine import EngineConfig
 from repro.core.scheduler import SchedulingPolicy
@@ -48,6 +57,10 @@ from repro.core.workload_manager import WorkloadEntry
 from repro.parallel.worker import ShardWorker, StagedShare, build_shard_worker
 from repro.storage.bucket_store import BucketStore, StoreSnapshot
 from repro.storage.index import SpatialIndex
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 
 # --------------------------------------------------------------------- #
@@ -57,7 +70,11 @@ from repro.storage.index import SpatialIndex
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything a worker process needs to rebuild its shard."""
+    """Everything a worker process needs to rebuild its shard.
+
+    The first message of a run; it has no reply (a shard that cannot be
+    built answers the next message with a :class:`WorkerFailure`).
+    """
 
     worker_id: int
     config: EngineConfig
@@ -123,13 +140,23 @@ class Finalize:
 
 
 @dataclass(frozen=True)
-class Shutdown:
-    """Terminate the worker process loop."""
+class EndTask:
+    """The run is over: close the shard's store, drop it and go idle.
+
+    Answered with an :class:`Ack` once the store is closed, so a worker
+    on the idle list holds nothing of the run it served.
+    """
 
 
 # --------------------------------------------------------------------- #
 # worker -> coordinator messages
 # --------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class WorkerBooted:
+    """A fresh worker process's first message: interpreter up, modules
+    imported, waiting for a task."""
 
 
 @dataclass(frozen=True)
@@ -307,6 +334,10 @@ class ShardReplayer:
         state = restore_worker(task.checkpoint_path, worker, expected_generation=store.generation)
         return cls(worker, start_seq=state.seq)
 
+    def close(self) -> None:
+        """Release the shard's private store (its file and page cache)."""
+        self.worker.loop.cache.store.close()
+
     def handle(self, message):
         """Answer one coordinator message (the whole protocol, one place)."""
         if isinstance(message, RunWindow):
@@ -474,19 +505,115 @@ def worker_result(worker: ShardWorker, include_store_telemetry: bool = False) ->
     )
 
 
-def shard_worker_main(conn, task: ShardTask) -> None:
-    """Entry point of one worker process (must be importable for spawn)."""
+def shard_worker_main(conn: "Connection") -> None:
+    """Entry point and whole life of one worker process (importable for spawn).
+
+    Boot, report :class:`WorkerBooted`, then idle on the pipe: a
+    :class:`ShardTask` builds the shard, every other message is answered
+    by :meth:`ShardReplayer.handle` until :class:`EndTask` closes the
+    store and the worker is idle again.  The only quiet exit is the pipe
+    closing under ``recv`` (the parent dropped or outlived the worker);
+    whatever a task raises — an ``EOFError`` included — travels back as a
+    :class:`WorkerFailure` and ends the process.
+    """
+    worker_id = -1
+    replayer: Optional[ShardReplayer] = None
     try:
-        replayer = ShardReplayer.from_task(task)
-        while not isinstance(message := conn.recv(), Shutdown):
-            conn.send(replayer.handle(message))
-    except EOFError:
-        # Coordinator went away (e.g. it raised); exit quietly.
-        return
+        conn.send(WorkerBooted())
+        while True:
+            try:
+                message = conn.recv()
+            except EOFError:
+                return
+            if isinstance(message, ShardTask):
+                worker_id = message.worker_id
+                replayer = ShardReplayer.from_task(message)
+            elif isinstance(message, EndTask):
+                replayer.close()
+                replayer = None
+                conn.send(Ack(worker_id))
+            else:
+                conn.send(replayer.handle(message))
     except BaseException:
         try:
-            conn.send(WorkerFailure(task.worker_id, traceback.format_exc()))
+            conn.send(WorkerFailure(worker_id, traceback.format_exc()))
         except Exception:
             pass
     finally:
         conn.close()
+
+
+# --------------------------------------------------------------------- #
+# worker processes of this parent: boot, idle list, teardown
+# --------------------------------------------------------------------- #
+
+#: Booted workers no run is using, as ``(process, parent end of the pipe)``.
+#: Each is blocked in ``recv`` with no shard and no open store.
+_IDLE_WORKERS: List[Tuple["BaseProcess", "Connection"]] = []
+
+
+def boot_worker() -> Tuple["BaseProcess", "Connection"]:
+    """Start one worker process; returns at once, the child boots on its own.
+
+    The child gets nothing but its end of the pipe, so ``start()`` has a
+    few hundred bytes to write and never waits for the interpreter — a
+    caller that starts N workers has N interpreters booting concurrently.
+    """
+    context = multiprocessing.get_context("spawn")
+    conn, child_conn = context.Pipe()
+    process = context.Process(
+        target=shard_worker_main, args=(child_conn,), daemon=True, name="liferaft-shard"
+    )
+    process.start()
+    child_conn.close()
+    return process, conn
+
+
+def acquire_worker() -> Tuple["BaseProcess", "Connection", bool]:
+    """A worker for one shard: an idle one when a live one is listed
+    (``True``), else a freshly started one (``False``).
+
+    An idle worker that died meanwhile (killed from outside) is dropped
+    and replaced without a word.
+    """
+    while True:
+        try:
+            process, conn = _IDLE_WORKERS.pop()
+        except IndexError:
+            return (*boot_worker(), False)
+        if process.is_alive():
+            return process, conn, True
+        conn.close()
+
+
+def release_worker(process: "BaseProcess", conn: "Connection") -> None:
+    """Put a worker that acknowledged :class:`EndTask` on the idle list."""
+    _IDLE_WORKERS.append((process, conn))
+
+
+def destroy_worker(process: "BaseProcess", conn: "Connection") -> None:
+    """Kill a worker and reap it; whatever state it held is gone."""
+    process.kill()
+    process.join(timeout=10.0)
+    conn.close()
+
+
+def trim_idle_workers(keep: int) -> None:
+    """Destroy idle workers beyond the *keep* most recently released."""
+    while len(_IDLE_WORKERS) > keep:
+        destroy_worker(*_IDLE_WORKERS.pop(0))
+
+
+def shutdown_workers() -> None:
+    """Destroy every idle worker of this process.
+
+    Idle workers are daemonic, so interpreter exit releases them too;
+    call this to have their memory back earlier (each is an imported
+    interpreter, 25-40 MiB resident).
+    """
+    trim_idle_workers(0)
+
+
+def idle_worker_pids() -> List[int]:
+    """PIDs on the idle list, oldest first (for tests and diagnostics)."""
+    return [process.pid for process, _ in _IDLE_WORKERS]

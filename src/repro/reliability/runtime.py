@@ -19,7 +19,10 @@ serves both backends:
 
 * :class:`ProcessChannel` — one OS process per shard over a pipe.  A due
   crash point really ``SIGKILL``\\ s the child; detection is the broken
-  pipe at the next message exchange.
+  pipe at the next message exchange.  The processes outlive the run: a
+  run that ends normally returns them to the idle list of
+  :mod:`repro.parallel.ipc` and the next run draws from it; a run that
+  raises kills every one it touched.
 * :class:`InlineChannel` — the shard's :class:`~repro.parallel.ipc.
   ShardReplayer` answering the same messages in-process.  A crash
   discards the live worker object, simulating the same total state loss
@@ -42,7 +45,6 @@ shard is simply the run's typed failure.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import shutil
 import tempfile
@@ -65,17 +67,19 @@ from repro.parallel.ipc import (
     BatchRecord,
     CaptureCheckpoint,
     CheckpointWritten,
+    EndTask,
     Finalize,
     ReleaseAllBuckets,
     ReleaseBucket,
     RunWindow,
     ShardReplayer,
     ShardTask,
-    Shutdown,
     WindowReport,
     WorkerFailure,
     WorkerResult,
-    shard_worker_main,
+    acquire_worker,
+    destroy_worker,
+    release_worker,
 )
 from repro.parallel.worker import StagedShare, clone_policy
 from repro.reliability.checkpoint import (
@@ -116,14 +120,23 @@ class ShardChannel(ABC):
     work then runs concurrently across worker processes.
     """
 
+    #: What the shard cost in worker processes: started, taken from the
+    #: idle list, and seconds the coordinator waited for interpreters to
+    #: come up.  All zero for a shard that lives in the coordinator.
+    workers_booted = 0
+    workers_reused = 0
+    boot_s = 0.0
+
     def __init__(self, task: ShardTask) -> None:
         self.task = task
         self.worker_id = task.worker_id
 
     @abstractmethod
     def send(self, message) -> None:
-        """Post one message.  Never raises: a dead shard surfaces at
-        :meth:`receive`, so a broadcast needs no crash handling mid-fan-out."""
+        """Post one message.  A dead shard never raises here: it surfaces
+        at :meth:`receive`, so a broadcast needs no crash handling
+        mid-fan-out.  (A message that cannot be sent at all — a task that
+        does not pickle — is the caller's error and does raise.)"""
 
     @abstractmethod
     def receive(self):
@@ -145,8 +158,8 @@ class ShardChannel(ABC):
         (``None`` restarts it cold, replaying the whole schedule)."""
 
     @abstractmethod
-    def shutdown(self) -> None:
-        """Tear the shard down (a posted ``Shutdown`` lets it exit first)."""
+    def release(self) -> None:
+        """Collect the reply to a posted ``EndTask`` and let the shard go."""
 
 
 class InlineChannel(ShardChannel):
@@ -181,15 +194,20 @@ class InlineChannel(ShardChannel):
             dataclasses.replace(self.task, checkpoint_path=checkpoint_path)
         )
 
-    shutdown = kill
+    release = kill
 
 
 class ProcessChannel(ShardChannel):
-    """One shard worker process, killable and respawnable."""
+    """One shard on a worker process, killable and respawnable.
 
-    def __init__(self, task: ShardTask, start_method: str = "spawn") -> None:
+    The process comes from :func:`repro.parallel.ipc.acquire_worker` — an
+    idle one when there is one, else a freshly started one — and the
+    :class:`ShardTask` follows over the pipe with the first message, so
+    constructing N channels has N interpreters booting concurrently.
+    """
+
+    def __init__(self, task: ShardTask) -> None:
         super().__init__(task)
-        self._context = multiprocessing.get_context(start_method)
         self._process = None
         self._conn = None
         self._send_failed = False
@@ -204,16 +222,31 @@ class ProcessChannel(ShardChannel):
 
     def send(self, message) -> None:
         self._send_failed = True
-        if self._conn is not None:
-            try:
-                self._conn.send(message)
-                self._send_failed = False
-            except (OSError, ValueError):
-                pass
+        if self._conn is None:
+            return
+        try:
+            if self._booting:
+                # Blocks only while *this* interpreter is still coming up;
+                # its siblings were started before it and boot alongside.
+                started = time.perf_counter()
+                self._recv()  # WorkerBooted
+                self.boot_s += time.perf_counter() - started
+                self._booting = False
+            if self._task is not None:
+                # A task that does not pickle raises here, to the caller.
+                self._conn.send(self._task)
+                self._task = None
+            self._conn.send(message)
+            self._send_failed = False
+        except (OSError, ValueError, ChannelCrashed):
+            pass
 
     def receive(self):
         if self._send_failed:
             raise self._crashed()
+        return self._recv()
+
+    def _recv(self):
         deadline = time.monotonic() + REPLY_TIMEOUT_S
         while True:
             try:
@@ -240,36 +273,28 @@ class ProcessChannel(ShardChannel):
         return reply
 
     def kill(self) -> None:
-        if self._process is not None:
-            self._process.kill()
-            self._process.join(timeout=10.0)
         if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+            destroy_worker(self._process, self._conn)
+            self._conn = None  # the process stays: its exit code is the diagnosis
 
     def respawn(self, checkpoint_path: Optional[str]) -> None:
         self.kill()
-        task = dataclasses.replace(self.task, checkpoint_path=checkpoint_path)
-        self._conn, child_conn = self._context.Pipe()
-        self._process = self._context.Process(
-            target=shard_worker_main,
-            args=(child_conn, task),
-            daemon=True,
-            name=f"liferaft-shard-{self.worker_id}",
-        )
-        self._process.start()
-        child_conn.close()
+        self._task = dataclasses.replace(self.task, checkpoint_path=checkpoint_path)
+        self._process, self._conn, reused = acquire_worker()
+        self._booting = not reused
+        if reused:
+            self.workers_reused += 1
+        else:
+            self.workers_booted += 1
 
-    def shutdown(self) -> None:
-        if self._process is not None:
-            self._process.join(timeout=10.0)
-            if self._process.is_alive():
-                self._process.terminate()
-                self._process.join(timeout=10.0)
-            self._process = None
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+    def release(self) -> None:
+        try:
+            self.receive()  # the Ack: the worker's store is closed
+        except ChannelCrashed:
+            self.kill()  # died after its last reply: nothing left to keep
+            return
+        release_worker(self._process, self._conn)
+        self._process = self._conn = None
 
 
 @dataclass
@@ -390,11 +415,20 @@ class ShardCoordinator:
                 else self._request(worker_id, Finalize())
                 for worker_id in range(len(self.channels))
             ]
+            remaining = [
+                channel for channel in self.channels if channel.worker_id not in self.departed
+            ]
+            for channel in remaining:
+                channel.send(EndTask())  # every shard closes its store concurrently
+            for channel in remaining:
+                channel.release()
+        except BaseException:
+            # Nothing a failed run touched is reused, and no sibling is
+            # waited for: the caller gets the error now.
+            for channel in self.channels:
+                channel.kill()
+            raise
         finally:
-            for channel in self.channels:
-                channel.send(Shutdown())  # every child exits concurrently
-            for channel in self.channels:
-                channel.shutdown()
             if owned_dir is not None:
                 shutil.rmtree(owned_dir, ignore_errors=True)
         if self.report is not None:
@@ -411,6 +445,11 @@ class ShardCoordinator:
             time.perf_counter() - self._started,
             reliability=self.report,
             window_boundaries_ms=self.window_boundaries,
+            worker_processes={
+                "coordinator.workers_booted": sum(c.workers_booted for c in self.channels),
+                "coordinator.workers_reused": sum(c.workers_reused for c in self.channels),
+                "coordinator.boot_s": sum(c.boot_s for c in self.channels),
+            },
         )
 
     def _window_loop(self) -> None:
@@ -688,8 +727,8 @@ class ShardCoordinator:
             )
         self.final_results[worker_id] = self._request(worker_id, Finalize())
         channel = self.channels[worker_id]
-        channel.send(Shutdown())
-        channel.shutdown()
+        channel.send(EndTask())
+        channel.release()
         self.departed.add(worker_id)
         view = self.views[worker_id]
         view.pending = {}

@@ -309,5 +309,5 @@ def test_single_drain_stays_one_round_trip_per_shard(simulator, queries, monkeyp
         assert [name for shard, name in sent if shard == worker_id] == [
             "RunWindow",
             "Finalize",
-            "Shutdown",
+            "EndTask",
         ]
