@@ -1,11 +1,11 @@
 """Benchmarks of the worker-scaling experiment (parallel shard execution).
 
-Two backends are measured: the deterministic in-process interleaver
-(virtual-time speedup — scheduling quality) and the multiprocessing
-backend (real wall-clock speedup — hardware parallelism).  Virtual-clock
-numbers are backend-invariant (pinned by the cross-backend parity tests),
-so the two benchmarks together separate "the schedule scales" from "the
-hardware delivers it".
+Two backends are measured: the in-process virtual backend (virtual-time
+speedup — scheduling quality) and the multiprocessing backend (real
+wall-clock speedup — hardware parallelism).  One coordinator drives both,
+so virtual-clock numbers are backend-invariant (pinned by the
+cross-backend parity tests) and the two benchmarks together separate "the
+schedule scales" from "the hardware delivers it".
 """
 
 import os

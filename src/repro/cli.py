@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("virtual", "process"),
         help=(
             "execution backend for the scaling experiment: 'virtual' "
-            "interleaves shard workers in-process (deterministic), "
+            "keeps every shard worker in-process (deterministic), "
             "'process' runs one OS process per shard for real wall-clock "
             "speedup"
         ),

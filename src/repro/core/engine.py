@@ -16,8 +16,8 @@ surface:
   join statistics.
 
 The schedule-evaluate-drain core of a single bucket service lives in
-:class:`ServiceLoop` so that the serial engine and the per-worker shards of
-:class:`repro.parallel.ParallelEngine` execute the *same* code path: one
+:class:`ServiceLoop` so that the serial engine and every shard worker of
+a sharded run (:mod:`repro.parallel`) execute the *same* code path: one
 scheduling decision, one hybrid-join evaluation, one queue drain, with
 identical accounting.
 """
@@ -155,8 +155,8 @@ class ServiceLoop:
     accounting every report aggregates (busy time, per-strategy counts,
     I/O and match cost totals).  It is deliberately clock-free: callers
     pass ``now_ms`` and own time, so the same loop serves the serial
-    :class:`LifeRaftEngine`, the discrete-event simulator, and each shard
-    worker of :class:`repro.parallel.ParallelEngine`.
+    :class:`LifeRaftEngine`, the discrete-event simulator, and each
+    :class:`repro.parallel.ShardWorker`.
     """
 
     def __init__(

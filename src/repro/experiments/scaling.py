@@ -9,8 +9,8 @@ the worker count until the arrival stream or shard imbalance becomes the
 bottleneck.
 
 The *backend* knob selects where the shard workers run: ``"virtual"``
-interleaves them deterministically in one OS process (virtual-time
-speedup only), ``"process"`` runs one OS process per shard so the table
+keeps them all in one OS process (virtual-time speedup only),
+``"process"`` runs one OS process per shard so the table
 additionally shows **real** wall-clock speedup on the host's cores.
 Virtual-clock columns are identical across backends by construction (the
 cross-backend parity tests pin this down).

@@ -10,23 +10,25 @@ concurrently (in virtual time):
 * :mod:`repro.parallel.worker` — one :class:`ShardWorker` per shard, each
   owning a private bucket cache, hybrid join evaluator, scheduler instance
   and virtual clock;
-* :mod:`repro.parallel.engine` — the :class:`ParallelEngine` that fans
-  queries out through the shared pre-processor, repeatedly services the
-  earliest-clock worker, steals the oldest starving bucket queue for idle
-  workers, and merges per-worker accounting into one
-  :class:`~repro.core.engine.EngineReport`;
+* :mod:`repro.parallel.engine` — what the shards add up to: the
+  cross-shard :class:`~repro.parallel.engine.CompletionTracker` and the
+  one merge of per-worker accounting into an
+  :class:`~repro.core.engine.EngineReport` / :class:`ParallelReport`;
+* :mod:`repro.parallel.ipc` — the shard message protocol, the per-shard
+  replayer that answers it, and the worker processes that can host one;
 * :mod:`repro.parallel.backend` — the :class:`ExecutionBackend` seam over
-  the shard plan: :class:`VirtualBackend` (the deterministic in-process
-  interleaver, default for tests) and :class:`ProcessBackend` (one OS
-  process per shard via ``multiprocessing``, spawn-safe, with work
-  stealing as message passing);
-* :mod:`repro.parallel.ipc` — the pickled message protocol and the
-  per-shard replayer the worker processes run.
+  the shard plan.  Both backends are the one channel coordinator
+  (:class:`repro.reliability.runtime.ShardCoordinator`: windowed virtual
+  time, work stealing as message passing at the barriers) over a channel
+  kind: :class:`VirtualBackend` keeps every shard in-process (the
+  default for tests), :class:`ProcessBackend` gives each its own OS
+  process (``multiprocessing``, spawn-safe).
 
 Everything above the :class:`~repro.core.engine.ServiceLoop` is topology,
-everything below is unchanged engine code — which is what makes the two
-backends produce identical virtual-clock results (the cross-backend
-parity tests pin this down).
+everything below is unchanged engine code, and the topology has one
+driver — which is what makes the two backends produce identical
+virtual-clock results, steals included (the cross-backend parity tests
+pin this down).
 """
 
 from repro.parallel.backend import (
@@ -38,7 +40,7 @@ from repro.parallel.backend import (
     VirtualBackend,
     make_backend,
 )
-from repro.parallel.engine import ParallelEngine, ParallelReport
+from repro.parallel.engine import ParallelReport
 from repro.parallel.ipc import shutdown_workers
 from repro.parallel.sharding import (
     SHARD_STRATEGIES,
@@ -47,21 +49,19 @@ from repro.parallel.sharding import (
     partition_round_robin,
     partition_zones,
 )
-from repro.parallel.worker import ShardWorker, WorkerPool
+from repro.parallel.worker import ShardWorker
 
 __all__ = [
     "EXECUTION_BACKENDS",
     "SHARD_STRATEGIES",
     "BackendOutcome",
     "ExecutionBackend",
-    "ParallelEngine",
     "ParallelReport",
     "ParallelRunSpec",
     "ProcessBackend",
     "ShardPlan",
     "ShardWorker",
     "VirtualBackend",
-    "WorkerPool",
     "make_backend",
     "make_shard_plan",
     "partition_round_robin",

@@ -1,43 +1,41 @@
 """Execution backends behind the :class:`~repro.parallel.sharding.ShardPlan` seam.
 
-The parallel engine's topology — N shard workers, staged per-worker
-arrival schedules, whole-queue work stealing — is independent of *where*
-the workers run.  An :class:`ExecutionBackend` makes that seam explicit:
+A sharded run's topology — N shard workers, staged per-worker arrival
+schedules, whole-queue work stealing at window barriers — is independent
+of *where* the workers run.  One loop drives it, the channel coordinator
+(:class:`repro.reliability.runtime.ShardCoordinator`), over one message
+protocol (:mod:`repro.parallel.ipc`); an :class:`ExecutionBackend` only
+names the channel kind the messages travel on:
 
-* :class:`VirtualBackend` interleaves the shard workers inside one OS
-  process in virtual time (the deterministic default every test drives);
-* :class:`ProcessBackend` runs each shard worker in its own OS process
-  (``multiprocessing``, spawn-safe): per-shard workloads ship as pickled
-  :class:`~repro.parallel.ipc.ShardTask` messages, every child rebuilds a
-  read-only :class:`~repro.storage.bucket_store.StoreSnapshot` of the
-  archive, and the channel coordinator
-  (:class:`repro.reliability.runtime.ShardCoordinator`) advances all
-  shards concurrently in virtual time windows.  Work stealing becomes
-  message passing: at each window barrier the coordinator re-assigns the
-  most starving bucket queue from a busy shard to an idle one
-  (:class:`~repro.parallel.ipc.ReleaseBucket` /
-  :class:`~repro.parallel.ipc.AdoptBucket`), exactly the whole-queue
-  migration rule of the in-process engine.
+* :class:`VirtualBackend` — every shard lives beside the coordinator
+  (:class:`~repro.reliability.runtime.InlineChannel`; the deterministic
+  default every test drives);
+* :class:`ProcessBackend` — every shard lives in its own OS process
+  (:class:`~repro.reliability.runtime.ProcessChannel`; ``multiprocessing``,
+  spawn-safe): per-shard workloads ship as pickled
+  :class:`~repro.parallel.ipc.ShardTask` messages and every child rebuilds
+  a read-only :class:`~repro.storage.bucket_store.StoreSnapshot` of the
+  archive.
 
-That coordinator is the only driver of message-passing shards: the
-process backend always runs it, and the virtual backend runs it over
-in-process channels when a run asks for checkpoint/recovery.  This module
-keeps the pieces of it that are pure bookkeeping — the arrival fan-out,
+Work stealing is message passing on both: at each window barrier the
+coordinator re-assigns the most starving bucket queue from a busy shard
+to an idle one (:class:`~repro.parallel.ipc.ReleaseBucket` /
+:class:`~repro.parallel.ipc.AdoptBucket`, :func:`run_steal_round`).  This
+module keeps the coordinator's pure bookkeeping — the arrival fan-out,
 the per-shard :class:`ShardView`, the steal rule and the outcome merge.
 
 Both backends return the same :class:`BackendOutcome` — one merged
 :class:`~repro.core.engine.EngineReport`, a
 :class:`~repro.parallel.engine.ParallelReport`, the merged per-worker
-:class:`~repro.sim.events.WorkerEventLog` and a global service log — so
-callers (the simulator, the scaling experiment, the parity tests) treat
-them interchangeably.  Virtual-clock accounting is backend-invariant; only
-the *real* wall clock (:attr:`BackendOutcome.real_elapsed_s`) differs,
-which is what the process backend exists to improve.
+:class:`~repro.sim.events.WorkerEventLog` and a global service log — and
+every virtual-clock fact in it is the same bit for bit, steals included:
+the run description alone determines the result.  Only the *real* wall
+clock (:attr:`BackendOutcome.real_elapsed_s`) differs, which is what the
+process backend exists to improve.
 """
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -47,7 +45,6 @@ from repro.core.preprocessor import QueryPreProcessor
 from repro.core.scheduler import SchedulingPolicy
 from repro.parallel.engine import (
     CompletionTracker,
-    ParallelEngine,
     ParallelReport,
     StealRecord,
     merge_worker_results,
@@ -73,12 +70,13 @@ from repro.workload.query import CrossMatchQuery
 if TYPE_CHECKING:
     from repro.reliability.config import ReliabilityConfig, ReliabilityReport
 
-#: Default steal window, as a multiple of the bucket-read cost ``Tb``: long
-#: enough that a window amortises tens of services (every barrier costs one
-#: message round trip per shard), short enough that an idle shard still
-#: adopts foreign backlog well before the run drains.  Measured on the
-#: full-scale saturated trace, 64 bucket reads keeps the virtual-clock
-#: speedup of per-step stealing while cutting coordination traffic ~8x.
+#: Default steal window of every sharded run, as a multiple of the
+#: bucket-read cost ``Tb``: long enough that a window amortises tens of
+#: services (every barrier costs one message round trip per shard), short
+#: enough that an idle shard still adopts foreign backlog well before the
+#: run drains.  On the full-scale saturated trace, 64 bucket reads give a
+#: 3.66x virtual-clock speedup at 4 workers; a barrier after every service
+#: measured 3.99x for ~8x the coordination traffic.
 DEFAULT_QUANTUM_BUCKET_READS = 64.0
 
 
@@ -88,7 +86,7 @@ def fan_out_arrivals(
     tracker: CompletionTracker,
     events: WorkerEventLog,
 ) -> List[List[StagedShare]]:
-    """Build every shard's arrival schedule (the virtual engine's fan-out).
+    """Build every shard's arrival schedule from the trace.
 
     Per-shard schedules are the unit of recovery — a shard restored from
     a checkpoint replays exactly the tail of the schedule built here.
@@ -131,9 +129,8 @@ def coordinator_snapshot(
     Everything here lives in the **real** domain: window counts and steal
     totals depend on barrier placement (a coordination artefact, not part
     of the deterministic contract), and checkpoint bytes / crash counts
-    are operational profile.  Counters are only created when non-zero so
-    that backends which never window (the virtual interleaver) produce
-    snapshots bit-identical to a single-drain process run.
+    are operational profile.  Counters are only created when non-zero, so
+    a single-drain run (stealing off, no reliability) has none of them.
     *worker_processes* is the process backend's boot accounting
     (``coordinator.workers_booted`` / ``workers_reused`` / ``boot_s``): it
     says whether the run's ``real_elapsed_s`` paid for interpreter boots.
@@ -178,9 +175,9 @@ def merge_backend_outcome(
 ) -> BackendOutcome:
     """Merge per-shard batch records and accounting into one outcome.
 
-    Services are replayed in global virtual-time order (the step order of
-    the in-process engine) so cross-shard completion bookkeeping is
-    identical to the virtual backend's.
+    Services are replayed in global virtual-time order — the order N
+    independent servers would have produced them in — so cross-shard
+    completion bookkeeping does not depend on which shard replied first.
     """
     batches.sort(key=lambda r: (r.started_at_ms, r.worker_id, r.seq))
     for record in batches:
@@ -254,7 +251,7 @@ class ParallelRunSpec:
     plan: Optional[ShardPlan] = None
     index: Optional[SpatialIndex] = None
     enable_stealing: bool = True
-    #: Virtual-time window between steal barriers of the process backend;
+    #: Virtual-time window between steal barriers;
     #: ``None`` derives it from the cost model's bucket-read time.
     steal_quantum_ms: Optional[float] = None
     #: Checkpoint/recovery configuration.  When set, both backends run
@@ -269,7 +266,7 @@ class ParallelRunSpec:
         return self.plan or make_shard_plan(self.layout, self.workers, self.shard_strategy)
 
     def quantum_ms(self) -> float:
-        """The steal window of the process backend."""
+        """The steal window of the run."""
         if self.steal_quantum_ms is not None:
             if self.steal_quantum_ms <= 0:
                 raise ValueError("steal_quantum_ms must be positive")
@@ -327,83 +324,20 @@ class ExecutionBackend(ABC):
 
 
 class VirtualBackend(ExecutionBackend):
-    """The deterministic in-process interleaver (the default for tests).
+    """Every shard beside the coordinator, no process (the default for tests).
 
-    Wraps :class:`~repro.parallel.engine.ParallelEngine` in its staged
-    (open-system) intake: queries are *offered* in arrival order and each
-    per-bucket share is delivered when the owning worker's own clock
-    reaches it, so every shard's timeline is a pure function of its
-    arrival schedule — the property the process backend reproduces.
+    The coordinator and the protocol are the process backend's; a message
+    is a method call on the shard's :class:`~repro.parallel.ipc.
+    ShardReplayer`.  Every shard still gets a private store rebuilt from
+    the run's snapshot, so per-shard read accounting matches too.
     """
 
     name = "virtual"
 
     def execute(self, spec: ParallelRunSpec) -> BackendOutcome:
-        if spec.reliability is not None:
-            from repro.reliability.runtime import InlineChannel, ShardCoordinator
+        from repro.reliability.runtime import InlineChannel, ShardCoordinator
 
-            return ShardCoordinator(spec, self.name, InlineChannel).execute()
-        started = time.perf_counter()
-        engine = ParallelEngine(
-            spec.layout,
-            spec.store,
-            workers=spec.workers,
-            scheduler=spec.policy,
-            index=spec.index,
-            config=spec.config,
-            shard_strategy=spec.shard_strategy,
-            enable_stealing=spec.enable_stealing,
-            plan=spec.plan,
-        )
-        ordered = sorted(spec.queries, key=lambda q: (q.arrival_time_s, q.query_id))
-        for query in ordered:
-            engine.offer(query)
-        engine.run_until_idle()
-        elapsed = time.perf_counter() - started
-        services: List[BatchRecord] = []
-        for worker in engine.workers:
-            for seq, batch in enumerate(worker.loop.batches):
-                services.append(
-                    BatchRecord(
-                        worker_id=worker.worker_id,
-                        seq=seq,
-                        bucket_index=batch.work_item.bucket_index,
-                        queries_served=batch.queries_served,
-                        started_at_ms=batch.started_at_ms,
-                        finished_at_ms=batch.finished_at_ms,
-                        objects_served=batch.objects_served,
-                        io_ms=batch.join.io_cost_ms,
-                        match_ms=batch.join.match_cost_ms,
-                    )
-                )
-        services.sort(key=lambda r: (r.started_at_ms, r.worker_id, r.seq))
-        preport = engine.parallel_report()
-        # Lane registries merge in worker-id order (the same deterministic
-        # fold the process coordinator applies); the shared store's
-        # real-domain registry is folded exactly once at run level.
-        store_registry = getattr(spec.store, "telemetry", None)
-        telemetry = merge_snapshots(
-            [
-                worker.loop.telemetry.snapshot()
-                for worker in sorted(engine.workers, key=lambda w: w.worker_id)
-            ]
-            + [store_registry.snapshot() if store_registry is not None else None]
-            + [coordinator_snapshot(steal_count=len(engine.steal_log))]
-        )
-        return BackendOutcome(
-            backend=self.name,
-            report=preport.engine,
-            parallel=preport,
-            events=engine.events,
-            steal_records=list(engine.steal_log),
-            completed=engine.completed_queries(),
-            services=services,
-            bucket_reads=spec.store.reads,
-            megabytes_read=spec.store.bytes_read_mb,
-            real_elapsed_s=elapsed,
-            store_real_read_s=getattr(spec.store, "real_read_s", 0.0),
-            telemetry=telemetry,
-        )
+        return ShardCoordinator(spec, self.name, InlineChannel).execute()
 
 
 class ShardView:
@@ -464,7 +398,7 @@ def run_steal_round(
 ) -> List[Tuple[StealRecord, AdoptBucket]]:
     """Window-barrier work stealing: idle shards adopt starving queues.
 
-    The rule matches the in-process engine: each idle shard (no queued
+    The one steal rule: each idle shard (no queued
     work) may adopt the globally most starving foreign queue — oldest
     pending entry first — provided it can start the service strictly
     earlier than the victim could (``max(thief clock, newest entry)``
@@ -532,22 +466,20 @@ class ProcessBackend(ExecutionBackend):
     """One OS process per shard worker, coordinated over pipes.
 
     The channel coordinator pre-computes every shard's full arrival
-    schedule (the same fan-out the virtual engine performs), ships it with
-    a read-only store snapshot to each child, then advances all shards
-    concurrently:
+    schedule, ships it with a read-only store snapshot to each child,
+    then advances all shards concurrently:
 
     * stealing disabled — a single drain message per shard, maximal
       parallelism, each shard a pure function of its schedule;
     * stealing enabled — bounded virtual-time windows; at every barrier
       idle shards adopt the most starving foreign bucket queue (entries
-      *and* staged future), the same whole-queue migration rule as the
-      in-process engine, now expressed as messages;
+      *and* staged future), whole, as messages;
     * ``spec.reliability`` set — always windowed, with checkpoints, crash
       injection/recovery and scale events at the barriers.
 
     Virtual-clock accounting (busy time, I/O, services, per-query bucket
-    coverage) is identical to the virtual backend by construction; the
-    parity tests pin that down.
+    coverage) is identical to the virtual backend by construction — same
+    loop, same messages; the parity tests pin that down.
     """
 
     name = "process"

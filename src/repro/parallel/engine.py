@@ -1,30 +1,21 @@
-"""The parallel engine: N shard workers behind one intake path.
+"""Cross-shard bookkeeping of a sharded run: what the shards add up to.
 
-Queries enter through the same :class:`~repro.core.preprocessor.QueryPreProcessor`
-as the serial engine; their per-bucket workloads are fanned out to the
-workers that own each bucket under the shard plan.  Execution interleaves
-the workers in virtual time: every step services one batch on the worker
-whose clock is furthest behind, so N workers progress exactly as N
-independent servers would.  When a worker runs dry while others still have
-backlog, it steals the most starving bucket queue (oldest pending entry)
-from a busier worker — queues migrate whole, so a bucket's batched service
-is never split.
+A sharded run is N shard workers (:mod:`repro.parallel.worker`), each a
+pure function of its own arrival schedule, driven by one loop — the
+channel coordinator (:class:`repro.reliability.runtime.ShardCoordinator`).
+This module holds what is left once the per-shard timelines exist and
+neither backend may do differently:
 
-Two intake modes exist.  :meth:`ParallelEngine.submit` enqueues a query's
-shares immediately and advances recipient clocks (the closed-system mode
-the batch tests drive).  :meth:`ParallelEngine.offer` instead *stages* each
-per-bucket share until the owning worker's own clock reaches the arrival
-time, which replays an open-system trace with strictly local arrival
-semantics: a worker's behaviour is a pure function of its own arrival
-schedule.  The execution backends build on ``offer`` — it is the property
-that lets OS-process workers (:mod:`repro.parallel.backend`) reproduce the
-in-process interleaver exactly.
+* :class:`CompletionTracker` — query completion is tracked globally (a
+  query finishes when its *last* bucket anywhere is drained), which is
+  what makes per-shard workload managers composable: each manager only
+  knows its shard's share of a query;
+* :class:`StealRecord` — one whole-queue migration between shards;
+* :func:`merge_worker_results` / :class:`ParallelReport` — the single
+  aggregation rule from per-shard accounting to one
+  :class:`~repro.core.engine.EngineReport` plus parallelism metrics.
 
-Query completion is tracked globally (a query finishes when its *last*
-bucket anywhere is drained), which is what makes per-shard workload
-managers composable: each manager only knows its shard's share of a query.
-
-With ``workers=1`` the engine degenerates to the serial
+With ``workers=1`` a sharded run degenerates to the serial
 :class:`~repro.core.engine.LifeRaftEngine` — same scheduling decisions,
 same costs, same report — which the parity tests pin down.
 """
@@ -32,18 +23,9 @@ same costs, same report — which the parity tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.core.engine import BatchResult, EngineConfig, EngineReport
-from repro.core.preprocessor import QueryPreProcessor
-from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig, SchedulingPolicy
-from repro.parallel.sharding import ShardPlan
-from repro.parallel.worker import TIME_EPS, ShardWorker, StagedShare, WorkerPool
-from repro.sim.events import Event, EventKind, WorkerEventLog
-from repro.storage.bucket_store import BucketStore
-from repro.storage.index import SpatialIndex
-from repro.storage.partitioner import PartitionLayout
-from repro.workload.query import CrossMatchQuery
+from repro.core.engine import EngineReport
 
 if TYPE_CHECKING:
     from repro.parallel.ipc import WorkerResult
@@ -64,9 +46,8 @@ class CompletionTracker:
     """Cross-shard query bookkeeping: arrivals, remaining buckets, completions.
 
     A query completes when its *last* pending bucket anywhere is drained.
-    The tracker is deliberately standalone so the in-process engine and the
-    multiprocessing coordinator (which replays per-worker batch records in
-    global virtual-time order) share one notion of completion.
+    The coordinator replays per-shard batch records through it in global
+    virtual-time order; it is also part of the run checkpoint.
     """
 
     def __init__(self) -> None:
@@ -174,11 +155,13 @@ def merge_worker_results(
 ) -> EngineReport:
     """Merge per-worker accounting into one :class:`EngineReport`.
 
-    The single aggregation rule both execution backends share: the
-    in-process engine merges its live shard workers through it and the
-    multiprocessing coordinator merges the :class:`WorkerResult` messages
-    its worker processes return — so the merged report can never drift
-    between backends.
+    The single aggregation rule of every sharded run: the coordinator
+    merges the :class:`WorkerResult` messages its shards return, whichever
+    channel carried them, so the merged report cannot drift between
+    backends.  Busy time, service counts, strategy counts and I/O totals
+    are sums over workers; the cache hit rate is recomputed from the
+    pooled hit/miss counters; the makespan spans first arrival to the last
+    query completion anywhere, exactly as in the serial report.
     """
     response_times = completion.response_times_ms()
     first_arrival = completion.first_arrival_ms or 0.0
@@ -225,333 +208,3 @@ def merge_worker_results(
         total_match_ms=sum(r.total_match_ms for r in results),
         total_matches=sum(r.total_matches for r in results),
     )
-
-
-class ParallelEngine:
-    """Data-driven batch processing sharded across N virtual workers."""
-
-    def __init__(
-        self,
-        layout: PartitionLayout,
-        store: BucketStore,
-        workers: int = 1,
-        scheduler: Optional[SchedulingPolicy] = None,
-        index: Optional[SpatialIndex] = None,
-        config: Optional[EngineConfig] = None,
-        shard_strategy: str = "round_robin",
-        enable_stealing: bool = True,
-        plan: Optional[ShardPlan] = None,
-    ) -> None:
-        self.config = config or EngineConfig()
-        self.layout = layout
-        self.store = store
-        prototype = scheduler or LifeRaftScheduler(SchedulerConfig(cost=self.config.cost))
-        self.pool = WorkerPool(
-            layout,
-            store,
-            prototype,
-            self.config,
-            workers=workers,
-            shard_strategy=shard_strategy,
-            index=index,
-            plan=plan,
-        )
-        self.preprocessor = QueryPreProcessor(layout)
-        self.enable_stealing = enable_stealing
-        self.events = WorkerEventLog()
-        self.steal_log: List[StealRecord] = []
-        self._prototype_name = prototype.name
-        #: Ownership overlay: buckets whose queue migrated via stealing.
-        #: Future arrivals follow the queue, so one bucket's workload is
-        #: never split between two shards.
-        self._adopted_owner: Dict[int, int] = {}
-        self.completion = CompletionTracker()
-        #: (worker_id, query_id) pairs whose arrival event was recorded,
-        #: so staged per-bucket ingestion logs one event per fan-out.
-        self._arrival_logged: Set[Tuple[int, int]] = set()
-
-    # ------------------------------------------------------------------ #
-    # intake
-    # ------------------------------------------------------------------ #
-
-    @property
-    def workers(self) -> Sequence[ShardWorker]:
-        """The shard workers, by worker id."""
-        return self.pool.workers
-
-    @property
-    def worker_count(self) -> int:
-        """Number of shards."""
-        return len(self.pool)
-
-    @property
-    def now_ms(self) -> float:
-        """The engine clock: the max of the worker completion clocks."""
-        return self.pool.max_clock_ms()
-
-    def submit(self, query: CrossMatchQuery, now_ms: Optional[float] = None) -> None:
-        """Fan one query's per-bucket workloads out to the owning shards.
-
-        The eager (closed-system) intake: shares are enqueued immediately
-        and every recipient clock advances to the arrival time, exactly as
-        the serial engine's ``submit`` advances its single clock.
-        """
-        arrival_ms = now_ms if now_ms is not None else query.arrival_time_s * 1000.0
-        assignments = self.preprocessor.assign(query)
-        if not assignments:
-            # No overlap at this site: completes immediately (as serially).
-            return
-        if self.completion.known(query.query_id):
-            raise ValueError(f"query {query.query_id} was already submitted")
-        shares: Dict[int, Dict[int, object]] = {}
-        for bucket_index, payload in assignments.items():
-            worker_id = self._adopted_owner.get(
-                bucket_index, self.pool.plan.owner_of(bucket_index)
-            )
-            shares.setdefault(worker_id, {})[bucket_index] = payload
-        for worker_id, share in shares.items():
-            worker = self.pool[worker_id]
-            worker.manager.add_query(query.query_id, share, arrival_ms, merge=True)
-            worker.observe_arrival(arrival_ms)
-            self._record_arrival(worker_id, query.query_id, arrival_ms)
-        self.completion.register(query.query_id, assignments.keys(), arrival_ms)
-
-    def offer(self, query: CrossMatchQuery, now_ms: Optional[float] = None) -> None:
-        """Stage one query for timed, per-worker arrival delivery.
-
-        The open-system intake used by the execution backends: each
-        per-bucket share is held until the owning worker's *own* clock
-        reaches the arrival time (or the worker idles forward to it), so
-        no worker ever sees work from its future.  Queries must be offered
-        in non-decreasing arrival order.
-        """
-        arrival_ms = now_ms if now_ms is not None else query.arrival_time_s * 1000.0
-        assignments = self.preprocessor.assign(query)
-        if not assignments:
-            return
-        if self.completion.known(query.query_id):
-            raise ValueError(f"query {query.query_id} was already submitted")
-        for bucket_index, payload in assignments.items():
-            worker_id = self._adopted_owner.get(
-                bucket_index, self.pool.plan.owner_of(bucket_index)
-            )
-            self.pool[worker_id].stage(
-                StagedShare(arrival_ms, query.query_id, bucket_index, payload)
-            )
-        self.completion.register(query.query_id, assignments.keys(), arrival_ms)
-
-    def _record_arrival(self, worker_id: int, query_id: int, arrival_ms: float) -> None:
-        """Log one QUERY_ARRIVAL event per (worker, query) fan-out."""
-        key = (worker_id, query_id)
-        if key in self._arrival_logged:
-            return
-        self._arrival_logged.add(key)
-        self.events.record(
-            worker_id, Event(arrival_ms, EventKind.QUERY_ARRIVAL, payload=query_id)
-        )
-
-    def _ingest_due(self) -> None:
-        """Deliver staged shares whose arrival time each worker has reached."""
-        for worker in self.pool:
-            for share in worker.ingest_due():
-                self._record_arrival(worker.worker_id, share.query_id, share.arrival_ms)
-
-    def has_pending_work(self) -> bool:
-        """``True`` while any shard has queued or staged work."""
-        return any(
-            worker.has_pending_work() or worker.has_staged() for worker in self.pool
-        )
-
-    def next_decision_ms(self) -> Optional[float]:
-        """Virtual time of the next service or arrival, or ``None`` if drained."""
-        times: List[float] = []
-        for worker in self.pool:
-            if worker.has_pending_work():
-                times.append(worker.now_ms)
-            else:
-                staged = worker.next_staged_ms()
-                if staged is not None:
-                    times.append(max(staged, worker.now_ms))
-        return min(times) if times else None
-
-    # ------------------------------------------------------------------ #
-    # execution
-    # ------------------------------------------------------------------ #
-
-    def step(self) -> Optional[Tuple[int, BatchResult]]:
-        """Advance the system by one bucket service.
-
-        Due staged arrivals are ingested first, then idle workers steal
-        (at most one bucket queue each), then the earliest pending event
-        happens: either an idle worker jumps forward to its next staged
-        arrival, or the worker with the earliest clock among those with
-        pending work runs one service.  Jumps loop internally; the method
-        returns after one service as ``(worker_id, batch)``, or ``None``
-        when the whole pool is drained.
-        """
-        while True:
-            self._ingest_due()
-            if self.enable_stealing and len(self.pool) > 1:
-                self._balance()
-            candidates = [w for w in self.pool if w.has_pending_work()]
-            service_key: Optional[Tuple[float, int]] = None
-            worker: Optional[ShardWorker] = None
-            if candidates:
-                worker = min(candidates, key=lambda w: (w.now_ms, w.worker_id))
-                service_key = (worker.now_ms, worker.worker_id)
-            jump_key: Optional[Tuple[float, int]] = None
-            jumper: Optional[ShardWorker] = None
-            for idle in self.pool:
-                if idle.has_pending_work():
-                    continue
-                staged = idle.next_staged_ms()
-                if staged is None:
-                    continue
-                key = (staged, idle.worker_id)
-                if jump_key is None or key < jump_key:
-                    jump_key = key
-                    jumper = idle
-            if jumper is not None and (
-                service_key is None or jump_key[0] <= service_key[0] + TIME_EPS
-            ):
-                # The next event is an arrival on an idle worker: advance
-                # its clock to the arrival and re-evaluate (the newly busy
-                # worker may now hold the earliest clock).
-                jumper.jump_to(jump_key[0])
-                continue
-            if worker is None:
-                return None
-            result = worker.service_next()
-            if result is None:  # defensive: a scheduler refused pending work
-                return None
-            self._on_batch(worker, result)
-            return worker.worker_id, result
-
-    def run_until_idle(self, max_batches: Optional[int] = None) -> int:
-        """Drain every shard, interleaving workers in virtual time."""
-        processed = 0
-        while self.has_pending_work():
-            outcome = self.step()
-            if outcome is None:
-                break
-            processed += 1
-            if max_batches is not None and processed >= max_batches:
-                break
-        return processed
-
-    # -- work stealing --------------------------------------------------- #
-
-    def _balance(self) -> None:
-        """Let every idle worker steal the most starving foreign queue.
-
-        A steal must strictly improve the queue's service start time: the
-        thief can begin at ``max(its clock, newest stolen entry)``, which
-        has to beat the victim's clock (its earliest possible start).
-        Queues migrate whole so batching (shared I/O within a service) is
-        preserved; entries keep their enqueue times so ages are unchanged.
-        """
-        idle = [w for w in self.pool if not w.has_pending_work()]
-        if not idle:
-            return
-        for thief in sorted(idle, key=lambda w: (w.now_ms, w.worker_id)):
-            best: Optional[Tuple[float, int, ShardWorker]] = None
-            for victim in self.pool:
-                if victim.worker_id == thief.worker_id:
-                    continue
-                for bucket_index in victim.pending_buckets():
-                    oldest = victim.manager.oldest_bucket_enqueue_ms(bucket_index)
-                    if best is None or (oldest, bucket_index) < (best[0], best[1]):
-                        best = (oldest, bucket_index, victim)
-            if best is None:
-                return  # nothing pending anywhere
-            _oldest, bucket_index, victim = best
-            entries = victim.manager.queue(bucket_index).entries
-            start_ms = max(thief.now_ms, max(e.enqueue_time_ms for e in entries))
-            if start_ms >= victim.now_ms:
-                continue  # migration would not start the service any earlier
-            moved = victim.manager.release_bucket(bucket_index)
-            thief.manager.adopt_bucket(bucket_index, moved)
-            # Future arrivals follow the queue: re-route the bucket's not
-            # yet ingested staged shares along with the queue itself.
-            thief.stage_merged(victim.extract_staged(bucket_index))
-            self._adopted_owner[bucket_index] = thief.worker_id
-            thief.now_ms = start_ms
-            thief.steals += 1
-            record = StealRecord(
-                time_ms=start_ms,
-                bucket_index=bucket_index,
-                victim_id=victim.worker_id,
-                thief_id=thief.worker_id,
-                entry_count=len(moved),
-            )
-            self.steal_log.append(record)
-            self.events.record(
-                thief.worker_id, Event(start_ms, EventKind.WORK_STOLEN, payload=record)
-            )
-
-    # -- accounting ------------------------------------------------------ #
-
-    def _on_batch(self, worker: ShardWorker, result: BatchResult) -> None:
-        bucket = result.work_item.bucket_index
-        self.events.record(
-            worker.worker_id,
-            Event(
-                result.finished_at_ms,
-                EventKind.SERVICE_COMPLETE,
-                payload=(bucket, result.queries_served),
-            ),
-        )
-        for query_id in result.queries_served:
-            self.completion.on_serviced(query_id, bucket, result.finished_at_ms)
-
-    # ------------------------------------------------------------------ #
-    # reporting
-    # ------------------------------------------------------------------ #
-
-    def completed_queries(self) -> List[int]:
-        """Query ids in (global) completion order."""
-        return self.completion.completed_order
-
-    def response_time_ms(self, query_id: int) -> Optional[float]:
-        """Response time of one query, or ``None`` while pending."""
-        return self.completion.response_time_ms(query_id)
-
-    @property
-    def scheduler_name(self) -> str:
-        """Merged policy name used in reports."""
-        return (
-            f"parallel(workers={len(self.pool)}, policy={self._prototype_name}, "
-            f"shard={self.pool.plan.strategy})"
-        )
-
-    def report(self) -> EngineReport:
-        """Merge per-worker accounting into one :class:`EngineReport`.
-
-        Busy time, service counts, strategy counts and I/O totals are sums
-        over workers; the cache hit rate is recomputed from the pooled
-        hit/miss counters; the makespan spans first arrival to the last
-        query completion anywhere, exactly as in the serial report.  The
-        aggregation itself is shared with the multiprocessing coordinator
-        (:func:`merge_worker_results`), so both execution backends merge
-        by exactly the same rules.
-        """
-        from repro.parallel.ipc import worker_result
-
-        return merge_worker_results(
-            self.scheduler_name,
-            self.completion,
-            [worker_result(worker) for worker in self.pool],
-        )
-
-    def parallel_report(self) -> ParallelReport:
-        """The merged report plus per-worker parallelism metrics."""
-        return ParallelReport(
-            engine=self.report(),
-            workers=len(self.pool),
-            shard_strategy=self.pool.plan.strategy,
-            worker_busy_ms=[w.busy_ms for w in self.pool],
-            worker_clocks_ms=[w.now_ms for w in self.pool],
-            worker_services=[len(w.loop.batches) for w in self.pool],
-            steals=len(self.steal_log),
-            wall_clock_ms=self.pool.max_clock_ms(),
-        )

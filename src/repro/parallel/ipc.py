@@ -1,9 +1,11 @@
-"""Inter-process machinery of the multiprocessing execution backend.
+"""The shard message protocol, and the worker processes that can carry it.
 
-One OS process per shard worker, one duplex pipe per process, and a small
-synchronous message protocol driven by the channel coordinator
-(:class:`repro.reliability.runtime.ShardCoordinator`).  A worker process
-has one lifecycle (:func:`shard_worker_main`): *boot → idle → serve a
+A small synchronous message protocol driven by the channel coordinator
+(:class:`repro.reliability.runtime.ShardCoordinator`), answered by one
+function (:meth:`ShardReplayer.handle`) wherever the shard lives: beside
+the coordinator (the virtual backend's inline channel) or in an OS
+process of its own behind a duplex pipe (the process backend).  A worker
+process has one lifecycle (:func:`shard_worker_main`): *boot → idle → serve a
 task → idle … → exit when the pipe closes*.  It is started with nothing
 but its end of the pipe, so N of them boot concurrently, and a run that
 ends normally hands its workers to this module's idle list
@@ -27,20 +29,17 @@ draws (:func:`acquire_worker`) before booting anything:
   ``.lrcp`` file (see :mod:`repro.reliability.checkpoint`); a respawned
   child restores from :attr:`ShardTask.checkpoint_path` and resumes its
   batch numbering at the checkpoint's cursor;
-* :class:`EndTask` closes the run: the child closes its store, drops the
-  shard and is idle again.
+* :class:`EndTask` closes the run: the shard closes its store; a worker
+  process then drops the shard and is idle again.
 
 Everything the protocol ships must pickle under the ``spawn`` start
-method; the replay logic and the message dispatch
-(:meth:`ShardReplayer.handle`) are plain in-process code, so the worker
-process and the in-process channel of the virtual backend answer every
-message through the very same function.
-
-The replayer applies the same local rule as the in-process engine's
-staged intake — deliver arrivals at or before the clock, jump an idle
-worker to its next arrival, service at the clock — so a shard's timeline
-is bit-for-bit identical in both backends (the cross-backend parity tests
-pin this down).
+method; the replay logic and the message dispatch are plain in-process
+code, so the worker process and the inline channel answer every message
+through the very same function.  The replayer's local rule — deliver
+arrivals at or before the clock, jump an idle worker to its next arrival,
+service at the clock — makes a shard's timeline a pure function of the
+messages it received, so both backends are bit-for-bit identical,
+stealing included (the cross-backend parity tests pin this down).
 """
 
 from __future__ import annotations
@@ -141,10 +140,12 @@ class Finalize:
 
 @dataclass(frozen=True)
 class EndTask:
-    """The run is over: close the shard's store, drop it and go idle.
+    """The run is over: close the shard's store.
 
-    Answered with an :class:`Ack` once the store is closed, so a worker
-    on the idle list holds nothing of the run it served.
+    Answered with an :class:`Ack` once the store is closed; the shard
+    takes no message after it.  A worker process then drops the shard and
+    goes idle, so a worker on the idle list holds nothing of the run it
+    served.
     """
 
 
@@ -287,19 +288,19 @@ class WorkerFailure:
 
 
 # --------------------------------------------------------------------- #
-# the shard replayer (shared by the worker process and in-process tests)
+# the shard replayer (the same object in a worker process and in-process)
 # --------------------------------------------------------------------- #
 
 
 class ShardReplayer:
     """Replays one shard's staged arrival schedule on its own timeline.
 
-    The loop is the single-worker specialisation of the parallel engine's
-    step rule: ingest every share whose arrival time the clock has
-    reached, service at the clock while work is pending, and jump an idle
-    worker forward to its next arrival.  ``advance(until_ms)`` stops
-    before any service or jump that would start at or past the boundary,
-    so window boundaries pause the timeline without altering it.
+    The loop is the serial replay rule on one shard: ingest every share
+    whose arrival time the clock has reached, service at the clock while
+    work is pending, and jump an idle worker forward to its next arrival.
+    ``advance(until_ms)`` stops before any service or jump that would
+    start at or past the boundary, so window boundaries pause the
+    timeline without altering it.
     """
 
     def __init__(self, worker: ShardWorker, start_seq: int = 0) -> None:
@@ -352,9 +353,10 @@ class ShardReplayer:
         if isinstance(message, CaptureCheckpoint):
             return self.capture_checkpoint(message)
         if isinstance(message, Finalize):
-            # Every message-passing shard owns a private store rebuilt
-            # from the snapshot, so its real-domain registry rides along.
-            return worker_result(self.worker, include_store_telemetry=True)
+            return worker_result(self.worker)
+        if isinstance(message, EndTask):
+            self.close()
+            return Ack(self.worker.worker_id)
         raise TypeError(f"unexpected coordinator message: {message!r}")
 
     def advance(self, until_ms: Optional[float]) -> List[BatchRecord]:
@@ -469,23 +471,20 @@ class ShardReplayer:
         )
 
 
-def worker_result(worker: ShardWorker, include_store_telemetry: bool = False) -> WorkerResult:
+def worker_result(worker: ShardWorker) -> WorkerResult:
     """Collect one shard's final accounting for the coordinator.
 
-    *include_store_telemetry* merges the store's real-domain registry
-    into the lane snapshot.  Worker processes set it (each child owns a
-    private store); in-process lanes leave it off — they share one store
-    object, which the virtual backend merges exactly once at run level.
+    Every shard owns a private store rebuilt from the run's snapshot, so
+    the store's real-domain registry rides along in the lane snapshot.
     """
     loop = worker.loop
     store = loop.cache.store
     telemetry = loop.telemetry.snapshot()
-    if include_store_telemetry:
-        store_registry = getattr(store, "telemetry", None)
-        if store_registry is not None:
-            from repro.telemetry.registry import merge_snapshots
+    store_registry = getattr(store, "telemetry", None)
+    if store_registry is not None:
+        from repro.telemetry.registry import merge_snapshots
 
-            telemetry = merge_snapshots([telemetry, store_registry.snapshot()])
+        telemetry = merge_snapshots([telemetry, store_registry.snapshot()])
     return WorkerResult(
         worker_id=worker.worker_id,
         clock_ms=worker.now_ms,
@@ -510,8 +509,8 @@ def shard_worker_main(conn: "Connection") -> None:
 
     Boot, report :class:`WorkerBooted`, then idle on the pipe: a
     :class:`ShardTask` builds the shard, every other message is answered
-    by :meth:`ShardReplayer.handle` until :class:`EndTask` closes the
-    store and the worker is idle again.  The only quiet exit is the pipe
+    by :meth:`ShardReplayer.handle`; after :class:`EndTask` the shard is
+    dropped and the worker is idle again.  The only quiet exit is the pipe
     closing under ``recv`` (the parent dropped or outlived the worker);
     whatever a task raises — an ``EOFError`` included — travels back as a
     :class:`WorkerFailure` and ends the process.
@@ -528,12 +527,10 @@ def shard_worker_main(conn: "Connection") -> None:
             if isinstance(message, ShardTask):
                 worker_id = message.worker_id
                 replayer = ShardReplayer.from_task(message)
-            elif isinstance(message, EndTask):
-                replayer.close()
-                replayer = None
-                conn.send(Ack(worker_id))
             else:
                 conn.send(replayer.handle(message))
+                if isinstance(message, EndTask):
+                    replayer = None
     except BaseException:
         try:
             conn.send(WorkerFailure(worker_id, traceback.format_exc()))

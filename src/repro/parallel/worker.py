@@ -3,40 +3,33 @@
 A :class:`ShardWorker` wraps a :class:`~repro.core.engine.ServiceLoop`
 (its own workload manager, scheduler instance, LRU bucket cache and hybrid
 join evaluator) with a private virtual clock.  Workers advance
-independently — the parallel engine always services the worker whose clock
-is furthest behind, which is exactly how N independent servers interleave
-in virtual time.
+independently, exactly as N independent servers would.
 
-Arrivals reach a worker in one of two ways.  The eager path
-(:meth:`~repro.core.workload_manager.WorkloadManager.add_query` via the
-engine's ``submit``) enqueues immediately — the closed-system mode the
-batch tests use.  The *staged* path (:meth:`ShardWorker.stage`,
-:meth:`ShardWorker.ingest_due`) holds each per-bucket share until the
+Arrivals reach a worker *staged* (:meth:`ShardWorker.stage`,
+:meth:`ShardWorker.ingest_due`): each per-bucket share is held until the
 worker's own clock reaches its arrival time.  Staging makes a worker's
 whole execution a pure function of its arrival schedule — no global state
-leaks into local decisions — which is the property that lets an OS-process
-replica (:mod:`repro.parallel.ipc`) reproduce the in-process interleaver
-exactly.
+leaks into local decisions — which is the property that lets the shard's
+timeline (:class:`repro.parallel.ipc.ShardReplayer`) come out the same
+in-process and in an OS process.
 
-:class:`WorkerPool` builds the workers from a shard plan: every worker
-gets a *clone* of the scheduling-policy prototype (decision counters and
-adaptive state are per-lane) and its own cache over the shared bucket
-store, mirroring N servers with private buffer pools over one storage
-backend.
+Every worker gets a *clone* of the scheduling-policy prototype
+(:func:`clone_policy`: decision counters and adaptive state are per-lane)
+and its own cache over the bucket store, mirroring N servers with private
+buffer pools over one storage backend.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Iterable, List, Optional, Tuple
 
 from repro.core.engine import BatchResult, EngineConfig, ServiceLoop, build_service_loop
 from repro.core.scheduler import SchedulingPolicy
 from repro.storage.bucket_store import BucketStore
 from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import PartitionLayout
-from repro.parallel.sharding import ShardPlan, make_shard_plan
 
 #: Slack used when comparing virtual timestamps, matching the arrival
 #: delivery slack of the serial simulator loop.
@@ -73,11 +66,6 @@ class ShardWorker:
     # -- convenience pass-throughs -------------------------------------- #
 
     @property
-    def scheduler(self) -> SchedulingPolicy:
-        """The worker's private scheduler instance."""
-        return self.loop.scheduler
-
-    @property
     def manager(self):
         """The worker's private workload manager."""
         return self.loop.manager
@@ -86,11 +74,6 @@ class ShardWorker:
     def cache(self):
         """The worker's private bucket cache."""
         return self.loop.cache
-
-    @property
-    def busy_ms(self) -> float:
-        """Total service time this worker has accumulated."""
-        return self.loop.busy_ms
 
     def has_pending_work(self) -> bool:
         """``True`` while this shard's queues are non-empty."""
@@ -106,7 +89,7 @@ class ShardWorker:
         """Queue a per-bucket share for timed ingestion.
 
         Callers must stage shares in non-decreasing arrival order (the
-        backends offer whole traces sorted by timestamp).
+        coordinator's fan-out walks the trace sorted by timestamp).
         """
         self._staged.append(share)
 
@@ -162,11 +145,10 @@ class ShardWorker:
         """``True`` while any share awaits ingestion."""
         return bool(self._staged)
 
-    def ingest_due(self) -> List[StagedShare]:
+    def ingest_due(self) -> None:
         """Move every share whose arrival time has been reached into the
         workload manager, exactly as the serial replay loop delivers
         arrivals at or before the current clock."""
-        ingested: List[StagedShare] = []
         while self._staged and self._staged[0].arrival_ms <= self.now_ms + TIME_EPS:
             share = self._staged.popleft()
             self.manager.add_query(
@@ -175,16 +157,8 @@ class ShardWorker:
                 share.arrival_ms,
                 merge=True,
             )
-            ingested.append(share)
-        return ingested
 
     # -- execution ------------------------------------------------------- #
-
-    def observe_arrival(self, arrival_ms: float) -> None:
-        """Advance the clock to an arrival (an idle worker cannot start
-        work before the work exists; a busy worker's clock already models
-        when it is next free, so ``max`` covers both cases)."""
-        self.now_ms = max(self.now_ms, arrival_ms)
 
     def jump_to(self, time_ms: float) -> None:
         """Advance an idle worker's clock to the next arrival time."""
@@ -206,11 +180,10 @@ def build_shard_worker(
     config: EngineConfig,
     index: Optional[SpatialIndex] = None,
 ) -> ShardWorker:
-    """Assemble one standalone shard worker (the process backend's unit).
+    """Assemble one shard worker: a service loop over *store* plus a clock.
 
-    This is the same construction recipe :class:`WorkerPool` applies per
-    shard; worker processes call it directly after restoring their store
-    snapshot, so both backends execute identical per-worker machinery.
+    The one construction recipe: every shard, in-process or in a worker
+    process, is built here after its store snapshot is restored.
     """
     loop = build_service_loop(layout, store, policy, config, index=index, shard=worker_id)
     return ShardWorker(worker_id, loop)
@@ -221,8 +194,7 @@ def clone_policy(prototype: SchedulingPolicy, worker_id: int) -> SchedulingPolic
 
     Worker 0 keeps the prototype itself so a single-worker pool behaves
     bit-for-bit like the serial engine built around the same instance.
-    The one cloning rule of every topology: the in-process pool below and
-    the message-passing coordinator both build their shards through it.
+    The coordinator builds every shard's policy through it.
     """
     if worker_id == 0:
         return prototype
@@ -233,66 +205,3 @@ def clone_policy(prototype: SchedulingPolicy, worker_id: int) -> SchedulingPolic
             "per-shard schedulers must be constructible per worker"
         )
     return clone()
-
-
-class WorkerPool:
-    """Builds and owns the shard workers of one parallel engine."""
-
-    def __init__(
-        self,
-        layout: PartitionLayout,
-        store: BucketStore,
-        policy_prototype: SchedulingPolicy,
-        config: EngineConfig,
-        workers: int = 1,
-        shard_strategy: str = "round_robin",
-        index: Optional[SpatialIndex] = None,
-        plan: Optional[ShardPlan] = None,
-    ) -> None:
-        if workers <= 0:
-            raise ValueError("workers must be positive")
-        self.layout = layout
-        self.store = store
-        self.config = config
-        self.plan = plan or make_shard_plan(layout, workers, shard_strategy)
-        if self.plan.worker_count != workers:
-            raise ValueError(
-                f"shard plan is for {self.plan.worker_count} workers, expected {workers}"
-            )
-        self.workers: List[ShardWorker] = []
-        for worker_id in range(workers):
-            policy = clone_policy(policy_prototype, worker_id)
-            loop = build_service_loop(
-                layout, store, policy, config, index=index, shard=worker_id
-            )
-            self.workers.append(ShardWorker(worker_id, loop))
-
-    def __len__(self) -> int:
-        return len(self.workers)
-
-    def __iter__(self):
-        return iter(self.workers)
-
-    def __getitem__(self, worker_id: int) -> ShardWorker:
-        return self.workers[worker_id]
-
-    def owner_of(self, bucket_index: int) -> ShardWorker:
-        """The worker owning *bucket_index* under the shard plan."""
-        return self.workers[self.plan.owner_of(bucket_index)]
-
-    def max_clock_ms(self) -> float:
-        """The pool-wide virtual time: the furthest-ahead worker clock."""
-        return max(worker.now_ms for worker in self.workers)
-
-    def total_busy_ms(self) -> float:
-        """Aggregate service time over all workers."""
-        return sum(worker.busy_ms for worker in self.workers)
-
-    def describe(self) -> Dict[str, float]:
-        """Per-pool summary used by reports."""
-        return {
-            "workers": float(len(self.workers)),
-            "total_busy_ms": self.total_busy_ms(),
-            "max_clock_ms": self.max_clock_ms(),
-            "steals": float(sum(worker.steals for worker in self.workers)),
-        }

@@ -53,15 +53,16 @@ class RunSpec:
     workers: int = 1
     #: How queries map to shards (parallel runs).
     shard_strategy: str = "round_robin"
-    #: Execution backend: ``"virtual"`` (deterministic in-process
-    #: interleaving), ``"process"`` (one OS process per shard) or a
+    #: Execution backend: ``"virtual"`` (every shard in this process),
+    #: ``"process"`` (one OS process per shard) or a
     #: constructed backend.  ``None`` selects the serial engine unless
     #: ``workers`` or ``reliability`` force the parallel one (then
     #: ``"virtual"`` is used).
     backend: Optional[Union[str, "ExecutionBackend"]] = None
     #: Allow idle shards to steal work (parallel runs).
     enable_stealing: bool = True
-    #: Override the steal check cadence (parallel runs).
+    #: Override the virtual-time window between steal barriers
+    #: (parallel runs, either backend).
     steal_quantum_ms: Optional[float] = None
     #: Serving front-end configuration; ``None`` bypasses admission
     #: control and result streaming.

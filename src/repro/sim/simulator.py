@@ -151,7 +151,7 @@ class SimulationResult:
     #: components with sharing attribution (see
     #: :mod:`repro.telemetry.ledger`).  Entirely virtual-domain, so
     #: bit-identical across execution backends at a fixed worker count
-    #: (stealing off) and across crash/recovery.
+    #: and across crash/recovery.
     ledger: Optional[dict] = None
     #: SHA-256 over the per-query completion timeline plus every
     #: :data:`VIRTUAL_CLOCK_PARITY_FIELDS` value — equal digests mean
@@ -504,10 +504,11 @@ class Simulator:
         """Replay a trace against a sharded engine on an execution backend.
 
         :attr:`RunSpec.effective_backend` selects where the shard workers
-        run: ``"virtual"`` interleaves them deterministically inside this
-        process in virtual time; ``"process"`` runs each shard in its own
-        OS process for real hardware parallelism.  Virtual-clock results
-        are backend-invariant (the parity tests pin this down); only
+        run: ``"virtual"`` keeps every shard inside this process;
+        ``"process"`` runs each shard in its own OS process for real
+        hardware parallelism.  One coordinator drives both, so
+        virtual-clock results are backend-invariant, steals included
+        (the parity tests pin this down); only
         :attr:`SimulationResult.real_elapsed_s` differs.  ``workers=1``
         reproduces the serial engine exactly on either backend.
 

@@ -20,11 +20,11 @@ stream, and the steal journal — so building one costs the run nothing
 the ledger enabled or disabled).  Because every input is part of the
 deterministic virtual domain, ledgers obey the repo's parity contract:
 bit-identical across the serial engine, the virtual backend and the
-process backend at any fixed worker count with stealing off, and
-identical between a crash-injected recovery run and its uninterrupted
-twin (pre-crash records ride the ``.lrcp`` seam via the coordinator's
-accepted-``seq`` cursor; the replayed tail re-emits the lost ones
-bit-for-bit).
+process backend at any fixed worker count with stealing off, between
+the two backends with stealing on, and between a crash-injected
+recovery run and its uninterrupted twin (pre-crash records ride the
+``.lrcp`` seam via the coordinator's accepted-``seq`` cursor; the
+replayed tail re-emits the lost ones bit-for-bit).
 
 Merging is order-insensitive: :func:`build_run_ledger` accepts service
 records in *any* order (per-worker fragments concatenated however they

@@ -72,8 +72,9 @@ def replay_recorded(
 
     Digest verification is meaningful only when the execution shape
     matches the recording: each shard is a pure function of its admitted
-    arrival schedule, so the timeline is bit-identical across backends
-    at the same worker count (the scenario-parity suite pins this), but
+    arrival schedule and one loop drives both backends, so the timeline
+    is bit-identical across backends at the same worker count, stealing
+    on or off (the scenario-parity suite pins this), but
     a different worker count or stealing toggle legitimately changes
     per-query finish times.  In that case ``digest_checked`` is False.
     """

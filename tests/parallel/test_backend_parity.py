@@ -18,9 +18,11 @@ The workload is a *closed batch* (every arrival at t=0), which makes the
 aggregate accounting invariant under shard count and steal schedule: each
 bucket's workload queue is complete before any service, so every bucket
 is serviced exactly once at identical cost wherever it runs.  A second,
-open-system workload (timed arrivals, stealing disabled) checks the
-stronger property that each shard's *timeline* — every batch's start and
-finish — is bit-for-bit identical across backends.
+open-system workload (timed arrivals) checks the stronger property that
+each shard's *timeline* — every batch's start and finish — is bit-for-bit
+identical across backends, with stealing off and, at a window tight
+enough that shards really steal, with stealing on: one coordinator drives
+both backends, so digests, steal schedule and window boundaries are equal.
 """
 
 import dataclasses
@@ -37,6 +39,15 @@ from repro.storage.disk_model import calibrated_disk_for_bucket_read
 from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import BucketPartitioner
 from repro.workload.generator import TraceConfig, TraceGenerator
+from tests.parallel.test_coordinator_golden import (  # noqa: F401 (fixtures)
+    RecordingProcess,
+    RecordingVirtual,
+    observe,
+    quantum_ms,
+    queries,
+    simulator,
+    store_path,
+)
 
 BUCKETS = 64
 WORKER_COUNTS = (1, 2, 4)
@@ -183,14 +194,16 @@ class TestClosedBatchParity:
     def test_backends_agree_with_each_other(
         self, backend_outcomes, serial_reference, backend_name, workers, strategy
     ):
+        """Stealing is on in these cells: same loop, same everything."""
         virtual = backend_outcomes[("virtual", workers, strategy)]
         process = backend_outcomes[("process", workers, strategy)]
-        assert frozenset(virtual.completed) == frozenset(process.completed)
-        assert virtual.coverage() == process.coverage()
-        assert virtual.report.busy_time_ms == pytest.approx(
-            process.report.busy_time_ms, rel=1e-12
-        )
-        assert virtual.report.bucket_services == process.report.bucket_services
+        assert virtual.completed == process.completed
+        assert virtual.services == process.services
+        assert virtual.steal_records == process.steal_records
+        assert virtual.window_boundaries_ms == process.window_boundaries_ms
+        assert virtual.report.response_times_ms == process.report.response_times_ms
+        assert virtual.report.busy_time_ms == process.report.busy_time_ms
+        assert virtual.parallel.worker_clocks_ms == process.parallel.worker_clocks_ms
         assert virtual.bucket_reads == process.bucket_reads
 
 
@@ -262,6 +275,31 @@ class TestOpenSystemTimelineParity:
         )
 
 
+@pytest.mark.parametrize("file_backed", (False, True), ids=("memory", "lrbs"))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("workers", (2, 4))
+def test_stealing_on_is_bit_identical_across_backends(
+    simulator, queries, quantum_ms, store_path, workers, strategy, file_backed
+):
+    """Timed arrivals, a four-bucket-read window, stealing on: result and
+    ledger digests, steal tuples, window boundaries and the virtual-domain
+    telemetry are equal, in memory and over an `.lrbs` file."""
+    cells = [
+        observe(
+            simulator,
+            queries,
+            backend,
+            shard_strategy=strategy,
+            workers=workers,
+            steal_quantum_ms=quantum_ms,
+            store_path=store_path if file_backed else None,
+        )
+        for backend in (RecordingVirtual(), RecordingProcess())
+    ]
+    assert cells[0] == cells[1]
+    assert cells[0]["steals"], "the cell must really exercise stealing"
+
+
 class TestProcessBackendStealing:
     """Work stealing as message passing: a skewed closed batch must migrate
     queues between processes without losing or duplicating any service."""
@@ -290,19 +328,16 @@ class TestProcessBackendStealing:
             serial_reference["report"].busy_time_ms, rel=1e-12
         )
 
-    def test_parallel_report_is_consistent(
-        self, layout, sim_config, engine_config, batch_queries
-    ):
-        spec = build_spec(
-            layout, sim_config, engine_config, batch_queries, 4, "round_robin"
-        )
-        outcome = ProcessBackend().execute(spec)
+    @pytest.mark.parametrize("backend_name", ("virtual", "process"))
+    def test_parallel_report_is_consistent(self, backend_outcomes, backend_name):
+        outcome = backend_outcomes[(backend_name, 4, "round_robin")]
         preport = outcome.parallel
         assert preport.workers == 4
         assert preport.aggregate_busy_ms == pytest.approx(
             outcome.report.busy_time_ms, rel=1e-12
         )
         assert preport.wall_clock_ms == max(preport.worker_clocks_ms)
+        assert 0.0 < preport.utilisation <= 1.0
         assert sum(preport.worker_services) == outcome.report.bucket_services
         assert preport.steals == len(outcome.steal_records)
         assert outcome.real_elapsed_s > 0.0

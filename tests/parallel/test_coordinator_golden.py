@@ -1,19 +1,15 @@
 """Golden outcomes of the message-passing coordinator, stealing included.
 
 The parity suites pin the process backend against the virtual backend
-with stealing **off** (the bit-identical envelope) and only compare
-completion sets with it on.  This file pins the stealing-on numbers
-themselves: the constants below were recorded at the commit *before*
-the process backend's private run loop was folded into the channel
-coordinator, so they prove that refactor moved no virtual-clock number —
-digests, steal schedule, window boundaries and the virtual-domain
-telemetry all included.
+cell by cell; this file pins the numbers themselves.  The constants
+below were recorded at the commit *before* the process backend's private
+run loop was folded into the channel coordinator, so they prove that
+refactor moved no virtual-clock number — digests, steal schedule, window
+boundaries and the virtual-domain telemetry all included.
 
 It also states the property one shared loop gives by construction: the
-virtual backend over inline channels (reliability attached with a
-cadence that never comes due again after the first barrier) is
-bit-identical, steals included, to the plain process backend with
-stealing on.
+plain virtual backend (the same coordinator over inline channels) is
+bit-identical, steals included, to the plain process backend.
 """
 
 import hashlib
@@ -34,8 +30,6 @@ ROWS_PER_BUCKET = 24
 #: Steal/checkpoint window in bucket-read units: fine enough that the
 #: small trace spans a dozen barriers and idle shards really steal.
 WINDOW_BUCKET_READS = 4.0
-#: Every cadence checkpoints at the first barrier; this one never again.
-NEVER_DUE = "windows:1000000"
 
 
 def _sha(text: str) -> str:
@@ -201,10 +195,10 @@ def queries():
     return tuple(TraceGenerator(config).generate().with_saturation(1.0).queries)
 
 
-def observe(simulator, queries, backend, **spec_fields):
+def observe(simulator, queries, backend, shard_strategy="zone", **spec_fields):
     """Run one cell and reduce it to the pinned facts."""
     result = simulator.execute(
-        queries, RunSpec(backend=backend, shard_strategy="zone", **spec_fields)
+        queries, RunSpec(backend=backend, shard_strategy=shard_strategy, **spec_fields)
     )
     outcome = backend.outcome
     return {
@@ -279,7 +273,6 @@ def test_inline_channels_equal_process_channels_with_stealing_on(
         RecordingVirtual(),
         workers=workers,
         steal_quantum_ms=quantum_ms,
-        reliability=ReliabilityConfig(cadence=NEVER_DUE),
     )
     assert inline == GOLDEN[(workers, True)]
 

@@ -1,12 +1,28 @@
-"""ParallelEngine behaviour: parity, correctness, stealing and scaling."""
+"""Sharded-run behaviour through the virtual backend: parity, correctness,
+stealing and scaling.
+
+Every run goes through ``make_backend("virtual").execute(ParallelRunSpec)``
+— the one coordinator loop over in-process shards.  Stealing runs use a
+window of two bucket reads so that the small traces here cross many
+barriers and idle shards really steal.
+"""
 
 import pytest
 
-from repro.core.engine import EngineConfig, LifeRaftEngine
+from repro.core.baselines import NoShareScheduler
+from repro.core.engine import EngineConfig
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
+from repro.core.workload_manager import WorkloadEntry
 from repro.experiments.common import build_trace
-from repro.parallel import ParallelEngine
-from repro.sim.events import EventKind
+from repro.parallel.backend import (
+    ParallelRunSpec,
+    ShardView,
+    make_backend,
+    run_steal_round,
+)
+from repro.parallel.engine import StealRecord
+from repro.parallel.ipc import AdoptBucket, BucketQueueMeta, ReleasedBucket
+from repro.sim.events import EventKind, WorkerEventLog
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
 from repro.storage.bucket_store import BucketStore
@@ -31,60 +47,50 @@ def queries():
     return TraceGenerator(config).generate().with_saturation(2.0).queries
 
 
-def build_engine(layout, kind="parallel", workers=1, **kwargs):
-    config = SimulationConfig(bucket_count=BUCKETS)
+def run_sharded(layout, queries, workers, policy=None, **kwargs):
+    """One virtual-backend run of *queries* over *workers* shards."""
+    config = SimulationConfig(bucket_count=len(layout))
     disk = calibrated_disk_for_bucket_read(
         config.bucket_megabytes, config.cost.tb_ms / 1000.0
     )
-    store = BucketStore(layout, disk)
-    index = SpatialIndex([], rows=None, disk=None)
-    engine_config = EngineConfig(cache_buckets=config.cache_buckets, cost=config.cost)
-    scheduler = LifeRaftScheduler(SchedulerConfig(cost=config.cost))
-    if kind == "serial":
-        return LifeRaftEngine(
-            layout, store, scheduler=scheduler, index=index, config=engine_config
-        )
-    return ParallelEngine(
-        layout,
-        store,
+    spec = ParallelRunSpec(
+        layout=layout,
+        store=BucketStore(layout, disk),
+        queries=queries,
+        policy=policy or LifeRaftScheduler(SchedulerConfig(cost=config.cost)),
+        config=EngineConfig(cache_buckets=config.cache_buckets, cost=config.cost),
         workers=workers,
-        scheduler=scheduler,
-        index=index,
-        config=engine_config,
+        index=SpatialIndex([], rows=None, disk=None),
+        steal_quantum_ms=config.cost.tb_ms * 2,
         **kwargs,
     )
+    return make_backend("virtual").execute(spec)
+
+
+def service_counts(outcome):
+    """How many times each (query, bucket) pair was serviced."""
+    counts = {}
+    for record in outcome.services:
+        for query_id in record.queries_served:
+            pair = (query_id, record.bucket_index)
+            counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
+def expected_pairs(queries):
+    return {
+        (query.query_id, bucket) for query in queries for bucket in query.bucket_footprint
+    }
+
+
+@pytest.fixture(scope="module")
+def zone_run(layout, queries):
+    """The skewed cell most tests inspect: 4 zone shards, stealing on."""
+    return run_sharded(layout, queries, workers=4, shard_strategy="zone")
 
 
 class TestSingleWorkerParity:
-    """A 1-worker ParallelEngine must reproduce the serial engine exactly."""
-
-    def test_report_matches_serial(self, layout, queries):
-        serial = build_engine(layout, "serial")
-        parallel = build_engine(layout, "parallel", workers=1)
-        for query in queries:
-            serial.submit(query)
-            parallel.submit(query)
-        serial.run_until_idle()
-        parallel.run_until_idle()
-        serial_report = serial.report()
-        parallel_report = parallel.report()
-        assert set(parallel_report.response_times_ms) == set(
-            serial_report.response_times_ms
-        )
-        assert parallel_report.completed_queries == serial_report.completed_queries
-        assert parallel_report.busy_time_ms == pytest.approx(
-            serial_report.busy_time_ms, rel=1e-12
-        )
-        for query_id, serial_rt in serial_report.response_times_ms.items():
-            assert parallel_report.response_times_ms[query_id] == pytest.approx(
-                serial_rt, rel=1e-12
-            )
-        assert parallel_report.bucket_services == serial_report.bucket_services
-        assert parallel_report.strategy_counts == serial_report.strategy_counts
-        assert parallel_report.cache_hit_rate == pytest.approx(
-            serial_report.cache_hit_rate
-        )
-        assert parallel_report.makespan_ms == pytest.approx(serial_report.makespan_ms)
+    """A 1-shard run must reproduce the serial engine exactly."""
 
     def test_open_system_parity_through_simulator(self, queries):
         simulator = Simulator(SimulationConfig(bucket_count=BUCKETS))
@@ -100,114 +106,86 @@ class TestSingleWorkerParity:
 
 class TestCorrectness:
     def test_all_queries_complete_once(self, layout, queries):
-        engine = build_engine(layout, workers=4)
-        for query in queries:
-            engine.submit(query)
-        engine.run_until_idle()
-        report = engine.report()
-        assert report.completed_queries == report.submitted_queries
-        completed = engine.completed_queries()
-        assert len(completed) == len(set(completed)), "a query completed twice"
+        outcome = run_sharded(layout, queries, workers=4)
+        assert outcome.report.completed_queries == outcome.report.submitted_queries
+        assert len(outcome.completed) == len(set(outcome.completed)), (
+            "a query completed twice"
+        )
 
     def test_no_bucket_entry_served_twice(self, layout, queries):
         """Each (query, bucket) workload entry is drained exactly once."""
-        engine = build_engine(layout, workers=4)
-        expected = {}
-        for query in queries:
-            engine.submit(query)
-            for bucket in engine.preprocessor.footprint(query):
-                expected[(query.query_id, bucket)] = 0
-        engine.run_until_idle()
-        for worker in engine.workers:
-            for batch in worker.loop.batches:
-                bucket = batch.work_item.bucket_index
-                for query_id in batch.queries_served:
-                    expected[(query_id, bucket)] += 1
-        assert all(count == 1 for count in expected.values()), (
+        outcome = run_sharded(layout, queries, workers=4)
+        counts = service_counts(outcome)
+        assert set(counts) == expected_pairs(queries)
+        assert all(count == 1 for count in counts.values()), (
             "some (query, bucket) pairs were serviced "
-            f"{sorted(v for v in set(expected.values()) if v != 1)} times"
+            f"{sorted(v for v in set(counts.values()) if v != 1)} times"
         )
 
-    def test_worker_clocks_never_run_backwards(self, layout, queries):
-        engine = build_engine(layout, workers=4)
-        for query in queries:
-            engine.submit(query)
-        clocks = {w.worker_id: w.now_ms for w in engine.workers}
-        while True:
-            outcome = engine.step()
-            if outcome is None:
-                break
-            for worker in engine.workers:
-                assert worker.now_ms >= clocks[worker.worker_id] - 1e-9
-                clocks[worker.worker_id] = worker.now_ms
+    def test_worker_clocks_never_run_backwards(self, zone_run):
+        """On every shard, a service starts no earlier than the previous
+        one finished — steals and idle jumps only ever move a clock forward."""
+        assert zone_run.steal_records
+        clocks = {}
+        for record in sorted(zone_run.services, key=lambda r: (r.worker_id, r.seq)):
+            assert record.started_at_ms >= clocks.get(record.worker_id, 0.0) - 1e-9
+            assert record.finished_at_ms >= record.started_at_ms
+            clocks[record.worker_id] = record.finished_at_ms
 
     def test_duplicate_submission_rejected(self, layout, queries):
-        engine = build_engine(layout, workers=2)
-        engine.submit(queries[0])
-        with pytest.raises(ValueError, match="already submitted"):
-            engine.submit(queries[0])
+        with pytest.raises(ValueError, match="appears twice"):
+            run_sharded(layout, [queries[0], queries[0]], workers=2)
 
-    def test_zone_sharding_completes_everything(self, layout, queries):
-        engine = build_engine(layout, workers=4, shard_strategy="zone")
-        for query in queries:
-            engine.submit(query)
-        engine.run_until_idle()
-        report = engine.report()
+    def test_zone_sharding_completes_everything(self, zone_run):
+        report = zone_run.report
         assert report.completed_queries == report.submitted_queries
 
 
 class TestWorkStealing:
-    def test_steals_happen_on_skewed_shards(self, layout, queries):
+    def test_steals_happen_on_skewed_shards(self, zone_run, queries):
         """Zone sharding over a skewed trace leaves some workers idle, so
         stealing must kick in — and everything still completes."""
-        engine = build_engine(layout, workers=4, shard_strategy="zone")
-        for query in queries:
-            engine.submit(query)
-        engine.run_until_idle()
-        assert engine.steal_log, "expected at least one steal on a skewed workload"
-        assert engine.report().completed_queries == len(
-            {q.query_id for q in queries}
-        )
+        assert zone_run.steal_records, "expected at least one steal on a skewed workload"
+        assert zone_run.report.completed_queries == len({q.query_id for q in queries})
 
     def test_stealing_disabled_means_no_steals(self, layout, queries):
-        engine = build_engine(
-            layout, workers=4, shard_strategy="zone", enable_stealing=False
+        outcome = run_sharded(
+            layout, queries, workers=4, shard_strategy="zone", enable_stealing=False
         )
-        for query in queries:
-            engine.submit(query)
-        engine.run_until_idle()
-        assert not engine.steal_log
-        assert engine.report().completed_queries == engine.report().submitted_queries
+        assert not outcome.steal_records
+        assert outcome.report.completed_queries == outcome.report.submitted_queries
 
-    def test_steal_improves_service_start(self, layout, queries):
-        """Every recorded steal must start the queue before the victim could."""
-        engine = build_engine(layout, workers=4, shard_strategy="zone")
-        for query in queries:
-            engine.submit(query)
-        victim_clocks = {}
-        while True:
-            for worker in engine.workers:
-                victim_clocks[worker.worker_id] = worker.now_ms
-            before = len(engine.steal_log)
-            outcome = engine.step()
-            for record in engine.steal_log[before:]:
-                assert record.time_ms < victim_clocks[record.victim_id]
-            if outcome is None:
-                break
+    @pytest.mark.parametrize("victim_clock_ms, migrates", ((41.0, True), (40.0, False)))
+    def test_steal_improves_service_start(self, victim_clock_ms, migrates):
+        """The steal rule: the thief may take the queue only if it can start
+        it — at ``max(its clock, newest entry)`` — strictly before the
+        victim's clock."""
+        entries = (WorkloadEntry(1, 5, 10.0), WorkloadEntry(2, 5, 40.0))
+        victim, thief = ShardView(0, ()), ShardView(1, ())
+        victim.clock_ms, thief.clock_ms = victim_clock_ms, 25.0
+        victim.pending = {3: BucketQueueMeta(3, 2, 10.0, 40.0)}
+        victim.drained = False
+        sent = []
 
-    def test_stealing_does_not_lose_or_duplicate_completions(self, layout, queries):
-        with_steal = build_engine(layout, workers=4, shard_strategy="zone")
-        without = build_engine(
-            layout, workers=4, shard_strategy="zone", enable_stealing=False
+        def request(worker_id, message):
+            sent.append((worker_id, message))
+            return ReleasedBucket(0, 3, entries, (), victim_clock_ms)
+
+        steals = []
+        run_steal_round([victim, thief], steals, WorkerEventLog(), request)
+        assert bool(steals) == bool(sent) == migrates
+        if migrates:
+            assert steals == [StealRecord(40.0, 3, victim_id=0, thief_id=1, entry_count=2)]
+            assert sent[1] == (1, AdoptBucket(3, entries, (), clock_ms=40.0))
+            assert not victim.pending and 3 in thief.pending and thief.clock_ms == 40.0
+
+    def test_stealing_does_not_lose_or_duplicate_completions(
+        self, layout, queries, zone_run
+    ):
+        without = run_sharded(
+            layout, queries, workers=4, shard_strategy="zone", enable_stealing=False
         )
-        for query in queries:
-            with_steal.submit(query)
-            without.submit(query)
-        with_steal.run_until_idle()
-        without.run_until_idle()
-        assert sorted(with_steal.completed_queries()) == sorted(
-            without.completed_queries()
-        )
+        assert sorted(zone_run.completed) == sorted(without.completed)
 
 
 class TestConstructedSkewStealing:
@@ -218,22 +196,9 @@ class TestConstructedSkewStealing:
     HEAVY_BUCKETS = (0, 2, 4)  # all owned by worker 0 under 2-way round robin
     HEAVY_QUERIES = 6
 
-    def build_skewed_engine(self):
-        partitioner = BucketPartitioner()
-        layout = partitioner.partition_density(8)
-        config = SimulationConfig(bucket_count=8)
-        disk = calibrated_disk_for_bucket_read(
-            config.bucket_megabytes, config.cost.tb_ms / 1000.0
-        )
-        engine = ParallelEngine(
-            layout,
-            BucketStore(layout, disk),
-            workers=2,
-            scheduler=LifeRaftScheduler(SchedulerConfig(cost=config.cost)),
-            index=SpatialIndex([], rows=None, disk=None),
-            config=EngineConfig(cache_buckets=config.cache_buckets, cost=config.cost),
-            shard_strategy="round_robin",
-        )
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        layout = BucketPartitioner().partition_density(8)
         queries = [
             CrossMatchQuery(
                 query_id=i,
@@ -248,104 +213,81 @@ class TestConstructedSkewStealing:
                 query_id=self.HEAVY_QUERIES, bucket_footprint={1: 1}, arrival_time_s=0.0
             )
         )
-        return engine, queries
+        return run_sharded(layout, queries, workers=2), queries
 
-    def test_starved_worker_emits_steal_record(self):
-        engine, queries = self.build_skewed_engine()
-        for query in queries:
-            engine.submit(query)
-        engine.run_until_idle()
-        assert engine.steal_log, "the dry worker must steal from the loaded one"
-        record = engine.steal_log[0]
+    def test_starved_worker_emits_steal_record(self, skewed):
+        outcome, _queries = skewed
+        assert outcome.steal_records, "the dry worker must steal from the loaded one"
+        record = outcome.steal_records[0]
         assert record.victim_id == 0
         assert record.thief_id == 1
         assert record.bucket_index in self.HEAVY_BUCKETS
         assert record.entry_count == self.HEAVY_QUERIES
 
-    def test_stolen_queue_migrates_whole(self):
+    def test_stolen_queue_migrates_whole(self, skewed):
         """The thief services the stolen bucket in ONE batch carrying every
         entry of the migrated queue — batching is never split."""
-        engine, queries = self.build_skewed_engine()
-        for query in queries:
-            engine.submit(query)
-        engine.run_until_idle()
-        for record in engine.steal_log:
-            thief_batches = [
-                batch
-                for batch in engine.workers[record.thief_id].loop.batches
-                if batch.work_item.bucket_index == record.bucket_index
+        outcome, _queries = skewed
+        for record in outcome.steal_records:
+            on_bucket = [
+                service
+                for service in outcome.services
+                if service.bucket_index == record.bucket_index
             ]
-            assert len(thief_batches) == 1
-            assert len(thief_batches[0].queries_served) == record.entry_count
-            victim_batches = [
-                batch
-                for batch in engine.workers[record.victim_id].loop.batches
-                if batch.work_item.bucket_index == record.bucket_index
-            ]
-            assert not victim_batches, "the victim serviced a stolen bucket"
+            assert [service.worker_id for service in on_bucket] == [record.thief_id], (
+                "the stolen bucket was serviced by the victim, or more than once"
+            )
+            assert len(on_bucket[0].queries_served) == record.entry_count
 
-    def test_no_query_serviced_twice_despite_steals(self):
-        engine, queries = self.build_skewed_engine()
-        expected = {}
-        for query in queries:
-            engine.submit(query)
-            for bucket in engine.preprocessor.footprint(query):
-                expected[(query.query_id, bucket)] = 0
-        engine.run_until_idle()
-        for worker in engine.workers:
-            for batch in worker.loop.batches:
-                for query_id in batch.queries_served:
-                    expected[(query_id, batch.work_item.bucket_index)] += 1
-        assert all(count == 1 for count in expected.values())
-        report = engine.report()
-        assert report.completed_queries == len(queries)
+    def test_no_query_serviced_twice_despite_steals(self, skewed):
+        outcome, queries = skewed
+        counts = service_counts(outcome)
+        assert set(counts) == expected_pairs(queries)
+        assert all(count == 1 for count in counts.values())
+        assert outcome.report.completed_queries == len(queries)
 
 
 class TestStealOwnershipTransfer:
-    def test_future_arrivals_follow_stolen_bucket(self, layout, queries):
+    def test_future_arrivals_follow_stolen_bucket(self, zone_run, layout):
         """After a steal, new work for that bucket goes to the thief, so one
-        bucket's queue is never split across two shards."""
-        engine = build_engine(layout, workers=4, shard_strategy="zone")
-        for query in queries:
-            engine.submit(query)
-        engine.run_until_idle()
-        assert engine.steal_log
-        # Replay: for every serviced batch, the bucket must have been
-        # serviced by exactly one worker at any one time — count how many
-        # distinct workers ever serviced each bucket and confirm each
-        # service drained a queue that lived wholly on that worker.
-        for record in engine.steal_log:
-            assert engine._adopted_owner[record.bucket_index] in {
-                r.thief_id
-                for r in engine.steal_log
-                if r.bucket_index == record.bucket_index
-            }
+        bucket's queue is never split across two shards: every service of a
+        bucket runs on its owner of the moment — the plan's, then whoever
+        stole the queue last."""
+        assert zone_run.steal_records
+        stolen = {record.bucket_index for record in zone_run.steal_records}
+        late_services = 0
+        for service in zone_run.services:
+            if service.bucket_index not in stolen:
+                continue
+            takeovers = [
+                record
+                for record in zone_run.steal_records
+                if record.bucket_index == service.bucket_index
+                and record.time_ms <= service.started_at_ms
+            ]
+            if takeovers:
+                assert service.worker_id == takeovers[-1].thief_id
+                late_services += 1
+            else:
+                first = next(
+                    record
+                    for record in zone_run.steal_records
+                    if record.bucket_index == service.bucket_index
+                )
+                assert service.worker_id == first.victim_id
+        assert late_services >= len(stolen)
 
     def test_arrival_order_policy_with_stealing_completes(self, layout, queries):
         """NoShare (per-query, arrival-order) + stealing must not strand
         adopted work behind the arrival cursor (regression test)."""
-        from repro.core.baselines import NoShareScheduler
-
-        config = SimulationConfig(bucket_count=BUCKETS)
-        disk = calibrated_disk_for_bucket_read(
-            config.bucket_megabytes, config.cost.tb_ms / 1000.0
+        outcome = run_sharded(
+            layout, queries, workers=4, policy=NoShareScheduler(), shard_strategy="zone"
         )
-        store = BucketStore(layout, disk)
-        engine = ParallelEngine(
-            layout,
-            store,
-            workers=4,
-            scheduler=NoShareScheduler(),
-            index=SpatialIndex([], rows=None, disk=None),
-            config=EngineConfig(cache_buckets=config.cache_buckets, cost=config.cost),
-            shard_strategy="zone",
+        assert outcome.steal_records
+        assert outcome.report.completed_queries == outcome.report.submitted_queries
+        assert set(service_counts(outcome)) == expected_pairs(queries), (
+            "work stranded behind the cursor"
         )
-        for query in queries:
-            engine.submit(query)
-        engine.run_until_idle()
-        report = engine.report()
-        assert not engine.has_pending_work(), "work stranded behind the cursor"
-        assert report.completed_queries == report.submitted_queries
 
 
 class TestDeterminism:
@@ -355,33 +297,26 @@ class TestDeterminism:
             trace_queries = (
                 TraceGenerator(config).generate().with_saturation(2.0).queries
             )
-            engine = build_engine(layout, workers=4)
-            for query in trace_queries:
-                engine.submit(query)
-            engine.run_until_idle()
-            report = engine.report()
+            outcome = run_sharded(layout, trace_queries, workers=4)
             return (
-                engine.completed_queries(),
-                report.busy_time_ms,
-                report.makespan_ms,
-                [w.steals for w in engine.workers],
-                [len(w.loop.batches) for w in engine.workers],
+                outcome.completed,
+                outcome.report.busy_time_ms,
+                outcome.report.makespan_ms,
+                outcome.steal_records,
+                outcome.parallel.worker_services,
+                outcome.window_boundaries_ms,
             )
 
         assert run_once() == run_once()
 
 
 class TestEventStreams:
-    def test_events_cover_arrivals_services_and_steals(self, layout, queries):
-        engine = build_engine(layout, workers=4, shard_strategy="zone")
-        for query in queries:
-            engine.submit(query)
-        engine.run_until_idle()
-        counts = engine.events.counts_by_kind()
+    def test_events_cover_arrivals_services_and_steals(self, zone_run, queries):
+        counts = zone_run.events.counts_by_kind()
         assert counts[EventKind.QUERY_ARRIVAL] >= len(queries)
-        assert counts[EventKind.SERVICE_COMPLETE] == engine.report().bucket_services
-        assert counts.get(EventKind.WORK_STOLEN, 0) == len(engine.steal_log)
-        merged = engine.events.merged()
+        assert counts[EventKind.SERVICE_COMPLETE] == zone_run.report.bucket_services
+        assert counts[EventKind.WORK_STOLEN] == len(zone_run.steal_records) > 0
+        merged = zone_run.events.merged()
         times = [event.time_ms for _worker, event in merged]
         assert times == sorted(times)
 
@@ -398,17 +333,3 @@ class TestScaling:
             )
             throughputs.append(result.throughput_qps)
         assert throughputs[0] < throughputs[1] < throughputs[2]
-
-    def test_parallel_report_metrics(self, layout, queries):
-        engine = build_engine(layout, workers=4)
-        for query in queries:
-            engine.submit(query)
-        engine.run_until_idle()
-        preport = engine.parallel_report()
-        assert preport.workers == 4
-        assert preport.aggregate_busy_ms == pytest.approx(
-            engine.report().busy_time_ms
-        )
-        assert preport.wall_clock_ms == max(preport.worker_clocks_ms)
-        assert 0.0 < preport.utilisation <= 1.0
-        assert sum(preport.worker_services) == engine.report().bucket_services

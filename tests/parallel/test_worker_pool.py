@@ -9,6 +9,7 @@ recorded when each run still booted its own interpreters — and must leak
 nothing from one task into the next.
 """
 
+import gc
 import multiprocessing
 import os
 import pickle
@@ -18,7 +19,7 @@ import pytest
 from repro.core.engine import EngineConfig
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
 from repro.parallel import shutdown_workers
-from repro.parallel.ipc import idle_worker_pids
+from repro.parallel.ipc import ShardReplayer, idle_worker_pids
 from repro.parallel.worker import build_shard_worker
 from repro.reliability import FaultPlan, ReliabilityConfig, runtime
 from repro.reliability.checkpoint import checkpoint_worker
@@ -29,6 +30,7 @@ from tests.parallel.test_coordinator_golden import (  # noqa: F401 (fixtures)
     GOLDEN,
     GOLDEN_CRASH,
     RecordingProcess,
+    RecordingVirtual,
     observe,
     quantum_ms,
     queries,
@@ -116,6 +118,41 @@ def test_file_backed_runs_leak_no_descriptor_into_the_workers(
         cell, _ = run_cell(simulator, queries, quantum_ms, 2, False, store_path)
         assert cell == GOLDEN[(2, False)]
     assert descriptors() == before
+
+
+@needs_proc
+def test_file_backed_inline_shards_close_their_stores(
+    simulator, queries, quantum_ms, store_path, monkeypatch
+):
+    """The virtual twin: an inline shard answers ``EndTask`` like a worker
+    process does, so its private store is closed — not left to the
+    collector, which is off here."""
+    closed = []
+    real_close = ShardReplayer.close
+
+    def recording_close(replayer):
+        closed.append(replayer.worker.worker_id)
+        real_close(replayer)
+
+    monkeypatch.setattr(ShardReplayer, "close", recording_close)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(20):
+            cell = observe(
+                simulator,
+                queries,
+                RecordingVirtual(),
+                workers=2,
+                steal_quantum_ms=quantum_ms,
+                store_path=store_path,
+            )
+            assert cell == GOLDEN[(2, True)]
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert closed == [0, 1] * 20
+    finally:
+        gc.enable()
 
 
 def test_idle_worker_killed_from_outside_is_replaced(simulator, queries, quantum_ms):

@@ -6,6 +6,11 @@ sequences, every parity field — across the serial engine, the virtual
 backend and the process backend, workers {1, 2, 4}, with stealing off.
 The schedule-purity property makes this possible; the checkpoint/restore
 machinery makes it true; this harness pins it down.
+
+With stealing **on** the same holds, on both backends and at digest
+level, when every barrier checkpoints (``windows:1``).  A sparser cadence
+under stealing is the hole that remains — recorded below as a strict
+xfail.
 """
 
 import pytest
@@ -26,6 +31,15 @@ from repro.storage.disk_model import calibrated_disk_for_bucket_read
 from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import BucketPartitioner
 from repro.workload.generator import TraceConfig, TraceGenerator
+from tests.parallel.test_coordinator_golden import (  # noqa: F401 (fixtures)
+    GOLDEN,
+    RecordingProcess,
+    RecordingVirtual,
+    observe,
+    quantum_ms,
+    queries,
+    simulator,
+)
 
 BUCKETS = 64
 WORKER_COUNTS = (1, 2, 4)
@@ -316,60 +330,6 @@ class TestRecoveryThroughSimulator:
         for field in VIRTUAL_CLOCK_PARITY_FIELDS:
             assert getattr(crashed, field) == getattr(clean, field), field
 
-    def test_stealing_with_every_window_cadence_is_bit_identical(
-        self, layout, sim_config, engine_config, timed_queries
-    ):
-        """Regression: a checkpoint at window w already contains window
-        w's steals (the steal round runs before the checkpoint round), so
-        re-settlement must not replay them — double adoption inflated
-        busy time and serviced duplicated entries.  With an every-window
-        cadence the restored state equals the barrier state exactly, so a
-        crash-injected stealing run must be bit-identical to a clean
-        reliability run."""
-
-        def run(faults):
-            spec = ParallelRunSpec(
-                layout=layout,
-                store=build_store(layout, sim_config),
-                queries=timed_queries,
-                policy=LifeRaftScheduler(SchedulerConfig(cost=sim_config.cost)),
-                config=engine_config,
-                workers=4,
-                shard_strategy="zone",
-                index=SpatialIndex([], rows=None, disk=None),
-                enable_stealing=True,
-                reliability=ReliabilityConfig(
-                    cadence="windows:1",
-                    faults=faults,
-                    window_quantum_ms=sim_config.cost.tb_ms * 2,
-                ),
-            )
-            return make_backend("virtual").execute(spec)
-
-        clean = run(None)
-        crashed = run(FaultPlan.parse("0@1,2@3"))
-        assert clean.steal_records, "the scenario must actually steal"
-        assert crashed.reliability.crashes_injected == 2
-
-        def timeline(outcome):
-            return sorted(
-                (
-                    r.worker_id,
-                    r.seq,
-                    r.bucket_index,
-                    r.queries_served,
-                    round(r.started_at_ms, 6),
-                    round(r.finished_at_ms, 6),
-                )
-                for r in outcome.services
-            )
-
-        assert crashed.report.busy_time_ms == pytest.approx(
-            clean.report.busy_time_ms, rel=1e-12
-        )
-        assert crashed.report.bucket_services == clean.report.bucket_services
-        assert timeline(crashed) == timeline(clean)
-
     def test_stealing_on_preserves_completion_set(self, timed_queries, sim_config):
         """With stealing the windowed schedules differ, but recovery must
         still complete every query exactly once."""
@@ -388,6 +348,59 @@ class TestRecoveryThroughSimulator:
         assert crashed.completed_queries == clean.completed_queries
         assert crashed.reliability is not None
         assert crashed.reliability.crashes_injected > 0
+
+
+#: Crash plans over the golden trace at 4 zone shards, stealing on.
+STEALING_CRASH_PLANS = ("0@1,2@3", "1@2,1@5,3@4")
+
+
+def crash_cell(simulator, queries, quantum_ms, backend, cadence, plan):
+    """The golden (4 workers, stealing on) cell, run under a crash plan."""
+    cell = observe(
+        simulator,
+        queries,
+        backend,
+        workers=4,
+        steal_quantum_ms=quantum_ms,
+        reliability=ReliabilityConfig(
+            cadence=cadence, faults=FaultPlan.parse(plan), window_quantum_ms=quantum_ms
+        ),
+    )
+    assert backend.outcome.reliability.crashes_injected == len(FaultPlan.parse(plan))
+    return cell
+
+
+@pytest.mark.parametrize("plan", STEALING_CRASH_PLANS)
+@pytest.mark.parametrize("backend", (RecordingVirtual, RecordingProcess))
+def test_stealing_with_every_window_cadence_is_bit_identical(
+    simulator, queries, quantum_ms, backend, plan
+):
+    """A checkpoint at window w already contains window w's steals (the
+    steal round runs before the checkpoint round), so re-settlement must
+    not replay them — double adoption inflated busy time and serviced
+    duplicated entries.  With an every-window cadence the restored state
+    equals the barrier state exactly, so a crash-injected stealing run is
+    the clean run: digests, steal schedule, window boundaries."""
+    cell = crash_cell(simulator, queries, quantum_ms, backend(), "windows:1", plan)
+    assert cell == GOLDEN[(4, True)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "checkpoint-aware stealing is not done: ShardCoordinator._resettle "
+        "re-applies every post-checkpoint migration to the restored shard up "
+        "front, not at the barrier it happened at, so behind a sparse cadence "
+        "the replayed tail is not the lost one"
+    ),
+)
+def test_stealing_with_sparse_cadence_is_bit_identical(simulator, queries, quantum_ms):
+    """The hole: crash + stealing + a cadence that skips barriers.  Same
+    steal count and windows as the clean run here, a different digest."""
+    cell = crash_cell(
+        simulator, queries, quantum_ms, RecordingVirtual(), "windows:3", STEALING_CRASH_PLANS[0]
+    )
+    assert cell == GOLDEN[(4, True)]
 
 
 class TestRecoveryGuards:
