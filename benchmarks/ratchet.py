@@ -1,8 +1,9 @@
 """Benchmark ratchet: compare two ``--bench-json`` snapshots, fail on regression.
 
 The committed baselines (``BENCH_storage.json``, ``BENCH_parallel.json``,
-``BENCH_scheduler.json`` at the repository root) pin the performance the
-storage and parallel subsystems and the scheduler have already demonstrated.
+``BENCH_scheduler.json``, ``BENCH_kernels.json`` at the repository root) pin
+the performance the storage and parallel subsystems, the scheduler and the
+crossmatch kernel have already demonstrated.
 CI reruns the same benchmarks, writes a candidate snapshot with
 ``--bench-json``, and this module compares the two::
 
@@ -51,6 +52,11 @@ RATCHETED_METRICS: Dict[str, str] = {
     # a slower machine cannot move; the absolute figure rides beside it
     "decision_growth_16x": "lower",
     "decision_us_at_4096": "lower",
+    # kernels: the columnar crossmatch kernel over the row-at-a-time merge
+    # join on one dense service, both timed in the same process — again a
+    # dimensionless ratio with the absolute rate beside it
+    "kernel_speedup_vs_row_path": "higher",
+    "crossmatch_objects_per_s": "higher",
 }
 
 #: Default allowed relative regression before the ratchet fails.

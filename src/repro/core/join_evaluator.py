@@ -55,7 +55,10 @@ class JoinResult:
     match_cost_ms: float
     objects_processed: int
     cache_hit: bool
-    matches: Tuple[MatchedPair, ...] = ()
+    #: Every consumer in the engines reads ``match_count``; the pairs are a
+    #: read-only sequence (columnar and lazily materialised on the scan path
+    #: over a file-backed store, see :class:`~repro.core.kernels.MatchColumns`).
+    matches: Sequence[MatchedPair] = ()
     match_count: int = 0
     per_query_matches: Dict[int, int] = field(default_factory=dict)
 
@@ -217,7 +220,9 @@ class HybridJoinEvaluator:
             match_cost_ms=match_cost,
             objects_processed=queue_objects,
             cache_hit=cache_hit,
-            matches=tuple(matches),
+            # Results outlive their service (the engine keeps every batch):
+            # an empty one must not pin the decoded block it came from.
+            matches=matches or (),
             match_count=match_count,
             per_query_matches=per_query,
         )
@@ -260,7 +265,7 @@ class HybridJoinEvaluator:
 
     def _merge_join(
         self, bucket: Bucket, entries: Sequence[WorkloadEntry]
-    ) -> Tuple[List[MatchedPair], Dict[int, int]]:
+    ) -> Tuple[Sequence[MatchedPair], Dict[int, int]]:
         """Plane-sweep merge of the workload queue against the bucket.
 
         "Objects in both the bucket and its corresponding workload queue
@@ -276,7 +281,7 @@ class HybridJoinEvaluator:
             return matches, per_query
         if bucket.columns is not None:
             # Columnar fast path: whole-column kernel over the decoded
-            # block; row objects are built only for matches.
+            # block; row objects are built only when the matches are read.
             return crossmatch_block(bucket.columns, entries)
         if not bucket.objects:
             return matches, per_query

@@ -58,15 +58,13 @@ class QueryPreProcessor:
         self, objects: Sequence[CrossMatchObject]
     ) -> Dict[int, List[CrossMatchObject]]:
         assignments: Dict[int, List[CrossMatchObject]] = {}
+        indices_for_range = self.layout.bucket_indices_for_range
         for obj in objects:
-            overlapping = self.layout.buckets_for_range(obj.htm_range)
-            if not overlapping:
-                # The object's bounding box falls outside the partitioned
-                # table (e.g. outside the survey footprint); it simply has
-                # no potential matches at this site.
-                continue
-            for bucket in overlapping:
-                assignments.setdefault(bucket.index, []).append(obj)
+            # An empty span: the object's bounding box falls outside the
+            # partitioned table (e.g. outside the survey footprint); it
+            # simply has no potential matches at this site.
+            for bucket_index in indices_for_range(obj.htm_range):
+                assignments.setdefault(bucket_index, []).append(obj)
         return assignments
 
     def footprint(self, query: CrossMatchQuery) -> Dict[int, int]:

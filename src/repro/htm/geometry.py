@@ -117,13 +117,14 @@ def angular_separation(ra1: float, dec1: float, ra2: float, dec2: float) -> floa
     lon1, lat1 = math.radians(ra1), math.radians(dec1)
     lon2, lat2 = math.radians(ra2), math.radians(dec2)
     dlon = lon2 - lon1
+    cos_dlon = math.cos(dlon)
     cos_lat1, sin_lat1 = math.cos(lat1), math.sin(lat1)
     cos_lat2, sin_lat2 = math.cos(lat2), math.sin(lat2)
     num = math.hypot(
         cos_lat2 * math.sin(dlon),
-        cos_lat1 * sin_lat2 - sin_lat1 * cos_lat2 * math.cos(dlon),
+        cos_lat1 * sin_lat2 - sin_lat1 * cos_lat2 * cos_dlon,
     )
-    den = sin_lat1 * sin_lat2 + cos_lat1 * cos_lat2 * math.cos(dlon)
+    den = sin_lat1 * sin_lat2 + cos_lat1 * cos_lat2 * cos_dlon
     return math.degrees(math.atan2(num, den))
 
 

@@ -54,12 +54,13 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import mmap
 import os
 import struct
 import sys
 from dataclasses import dataclass, field
-from typing import BinaryIO, Dict, List, Sequence, Tuple
+from typing import BinaryIO, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.catalog.objects import CelestialObject
 from repro.htm.curve import HTMRange
@@ -95,6 +96,31 @@ class StoreFormatError(RuntimeError):
 _NATIVE_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
+class DerivedColumns(NamedTuple):
+    """What the crossmatch kernel needs of every row, computed once per block.
+
+    Plain lists of Python objects: a ``bisect`` or an indexed read over a
+    list costs half of one over a ``memoryview`` cast (no boxing per probe),
+    and each row's trigonometry is paid once for as long as the block stays
+    cached instead of once per candidate pair.  The values are exactly the
+    intermediates of :func:`repro.htm.geometry.angular_separation` —
+    ``math.radians`` of the stored degrees, ``math.cos`` / ``math.sin`` of
+    that — so a separation computed from them is bit-equal.
+    """
+
+    htm_ids: List[int]
+    #: ``radians(ra)``.
+    lon: List[float]
+    #: ``radians(dec)`` where ``-90 <= dec <= 90``, else NaN.  Read only by
+    #: the kernel's declination-band reject, whose argument (separation >=
+    #: |delta dec|) holds for in-range declinations only; a NaN row fails
+    #: every comparison and so is never rejected by the band.
+    band_lat: List[float]
+    #: ``cos(radians(dec))`` / ``sin(radians(dec))``, any declination.
+    cos_lat: List[float]
+    sin_lat: List[float]
+
+
 @dataclass(frozen=True)
 class ColumnBlock:
     """One decoded bucket page as typed, whole-column sequences.
@@ -107,6 +133,10 @@ class ColumnBlock:
     work directly against these columns; :class:`~repro.catalog.objects.
     CelestialObject` rows are only materialised at the result boundary
     via :meth:`row` / :meth:`rows`.
+
+    Two memos ride on the block, both empty after decode and both living
+    exactly as long as the block does (so a block resident in either cache
+    tier pays for them once): :meth:`rows` and :meth:`derived`.
 
     The columns keep the backing buffer (usually the reader's mmap)
     alive for as long as the block is referenced, so cached blocks stay
@@ -125,9 +155,38 @@ class ColumnBlock:
     _rows: List[Tuple["CelestialObject", ...]] = field(
         default_factory=list, repr=False, compare=False
     )
+    _derived: List[DerivedColumns] = field(default_factory=list, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.htm_ids)
+
+    @property
+    def has_derived(self) -> bool:
+        """Whether :meth:`derived` has been built (it never is at decode)."""
+        return bool(self._derived)
+
+    def derived(self) -> DerivedColumns:
+        """The kernel's per-row columns (memoised; built on first request).
+
+        The kernel asks only once a workload object has a non-empty
+        candidate window, so a block that serves footprint-only entries
+        never pays for this.
+        """
+        if not self._derived:
+            lat = list(map(math.radians, self.dec))
+            self._derived.append(
+                DerivedColumns(
+                    htm_ids=list(self.htm_ids),
+                    lon=list(map(math.radians, self.ra)),
+                    band_lat=[
+                        value if -90.0 <= dec <= 90.0 else math.nan
+                        for value, dec in zip(lat, self.dec)
+                    ],
+                    cos_lat=list(map(math.cos, lat)),
+                    sin_lat=list(map(math.sin, lat)),
+                )
+            )
+        return self._derived[0]
 
     def row(self, index: int) -> "CelestialObject":
         """Materialise one row object (the result-boundary escape hatch)."""
@@ -624,6 +683,7 @@ __all__ = [
     "StoreFormatError",
     "StoreManifest",
     "ColumnBlock",
+    "DerivedColumns",
     "BucketFileWriter",
     "BucketFileReader",
     "encode_bucket_page",

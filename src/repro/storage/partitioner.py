@@ -140,18 +140,26 @@ class PartitionLayout:
             raise KeyError(f"HTM ID {htm_id} falls in a gap after bucket {position}")
         return bucket
 
+    def bucket_indices_for_range(self, htm_range: HTMRange) -> range:
+        """Indices of the buckets whose extent overlaps *htm_range*, ascending.
+
+        Two binary searches over the bucket lows, whatever the layout's
+        size.  The overlapping buckets are consecutive: the walk starts at
+        the last bucket that begins at or before the range (it overlaps
+        unless it ends before the range begins, or there is no such
+        bucket), and every later bucket beginning inside the range overlaps
+        it.
+        """
+        lows = self._lows
+        first = bisect.bisect_right(lows, htm_range.low) - 1
+        if first < 0 or self._buckets[first].htm_range.high < htm_range.low:
+            first += 1
+        return range(first, bisect.bisect_right(lows, htm_range.high, first))
+
     def buckets_for_range(self, htm_range: HTMRange) -> List[BucketSpec]:
         """Return every bucket whose extent overlaps *htm_range*, in curve order."""
-        first = bisect.bisect_right(self._lows, htm_range.low) - 1
-        if first < 0:
-            first = 0
-        result: List[BucketSpec] = []
-        for bucket in self._buckets[first:]:
-            if bucket.htm_range.low > htm_range.high:
-                break
-            if bucket.htm_range.overlaps(htm_range):
-                result.append(bucket)
-        return result
+        indices = self.bucket_indices_for_range(htm_range)
+        return list(self._buckets[indices.start : indices.stop])
 
     def total_objects(self) -> int:
         """Sum of the per-bucket object counts."""

@@ -1,10 +1,12 @@
 """Tests for the query pre-processor (query → per-bucket sub-queries)."""
 
+import random
+
 import pytest
 
 from repro.core.preprocessor import QueryPreProcessor
 from repro.htm.curve import HTMRange
-from repro.storage.partitioner import BucketPartitioner
+from repro.storage.partitioner import BucketPartitioner, layout_from_ranges
 from repro.workload.query import CrossMatchObject, CrossMatchQuery
 
 LEAF_LEVEL = 8
@@ -65,6 +67,31 @@ class TestExplicitObjects:
             CrossMatchQuery(query_id=i, objects=(obj(0, low, low + 1),)) for i in range(3)
         ]
         assert preprocessor.batch_footprint(queries) == {1: 3}
+
+    def test_assignment_order_is_first_touch_order(self):
+        """Same buckets, same objects per bucket, same dict insertion order
+        as assigning each object to a scan of the layout, one at a time —
+        over a layout with a gap and objects outside or straddling it."""
+        rng = random.Random(11)
+        lows = [CURVE_START + 100 * i for i in range(8)]
+        layout = layout_from_ranges(
+            [(low, low + (59 if i == 3 else 99)) for i, low in enumerate(lows)],
+            [10] * 8,
+            leaf_level=LEAF_LEVEL,
+        )
+        objects = []
+        for object_id in range(400):
+            low = CURVE_START - 50 + rng.randrange(0, 950)
+            objects.append(obj(object_id, low, low + rng.choice([0, 3, 40, 120, 400])))
+        expected = {}
+        for candidate in objects:
+            for bucket in layout:
+                if bucket.htm_range.overlaps(candidate.htm_range):
+                    expected.setdefault(bucket.index, []).append(candidate)
+        assignment = QueryPreProcessor(layout).assign(CrossMatchQuery(5, objects=tuple(objects)))
+        assert list(assignment.items()) == list(expected.items())
+        assert sum(len(v) for v in assignment.values()) > len(objects)  # duplicates happened
+        assert any(not layout.buckets_for_range(o.htm_range) for o in objects)  # and misses
 
 
 class TestAbstractQueries:

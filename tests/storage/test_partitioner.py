@@ -1,5 +1,8 @@
 """Tests for equal-sized bucket partitioning along the HTM curve."""
 
+import bisect
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,3 +148,87 @@ class TestPartitionLayout:
         bad_index = BucketSpec(2, HTMRange(CURVE_START, CURVE_END), 10, 1.0)
         with pytest.raises(ValueError):
             PartitionLayout([good, bad_index], leaf_level=LEAF_LEVEL)
+
+
+def scan_buckets_for_range(layout, htm_range):
+    """The loop ``buckets_for_range`` used to be: walk the tail of the layout."""
+    first = max(0, bisect.bisect_right([b.htm_range.low for b in layout], htm_range.low) - 1)
+    result = []
+    for bucket in layout.buckets[first:]:
+        if bucket.htm_range.low > htm_range.high:
+            break
+        if bucket.htm_range.overlaps(htm_range):
+            result.append(bucket)
+    return result
+
+
+@st.composite
+def gappy_layouts(draw):
+    """Layouts with gaps, touching buckets, equal lows and overlapping extents."""
+    lows = sorted(
+        draw(
+            st.lists(
+                st.integers(min_value=CURVE_START, max_value=CURVE_START + 2_000),
+                min_size=1,
+                max_size=30,
+            )
+        )
+    )
+    specs = []
+    for index, low in enumerate(lows):
+        width = draw(st.integers(min_value=0, max_value=300))
+        specs.append(BucketSpec(index, HTMRange(low, low + width), 10, 1.0))
+    return PartitionLayout(specs, leaf_level=LEAF_LEVEL)
+
+
+#: Ranges before, after, inside and straddling the stretch the layouts cover.
+probe_ranges = st.tuples(
+    st.integers(min_value=CURVE_START - 500, max_value=CURVE_START + 2_800),
+    st.integers(min_value=0, max_value=1_500),
+).map(lambda pair: HTMRange(pair[0], pair[0] + pair[1]))
+
+
+class TestBucketsForRangeIsIndexed:
+    @settings(max_examples=300, deadline=None)
+    @given(layout=gappy_layouts(), htm_range=probe_ranges)
+    def test_same_buckets_as_the_scan(self, layout, htm_range):
+        expected = scan_buckets_for_range(layout, htm_range)
+        assert layout.buckets_for_range(htm_range) == expected
+        assert list(layout.bucket_indices_for_range(htm_range)) == [b.index for b in expected]
+
+    def test_ranges_outside_the_layout(self):
+        layout = layout_from_ranges(
+            [(CURVE_START + 100, CURVE_START + 199), (CURVE_START + 300, CURVE_START + 399)],
+            [10, 10],
+            leaf_level=LEAF_LEVEL,
+        )
+        for low, high, expected in [
+            (CURVE_START, CURVE_START + 99, []),  # before the first bucket
+            (CURVE_START + 200, CURVE_START + 299, []),  # inside the gap
+            (CURVE_START + 400, CURVE_END, []),  # past the last bucket
+            (CURVE_START, CURVE_START + 100, [0]),  # straddles the start
+            (CURVE_START + 199, CURVE_START + 300, [0, 1]),  # spans the gap
+            (CURVE_START + 399, CURVE_END, [1]),  # straddles the end
+            (CURVE_START, CURVE_END, [0, 1]),
+        ]:
+            assert list(layout.bucket_indices_for_range(HTMRange(low, high))) == expected
+
+    def test_cost_does_not_grow_with_the_layout(self):
+        """20,000 buckets may cost at most 3x what 40 do (the scan: ~130x)."""
+
+        def us_per_call(bucket_count):
+            layout = BucketPartitioner().partition_density(bucket_count)
+            ranges = [
+                HTMRange(spec.htm_range.low + 1, spec.htm_range.low + 2)
+                for spec in layout.buckets[:: max(1, bucket_count // 40)]
+            ]
+            best = float("inf")
+            for _ in range(25):
+                started = time.perf_counter()
+                for htm_range in ranges:
+                    layout.buckets_for_range(htm_range)
+                best = min(best, time.perf_counter() - started)
+            return best / len(ranges) * 1e6
+
+        small, large = us_per_call(40), us_per_call(20_000)
+        assert large <= 3.0 * small, f"{small:.2f} us at 40 buckets, {large:.2f} us at 20,000"
