@@ -1,9 +1,9 @@
 """Benchmark ratchet: compare two ``--bench-json`` snapshots, fail on regression.
 
 The committed baselines (``BENCH_storage.json``, ``BENCH_parallel.json``,
-``BENCH_scheduler.json``, ``BENCH_kernels.json`` at the repository root) pin
-the performance the storage and parallel subsystems, the scheduler and the
-crossmatch kernel have already demonstrated.
+``BENCH_scheduler.json``, ``BENCH_kernels.json``, ``BENCH_service.json`` at the
+repository root) pin the performance the storage and parallel subsystems, the
+scheduler, the crossmatch kernel and the serving gate have already demonstrated.
 CI reruns the same benchmarks, writes a candidate snapshot with
 ``--bench-json``, and this module compares the two::
 
@@ -57,6 +57,11 @@ RATCHETED_METRICS: Dict[str, str] = {
     # dimensionless ratio with the absolute rate beside it
     "kernel_speedup_vs_row_path": "higher",
     "crossmatch_objects_per_s": "higher",
+    # service: one event at the serving gate must not scale with the
+    # admitted-but-undrained backlog — µs at 4,096 in-flight admissions ÷ µs
+    # at 256, dimensionless, with the absolute figure beside it
+    "intake_growth_16x": "lower",
+    "intake_us_per_event_at_4096": "lower",
 }
 
 #: Default allowed relative regression before the ratchet fails.

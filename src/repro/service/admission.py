@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Type, Union
+from typing import Deque, Dict, List, Mapping, Optional, Tuple, Type, Union
 
 from repro.core.metrics import CostModel
 
@@ -171,14 +172,33 @@ class IntakeModel:
     references counts as *pending* until the same moment.  Deliberately
     engine-free: an intake gate that consulted live engine state would
     make admission depend on the execution backend.
+
+    **Cost.**  The gate is consulted at every event of the intake loop —
+    arrivals, ``CONTROL`` retries and series barriers — so it must not
+    cost a pass over the backlog each time.  It rests on one invariant:
+    drain estimates are **non-decreasing in admission order**
+    (``busy_until = max(busy_until, now) + cost`` with ``cost >= 0``, for
+    any ``now``, in order or not).  The in-flight queue is therefore
+    already sorted by drain time, "retire everything whose drain has
+    passed" is "pop from the left while the head's drain ``<= now``", and
+    every admission is pushed once and popped once: ``advance`` and
+    ``snapshot`` are amortised O(1) per event, ``admit`` is O(buckets in
+    the footprint).  Bucket expiry is *lazy*: a retiring admission takes
+    a bucket with it only if the dict still holds the admission's own
+    drain — a later admission that re-referenced the bucket moved it on.
+    ``tests/service/intake_oracle.py`` keeps the rebuild-everything
+    version this replaced; a state machine drives the two side by side.
     """
 
     def __init__(self, cost: CostModel) -> None:
         self.cost = cost
         self._busy_until_ms = 0.0
-        #: (estimated drain time, query id) of each in-flight admission.
-        self._in_flight: List[Tuple[float, int]] = []
-        #: Estimated drain time per referenced bucket.
+        #: (estimated drain time, query id, referenced buckets) of each
+        #: in-flight admission, in admission order — which is drain order.
+        self._in_flight: Deque[Tuple[float, int, Tuple[int, ...]]] = deque()
+        #: Estimated drain time per referenced bucket (that of the last
+        #: admission to reference it); its ``len`` is the pending-bucket
+        #: backlog.
         self._bucket_drain_ms: Dict[int, float] = {}
 
     def estimate_cost_ms(self, footprint: Mapping[int, int]) -> float:
@@ -189,14 +209,15 @@ class IntakeModel:
 
     def advance(self, now_ms: float) -> None:
         """Retire in-flight work whose estimated drain time has passed."""
-        if self._in_flight:
-            self._in_flight = [item for item in self._in_flight if item[0] > now_ms]
-        if self._bucket_drain_ms:
-            self._bucket_drain_ms = {
-                bucket: drain
-                for bucket, drain in self._bucket_drain_ms.items()
-                if drain > now_ms
-            }
+        in_flight = self._in_flight
+        drains = self._bucket_drain_ms
+        while in_flight and in_flight[0][0] <= now_ms:
+            drain, _query_id, buckets = in_flight.popleft()
+            for bucket in buckets:
+                # A later admission that re-referenced the bucket moved its
+                # drain past this one's: only the last reference retires it.
+                if drains.get(bucket) == drain:
+                    del drains[bucket]
 
     def pending_admissions(self) -> int:
         """Admitted queries the model still counts as in flight."""
@@ -214,10 +235,12 @@ class IntakeModel:
 
     def admit(self, query_id: int, footprint: Mapping[int, int], now_ms: float) -> float:
         """Charge one admitted query to the lane; returns its drain estimate."""
-        self._busy_until_ms = max(self._busy_until_ms, now_ms) + self.estimate_cost_ms(footprint)
-        self._in_flight.append((self._busy_until_ms, query_id))
-        for bucket in footprint:
-            drain = self._bucket_drain_ms.get(bucket)
-            if drain is None or drain < self._busy_until_ms:
-                self._bucket_drain_ms[bucket] = self._busy_until_ms
-        return self._busy_until_ms
+        drain_ms = max(self._busy_until_ms, now_ms) + self.estimate_cost_ms(footprint)
+        self._busy_until_ms = drain_ms
+        buckets = tuple(footprint)
+        self._in_flight.append((drain_ms, query_id, buckets))
+        # No recorded drain is later than this one: every bucket moves to it.
+        drains = self._bucket_drain_ms
+        for bucket in buckets:
+            drains[bucket] = drain_ms
+        return drain_ms

@@ -397,7 +397,10 @@ class ServingFrontEnd:
         Arrivals are driven through the event queue in virtual-time order;
         deferred arrivals re-enter as ``CONTROL`` retry events (FIFO within
         a timestamp, so a retry racing a fresh arrival is resolved by
-        enqueue order — deterministically).
+        enqueue order — deterministically).  Every event — arrival, retry
+        or series barrier — consults :class:`IntakeModel`, which retires
+        expired work incrementally, so the pass is linear in the number
+        of events whatever the depth of the backlog behind the gate.
         """
         if self.intake is not None:
             raise RuntimeError("the front-end has already run its intake pass")
@@ -511,7 +514,11 @@ class ServingFrontEnd:
         estimated drain time has passed), so advancing to an earlier
         barrier before processing the event at *now_ms* never perturbs
         admission decisions — and admissions only change at events, so
-        the barrier value is exact, not an approximation.
+        the barrier value is exact, not an approximation.  The same
+        monotonicity carries the model's data structure: drain estimates
+        never decrease from one admission to the next, so ``advance`` pops
+        expired work off the front of one drain-ordered queue and a
+        barrier costs what it retires, not a pass over the backlog.
         """
         window_ms = self._series_window_ms
         count = self._s_pending.sample_count

@@ -117,6 +117,20 @@ class TestIntakeModel:
         state = model.snapshot(0.0, client_rate_qps=0.0)
         assert state.pending_buckets == 3
 
+    def test_shared_bucket_stays_pending_until_its_last_admission_drains(self):
+        cost = CostModel(tb_ms=1_000.0, tm_ms=1.0)
+        model = IntakeModel(cost)
+        first_drain = model.admit(1, {5: 10, 6: 10}, now_ms=0.0)
+        second_drain = model.admit(2, {6: 10, 7: 10}, now_ms=0.0)
+        # The first admission's drain passes: bucket 5 retires with it,
+        # bucket 6 is still referenced by the second admission.
+        state = model.snapshot(first_drain, client_rate_qps=0.0)
+        assert (state.queue_depth, state.pending_buckets) == (1, 2)
+        state = model.snapshot(second_drain - 0.5, client_rate_qps=0.0)
+        assert (state.queue_depth, state.pending_buckets) == (1, 2)
+        state = model.snapshot(second_drain, client_rate_qps=0.0)
+        assert (state.queue_depth, state.pending_buckets) == (0, 0)
+
 
 class TestSessions:
     def query(self, query_id, arrival_s=0.0):
