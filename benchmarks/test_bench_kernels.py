@@ -5,7 +5,7 @@ workload objects against a 100-row block, ≈ 4 candidates per object inside
 the HTM window and ≈ 0.9 matches per object.  The fixed synthetic service
 below has that shape.  What is ratcheted is ``kernel_speedup_vs_row_path`` —
 the kernel over a decoded :class:`~repro.storage.format.ColumnBlock` against
-``HybridJoinEvaluator._merge_join`` over the same rows as an eager bucket,
+the reference row merge (``tests/core/join_oracle.py``) over the same rows,
 both best-of-N in this process, a dimensionless number a slow runner cannot
 move — and, beside it, the absolute ``crossmatch_objects_per_s``.  Measured
 twice: with the matches only counted (what every engine does) and with
@@ -20,16 +20,12 @@ import time
 import pytest
 
 from repro.catalog.objects import CelestialObject
-from repro.core.bucket_cache import BucketCacheManager
-from repro.core.join_evaluator import HybridJoinEvaluator
 from repro.core.kernels import crossmatch_block
-from repro.core.metrics import CostModel
 from repro.core.workload_manager import WorkloadEntry
 from repro.htm.curve import HTMRange
-from repro.storage.bucket_store import Bucket, BucketStore
 from repro.storage.format import decode_column_block, encode_bucket_page
-from repro.storage.partitioner import BucketPartitioner
 from repro.workload.query import CrossMatchObject
+from tests.core.join_oracle import merge_join
 
 #: The kernel must stay at least this many times faster than the row path.
 MIN_SPEEDUP_VS_ROW_PATH = 2.0
@@ -96,11 +92,6 @@ def best_seconds(call, samples: int = 30, calls: int = 20) -> float:
 def test_bench_crossmatch_kernel_vs_row_path(benchmark, consume):
     rows, entries = dense_service()
     page = encode_bucket_page([row.htm_id for row in rows], rows, {"sdss": 0})
-    layout = BucketPartitioner().partition_density(1)
-    evaluator = HybridJoinEvaluator(
-        CostModel.paper_defaults(), BucketCacheManager(BucketStore(layout), 1)
-    )
-    eager = Bucket(layout[0], objects=tuple(rows), htm_ids=tuple(row.htm_id for row in rows))
     # A resident block: its memos are warm, as 88 % of the benchmark's services find them.
     block = decode_column_block(page, ("sdss",))
 
@@ -109,7 +100,7 @@ def test_bench_crossmatch_kernel_vs_row_path(benchmark, consume):
         return (list(matches) if consume else matches), per_query
 
     def row_path():
-        return evaluator._merge_join(eager, entries)
+        return merge_join(rows, entries)
 
     matches, per_query = benchmark.pedantic(kernel, rounds=200, iterations=1)
     reference, reference_per_query = row_path()

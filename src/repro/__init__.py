@@ -13,9 +13,10 @@ The package is organised as a set of substrates plus the core scheduler:
     Spherical geometry and the Hierarchical Triangular Mesh used to
     linearise the sky into a space-filling curve.
 ``repro.storage``
-    Disk cost model, LRU cache, bucket partitioner/store and spatial index.
+    Disk cost model, LRU cache, bucket partitioner, the count-only
+    in-memory store and the ``.lrbs`` column store, spatial index.
 ``repro.catalog``
-    Synthetic astronomical catalogs and archives.
+    Synthetic astronomical catalogs.
 ``repro.core``
     The LifeRaft scheduler itself: pre-processor, workload manager,
     scheduling metrics, hybrid join evaluator, baselines and the engine.
@@ -23,8 +24,6 @@ The package is organised as a set of substrates plus the core scheduler:
     Discrete-event simulation used to drive the evaluation.
 ``repro.workload``
     Cross-match query model, trace generators and arrival processes.
-``repro.federation``
-    A SkyQuery-style federation substrate (archives, plans, shipping).
 ``repro.experiments``
     One module per figure/table of the paper's evaluation.
 """

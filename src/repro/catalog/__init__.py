@@ -1,22 +1,21 @@
-"""Catalog substrate: synthetic astronomical archives.
+"""Catalog substrate: synthetic astronomical catalogs.
 
-The paper evaluates LifeRaft at the SDSS node of the SkyQuery federation;
-the cross-match workload joins SDSS against the 2MASS and USNO-B surveys.
-Since the real multi-terabyte archives are not available offline, this
-package provides synthetic stand-ins:
+The paper evaluates LifeRaft at the SDSS node of SkyQuery; the cross-match
+workload joins SDSS against the 2MASS and USNO-B surveys.  Since the real
+multi-terabyte archives are not available offline, this package provides
+synthetic stand-ins:
 
 * :mod:`repro.catalog.objects` — the row types (celestial observations) and
   an in-memory catalog table sorted along the HTM curve;
 * :mod:`repro.catalog.generator` — sky generators producing clustered,
-  survey-like object distributions at configurable scale;
-* :mod:`repro.catalog.archive` — an archive bundles a catalog with its
-  storage substrate (partition layout, bucket store, spatial index) the way
-  one SkyQuery site does.
+  survey-like object distributions at configurable scale.
+
+A catalog becomes joinable by ingesting it into a ``.lrbs`` store
+(:func:`repro.storage.ingest.ingest_catalog`).
 """
 
 from repro.catalog.objects import CelestialObject, CatalogTable
 from repro.catalog.generator import SkyGeneratorConfig, SkyGenerator, SURVEY_PROFILES
-from repro.catalog.archive import Archive, ArchiveConfig, build_archive
 
 __all__ = [
     "CelestialObject",
@@ -24,7 +23,4 @@ __all__ = [
     "SkyGeneratorConfig",
     "SkyGenerator",
     "SURVEY_PROFILES",
-    "Archive",
-    "ArchiveConfig",
-    "build_archive",
 ]

@@ -21,20 +21,17 @@ scan because matching from memory is far cheaper than random I/O.
 
 from __future__ import annotations
 
-import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.bucket_cache import BucketCacheManager
 from repro.core.kernels import MatchedPair, crossmatch_block
 from repro.core.metrics import CostModel
 from repro.core.workload_manager import WorkloadEntry
-from repro.htm.geometry import angular_separation
 from repro.storage.bucket_store import Bucket
 from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import BucketSpec
-from repro.workload.query import CrossMatchObject
 
 
 class JoinStrategy(enum.Enum):
@@ -233,19 +230,9 @@ class HybridJoinEvaluator:
         entries: Sequence[WorkloadEntry],
         queue_objects: int,
     ) -> JoinResult:
+        # The index reports costs and counts only, so the matches of an
+        # indexed service are always estimated.
         io_cost = self.cost.index_cost_ms(queue_objects)
-        matches: List[MatchedPair] = []
-        per_query: Dict[int, int] = {}
-        materialised = self.index is not None and len(self.index) > 0
-        if materialised:
-            for entry in entries:
-                found = 0
-                for obj in entry.objects:
-                    found += self._probe_and_refine(entry.query_id, obj, matches)
-                per_query[entry.query_id] = found
-        if not matches:
-            per_query = self._estimate_per_query(entries)
-        match_count = len(matches) if matches else self._estimate_matches(queue_objects)
         return JoinResult(
             bucket_index=bucket_spec.index,
             strategy=JoinStrategy.INDEXED_JOIN,
@@ -254,89 +241,30 @@ class HybridJoinEvaluator:
             match_cost_ms=0.0,
             objects_processed=queue_objects,
             cache_hit=False,
-            matches=tuple(matches),
-            match_count=match_count,
-            per_query_matches=per_query,
+            match_count=self._estimate_matches(queue_objects),
+            per_query_matches=self._estimate_per_query(entries),
         )
 
     # ------------------------------------------------------------------ #
     # the actual spatial join (full-fidelity mode)
     # ------------------------------------------------------------------ #
 
+    @staticmethod
     def _merge_join(
-        self, bucket: Bucket, entries: Sequence[WorkloadEntry]
+        bucket: Bucket, entries: Sequence[WorkloadEntry]
     ) -> Tuple[Sequence[MatchedPair], Dict[int, int]]:
         """Plane-sweep merge of the workload queue against the bucket.
 
         "Objects in both the bucket and its corresponding workload queue
         are first sorted by their HTM IDs.  The join is performed by
-        simultaneously scanning and merging objects in both" (§3.1).  Here
-        the bucket side is already HTM-sorted; each workload object's
-        candidate window is located by binary search, which is the same
-        access pattern as the merge with fewer lines of code.
+        simultaneously scanning and merging objects in both" (§3.1).  The
+        bucket side is a ``.lrbs`` column block, already HTM-sorted, and
+        :func:`~repro.core.kernels.crossmatch_block` runs the merge over it
+        in place; a count-only bucket has nothing to join.
         """
-        matches: List[MatchedPair] = []
-        per_query: Dict[int, int] = {}
-        if bucket.is_virtual:
-            return matches, per_query
-        if bucket.columns is not None:
-            # Columnar fast path: whole-column kernel over the decoded
-            # block; row objects are built only when the matches are read.
-            return crossmatch_block(bucket.columns, entries)
-        if not bucket.objects:
-            return matches, per_query
-        # Sort the workload side by the start of each object's HTM window.
-        flattened: List[Tuple[int, CrossMatchObject]] = []
-        for entry in entries:
-            for obj in entry.objects:
-                flattened.append((entry.query_id, obj))
-        flattened.sort(key=lambda pair: pair[1].htm_range.low)
-        for query_id, obj in flattened:
-            per_query.setdefault(query_id, 0)
-            per_query[query_id] += self._refine_candidates(query_id, obj, bucket, matches)
-        return matches, per_query
-
-    def _refine_candidates(
-        self,
-        query_id: int,
-        obj: CrossMatchObject,
-        bucket: Bucket,
-        matches: List[MatchedPair],
-    ) -> int:
-        """Refine one workload object against the bucket's candidate window."""
-        low = bisect.bisect_left(bucket.htm_ids, obj.htm_range.low)
-        high = bisect.bisect_right(bucket.htm_ids, obj.htm_range.high)
-        found = 0
-        for candidate in bucket.objects[low:high]:
-            separation = self._separation_arcsec(obj, candidate)
-            if separation is not None and separation <= obj.match_radius_arcsec:
-                matches.append(MatchedPair(query_id, obj, candidate, separation))
-                found += 1
-        return found
-
-    def _probe_and_refine(
-        self, query_id: int, obj: CrossMatchObject, matches: List[MatchedPair]
-    ) -> int:
-        """Indexed path: probe the spatial index for one workload object."""
-        assert self.index is not None
-        result = self.index.probe_range(obj.htm_range)
-        found = 0
-        for candidate in result.rows:
-            separation = self._separation_arcsec(obj, candidate)
-            if separation is not None and separation <= obj.match_radius_arcsec:
-                matches.append(MatchedPair(query_id, obj, candidate, separation))
-                found += 1
-        return found
-
-    @staticmethod
-    def _separation_arcsec(obj: CrossMatchObject, candidate: object) -> Optional[float]:
-        if obj.ra is None or obj.dec is None:
-            return None
-        ra = getattr(candidate, "ra", None)
-        dec = getattr(candidate, "dec", None)
-        if ra is None or dec is None:
-            return None
-        return angular_separation(obj.ra, obj.dec, ra, dec) * 3600.0
+        if bucket.columns is None:
+            return [], {}
+        return crossmatch_block(bucket.columns, entries)
 
     # ------------------------------------------------------------------ #
     # virtual-mode estimates

@@ -1,7 +1,7 @@
 """Whole-column crossmatch kernels over decoded bucket pages.
 
-The row-at-a-time join in :mod:`repro.core.join_evaluator` rebuilds one
-Python object per catalog row before it can test a single candidate.
+This is the one implementation of the spatial join: every full-fidelity
+bucket service runs it over the bucket's ``.lrbs`` column block.
 OLA-RAW's lesson (and the point of the ``.lrbs`` columnar layout) is
 that in-situ evaluation should run column-at-a-time over the stored
 representation: these kernels take a zero-copy
@@ -24,9 +24,11 @@ candidates × libm calls:
 * matches are kept as parallel columns (:class:`MatchColumns`) and become
   :class:`MatchedPair` objects only for a consumer that reads them.
 
-The output is object-for-object the row path's (same binary-searched
-candidate window, same separations, same order) — the property tests in
-``tests/core/test_kernels.py`` pin that equivalence.
+The output is object-for-object that of a row-at-a-time merge join over
+the same rows (same binary-searched candidate window, same separations,
+same order): ``tests/core/join_oracle.py`` keeps that merge as the
+reference, and the property tests in ``tests/core/test_kernels.py`` pin
+the equivalence.
 """
 
 from __future__ import annotations
@@ -198,43 +200,25 @@ def _sweep(
     return MatchColumns(block, query_ids, objects, row_indices, separations)
 
 
-def refine_block(
-    query_id: int,
-    obj: CrossMatchObject,
-    block: ColumnBlock,
-    matches: List[MatchedPair],
-) -> int:
-    """Refine one workload object against a block's candidate window.
-
-    The candidate window is located by binary search over the HTM
-    column; refinement touches only the derived position columns, and
-    row objects (the block's shared :meth:`ColumnBlock.rows`) are built
-    only when the separation test passes.
-    """
-    found = _sweep(block, ((query_id, obj),), {})
-    matches.extend(found)
-    return len(found)
-
-
 def crossmatch_block(
     block: ColumnBlock, entries: Sequence[WorkloadEntry]
 ) -> Tuple[Sequence[MatchedPair], Dict[int, int]]:
     """Plane-sweep merge of a workload queue against one column block.
 
-    Mirrors the row-at-a-time merge join exactly: the workload side is
-    sorted by the start of each object's HTM window, then every object
-    is refined against its binary-searched candidate window, in order.
+    The workload side is sorted by the start of each object's HTM window,
+    then every object is refined against its binary-searched candidate
+    window, in order.
     """
     flattened: List[Tuple[int, CrossMatchObject]] = []
     if len(block) > 0:
         flattened = [(entry.query_id, obj) for entry in entries for obj in entry.objects]
     if not flattened:
         # An empty block, or footprint-only entries (the service is charged,
-        # nothing is joined): the row path's answer, at the row path's cost.
+        # nothing is joined): no matches, and no memo built.
         return [], {}
     flattened.sort(key=lambda pair: pair[1].htm_range.low)
     per_query: Dict[int, int] = {}
     return _sweep(block, flattened, per_query), per_query
 
 
-__all__ = ["BAND_SLACK_RAD", "MatchColumns", "MatchedPair", "crossmatch_block", "refine_block"]
+__all__ = ["BAND_SLACK_RAD", "MatchColumns", "MatchedPair", "crossmatch_block"]

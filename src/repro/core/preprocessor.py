@@ -50,7 +50,8 @@ class QueryPreProcessor:
         invalid = [b for b in query.bucket_footprint if not 0 <= b < bucket_count]
         if invalid:
             raise ValueError(
-                f"query {query.query_id} references buckets outside the layout: {sorted(invalid)[:5]}"
+                f"query {query.query_id} references buckets outside the layout: "
+                f"{sorted(invalid)[:5]}"
             )
         return dict(query.bucket_footprint)
 

@@ -528,9 +528,12 @@ def shard_worker_main(conn: "Connection") -> None:
                 worker_id = message.worker_id
                 replayer = ShardReplayer.from_task(message)
             else:
-                conn.send(replayer.handle(message))
+                reply = replayer.handle(message)
                 if isinstance(message, EndTask):
+                    # Drop the shard before acknowledging: its column blocks
+                    # keep the store's map (and descriptor) open until freed.
                     replayer = None
+                conn.send(reply)
     except BaseException:
         try:
             conn.send(WorkerFailure(worker_id, traceback.format_exc()))

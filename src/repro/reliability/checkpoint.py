@@ -47,13 +47,9 @@ import pickle
 import struct
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
+from zlib import crc32
 
 from repro.parallel.worker import ShardWorker, StagedShare
-
-try:  # zlib is optional in exotic builds; binascii.crc32 is the fallback.
-    from zlib import crc32
-except ImportError:  # pragma: no cover - zlib ships with CPython
-    from binascii import crc32
 
 #: File magic: LifeRaft CheckPoint.
 MAGIC = b"LRCP"

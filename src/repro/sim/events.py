@@ -1,9 +1,8 @@
 """Event queues and multi-worker event streams for discrete-event simulation.
 
 The main simulator's service loop is sequential (one bucket batch at a
-time), so it mostly needs ordered query arrivals; the federation examples
-additionally schedule network-transfer completions.  Both use
-:class:`EventQueue`.
+time), so it mostly needs ordered query arrivals, which
+:class:`EventQueue` keeps in time order.
 
 The parallel engine additionally emits one event *stream* per worker —
 arrivals fanned out to a shard, service completions, steals — which

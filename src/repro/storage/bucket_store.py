@@ -3,14 +3,12 @@
 The Bucket Cache in the LifeRaft architecture (§4) "either reads an
 existing bucket from memory or executes a range query to ask for the
 bucket from the database server".  :class:`BucketStore` plays the part of
-that database server.  It owns the partition layout and, for every bucket,
-either
-
-* the materialised, HTM-sorted list of catalog objects (full-fidelity mode,
-  used by the examples and the correctness tests of the join), or
-* only the object count from the layout (virtual mode, used by the scaled
-  experiments where matching individual base-table rows is unnecessary —
-  the cost model only needs counts).
+that database server.  It owns the partition layout and serves count-only
+buckets: the scaled experiments never match individual base-table rows,
+because the cost model only needs counts.  Full fidelity — real rows,
+really joined — means a ``.lrbs`` store
+(:class:`~repro.storage.disk_store.DiskBucketStore`), whose buckets carry
+column blocks.
 
 Reading a bucket always charges the sequential-scan cost to the disk
 model, which is how ``Tb`` enters the simulation.
@@ -18,74 +16,32 @@ model, which is how ``Tb`` enters the simulation.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.storage.disk_model import DiskModel, DiskParameters
+from repro.storage.format import ColumnBlock
 from repro.storage.partitioner import BucketSpec, PartitionLayout
 
 
 class Bucket:
-    """An in-memory image of one bucket, as handed to the join evaluator.
+    """An image of one bucket, as handed to the join evaluator.
 
-    Full-fidelity buckets carry their rows in one of two forms:
-
-    * eager tuples (``objects`` / ``htm_ids``) — the in-memory store's
-      native shape;
-    * a zero-copy :class:`~repro.storage.format.ColumnBlock`
-      (``columns``) — the file-backed store's shape, where the columns
-      are casts over the reader's mmap.
-
-    With columns attached, ``objects`` and ``htm_ids`` still work — they
-    materialise lazily on first access — so every row-at-a-time consumer
-    is unchanged while the columnar kernels never pay for row objects.
+    A bucket is its :class:`~repro.storage.partitioner.BucketSpec` plus,
+    when it was read from a ``.lrbs`` store, a zero-copy
+    :class:`~repro.storage.format.ColumnBlock` (``columns``) — casts over
+    the reader's mmap that the crossmatch kernels evaluate in place.  The
+    in-memory store's buckets carry counts only (``columns`` is ``None``).
     """
 
-    __slots__ = ("spec", "columns", "_objects", "_htm_ids")
+    __slots__ = ("spec", "columns")
 
-    def __init__(
-        self,
-        spec: BucketSpec,
-        objects: Tuple[object, ...] = (),
-        htm_ids: Tuple[int, ...] = (),
-        columns: Optional[object] = None,
-    ) -> None:
-        if columns is not None and (objects or htm_ids):
-            raise ValueError("pass either columns or materialised rows, not both")
+    def __init__(self, spec: BucketSpec, columns: Optional[ColumnBlock] = None) -> None:
         self.spec = spec
-        #: Decoded :class:`~repro.storage.format.ColumnBlock`; ``None``
-        #: for eager (in-memory) and virtual buckets.
+        #: Decoded column block; ``None`` for count-only buckets.
         self.columns = columns
-        self._objects: Optional[Tuple[object, ...]] = (
-            None if columns is not None else tuple(objects)
-        )
-        self._htm_ids: Optional[Sequence[int]] = (
-            None if columns is not None else tuple(htm_ids)
-        )
-
-    @property
-    def objects(self) -> Tuple[object, ...]:
-        """Objects sorted by HTM ID; empty in virtual mode (lazy when columnar)."""
-        if self._objects is None:
-            self._objects = self.columns.rows()
-        return self._objects
-
-    @property
-    def htm_ids(self) -> Sequence[int]:
-        """HTM IDs aligned with ``objects`` (kept separately for cheap merging)."""
-        if self._htm_ids is None:
-            self._htm_ids = self.columns.htm_ids
-        return self._htm_ids
-
-    @property
-    def row_count(self) -> int:
-        """Number of materialised rows (without materialising them)."""
-        if self.columns is not None:
-            return len(self.columns)
-        return len(self._objects)
 
     @property
     def index(self) -> int:
@@ -99,12 +55,12 @@ class Bucket:
 
     @property
     def is_virtual(self) -> bool:
-        """``True`` when the bucket carries counts but no materialised rows."""
-        return self.row_count == 0 and self.spec.object_count > 0
+        """``True`` when the bucket carries counts but no rows."""
+        return self.columns is None
 
     def __repr__(self) -> str:
-        shape = "columnar" if self.columns is not None else "eager"
-        return f"Bucket(index={self.spec.index}, rows={self.row_count}, {shape})"
+        rows = "counts only" if self.columns is None else f"rows={len(self.columns)}"
+        return f"Bucket(index={self.spec.index}, {rows})"
 
 
 @dataclass
@@ -124,13 +80,13 @@ class StoreSnapshot:
     equivalent store without sharing any mutable state with the parent.
     Two variants exist:
 
-    * **in-memory** — the partition layout, the disk parameters and the
-      (optional) materialised catalog travel inside the pickle;
+    * **in-memory** — the partition layout and the disk parameters travel
+      inside the pickle;
     * **path-based** (``store_path`` set) — only the file path, its
       expected generation and the disk parameters travel; the restoring
       process reopens the columnar store file read-only and does its own
       physical I/O.  This keeps :class:`~repro.parallel.ipc.ShardTask`
-      pickles small even for fully materialised archives.
+      pickles small whatever the store holds.
 
     Each process that restores a snapshot gets its own read counters and
     its own (trace-disabled) disk model, mirroring N database servers
@@ -140,7 +96,6 @@ class StoreSnapshot:
     #: ``None`` for path-based snapshots (the file carries the layout).
     layout: Optional[PartitionLayout]
     disk_parameters: "DiskParameters"
-    catalog: Optional[Tuple[Tuple[int, ...], Tuple[object, ...]]] = None
     #: Path to a columnar ``.lrbs`` store file (path-based variant).
     store_path: Optional[str] = None
     #: Expected file generation; restoring fails cleanly on a mismatch.
@@ -158,37 +113,18 @@ class BucketStore:
         The partition layout (bucket boundaries, counts, sizes).
     disk:
         Disk model charged for each read.
-    objects:
-        Optional full catalog as parallel, HTM-sorted sequences of
-        ``(htm_ids, objects)``.  When omitted the store operates in virtual
-        mode and returns count-only buckets.
     """
 
-    def __init__(
-        self,
-        layout: PartitionLayout,
-        disk: Optional[DiskModel] = None,
-        objects: Optional[Tuple[Sequence[int], Sequence[object]]] = None,
-    ) -> None:
+    def __init__(self, layout: PartitionLayout, disk: Optional[DiskModel] = None) -> None:
         self.layout = layout
         self.disk = disk or DiskModel()
-        self._sorted_ids: Optional[List[int]] = None
-        self._sorted_objects: Optional[List[object]] = None
         self.reads = 0
         self.bytes_read_mb = 0.0
-        if objects is not None:
-            ids, rows = objects
-            if len(ids) != len(rows):
-                raise ValueError("htm_ids and objects must be the same length")
-            if any(ids[i] > ids[i + 1] for i in range(len(ids) - 1)):
-                raise ValueError("objects must be sorted by HTM ID")
-            self._sorted_ids = list(ids)
-            self._sorted_objects = list(rows)
 
     @property
     def is_virtual(self) -> bool:
-        """``True`` when no materialised catalog is attached."""
-        return self._sorted_ids is None
+        """``True``: the in-memory store serves counts only."""
+        return True
 
     @property
     def generation(self) -> str:
@@ -235,14 +171,7 @@ class BucketStore:
 
     def snapshot(self) -> StoreSnapshot:
         """Capture a read-only image of this store for another process."""
-        catalog = None
-        if self._sorted_ids is not None and self._sorted_objects is not None:
-            catalog = (tuple(self._sorted_ids), tuple(self._sorted_objects))
-        return StoreSnapshot(
-            layout=self.layout,
-            disk_parameters=self.disk.parameters,
-            catalog=catalog,
-        )
+        return StoreSnapshot(layout=self.layout, disk_parameters=self.disk.parameters)
 
     @classmethod
     def from_snapshot(cls, snapshot: StoreSnapshot) -> "BucketStore":
@@ -266,15 +195,7 @@ class BucketStore:
             )
         if snapshot.layout is None:
             raise ValueError("snapshot carries neither a layout nor a store path")
-        catalog = None
-        if snapshot.catalog is not None:
-            ids, rows = snapshot.catalog
-            catalog = (list(ids), list(rows))
-        return cls(
-            snapshot.layout,
-            DiskModel(snapshot.disk_parameters),
-            objects=catalog,
-        )
+        return cls(snapshot.layout, DiskModel(snapshot.disk_parameters))
 
     def read_bucket(self, bucket_index: int, charge_io: bool = True) -> BucketReadResult:
         """Execute the range query for bucket *bucket_index*.
@@ -303,15 +224,7 @@ class BucketStore:
         )
 
     def _materialise(self, spec: BucketSpec) -> Bucket:
-        if self._sorted_ids is None or self._sorted_objects is None:
-            return Bucket(spec)
-        low = bisect.bisect_left(self._sorted_ids, spec.htm_range.low)
-        high = bisect.bisect_right(self._sorted_ids, spec.htm_range.high)
-        return Bucket(
-            spec,
-            objects=tuple(self._sorted_objects[low:high]),
-            htm_ids=tuple(self._sorted_ids[low:high]),
-        )
+        return Bucket(spec)
 
     def statistics(self) -> Dict[str, float]:
         """Aggregate read counters (used by the experiment reports)."""

@@ -5,7 +5,7 @@ cache replacement" (§4) and is fixed at 20 buckets in the experiments
 (§5).  The LifeRaft-specific wrapper lives in
 :mod:`repro.core.bucket_cache`; this module provides the policy itself,
 kept separate so it can be unit- and property-tested in isolation and
-reused by the federation substrate for result caching.
+reused by the file-backed store's decoded-page tier.
 """
 
 from __future__ import annotations

@@ -172,12 +172,11 @@ class DiskBucketStore(BucketStore):
 
     def snapshot(self) -> StoreSnapshot:
         """A path-based snapshot: workers reopen the file instead of
-        receiving a pickled catalog, which keeps IPC task payloads small
+        receiving its rows in a pickle, which keeps IPC task payloads small
         and lets every process do its own physical I/O."""
         return StoreSnapshot(
             layout=None,
             disk_parameters=self.disk.parameters,
-            catalog=None,
             store_path=self.path,
             generation=self._reader.generation,
             page_cache_buckets=self.page_cache.capacity,

@@ -61,15 +61,11 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from typing import BinaryIO, Dict, List, NamedTuple, Sequence, Tuple
+from zlib import crc32
 
 from repro.catalog.objects import CelestialObject
 from repro.htm.curve import HTMRange
 from repro.storage.partitioner import BucketSpec, PartitionLayout
-
-try:  # zlib is optional in exotic builds; binascii.crc32 is the fallback.
-    from zlib import crc32
-except ImportError:  # pragma: no cover - zlib ships with CPython
-    from binascii import crc32
 
 #: File magic: LifeRaft Bucket Store.
 MAGIC = b"LRBS"

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 VIRTUAL_DOMAIN = "virtual"
 REAL_DOMAIN = "real"

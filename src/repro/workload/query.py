@@ -1,6 +1,6 @@
 """The cross-match query model.
 
-A cross-match query, as it reaches one site of the federation, is "a list
+A cross-match query, as it reaches the site, is "a list
 of objects to be cross-matched", each object carrying "its mean cartesian
 coordinate and a range of HTM ID values, which serve as a bounding box
 covering all potential regions for cross matching" (§3.1).  The query's
@@ -10,8 +10,8 @@ relies on.
 
 Two representations are supported and can be mixed freely:
 
-* **explicit objects** (:attr:`CrossMatchQuery.objects`) — used by the
-  full-fidelity join evaluator and by the federation examples;
+* **explicit objects** (:attr:`CrossMatchQuery.objects`) — joined row by
+  row against a ``.lrbs`` store's column blocks (full fidelity);
 * **bucket footprints** (:attr:`CrossMatchQuery.bucket_footprint`) — an
   aggregated ``{bucket index: object count}`` mapping used by the scaled
   experiments, where materialising millions of per-object rows would add
@@ -91,8 +91,8 @@ class CrossMatchQuery:
     arrival_time_s:
         Arrival time in simulated seconds.
     archives:
-        Names of the archives the full federated query joins; informational
-        at a single site but used by the federation substrate.
+        Names of the archives the full SkyQuery query joins; informational
+        at a single site (traces record them).
     predicate:
         Optional per-row predicate applied to matched pairs ("query specific
         predicates are applied on the output tuples that succeed in the

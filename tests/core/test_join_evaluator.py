@@ -2,17 +2,20 @@
 
 import pytest
 
-from repro.catalog.archive import ArchiveConfig, build_archive
 from repro.catalog.generator import SkyGenerator, SkyGeneratorConfig
 from repro.core.bucket_cache import BucketCacheManager
 from repro.core.join_evaluator import HybridJoinEvaluator, JoinStrategy
 from repro.core.metrics import CostModel
+from repro.core.preprocessor import QueryPreProcessor
 from repro.core.workload_manager import WorkloadEntry
-from repro.federation.crossmatch import crossmatch_catalogs, to_crossmatch_objects
 from repro.storage.bucket_store import BucketStore
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
+from repro.storage.disk_store import open_disk_store
 from repro.storage.index import SpatialIndex
+from repro.storage.ingest import ingest_catalog
 from repro.storage.partitioner import BucketPartitioner
+from repro.workload.query import CrossMatchQuery
+from tests.core.join_oracle import crossmatch_catalogs, to_crossmatch_objects
 
 
 def make_virtual_setup(cache_capacity=4):
@@ -98,6 +101,13 @@ class TestVirtualEvaluation:
         assert result.match_count > 0
         assert set(result.per_query_matches) == {0, 1}
 
+    def test_count_only_scan_estimates_matches_without_pairs(self):
+        evaluator, layout, _cache = make_virtual_setup()
+        result = evaluator.evaluate(layout[0], entries_for([600, 500]))
+        assert result.matches == ()
+        assert result.match_count == round(0.85 * 1100)
+        assert result.per_query_matches == {0: 510, 1: 425}
+
     def test_second_scan_of_same_bucket_hits_cache(self):
         evaluator, layout, _cache = make_virtual_setup()
         evaluator.evaluate(layout[0], entries_for([600]))
@@ -148,67 +158,108 @@ class TestVirtualEvaluation:
 
 class TestFullFidelityJoin:
     @pytest.fixture(scope="class")
-    def setup(self):
+    def setup(self, tmp_path_factory):
         generator = SkyGenerator(SkyGeneratorConfig(object_count=500, seed=21))
         base = generator.generate("sdss")
         companion = generator.derive_companion(
             base, "twomass", completeness=0.9, extra_fraction=0.05
         )
-        archive = build_archive(
-            "sdss",
-            base,
-            ArchiveConfig(objects_per_bucket=100, bucket_megabytes=4.0, target_bucket_read_s=0.2),
-        )
+        path = tmp_path_factory.mktemp("full-fidelity") / "sdss.lrbs"
+        manifest = ingest_catalog(path, base, objects_per_bucket=100, bucket_megabytes=4.0)
         incoming = to_crossmatch_objects(list(companion)[:80], match_radius_arcsec=3.0)
-        return archive, incoming, companion
+        return manifest.path, base, incoming
 
     def test_merge_join_matches_reference_crossmatch(self, setup):
-        archive, incoming, _companion = setup
-        cost = CostModel.from_disk(archive.disk, bucket_megabytes=4.0, bucket_objects=100)
-        cache = BucketCacheManager(archive.store, capacity=8)
-        evaluator = HybridJoinEvaluator(cost, cache, index=archive.index)
-        # Build the per-bucket workload and evaluate every touched bucket
-        # with a forced sequential scan (full-fidelity path).
-        from repro.core.preprocessor import QueryPreProcessor
-        from repro.workload.query import CrossMatchQuery
-
+        path, base, incoming = setup
+        disk = calibrated_disk_for_bucket_read(4.0, 0.2)
+        cost = CostModel.from_disk(disk, bucket_megabytes=4.0, bucket_objects=100)
         query = CrossMatchQuery(query_id=1, objects=tuple(incoming))
-        assignments = QueryPreProcessor(archive.layout).assign(query)
         matched_pairs = set()
-        for bucket_index, objects in assignments.items():
-            entries = [WorkloadEntry(1, len(objects), 0.0, tuple(objects))]
-            result = evaluator.evaluate(
-                archive.layout[bucket_index], entries, force_strategy=JoinStrategy.SEQUENTIAL_SCAN
-            )
-            for pair in result.matches:
-                matched_pairs.add((pair.workload_object.object_id, pair.catalog_object.object_id))
+        with open_disk_store(path, disk) as store:
+            cache = BucketCacheManager(store, capacity=8)
+            evaluator = HybridJoinEvaluator(cost, cache)
+            # Build the per-bucket workload and evaluate every touched bucket
+            # with a forced sequential scan (full-fidelity path).
+            assignments = QueryPreProcessor(store.layout).assign(query)
+            for bucket_index, objects in assignments.items():
+                entries = [WorkloadEntry(1, len(objects), 0.0, tuple(objects))]
+                result = evaluator.evaluate(
+                    store.layout[bucket_index],
+                    entries,
+                    force_strategy=JoinStrategy.SEQUENTIAL_SCAN,
+                )
+                for pair in result.matches:
+                    matched_pairs.add(
+                        (pair.workload_object.object_id, pair.catalog_object.object_id)
+                    )
         reference = {
             (incoming_obj.object_id, catalog_obj.object_id)
-            for incoming_obj, catalog_obj in crossmatch_catalogs(incoming, archive.catalog)
+            for incoming_obj, catalog_obj in crossmatch_catalogs(incoming, base)
         }
         assert matched_pairs == reference
         assert matched_pairs  # the companion survey guarantees real matches
 
-    def test_indexed_join_finds_the_same_matches(self, setup):
-        archive, incoming, _companion = setup
-        cost = CostModel.from_disk(archive.disk, bucket_megabytes=4.0, bucket_objects=100)
-        cache = BucketCacheManager(archive.store, capacity=8)
-        evaluator = HybridJoinEvaluator(cost, cache, index=archive.index)
-        from repro.core.preprocessor import QueryPreProcessor
-        from repro.workload.query import CrossMatchQuery
-
-        query = CrossMatchQuery(query_id=2, objects=tuple(incoming))
-        assignments = QueryPreProcessor(archive.layout).assign(query)
-        indexed_pairs = set()
-        for bucket_index, objects in assignments.items():
-            entries = [WorkloadEntry(2, len(objects), 0.0, tuple(objects))]
-            result = evaluator.evaluate(
-                archive.layout[bucket_index], entries, force_strategy=JoinStrategy.INDEXED_JOIN
-            )
-            for pair in result.matches:
-                indexed_pairs.add((pair.workload_object.object_id, pair.catalog_object.object_id))
-        reference = {
-            (incoming_obj.object_id, catalog_obj.object_id)
-            for incoming_obj, catalog_obj in crossmatch_catalogs(incoming, archive.catalog)
+    def test_shared_scan_splits_pairs_by_query(self, setup):
+        """Two queries batched into one service each get their own pairs,
+        and the per-query counts are counts of those pairs."""
+        path, base, incoming = setup
+        disk = calibrated_disk_for_bucket_read(4.0, 0.2)
+        cost = CostModel.from_disk(disk, bucket_megabytes=4.0, bucket_objects=100)
+        queries = [
+            CrossMatchQuery(query_id=1, objects=tuple(incoming)),
+            CrossMatchQuery(query_id=2, objects=tuple(incoming[:40])),
+        ]
+        found = set()
+        with open_disk_store(path, disk) as store:
+            evaluator = HybridJoinEvaluator(cost, BucketCacheManager(store, capacity=8))
+            preprocessor = QueryPreProcessor(store.layout)
+            assignments = [preprocessor.assign(query) for query in queries]
+            for bucket_index in sorted(set(assignments[0]) | set(assignments[1])):
+                entries = []
+                for query, assigned in zip(queries, assignments):
+                    objs = assigned.get(bucket_index)
+                    if objs:
+                        entries.append(WorkloadEntry(query.query_id, len(objs), 0.0, tuple(objs)))
+                result = evaluator.evaluate(store.layout[bucket_index], entries)
+                if result.matches:
+                    pairs_per_query = {}
+                    for pair in result.matches:
+                        pairs_per_query[pair.query_id] = pairs_per_query.get(pair.query_id, 0) + 1
+                    assert {q: n for q, n in result.per_query_matches.items() if n} == (
+                        pairs_per_query
+                    )
+                    assert result.match_count == len(result.matches)
+                found.update(
+                    (pair.query_id, pair.workload_object.object_id, pair.catalog_object.object_id)
+                    for pair in result.matches
+                )
+        expected = {
+            (query.query_id, obj.object_id, row.object_id)
+            for query in queries
+            for obj, row in crossmatch_catalogs(query.objects, base)
         }
-        assert indexed_pairs == reference
+        assert found == expected
+        assert {query_id for query_id, _, _ in found} == {1, 2}
+
+    def test_indexed_service_estimates_without_reading_the_bucket(self, setup):
+        """The index path prices probes and estimates matches: it never
+        reads a bucket, so it returns no pairs even over a ``.lrbs`` store."""
+        path, _base, incoming = setup
+        disk = calibrated_disk_for_bucket_read(4.0, 0.2)
+        cost = CostModel.from_disk(disk, bucket_megabytes=4.0, bucket_objects=100)
+        query = CrossMatchQuery(query_id=3, objects=tuple(incoming))
+        with open_disk_store(path, disk) as store:
+            evaluator = HybridJoinEvaluator(cost, BucketCacheManager(store, capacity=8))
+            bucket_index, objects = next(
+                iter(QueryPreProcessor(store.layout).assign(query).items())
+            )
+            entries = [WorkloadEntry(3, len(objects), 0.0, tuple(objects))]
+            result = evaluator.evaluate(
+                store.layout[bucket_index], entries, force_strategy=JoinStrategy.INDEXED_JOIN
+            )
+            assert store.reads == 0 and store.page_reads == 0
+        assert result.strategy is JoinStrategy.INDEXED_JOIN
+        assert result.matches == ()
+        assert result.cost_ms == pytest.approx(cost.index_cost_ms(len(objects)))
+        assert result.match_count == round(0.85 * len(objects))
+        assert result.per_query_matches == {3: round(0.85 * len(objects))}

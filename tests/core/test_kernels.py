@@ -3,8 +3,8 @@
 The zero-copy read path only earns its keep if it is invisible: a bucket
 decoded into :class:`~repro.storage.format.ColumnBlock` columns must
 produce *object-for-object* the same matches, in the same order, with the
-same separations, as the same bucket materialised into
-:class:`CelestialObject` rows.  These tests drive both paths over
+same separations, as the reference row merge (``join_oracle.merge_join``)
+over the same :class:`CelestialObject` rows.  These tests drive both over
 randomized buckets — including empty buckets and single-row pages — and
 assert exact equality of the outputs.
 """
@@ -20,7 +20,7 @@ from repro.catalog.generator import SkyGenerator, SkyGeneratorConfig
 from repro.catalog.objects import CelestialObject
 from repro.core.bucket_cache import BucketCacheManager
 from repro.core.join_evaluator import HybridJoinEvaluator
-from repro.core.kernels import MatchedPair, crossmatch_block, refine_block
+from repro.core.kernels import crossmatch_block
 from repro.core.metrics import CostModel
 from repro.core.preprocessor import QueryPreProcessor
 from repro.core.workload_manager import WorkloadEntry
@@ -33,6 +33,7 @@ from repro.storage.format import decode_column_block, encode_bucket_page
 from repro.storage.ingest import ingest_catalog
 from repro.storage.partitioner import BucketPartitioner
 from repro.workload.query import CrossMatchObject, CrossMatchQuery
+from tests.core.join_oracle import merge_join
 
 LEAF_LEVEL = 8
 CURVE_START = 8 << (2 * LEAF_LEVEL)
@@ -135,12 +136,9 @@ class TestCrossmatchParity:
     @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None)
     @given(rows=catalog_rows(), entries=workload_entries())
     def test_columnar_kernel_matches_row_path(self, rows, entries):
-        """crossmatch_block == the evaluator's row-at-a-time merge join."""
-        evaluator = make_evaluator()
-        spec = evaluator.cache.store.layout[0]
-        row_bucket = Bucket(spec, objects=tuple(rows), htm_ids=tuple(r.htm_id for r in rows))
+        """crossmatch_block == the reference row-at-a-time merge join."""
         col_matches, col_per_query = crossmatch_block(as_block(rows), entries)
-        row_matches, row_per_query = evaluator._merge_join(row_bucket, entries)
+        row_matches, row_per_query = merge_join(rows, entries)
         assert_same_matches(col_matches, row_matches)
         assert col_per_query == row_per_query
 
@@ -150,17 +148,14 @@ class TestCrossmatchParity:
         """A columns-backed Bucket rides the kernel inside _merge_join."""
         evaluator = make_evaluator()
         spec = evaluator.cache.store.layout[0]
-        row_bucket = Bucket(spec, objects=tuple(rows), htm_ids=tuple(r.htm_id for r in rows))
         col_bucket = Bucket(spec, columns=as_block(rows))
         col_matches, col_per_query = evaluator._merge_join(col_bucket, entries)
-        row_matches, row_per_query = evaluator._merge_join(row_bucket, entries)
+        row_matches, row_per_query = merge_join(rows, entries)
         assert_same_matches(col_matches, row_matches)
         assert col_per_query == row_per_query
 
     def test_empty_block_matches_empty_bucket(self):
         """Empty buckets short-circuit identically on both paths."""
-        evaluator = make_evaluator()
-        spec = evaluator.cache.store.layout[0]
         entries = [
             WorkloadEntry(
                 query_id=7,
@@ -177,9 +172,7 @@ class TestCrossmatchParity:
             )
         ]
         col_matches, col_per_query = crossmatch_block(as_block([]), entries)
-        row_matches, row_per_query = evaluator._merge_join(
-            Bucket(spec, objects=(), htm_ids=()), entries
-        )
+        row_matches, row_per_query = merge_join([], entries)
         assert col_matches == row_matches == []
         assert col_per_query == row_per_query == {}
 
@@ -208,11 +201,17 @@ class TestCrossmatchParity:
             dec=0.0,
             match_radius_arcsec=2.0,
         )
-        matches: list[MatchedPair] = []
-        assert refine_block(1, hit, block, matches) == 1
-        assert matches[0].catalog_object == row
-        assert matches[0].separation_arcsec == 0.0
-        assert refine_block(1, miss_window, block, matches) == 0
+        found = {}
+        for obj in (hit, miss_window):
+            entries = [WorkloadEntry(1, 1, 0.0, (obj,))]
+            matches, per_query = crossmatch_block(block, entries)
+            assert_same_matches(matches, merge_join([row], entries)[0])
+            assert per_query == {1: len(matches)}
+            found[obj.object_id] = list(matches)
+        assert len(found[miss_window.object_id]) == 0
+        (pair,) = found[hit.object_id]
+        assert pair.catalog_object == row
+        assert pair.separation_arcsec == 0.0
 
     def test_abstract_objects_never_match(self):
         """Workload objects without positions are skipped, as on the row path."""
@@ -227,9 +226,10 @@ class TestCrossmatchParity:
             )
         ]
         abstract = CrossMatchObject(object_id=9, htm_range=HTMRange(CURVE_START, CURVE_END))
-        matches: list[MatchedPair] = []
-        assert refine_block(3, abstract, as_block(rows), matches) == 0
-        assert matches == []
+        entries = [WorkloadEntry(3, 1, 0.0, (abstract,))]
+        matches, per_query = crossmatch_block(as_block(rows), entries)
+        assert list(matches) == merge_join(rows, entries)[0] == []
+        assert per_query == merge_join(rows, entries)[1] == {3: 0}
 
 
 # --------------------------------------------------------------------- #
@@ -359,14 +359,6 @@ def boundary_cases(draw):
     return rows, entries
 
 
-def row_path(rows, entries):
-    """The reference: the evaluator's row-at-a-time merge join."""
-    evaluator = make_evaluator()
-    spec = evaluator.cache.store.layout[0]
-    bucket = Bucket(spec, objects=tuple(rows), htm_ids=tuple(r.htm_id for r in rows))
-    return evaluator._merge_join(bucket, entries)
-
-
 class TestBandEdgeParity:
     @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow], deadline=None)
     @given(case=boundary_cases())
@@ -374,7 +366,7 @@ class TestBandEdgeParity:
         """Same pairs, order and separations; same per-query dict, key order too."""
         rows, entries = case
         col_matches, col_per_query = crossmatch_block(as_block(rows), entries)
-        row_matches, row_per_query = row_path(rows, entries)
+        row_matches, row_per_query = merge_join(rows, entries)
         assert_same_matches(col_matches, row_matches)
         assert list(col_per_query.items()) == list(row_per_query.items())
 
@@ -434,7 +426,7 @@ class TestBandEdgeParity:
                     for k in range(5)
                 ]
                 cases.append((rows, [WorkloadEntry(0, 1, 0.0, (obj,))]))
-        expected = [len(row_path(rows, entries)[0]) for rows, entries in cases]
+        expected = [len(merge_join(rows, entries)[0]) for rows, entries in cases]
         assert sum(expected) > 0
         assert [len(crossmatch_block(as_block(r), e)[0]) for r, e in cases] == expected
         monkeypatch.setattr("repro.core.kernels.BAND_SLACK_RAD", -1.0e-9)
@@ -585,7 +577,7 @@ class TestLazinessAndLifetime:
         """len, truthiness, indexing and repeated iteration agree."""
         rows = dense_rows()
         matches, per_query = crossmatch_block(as_block(rows), [entry_over(rows, radius=1.0)])
-        reference, reference_per_query = row_path(rows, [entry_over(rows, radius=1.0)])
+        reference, reference_per_query = merge_join(rows, [entry_over(rows, radius=1.0)])
         assert per_query == reference_per_query
         assert len(matches) == len(reference) > len(rows)  # neighbours match too
         assert matches

@@ -158,7 +158,7 @@ class TestIngestCommand:
         assert "synthetic sky" in capsys.readouterr().out
         with open_disk_store(path) as store:
             assert store.layout.total_objects() == 400
-            assert len(store.bucket_image(0).objects) == 50
+            assert len(store.bucket_image(0).columns.rows()) == 50
 
     def test_density_flags_conflict_with_sky_mode(self, tmp_path):
         out = str(tmp_path / "x.lrbs")

@@ -1,25 +1,27 @@
 """Integration tests spanning the whole stack.
 
 These tests exercise the public API the way the examples and the benchmark
-harness do: generate a sky, build archives, derive a workload, schedule it
+harness do: generate a sky, ingest it into a store, derive a workload, schedule it
 with LifeRaft and the baselines, and check the paper's qualitative claims
 end to end (plus conservation invariants the unit tests cannot see).
 """
 
 import pytest
 
-from repro.catalog.archive import ArchiveConfig, build_archive
 from repro.catalog.generator import SkyGenerator, SkyGeneratorConfig
 from repro.core.engine import EngineConfig, LifeRaftEngine
 from repro.core.metrics import CostModel
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
-from repro.federation.crossmatch import to_crossmatch_objects
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
+from repro.storage.disk_model import calibrated_disk_for_bucket_read
+from repro.storage.disk_store import open_disk_store
+from repro.storage.ingest import ingest_catalog
 from repro.workload.generator import TraceConfig, TraceGenerator
 from repro.workload.query import CrossMatchQuery
 from repro.workload.replay import in_arrival_order
 from repro.workload.stats import TraceStatistics
+from tests.core.join_oracle import crossmatch_catalogs, to_crossmatch_objects
 
 
 @pytest.fixture(scope="module")
@@ -97,37 +99,48 @@ class TestReplay:
 
 
 class TestFullFidelityPipeline:
-    def test_cross_survey_workload_through_real_archive(self):
+    def test_cross_survey_workload_through_real_archive(self, tmp_path):
         generator = SkyGenerator(SkyGeneratorConfig(object_count=500, cluster_count=4, seed=41))
         sdss = generator.generate("sdss")
         twomass = generator.derive_companion(sdss, "twomass", completeness=0.9)
-        archive = build_archive(
-            "sdss",
-            sdss,
-            ArchiveConfig(objects_per_bucket=100, bucket_megabytes=4.0, target_bucket_read_s=0.2),
+        manifest = ingest_catalog(
+            tmp_path / "sdss.lrbs", sdss, objects_per_bucket=100, bucket_megabytes=4.0
         )
-        cost = CostModel.from_disk(archive.disk, bucket_megabytes=4.0, bucket_objects=100)
-        engine = LifeRaftEngine(
-            archive.layout,
-            archive.store,
-            scheduler=LifeRaftScheduler(SchedulerConfig(alpha=0.25, cost=cost)),
-            index=archive.index,
-            config=EngineConfig(cost=cost, cache_buckets=4),
-        )
+        disk = calibrated_disk_for_bucket_read(4.0, 0.2)
+        cost = CostModel.from_disk(disk, bucket_megabytes=4.0, bucket_objects=100)
         # Three concurrent queries shipping different slices of 2MASS.
         rows = list(twomass)
-        for query_id, chunk in enumerate((rows[0:80], rows[40:120], rows[100:180])):
-            objects = to_crossmatch_objects(chunk, match_radius_arcsec=3.0)
-            engine.submit(CrossMatchQuery(query_id=query_id, objects=tuple(objects)), now_ms=0.0)
-        engine.run_until_idle()
-        report = engine.report()
+        queries = [
+            CrossMatchQuery(query_id=query_id, objects=tuple(to_crossmatch_objects(chunk)))
+            for query_id, chunk in enumerate((rows[0:80], rows[40:120], rows[100:180]))
+        ]
+        with open_disk_store(manifest.path, disk) as store:
+            # No index: every service scans its bucket's column block, so
+            # every match is a real pair rather than an estimate.
+            engine = LifeRaftEngine(
+                store.layout,
+                store,
+                scheduler=LifeRaftScheduler(SchedulerConfig(alpha=0.25, cost=cost)),
+                config=EngineConfig(cost=cost, cache_buckets=4),
+            )
+            for query in queries:
+                engine.submit(query, now_ms=0.0)
+            engine.run_until_idle()
+            report = engine.report()
+            found = sorted(
+                (pair.query_id, pair.workload_object.object_id, pair.catalog_object.object_id)
+                for batch in engine.batches
+                for pair in batch.join.matches
+            )
         assert report.completed_queries == 3
-        assert report.total_matches > 0
+        expected = sorted(
+            (query.query_id, obj.object_id, row.object_id)
+            for query in queries
+            for obj, row in crossmatch_catalogs(query.objects, sdss)
+        )
+        assert found == expected
+        assert found  # the companion survey guarantees real matches
         # Overlapping slices hit the same buckets, so batching shares reads.
         assert report.bucket_services < sum(
-            len(engine.preprocessor.assign(q)) for q in (
-                CrossMatchQuery(query_id=10, objects=tuple(to_crossmatch_objects(rows[0:80]))),
-                CrossMatchQuery(query_id=11, objects=tuple(to_crossmatch_objects(rows[40:120]))),
-                CrossMatchQuery(query_id=12, objects=tuple(to_crossmatch_objects(rows[100:180]))),
-            )
+            len(engine.preprocessor.assign(query)) for query in queries
         )

@@ -121,6 +121,20 @@ def test_file_backed_runs_leak_no_descriptor_into_the_workers(
 
 
 @needs_proc
+def test_an_acknowledged_end_task_leaves_no_store_open(
+    simulator, queries, quantum_ms, store_path
+):
+    """A worker drops its shard before it acknowledges ``EndTask``, so the
+    moment a run returns no idle worker still maps the store file."""
+    for _ in range(20):
+        run_cell(simulator, queries, quantum_ms, 2, False, store_path)
+        for pid in idle_worker_pids():
+            fd_dir = f"/proc/{pid}/fd"
+            targets = {os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir)}
+            assert os.fspath(store_path) not in targets
+
+
+@needs_proc
 def test_file_backed_inline_shards_close_their_stores(
     simulator, queries, quantum_ms, store_path, monkeypatch
 ):

@@ -61,10 +61,11 @@ class TestReadInterfaceParity:
         store = open_disk_store(store_path)
         assert not store.is_virtual
         bucket = store.bucket_image(5)
-        assert len(bucket.objects) == ROWS
+        rows = bucket.columns.rows()
+        assert len(rows) == ROWS
         assert not bucket.is_virtual
-        assert list(bucket.htm_ids) == sorted(bucket.htm_ids)
-        for obj in bucket.objects:
+        assert list(bucket.columns.htm_ids) == sorted(bucket.columns.htm_ids)
+        for obj in rows:
             assert obj.htm_id in bucket.spec.htm_range
         store.close()
 
@@ -103,8 +104,8 @@ class TestDecodedPageTier:
         bucket_b = store_b.read_bucket(0).bucket
         # Same bucket index, different generations: both stores decoded
         # their own page rather than sharing a stale entry.
-        assert len(bucket_a.objects) == 4
-        assert len(bucket_b.objects) == 8
+        assert len(bucket_a.columns.rows()) == 4
+        assert len(bucket_b.columns.rows()) == 8
         assert store_a.page_reads == 1 and store_b.page_reads == 1
         store_a.close()
         store_b.close()
@@ -132,7 +133,7 @@ class TestPathSnapshots:
     def test_snapshot_restores_as_disk_store(self, store_path, layout):
         store = open_disk_store(store_path, make_disk())
         snapshot = store.snapshot()
-        assert snapshot.layout is None and snapshot.catalog is None
+        assert snapshot.layout is None
         restored = BucketStore.from_snapshot(pickle.loads(pickle.dumps(snapshot)))
         assert isinstance(restored, DiskBucketStore)
         assert restored.layout == layout
@@ -141,7 +142,7 @@ class TestPathSnapshots:
         original = store.read_bucket(7)
         mirrored = restored.read_bucket(7)
         assert mirrored.cost_ms == pytest.approx(original.cost_ms)
-        assert mirrored.bucket.htm_ids == original.bucket.htm_ids
+        assert mirrored.bucket.columns.htm_ids == original.bucket.columns.htm_ids
         store.close()
         restored.close()
 
