@@ -1,11 +1,10 @@
 """Benchmarks of the on-disk bucket storage subsystem.
 
-Two measurements: raw store throughput (ingest rate, sequential read +
-decode rate — the physical analogue of the paper's ``Tb``), and the
-worker-scaling experiment replayed against materialised on-disk buckets,
-where the process backend's wall-clock speedup finally reflects real
-storage work (seeks, reads, CRC checks, columnar decoding) rather than
-cost-model arithmetic.
+Raw store throughput: ingest rate and sequential read + decode rate (the
+physical analogue of the paper's ``Tb``), with the engine taken out.  The
+process backend's scaling over a store is measured by
+``test_bench_parallel.py`` (``speedup_4x``, ``process_wall_speedup_4x``):
+the store does not move the virtual clock.
 """
 
 import os
@@ -13,9 +12,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import record_headline
-from repro.experiments import scaling
-from repro.experiments.common import build_simulator, build_trace
+from repro.experiments.common import build_simulator
 from repro.storage.disk_store import open_disk_store
 from repro.storage.format import BucketFileReader
 from repro.storage.ingest import materialize_layout
@@ -121,49 +118,3 @@ def test_bench_store_ingest(benchmark, tmp_path, scale):
     if elapsed > 0:
         benchmark.extra_info["ingest_rows_per_s"] = round(manifest.total_rows / elapsed, 0)
 
-
-def test_bench_storage_process_backend(benchmark, tmp_path):
-    """Wall-clock speedup of 4 shard processes reading on-disk buckets.
-
-    This is the measurement PR 4 exists for: the ROADMAP flagged that the
-    process backend's wall-clock speedup was fragile at small partitions
-    because the per-service work was cost-model arithmetic.  With the
-    scaling experiment replaying against materialised buckets, every
-    service moves and decodes real bytes, so the speedup reflects real
-    storage work.  A paper-sized partition is used regardless of the
-    bench scale (as in the plain process-backend bench); the wall-clock
-    assertion is gated on the host actually having cores to parallelise
-    over, while the JSON artifact records the measurement either way.
-    """
-    heavy_simulator = build_simulator("full")
-    heavy_trace = build_trace("full")
-    store_path = tmp_path / "bench-site.lrbs"
-    materialize_layout(store_path, heavy_simulator.layout, rows_per_bucket=BENCH_ROWS_PER_BUCKET)
-    result = benchmark.pedantic(
-        scaling.run,
-        kwargs={
-            "trace": heavy_trace,
-            "simulator": heavy_simulator,
-            "workers": (1, 4),
-            "backend": "process",
-            "store_path": str(store_path),
-        },
-        rounds=1,
-        iterations=1,
-    )
-    record_headline(benchmark, result)
-    benchmark.extra_info["cpu_count"] = os.cpu_count() or 1
-    benchmark.extra_info["backend"] = "process"
-    benchmark.extra_info["store"] = "file-backed"
-    # Virtual-clock scheduling quality is store- and backend-invariant.
-    assert result.headline["speedup_4x"] > 1.5
-    # Every row must have performed real physical reads ("real read (s)"
-    # is the last column of the scaling table).
-    assert all(row[-1] > 0.0 for row in result.rows)
-    assert "wall_speedup_4x" in result.headline
-    assert result.headline["wall_speedup_4x"] > 0.0
-    if (os.cpu_count() or 1) >= 4:
-        # With real cores behind the processes — and real storage work in
-        # every bucket service — four shards must beat one in measured
-        # wall-clock time.
-        assert result.headline["wall_speedup_4x"] > 1.0

@@ -35,7 +35,7 @@ from repro.core.baselines import (
     RoundRobinScheduler,
 )
 from repro.core.engine import EngineConfig, LifeRaftEngine
-from repro.core.metrics import CostModel, aged_workload_throughput, workload_throughput
+from repro.core.metrics import CostModel
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
 from repro.reliability.config import ReliabilityConfig
 from repro.service.frontend import ServiceConfig
@@ -58,8 +58,6 @@ __all__ = [
     "LifeRaftScheduler",
     "SchedulerConfig",
     "CostModel",
-    "workload_throughput",
-    "aged_workload_throughput",
     "NoShareScheduler",
     "RoundRobinScheduler",
     "IndexOnlyScheduler",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.catalog.objects import CatalogTable, CelestialObject
 from repro.htm import ids as htm_ids
@@ -92,11 +92,6 @@ class SkyGenerator:
         self.mesh = mesh or HTMMesh()
         self._rng = random.Random(self.config.seed)
         self._cluster_centers: List[SkyPoint] = self._draw_cluster_centers()
-
-    @property
-    def cluster_centers(self) -> Sequence[SkyPoint]:
-        """The cluster centres of the synthetic sky (stable per seed)."""
-        return tuple(self._cluster_centers)
 
     def generate(self, survey: str = "sdss") -> CatalogTable:
         """Generate the base survey catalog."""

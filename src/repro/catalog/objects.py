@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence
 
-from repro.htm.ids import SKYQUERY_LEVEL
-from repro.htm.curve import HTMRange
-from repro.htm.geometry import SkyPoint, angular_separation
-from repro.htm.mesh import HTMMesh
+from repro.htm.geometry import SkyPoint
 
 
 @dataclass(frozen=True)
@@ -49,22 +46,13 @@ class CelestialObject:
         """The object's sky position."""
         return SkyPoint(self.ra, self.dec)
 
-    def separation_deg(self, other: "CelestialObject") -> float:
-        """Angular separation from another object, in degrees."""
-        return angular_separation(self.ra, self.dec, other.ra, other.dec)
-
-    def separation_arcsec(self, other: "CelestialObject") -> float:
-        """Angular separation from another object, in arcseconds."""
-        return self.separation_deg(other) * 3600.0
-
 
 class CatalogTable:
     """An in-memory fact table kept sorted by HTM ID.
 
     The table is the unit handed to the partitioner and the bucket store.
-    It deliberately stays simple — a sorted list plus binary-search range
-    scans — because the point of the reproduction is the scheduler above
-    it, not the storage engine below.
+    It deliberately stays simple — a sorted list — because the point of the
+    reproduction is the scheduler above it, not the storage engine below.
     """
 
     def __init__(self, survey: str, objects: Iterable[CelestialObject] = ()) -> None:
@@ -104,26 +92,6 @@ class CatalogTable:
         self._rows.sort(key=lambda o: o.htm_id)
         self._ids = [o.htm_id for o in self._rows]
 
-    def range_scan(self, htm_range: HTMRange) -> List[CelestialObject]:
-        """Return the rows whose HTM ID falls inside *htm_range*."""
-        low = bisect.bisect_left(self._ids, htm_range.low)
-        high = bisect.bisect_right(self._ids, htm_range.high)
-        return self._rows[low:high]
-
-    def count_range(self, htm_range: HTMRange) -> int:
-        """Number of rows inside *htm_range* without materialising them."""
-        low = bisect.bisect_left(self._ids, htm_range.low)
-        high = bisect.bisect_right(self._ids, htm_range.high)
-        return high - low
-
-    def cone_search(self, center: SkyPoint, radius_deg: float) -> List[CelestialObject]:
-        """Exact cone search (linear refine over the whole table; test helper)."""
-        return [
-            obj
-            for obj in self._rows
-            if angular_separation(center.ra, center.dec, obj.ra, obj.dec) <= radius_deg
-        ]
-
     def describe(self) -> Dict[str, float]:
         """Summary statistics for reports."""
         return {
@@ -131,28 +99,3 @@ class CatalogTable:
             "min_htm_id": float(self._ids[0]) if self._ids else 0.0,
             "max_htm_id": float(self._ids[-1]) if self._ids else 0.0,
         }
-
-    @classmethod
-    def from_positions(
-        cls,
-        survey: str,
-        positions: Iterable[Tuple[float, float]],
-        mesh: Optional[HTMMesh] = None,
-        level: int = SKYQUERY_LEVEL,
-        start_object_id: int = 0,
-    ) -> "CatalogTable":
-        """Build a table from raw (RA, Dec) pairs, assigning HTM IDs."""
-        mesh = mesh or HTMMesh()
-        objects = []
-        for offset, (ra, dec) in enumerate(positions):
-            htm_id = mesh.locate(SkyPoint(ra, dec), level)
-            objects.append(
-                CelestialObject(
-                    object_id=start_object_id + offset,
-                    ra=ra,
-                    dec=dec,
-                    htm_id=htm_id,
-                    survey=survey,
-                )
-            )
-        return cls(survey, objects)

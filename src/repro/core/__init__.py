@@ -8,11 +8,13 @@ paper:
 * the **Workload Manager** (:mod:`repro.core.workload_manager`) keeps one
   workload queue per bucket, tracks the age of the oldest request in each
   queue and the mapping from pending queries to queues;
-* the **scheduling metrics** (:mod:`repro.core.metrics`) implement the
-  workload throughput ``Ut`` and the aged workload throughput ``Ua``;
-* the **LifeRaft scheduler** (:mod:`repro.core.scheduler`) picks the next
-  bucket to service; :mod:`repro.core.baselines` provides the comparison
-  policies of the evaluation (NoShare, RR, IndexOnly, least-sharable-first);
+* the **cost model** (:mod:`repro.core.metrics`) holds the ``Tb`` / ``Tm``
+  constants of the workload throughput ``Ut`` and the aged workload
+  throughput ``Ua``;
+* the **LifeRaft scheduler** (:mod:`repro.core.scheduler`) evaluates ``Ua``
+  and picks the next bucket to service; :mod:`repro.core.baselines`
+  provides the comparison policies of the evaluation (NoShare, RR,
+  IndexOnly, least-sharable-first);
 * the **Bucket Cache** (:mod:`repro.core.bucket_cache`) keeps recently read
   buckets in memory with an LRU policy;
 * the **Join Evaluator** (:mod:`repro.core.join_evaluator`) applies the
@@ -23,7 +25,7 @@ paper:
 * the **engine** (:mod:`repro.core.engine`) wires everything together.
 """
 
-from repro.core.metrics import CostModel, workload_throughput, aged_workload_throughput
+from repro.core.metrics import CostModel
 from repro.core.workload_manager import WorkloadEntry, WorkloadQueue, WorkloadManager
 from repro.core.preprocessor import QueryPreProcessor
 from repro.core.bucket_cache import BucketCacheManager
@@ -40,8 +42,6 @@ from repro.core.engine import LifeRaftEngine, EngineConfig
 
 __all__ = [
     "CostModel",
-    "workload_throughput",
-    "aged_workload_throughput",
     "WorkloadEntry",
     "WorkloadQueue",
     "WorkloadManager",

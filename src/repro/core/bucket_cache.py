@@ -119,17 +119,9 @@ class BucketCacheManager:
             self._cache.seed(bucket_index, self.store.bucket_image(bucket_index))
         self._cache.statistics.restore(dict(statistics))
 
-    def invalidate(self, bucket_index: int) -> bool:
-        """Drop a bucket from the cache (used by failure-injection tests)."""
-        return self._cache.invalidate(bucket_index)
-
     def clear(self) -> None:
         """Flush the cache entirely."""
         self._cache.clear()
-
-    def resize(self, capacity: int) -> None:
-        """Change the cache capacity (used by the cache-size ablation)."""
-        self._cache.resize(capacity)
 
     def statistics(self) -> Dict[str, float]:
         """Hit/miss counters; the §6 discussion quotes 40 % vs 7 % hit rates."""

@@ -9,9 +9,8 @@ surface:
 * :meth:`LifeRaftEngine.process_next` — service the next work item chosen
   by the scheduler, returning what was done and what it cost (the caller
   owns the clock, so the same engine is driven by the online examples and
-  by the discrete-event simulator);
-* :meth:`LifeRaftEngine.run_until_idle` — convenience loop advancing an
-  internal virtual clock until all submitted work is done;
+  by the discrete-event simulator; called without a time it reads and
+  advances the engine's internal virtual clock);
 * :meth:`LifeRaftEngine.report` — throughput, response times, cache and
   join statistics.
 
@@ -413,7 +412,7 @@ class LifeRaftEngine:
 
     @property
     def now_ms(self) -> float:
-        """The engine's internal virtual clock (used by :meth:`run_until_idle`)."""
+        """The engine's internal virtual clock (:meth:`process_next` without a time)."""
         return self._now_ms
 
     def submit(self, query: CrossMatchQuery, now_ms: Optional[float] = None) -> None:
@@ -451,23 +450,6 @@ class LifeRaftEngine:
             return None
         self._now_ms = max(self._now_ms, result.finished_at_ms)
         return result
-
-    def run_until_idle(self, max_batches: Optional[int] = None) -> int:
-        """Drain all pending work, advancing the internal clock.
-
-        Returns the number of batches processed.  ``max_batches`` guards
-        against runaway loops in tests.
-        """
-        processed = 0
-        while self.has_pending_work():
-            result = self.process_next(self._now_ms)
-            if result is None:
-                break
-            self._now_ms = result.finished_at_ms
-            processed += 1
-            if max_batches is not None and processed >= max_batches:
-                break
-        return processed
 
     # ------------------------------------------------------------------ #
     # reporting

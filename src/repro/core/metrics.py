@@ -1,4 +1,5 @@
-"""Scheduling metrics: workload throughput and aged workload throughput.
+"""The cost model behind the scheduling metrics: workload throughput and aged
+workload throughput.
 
 Equation (1) of the paper defines the **workload throughput** of bucket
 ``B_i`` as::
@@ -24,17 +25,18 @@ with ``A(i)`` the age of the oldest request in the queue and ``alpha`` in
 The paper leaves the two terms in their natural units (objects/ms vs. ms),
 in which case any non-zero α is quickly dominated by the age term.  To make
 intermediate α values meaningful — the published evaluation clearly shows
-graded behaviour at α = 0.25/0.5/0.75 — this module also provides a
+graded behaviour at α = 0.25/0.5/0.75 — the scheduler also offers a
 *normalised* combination: ``Ut`` is scaled by its upper bound ``1/Tm`` and
 ``A`` by the current maximum pending age, so both terms live in ``[0, 1]``.
 Normalisation is the default; the raw combination is available for
-comparison (``normalize=False``) and is exercised by the ablation bench.
+comparison (``SchedulerConfig.normalize_metric=False``) and is exercised by
+the ablation bench.  ``LifeRaftScheduler._ua`` is the one place either is
+evaluated; this module holds the cost constants both equations read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 #: The paper's empirically derived constants (§5): reading one 40 MB bucket
 #: costs 1.2 seconds; matching one object in memory costs 0.13 milliseconds.
@@ -82,33 +84,6 @@ class CostModel:
         """The constants measured on the paper's SDSS testbed."""
         return cls()
 
-    @classmethod
-    def from_disk(
-        cls,
-        disk,
-        bucket_megabytes: float = 40.0,
-        bucket_objects: int = 10_000,
-        tm_ms: float = PAPER_TM_MS,
-        probe_pages: int = 2,
-    ) -> "CostModel":
-        """Derive the constants from a :class:`~repro.storage.disk_model.DiskModel`.
-
-        ``probe_pages`` is the number of random pages one indexed match
-        touches (index descent amortised plus the data page).
-        """
-        parameters = disk.parameters
-        tb = parameters.positioning_ms + parameters.transfer_ms(bucket_megabytes)
-        per_page = parameters.positioning_ms + parameters.transfer_ms(
-            parameters.page_size_kb / 1024.0
-        )
-        return cls(
-            tb_ms=tb,
-            tm_ms=tm_ms,
-            index_probe_ms=probe_pages * per_page,
-            bucket_objects=bucket_objects,
-            bucket_megabytes=bucket_megabytes,
-        )
-
     # ------------------------------------------------------------------ #
     # elementary costs
     # ------------------------------------------------------------------ #
@@ -141,66 +116,3 @@ class CostModel:
     def breakeven_fraction(self) -> float:
         """Break-even queue size expressed as a fraction of the bucket."""
         return self.breakeven_queue_objects() / self.bucket_objects
-
-    @property
-    def max_workload_throughput(self) -> float:
-        """Upper bound of ``Ut``: the in-memory matching rate ``1/Tm``."""
-        return 1.0 / self.tm_ms
-
-
-def workload_throughput(queue_objects: int, in_memory: bool, cost: CostModel) -> float:
-    """Equation (1): the workload throughput ``Ut`` of one bucket.
-
-    Returns 0 for an empty queue (there is nothing to consume, so the bucket
-    should never be selected on contention grounds).
-    """
-    if queue_objects < 0:
-        raise ValueError("queue size cannot be negative")
-    if queue_objects == 0:
-        return 0.0
-    phi = 0.0 if in_memory else 1.0
-    return queue_objects / (cost.tb_ms * phi + cost.tm_ms * queue_objects)
-
-
-def aged_workload_throughput(
-    ut: float,
-    age_ms: float,
-    alpha: float,
-    cost: Optional[CostModel] = None,
-    max_age_ms: Optional[float] = None,
-    normalize: bool = True,
-) -> float:
-    """Equation (2): blend contention (``Ut``) with request age.
-
-    Parameters
-    ----------
-    ut:
-        Workload throughput of the bucket (objects per millisecond).
-    age_ms:
-        Age of the oldest pending request in the bucket's queue.
-    alpha:
-        Age bias in ``[0, 1]``; 0 selects the most contentious bucket, 1
-        schedules purely by arrival order.
-    cost, max_age_ms, normalize:
-        When *normalize* is true (the default) ``ut`` is scaled by ``Tm``,
-        the inverse of its upper bound ``1/Tm`` (requires *cost*), and
-        ``age_ms`` divided by *max_age_ms* (the age of the oldest request
-        over all queues), so both terms are comparable and intermediate α
-        values interpolate meaningfully.  With ``normalize=False`` the raw
-        paper formula is used.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be within [0, 1]")
-    if age_ms < 0:
-        raise ValueError("age cannot be negative")
-    # Operation for operation the expression ``LifeRaftScheduler`` evaluates
-    # (``ut·Tm``, not ``ut / (1/Tm)``): the two agree bit for bit, not to an ulp.
-    if not normalize:
-        return (1.0 - alpha) * ut + alpha * age_ms
-    if cost is None:
-        raise ValueError("normalised combination requires a CostModel")
-    if max_age_ms is None or max_age_ms <= 0:
-        age_term = 0.0
-    else:
-        age_term = min(1.0, age_ms / max_age_ms)
-    return (1.0 - alpha) * ut * cost.tm_ms + alpha * age_term

@@ -75,11 +75,3 @@ class QueryPreProcessor:
         for bucket_index, payload in assignment.items():
             footprint[bucket_index] = payload if isinstance(payload, int) else len(payload)
         return footprint
-
-    def batch_footprint(self, queries: Sequence[CrossMatchQuery]) -> Dict[int, int]:
-        """Aggregate object counts per bucket over a batch of queries."""
-        total: Dict[int, int] = {}
-        for query in queries:
-            for bucket_index, count in self.footprint(query).items():
-                total[bucket_index] = total.get(bucket_index, 0) + count
-        return total

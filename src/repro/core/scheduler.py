@@ -16,8 +16,8 @@ the *entire* workload queue of the chosen bucket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Protocol, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Protocol, Tuple
 
 from repro.core.bucket_cache import BucketCacheManager
 from repro.core.join_evaluator import JoinStrategy
@@ -86,10 +86,6 @@ class SchedulerConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be within [0, 1]")
 
-    def with_alpha(self, alpha: float) -> "SchedulerConfig":
-        """Return a copy with a different age bias."""
-        return replace(self, alpha=alpha)
-
 
 class LifeRaftScheduler:
     """Selects the pending bucket with the highest aged workload throughput."""
@@ -117,18 +113,14 @@ class LifeRaftScheduler:
         """Current age bias."""
         return self.config.alpha
 
-    def set_alpha(self, alpha: float) -> None:
-        """Adjust the age bias (the adaptive controller calls this online)."""
-        self.config = self.config.with_alpha(alpha)
-
     def _ua(self, now_ms: float, max_age_ms: float) -> Callable[[int, float, float], float]:
         """Equations (1)–(2) for one instant: ``ua(queue size, oldest enqueue ms, io ms)``.
 
-        The only place the metric is computed: :meth:`score`,
-        :meth:`rank_buckets` and every comparison in :meth:`next_work`
-        (candidates *and* pruning bounds) call the returned function, so
-        they agree bit for bit.  *io ms* is ``Tb`` for a cold bucket and 0
-        for a cache-resident one (the φ(i) of Equation 1).
+        The only place the metric is computed: :meth:`score` and every
+        comparison in :meth:`next_work` (candidates *and* pruning bounds)
+        call the returned function, so they agree bit for bit.  *io ms* is
+        ``Tb`` for a cold bucket and 0 for a cache-resident one (the φ(i) of
+        Equation 1).
         """
         cfg = self.config
         tm = cfg.cost.tm_ms
@@ -164,18 +156,6 @@ class LifeRaftScheduler:
             manager.oldest_bucket_enqueue_ms(bucket_index),
             0.0 if cache.resident(bucket_index) else self.config.cost.tb_ms,
         )
-
-    def rank_buckets(
-        self, manager: WorkloadManager, cache: BucketCacheManager, now_ms: float
-    ) -> Dict[int, float]:
-        """Score every pending bucket (exposed for tests and introspection)."""
-        ua = self._ua(now_ms, manager.max_pending_age_ms(now_ms))
-        tb = self.config.cost.tb_ms
-        pending = manager.pending_among(manager.pending_buckets())
-        return {
-            bucket: ua(queue_objects, oldest_ms, 0.0 if cache.resident(bucket) else tb)
-            for bucket, queue_objects, oldest_ms in pending
-        }
 
     def next_work(
         self, manager: WorkloadManager, cache: BucketCacheManager, now_ms: float

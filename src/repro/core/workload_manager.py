@@ -70,13 +70,6 @@ class WorkloadQueue:
         """Queries with pending work in this bucket, in enqueue order."""
         return [entry.query_id for entry in self.entries]
 
-    @property
-    def oldest_enqueue_time_ms(self) -> float:
-        """Enqueue time of the oldest pending entry."""
-        if not self.entries:
-            raise ValueError(f"bucket {self.bucket_index} has an empty workload queue")
-        return self._oldest_ms
-
     def age_ms(self, now_ms: float) -> float:
         """Age ``A(i)`` of the oldest request at time *now_ms*."""
         if not self.entries:
@@ -394,12 +387,6 @@ class WorkloadManager:
             return 0.0
         return max(0.0, now_ms - self._group_times[0])
 
-    def pending_queries(self) -> List[int]:
-        """Queries submitted but not yet complete, ordered by arrival time."""
-        states = [s for s in self._queries.values() if not s.is_complete]
-        states.sort(key=lambda s: (s.arrival_time_ms, s.query_id))
-        return [s.query_id for s in states]
-
     def oldest_pending_query(self) -> Optional[int]:
         """The earliest-arriving incomplete query (NoShare's next victim).
 
@@ -416,14 +403,6 @@ class WorkloadManager:
     def remaining_buckets_for(self, query_id: int) -> Set[int]:
         """Buckets the query still has pending work in."""
         return set(self._queries[query_id].remaining_buckets)
-
-    def query_arrival_ms(self, query_id: int) -> float:
-        """Arrival time of a submitted query."""
-        return self._queries[query_id].arrival_time_ms
-
-    def query_total_objects(self, query_id: int) -> int:
-        """Total objects the query submitted across all buckets."""
-        return self._queries[query_id].total_objects
 
     # ------------------------------------------------------------------ #
     # service
@@ -563,7 +542,3 @@ class WorkloadManager:
     def completed_count(self) -> int:
         """Number of queries fully serviced so far."""
         return len(self._completed)
-
-    def total_pending_objects(self) -> int:
-        """Objects waiting across all queues (the buffering the paper worries about)."""
-        return sum(queue.total_objects for queue in self._queues.values())

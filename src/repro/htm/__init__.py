@@ -13,15 +13,15 @@ Modules
 -------
 ``geometry``
     Unit-vector math on the sphere: RA/Dec conversion, angular separation,
-    triangle containment tests, circular (cone) regions.
+    triangle containment tests and circumscribed cones.
 ``mesh``
-    The trixel decomposition itself: computing trixel corners, locating the
-    trixel that contains a point, and enumerating trixels at a level.
+    The trixel decomposition itself: computing trixel corners and locating
+    the trixel that contains a point.
 ``ids``
-    Encoding and decoding of HTM IDs and conversions between levels.
+    Encoding of HTM IDs and the ID ranges of a trixel's descendants.
 ``curve``
-    Range arithmetic on the HTM curve: covers of cone regions, range
-    unions/intersections, and mapping ranges onto bucket boundaries.
+    Range arithmetic on the HTM curve: covers of cone regions and range
+    intersections.
 """
 
 from repro.htm.geometry import (
@@ -29,12 +29,10 @@ from repro.htm.geometry import (
     unit_vector,
     radec_from_vector,
     angular_separation,
-    cone_contains,
 )
 from repro.htm.mesh import HTMMesh, Trixel
 from repro.htm.ids import (
     htm_level,
-    htm_name_to_id,
     htm_id_to_name,
     parent_id,
     child_ids,
@@ -47,11 +45,9 @@ __all__ = [
     "unit_vector",
     "radec_from_vector",
     "angular_separation",
-    "cone_contains",
     "HTMMesh",
     "Trixel",
     "htm_level",
-    "htm_name_to_id",
     "htm_id_to_name",
     "parent_id",
     "child_ids",

@@ -5,14 +5,14 @@ to a small set of contiguous ID intervals ("ranges") at the leaf level.
 SkyQuery attaches such a range to every cross-match object as its bounding
 box; LifeRaft's pre-processor intersects those ranges with the bucket
 boundaries to build workload queues.  This module provides the range type,
-a set-of-ranges container with union/intersection, and the cover
-computation that turns a cone on the sky into ranges.
+a set-of-ranges container with intersection, and the cover computation
+that turns a cone on the sky into ranges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.htm import ids as htm_ids
 from repro.htm.geometry import SkyPoint, angular_separation, radec_from_vector
@@ -35,10 +35,6 @@ class HTMRange:
 
     def __contains__(self, htm_id: int) -> bool:
         return self.low <= htm_id <= self.high
-
-    def overlaps(self, other: "HTMRange") -> bool:
-        """Return ``True`` when the two ranges share at least one ID."""
-        return self.low <= other.high and other.low <= self.high
 
     def intersect(self, other: "HTMRange") -> Optional["HTMRange"]:
         """Return the overlap of the two ranges, or ``None`` when disjoint."""
@@ -68,11 +64,6 @@ class HTMRangeSet:
     def __init__(self, ranges: Iterable[HTMRange] = ()) -> None:
         self._ranges: List[HTMRange] = _normalise(ranges)
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "HTMRangeSet":
-        """Build a range set from ``(low, high)`` integer pairs."""
-        return cls(HTMRange(low, high) for low, high in pairs)
-
     @property
     def ranges(self) -> Tuple[HTMRange, ...]:
         """The normalised ranges, in increasing curve order."""
@@ -96,28 +87,6 @@ class HTMRangeSet:
         inner = ", ".join(f"[{r.low}, {r.high}]" for r in self._ranges)
         return f"HTMRangeSet({inner})"
 
-    def id_count(self) -> int:
-        """Total number of leaf IDs covered."""
-        return sum(len(r) for r in self._ranges)
-
-    def contains_id(self, htm_id: int) -> bool:
-        """Binary-search membership test for a single ID."""
-        lo, hi = 0, len(self._ranges) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            r = self._ranges[mid]
-            if htm_id < r.low:
-                hi = mid - 1
-            elif htm_id > r.high:
-                lo = mid + 1
-            else:
-                return True
-        return False
-
-    def union(self, other: "HTMRangeSet") -> "HTMRangeSet":
-        """Set union of the two covers."""
-        return HTMRangeSet(list(self._ranges) + list(other._ranges))
-
     def intersection(self, other: "HTMRangeSet") -> "HTMRangeSet":
         """Set intersection of the two covers (merge-scan over sorted ranges)."""
         result: List[HTMRange] = []
@@ -132,28 +101,6 @@ class HTMRangeSet:
             else:
                 j += 1
         return HTMRangeSet(result)
-
-    def overlaps(self, other: "HTMRangeSet") -> bool:
-        """Return ``True`` when the two covers share at least one ID."""
-        i = j = 0
-        a, b = self._ranges, other._ranges
-        while i < len(a) and j < len(b):
-            if a[i].overlaps(b[j]):
-                return True
-            if a[i].high < b[j].high:
-                i += 1
-            else:
-                j += 1
-        return False
-
-    def clipped_to(self, bound: HTMRange) -> "HTMRangeSet":
-        """Return the part of this cover falling inside *bound*."""
-        clipped = []
-        for r in self._ranges:
-            overlap = r.intersect(bound)
-            if overlap is not None:
-                clipped.append(overlap)
-        return HTMRangeSet(clipped)
 
 
 def _normalise(ranges: Iterable[HTMRange]) -> List[HTMRange]:
@@ -220,48 +167,3 @@ def cone_cover(
         stack.extend(trixel.children())
     return HTMRangeSet(accepted)
 
-
-def point_range(
-    center: SkyPoint,
-    radius_deg: float,
-    leaf_level: int = htm_ids.SKYQUERY_LEVEL,
-    mesh: Optional[HTMMesh] = None,
-    cover_level: int = 10,
-) -> HTMRangeSet:
-    """Cover for a single cross-match object's error circle.
-
-    This is the per-object "range of HTM ID values, which serve as a
-    bounding box covering all potential regions for cross matching"
-    described in §3.1 of the paper.  Error circles are arcsecond-scale, so a
-    deeper cover level is used than for query-region cones.
-    """
-    return cone_cover(center, radius_deg, cover_level, leaf_level, mesh)
-
-
-def bucket_boundaries(
-    leaf_level: int, bucket_count: int
-) -> List[HTMRange]:
-    """Split the full HTM curve at *leaf_level* into *bucket_count* equal ranges.
-
-    This is the idealised equal-width split used when object positions are
-    uniform; the storage partitioner offers an equal-*population* split as
-    well (the paper's buckets contain equal numbers of objects).
-    """
-    if bucket_count <= 0:
-        raise ValueError("bucket_count must be positive")
-    start = 8 << (2 * leaf_level)
-    stop = 16 << (2 * leaf_level)
-    total = stop - start
-    if bucket_count > total:
-        raise ValueError("more buckets than leaf trixels")
-    boundaries: List[HTMRange] = []
-    for i in range(bucket_count):
-        low = start + (total * i) // bucket_count
-        high = start + (total * (i + 1)) // bucket_count - 1
-        boundaries.append(HTMRange(low, high))
-    return boundaries
-
-
-def ranges_to_pairs(ranges: Sequence[HTMRange]) -> List[Tuple[int, int]]:
-    """Convert ranges to plain integer pairs (useful for serialisation)."""
-    return [(r.low, r.high) for r in ranges]

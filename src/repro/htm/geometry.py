@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 Vector = Tuple[float, float, float]
 
@@ -128,11 +128,6 @@ def angular_separation(ra1: float, dec1: float, ra2: float, dec2: float) -> floa
     return math.degrees(math.atan2(num, den))
 
 
-def cone_contains(center: SkyPoint, radius_deg: float, point: SkyPoint) -> bool:
-    """Return ``True`` when *point* lies within *radius_deg* of *center*."""
-    return center.separation(point) <= radius_deg
-
-
 def triangle_contains(corners: Sequence[Vector], v: Sequence[float]) -> bool:
     """Return ``True`` when unit vector *v* lies inside the spherical triangle.
 
@@ -173,53 +168,3 @@ def triangle_circumcircle(corners: Sequence[Vector]) -> Tuple[Vector, float]:
     radius = math.degrees(math.acos(max(-1.0, min(1.0, dot(axis, c0)))))
     return axis, radius
 
-
-def spherical_triangle_area(corners: Sequence[Vector]) -> float:
-    """Solid angle of a spherical triangle in steradians (Girard's theorem)."""
-    c0, c1, c2 = corners
-    a = _arc_angle(c1, c2)
-    b = _arc_angle(c0, c2)
-    c = _arc_angle(c0, c1)
-    s = 0.5 * (a + b + c)
-    # L'Huilier's formula is numerically stable for small triangles.
-    tan_term = (
-        math.tan(0.5 * s)
-        * math.tan(0.5 * (s - a))
-        * math.tan(0.5 * (s - b))
-        * math.tan(0.5 * (s - c))
-    )
-    tan_term = max(0.0, tan_term)
-    return 4.0 * math.atan(math.sqrt(tan_term))
-
-
-def _arc_angle(a: Sequence[float], b: Sequence[float]) -> float:
-    """Angle between two unit vectors, in radians."""
-    d = max(-1.0, min(1.0, dot(a, b)))
-    return math.acos(d)
-
-
-def bounding_cap_of_points(points: Iterable[SkyPoint]) -> Tuple[SkyPoint, float]:
-    """Return a (center, radius_deg) cap covering all *points*.
-
-    This is not the minimal enclosing cap — it centres the cap on the
-    normalised mean direction, which is what SkyQuery uses when turning a
-    list of cross-match objects into a coarse spatial bounding box.
-    """
-    pts = list(points)
-    if not pts:
-        raise ValueError("cannot bound an empty set of points")
-    sx = sy = sz = 0.0
-    for p in pts:
-        x, y, z = p.to_vector()
-        sx += x
-        sy += y
-        sz += z
-    try:
-        center_vec = normalize((sx, sy, sz))
-    except ValueError:
-        # Antipodal cancellation: arbitrarily centre on the first point.
-        center_vec = pts[0].to_vector()
-    ra, dec = radec_from_vector(center_vec)
-    center = SkyPoint(ra, dec)
-    radius = max(center.separation(p) for p in pts)
-    return center, radius

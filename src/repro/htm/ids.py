@@ -15,13 +15,12 @@ LifeRaft stores in the fact table and uses to order buckets.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 #: The level at which SkyQuery assigns HTM IDs to observations (paper §3.1).
 SKYQUERY_LEVEL = 14
 
 _FACE_NAMES = ("S0", "S1", "S2", "S3", "N0", "N1", "N2", "N3")
-_FACE_IDS = {name: 8 + index for index, name in enumerate(_FACE_NAMES)}
 
 
 def is_valid_htm_id(htm_id: int) -> bool:
@@ -38,18 +37,6 @@ def htm_level(htm_id: int) -> int:
     if not is_valid_htm_id(htm_id):
         raise ValueError(f"{htm_id} is not a valid HTM ID")
     return (htm_id.bit_length() - 4) // 2
-
-
-def htm_name_to_id(name: str) -> int:
-    """Convert a textual HTM name such as ``"N012"`` into its integer ID."""
-    if len(name) < 2 or name[:2] not in _FACE_IDS:
-        raise ValueError(f"{name!r} does not start with a valid face name")
-    htm_id = _FACE_IDS[name[:2]]
-    for digit in name[2:]:
-        if digit not in "0123":
-            raise ValueError(f"invalid child digit {digit!r} in {name!r}")
-        htm_id = (htm_id << 2) | int(digit)
-    return htm_id
 
 
 def htm_id_to_name(htm_id: int) -> str:
@@ -82,14 +69,6 @@ def child_ids(htm_id: int) -> Tuple[int, int, int, int]:
     return (base, base + 1, base + 2, base + 3)
 
 
-def ancestor_at_level(htm_id: int, level: int) -> int:
-    """Return the ancestor of *htm_id* at the (shallower) *level*."""
-    own_level = htm_level(htm_id)
-    if level > own_level:
-        raise ValueError(f"level {level} is deeper than the ID's level {own_level}")
-    return htm_id >> (2 * (own_level - level))
-
-
 def id_range_at_level(htm_id: int, level: int) -> Tuple[int, int]:
     """Return the inclusive range of descendant IDs of *htm_id* at *level*.
 
@@ -111,18 +90,3 @@ def root_face_ids() -> Tuple[int, ...]:
     """Return the IDs of the eight root faces (8 through 15)."""
     return tuple(range(8, 16))
 
-
-def iter_ids_at_level(level: int) -> Iterator[int]:
-    """Iterate over every HTM ID at *level*, in curve (numeric) order."""
-    if level < 0:
-        raise ValueError("level must be non-negative")
-    start = 8 << (2 * level)
-    stop = 16 << (2 * level)
-    return iter(range(start, stop))
-
-
-def count_at_level(level: int) -> int:
-    """Number of trixels at *level* (8 · 4^level)."""
-    if level < 0:
-        raise ValueError("level must be non-negative")
-    return 8 * (4**level)

@@ -18,17 +18,15 @@ locates millions of objects against the same shallow prefix of the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.htm import ids as htm_ids
 from repro.htm.geometry import (
     SkyPoint,
     Vector,
     midpoint,
-    spherical_triangle_area,
     triangle_circumcircle,
     triangle_contains,
-    unit_vector,
 )
 
 # Octahedron vertices: v0 = north pole, v5 = south pole, v1..v4 on the equator.
@@ -89,10 +87,6 @@ class Trixel:
     def circumcircle(self) -> Tuple[Vector, float]:
         """Return the (axis, angular radius in degrees) bounding cone."""
         return triangle_circumcircle(self.corners)
-
-    def area_steradians(self) -> float:
-        """Solid angle subtended by this trixel."""
-        return spherical_triangle_area(self.corners)
 
     def children(self) -> Tuple["Trixel", "Trixel", "Trixel", "Trixel"]:
         """Return the four child trixels produced by midpoint subdivision."""
@@ -177,18 +171,6 @@ class HTMMesh:
                 )
         return current.htm_id
 
-    def locate_radec(self, ra: float, dec: float, level: int = htm_ids.SKYQUERY_LEVEL) -> int:
-        """Convenience wrapper around :meth:`locate` taking degrees directly."""
-        return self.locate(SkyPoint(ra, dec), level)
-
-    def trixels_at_level(self, level: int) -> Iterator[Trixel]:
-        """Yield every trixel at *level* in HTM-curve order.
-
-        Only sensible for shallow levels (the count grows as ``8 · 4^level``).
-        """
-        for htm_id in htm_ids.iter_ids_at_level(level):
-            yield self.trixel(htm_id)
-
     def _children_of(self, trixel: Trixel) -> Tuple[Trixel, ...]:
         """Children of *trixel*, going through the cache when possible."""
         if trixel.level < self._cache_levels:
@@ -201,25 +183,3 @@ def _axis_alignment(trixel: Trixel, v: Vector) -> float:
     axis, _radius = trixel.circumcircle()
     return axis[0] * v[0] + axis[1] * v[1] + axis[2] * v[2]
 
-
-def htm_id_for(ra: float, dec: float, level: int = htm_ids.SKYQUERY_LEVEL,
-               mesh: Optional[HTMMesh] = None) -> int:
-    """Module-level helper: HTM ID of (*ra*, *dec*) at *level*."""
-    mesh = mesh or _default_mesh()
-    return mesh.locate(SkyPoint(ra, dec), level)
-
-
-_DEFAULT_MESH: Optional[HTMMesh] = None
-
-
-def _default_mesh() -> HTMMesh:
-    """Lazily constructed process-wide mesh used by the convenience helpers."""
-    global _DEFAULT_MESH
-    if _DEFAULT_MESH is None:
-        _DEFAULT_MESH = HTMMesh()
-    return _DEFAULT_MESH
-
-
-def unit_vector_for(ra: float, dec: float) -> Vector:
-    """Re-export of :func:`repro.htm.geometry.unit_vector` for convenience."""
-    return unit_vector(ra, dec)

@@ -134,20 +134,6 @@ class ParallelReport:
     #: Virtual wall-clock of the run: the furthest-ahead worker clock.
     wall_clock_ms: float
 
-    @property
-    def aggregate_busy_ms(self) -> float:
-        """Total service time summed over workers (the serial-equivalent work)."""
-        return sum(self.worker_busy_ms)
-
-    @property
-    def utilisation(self) -> float:
-        """Mean fraction of the wall clock each worker spent servicing."""
-        if self.wall_clock_ms <= 0 or not self.worker_busy_ms:
-            return 0.0
-        per_worker = [busy / self.wall_clock_ms for busy in self.worker_busy_ms]
-        return sum(per_worker) / len(per_worker)
-
-
 def merge_worker_results(
     scheduler_name: str,
     completion: CompletionTracker,

@@ -612,8 +612,3 @@ def shutdown_workers() -> None:
     interpreter, 25-40 MiB resident).
     """
     trim_idle_workers(0)
-
-
-def idle_worker_pids() -> List[int]:
-    """PIDs on the idle list, oldest first (for tests and diagnostics)."""
-    return [process.pid for process, _ in _IDLE_WORKERS]

@@ -53,12 +53,6 @@ class ShardPlan:
         """The worker owning *bucket_index*."""
         return self.owners[bucket_index]
 
-    def buckets_of(self, worker_id: int) -> Tuple[int, ...]:
-        """All buckets owned by *worker_id*, in curve order."""
-        return tuple(
-            index for index, owner in enumerate(self.owners) if owner == worker_id
-        )
-
     def bucket_counts(self) -> List[int]:
         """Number of buckets owned by each worker."""
         counts = [0] * self.worker_count

@@ -8,7 +8,7 @@ at window barriers and replaying schedule tails.  This package provides:
   store-generation-bound ``.lrcp`` codec plus shard state capture/restore;
 * :mod:`repro.reliability.policy` — pluggable checkpoint cadences
   (every-K-windows, virtual-time interval);
-* :mod:`repro.reliability.faults` — deterministic, seedable crash plans;
+* :mod:`repro.reliability.faults` — deterministic crash plans (``W@N`` specs);
 * :mod:`repro.reliability.elastic` — planned scale-down/scale-up events
   executed at window barriers (elasticity as generalised recovery);
 * :mod:`repro.reliability.runtime` — the channel coordinator: the one

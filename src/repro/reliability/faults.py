@@ -1,6 +1,6 @@
 """Deterministic crash injection.
 
-A fault plan is a *fixed, seed-derivable set* of crash points — "kill
+A fault plan is a *fixed set* of crash points — "kill
 shard ``w`` at window ``n``" — so a crash-injected run is exactly
 reproducible: the same plan against the same trace produces the same
 kills, the same recoveries and (the invariant the reliability tests pin)
@@ -13,7 +13,6 @@ in-process shard is discarded, simulating the same total state loss.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Tuple, Union
 
@@ -93,41 +92,6 @@ class FaultPlan:
                     points.append(CrashPoint(int(worker_text), int(window_text)))
                 except ValueError as error:
                     raise ValueError(f"invalid crash spec {spec!r}: {error}") from error
-        return cls(points)
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        workers: int,
-        crashes: int = 1,
-        max_window: int = 8,
-    ) -> "FaultPlan":
-        """A deterministic pseudo-random plan: *crashes* kills spread over
-        the first *max_window* windows of a *workers*-shard run.
-
-        Derivation is pure (SHA-256 over the seed and the crash ordinal),
-        so the same arguments always produce the same plan on every
-        platform — no RNG state leaks into the run.
-        """
-        if workers <= 0:
-            raise ValueError("workers must be positive")
-        if crashes < 0:
-            raise ValueError("crashes must be non-negative")
-        if max_window <= 0:
-            raise ValueError("max_window must be positive")
-        points = set()
-        ordinal = 0
-        while len(points) < crashes:
-            digest = hashlib.sha256(
-                f"liferaft-fault:{seed}:{ordinal}".encode("ascii")
-            ).digest()
-            worker_id = digest[0] % workers
-            window_index = int.from_bytes(digest[1:3], "little") % max_window
-            points.add(CrashPoint(worker_id, window_index))
-            ordinal += 1
-            if ordinal > crashes * 64:  # plan denser than the window space
-                break
         return cls(points)
 
 

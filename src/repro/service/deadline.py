@@ -140,10 +140,6 @@ class DeadlineTracker:
         self._assigned[query_id] = class_name
         return self.classes[class_name]
 
-    def class_of(self, query_id: int) -> Optional[str]:
-        """The class a query was bound to, or ``None`` if never assigned."""
-        return self._assigned.get(query_id)
-
     def _score(self, class_name: str) -> _ClassScore:
         score = self._scores.get(class_name)
         if score is None:

@@ -553,15 +553,6 @@ class ServingFrontEnd:
         """Snapshot the emitted-chunk position (for durable recovery)."""
         return self.hub.cursor()
 
-    def restore_cursor(self, cursor: StreamCursor) -> None:
-        """Resume a front-end's streams from a checkpointed cursor.
-
-        The front-end must have admitted the same schedule that produced
-        the cursor (streams registered, nothing emitted); delivered chunks
-        are replayed silently and ingestion continues exactly-once.
-        """
-        self.hub.restore(cursor)
-
     # ------------------------------------------------------------------ #
     # reporting
     # ------------------------------------------------------------------ #

@@ -7,20 +7,17 @@ costs), which makes every experiment deterministic and fast while
 preserving the *relative* behaviour of the scheduling policies — the thing
 the figures actually compare.
 
-``clock``      a monotonically advancing virtual clock
 ``events``     a tiny priority event queue (arrivals, service completions)
 ``stats``      response-time / throughput statistics helpers
 ``simulator``  the open-system simulator replaying a trace against an engine
 """
 
-from repro.sim.clock import VirtualClock
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.runspec import DEFAULT_STORE, RunSpec
 from repro.sim.stats import ResponseTimeStats, summarize_response_times
-from repro.sim.simulator import SimulationConfig, SimulationResult, Simulator, run_policy_comparison
+from repro.sim.simulator import SimulationConfig, SimulationResult, Simulator
 
 __all__ = [
-    "VirtualClock",
     "Event",
     "EventKind",
     "EventQueue",
@@ -31,5 +28,4 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "Simulator",
-    "run_policy_comparison",
 ]

@@ -16,7 +16,7 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 
 class EventKind(enum.Enum):
@@ -59,28 +59,11 @@ class EventQueue:
         """Schedule *event*."""
         heapq.heappush(self._heap, (event.time_ms, next(self._counter), event))
 
-    def peek(self) -> Optional[Event]:
-        """The earliest pending event, without removing it."""
-        if not self._heap:
-            return None
-        return self._heap[0][2]
-
     def pop(self) -> Event:
         """Remove and return the earliest pending event."""
         if not self._heap:
             raise IndexError("pop from an empty event queue")
         return heapq.heappop(self._heap)[2]
-
-    def pop_until(self, time_ms: float) -> Iterator[Event]:
-        """Yield and remove every event scheduled at or before *time_ms*."""
-        while self._heap and self._heap[0][0] <= time_ms:
-            yield heapq.heappop(self._heap)[2]
-
-    def next_time_ms(self) -> Optional[float]:
-        """Timestamp of the earliest pending event, or ``None`` when empty."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
 
 
 class WorkerEventLog:
@@ -118,13 +101,6 @@ class WorkerEventLog:
             (worker_id, event)
             for _time, _seq, worker_id, event in sorted(self._sequenced)
         ]
-
-    def counts_by_kind(self) -> Dict[EventKind, int]:
-        """How many events of each kind were recorded (all workers)."""
-        counts: Dict[EventKind, int] = {}
-        for _time, _seq, _worker, event in self._sequenced:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
 
     def __len__(self) -> int:
         return len(self._sequenced)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 from repro.core.baselines import POLICY_NAMES, make_policy
 from repro.core.bucket_cache import PAPER_CACHE_BUCKETS
@@ -49,7 +49,6 @@ __all__ = [
     "Simulator",
     "VIRTUAL_CLOCK_PARITY_FIELDS",
     "make_policy",
-    "run_policy_comparison",
 ]
 
 #: The :class:`SimulationResult` fields that must be bit-identical across
@@ -177,20 +176,6 @@ class SimulationResult:
         runs (the stats layer never divides by an empty mean).
         """
         return self.response_stats.coefficient_of_variance
-
-    def to_row(self) -> Dict[str, float]:
-        """Flatten the result for table rendering."""
-        return {
-            "policy": self.policy_name,
-            "alpha": self.alpha if self.alpha is not None else float("nan"),
-            "completed": self.completed_queries,
-            "throughput_qps": self.throughput_qps,
-            "avg_response_s": self.avg_response_time_s,
-            "response_cov": self.response_time_cov,
-            "cache_hit_rate": self.cache_hit_rate,
-            "bucket_services": self.bucket_services,
-            "bucket_reads": self.bucket_reads,
-        }
 
 
 def _stamp_digest(result: SimulationResult, response_times_ms: Dict[int, float]) -> None:
@@ -677,63 +662,3 @@ class Simulator:
                     ledger=ledger,
                 ),
             )
-
-    def run_alpha_sweep(
-        self,
-        queries: Sequence[CrossMatchQuery],
-        alphas: Iterable[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-        saturation_qps: Optional[float] = None,
-    ) -> List[SimulationResult]:
-        """Run the LifeRaft scheduler across a sweep of age-bias values."""
-        results = []
-        for alpha in alphas:
-            results.append(
-                self.execute(
-                    queries,
-                    RunSpec(
-                        policy="liferaft",
-                        alpha=alpha,
-                        label=f"liferaft(alpha={alpha:g})",
-                        saturation_qps=saturation_qps,
-                    ),
-                )
-            )
-        return results
-
-
-def run_policy_comparison(
-    queries: Sequence[CrossMatchQuery],
-    config: Optional[SimulationConfig] = None,
-    alphas: Iterable[float] = (1.0, 0.75, 0.5, 0.25, 0.0),
-    include_baselines: Iterable[str] = ("noshare", "round_robin"),
-    saturation_qps: Optional[float] = None,
-) -> Dict[str, SimulationResult]:
-    """Figure 7 style comparison: NoShare, the α sweep and Round Robin.
-
-    Returns a mapping from label to result, in the same order as the
-    paper's x-axis (NoShare, α = 1.0 … 0.0, RR).
-    """
-    simulator = Simulator(config)
-    results: Dict[str, SimulationResult] = {}
-    baselines = list(include_baselines)
-
-    def comparison_run(policy: str, label: str, alpha: float = 0.25) -> SimulationResult:
-        return simulator.execute(
-            queries,
-            RunSpec(policy=policy, alpha=alpha, label=label, saturation_qps=saturation_qps),
-        )
-
-    if "noshare" in baselines:
-        results["NoShare"] = comparison_run("noshare", "NoShare")
-    for alpha in alphas:
-        label = f"alpha={alpha:g}"
-        results[label] = comparison_run("liferaft", label, alpha=alpha)
-    if "round_robin" in baselines:
-        results["RR"] = comparison_run("round_robin", "RR")
-    if "index_only" in baselines:
-        results["IndexOnly"] = comparison_run("index_only", "IndexOnly")
-    if "least_sharable_first" in baselines:
-        results["LeastSharableFirst"] = comparison_run(
-            "least_sharable_first", "LeastSharableFirst"
-        )
-    return results

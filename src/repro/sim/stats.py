@@ -69,10 +69,3 @@ def throughput_qps(completed: int, makespan_s: float) -> float:
     if makespan_s <= 0:
         return 0.0
     return completed / makespan_s
-
-
-def normalize_to(values: Sequence[float], reference: float) -> List[float]:
-    """Divide *values* by *reference* (Figure 7b normalises to NoShare)."""
-    if reference == 0:
-        return [0.0 for _ in values]
-    return [v / reference for v in values]

@@ -53,11 +53,6 @@ class Bucket:
         """Number of objects the bucket holds on disk."""
         return self.spec.object_count
 
-    @property
-    def is_virtual(self) -> bool:
-        """``True`` when the bucket carries counts but no rows."""
-        return self.columns is None
-
     def __repr__(self) -> str:
         rows = "counts only" if self.columns is None else f"rows={len(self.columns)}"
         return f"Bucket(index={self.spec.index}, {rows})"
@@ -120,11 +115,6 @@ class BucketStore:
         self.disk = disk or DiskModel()
         self.reads = 0
         self.bytes_read_mb = 0.0
-
-    @property
-    def is_virtual(self) -> bool:
-        """``True``: the in-memory store serves counts only."""
-        return True
 
     @property
     def generation(self) -> str:
@@ -215,13 +205,6 @@ class BucketStore:
     def bucket_image(self, bucket_index: int) -> Bucket:
         """Return the bucket image without charging any I/O (for tests)."""
         return self._materialise(self.layout[bucket_index])
-
-    def read_cost_ms(self, bucket_index: int) -> float:
-        """Cost of reading bucket *bucket_index* without performing the read."""
-        spec = self.layout[bucket_index]
-        return self.disk.parameters.positioning_ms + self.disk.parameters.transfer_ms(
-            spec.megabytes
-        )
 
     def _materialise(self, spec: BucketSpec) -> Bucket:
         return Bucket(spec)

@@ -109,10 +109,6 @@ class LRUCache(Generic[K, V]):
         self.statistics.misses += 1
         return None
 
-    def peek(self, key: K) -> Optional[V]:
-        """Return the cached value without updating recency or statistics."""
-        return self._entries.get(key)
-
     def put(self, key: K, value: V) -> Optional[Tuple[K, V]]:
         """Insert or refresh *key*, returning the evicted ``(key, value)`` if any."""
         evicted: Optional[Tuple[K, V]] = None
@@ -141,13 +137,6 @@ class LRUCache(Generic[K, V]):
         self._entries[key] = value
         self._entries.move_to_end(key)
 
-    def invalidate(self, key: K) -> bool:
-        """Drop *key* from the cache; return ``True`` when it was present."""
-        if key in self._entries:
-            del self._entries[key]
-            return True
-        return False
-
     def clear(self) -> None:
         """Drop every entry (the paper flushes the DBMS buffer between buckets)."""
         self._entries.clear()
@@ -155,12 +144,3 @@ class LRUCache(Generic[K, V]):
     def keys_by_recency(self) -> Tuple[K, ...]:
         """Keys ordered from least to most recently used."""
         return tuple(self._entries.keys())
-
-    def resize(self, capacity: int) -> None:
-        """Change the capacity, evicting the least recent entries if shrinking."""
-        if capacity <= 0:
-            raise ValueError("cache capacity must be positive")
-        self._capacity = capacity
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-            self.statistics.evictions += 1

@@ -83,8 +83,8 @@ class IOTrace:
     would grow without limit.  Detailed :class:`IORecord` entries therefore
     live in a ring buffer of ``max_records`` (the *newest* entries win —
     the tail of a run is what failure analysis wants), while the
-    aggregates behind :meth:`count`, :meth:`total_ms` and
-    :meth:`total_megabytes` are per-kind labelled telemetry counters on
+    aggregates behind :meth:`count` and :meth:`total_megabytes` (and the
+    ``io.cost_ms`` counter) are per-kind labelled telemetry counters on
     :attr:`telemetry` — the single source of truth, exact no matter how
     many detailed entries the ring has dropped.  The cache ablation's
     sequential-vs-random assertions run on those aggregates, so they
@@ -136,14 +136,6 @@ class IOTrace:
     def count(self, kind: IOKind) -> int:
         """Number of recorded requests of *kind* (exact, never truncated)."""
         return self.telemetry.counter("io.requests", labels=self._labels(kind)).value
-
-    def total_ms(self, kind: Optional[IOKind] = None) -> float:
-        """Total recorded I/O time, optionally restricted to one kind."""
-        if kind is not None:
-            return self.telemetry.counter("io.cost_ms", labels=self._labels(kind)).value
-        return sum(
-            self.telemetry.counter("io.cost_ms", labels=self._labels(k)).value for k in IOKind
-        )
 
     def total_megabytes(self, kind: Optional[IOKind] = None) -> float:
         """Total bytes moved, optionally restricted to one kind."""
@@ -205,19 +197,6 @@ class DiskModel:
         )
         self.trace.record(IORecord(IOKind.RANDOM_INDEX_PROBE, megabytes, cost, label))
         return cost
-
-    def random_page_read_ms(self, pages: int = 1, label: str = "") -> float:
-        """Cost of reading *pages* random data pages (used by the index-only baseline)."""
-        if pages <= 0:
-            raise ValueError("must read at least one page")
-        megabytes = pages * self.parameters.page_size_kb / 1024.0
-        cost = pages * (
-            self.parameters.positioning_ms
-            + self.parameters.transfer_ms(self.parameters.page_size_kb / 1024.0)
-        )
-        self.trace.record(IORecord(IOKind.RANDOM_PAGE_READ, megabytes, cost, label))
-        return cost
-
 
 def calibrated_disk_for_bucket_read(
     bucket_megabytes: float = 40.0, target_bucket_read_s: float = 1.2

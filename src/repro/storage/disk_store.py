@@ -140,11 +140,6 @@ class DiskBucketStore(BucketStore):
         """The opened file's content-derived generation."""
         return self._reader.generation
 
-    @property
-    def is_virtual(self) -> bool:
-        """File-backed stores always materialise rows (possibly zero rows)."""
-        return False
-
     def manifest(self) -> StoreManifest:
         """Describe the backing file."""
         return self._reader.manifest()

@@ -59,6 +59,7 @@ import mmap
 import os
 import struct
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from typing import BinaryIO, Dict, List, NamedTuple, Sequence, Tuple
 from zlib import crc32
@@ -330,15 +331,19 @@ class BucketFileWriter:
 
     Usage: construct with the partition layout, call :meth:`append_bucket`
     once per bucket **in layout order**, then :meth:`finish`.  The writer
-    streams pages as they arrive (memory stays bounded by one page) and
-    patches the header's directory offset last, so a crashed ingest leaves
-    a file every reader rejects cleanly.
+    streams pages as they arrive (memory stays bounded by one page) into a
+    same-directory temp file, patches the header's directory offset last,
+    and :meth:`finish` publishes the file with ``os.replace``.  A reader
+    that has the old file mapped keeps its bytes (the new file is a new
+    inode), and a crashed or aborted ingest leaves the destination as it was.
     """
 
     def __init__(self, path: str | os.PathLike, layout: PartitionLayout) -> None:
         self.path = os.fspath(path)
         self.layout = layout
-        self._handle: BinaryIO = open(self.path, "wb")
+        directory = os.path.dirname(os.path.abspath(self.path))
+        fd, self._temp_path = tempfile.mkstemp(dir=directory, suffix=".lrbs.tmp")
+        self._handle: BinaryIO = os.fdopen(fd, "wb")
         self._entries: List[Tuple[BucketSpec, int, int, int]] = []
         self._survey_codes: Dict[str, int] = {}
         self._next_index = 0
@@ -446,6 +451,7 @@ class BucketFileWriter:
         self._handle.flush()
         file_bytes = os.fstat(self._handle.fileno()).st_size
         self._handle.close()
+        os.replace(self._temp_path, self.path)
         return StoreManifest(
             path=self.path,
             generation=generation_of(payload),
@@ -457,12 +463,12 @@ class BucketFileWriter:
         )
 
     def abort(self) -> None:
-        """Close and remove a partially written file."""
+        """Close and remove the partial temp file; the destination is untouched."""
         try:
             self._handle.close()
         finally:
-            if os.path.exists(self.path):
-                os.unlink(self.path)
+            if os.path.exists(self._temp_path):
+                os.unlink(self._temp_path)
 
 
 def generation_of(directory_payload: bytes) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.htm import ids as htm_ids
 from repro.htm.curve import HTMRange
@@ -52,10 +52,6 @@ class BucketSpec:
     htm_range: HTMRange
     object_count: int
     megabytes: float
-
-    def contains_htm_id(self, htm_id: int) -> bool:
-        """Return ``True`` when *htm_id* falls inside this bucket."""
-        return htm_id in self.htm_range
 
 
 class PartitionLayout:
@@ -129,16 +125,6 @@ class PartitionLayout:
 
     def __getitem__(self, index: int) -> BucketSpec:
         return self._buckets[index]
-
-    def bucket_for_htm_id(self, htm_id: int) -> BucketSpec:
-        """Return the bucket containing *htm_id* (leaf-level ID)."""
-        position = bisect.bisect_right(self._lows, htm_id) - 1
-        if position < 0:
-            raise KeyError(f"HTM ID {htm_id} precedes the first bucket")
-        bucket = self._buckets[position]
-        if htm_id > bucket.htm_range.high:
-            raise KeyError(f"HTM ID {htm_id} falls in a gap after bucket {position}")
-        return bucket
 
     def bucket_indices_for_range(self, htm_range: HTMRange) -> range:
         """Indices of the buckets whose extent overlaps *htm_range*, ascending.
@@ -310,17 +296,3 @@ class BucketPartitioner:
             cursor = high + 1
         return PartitionLayout(buckets, self.leaf_level)
 
-
-def layout_from_ranges(
-    ranges: Iterable[Tuple[int, int]],
-    object_counts: Iterable[int],
-    bucket_megabytes: float = DEFAULT_BUCKET_MEGABYTES,
-    objects_per_bucket: int = DEFAULT_OBJECTS_PER_BUCKET,
-    leaf_level: int = htm_ids.SKYQUERY_LEVEL,
-) -> PartitionLayout:
-    """Assemble a layout from explicit ``(low, high)`` ranges and counts."""
-    buckets = []
-    for index, ((low, high), count) in enumerate(zip(ranges, object_counts)):
-        size = bucket_megabytes * (count / objects_per_bucket)
-        buckets.append(BucketSpec(index, HTMRange(low, high), count, size))
-    return PartitionLayout(buckets, leaf_level)

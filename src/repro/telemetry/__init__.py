@@ -37,7 +37,6 @@ from repro.telemetry.inspect import domain_counts, load_snapshot, summary_rows
 from repro.telemetry.ledger import (
     build_run_ledger,
     diff_ledgers,
-    ledger_digest,
     ledger_entries,
 )
 from repro.telemetry.registry import (
@@ -56,7 +55,6 @@ from repro.telemetry.registry import (
     metric_value,
     snapshot_from_json,
     snapshot_to_json,
-    sum_metric,
 )
 from repro.telemetry.report import (
     diff_snapshots,
@@ -86,7 +84,6 @@ __all__ = [
     "domain_counts",
     "empty_snapshot",
     "filter_domain",
-    "ledger_digest",
     "ledger_entries",
     "load_snapshot",
     "merge_snapshots",
@@ -99,7 +96,6 @@ __all__ = [
     "report_to_json",
     "snapshot_from_json",
     "snapshot_to_json",
-    "sum_metric",
     "summary_rows",
     "validate_chrome_trace",
     "write_chrome_trace",

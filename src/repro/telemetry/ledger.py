@@ -34,8 +34,6 @@ pre-sort — the hypothesis commutativity tests pin this down.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -44,7 +42,6 @@ __all__ = [
     "LedgerService",
     "build_run_ledger",
     "diff_ledgers",
-    "ledger_digest",
     "ledger_entries",
     "normalize_service",
 ]
@@ -299,13 +296,6 @@ def build_run_ledger(
 def ledger_entries(ledger: dict) -> Dict[int, dict]:
     """The ledger's per-query entries, indexed by query id."""
     return {int(entry["query_id"]): entry for entry in ledger.get("queries", ())}
-
-
-def ledger_digest(ledger: dict) -> str:
-    """SHA-256 of the canonical JSON encoding — equal digests mean
-    bit-identical ledgers (the parity matrix compares these)."""
-    encoded = json.dumps(ledger, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
 def _field_delta(field: str, a: object, b: object) -> Optional[str]:

@@ -511,23 +511,6 @@ def metric_value(snapshot: Optional[dict], name: str, labels: Optional[Mapping[s
     return entry.get("value", 0)
 
 
-def sum_metric(snapshot: Optional[dict], name: str) -> Number:
-    """Sum a metric's value over every label combination."""
-    if snapshot is None:
-        return 0
-    total: Number = 0
-    for entry in snapshot.get("metrics", {}).values():
-        if entry.get("name") == name:
-            kind = entry.get("type")
-            if kind == "histogram":
-                total += entry.get("count", 0)
-            elif kind == "series":
-                total += len(entry.get("samples", ()))
-            else:
-                total += entry.get("value", 0)
-    return total
-
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -544,5 +527,4 @@ __all__ = [
     "metric_value",
     "snapshot_from_json",
     "snapshot_to_json",
-    "sum_metric",
 ]

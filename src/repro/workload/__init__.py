@@ -27,7 +27,6 @@ from repro.workload.query import CrossMatchObject, CrossMatchQuery, QueryStatus
 from repro.workload.generator import TraceConfig, TraceGenerator, QueryTrace
 from repro.workload.arrival import (
     PoissonArrivalProcess,
-    UniformArrivalProcess,
     BurstyArrivalProcess,
     apply_arrival_times,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "TraceGenerator",
     "QueryTrace",
     "PoissonArrivalProcess",
-    "UniformArrivalProcess",
     "BurstyArrivalProcess",
     "apply_arrival_times",
     "TraceStatistics",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Protocol, Sequence
+from typing import List, Protocol, Sequence
 
 from repro.workload.query import CrossMatchQuery
 
@@ -44,22 +44,6 @@ class PoissonArrivalProcess:
             now += rng.expovariate(self.rate_qps)
             times.append(now)
         return times
-
-
-@dataclass
-class UniformArrivalProcess:
-    """Perfectly regular arrivals at a fixed rate (useful in tests)."""
-
-    rate_qps: float
-    start_time_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.rate_qps <= 0:
-            raise ValueError("arrival rate must be positive")
-
-    def arrival_times(self, count: int) -> List[float]:
-        interval = 1.0 / self.rate_qps
-        return [self.start_time_s + interval * (i + 1) for i in range(count)]
 
 
 @dataclass
@@ -109,10 +93,3 @@ def apply_arrival_times(
     times = process.arrival_times(len(queries))
     return [query.with_arrival_time(t) for query, t in zip(queries, times)]
 
-
-def observed_rate_qps(queries: Iterable[CrossMatchQuery]) -> float:
-    """Empirical arrival rate of a trace (queries per second)."""
-    times = sorted(q.arrival_time_s for q in queries)
-    if len(times) < 2 or times[-1] == times[0]:
-        return 0.0
-    return (len(times) - 1) / (times[-1] - times[0])

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.htm.curve import HTMRange
 from repro.htm.geometry import SkyPoint
@@ -69,10 +69,6 @@ class CrossMatchObject:
         if self.ra is None or self.dec is None:
             return None
         return SkyPoint(self.ra, self.dec)
-
-    def overlaps_range(self, other: HTMRange) -> bool:
-        """Return ``True`` when the object's bounding box overlaps *other*."""
-        return self.htm_range.overlaps(other)
 
 
 @dataclass
@@ -139,11 +135,6 @@ class CrossMatchQuery:
         assert self.bucket_footprint is not None
         return sum(self.bucket_footprint.values())
 
-    @property
-    def is_abstract(self) -> bool:
-        """``True`` when the query is described only by its bucket footprint."""
-        return not self.objects
-
     def with_arrival_time(self, arrival_time_s: float) -> "CrossMatchQuery":
         """Return a copy of the query with a different arrival time."""
         return CrossMatchQuery(
@@ -157,7 +148,3 @@ class CrossMatchQuery:
             client_id=self.client_id,
             deadline_class=self.deadline_class,
         )
-
-    def footprint_or_none(self) -> Optional[Mapping[int, int]]:
-        """The aggregated footprint, if the query carries one."""
-        return self.bucket_footprint

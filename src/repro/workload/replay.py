@@ -12,23 +12,9 @@ whether the result digest reproduced bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Optional
 
-from repro.workload.query import CrossMatchQuery
 from repro.workload.trace_io import RecordedTrace, read_trace
-
-
-def in_arrival_order(queries: Iterable[CrossMatchQuery]) -> List[CrossMatchQuery]:
-    """Return the queries sorted by arrival time (ties broken by query id)."""
-    return sorted(queries, key=lambda q: (q.arrival_time_s, q.query_id))
-
-
-def arrival_schedule(
-    queries: Iterable[CrossMatchQuery],
-) -> Iterator[Tuple[float, CrossMatchQuery]]:
-    """Yield ``(arrival_time, query)`` pairs in arrival order."""
-    for query in in_arrival_order(queries):
-        yield query.arrival_time_s, query
 
 
 @dataclass(frozen=True)

@@ -71,21 +71,9 @@ class TraceStatistics:
         """Total number of cross-match objects (the total workload size)."""
         return sum(self._bucket_workload.values())
 
-    def bucket_workload(self) -> Dict[int, int]:
-        """Total objects routed to each bucket."""
-        return dict(self._bucket_workload)
-
-    def bucket_reuse(self) -> Dict[int, int]:
-        """Number of distinct queries touching each bucket."""
-        return dict(self._bucket_reuse)
-
     def top_buckets_by_reuse(self, n: int = 10) -> List[Tuple[int, int]]:
         """The *n* buckets touched by the most queries, as (bucket, query count)."""
         return self._bucket_reuse.most_common(n)
-
-    def top_buckets_by_workload(self, n: int = 10) -> List[Tuple[int, int]]:
-        """The *n* buckets with the largest total workload."""
-        return self._bucket_workload.most_common(n)
 
     def fraction_of_queries_touching(self, buckets: Iterable[int]) -> float:
         """Fraction of queries whose footprint intersects *buckets*.

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.catalog.objects import CatalogTable, CelestialObject
-from repro.htm.curve import HTMRange
 from repro.htm.geometry import SkyPoint
 from repro.htm.mesh import HTMMesh
 
@@ -20,13 +19,9 @@ def make_object(object_id, ra, dec, mesh=None, survey="sdss"):
 
 
 class TestCelestialObject:
-    def test_position_and_separation(self):
-        mesh = HTMMesh()
-        a = make_object(1, 10.0, 10.0, mesh)
-        b = make_object(2, 10.0, 10.0 + 1.0 / 3600.0, mesh)
+    def test_position(self):
+        a = make_object(1, 10.0, 10.0)
         assert a.position.ra == pytest.approx(10.0)
-        assert a.separation_arcsec(b) == pytest.approx(1.0, rel=1e-5)
-        assert a.separation_deg(b) == pytest.approx(1.0 / 3600.0, rel=1e-5)
 
 
 class TestCatalogTable:
@@ -53,36 +48,6 @@ class TestCatalogTable:
         table.extend([make_object(1, 340.0, 2.0, mesh), make_object(2, 170.0, -2.0, mesh)])
         ids = list(table.htm_ids)
         assert ids == sorted(ids)
-
-    def test_range_scan_and_count(self):
-        mesh = HTMMesh()
-        objects = [make_object(i, 10.0 + 0.001 * i, 10.0, mesh) for i in range(20)]
-        table = CatalogTable("sdss", objects)
-        full = HTMRange(min(table.htm_ids), max(table.htm_ids))
-        assert len(table.range_scan(full)) == 20
-        assert table.count_range(full) == 20
-        empty = HTMRange(0, 7)
-        assert table.range_scan(empty) == []
-        assert table.count_range(empty) == 0
-
-    def test_cone_search_matches_separation(self):
-        mesh = HTMMesh()
-        center = SkyPoint(50.0, 20.0)
-        near = make_object(0, 50.01, 20.0, mesh)
-        far = make_object(1, 60.0, 20.0, mesh)
-        table = CatalogTable("sdss", [near, far])
-        found = table.cone_search(center, 0.1)
-        assert [o.object_id for o in found] == [0]
-
-    def test_from_positions_assigns_htm_ids(self):
-        table = CatalogTable.from_positions("twomass", [(10.0, 10.0), (11.0, 11.0)], level=10)
-        assert len(table) == 2
-        assert all(obj.survey == "twomass" for obj in table)
-        mesh = HTMMesh()
-        assert table.rows[0].htm_id in (
-            mesh.locate(SkyPoint(10.0, 10.0), 10),
-            mesh.locate(SkyPoint(11.0, 11.0), 10),
-        )
 
     def test_describe_empty_and_nonempty(self):
         assert CatalogTable("sdss").describe()["rows"] == 0

@@ -7,6 +7,7 @@ here verbatim.  ``crossmatch_catalogs`` is the whole-catalog reference join
 (filter by HTM range, refine by distance), and ``to_crossmatch_objects``
 turns catalog rows into the workload objects both sides are fed.  Nothing in
 ``src/`` calls them; tests compare the columnar kernel against them.
+``SMALL_BUCKET_COST`` prices the small stores those tests ingest.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.catalog.objects import CatalogTable, CelestialObject
 from repro.core.kernels import MatchedPair
+from repro.core.metrics import CostModel
 from repro.core.workload_manager import WorkloadEntry
 from repro.htm import ids as htm_ids
 from repro.htm.curve import HTMRange, cone_cover
@@ -26,6 +28,13 @@ from repro.workload.query import CrossMatchObject
 #: Default probabilistic match radius: SkyQuery-style cross-matches use a
 #: few arcseconds to absorb astrometric error between surveys.
 DEFAULT_MATCH_RADIUS_ARCSEC = 3.0
+
+#: The cost model of a store of 4 MB, 100-object buckets on
+#: ``calibrated_disk_for_bucket_read(4.0, 0.2)``: a 200 ms bucket read, and
+#: two random 8 KB page reads per indexed match.
+SMALL_BUCKET_COST = CostModel(
+    tb_ms=200.0, index_probe_ms=24.734375, bucket_objects=100, bucket_megabytes=4.0
+)
 
 
 def separation_arcsec(obj: CrossMatchObject, candidate: object) -> Optional[float]:
@@ -83,6 +92,13 @@ def merge_join(
     return matches, per_query
 
 
+def range_scan(catalog: CatalogTable, htm_range: HTMRange) -> Sequence[CelestialObject]:
+    """The rows of *catalog* whose HTM ID falls inside *htm_range*."""
+    low = bisect.bisect_left(catalog.htm_ids, htm_range.low)
+    high = bisect.bisect_right(catalog.htm_ids, htm_range.high)
+    return catalog.rows[low:high]
+
+
 def crossmatch_catalogs(
     incoming: Sequence[CrossMatchObject],
     catalog: CatalogTable,
@@ -96,7 +112,7 @@ def crossmatch_catalogs(
     pairs: List[Tuple[CrossMatchObject, CelestialObject]] = []
     for obj in incoming:
         radius = match_radius_arcsec if match_radius_arcsec is not None else obj.match_radius_arcsec
-        candidates = catalog.range_scan(obj.htm_range)
+        candidates = range_scan(catalog, obj.htm_range)
         if obj.ra is None or obj.dec is None:
             continue
         for candidate in candidates:

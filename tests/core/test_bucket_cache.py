@@ -47,21 +47,17 @@ class TestBucketCacheManager:
         assert not cache.resident(1)
         assert cache.resident_buckets() == (0, 2)
 
-    def test_invalidate_clear_and_resize(self, store):
+    def test_clear(self, store):
         cache = BucketCacheManager(store, capacity=4)
         for bucket in range(3):
             cache.load(bucket)
-        assert cache.invalidate(1)
-        assert not cache.invalidate(1)
-        cache.resize(1)
-        assert len(cache.resident_buckets()) == 1
         cache.clear()
         assert cache.resident_buckets() == ()
 
-    def test_reload_after_invalidation_pays_io_again(self, store):
+    def test_reload_after_clear_pays_io_again(self, store):
         cache = BucketCacheManager(store, capacity=2)
         cache.load(5)
-        cache.invalidate(5)
+        cache.clear()
         reload = cache.load(5)
         assert not reload.hit
         assert store.reads == 2

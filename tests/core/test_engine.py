@@ -73,20 +73,26 @@ class TestSubmitAndProcess:
         second = engine.process_next(first.finished_at_ms)
         assert second.queries_completed == (1,)
 
-    def test_run_until_idle_processes_everything(self):
+    def test_process_next_drains_everything_then_returns_none(self):
         engine = make_engine()
         for query_id in range(5):
             engine.submit(abstract_query(query_id, {query_id: 400, query_id + 5: 500}), now_ms=0.0)
-        batches = engine.run_until_idle()
+        batches = 0
+        while engine.process_next() is not None:
+            batches += 1
         assert batches == len(engine.batches)
         assert not engine.has_pending_work()
         assert engine.report().completed_queries == 5
 
-    def test_run_until_idle_respects_max_batches(self):
+    def test_process_next_serves_one_bucket_per_call(self):
         engine = make_engine()
         engine.submit(abstract_query(1, {0: 400, 1: 400, 2: 400}), now_ms=0.0)
-        assert engine.run_until_idle(max_batches=2) == 2
+        served = [engine.process_next().work_item.bucket_index for _ in range(2)]
+        assert len(set(served)) == 2
+        assert len(engine.batches) == 2
         assert engine.has_pending_work()
+        assert engine.process_next().queries_completed == (1,)
+        assert not engine.has_pending_work()
 
     def test_query_outside_layout_raises(self):
         engine = make_engine(bucket_count=4)
@@ -99,7 +105,8 @@ class TestSchedulingIntegration:
         engine = make_engine(scheduler=NoShareScheduler())
         engine.submit(abstract_query(1, {2: 600}), now_ms=0.0)
         engine.submit(abstract_query(2, {2: 600}), now_ms=0.0)
-        engine.run_until_idle()
+        while engine.process_next() is not None:
+            pass
         # Both queries scanned the same bucket but shared nothing.
         assert engine.store.reads == 2
         assert engine.report().cache_hit_rate == 0.0
@@ -123,7 +130,8 @@ class TestReporting:
         engine = make_engine()
         engine.submit(abstract_query(1, {0: 1_000}, arrival_s=0.0), now_ms=0.0)
         engine.submit(abstract_query(2, {1: 1_000}, arrival_s=1.0), now_ms=1_000.0)
-        engine.run_until_idle()
+        while engine.process_next() is not None:
+            pass
         report = engine.report()
         assert report.completed_queries == 2
         assert set(report.response_times_ms) == {1, 2}

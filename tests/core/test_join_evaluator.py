@@ -15,7 +15,11 @@ from repro.storage.index import SpatialIndex
 from repro.storage.ingest import ingest_catalog
 from repro.storage.partitioner import BucketPartitioner
 from repro.workload.query import CrossMatchQuery
-from tests.core.join_oracle import crossmatch_catalogs, to_crossmatch_objects
+from tests.core.join_oracle import (
+    SMALL_BUCKET_COST,
+    crossmatch_catalogs,
+    to_crossmatch_objects,
+)
 
 
 def make_virtual_setup(cache_capacity=4):
@@ -172,7 +176,7 @@ class TestFullFidelityJoin:
     def test_merge_join_matches_reference_crossmatch(self, setup):
         path, base, incoming = setup
         disk = calibrated_disk_for_bucket_read(4.0, 0.2)
-        cost = CostModel.from_disk(disk, bucket_megabytes=4.0, bucket_objects=100)
+        cost = SMALL_BUCKET_COST
         query = CrossMatchQuery(query_id=1, objects=tuple(incoming))
         matched_pairs = set()
         with open_disk_store(path, disk) as store:
@@ -204,7 +208,7 @@ class TestFullFidelityJoin:
         and the per-query counts are counts of those pairs."""
         path, base, incoming = setup
         disk = calibrated_disk_for_bucket_read(4.0, 0.2)
-        cost = CostModel.from_disk(disk, bucket_megabytes=4.0, bucket_objects=100)
+        cost = SMALL_BUCKET_COST
         queries = [
             CrossMatchQuery(query_id=1, objects=tuple(incoming)),
             CrossMatchQuery(query_id=2, objects=tuple(incoming[:40])),
@@ -246,7 +250,7 @@ class TestFullFidelityJoin:
         reads a bucket, so it returns no pairs even over a ``.lrbs`` store."""
         path, _base, incoming = setup
         disk = calibrated_disk_for_bucket_read(4.0, 0.2)
-        cost = CostModel.from_disk(disk, bucket_megabytes=4.0, bucket_objects=100)
+        cost = SMALL_BUCKET_COST
         query = CrossMatchQuery(query_id=3, objects=tuple(incoming))
         with open_disk_store(path, disk) as store:
             evaluator = HybridJoinEvaluator(cost, BucketCacheManager(store, capacity=8))

@@ -1,17 +1,15 @@
-"""Tests for the workload-throughput and aged-workload-throughput metrics."""
+"""The cost model, and Equations (1)–(2) as the scheduler oracle writes them."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.metrics import (
-    CostModel,
-    PAPER_TB_MS,
-    PAPER_TM_MS,
+from repro.core.metrics import PAPER_TB_MS, PAPER_TM_MS, CostModel
+from tests.core.scheduler_oracle import (
     aged_workload_throughput,
+    max_workload_throughput,
     workload_throughput,
 )
-from repro.storage.disk_model import calibrated_disk_for_bucket_read
 
 
 class TestCostModel:
@@ -50,13 +48,6 @@ class TestCostModel:
         with pytest.raises(ValueError):
             cost.index_cost_ms(-1)
 
-    def test_from_disk_matches_paper_constants(self):
-        disk = calibrated_disk_for_bucket_read(40.0, 1.2)
-        cost = CostModel.from_disk(disk, bucket_megabytes=40.0)
-        assert cost.tb_ms == pytest.approx(1200.0, rel=1e-6)
-        assert cost.tm_ms == PAPER_TM_MS
-        assert cost.index_probe_ms > 0
-
 
 class TestWorkloadThroughput:
     def test_equation_one_values(self):
@@ -89,8 +80,8 @@ class TestWorkloadThroughput:
     @given(st.integers(min_value=1, max_value=10_000_000))
     def test_bounded_by_memory_matching_rate(self, queue):
         cost = CostModel.paper_defaults()
-        assert workload_throughput(queue, False, cost) <= cost.max_workload_throughput + 1e-12
-        assert workload_throughput(queue, True, cost) <= cost.max_workload_throughput + 1e-12
+        assert workload_throughput(queue, False, cost) <= max_workload_throughput(cost) + 1e-12
+        assert workload_throughput(queue, True, cost) <= max_workload_throughput(cost) + 1e-12
 
 
 class TestAgedWorkloadThroughput:
@@ -98,7 +89,7 @@ class TestAgedWorkloadThroughput:
         cost = CostModel.paper_defaults()
         ut = workload_throughput(500, False, cost)
         value = aged_workload_throughput(ut, 10_000.0, 0.0, cost=cost, max_age_ms=20_000.0)
-        assert value == pytest.approx(ut / cost.max_workload_throughput)
+        assert value == pytest.approx(ut / max_workload_throughput(cost))
 
     def test_alpha_one_is_pure_age(self):
         cost = CostModel.paper_defaults()

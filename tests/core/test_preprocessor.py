@@ -6,8 +6,9 @@ import pytest
 
 from repro.core.preprocessor import QueryPreProcessor
 from repro.htm.curve import HTMRange
-from repro.storage.partitioner import BucketPartitioner, layout_from_ranges
+from repro.storage.partitioner import BucketPartitioner
 from repro.workload.query import CrossMatchObject, CrossMatchQuery
+from tests.storage.test_partitioner import layout_from_ranges
 
 LEAF_LEVEL = 8
 CURVE_START = 8 << (2 * LEAF_LEVEL)
@@ -61,13 +62,6 @@ class TestExplicitObjects:
         footprint = preprocessor.footprint(query)
         assert footprint == {2: 2, 3: 1}
 
-    def test_batch_footprint_aggregates_queries(self, preprocessor, layout):
-        low = layout[1].htm_range.low
-        queries = [
-            CrossMatchQuery(query_id=i, objects=(obj(0, low, low + 1),)) for i in range(3)
-        ]
-        assert preprocessor.batch_footprint(queries) == {1: 3}
-
     def test_assignment_order_is_first_touch_order(self):
         """Same buckets, same objects per bucket, same dict insertion order
         as assigning each object to a scan of the layout, one at a time —
@@ -86,7 +80,7 @@ class TestExplicitObjects:
         expected = {}
         for candidate in objects:
             for bucket in layout:
-                if bucket.htm_range.overlaps(candidate.htm_range):
+                if bucket.htm_range.intersect(candidate.htm_range) is not None:
                     expected.setdefault(bucket.index, []).append(candidate)
         assignment = QueryPreProcessor(layout).assign(CrossMatchQuery(5, objects=tuple(objects)))
         assert list(assignment.items()) == list(expected.items())

@@ -8,6 +8,11 @@ from repro.core.workload_manager import WorkloadEntry, WorkloadManager, Workload
 from tests.core.scheduler_oracle import pending_state
 
 
+def pending_objects(manager: WorkloadManager) -> int:
+    """Objects waiting across all queues (the buffering the paper worries about)."""
+    return sum(manager.queue_size(bucket) for bucket in manager.pending_buckets())
+
+
 class TestWorkloadEntry:
     def test_positive_object_count_required(self):
         with pytest.raises(ValueError):
@@ -20,7 +25,6 @@ class TestWorkloadQueue:
         queue.append(WorkloadEntry(1, 10, 100.0))
         queue.append(WorkloadEntry(2, 5, 50.0))
         assert queue.total_objects == 15
-        assert queue.oldest_enqueue_time_ms == 50.0
         assert queue.age_ms(150.0) == 100.0
         assert queue.query_ids == [1, 2]
 
@@ -31,7 +35,7 @@ class TestWorkloadQueue:
         removed = queue.remove_queries({2})
         assert [e.query_id for e in removed] == [2]
         assert queue.total_objects == 10
-        assert queue.oldest_enqueue_time_ms == 100.0
+        assert queue.age_ms(150.0) == 50.0
 
     def test_drain_all_empties_queue(self):
         queue = WorkloadQueue(7)
@@ -41,8 +45,6 @@ class TestWorkloadQueue:
         assert not queue
         assert queue.total_objects == 0
         assert queue.age_ms(500.0) == 0.0
-        with pytest.raises(ValueError):
-            queue.oldest_enqueue_time_ms
 
 
 class TestIntake:
@@ -51,9 +53,8 @@ class TestIntake:
         manager.add_query(1, {3: 10, 5: 20}, arrival_time_ms=100.0)
         assert manager.queue_size(3) == 10
         assert manager.queue_size(5) == 20
-        assert manager.query_total_objects(1) == 30
         assert manager.remaining_buckets_for(1) == {3, 5}
-        assert manager.query_arrival_ms(1) == 100.0
+        assert manager.oldest_age_ms(3, 150.0) == 50.0
 
     def test_duplicate_query_rejected(self):
         manager = WorkloadManager()
@@ -96,11 +97,11 @@ class TestSchedulerFacingState:
         manager.drain_bucket(1, 30.0)
         assert manager.oldest_pending_query() is None
 
-    def test_pending_queries_ordering(self):
+    def test_oldest_pending_query_is_by_arrival_not_submission(self):
         manager = WorkloadManager()
         manager.add_query(2, {0: 1}, 50.0)
         manager.add_query(1, {1: 1}, 10.0)
-        assert manager.pending_queries() == [1, 2]
+        assert manager.oldest_pending_query() == 1
 
 
 class TestService:
@@ -140,12 +141,12 @@ class TestService:
         manager = WorkloadManager()
         assert manager.drain_bucket(99, 0.0) == ([], [])
 
-    def test_total_pending_objects(self):
+    def test_pending_objects_shrink_by_the_drained_queue(self):
         manager = WorkloadManager()
         manager.add_query(1, {0: 5, 1: 3}, 0.0)
-        assert manager.total_pending_objects() == 8
+        assert pending_objects(manager) == 8
         manager.drain_bucket(0, 1.0)
-        assert manager.total_pending_objects() == 3
+        assert pending_objects(manager) == 3
 
 
 class TestBucketMigration:
@@ -157,7 +158,8 @@ class TestBucketMigration:
         manager.adopt_bucket(3, [WorkloadEntry(query_id=9, object_count=5, enqueue_time_ms=9.0)])
         manager.add_query(7, {1: 4}, 7.0)
         assert manager.oldest_pending_query() == 7
-        assert manager.pending_queries() == [7, 9]
+        manager.drain_bucket(1, 10.0)
+        assert manager.oldest_pending_query() == 9
 
     def test_adopted_queries_interleave_with_local_arrivals(self):
         manager = WorkloadManager()
@@ -165,7 +167,6 @@ class TestBucketMigration:
         manager.adopt_bucket(5, [WorkloadEntry(query_id=4, object_count=3, enqueue_time_ms=4.0)])
         manager.add_query(2, {0: 2}, 2.0)
         manager.adopt_bucket(6, [WorkloadEntry(query_id=3, object_count=3, enqueue_time_ms=3.0)])
-        assert manager.pending_queries() == [1, 2, 3, 4]
         # Drain in arrival order via the cursor.
         order = []
         while manager.has_pending_work():
@@ -195,13 +196,13 @@ class TestProperties:
         for query_id, footprint in enumerate(footprints):
             manager.add_query(query_id, footprint, float(query_id))
         total_objects = sum(sum(f.values()) for f in footprints)
-        assert manager.total_pending_objects() == total_objects
+        assert pending_objects(manager) == total_objects
         now = 1_000.0
         while manager.has_pending_work():
             bucket = manager.pending_buckets()[0]
             manager.drain_bucket(bucket, now)
             now += 1.0
         assert manager.completed_count() == len(footprints)
-        assert manager.total_pending_objects() == 0
+        assert pending_objects(manager) == 0
         assert sorted(manager.completed_queries()) == list(range(len(footprints)))
         assert all(manager.response_time_ms(q) is not None for q in range(len(footprints)))

@@ -5,15 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htm import ids as htm_ids
-from repro.htm.curve import (
-    HTMRange,
-    HTMRangeSet,
-    bucket_boundaries,
-    cone_cover,
-    point_range,
-    range_for_trixel,
-    ranges_to_pairs,
-)
+from repro.htm.curve import HTMRange, HTMRangeSet, cone_cover, range_for_trixel
 from repro.htm.geometry import SkyPoint
 from repro.htm.mesh import HTMMesh
 
@@ -23,6 +15,16 @@ def ranges(max_value=10_000):
         st.integers(min_value=0, max_value=max_value),
         st.integers(min_value=0, max_value=max_value),
     ).map(lambda pair: HTMRange(min(pair), max(pair)))
+
+
+def covers(cover, htm_id):
+    """Whether any range of *cover* holds *htm_id*."""
+    return any(htm_id in r for r in cover)
+
+
+def id_count(cover):
+    """Total number of leaf IDs *cover* spans."""
+    return sum(len(r) for r in cover)
 
 
 class TestHTMRange:
@@ -37,10 +39,9 @@ class TestHTMRange:
         assert 9 not in r and 15 not in r
 
     @given(ranges(), ranges())
-    def test_overlap_symmetry(self, a, b):
-        assert a.overlaps(b) == b.overlaps(a)
-        intersection = a.intersect(b)
-        assert (intersection is not None) == a.overlaps(b)
+    def test_intersect_symmetry(self, a, b):
+        assert a.intersect(b) == b.intersect(a)
+        assert (a.intersect(b) is not None) == (a.low <= b.high and b.low <= a.high)
 
     @given(ranges(), ranges())
     def test_intersection_is_contained_in_both(self, a, b):
@@ -58,41 +59,18 @@ class TestHTMRangeSet:
     def test_normalisation_merges_overlaps_and_adjacency(self):
         cover = HTMRangeSet([HTMRange(5, 10), HTMRange(0, 4), HTMRange(8, 12), HTMRange(20, 25)])
         assert cover.ranges == (HTMRange(0, 12), HTMRange(20, 25))
-        assert cover.id_count() == 13 + 6
-
-    def test_membership_binary_search(self):
-        cover = HTMRangeSet.from_pairs([(0, 10), (100, 110), (1000, 1010)])
-        for value in (0, 10, 105, 1010):
-            assert cover.contains_id(value)
-        for value in (11, 99, 111, 999, 1011):
-            assert not cover.contains_id(value)
 
     @given(st.lists(ranges(), max_size=10), st.lists(ranges(), max_size=10))
     @settings(max_examples=60)
-    def test_union_and_intersection_membership(self, first, second):
+    def test_intersection_membership(self, first, second):
         a, b = HTMRangeSet(first), HTMRangeSet(second)
-        union = a.union(b)
         intersection = a.intersection(b)
         probes = {r.low for r in first} | {r.high for r in second} | {0, 1, 5000}
         for probe in probes:
-            assert union.contains_id(probe) == (a.contains_id(probe) or b.contains_id(probe))
-            assert intersection.contains_id(probe) == (
-                a.contains_id(probe) and b.contains_id(probe)
-            )
-
-    @given(st.lists(ranges(), max_size=8), st.lists(ranges(), max_size=8))
-    @settings(max_examples=60)
-    def test_overlaps_consistent_with_intersection(self, first, second):
-        a, b = HTMRangeSet(first), HTMRangeSet(second)
-        assert a.overlaps(b) == bool(a.intersection(b))
-
-    def test_clipping(self):
-        cover = HTMRangeSet.from_pairs([(0, 10), (20, 30)])
-        clipped = cover.clipped_to(HTMRange(5, 25))
-        assert clipped.ranges == (HTMRange(5, 10), HTMRange(20, 25))
+            assert covers(intersection, probe) == (covers(a, probe) and covers(b, probe))
 
     def test_equality_and_repr(self):
-        a = HTMRangeSet.from_pairs([(0, 5)])
+        a = HTMRangeSet([HTMRange(0, 5)])
         b = HTMRangeSet([HTMRange(0, 3), HTMRange(4, 5)])
         assert a == b
         assert "HTMRangeSet" in repr(a)
@@ -110,17 +88,17 @@ class TestConeCover:
         for d_ra, d_dec in [(0.0, 0.0), (1.0, 0.5), (-0.5, -1.0)]:
             inside = SkyPoint(center.ra + d_ra, center.dec + d_dec)
             leaf = mesh.locate(inside, 14)
-            assert cover.contains_id(leaf)
+            assert covers(cover, leaf)
 
     def test_cover_excludes_far_away_points(self, mesh):
         cover = cone_cover(SkyPoint(120.0, 25.0), 1.0, cover_level=7, leaf_level=14, mesh=mesh)
         far = mesh.locate(SkyPoint(300.0, -25.0), 14)
-        assert not cover.contains_id(far)
+        assert not covers(cover, far)
 
     def test_larger_radius_gives_larger_cover(self, mesh):
         small = cone_cover(SkyPoint(10.0, 10.0), 0.5, cover_level=7, mesh=mesh)
         large = cone_cover(SkyPoint(10.0, 10.0), 5.0, cover_level=7, mesh=mesh)
-        assert large.id_count() >= small.id_count()
+        assert id_count(large) >= id_count(small)
 
     def test_negative_radius_rejected(self, mesh):
         with pytest.raises(ValueError):
@@ -130,30 +108,24 @@ class TestConeCover:
         with pytest.raises(ValueError):
             cone_cover(SkyPoint(0.0, 0.0), 1.0, cover_level=15, leaf_level=14, mesh=mesh)
 
-    def test_point_range_contains_object_leaf(self, mesh):
+    def test_zero_radius_cover_contains_the_center_leaf(self, mesh):
+        center = SkyPoint(45.0, 45.0)
+        cover = cone_cover(center, 0.0, cover_level=7, mesh=mesh)
+        assert covers(cover, mesh.locate(center, 14))
+
+    def test_point_outside_radius_joins_a_wider_cover(self, mesh):
+        center = SkyPoint(45.0, 45.0)
+        outside = mesh.locate(SkyPoint(55.0, 45.0), 14)  # about 7 degrees away
+        assert not covers(cone_cover(center, 1.0, cover_level=7, mesh=mesh), outside)
+        assert covers(cone_cover(center, 10.0, cover_level=7, mesh=mesh), outside)
+
+    def test_error_circle_cover_contains_object_leaf(self, mesh):
         point = SkyPoint(200.0, -30.0)
-        cover = point_range(point, 3.0 / 3600.0, mesh=mesh)
-        assert cover.contains_id(mesh.locate(point, 14))
+        cover = cone_cover(point, 3.0 / 3600.0, cover_level=10, mesh=mesh)
+        assert covers(cover, mesh.locate(point, 14))
 
 
-class TestBucketBoundaries:
-    def test_boundaries_partition_the_curve(self):
-        boundaries = bucket_boundaries(leaf_level=8, bucket_count=64)
-        assert len(boundaries) == 64
-        assert boundaries[0].low == 8 << 16
-        assert boundaries[-1].high == (16 << 16) - 1
-        for a, b in zip(boundaries, boundaries[1:]):
-            assert b.low == a.high + 1
-
-    def test_invalid_bucket_counts(self):
-        with pytest.raises(ValueError):
-            bucket_boundaries(leaf_level=2, bucket_count=0)
-        with pytest.raises(ValueError):
-            bucket_boundaries(leaf_level=0, bucket_count=1000)
-
+class TestRangeForTrixel:
     def test_range_for_trixel_matches_id_range(self):
         low, high = htm_ids.id_range_at_level(9, 14)
         assert range_for_trixel(9, 14) == HTMRange(low, high)
-
-    def test_ranges_to_pairs(self):
-        assert ranges_to_pairs([HTMRange(1, 2), HTMRange(5, 9)]) == [(1, 2), (5, 9)]

@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 from repro.htm.geometry import (
     SkyPoint,
     angular_separation,
-    bounding_cap_of_points,
-    cone_contains,
     cross,
     dot,
     midpoint,
     normalize,
     radec_from_vector,
-    spherical_triangle_area,
     triangle_circumcircle,
     triangle_contains,
     unit_vector,
@@ -97,18 +94,6 @@ class TestAngularSeparation:
         assert ac <= ab + bc + 1e-7
 
 
-class TestConeContains:
-    def test_center_always_contained(self):
-        center = SkyPoint(45.0, 45.0)
-        assert cone_contains(center, 0.0, center)
-
-    def test_point_outside_radius(self):
-        center = SkyPoint(45.0, 45.0)
-        outside = SkyPoint(55.0, 45.0)
-        assert not cone_contains(center, 1.0, outside)
-        assert cone_contains(center, 10.0, outside)
-
-
 class TestTriangleGeometry:
     def _octant(self):
         return (unit_vector(0, 0), unit_vector(90, 0), unit_vector(0, 90))
@@ -120,10 +105,6 @@ class TestTriangleGeometry:
     def test_triangle_excludes_opposite_point(self):
         corners = self._octant()
         assert not triangle_contains(corners, unit_vector(225.0, -45.0))
-
-    def test_octant_area_is_one_eighth_of_sphere(self):
-        area = spherical_triangle_area(self._octant())
-        assert area == pytest.approx(4.0 * math.pi / 8.0, rel=1e-9)
 
     def test_circumcircle_covers_corners(self):
         corners = self._octant()
@@ -145,20 +126,3 @@ class TestTriangleGeometry:
         c = cross(a, b)
         assert dot(a, c) == pytest.approx(0.0, abs=1e-12)
         assert dot(b, c) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestBoundingCap:
-    def test_single_point_cap_has_zero_radius(self):
-        center, radius = bounding_cap_of_points([SkyPoint(10.0, 10.0)])
-        assert radius == pytest.approx(0.0, abs=1e-9)
-        assert center.separation(SkyPoint(10.0, 10.0)) == pytest.approx(0.0, abs=1e-9)
-
-    def test_cap_covers_all_points(self):
-        points = [SkyPoint(10.0, 0.0), SkyPoint(12.0, 1.0), SkyPoint(11.0, -2.0)]
-        center, radius = bounding_cap_of_points(points)
-        for point in points:
-            assert center.separation(point) <= radius + 1e-9
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            bounding_cap_of_points([])

@@ -7,11 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htm import ids as htm_ids
-from repro.htm.geometry import SkyPoint, radec_from_vector
-from repro.htm.mesh import HTMMesh, htm_id_for
+from repro.htm.geometry import SkyPoint, dot, radec_from_vector
+from repro.htm.mesh import HTMMesh
 
 ras = st.floats(min_value=0.0, max_value=359.99)
 decs = st.floats(min_value=-89.9, max_value=89.9)
+
+
+def area_steradians(trixel):
+    """Solid angle of a trixel's spherical triangle (L'Huilier's theorem).
+
+    The check on the mesh's corners: the eight roots, and the four children
+    of any trixel, must tile exactly the area they split.
+    """
+    c0, c1, c2 = trixel.corners
+    a, b, c = (math.acos(max(-1.0, min(1.0, dot(u, v)))) for u, v in ((c1, c2), (c0, c2), (c0, c1)))
+    s = 0.5 * (a + b + c)
+    tan_term = (
+        math.tan(0.5 * s)
+        * math.tan(0.5 * (s - a))
+        * math.tan(0.5 * (s - b))
+        * math.tan(0.5 * (s - c))
+    )
+    return 4.0 * math.atan(math.sqrt(max(0.0, tan_term)))
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +44,7 @@ class TestRootFaces:
         assert sorted(t.htm_id for t in roots) == list(range(8, 16))
 
     def test_root_areas_cover_the_sphere(self, mesh):
-        total = sum(t.area_steradians() for t in mesh.root_trixels())
+        total = sum(area_steradians(t) for t in mesh.root_trixels())
         assert total == pytest.approx(4.0 * math.pi, rel=1e-9)
 
     def test_every_point_is_in_exactly_one_root(self, mesh):
@@ -62,7 +80,7 @@ class TestLocate:
         point = SkyPoint(ra, dec)
         shallow = mesh.locate(point, 5)
         deep = mesh.locate(point, 9)
-        assert htm_ids.ancestor_at_level(deep, 5) == shallow
+        assert deep >> (2 * (9 - 5)) == shallow
 
     def test_negative_level_rejected(self, mesh):
         with pytest.raises(ValueError):
@@ -72,17 +90,33 @@ class TestLocate:
         a = mesh.locate(SkyPoint(150.0, 30.0), 14)
         b = mesh.locate(SkyPoint(150.0001, 30.0001), 14)
         # Spatial locality: very close points agree at a coarse level.
-        assert htm_ids.ancestor_at_level(a, 6) == htm_ids.ancestor_at_level(b, 6)
+        assert a >> (2 * (14 - 6)) == b >> (2 * (14 - 6))
 
-    def test_module_level_helper(self):
-        assert htm_ids.htm_level(htm_id_for(10.0, 10.0, level=7)) == 7
+    def test_cache_depth_does_not_change_located_ids(self, mesh):
+        points = [SkyPoint(10.0, 10.0), SkyPoint(200.0, -30.0), SkyPoint(359.5, 89.0)]
+        for cache_levels in (0, 3, 10):
+            other = HTMMesh(cache_levels=cache_levels)
+            for point in points:
+                assert other.locate(point, 9) == mesh.locate(point, 9)
+
+    def test_located_trixel_contains_its_point(self, mesh):
+        for point in (SkyPoint(10.0, 10.0), SkyPoint(123.0, 45.0), SkyPoint(250.0, -60.0)):
+            for level in (0, 4, 12):
+                assert mesh.trixel(mesh.locate(point, level)).contains(point)
 
 
 class TestTrixels:
     def test_children_partition_parent_area(self, mesh):
         parent = mesh.trixel(9)
-        child_area = sum(c.area_steradians() for c in parent.children())
-        assert child_area == pytest.approx(parent.area_steradians(), rel=1e-6)
+        child_area = sum(area_steradians(c) for c in parent.children())
+        assert child_area == pytest.approx(area_steradians(parent), rel=1e-6)
+
+    def test_trixels_at_level_enumeration(self, mesh):
+        # Level 2 holds IDs 8 << 4 .. (16 << 4) - 1, in curve order.
+        level2 = [mesh.trixel(htm_id) for htm_id in range(8 << 4, 16 << 4)]
+        assert all(t.level == 2 for t in level2)
+        total_area = sum(area_steradians(t) for t in level2)
+        assert total_area == pytest.approx(4.0 * math.pi, rel=1e-6)
 
     def test_trixel_lookup_matches_children(self, mesh):
         parent = mesh.trixel(12)
@@ -90,12 +124,6 @@ class TestTrixels:
             looked_up = mesh.trixel(child.htm_id)
             for corner_a, corner_b in zip(looked_up.corners, child.corners):
                 assert corner_a == pytest.approx(corner_b)
-
-    def test_trixels_at_level_enumeration(self, mesh):
-        level2 = list(mesh.trixels_at_level(2))
-        assert len(level2) == htm_ids.count_at_level(2)
-        total_area = sum(t.area_steradians() for t in level2)
-        assert total_area == pytest.approx(4.0 * math.pi, rel=1e-6)
 
     def test_trixel_name_property(self, mesh):
         assert mesh.trixel(8).name == "S0"

@@ -10,7 +10,6 @@ import pytest
 
 from repro.catalog.generator import SkyGenerator, SkyGeneratorConfig
 from repro.core.engine import EngineConfig, LifeRaftEngine
-from repro.core.metrics import CostModel
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
@@ -19,9 +18,12 @@ from repro.storage.disk_store import open_disk_store
 from repro.storage.ingest import ingest_catalog
 from repro.workload.generator import TraceConfig, TraceGenerator
 from repro.workload.query import CrossMatchQuery
-from repro.workload.replay import in_arrival_order
 from repro.workload.stats import TraceStatistics
-from tests.core.join_oracle import crossmatch_catalogs, to_crossmatch_objects
+from tests.core.join_oracle import (
+    SMALL_BUCKET_COST,
+    crossmatch_catalogs,
+    to_crossmatch_objects,
+)
 
 
 @pytest.fixture(scope="module")
@@ -90,9 +92,11 @@ class TestReplay:
         config = SimulationConfig(bucket_count=256)
         simulator = Simulator(config)
         engine = simulator._build_engine(LifeRaftScheduler(SchedulerConfig(alpha=0.25)))
-        for query in in_arrival_order(trace.with_saturation(5.0).queries[:40]):
+        queries = trace.with_saturation(5.0).queries[:40]
+        for query in sorted(queries, key=lambda q: (q.arrival_time_s, q.query_id)):
             engine.submit(query, now_ms=query.arrival_time_s * 1000.0)
-        engine.run_until_idle()
+        while engine.process_next() is not None:
+            pass
         report = engine.report()
         assert report.completed_queries == 40
         assert not engine.has_pending_work()
@@ -107,7 +111,7 @@ class TestFullFidelityPipeline:
             tmp_path / "sdss.lrbs", sdss, objects_per_bucket=100, bucket_megabytes=4.0
         )
         disk = calibrated_disk_for_bucket_read(4.0, 0.2)
-        cost = CostModel.from_disk(disk, bucket_megabytes=4.0, bucket_objects=100)
+        cost = SMALL_BUCKET_COST
         # Three concurrent queries shipping different slices of 2MASS.
         rows = list(twomass)
         queries = [
@@ -125,7 +129,8 @@ class TestFullFidelityPipeline:
             )
             for query in queries:
                 engine.submit(query, now_ms=0.0)
-            engine.run_until_idle()
+            while engine.process_next() is not None:
+                pass
             report = engine.report()
             found = sorted(
                 (pair.query_id, pair.workload_object.object_id, pair.catalog_object.object_id)

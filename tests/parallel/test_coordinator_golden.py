@@ -21,9 +21,9 @@ from repro.reliability import FaultPlan, ReliabilityConfig
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
 from repro.storage.ingest import materialize_layout
-from repro.telemetry.ledger import ledger_digest
 from repro.telemetry.registry import VIRTUAL_DOMAIN, filter_domain, snapshot_to_json
 from repro.workload.generator import TraceConfig, TraceGenerator
+from tests.telemetry.helpers import ledger_digest
 
 BUCKETS = 64
 ROWS_PER_BUCKET = 24

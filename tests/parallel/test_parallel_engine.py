@@ -7,6 +7,8 @@ window of two bucket reads so that the small traces here cross many
 barriers and idle shards really steal.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.baselines import NoShareScheduler
@@ -312,7 +314,7 @@ class TestDeterminism:
 
 class TestEventStreams:
     def test_events_cover_arrivals_services_and_steals(self, zone_run, queries):
-        counts = zone_run.events.counts_by_kind()
+        counts = Counter(event.kind for _worker, event in zone_run.events.merged())
         assert counts[EventKind.QUERY_ARRIVAL] >= len(queries)
         assert counts[EventKind.SERVICE_COMPLETE] == zone_run.report.bucket_services
         assert counts[EventKind.WORK_STOLEN] == len(zone_run.steal_records) > 0

@@ -35,12 +35,17 @@ def random_layout(seed, max_buckets=96):
     return PartitionLayout(specs, leaf_level=10)
 
 
+def buckets_of(plan, worker_id):
+    """All buckets owned by *worker_id*, in curve order."""
+    return tuple(index for index, owner in enumerate(plan.owners) if owner == worker_id)
+
+
 class TestRoundRobin:
     def test_every_bucket_owned_exactly_once(self):
         layout = build_layout(64)
         plan = partition_round_robin(layout, 4)
         assert len(plan.owners) == len(layout)
-        seen = [bucket for worker in range(4) for bucket in plan.buckets_of(worker)]
+        seen = [bucket for worker in range(4) for bucket in buckets_of(plan, worker)]
         assert sorted(seen) == list(range(len(layout)))
 
     def test_modular_assignment(self):
@@ -107,7 +112,7 @@ class TestPartitionProperties:
 
     For randomly skewed layouts and every worker count 1–8, both
     strategies must assign every bucket to exactly one worker, with
-    ``owner_of`` and ``buckets_of`` two views of the same assignment.
+    ``owner_of`` and the owners list two views of the same assignment.
     """
 
     @pytest.mark.parametrize("strategy", sorted(SHARD_STRATEGIES))
@@ -124,14 +129,14 @@ class TestPartitionProperties:
             # buckets_of partitions the bucket range: disjoint and complete.
             claimed = []
             for worker_id in range(workers):
-                claimed.extend(plan.buckets_of(worker_id))
+                claimed.extend(buckets_of(plan, worker_id))
             assert sorted(claimed) == list(range(len(layout))), (
                 f"{strategy} with {workers} workers on seed {seed} is not a partition"
             )
             assert len(claimed) == len(set(claimed)), "a bucket has two owners"
             # The two views agree bucket by bucket.
             for worker_id in range(workers):
-                for bucket_index in plan.buckets_of(worker_id):
+                for bucket_index in buckets_of(plan, worker_id):
                     assert plan.owner_of(bucket_index) == worker_id
             # Every worker owns at least one bucket and the counts add up.
             counts = plan.bucket_counts()

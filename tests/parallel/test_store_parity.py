@@ -86,7 +86,8 @@ def serial_outcome(site, sim_config, queries, file_backed):
     )
     for query in queries:
         engine.submit(query)
-    engine.run_until_idle()
+    while engine.process_next() is not None:
+        pass
     report = engine.report()
     coverage = {}
     for batch in engine.batches:

@@ -20,14 +20,18 @@ import time
 import pytest
 
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
-from repro.parallel import shutdown_workers
-from repro.parallel.ipc import idle_worker_pids
+from repro.parallel import ipc, shutdown_workers
 from repro.reliability import ReliabilityConfig
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
 from repro.workload.generator import TraceConfig, TraceGenerator
 
 BUCKETS = 32
+
+
+def idle_worker_pids():
+    """PIDs on the process-backend idle list, oldest first."""
+    return [process.pid for process, _ in ipc._IDLE_WORKERS]
 
 
 class ExplodingPolicy(LifeRaftScheduler):

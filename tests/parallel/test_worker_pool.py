@@ -19,7 +19,8 @@ import pytest
 from repro.core.engine import EngineConfig
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
 from repro.parallel import shutdown_workers
-from repro.parallel.ipc import ShardReplayer, idle_worker_pids
+from repro.parallel import ipc
+from repro.parallel.ipc import ShardReplayer
 from repro.parallel.worker import build_shard_worker
 from repro.reliability import FaultPlan, ReliabilityConfig, runtime
 from repro.reliability.checkpoint import checkpoint_worker
@@ -37,6 +38,11 @@ from tests.parallel.test_coordinator_golden import (  # noqa: F401 (fixtures)
     simulator,
     store_path,
 )
+
+
+def idle_worker_pids():
+    """PIDs on the process-backend idle list, oldest first."""
+    return [process.pid for process, _ in ipc._IDLE_WORKERS]
 
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 
@@ -242,7 +248,7 @@ def test_layout_pickles_as_columns_and_round_trips(simulator, tmp_path):
     restored = pickle.loads(payload)
     assert restored == layout and hash(restored) == hash(layout)
     assert restored.buckets == layout.buckets
-    assert restored.bucket_for_htm_id(layout[17].htm_range.low) == layout[17]
+    assert restored.buckets_for_range(layout[17].htm_range) == [layout[17]]
     assert b"BucketSpec" not in payload and b"HTMRange" not in payload
 
     # A .lrcp never carries the layout: the same bytes over either object

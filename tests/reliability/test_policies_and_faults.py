@@ -92,26 +92,6 @@ class TestFaultPlan:
         assert not FaultPlan.parse("")
         assert FaultPlan.parse("").crashes == ()
 
-    def test_seeded_plans_are_deterministic(self):
-        first = FaultPlan.seeded(seed=17, workers=4, crashes=3)
-        second = FaultPlan.seeded(seed=17, workers=4, crashes=3)
-        assert first == second
-        assert len(first) == 3
-        different = FaultPlan.seeded(seed=18, workers=4, crashes=3)
-        assert first != different
-
-    def test_seeded_plan_targets_valid_workers_and_windows(self):
-        plan = FaultPlan.seeded(seed=5, workers=3, crashes=4, max_window=6)
-        for point in plan.crashes:
-            assert 0 <= point.worker_id < 3
-            assert 0 <= point.window_index < 6
-
-    def test_seeded_validation(self):
-        with pytest.raises(ValueError):
-            FaultPlan.seeded(seed=1, workers=0)
-        with pytest.raises(ValueError):
-            FaultPlan.seeded(seed=1, workers=2, crashes=-1)
-
     def test_repr_lists_crash_specs(self):
         assert "1@3" in repr(FaultPlan.parse("1@3"))
         assert "none" in repr(FaultPlan())

@@ -194,5 +194,5 @@ class TestStreamCursor:
 
         second = ServingFrontEnd(ServiceConfig(), layout, CostModel.paper_defaults())
         second.admit(trace.queries)
-        second.restore_cursor(cursor)
+        second.hub.restore(cursor)
         assert second.hub.total_chunks == 0

@@ -1,34 +1,9 @@
-"""Tests for the simulation kernel helpers: clock, events and statistics."""
+"""Tests for the simulation kernel helpers: events and statistics."""
 
 import pytest
 
-from repro.sim.clock import VirtualClock
 from repro.sim.events import Event, EventKind, EventQueue, WorkerEventLog
-from repro.sim.stats import normalize_to, summarize_response_times, throughput_qps
-
-
-class TestVirtualClock:
-    def test_advance_and_convert(self):
-        clock = VirtualClock()
-        clock.advance(1_500.0)
-        assert clock.now_ms == 1_500.0
-        assert clock.now_s == 1.5
-
-    def test_advance_to_never_goes_backwards(self):
-        clock = VirtualClock(start_ms=100.0)
-        clock.advance_to(50.0)
-        assert clock.now_ms == 100.0
-        clock.advance_to(200.0)
-        assert clock.now_ms == 200.0
-
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
-            VirtualClock(start_ms=-1.0)
-        with pytest.raises(ValueError):
-            VirtualClock().advance(-1.0)
-
-    def test_repr_mentions_time(self):
-        assert "now_ms" in repr(VirtualClock())
+from repro.sim.stats import summarize_response_times, throughput_qps
 
 
 class TestEventQueue:
@@ -48,22 +23,15 @@ class TestEventQueue:
         assert queue.pop().payload == "first"
         assert queue.pop().payload == "second"
 
-    def test_peek_and_next_time(self):
+    def test_length_and_truth_track_pushes_and_pops(self):
         queue = EventQueue()
-        assert queue.peek() is None
-        assert queue.next_time_ms() is None
+        assert len(queue) == 0 and not queue
         queue.push(Event(42.0, EventKind.CONTROL))
-        assert queue.peek().time_ms == 42.0
-        assert queue.next_time_ms() == 42.0
-        assert len(queue) == 1
-
-    def test_pop_until_drains_only_due_events(self):
-        queue = EventQueue()
-        for t in (1.0, 2.0, 3.0, 10.0):
-            queue.push(Event(t, EventKind.CONTROL))
-        due = list(queue.pop_until(3.0))
-        assert [e.time_ms for e in due] == [1.0, 2.0, 3.0]
-        assert len(queue) == 1
+        queue.push(Event(7.0, EventKind.CONTROL))
+        assert len(queue) == 2 and queue
+        queue.pop()
+        queue.pop()
+        assert len(queue) == 0 and not queue
 
     def test_pop_empty_raises_and_negative_time_rejected(self):
         with pytest.raises(IndexError):
@@ -177,16 +145,6 @@ class TestWorkerEventLog:
             log.record(0, Event(-0.5, EventKind.QUERY_ARRIVAL))
         assert len(log) == 0
 
-    def test_counts_by_kind(self):
-        log = WorkerEventLog()
-        log.record(0, Event(1.0, EventKind.QUERY_ARRIVAL))
-        log.record(1, Event(2.0, EventKind.QUERY_ARRIVAL))
-        log.record(0, Event(3.0, EventKind.SERVICE_COMPLETE))
-        counts = log.counts_by_kind()
-        assert counts[EventKind.QUERY_ARRIVAL] == 2
-        assert counts[EventKind.SERVICE_COMPLETE] == 1
-        assert EventKind.WORK_STOLEN not in counts
-
 
 class TestResponseTimeStats:
     def test_summary_of_known_values(self):
@@ -207,8 +165,6 @@ class TestResponseTimeStats:
         single = summarize_response_times([5.0])
         assert single.median_s == 5.0 and single.p95_s == 5.0 and single.std_s == 0.0
 
-    def test_throughput_and_normalisation_helpers(self):
+    def test_throughput_helper(self):
         assert throughput_qps(10, 20.0) == 0.5
         assert throughput_qps(10, 0.0) == 0.0
-        assert normalize_to([1.0, 2.0], 2.0) == [0.5, 1.0]
-        assert normalize_to([1.0], 0.0) == [0.0]

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.sim.runspec import RunSpec
-from repro.sim.simulator import (
-    POLICY_NAMES,
-    SimulationConfig,
-    Simulator,
-    make_policy,
-    run_policy_comparison,
-)
+from repro.sim.simulator import POLICY_NAMES, SimulationConfig, Simulator, make_policy
 from repro.workload.generator import TraceConfig, TraceGenerator
 
 
@@ -85,38 +79,25 @@ class TestSimulatorRuns:
         assert slow.makespan_s > fast.makespan_s
         assert slow.completed_queries == fast.completed_queries
 
-    def test_alpha_sweep_returns_one_result_per_alpha(self, small_trace, simulator):
-        results = simulator.run_alpha_sweep(
-            small_trace.with_saturation(0.5).queries, alphas=(0.0, 1.0)
-        )
+    def test_results_carry_the_run_alpha(self, small_trace, simulator):
+        queries = small_trace.with_saturation(0.5).queries
+        results = [simulator.execute(queries, RunSpec(alpha=alpha)) for alpha in (0.0, 1.0)]
         assert [r.alpha for r in results] == [0.0, 1.0]
-
-    def test_result_row_flattening(self, small_trace, simulator):
-        result = simulator.execute(small_trace.with_saturation(0.5).queries, RunSpec(alpha=0.0))
-        row = result.to_row()
-        assert row["policy"].startswith("liferaft")
-        assert row["completed"] == len(small_trace)
+        assert [r.policy_name for r in results] == ["liferaft(alpha=0)", "liferaft(alpha=1)"]
 
 
 class TestPolicyComparison:
-    def test_comparison_includes_requested_policies(self, small_trace):
-        results = run_policy_comparison(
-            small_trace.with_saturation(1.0).queries,
-            config=SimulationConfig(bucket_count=128),
-            alphas=(1.0, 0.0),
-            include_baselines=("noshare", "round_robin"),
-        )
-        assert list(results) == ["NoShare", "alpha=1", "alpha=0", "RR"]
-        assert all(r.completed_queries == len(small_trace) for r in results.values())
+    def test_baselines_report_their_name_and_no_alpha(self, small_trace, simulator):
+        queries = small_trace.with_saturation(1.0).queries
+        for name in ("noshare", "round_robin"):
+            result = simulator.execute(queries, RunSpec(policy=name))
+            assert result.policy_name == name
+            assert result.alpha is None
+            assert result.completed_queries == len(small_trace)
 
-    def test_headline_claim_shared_beats_noshare(self, small_trace):
-        results = run_policy_comparison(
-            small_trace.with_saturation(1.0).queries,
-            config=SimulationConfig(bucket_count=128),
-            alphas=(0.0,),
-            include_baselines=("noshare",),
-        )
-        assert results["alpha=0"].throughput_qps > results["NoShare"].throughput_qps
-        assert (
-            results["alpha=0"].avg_response_time_s < results["NoShare"].avg_response_time_s
-        )
+    def test_headline_claim_shared_beats_noshare(self, small_trace, simulator):
+        queries = small_trace.with_saturation(1.0).queries
+        shared = simulator.execute(queries, RunSpec(alpha=0.0))
+        unshared = simulator.execute(queries, RunSpec(policy="noshare"))
+        assert shared.throughput_qps > unshared.throughput_qps
+        assert shared.avg_response_time_s < unshared.avg_response_time_s

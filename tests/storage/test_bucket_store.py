@@ -44,6 +44,21 @@ def catalog_rows(ids):
     ]
 
 
+def assert_read_costs_follow_the_disk_model(store):
+    """Each read costs one positioning delay plus a sequential pass over its bucket.
+
+    The last bucket of :func:`partition` is half full, so the check also
+    sees the cost scale with the bucket's size.
+    """
+    parameters = store.disk.parameters
+    costs = []
+    for index, spec in enumerate(store.layout):
+        estimate = parameters.positioning_ms + parameters.transfer_ms(spec.megabytes)
+        costs.append(store.read_bucket(index).cost_ms)
+        assert costs[-1] == pytest.approx(estimate, rel=1e-12)
+    assert costs[-1] < costs[0]
+
+
 @pytest.fixture
 def materialised(tmp_path):
     """A ``.lrbs`` store holding every row of the layout, plus those rows."""
@@ -67,7 +82,7 @@ class TestMaterialisedStore:
         assert len(result.bucket.columns) == 10
         assert result.bucket.columns.rows() == tuple(rows[:10])
         assert list(result.bucket.columns.htm_ids) == ids[:10]
-        assert not result.bucket.is_virtual
+        assert result.bucket.columns is not None
 
     def test_read_charges_full_bucket_cost(self, materialised):
         store, _, _ = materialised
@@ -76,12 +91,14 @@ class TestMaterialisedStore:
         assert store.reads == 1
         assert store.statistics()["bucket_reads"] == 1
 
+    def test_read_cost_matches_the_count_only_store(self, materialised):
+        store, _, _ = materialised
+        actual = store.read_bucket(1).cost_ms
+        assert actual == pytest.approx(build_store().read_bucket(1).cost_ms)
+
     def test_read_cost_estimate_matches_actual(self, materialised):
         store, _, _ = materialised
-        estimate = store.read_cost_ms(1)
-        actual = store.read_bucket(1).cost_ms
-        assert estimate == pytest.approx(actual)
-        assert actual == pytest.approx(build_store().read_bucket(1).cost_ms)
+        assert_read_costs_follow_the_disk_model(store)
 
     def test_charge_io_can_be_disabled(self, materialised):
         store, _, _ = materialised
@@ -114,15 +131,13 @@ class TestMaterialisedStore:
             bucket = store.read_bucket(0).bucket
             assert len(bucket.columns) == 0
             assert bucket.object_count == 10
-            assert not bucket.is_virtual
+            assert bucket.columns is not None
 
 
 class TestVirtualStore:
     def test_virtual_buckets_carry_counts_only(self):
         store = build_store()
-        assert store.is_virtual
         result = store.read_bucket(0)
-        assert result.bucket.is_virtual
         assert result.bucket.object_count == 10
         assert result.bucket.columns is None
 
@@ -134,10 +149,7 @@ class TestVirtualStore:
         assert store.statistics()["bucket_reads"] == 1
 
     def test_read_cost_estimate_matches_actual(self):
-        store = build_store()
-        estimate = store.read_cost_ms(1)
-        actual = store.read_bucket(1).cost_ms
-        assert estimate == pytest.approx(actual)
+        assert_read_costs_follow_the_disk_model(build_store())
 
     def test_charge_io_can_be_disabled(self):
         store = build_store()
@@ -167,10 +179,10 @@ class TestVirtualStore:
         assert restored.generation == store.generation
         assert restored.reads == 0
         for index in range(len(store.layout)):
-            assert restored.read_bucket(index).cost_ms == pytest.approx(store.read_cost_ms(index))
+            assert restored.read_bucket(index).cost_ms == store.read_bucket(index).cost_ms
 
     def test_repr_names_the_bucket_shape(self, materialised):
         disk_store, _, _ = materialised
         assert repr(build_store().bucket_image(1)) == "Bucket(index=1, counts only)"
         assert repr(disk_store.bucket_image(3)) == "Bucket(index=3, rows=5)"
-        assert Bucket(disk_store.layout[0]).is_virtual
+        assert Bucket(disk_store.layout[0]).columns is None

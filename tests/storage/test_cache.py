@@ -34,39 +34,27 @@ class TestBasics:
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.put("a", 10) is None
-        assert cache.peek("a") == 10
         assert cache.keys_by_recency() == ("b", "a")
+        assert cache.get("a") == 10
 
-    def test_contains_and_peek_have_no_side_effects(self):
+    def test_contains_has_no_side_effects(self):
         cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.contains("a")
-        cache.peek("a")
         # "a" is still least recently used, so it gets evicted next.
         cache.put("c", 3)
         assert not cache.contains("a")
-        # And statistics were not perturbed by contains/peek.
+        # And statistics were not perturbed by contains.
         assert cache.statistics.hits == 0
         assert cache.statistics.misses == 0
 
-    def test_invalidate_and_clear(self):
+    def test_clear(self):
         cache = LRUCache(3)
         cache.put("a", 1)
-        assert cache.invalidate("a")
-        assert not cache.invalidate("a")
         cache.put("b", 2)
         cache.clear()
         assert len(cache) == 0
-
-    def test_resize_evicts_oldest(self):
-        cache = LRUCache(3)
-        for key in "abc":
-            cache.put(key, key)
-        cache.resize(1)
-        assert cache.keys_by_recency() == ("c",)
-        with pytest.raises(ValueError):
-            cache.resize(0)
 
 
 class TestStatistics:

@@ -53,17 +53,20 @@ class TestReadInterfaceParity:
         disk_store.close()
 
     def test_read_cost_estimate_matches_actual(self, store_path):
+        # One positioning delay plus a sequential pass over the bucket's megabytes.
         store = open_disk_store(store_path, make_disk())
-        assert store.read_cost_ms(2) == pytest.approx(store.read_bucket(2).cost_ms)
+        parameters = store.disk.parameters
+        for index, spec in enumerate(store.layout):
+            estimate = parameters.positioning_ms + parameters.transfer_ms(spec.megabytes)
+            assert store.read_bucket(index).cost_ms == pytest.approx(estimate, rel=1e-12)
         store.close()
 
     def test_buckets_are_materialised_and_sorted(self, store_path):
         store = open_disk_store(store_path)
-        assert not store.is_virtual
         bucket = store.bucket_image(5)
         rows = bucket.columns.rows()
         assert len(rows) == ROWS
-        assert not bucket.is_virtual
+        assert bucket.columns is not None
         assert list(bucket.columns.htm_ids) == sorted(bucket.columns.htm_ids)
         for obj in rows:
             assert obj.htm_id in bucket.spec.htm_range

@@ -24,6 +24,7 @@ from repro.storage.format import (
     encode_bucket_page,
     read_layout,
 )
+from repro.storage import ingest as ingest_module
 from repro.storage.ingest import ingest_catalog, materialize_layout, synthesize_bucket_rows
 from repro.storage.partitioner import BucketPartitioner
 
@@ -187,7 +188,7 @@ class TestFileRoundTrip:
         with pytest.raises(ValueError, match="only 1 pages"):
             writer.finish()
         writer.abort()
-        assert not (tmp_path / "partial.lrbs").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_writer_rejects_out_of_range_rows(self, tmp_path):
         layout = BucketPartitioner().partition_density(4)
@@ -255,7 +256,7 @@ class TestCorruptionDetection:
         writer.append_bucket([r.htm_id for r in rows], rows)
         writer._handle.flush()
         with pytest.raises(StoreFormatError, match="ingest did not finish"):
-            BucketFileReader(tmp_path / "unfinished.lrbs")
+            BucketFileReader(writer._temp_path)
         writer.abort()
 
     def test_missing_file_is_a_clean_error(self, tmp_path):
@@ -327,6 +328,82 @@ class TestColumnarBlocks:
                 else:
                     assert len(block) == 0
                     assert block.rows() == ()
+
+
+class TestAtomicPublish:
+    """An ingest writes a temp file and publishes it whole with ``os.replace``."""
+
+    def test_open_reader_keeps_its_bytes_across_a_reingest(self, tmp_path):
+        layout = BucketPartitioner().partition_density(8)
+        path = tmp_path / "site.lrbs"
+        first = materialize_layout(path, layout, rows_per_bucket=32, seed=1)
+        reader = BucketFileReader(path)
+        block = reader.read_bucket_block(2)
+        before = list(block.ra)
+        second = materialize_layout(path, layout, rows_per_bucket=32, seed=2)
+        assert second.generation != first.generation
+        assert list(block.ra) == before
+        assert list(reader.read_bucket_block(2).ra) == before
+        assert reader.generation == first.generation
+        reader.close()
+        with BucketFileReader(path) as fresh:
+            assert fresh.generation == second.generation
+            assert list(fresh.read_bucket_block(2).ra) != before
+
+    def test_failed_ingest_leaves_the_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        layout = BucketPartitioner().partition_density(8)
+        path = tmp_path / "site.lrbs"
+        materialize_layout(path, layout, rows_per_bucket=32, seed=1)
+        original = path.read_bytes()
+        encode = ingest_module._encode_synthetic_page
+
+        def fail_midway(task):
+            if task[0].index == 5:
+                raise RuntimeError("ingest died")
+            return encode(task)
+
+        monkeypatch.setattr(ingest_module, "_encode_synthetic_page", fail_midway)
+        with pytest.raises(RuntimeError, match="ingest died"):
+            materialize_layout(path, layout, rows_per_bucket=32, seed=2)
+        assert path.read_bytes() == original
+        assert [entry.name for entry in tmp_path.iterdir()] == ["site.lrbs"]
+
+    @staticmethod
+    def write_every_page(writer, layout):
+        for spec in layout:
+            rows = synthesize_bucket_rows(spec, 4)
+            writer.append_bucket([r.htm_id for r in rows], rows)
+
+    def test_destination_appears_only_at_finish(self, tmp_path):
+        layout = BucketPartitioner().partition_density(4)
+        path = tmp_path / "site.lrbs"
+        writer = BucketFileWriter(path, layout)
+        self.write_every_page(writer, layout)
+        assert not path.exists()
+        (temp,) = tmp_path.iterdir()
+        assert temp.name.endswith(".lrbs.tmp")
+        manifest = writer.finish()
+        assert [entry.name for entry in tmp_path.iterdir()] == ["site.lrbs"]
+        with BucketFileReader(path) as reader:
+            assert reader.generation == manifest.generation
+
+    def test_abort_leaves_a_fresh_path_absent(self, tmp_path):
+        layout = BucketPartitioner().partition_density(4)
+        writer = BucketFileWriter(tmp_path / "site.lrbs", layout)
+        self.write_every_page(writer, layout)
+        writer.abort()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_abort_leaves_an_existing_file_byte_identical(self, tmp_path):
+        layout = BucketPartitioner().partition_density(4)
+        path = tmp_path / "site.lrbs"
+        materialize_layout(path, layout, rows_per_bucket=8, seed=1)
+        original = path.read_bytes()
+        writer = BucketFileWriter(path, layout)
+        self.write_every_page(writer, layout)
+        writer.abort()
+        assert path.read_bytes() == original
+        assert [entry.name for entry in tmp_path.iterdir()] == ["site.lrbs"]
 
 
 class TestParallelIngest:

@@ -60,7 +60,7 @@ class TestProbes:
 
     def test_probe_ranges_merges_covers(self):
         index, _, rows = build_index()
-        cover = HTMRangeSet.from_pairs([(10_000, 10_004), (10_100, 10_104)])
+        cover = HTMRangeSet([HTMRange(10_000, 10_004), HTMRange(10_100, 10_104)])
         result = index.probe_ranges(cover)
         assert result.rows == tuple(rows[0:5] + rows[100:105])
 

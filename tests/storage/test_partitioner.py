@@ -8,16 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htm.curve import HTMRange
-from repro.storage.partitioner import (
-    BucketPartitioner,
-    BucketSpec,
-    PartitionLayout,
-    layout_from_ranges,
-)
+from repro.storage.partitioner import BucketPartitioner, BucketSpec, PartitionLayout
 
 LEAF_LEVEL = 8
 CURVE_START = 8 << (2 * LEAF_LEVEL)
 CURVE_END = (16 << (2 * LEAF_LEVEL)) - 1
+
+
+def layout_from_ranges(ranges, object_counts, leaf_level=LEAF_LEVEL):
+    """A layout of explicit ``(low, high)`` ranges and object counts, 1 MB per bucket."""
+    buckets = [
+        BucketSpec(index, HTMRange(low, high), count, 1.0)
+        for index, ((low, high), count) in enumerate(zip(ranges, object_counts))
+    ]
+    return PartitionLayout(buckets, leaf_level)
 
 
 def sorted_ids(draw_count=st.integers(min_value=1, max_value=400)):
@@ -75,7 +79,8 @@ class TestPartitionObjects:
         # Reconstruct per-bucket counts by locating each object's bucket.
         counts = {b.index: 0 for b in layout}
         for htm_id in ids:
-            counts[layout.bucket_for_htm_id(htm_id).index] += 1
+            (index,) = layout.bucket_indices_for_range(HTMRange(htm_id, htm_id))
+            counts[index] += 1
         assert counts == {b.index: b.object_count for b in layout}
 
     def test_invalid_configuration_rejected(self):
@@ -122,10 +127,15 @@ class TestPartitionLayout:
 
     def test_lookup_by_htm_id(self):
         layout = self._layout()
-        assert layout.bucket_for_htm_id(CURVE_START + 3).index == 0
-        assert layout.bucket_for_htm_id(CURVE_START + 100).index == 1
-        with pytest.raises(KeyError):
-            layout.bucket_for_htm_id(CURVE_START - 1)
+
+        def lookup(htm_id):
+            return list(layout.bucket_indices_for_range(HTMRange(htm_id, htm_id)))
+
+        assert lookup(CURVE_START + 3) == [0]
+        assert lookup(CURVE_START + 99) == [0]
+        assert lookup(CURVE_START + 100) == [1]
+        assert lookup(CURVE_END) == [1]
+        assert lookup(CURVE_START - 1) == []
 
     def test_buckets_for_range(self):
         layout = self._layout()
@@ -157,7 +167,7 @@ def scan_buckets_for_range(layout, htm_range):
     for bucket in layout.buckets[first:]:
         if bucket.htm_range.low > htm_range.high:
             break
-        if bucket.htm_range.overlaps(htm_range):
+        if bucket.htm_range.low <= htm_range.high and htm_range.low <= bucket.htm_range.high:
             result.append(bucket)
     return result
 

@@ -24,10 +24,10 @@ from repro.telemetry.ledger import (
     LEDGER_VERSION,
     build_run_ledger,
     diff_ledgers,
-    ledger_digest,
     ledger_entries,
 )
 from repro.workload.generator import TraceConfig, TraceGenerator
+from tests.telemetry.helpers import ledger_digest
 
 BUCKETS = 64
 WORKER_COUNTS = (1, 2, 4)

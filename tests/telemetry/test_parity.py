@@ -24,9 +24,9 @@ from repro.telemetry.registry import (
     filter_domain,
     metric_value,
     snapshot_to_json,
-    sum_metric,
 )
 from repro.workload.generator import TraceConfig, TraceGenerator
+from tests.telemetry.helpers import sum_metric
 
 BUCKETS = 64
 WORKER_COUNTS = (1, 2, 4)

@@ -26,8 +26,8 @@ from repro.telemetry.registry import (
     metric_value,
     snapshot_from_json,
     snapshot_to_json,
-    sum_metric,
 )
+from tests.telemetry.helpers import sum_metric
 
 HIST_BOUNDS = (1, 5, 25)
 

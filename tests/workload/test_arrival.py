@@ -7,15 +7,23 @@ from hypothesis import strategies as st
 from repro.workload.arrival import (
     BurstyArrivalProcess,
     PoissonArrivalProcess,
-    UniformArrivalProcess,
     apply_arrival_times,
-    observed_rate_qps,
 )
 from repro.workload.query import CrossMatchQuery
 
 
 def make_queries(count):
     return [CrossMatchQuery(query_id=i, bucket_footprint={0: 1}) for i in range(count)]
+
+
+class FixedTimes:
+    """An arrival process that replays a fixed list of times."""
+
+    def __init__(self, times):
+        self.times = list(times)
+
+    def arrival_times(self, count):
+        return self.times[:count]
 
 
 class TestPoisson:
@@ -34,16 +42,6 @@ class TestPoisson:
         assert PoissonArrivalProcess(1.0, seed=7).arrival_times(10) == PoissonArrivalProcess(
             1.0, seed=7
         ).arrival_times(10)
-
-
-class TestUniform:
-    def test_regular_spacing(self):
-        times = UniformArrivalProcess(rate_qps=0.5).arrival_times(4)
-        assert times == pytest.approx([2.0, 4.0, 6.0, 8.0])
-
-    def test_rate_must_be_positive(self):
-        with pytest.raises(ValueError):
-            UniformArrivalProcess(0.0)
 
 
 class TestBursty:
@@ -80,7 +78,6 @@ class TestArrivalProcessProperties:
     def processes(rate, seed, start):
         return (
             PoissonArrivalProcess(rate_qps=rate, seed=seed, start_time_s=start),
-            UniformArrivalProcess(rate_qps=rate, start_time_s=start),
             BurstyArrivalProcess(
                 burst_rate_qps=rate,
                 burst_length=7,
@@ -123,25 +120,17 @@ class TestArrivalProcessProperties:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_empirical_rate_tracks_nominal_rate(self, rate, seed):
-        # Gapless bursts and uniform spacing are exact; Poisson needs a
-        # long run and a statistical tolerance.
+        # Poisson needs a long run and a statistical tolerance.
         times = PoissonArrivalProcess(rate_qps=rate, seed=seed).arrival_times(4_000)
         empirical = (len(times) - 1) / (times[-1] - times[0])
         assert empirical == pytest.approx(rate, rel=0.12)
-        uniform = UniformArrivalProcess(rate_qps=rate).arrival_times(100)
-        assert (len(uniform) - 1) / (uniform[-1] - uniform[0]) == pytest.approx(rate)
 
 
 class TestApplication:
     def test_apply_arrival_times_preserves_order_and_queries(self):
         queries = make_queries(5)
-        stamped = apply_arrival_times(queries, UniformArrivalProcess(1.0))
+        stamped = apply_arrival_times(queries, FixedTimes([1.0, 2.0, 3.0, 4.0, 5.0]))
         assert [q.query_id for q in stamped] == [0, 1, 2, 3, 4]
         assert [q.arrival_time_s for q in stamped] == pytest.approx([1, 2, 3, 4, 5])
         # Originals are untouched.
         assert all(q.arrival_time_s == 0.0 for q in queries)
-
-    def test_observed_rate(self):
-        stamped = apply_arrival_times(make_queries(11), UniformArrivalProcess(2.0))
-        assert observed_rate_qps(stamped) == pytest.approx(2.0)
-        assert observed_rate_qps(make_queries(1)) == 0.0

@@ -1,5 +1,7 @@
 """Tests for the synthetic trace generator (skew, locality, reproducibility)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.workload.generator import TraceConfig, TraceGenerator
@@ -69,7 +71,7 @@ class TestGeneration:
         trace = TraceGenerator(small_config()).generate(attach_arrivals=False)
         assert len(trace) == 250
         assert [q.query_id for q in trace] == list(range(250))
-        assert all(q.is_abstract for q in trace)
+        assert all(not q.objects for q in trace)
 
     def test_footprints_respect_bucket_count(self):
         config = small_config()
@@ -127,7 +129,9 @@ class TestWorkloadShape:
 
     def test_workload_has_a_long_tail(self, stats):
         # At least half of the touched buckets individually carry <1% of work.
-        workload = stats.bucket_workload()
+        workload = Counter()
+        for query in stats.queries:
+            workload.update(query.bucket_footprint)
         total = sum(workload.values())
         light = sum(1 for count in workload.values() if count / total < 0.01)
         assert light >= 0.5 * len(workload)

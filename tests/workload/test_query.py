@@ -14,11 +14,6 @@ class TestCrossMatchObject:
         assert with_position.position == SkyPoint(10.0, -5.0)
         assert without_position.position is None
 
-    def test_overlaps_range(self):
-        obj = CrossMatchObject(1, HTMRange(100, 200))
-        assert obj.overlaps_range(HTMRange(150, 300))
-        assert not obj.overlaps_range(HTMRange(201, 300))
-
 
 class TestCrossMatchQuery:
     def test_requires_objects_or_footprint(self):
@@ -36,9 +31,7 @@ class TestCrossMatchQuery:
         )
         abstract = CrossMatchQuery(query_id=2, bucket_footprint={0: 10, 4: 7})
         assert explicit.object_count == 2
-        assert not explicit.is_abstract
         assert abstract.object_count == 17
-        assert abstract.is_abstract
 
     def test_with_arrival_time_copies(self):
         query = CrossMatchQuery(query_id=1, bucket_footprint={0: 5}, arrival_time_s=1.0)
@@ -51,4 +44,3 @@ class TestCrossMatchQuery:
     def test_default_status_is_pending(self):
         query = CrossMatchQuery(query_id=1, bucket_footprint={0: 5})
         assert query.status is QueryStatus.PENDING
-        assert query.footprint_or_none() == {0: 5}

@@ -28,12 +28,10 @@ class TestScalars:
         assert simple_stats.query_count == 4
         assert simple_stats.touched_bucket_count == 3
         assert simple_stats.total_objects == 46
-        assert simple_stats.bucket_workload() == {0: 35, 1: 5, 2: 6}
-        assert simple_stats.bucket_reuse() == {0: 3, 1: 1, 2: 2}
 
     def test_top_buckets(self, simple_stats):
         assert simple_stats.top_buckets_by_reuse(1) == [(0, 3)]
-        assert simple_stats.top_buckets_by_workload(2) == [(0, 35), (2, 6)]
+        assert simple_stats.top_buckets_by_reuse() == [(0, 3), (2, 2), (1, 1)]
 
     def test_fraction_of_queries_touching(self, simple_stats):
         assert simple_stats.fraction_of_queries_touching([0]) == 0.75
@@ -85,8 +83,6 @@ class TestDegenerateTraces:
         assert stats.query_count == 0
         assert stats.touched_bucket_count == 0
         assert stats.total_objects == 0
-        assert stats.bucket_workload() == {}
-        assert stats.bucket_reuse() == {}
         assert stats.top_buckets_by_reuse(5) == []
         assert stats.fraction_of_queries_touching([0, 1]) == 0.0
         assert stats.fraction_of_workload_in_top_fraction(0.5) == 0.0
@@ -139,4 +135,5 @@ class TestExplicitObjectQueries:
             query_id=1, objects=(CrossMatchObject(0, HTMRange(low, low + 5)),)
         )
         stats = TraceStatistics([query], layout=layout)
-        assert stats.bucket_workload() == {1: 1}
+        assert stats.top_buckets_by_reuse() == [(1, 1)]
+        assert stats.total_objects == 1

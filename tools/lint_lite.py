@@ -14,9 +14,17 @@ often:
 * ``E701`` / ``E702`` / ``E703`` — a statement after a compound statement's
   colon, statements joined by ``;``, a trailing ``;``.
 
-A line carrying ``# noqa`` is exempt.  Run from the repository root::
+A line carrying ``# noqa`` is exempt from those.  A bare run also makes one
+whole-tree pass that ``ruff`` has no rule for:
 
-    python tools/lint_lite.py                 # src tests benchmarks examples tools
+* ``V001`` — a ``src/repro`` function, class, method or property that
+  nothing outside ``tests/`` reaches (see :func:`dead_code`).  There is no
+  ``# noqa`` for it: a symbol is either called from a root, deleted, or
+  listed in :data:`DEAD_CODE_ALLOWLIST` with the caller that needs it.
+
+Run from the repository root::
+
+    python tools/lint_lite.py                 # src tests benchmarks examples tools + V001
     python tools/lint_lite.py src/repro/core  # or any files / directories
 
 Prints one ``path:line:col: CODE message`` per finding; exits 1 if there
@@ -28,15 +36,38 @@ from __future__ import annotations
 import ast
 import io
 import os
+import re
 import sys
 import tokenize
 from bisect import bisect_left
-from typing import Iterable, Iterator, List, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 #: Longest allowed line, in characters (``[tool.ruff] line-length``).
 MAX_LINE = 100
 #: What a bare ``python tools/lint_lite.py`` checks.
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples", "tools")
+#: The package whose symbols the dead-code pass judges.
+DEAD_CODE_PACKAGE = os.path.join("src", "repro")
+#: Where a caller keeps a ``src`` symbol alive.  Python files count by their
+#: code; the rest by every identifier outside ``#`` comments.  ``tests/`` is
+#: deliberately not a root: a symbol only a test reaches does no work.
+DEAD_CODE_ROOTS = (
+    "src",
+    "benchmarks",
+    "examples",
+    os.path.join(".github", "workflows"),
+    "setup.py",
+    "pyproject.toml",
+)
+#: Qualified names (or module / class prefixes) the pass must not flag, each
+#: with the caller outside the roots' reach that needs it.  At most three.
+DEAD_CODE_ALLOWLIST: Dict[str, str] = {
+    "repro.storage.index": (
+        "benchmarks/e2e/tracing.py builds a SpatialIndex; the module goes whole "
+        "(ROADMAP 2a) once that benchmark stops, so its probes are not cut one by one"
+    ),
+}
 
 Finding = Tuple[str, int, int, str, str]
 _SKIPPED_TOKENS = {
@@ -178,8 +209,143 @@ def lint(paths: Iterable[str] = DEFAULT_PATHS) -> List[Finding]:
     return [finding for path in python_files(paths) for finding in lint_file(path)]
 
 
+@dataclass
+class _Symbol:
+    """One dead-code candidate: a module-level def or class, or a method."""
+
+    qualname: str
+    name: str
+    path: str
+    line: int
+    parent: Optional[int]
+    uses: Set[str] = field(default_factory=set)
+
+
+def _is_documentation(node: ast.AST) -> bool:
+    """A bare string statement (a docstring) or an ``__all__`` assignment."""
+    if isinstance(node, ast.Expr):
+        return isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+    return False
+
+
+def _collect(
+    tree: ast.Module, module: Optional[str], path: str, symbols: List[_Symbol], roots: Set[str]
+) -> None:
+    """Add *tree*'s candidates to *symbols*, and each name it uses to its owner.
+
+    A name used outside every candidate's body goes to *roots*.  With *module*
+    ``None`` (a benchmark, an example) the file declares no candidates.
+    """
+
+    Declares = Optional[Tuple[str, Optional[int]]]
+
+    def visit(node: ast.AST, owner: Optional[int], declares: Declares) -> None:
+        # *declares*: (qualified prefix, parent class) when *node*'s defs are candidates.
+        uses = roots if owner is None else symbols[owner].uses
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            uses.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            uses.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            uses.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            if _is_documentation(child):
+                continue
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            # A dunder method runs whenever its class is used: its body is the class's.
+            dunder = named and child.name.startswith("__") and child.name.endswith("__")
+            if declares is None or not named or dunder:
+                visit(child, owner, None)
+                continue
+            prefix, parent = declares
+            qualname = f"{prefix}.{child.name}"
+            symbols.append(_Symbol(qualname, child.name, path, child.lineno, parent))
+            index = len(symbols) - 1
+            is_class = isinstance(child, ast.ClassDef) and parent is None
+            visit(child, index, (qualname, index) if is_class else None)
+
+    visit(tree, None, None if module is None else (module, None))
+
+
+def _root_files(root: str) -> Iterator[str]:
+    for entry in DEAD_CODE_ROOTS:
+        path = os.path.normpath(os.path.join(root, entry))
+        if os.path.isfile(path):
+            yield path
+        elif os.path.isdir(path):
+            for base, dirs, files in os.walk(path):
+                dirs[:] = sorted(d for d in dirs if d != "__pycache__" and not d.startswith("."))
+                yield from (os.path.join(base, name) for name in sorted(files))
+
+
+def dead_code(root: str = ".", allowlist: Dict[str, str] = DEAD_CODE_ALLOWLIST) -> List[Finding]:
+    """``V001`` for every ``src/repro`` symbol no root reaches.
+
+    Candidates are the module-level functions and classes of ``src/repro``
+    plus every non-dunder method and property of those classes.  A symbol is
+    used when its name appears as a ``Name``, an ``Attribute`` or a string
+    constant (a ``getattr`` key) in live code.  Live code is a root file's
+    code outside any candidate, plus the body of every live candidate — so a
+    helper only dead code calls is dead too, and a symbol's own body never
+    keeps it alive.  A method is live only while its class is.  Docstrings,
+    comments, ``__all__`` entries and imports (so ``__init__`` re-exports)
+    are no use.  Names, not bindings, are matched: a use of ``run`` anywhere
+    live keeps every ``run`` method of a live class alive.
+    """
+    symbols: List[_Symbol] = []
+    roots: Set[str] = set()
+    package = os.path.normpath(os.path.join(root, DEAD_CODE_PACKAGE))
+    for path in _root_files(root):
+        if not path.endswith((".py", ".toml", ".yml", ".yaml")):
+            continue
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        # setup.py counts as text: its entry points are strings ("repro.cli:main").
+        if not path.endswith(".py") or os.path.basename(path) == "setup.py":
+            roots |= set(re.findall(r"[A-Za-z_]\w*", re.sub(r"(?m)(^|\s)#.*$", "", text)))
+            continue
+        module = None
+        if os.path.commonpath([package, path]) == package:
+            relative = os.path.relpath(path, os.path.dirname(package))[: -len(".py")]
+            module = relative.replace(os.sep, ".").removesuffix(".__init__")
+        try:
+            tree = ast.parse(text, path)
+        except SyntaxError:
+            continue  # the per-file pass reports it as E999
+        _collect(tree, module, path, symbols, roots)
+
+    live: Set[int] = set()
+    used = set(roots)
+    changed = True
+    while changed:
+        changed = False
+        for index, symbol in enumerate(symbols):
+            if index in live or symbol.name not in used:
+                continue
+            if symbol.parent is None or symbol.parent in live:
+                live.add(index)
+                used |= symbol.uses
+                changed = True
+
+    def allowed(qualname: str) -> bool:
+        return any(qualname == key or qualname.startswith(key + ".") for key in allowlist)
+
+    return [
+        (symbol.path, symbol.line, 1, "V001", f"{symbol.qualname!r} is never used outside tests")
+        for index, symbol in enumerate(symbols)
+        if index not in live
+        and (symbol.parent is None or symbol.parent in live)
+        and not allowed(symbol.qualname)
+    ]
+
+
 def main(argv: List[str]) -> int:
     findings = lint(argv or DEFAULT_PATHS)
+    if not argv:
+        findings += dead_code()
     for path, line, column, code, message in findings:
         print(f"{path}:{line}:{column}: {code} {message}")
     return 1 if findings else 0
