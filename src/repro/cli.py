@@ -90,6 +90,7 @@ from typing import List, Optional
 
 from repro.experiments import EXPERIMENTS, run_all
 from repro.experiments.common import SCALES, build_simulator, build_trace, render_table
+from repro.fileio import FormatError
 from repro.workload.stats import TraceStatistics
 
 
@@ -995,7 +996,7 @@ def _run_replay(args: argparse.Namespace) -> int:
             backend=args.backend,
             store_path=args.store_path,
         )
-    except (OSError, ValueError) as error:
+    except ValueError as error:
         raise SystemExit(str(error)) from error
     trace = outcome.trace
     result = outcome.result
@@ -1157,11 +1158,8 @@ def _run_inspect(args: argparse.Namespace) -> int:
     from repro.telemetry.inspect import domain_counts, load_snapshot, summary_rows
     from repro.telemetry.report import diff_snapshots, render_diff
 
-    try:
-        snapshot = load_snapshot(args.metrics)
-        other = load_snapshot(args.diff) if args.diff else None
-    except (OSError, ValueError) as error:
-        raise SystemExit(str(error)) from error
+    snapshot = load_snapshot(args.metrics)
+    other = load_snapshot(args.diff) if args.diff else None
     if other is not None:
         print(render_diff(snapshot, other, label_a=args.metrics, label_b=args.diff))
         return 1 if diff_snapshots(snapshot, other) else 0
@@ -1178,10 +1176,7 @@ def _run_report(args: argparse.Namespace) -> int:
     from repro.telemetry.inspect import load_snapshot
     from repro.telemetry.report import render_report, report_to_json
 
-    try:
-        snapshot = load_snapshot(args.metrics)
-    except (OSError, ValueError) as error:
-        raise SystemExit(str(error)) from error
+    snapshot = load_snapshot(args.metrics)
     if args.format == "json":
         print(json.dumps(report_to_json(snapshot), sort_keys=True, indent=2))
         return 0
@@ -1191,19 +1186,9 @@ def _run_report(args: argparse.Namespace) -> int:
 
 
 def _run_compare(args: argparse.Namespace) -> int:
-    from repro.telemetry.archive import (
-        ArchiveFormatError,
-        compare_archives,
-        read_run_archive,
-        render_compare,
-    )
+    from repro.telemetry.archive import compare_archives, read_run_archive, render_compare
 
-    try:
-        archive_a = read_run_archive(args.archive_a)
-        archive_b = read_run_archive(args.archive_b)
-    except (OSError, ArchiveFormatError) as error:
-        raise SystemExit(str(error)) from error
-    report = compare_archives(archive_a, archive_b)
+    report = compare_archives(read_run_archive(args.archive_a), read_run_archive(args.archive_b))
     print(render_compare(report, label_a=args.archive_a, label_b=args.archive_b))
     return report.exit_code
 
@@ -1231,10 +1216,7 @@ def _run_envelopes(args: argparse.Namespace) -> int:
         return 0
     failures = 0
     for name in names:
-        try:
-            mismatches = check_envelope(name, directory)
-        except (OSError, ValueError) as error:
-            raise SystemExit(str(error)) from error
+        mismatches = check_envelope(name, directory)
         if mismatches:
             failures += 1
             print(f"ENVELOPE DRIFT: {name}")
@@ -1252,45 +1234,46 @@ def _run_envelopes(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Subcommands whose handler takes the parsed arguments whole.
+_COMMANDS = {
+    "serve": _run_serve,
+    "ingest": _run_ingest,
+    "run": _run_single,
+    "replay": _run_replay,
+    "scenarios": _run_scenarios,
+    "inspect": _run_inspect,
+    "report": _run_report,
+    "compare": _run_compare,
+    "envelopes": _run_envelopes,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "list":
-        for name in sorted(EXPERIMENTS):
-            print(name)
-        return 0
-    if args.command == "experiments":
-        return _run_experiments(
-            list(args.names),
-            args.scale,
-            workers=args.workers,
-            shard_strategy=args.shard_strategy,
-            backend=args.backend,
-            store_path=args.store_path,
-        )
-    if args.command == "trace":
-        return _run_trace(args.scale, args.seed)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "ingest":
-        return _run_ingest(args)
-    if args.command == "run":
-        return _run_single(args)
-    if args.command == "replay":
-        return _run_replay(args)
-    if args.command == "scenarios":
-        return _run_scenarios(args)
-    if args.command == "inspect":
-        return _run_inspect(args)
-    if args.command == "report":
-        return _run_report(args)
-    if args.command == "compare":
-        return _run_compare(args)
-    if args.command == "envelopes":
-        return _run_envelopes(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    """CLI entry point.
+
+    A file that is missing, unreadable or fails its format checks ends any
+    command with a one-line message, never a traceback.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        if args.command == "list":
+            for name in sorted(EXPERIMENTS):
+                print(name)
+            return 0
+        if args.command == "experiments":
+            return _run_experiments(
+                list(args.names),
+                args.scale,
+                workers=args.workers,
+                shard_strategy=args.shard_strategy,
+                backend=args.backend,
+                store_path=args.store_path,
+            )
+        if args.command == "trace":
+            return _run_trace(args.scale, args.seed)
+        return _COMMANDS[args.command](args)
+    except (OSError, FormatError) as error:
+        raise SystemExit(str(error)) from error
 
 
 if __name__ == "__main__":

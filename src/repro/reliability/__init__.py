@@ -21,7 +21,6 @@ at window barriers and replaying schedule tails.  This package provides:
 
 from repro.reliability.checkpoint import (
     CHECKPOINT_SUFFIX,
-    CheckpointError,
     CheckpointInfo,
     RunCheckpoint,
     ShardCheckpoint,
@@ -44,7 +43,6 @@ from repro.reliability.policy import (
 
 __all__ = [
     "CHECKPOINT_SUFFIX",
-    "CheckpointError",
     "CheckpointInfo",
     "CheckpointPolicy",
     "CrashPoint",

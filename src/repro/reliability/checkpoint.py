@@ -28,27 +28,24 @@ result streams, the span timeline and the per-query cost ledger
 (:mod:`repro.telemetry.ledger`) — are identical between a crash-injected
 recovery run and its uninterrupted twin.
 
-The file envelope reuses the struct-pack + digest idioms of
-:mod:`repro.storage.format`: a fixed header (magic ``LRCP``, version,
-worker id, window index, clock) carrying the **store generation** the
-state was captured over, a CRC over the header, and a CRC over the
-pickled payload.  Corruption, truncation, version skew and generation
-mismatch (the store was re-ingested under the checkpoint) all surface as
-a clean :class:`CheckpointError` instead of a half-restored shard.
-Writes go through a temp file + ``os.replace`` so a crash during
-checkpointing can never leave a latest-checkpoint that readers trust.
+The file is a fixed header (magic ``LRCP``, version, worker id, window
+index, clock) carrying the **store generation** the state was captured
+over, a CRC over the header, the pickled payload and a CRC over it.  It
+is framed, published (atomically, and the only fsynced LifeRaft file)
+and rejected through :mod:`repro.fileio`; a generation mismatch (the
+store was re-ingested under the checkpoint) is one more
+:class:`~repro.fileio.FormatError` instead of a half-restored shard.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import struct
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
-from zlib import crc32
 
+from repro.fileio import FormatError, atomic_write, check_crc, crc32, read_file, unpack_header
 from repro.parallel.worker import ShardWorker, StagedShare
 
 #: File magic: LifeRaft CheckPoint.
@@ -64,10 +61,6 @@ RUN_CHECKPOINT_WORKER = -1
 # payload_length, header_crc
 _HEADER = struct.Struct("<4sHHiId16sQI")
 _CRC = struct.Struct("<I")
-
-
-class CheckpointError(RuntimeError):
-    """Raised when a checkpoint file is malformed, corrupt or mismatched."""
 
 
 @dataclass
@@ -137,10 +130,6 @@ class CheckpointInfo:
     generation: str
 
 
-def _crc(payload: bytes) -> int:
-    return crc32(payload) & 0xFFFFFFFF
-
-
 def _encode_generation(generation: str) -> bytes:
     encoded = generation.encode("ascii")
     if len(encoded) != 16:
@@ -166,7 +155,6 @@ def write_checkpoint(
     """
     path = os.fspath(path)
     payload = pickle.dumps(payload_obj, protocol=pickle.HIGHEST_PROTOCOL)
-    buffer = io.BytesIO()
     header = _HEADER.pack(
         MAGIC,
         CHECKPOINT_VERSION,
@@ -178,24 +166,21 @@ def write_checkpoint(
         len(payload),
         0,
     )[: -_CRC.size]
-    buffer.write(header)
-    buffer.write(_CRC.pack(_crc(header)))
-    buffer.write(payload)
-    buffer.write(_CRC.pack(_crc(payload)))
-    data = buffer.getvalue()
-    temp_path = f"{path}.tmp"
-    with open(temp_path, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, path)
+    byte_size = atomic_write(
+        path,
+        header,
+        _CRC.pack(crc32(header)),
+        payload,
+        _CRC.pack(crc32(payload)),
+        fsync=True,
+    )
     return CheckpointInfo(
         path=path,
         worker_id=worker_id,
         window_index=window_index,
         clock_ms=clock_ms,
         seq=seq,
-        byte_size=len(data),
+        byte_size=byte_size,
         generation=generation,
     )
 
@@ -205,59 +190,32 @@ def read_checkpoint(
 ) -> Tuple[object, CheckpointInfo]:
     """Read and validate an ``.lrcp`` file, returning ``(payload, info)``."""
     path = os.fspath(path)
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as error:
-        raise CheckpointError(f"cannot open checkpoint {path!r}: {error}") from error
-    if len(data) < _HEADER.size + _CRC.size:
-        raise CheckpointError(f"checkpoint {path!r} is truncated (no header)")
-    header = data[: _HEADER.size]
-    (
-        magic,
-        version,
-        _flags,
-        worker_id,
-        window_index,
-        clock_ms,
-        generation_bytes,
-        payload_length,
-        header_crc,
-    ) = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise CheckpointError(
-            f"{path!r} is not a LifeRaft checkpoint (bad magic {magic!r})"
-        )
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version} "
-            f"(reader supports {CHECKPOINT_VERSION})"
-        )
-    if _crc(header[: -_CRC.size]) != header_crc:
-        raise CheckpointError(f"header checksum mismatch in {path!r}")
+    what = f"checkpoint {path!r}"
+    data = read_file(path, what)
+    _, _, _, worker_id, window_index, clock_ms, generation_bytes, payload_length, header_crc = (
+        unpack_header(data, _HEADER, MAGIC, CHECKPOINT_VERSION, what)
+    )
+    check_crc(data[: _HEADER.size - _CRC.size], header_crc, f"{what} header")
     generation = generation_bytes.decode("ascii")
     if expected_generation is not None and generation != expected_generation:
-        raise CheckpointError(
-            f"checkpoint {path!r} was captured over store generation "
+        raise FormatError(
+            f"{what} was captured over store generation "
             f"{generation}, but the current store is {expected_generation} "
             "(re-ingested since the checkpoint?)"
         )
     body = data[_HEADER.size :]
     if len(body) != payload_length + _CRC.size:
-        raise CheckpointError(
-            f"checkpoint {path!r} payload is truncated: expected "
-            f"{payload_length} bytes, file holds {len(body) - _CRC.size}"
+        raise FormatError(
+            f"{what} is truncated: expected {payload_length} payload bytes, "
+            f"file holds {len(body) - _CRC.size}"
         )
-    payload, crc_bytes = body[:payload_length], body[payload_length:]
-    (payload_crc,) = _CRC.unpack(crc_bytes)
-    if _crc(payload) != payload_crc:
-        raise CheckpointError(f"payload checksum mismatch in {path!r}")
+    payload = body[:payload_length]
+    (payload_crc,) = _CRC.unpack_from(body, payload_length)
+    check_crc(payload, payload_crc, f"{what} payload")
     try:
         payload_obj = pickle.loads(payload)
     except Exception as error:  # pickle raises many concrete types
-        raise CheckpointError(
-            f"checkpoint {path!r} payload does not deserialise: {error}"
-        ) from error
+        raise FormatError(f"{what} payload does not deserialise: {error}") from error
     seq = getattr(payload_obj, "seq", 0)
     info = CheckpointInfo(
         path=path,
@@ -322,7 +280,7 @@ def restore_shard(worker: ShardWorker, state: ShardCheckpoint) -> None:
     holds every accepted record.
     """
     if state.worker_id != worker.worker_id:
-        raise CheckpointError(
+        raise FormatError(
             f"checkpoint belongs to worker {state.worker_id}, "
             f"cannot restore into worker {worker.worker_id}"
         )
@@ -380,7 +338,7 @@ def restore_worker(
     """Read an ``.lrcp`` file and restore *worker* from it."""
     state, _info = read_checkpoint(path, expected_generation=expected_generation)
     if not isinstance(state, ShardCheckpoint):
-        raise CheckpointError(
+        raise FormatError(
             f"{os.fspath(path)!r} holds a {type(state).__name__}, "
             "not a shard checkpoint"
         )
@@ -393,7 +351,6 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "MAGIC",
     "RUN_CHECKPOINT_WORKER",
-    "CheckpointError",
     "CheckpointInfo",
     "RunCheckpoint",
     "ShardCheckpoint",

@@ -23,6 +23,7 @@ from repro.core.bucket_cache import PAPER_CACHE_BUCKETS
 from repro.core.engine import EngineConfig, LifeRaftEngine
 from repro.core.metrics import CostModel
 from repro.core.scheduler import SchedulingPolicy
+from repro.fileio import atomic_write
 from repro.sim.runspec import DEFAULT_STORE, RunSpec
 from repro.sim.stats import ResponseTimeStats, summarize_response_times
 from repro.storage.bucket_store import BucketStore
@@ -631,8 +632,7 @@ class Simulator:
         else:
             ledger = None
         if spec.metrics_out:
-            with open(spec.metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(snapshot_to_json(snapshot))
+            atomic_write(spec.metrics_out, snapshot_to_json(snapshot).encode("utf-8"))
         if spec.trace_out:
             trace = build_chrome_trace(
                 services,

@@ -42,7 +42,6 @@ from repro.storage.format import (
     BucketFileReader,
     BucketFileWriter,
     ColumnBlock,
-    StoreFormatError,
     StoreManifest,
     read_layout,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "BucketFileReader",
     "BucketFileWriter",
     "ColumnBlock",
-    "StoreFormatError",
     "StoreManifest",
     "read_layout",
     # ingest

@@ -36,8 +36,8 @@ Design points:
   cheap bulk ``struct.unpack`` — the same access pattern the paper's
   ``Tb`` constant models.
 * **Checksums everywhere.**  The header, every bucket page and the
-  directory carry CRC32s; corruption and truncation surface as a clean
-  :class:`StoreFormatError` instead of garbage buckets.
+  directory carry CRC32s.  Framing, checks, the atomic publish and the one
+  :class:`~repro.fileio.FormatError` follow :mod:`repro.fileio`.
 * **A content-derived generation.**  The file's *generation* is a digest
   of its directory — which embeds every page's CRC, so it covers page
   *content*, not just the layout; it keys the decoded-page cache tier so
@@ -59,12 +59,11 @@ import mmap
 import os
 import struct
 import sys
-import tempfile
 from dataclasses import dataclass, field
-from typing import BinaryIO, Dict, List, NamedTuple, Sequence, Tuple
-from zlib import crc32
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.catalog.objects import CelestialObject
+from repro.fileio import AtomicFile, FormatError, check_crc, crc32, unpack_header
 from repro.htm.curve import HTMRange
 from repro.storage.partitioner import BucketSpec, PartitionLayout
 
@@ -81,10 +80,6 @@ _DIR_ENTRY = struct.Struct("<QQQdQQQI")  # low, high, object_count, megabytes,
 # row_count, page_offset, page_length, page_crc
 _PAGE_HEADER = struct.Struct("<I")  # row_count
 _CRC = struct.Struct("<I")
-
-
-class StoreFormatError(RuntimeError):
-    """Raised when a bucket store file is malformed, corrupt or truncated."""
 
 
 #: Column casts are zero-copy only when the machine's byte order matches the
@@ -209,19 +204,19 @@ def decode_column_block(payload, surveys: Sequence[str]) -> ColumnBlock:
     *payload* may be any buffer (a ``memoryview`` over the reader's mmap
     in the hot path).  Structural validation matches
     :func:`decode_bucket_page`: a malformed length or an out-of-range
-    survey code raises :class:`StoreFormatError`.  Row order is enforced
+    survey code raises :class:`FormatError`.  Row order is enforced
     at encode time and page content is CRC-covered, so this fast path
     does not re-verify sortedness row by row — the strict
     :func:`decode_bucket_page` still does.
     """
     view = memoryview(payload)
     if len(view) < _PAGE_HEADER.size:
-        raise StoreFormatError("bucket page shorter than its row-count header")
+        raise FormatError("bucket page shorter than its row-count header")
     (count,) = _PAGE_HEADER.unpack_from(view, 0)
     offset = _PAGE_HEADER.size
     expected = offset + count * (8 + 8 + 8 + 8 + 8 + 1)
     if len(view) != expected:
-        raise StoreFormatError(
+        raise FormatError(
             f"bucket page length mismatch: {len(view)} bytes for {count} rows "
             f"(expected {expected})"
         )
@@ -244,7 +239,7 @@ def decode_column_block(payload, surveys: Sequence[str]) -> ColumnBlock:
     # bytes() of a 1-byte column is a C-speed copy; max() over it is the
     # cheap way to validate every survey code in one pass.
     if count and max(bytes(codes)) >= len(surveys):
-        raise StoreFormatError(
+        raise FormatError(
             f"bucket page references unknown survey code {max(bytes(codes))}"
         )
     return ColumnBlock(
@@ -269,10 +264,6 @@ class StoreManifest:
     total_objects: int
     total_rows: int
     file_bytes: int
-
-
-def _crc(payload: bytes) -> int:
-    return crc32(payload) & 0xFFFFFFFF
 
 
 def encode_bucket_page(
@@ -315,14 +306,14 @@ def decode_bucket_page(
     """Decode one bucket page back into ``(htm_ids, rows)``.
 
     The inverse of :func:`encode_bucket_page`; raises
-    :class:`StoreFormatError` on any structural mismatch.  This is the
+    :class:`FormatError` on any structural mismatch.  This is the
     strict path: unlike :func:`decode_column_block` it re-verifies row
     order, and it always materialises the row objects.
     """
     block = decode_column_block(payload, surveys)
     ids = tuple(block.htm_ids)
     if any(ids[i] > ids[i + 1] for i in range(len(ids) - 1)):
-        raise StoreFormatError("bucket page is not HTM-sorted")
+        raise FormatError("bucket page is not HTM-sorted")
     return ids, block.rows()
 
 
@@ -331,19 +322,17 @@ class BucketFileWriter:
 
     Usage: construct with the partition layout, call :meth:`append_bucket`
     once per bucket **in layout order**, then :meth:`finish`.  The writer
-    streams pages as they arrive (memory stays bounded by one page) into a
-    same-directory temp file, patches the header's directory offset last,
-    and :meth:`finish` publishes the file with ``os.replace``.  A reader
-    that has the old file mapped keeps its bytes (the new file is a new
-    inode), and a crashed or aborted ingest leaves the destination as it was.
+    streams pages as they arrive (memory stays bounded by one page) into an
+    :class:`~repro.fileio.AtomicFile`, patches the header's directory offset
+    last, and :meth:`finish` publishes it; a crashed or aborted ingest
+    leaves the destination as it was.
     """
 
     def __init__(self, path: str | os.PathLike, layout: PartitionLayout) -> None:
-        self.path = os.fspath(path)
+        self._out = AtomicFile(path)
+        self._handle = self._out.handle
+        self.path = self._out.path
         self.layout = layout
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, self._temp_path = tempfile.mkstemp(dir=directory, suffix=".lrbs.tmp")
-        self._handle: BinaryIO = os.fdopen(fd, "wb")
         self._entries: List[Tuple[BucketSpec, int, int, int]] = []
         self._survey_codes: Dict[str, int] = {}
         self._next_index = 0
@@ -361,7 +350,7 @@ class BucketFileWriter:
             directory_offset,
             0,
         )[: -_CRC.size]
-        return body + _CRC.pack(_crc(body))
+        return body + _CRC.pack(crc32(body))
 
     def append_bucket(
         self, htm_ids_sorted: Sequence[int], rows: Sequence[CelestialObject]
@@ -411,7 +400,7 @@ class BucketFileWriter:
     def _append_page(self, spec: BucketSpec, page: bytes, row_count: int) -> None:
         offset = self._handle.tell()
         self._handle.write(page)
-        self._entries.append((spec, row_count, offset, len(page), _crc(page)))
+        self._entries.append((spec, row_count, offset, len(page), crc32(page)))
         self._next_index += 1
         self._total_rows += row_count
 
@@ -445,13 +434,10 @@ class BucketFileWriter:
             directory.write(encoded)
         payload = directory.getvalue()
         self._handle.write(payload)
-        self._handle.write(_CRC.pack(_crc(payload)))
+        self._handle.write(_CRC.pack(crc32(payload)))
         self._handle.seek(0)
         self._handle.write(self._header_bytes(directory_offset))
-        self._handle.flush()
-        file_bytes = os.fstat(self._handle.fileno()).st_size
-        self._handle.close()
-        os.replace(self._temp_path, self.path)
+        file_bytes = self._out.publish()
         return StoreManifest(
             path=self.path,
             generation=generation_of(payload),
@@ -464,11 +450,7 @@ class BucketFileWriter:
 
     def abort(self) -> None:
         """Close and remove the partial temp file; the destination is untouched."""
-        try:
-            self._handle.close()
-        finally:
-            if os.path.exists(self._temp_path):
-                os.unlink(self._temp_path)
+        self._out.discard()
 
 
 def generation_of(directory_payload: bytes) -> str:
@@ -501,25 +483,24 @@ class BucketFileReader:
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = os.fspath(path)
+        self._what = f"bucket store {self.path!r}"
         try:
-            handle: BinaryIO = open(self.path, "rb")
-        except OSError as error:
-            raise StoreFormatError(f"cannot open bucket store {self.path!r}: {error}") from error
-        try:
-            self.file_bytes = os.fstat(handle.fileno()).st_size
-            if self.file_bytes == 0:
-                raise StoreFormatError(
-                    f"truncated bucket store: expected {_HEADER.size} bytes of "
-                    "file header, got 0"
+            with open(self.path, "rb") as handle:
+                # Checked before mapping: an empty file cannot be mapped.
+                header = handle.read(_HEADER.size)
+                _, _, _, leaf_level, bucket_count, directory_offset, header_crc = unpack_header(
+                    header, _HEADER, MAGIC, FORMAT_VERSION, self._what
                 )
-            # The map survives the descriptor: close the handle immediately.
-            self._mmap = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        finally:
-            handle.close()
+                self.file_bytes = os.fstat(handle.fileno()).st_size
+                # The map survives the descriptor.
+                self._mmap = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except OSError as error:
+            raise FormatError(f"cannot open {self._what}: {error}") from error
         self._view = memoryview(self._mmap)
         self._closed = False
         try:
-            self._load_metadata()
+            check_crc(header[: -_CRC.size], header_crc, f"{self._what} header")
+            self._load_metadata(leaf_level, bucket_count, directory_offset)
         except Exception:
             self.close()
             raise
@@ -528,42 +509,23 @@ class BucketFileReader:
         """A bounds-checked window into the map (zero-copy)."""
         if offset + size > self.file_bytes:
             available = max(0, self.file_bytes - offset)
-            raise StoreFormatError(
-                f"truncated bucket store: expected {size} bytes of {what}, "
+            raise FormatError(
+                f"{self._what} is truncated: expected {size} bytes of {what}, "
                 f"got {available}"
             )
         return self._view[offset : offset + size]
 
-    def _load_metadata(self) -> None:
-        header = bytes(self._slice(0, _HEADER.size, "file header"))
-        magic, version, _flags, leaf_level, bucket_count, directory_offset, header_crc = (
-            _HEADER.unpack(header)
-        )
-        if magic != MAGIC:
-            raise StoreFormatError(
-                f"{self.path!r} is not a LifeRaft bucket store (bad magic {magic!r})"
-            )
-        if version != FORMAT_VERSION:
-            raise StoreFormatError(
-                f"unsupported bucket store version {version} (reader supports {FORMAT_VERSION})"
-            )
-        if _crc(header[: -_CRC.size]) != header_crc:
-            raise StoreFormatError(f"header checksum mismatch in {self.path!r}")
+    def _load_metadata(self, leaf_level: int, bucket_count: int, directory_offset: int) -> None:
         if directory_offset == 0:
-            raise StoreFormatError(
-                f"{self.path!r} has no directory (ingest did not finish)"
-            )
+            raise FormatError(f"{self._what} has no directory (ingest did not finish)")
         file_size = self.file_bytes
         if directory_offset + _CRC.size > file_size:
-            raise StoreFormatError(f"directory offset past end of file in {self.path!r}")
+            raise FormatError(f"{self._what} is truncated: directory offset past end of file")
         payload = self._slice(
             directory_offset, file_size - directory_offset - _CRC.size, "page directory"
         )
-        (directory_crc,) = _CRC.unpack(
-            bytes(self._slice(file_size - _CRC.size, _CRC.size, "directory CRC"))
-        )
-        if _crc(payload) != directory_crc:
-            raise StoreFormatError(f"directory checksum mismatch in {self.path!r}")
+        (directory_crc,) = _CRC.unpack_from(self._view, file_size - _CRC.size)
+        check_crc(payload, directory_crc, f"{self._what} directory")
         self.generation = generation_of(payload)
         offset = 0
         specs: List[BucketSpec] = []
@@ -571,36 +533,34 @@ class BucketFileReader:
         self._pages: List[Tuple[int, int, int, int]] = []
         for index in range(bucket_count):
             if offset + _DIR_ENTRY.size > len(payload):
-                raise StoreFormatError(f"directory truncated at bucket {index}")
+                raise FormatError(f"{self._what} directory truncated at bucket {index}")
             low, high, object_count, megabytes, row_count, page_offset, page_length, page_crc = (
                 _DIR_ENTRY.unpack_from(payload, offset)
             )
             offset += _DIR_ENTRY.size
             specs.append(BucketSpec(index, HTMRange(low, high), object_count, megabytes))
             if page_offset + page_length > directory_offset:
-                raise StoreFormatError(
-                    f"bucket {index}'s page extends past the directory"
-                )
+                raise FormatError(f"{self._what} bucket {index}'s page overlaps the directory")
             self._pages.append((row_count, page_offset, page_length, page_crc))
         if offset + 1 > len(payload):
-            raise StoreFormatError("directory is missing its survey dictionary")
+            raise FormatError(f"{self._what} directory lacks its survey dictionary")
         (survey_count,) = struct.unpack_from("<B", payload, offset)
         offset += 1
         surveys: List[str] = []
         for _ in range(survey_count):
             if offset + 2 > len(payload):
-                raise StoreFormatError("survey dictionary truncated")
+                raise FormatError(f"{self._what} survey dictionary truncated")
             (name_length,) = struct.unpack_from("<H", payload, offset)
             offset += 2
             if offset + name_length > len(payload):
-                raise StoreFormatError("survey dictionary truncated")
+                raise FormatError(f"{self._what} survey dictionary truncated")
             surveys.append(bytes(payload[offset : offset + name_length]).decode("utf-8"))
             offset += name_length
         self.surveys: Tuple[str, ...] = tuple(surveys)
         try:
             self.layout = PartitionLayout(specs, leaf_level)
         except ValueError as error:
-            raise StoreFormatError(f"invalid partition layout in {self.path!r}: {error}") from error
+            raise FormatError(f"{self._what} has an invalid layout: {error}") from error
         self.total_rows = sum(row_count for row_count, _, _, _ in self._pages)
 
     def __len__(self) -> int:
@@ -616,9 +576,11 @@ class BucketFileReader:
             raise IndexError(f"bucket {bucket_index} outside the store's layout")
         _row_count, page_offset, page_length, page_crc = self._pages[bucket_index]
         payload = self._slice(page_offset, page_length, f"bucket {bucket_index} page")
-        if _crc(payload) != page_crc:
-            raise StoreFormatError(
-                f"bucket {bucket_index} page checksum mismatch in {self.path!r}"
+        # Inline rather than check_crc: this is the per-read hot path, and the
+        # message is only formatted on failure.
+        if crc32(payload) != page_crc:
+            raise FormatError(
+                f"{self._what} bucket {bucket_index} page failed its CRC check"
             )
         return payload
 
@@ -682,7 +644,6 @@ __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
     "STORE_SUFFIX",
-    "StoreFormatError",
     "StoreManifest",
     "ColumnBlock",
     "DerivedColumns",

@@ -25,7 +25,6 @@ telemetry parity suite pins that down).
 """
 
 from repro.telemetry.archive import (
-    ArchiveFormatError,
     CompareReport,
     RunArchive,
     compare_archives,
@@ -65,7 +64,6 @@ from repro.telemetry.report import (
 from repro.telemetry.spans import build_chrome_trace, validate_chrome_trace, write_chrome_trace
 
 __all__ = [
-    "ArchiveFormatError",
     "CompareReport",
     "Counter",
     "Gauge",

@@ -8,11 +8,9 @@ file carries everything needed to say *what ran and what happened*: the
 (including the ``result_digest``), the merged metrics snapshot (series
 included) and the per-query cost ledger.
 
-The container follows the repo's codec discipline (``.lrbs`` /
-``.lrcp`` / ``.lrtr``): a little-endian struct header with magic and
-version, a CRC-32 over the payload, atomic write via a same-directory
-temp file + ``os.replace``, and a typed :class:`ArchiveFormatError` on
-corruption, truncation or version skew.
+The container is a struct header (magic ``LRRN``, version, flags, body
+length, CRC-32 of the body) in front of one JSON body, framed, published
+and rejected through :mod:`repro.fileio`.
 
 :func:`compare_archives` is the ``liferaft compare`` engine: it diffs
 two archives per metric (virtual domain only — the real domain is
@@ -25,13 +23,19 @@ grades the drift: exit code 0 for none, 1 for telemetry/ledger drift,
 from __future__ import annotations
 
 import json
-import os
 import struct
-import tempfile
-import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.fileio import (
+    FormatError,
+    atomic_write,
+    check_crc,
+    crc32,
+    decode_json,
+    read_file,
+    unpack_header,
+)
 from repro.telemetry.ledger import diff_ledgers
 from repro.telemetry.registry import VIRTUAL_DOMAIN, filter_domain
 from repro.telemetry.report import diff_snapshots
@@ -39,7 +43,6 @@ from repro.telemetry.report import diff_snapshots
 __all__ = [
     "ARCHIVE_MAGIC",
     "ARCHIVE_VERSION",
-    "ArchiveFormatError",
     "CompareReport",
     "RunArchive",
     "compare_archives",
@@ -55,10 +58,6 @@ ARCHIVE_VERSION = 1
 
 #: magic, version, flags, body length, CRC-32 of the body.
 _HEADER = struct.Struct("<4sHHQI")
-
-
-class ArchiveFormatError(ValueError):
-    """A ``.lrrun`` file is malformed, truncated or version-skewed."""
 
 
 @dataclass(frozen=True)
@@ -153,12 +152,7 @@ def summarise_result(result) -> dict:
 
 
 def write_run_archive(path: str, archive: RunArchive) -> int:
-    """Atomically write *archive* as a ``.lrrun`` file; returns byte size.
-
-    Same discipline as the trace/checkpoint writers: the payload lands
-    in a same-directory temp file first and ``os.replace`` publishes it,
-    so readers never observe a torn archive.
-    """
+    """Atomically write *archive* as a ``.lrrun`` file; returns byte size."""
     body = json.dumps(
         {
             "spec": archive.spec,
@@ -169,50 +163,26 @@ def write_run_archive(path: str, archive: RunArchive) -> int:
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    header = _HEADER.pack(ARCHIVE_MAGIC, archive.version, 0, len(body), crc)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".lrrun.tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(header)
-            handle.write(body)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-    return _HEADER.size + len(body)
+    header = _HEADER.pack(ARCHIVE_MAGIC, archive.version, 0, len(body), crc32(body))
+    return atomic_write(path, header, body)
 
 
 def read_run_archive(path: str) -> RunArchive:
     """Read and validate a ``.lrrun`` file."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    if len(raw) < _HEADER.size:
-        raise ArchiveFormatError("run archive truncated: header incomplete")
-    magic, version, _flags, body_len, crc = _HEADER.unpack_from(raw)
-    if magic != ARCHIVE_MAGIC:
-        raise ArchiveFormatError(f"not a run archive (magic {magic!r})")
-    if version != ARCHIVE_VERSION:
-        raise ArchiveFormatError(
-            f"unsupported run archive version {version} (expected {ARCHIVE_VERSION})"
-        )
+    what = f"run archive {path!r}"
+    raw = read_file(path, what)
+    _magic, version, _flags, body_len, crc = unpack_header(
+        raw, _HEADER, ARCHIVE_MAGIC, ARCHIVE_VERSION, what
+    )
     body = raw[_HEADER.size :]
     if len(body) != body_len:
-        raise ArchiveFormatError(
-            f"run archive truncated: expected {body_len} payload bytes, found {len(body)}"
+        raise FormatError(
+            f"{what} is truncated: expected {body_len} payload bytes, found {len(body)}"
         )
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise ArchiveFormatError("run archive corrupt: CRC mismatch")
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ArchiveFormatError(f"run archive payload undecodable: {error}") from error
+    check_crc(body, crc, what)
+    payload = decode_json(body, what)
     if not isinstance(payload, dict):
-        raise ArchiveFormatError("run archive payload is not an object")
+        raise FormatError(f"{what} payload is not an object")
     return RunArchive(
         spec=payload.get("spec") or {},
         result=payload.get("result") or {},

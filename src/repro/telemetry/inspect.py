@@ -10,13 +10,18 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.fileio import FormatError, read_file
 from repro.telemetry.registry import snapshot_from_json
 
 
 def load_snapshot(path: str) -> dict:
     """Read and validate a metrics snapshot file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return snapshot_from_json(handle.read())
+    what = f"metrics snapshot {path!r}"
+    data = read_file(path, what)
+    try:
+        return snapshot_from_json(data.decode("utf-8"))
+    except ValueError as error:  # also JSONDecodeError and UnicodeDecodeError
+        raise FormatError(f"{what} is not valid: {error}") from error
 
 
 def _format_value(value) -> str:

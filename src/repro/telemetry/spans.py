@@ -29,8 +29,9 @@ execution backends just like the rest of the virtual domain.
 from __future__ import annotations
 
 import json
-import os
 from typing import Iterable, List, Optional, Sequence
+
+from repro.fileio import atomic_write
 
 #: ``pid`` used for every event: one trace describes one run.
 TRACE_PID = 1
@@ -324,11 +325,8 @@ def build_chrome_trace(
 
 
 def write_chrome_trace(path: str, trace: dict) -> None:
-    """Write a trace object as Perfetto-loadable JSON (atomic rename)."""
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(trace, handle, sort_keys=True)
-    os.replace(tmp_path, path)
+    """Atomically write a trace object as Perfetto-loadable JSON."""
+    atomic_write(path, json.dumps(trace, sort_keys=True).encode("utf-8"))
 
 
 def validate_chrome_trace(trace: dict) -> None:

@@ -34,7 +34,6 @@ from repro.workload.stats import TraceStatistics
 from repro.workload.trace_io import (
     TRACE_SUFFIX,
     RecordedTrace,
-    TraceFormatError,
     read_trace,
     run_digest,
     write_trace,
@@ -59,7 +58,6 @@ __all__ = [
     "TraceStatistics",
     "TRACE_SUFFIX",
     "RecordedTrace",
-    "TraceFormatError",
     "read_trace",
     "run_digest",
     "write_trace",

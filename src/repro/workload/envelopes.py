@@ -23,6 +23,7 @@ import json
 import os
 from typing import Dict, List, Optional
 
+from repro.fileio import FormatError, atomic_write, decode_json, read_file
 from repro.workload.scenarios import SCENARIOS, build_scenario
 
 __all__ = [
@@ -128,22 +129,18 @@ def write_envelope(envelope: dict, directory: str = DEFAULT_ENVELOPE_DIR) -> str
     """Commit an envelope fixture (stable key order, trailing newline)."""
     os.makedirs(directory, exist_ok=True)
     path = envelope_path(envelope["scenario"], directory)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(envelope, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    atomic_write(path, json.dumps(envelope, indent=2, sort_keys=True).encode("utf-8"), b"\n")
     return path
 
 
 def read_envelope(name: str, directory: str = DEFAULT_ENVELOPE_DIR) -> dict:
     """Load the committed fixture of the named scenario."""
     path = envelope_path(name, directory)
-    with open(path, "r", encoding="utf-8") as handle:
-        envelope = json.load(handle)
-    version = envelope.get("version")
+    what = f"envelope {path!r}"
+    envelope = decode_json(read_file(path, what), what)
+    version = envelope.get("version") if isinstance(envelope, dict) else None
     if version != ENVELOPE_VERSION:
-        raise ValueError(
-            f"envelope {path!r} has version {version!r}, expected {ENVELOPE_VERSION}"
-        )
+        raise FormatError(f"{what} has version {version!r}, expected {ENVELOPE_VERSION}")
     return envelope
 
 

@@ -11,7 +11,7 @@ virtual-clock parity field.  Replaying the file through any backend and
 comparing digests turns "the run reproduced bit-for-bit" into a one-line
 regression check (``liferaft replay``).
 
-Layout (all little-endian, like the ``.lrbs``/``.lrcp`` codecs)::
+Layout (framed, published and rejected through :mod:`repro.fileio`)::
 
     header   <4sHHIQQI>  magic "LRTR", version, flags, query count,
                          meta length, body length, CRC-32 of meta+body
@@ -31,18 +31,24 @@ import json
 import math
 import os
 import struct
-import tempfile
-import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.fileio import (
+    FormatError,
+    atomic_write,
+    check_crc,
+    crc32,
+    decode_json,
+    read_file,
+    unpack_header,
+)
 from repro.htm.curve import HTMRange
 from repro.workload.query import CrossMatchObject, CrossMatchQuery
 
 __all__ = [
     "TRACE_SUFFIX",
     "RecordedTrace",
-    "TraceFormatError",
     "TraceInfo",
     "read_trace",
     "run_digest",
@@ -66,10 +72,6 @@ _FOOTPRINT_ENTRY = struct.Struct("<II")
 #: object_id, htm low, htm high, ra, dec, match radius, magnitude
 #: (ra/dec use NaN for "no position")
 _OBJECT = struct.Struct("<qqqdddd")
-
-
-class TraceFormatError(ValueError):
-    """A trace file (or a query being recorded) violates the format."""
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,13 @@ def _encode_query(
     deadline_index: Dict[str, int],
 ) -> bytes:
     if query.predicate is not None or query.region is not None:
-        raise TraceFormatError(
+        raise FormatError(
             f"query {query.query_id} carries a live predicate/region; "
             "recorded traces hold only footprint/object payloads"
         )
     client_id = -1 if query.client_id is None else int(query.client_id)
     if query.client_id is not None and client_id < 0:
-        raise TraceFormatError(
+        raise FormatError(
             f"query {query.query_id} has negative client id {client_id}"
         )
     deadline = (
@@ -143,7 +145,7 @@ def _encode_query(
     footprint = query.bucket_footprint or {}
     for bucket, count in footprint.items():
         if bucket < 0:
-            raise TraceFormatError(
+            raise FormatError(
                 f"query {query.query_id} footprint has negative bucket {bucket}"
             )
         del count  # positivity is enforced by CrossMatchQuery itself
@@ -188,8 +190,8 @@ def write_trace(
 ) -> TraceInfo:
     """Record *queries* (plus *meta* and the run's digest) into *path*.
 
-    The write is atomic (temp file + ``os.replace``), so a crashed
-    recording never leaves a truncated trace behind.
+    The write is atomic, so a crashed recording never leaves a truncated
+    trace behind.
     """
     archives: List[str] = []
     archive_index: Dict[str, int] = {}
@@ -204,7 +206,7 @@ def write_trace(
             deadline_index[query.deadline_class] = len(deadlines)
             deadlines.append(query.deadline_class)
     if len(archives) > 0xFFFF:
-        raise TraceFormatError("more than 65,535 distinct archive names")
+        raise FormatError("more than 65,535 distinct archive names")
     body = b"".join(_encode_query(q, archive_index, deadline_index) for q in queries)
     full_meta: Dict[str, object] = dict(meta or {})
     full_meta["archives"] = archives
@@ -219,29 +221,12 @@ def write_trace(
         len(queries),
         len(meta_bytes),
         len(body),
-        zlib.crc32(meta_bytes + body) & 0xFFFFFFFF,
+        crc32(body, crc32(meta_bytes)),
     )
     path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".lrtr.tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(header)
-            handle.write(meta_bytes)
-            handle.write(body)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    return TraceInfo(
-        path=path,
-        query_count=len(queries),
-        byte_size=_HEADER.size + len(meta_bytes) + len(body),
-    )
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    byte_size = atomic_write(path, header, meta_bytes, body)
+    return TraceInfo(path=path, query_count=len(queries), byte_size=byte_size)
 
 
 # --------------------------------------------------------------------- #
@@ -266,7 +251,7 @@ def _decode_query(
             n_objects,
         ) = _QUERY_FIXED.unpack_from(blob, offset)
     except struct.error as error:
-        raise TraceFormatError(f"truncated query record at offset {offset}") from error
+        raise FormatError(f"truncated query record at offset {offset}") from error
     offset += _QUERY_FIXED.size
     try:
         query_archives = tuple(
@@ -300,7 +285,7 @@ def _decode_query(
             )
         offset += n_objects * _OBJECT.size
     except (struct.error, IndexError) as error:
-        raise TraceFormatError(
+        raise FormatError(
             f"corrupt query record for query {query_id}"
         ) from error
     query = CrossMatchQuery(
@@ -318,32 +303,19 @@ def _decode_query(
 def read_trace(path: str) -> RecordedTrace:
     """Decode one ``.lrtr`` file, validating magic, version and CRC."""
     path = os.fspath(path)
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if len(blob) < _HEADER.size:
-        raise TraceFormatError(f"{path!r} is too short to be a trace file")
-    magic, version, _flags, query_count, meta_len, body_len, crc = _HEADER.unpack_from(
-        blob, 0
+    what = f"trace {path!r}"
+    blob = read_file(path, what)
+    _magic, _version, _flags, query_count, meta_len, body_len, crc = unpack_header(
+        blob, _HEADER, _MAGIC, _VERSION, what
     )
-    if magic != _MAGIC:
-        raise TraceFormatError(f"{path!r} is not a .lrtr trace (bad magic {magic!r})")
-    if version != _VERSION:
-        raise TraceFormatError(
-            f"{path!r} is trace format version {version}; this build reads "
-            f"version {_VERSION}"
-        )
     payload = blob[_HEADER.size :]
     if len(payload) != meta_len + body_len:
-        raise TraceFormatError(
-            f"{path!r} is truncated: expected {meta_len + body_len} payload "
+        raise FormatError(
+            f"{what} is truncated: expected {meta_len + body_len} payload "
             f"bytes, found {len(payload)}"
         )
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise TraceFormatError(f"{path!r} failed its CRC check (corrupt payload)")
-    try:
-        meta = json.loads(payload[:meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise TraceFormatError(f"{path!r} has a corrupt metadata block") from error
+    check_crc(payload, crc, what)
+    meta = decode_json(payload[:meta_len], f"{what} metadata")
     archives = [str(name) for name in meta.get("archives", [])]
     deadlines = [str(name) for name in meta.get("deadline_classes", [])]
     body = payload[meta_len:]
@@ -353,7 +325,7 @@ def read_trace(path: str) -> RecordedTrace:
         query, offset = _decode_query(body, offset, archives, deadlines)
         queries.append(query)
     if offset != len(body):
-        raise TraceFormatError(
-            f"{path!r} has {len(body) - offset} trailing bytes after the last query"
+        raise FormatError(
+            f"{what} has {len(body) - offset} trailing bytes after the last query"
         )
     return RecordedTrace(queries=tuple(queries), meta=meta)

@@ -2,24 +2,20 @@
 
 The on-disk format is load-bearing for every file-backed experiment, so
 its invariants are pinned directly: encode→decode identity on random
-catalogs, HTM-order preservation, and clean :class:`StoreFormatError`
-failures on corrupted or truncated files (never garbage buckets).
+catalogs, HTM-order preservation, and the atomic publish.  Corruption,
+truncation and version skew are covered for every format at once by
+``tests/test_fileio.py``.
 """
-
-import os
-import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.objects import CatalogTable, CelestialObject
+from repro.fileio import FormatError
 from repro.storage.format import (
-    FORMAT_VERSION,
-    MAGIC,
     BucketFileReader,
     BucketFileWriter,
-    StoreFormatError,
     decode_bucket_page,
     encode_bucket_page,
     read_layout,
@@ -95,13 +91,13 @@ class TestPageCodec:
     def test_length_mismatch_detected(self):
         rows = [CelestialObject(object_id=0, ra=1.0, dec=2.0, htm_id=CURVE_START)]
         payload = encode_bucket_page([CURVE_START], rows, {})
-        with pytest.raises(StoreFormatError, match="length mismatch"):
+        with pytest.raises(FormatError, match="length mismatch"):
             decode_bucket_page(payload[:-3], ["sdss"])
 
     def test_unknown_survey_code_detected(self):
         rows = [CelestialObject(object_id=0, ra=1.0, dec=2.0, htm_id=CURVE_START)]
         payload = encode_bucket_page([CURVE_START], rows, {})
-        with pytest.raises(StoreFormatError, match="survey code"):
+        with pytest.raises(FormatError, match="survey code"):
             decode_bucket_page(payload, [])
 
 
@@ -200,68 +196,15 @@ class TestFileRoundTrip:
 
 
 class TestCorruptionDetection:
-    @pytest.fixture
-    def store_file(self, tmp_path):
-        layout = BucketPartitioner().partition_density(8)
-        manifest = materialize_layout(tmp_path / "site.lrbs", layout, rows_per_bucket=32)
-        return manifest.path
-
-    def test_bad_magic_rejected(self, store_file):
-        with open(store_file, "r+b") as handle:
-            handle.write(b"NOPE")
-        with pytest.raises(StoreFormatError, match="bad magic"):
-            BucketFileReader(store_file)
-
-    def test_unsupported_version_rejected(self, store_file):
-        with open(store_file, "r+b") as handle:
-            handle.seek(len(MAGIC))
-            handle.write(struct.pack("<H", FORMAT_VERSION + 1))
-        # The version bump also breaks the header CRC; both are clean errors.
-        with pytest.raises(StoreFormatError):
-            BucketFileReader(store_file)
-
-    def test_header_corruption_rejected(self, store_file):
-        with open(store_file, "r+b") as handle:
-            handle.seek(8)
-            handle.write(b"\xff\xff")
-        with pytest.raises(StoreFormatError, match="header checksum"):
-            BucketFileReader(store_file)
-
-    def test_page_corruption_detected_on_read(self, store_file):
-        with BucketFileReader(store_file) as intact:
-            intact.read_bucket(3)  # sanity: readable before corruption
-        size = os.path.getsize(store_file)
-        with open(store_file, "r+b") as handle:
-            handle.seek(size // 3)
-            original = handle.read(1)
-            handle.seek(size // 3)
-            handle.write(bytes([original[0] ^ 0xFF]))
-        reader = BucketFileReader(store_file)  # metadata may still be intact
-        with pytest.raises(StoreFormatError, match="checksum mismatch"):
-            for index in range(len(reader.layout)):
-                reader.read_bucket(index)
-        reader.close()
-
-    def test_truncated_file_rejected(self, store_file, tmp_path):
-        blob = open(store_file, "rb").read()
-        truncated = tmp_path / "truncated.lrbs"
-        truncated.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(StoreFormatError):
-            BucketFileReader(truncated)
-
     def test_unfinished_ingest_rejected(self, tmp_path):
         layout = BucketPartitioner().partition_density(4)
         writer = BucketFileWriter(tmp_path / "unfinished.lrbs", layout)
         rows = synthesize_bucket_rows(layout[0], 4)
         writer.append_bucket([r.htm_id for r in rows], rows)
-        writer._handle.flush()
-        with pytest.raises(StoreFormatError, match="ingest did not finish"):
-            BucketFileReader(writer._temp_path)
+        writer._out.handle.flush()
+        with pytest.raises(FormatError, match="ingest did not finish"):
+            BucketFileReader(writer._out.temp_path)
         writer.abort()
-
-    def test_missing_file_is_a_clean_error(self, tmp_path):
-        with pytest.raises(StoreFormatError, match="cannot open"):
-            BucketFileReader(tmp_path / "missing.lrbs")
 
 
 class TestColumnarBlocks:

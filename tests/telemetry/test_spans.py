@@ -297,4 +297,4 @@ class TestWriter:
         loaded = json.loads(path.read_text(encoding="utf-8"))
         validate_chrome_trace(loaded)
         assert loaded == json.loads(json.dumps(trace))
-        assert not (tmp_path / "trace.json.tmp").exists()
+        assert [entry.name for entry in tmp_path.iterdir()] == ["trace.json"]
