@@ -1,4 +1,4 @@
-"""Command-line interface: run experiments and inspect traces.
+"""Command-line interface: run experiments, replays and reports.
 
 Examples
 --------
@@ -58,17 +58,19 @@ List the adversarial scenario library, record one as a trace fixture::
     liferaft scenarios --record hotspot_zone_skew --out /tmp/hotspot.lrtr
 
 Export a run's metrics snapshot and its Perfetto-loadable span timeline
-(including per-query causal flows), then pretty-print the metrics::
+(including per-query causal flows), then render the full run report —
+metrics, windowed time series, SLA summary and recovery/scale events::
 
     liferaft run --scale small --metrics-out /tmp/metrics.json \
         --trace-out /tmp/spans.json
-    liferaft inspect /tmp/metrics.json
-
-Render the full run report — metrics, windowed time series, SLA summary
-and recovery/scale events — and diff two snapshots metric by metric::
-
     liferaft report /tmp/metrics.json
-    liferaft inspect /tmp/metrics.json --diff /tmp/other-metrics.json
+
+Diff two runs — two ``.lrrun`` archives, or two metrics snapshots — over
+the virtual domain (exit 0: no drift, 1: drift, 2: result-digest drift)::
+
+    liferaft run --scale small --archive-out /tmp/a.lrrun
+    liferaft compare /tmp/a.lrrun /tmp/b.lrrun
+    liferaft compare /tmp/metrics.json /tmp/other-metrics.json
 
 Check the committed per-scenario SLA envelope fixtures (CI runs this),
 or re-record them after an intentional behaviour change::
@@ -86,8 +88,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from typing import List, Optional
 
+from repro.core.baselines import POLICY_NAMES
 from repro.experiments import EXPERIMENTS, run_all
 from repro.experiments.common import SCALES, build_simulator, build_trace, render_table
 from repro.fileio import FormatError
@@ -102,6 +107,80 @@ def _positive_int(text: str) -> int:
     return value
 
 
+#: Flags that mean the same thing on every subcommand that takes them.
+_SHARED_FLAGS = {
+    "--scale": dict(
+        default="small",
+        choices=sorted(SCALES),
+        help="experiment scale (trace and partition size)",
+    ),
+    "--seed": dict(
+        type=int,
+        default=8675309,
+        help="generator seed (trace, materialised rows or sky catalog)",
+    ),
+    "--alpha": dict(type=float, default=0.25, help="LifeRaft age bias (starvation knob)"),
+    "--saturation": dict(
+        type=float,
+        default=None,
+        metavar="QPS",
+        help="replay arrival rate (default: the trace's attached arrivals)",
+    ),
+    "--workers": dict(
+        type=_positive_int,
+        default=1,
+        metavar="N",
+        help="shard workers (>1 runs the parallel engine; replay: default the recorded count)",
+    ),
+    "--backend": dict(
+        default=None,
+        choices=("virtual", "process"),
+        help=(
+            "execution backend of a multi-worker run: 'virtual' keeps every "
+            "shard worker in-process (deterministic), 'process' runs one OS "
+            "process per shard for real wall-clock speedup (default: virtual)"
+        ),
+    ),
+    "--store-path": dict(
+        default=None,
+        metavar="FILE",
+        help=(
+            "read an ingested .lrbs bucket store (real storage I/O) instead "
+            "of the in-memory cost model (see 'liferaft ingest')"
+        ),
+    ),
+    "--bucket-count": dict(
+        type=_positive_int,
+        default=None,
+        metavar="N",
+        help="override the scale's bucket count (not with --store-path or --sky-objects)",
+    ),
+    "--metrics-out": dict(
+        default=None,
+        metavar="FILE",
+        help=(
+            "write the run's merged metrics snapshot (virtual + real domains) "
+            "as JSON for 'liferaft report' and 'liferaft compare'"
+        ),
+    ),
+}
+
+#: The shared flags ``run`` and ``serve`` both take.
+_RUN_FLAGS = (
+    "--scale", "--seed", "--alpha", "--saturation", "--workers", "--backend", "--store-path",
+    "--metrics-out",
+)
+
+
+def _shared(*flags: str, **defaults) -> argparse.ArgumentParser:
+    """A ``parents=`` group of *flags*; *defaults* overrides one command's defaults."""
+    group = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        group.add_argument(flag, **_SHARED_FLAGS[flag])
+    group.set_defaults(**defaults)
+    return group
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -111,19 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     experiments = subparsers.add_parser(
-        "experiments", help="run the paper's experiments and print their tables"
+        "experiments",
+        parents=[_shared("--scale", "--backend", "--store-path")],
+        help="run the paper's experiments and print their tables",
     )
     experiments.add_argument(
         "names",
         nargs="*",
         choices=sorted(EXPERIMENTS) + [[]],
         help="experiments to run (default: all)",
-    )
-    experiments.add_argument(
-        "--scale",
-        default="small",
-        choices=sorted(SCALES),
-        help="experiment scale (trace and partition size)",
     )
     experiments.add_argument(
         "--workers",
@@ -141,50 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("round_robin", "zone"),
         help="bucket-to-worker assignment used by the scaling experiment",
     )
-    experiments.add_argument(
-        "--backend",
-        default=None,
-        choices=("virtual", "process"),
-        help=(
-            "execution backend for the scaling experiment: 'virtual' "
-            "keeps every shard worker in-process (deterministic), "
-            "'process' runs one OS process per shard for real wall-clock "
-            "speedup"
-        ),
-    )
-    experiments.add_argument(
-        "--store-path",
-        default=None,
-        metavar="FILE",
-        help=(
-            "ingested .lrbs bucket store for the scaling experiment: shard "
-            "workers read materialised on-disk buckets instead of the "
-            "in-memory cost model (see 'liferaft ingest')"
-        ),
-    )
 
-    trace = subparsers.add_parser("trace", help="generate a trace and print its statistics")
-    trace.add_argument("--scale", default="small", choices=sorted(SCALES))
-    trace.add_argument("--seed", type=int, default=8675309)
+    subparsers.add_parser(
+        "trace",
+        parents=[_shared("--scale", "--seed")],
+        help="generate a trace and print its statistics",
+    )
 
     serve = subparsers.add_parser(
         "serve",
+        parents=[_shared(*_RUN_FLAGS)],
         help=(
             "replay a trace through the serving front-end (admission control, "
             "result streaming, SLA scoring) and print the serving report"
         ),
-    )
-    serve.add_argument("--scale", default="small", choices=sorted(SCALES))
-    serve.add_argument("--seed", type=int, default=8675309)
-    serve.add_argument(
-        "--alpha", type=float, default=0.25, help="LifeRaft age bias (starvation knob)"
-    )
-    serve.add_argument(
-        "--saturation",
-        type=float,
-        default=None,
-        metavar="QPS",
-        help="replay arrival rate (default: the trace's attached arrivals)",
     )
     serve.add_argument(
         "--admission",
@@ -230,28 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="shard workers (>1 serves through the parallel engine)",
-    )
-    serve.add_argument(
-        "--backend",
-        default=None,
-        choices=("virtual", "process"),
-        help=(
-            "execution backend when serving with multiple workers "
-            "(requires --workers > 1; default: virtual)"
-        ),
-    )
-    serve.add_argument(
-        "--store-path",
-        default=None,
-        metavar="FILE",
-        help="serve from an ingested .lrbs bucket store (real storage I/O)",
-    )
-    serve.add_argument(
         "--live-series-window-ms",
         type=float,
         default=None,
@@ -262,32 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
             "telemetry, never parity-asserted"
         ),
     )
-    serve.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help=(
-            "write the serving run's merged metrics snapshot (including any "
-            "live series) as JSON for 'liferaft inspect'/'liferaft report'"
-        ),
-    )
 
     ingest = subparsers.add_parser(
         "ingest",
+        parents=[_shared("--scale", "--seed", "--bucket-count")],
         help=(
             "materialise a partition layout (or a synthetic sky catalog) as "
             "a columnar on-disk bucket store file"
         ),
     )
     ingest.add_argument("--out", required=True, metavar="FILE", help="store file to write")
-    ingest.add_argument("--scale", default="small", choices=sorted(SCALES))
-    ingest.add_argument(
-        "--bucket-count",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="override the scale's bucket count",
-    )
     ingest.add_argument(
         "--rows-per-bucket",
         type=_positive_int,
@@ -298,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
             "numbers always come from the layout's full object counts)"
         ),
     )
-    ingest.add_argument("--seed", type=int, default=8675309)
     ingest.add_argument(
         "--workers",
         type=_positive_int,
@@ -331,49 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser(
         "run",
+        parents=[_shared(*_RUN_FLAGS, "--bucket-count")],
         help=(
             "replay one trace under one policy and print the virtual-clock "
             "summary (optionally against an on-disk bucket store)"
         ),
     )
-    run.add_argument("--scale", default="small", choices=sorted(SCALES))
-    run.add_argument("--seed", type=int, default=8675309)
-    run.add_argument("--policy", default="liferaft", help="scheduling policy name")
     run.add_argument(
-        "--alpha", type=float, default=0.25, help="LifeRaft age bias (starvation knob)"
-    )
-    run.add_argument(
-        "--saturation",
-        type=float,
-        default=None,
-        metavar="QPS",
-        help="replay arrival rate (default: the trace's attached arrivals)",
-    )
-    run.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="shard workers (>1 runs the parallel engine)",
-    )
-    run.add_argument(
-        "--backend",
-        default=None,
-        choices=("virtual", "process"),
-        help="execution backend when --workers > 1 (default: virtual)",
-    )
-    run.add_argument(
-        "--store-path",
-        default=None,
-        metavar="FILE",
-        help="replay against an ingested .lrbs bucket store (real storage I/O)",
-    )
-    run.add_argument(
-        "--bucket-count",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="override the scale's bucket count (in-memory runs only)",
+        "--policy", default="liferaft", choices=POLICY_NAMES, help="scheduling policy name"
     )
     run.add_argument(
         "--verify-against-memory",
@@ -470,15 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help=(
-            "write the run's merged metrics snapshot (virtual + real "
-            "domains) as JSON; inspect it with 'liferaft inspect FILE'"
-        ),
-    )
-    run.add_argument(
         "--trace-out",
         default=None,
         metavar="FILE",
@@ -509,31 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = subparsers.add_parser(
         "replay",
+        parents=[_shared("--workers", "--backend", "--store-path", workers=None)],
         help=(
             "re-run a recorded .lrtr trace and verify the result digest is "
             "bit-identical to the recording"
         ),
     )
     replay.add_argument("trace", metavar="FILE", help=".lrtr trace file to replay")
-    replay.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="shard workers (default: the recorded worker count)",
-    )
-    replay.add_argument(
-        "--backend",
-        default=None,
-        choices=("virtual", "process"),
-        help="execution backend when replaying with multiple workers",
-    )
-    replay.add_argument(
-        "--store-path",
-        default=None,
-        metavar="FILE",
-        help="replay against an ingested .lrbs bucket store",
-    )
     replay.add_argument(
         "--no-verify",
         action="store_true",
@@ -574,26 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None, help="override the scenario's default seed"
     )
 
-    inspect_cmd = subparsers.add_parser(
-        "inspect",
-        help=(
-            "pretty-print a metrics snapshot written by "
-            "'liferaft run --metrics-out'"
-        ),
-    )
-    inspect_cmd.add_argument(
-        "metrics", metavar="FILE", help="metrics snapshot (.json) to inspect"
-    )
-    inspect_cmd.add_argument(
-        "--diff",
-        default=None,
-        metavar="OTHER",
-        help=(
-            "compare FILE against a second snapshot and print per-metric "
-            "deltas instead of the summary table"
-        ),
-    )
-
     report = subparsers.add_parser(
         "report",
         help=(
@@ -614,13 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
     compare = subparsers.add_parser(
         "compare",
         help=(
-            "diff two .lrrun run archives: per-metric (virtual domain) and "
-            "per-query cost-ledger deltas, with drift exit codes "
-            "(0 none, 1 telemetry drift, 2 result-digest drift)"
+            "diff two .lrrun run archives or two metrics snapshots: "
+            "per-metric (virtual domain) and per-query cost-ledger deltas, "
+            "with drift exit codes (0 none, 1 telemetry drift, 2 "
+            "result-digest drift; a snapshot has no digest)"
         ),
     )
-    compare.add_argument("archive_a", metavar="A", help="baseline .lrrun archive")
-    compare.add_argument("archive_b", metavar="B", help="candidate .lrrun archive")
+    compare.add_argument("archive_a", metavar="A", help="baseline .lrrun archive or snapshot")
+    compare.add_argument("archive_b", metavar="B", help="candidate .lrrun archive or snapshot")
 
     envelopes = subparsers.add_parser(
         "envelopes",
@@ -657,6 +582,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _building_inputs():
+    """Turn a ``ValueError`` raised while a command builds its inputs into a one-line exit.
+
+    The validity rules live in the config classes, so a bad flag value
+    surfaces as their ``ValueError``.  Never wrap ``Simulator.execute`` in
+    this: a ``ValueError`` from inside a run is a bug and keeps its traceback.
+    """
+    try:
+        yield
+    except ValueError as error:
+        raise SystemExit(str(error)) from error
+
+
 def worker_sweep(max_workers: int) -> List[int]:
     """Powers of two up to *max_workers*, always ending at *max_workers*."""
     if max_workers <= 0:
@@ -670,21 +609,20 @@ def worker_sweep(max_workers: int) -> List[int]:
     return sweep
 
 
-def _run_experiments(
-    names: List[str],
-    scale: str,
-    workers: Optional[int] = None,
-    shard_strategy: Optional[str] = None,
-    backend: Optional[str] = None,
-    store_path: Optional[str] = None,
-) -> int:
+def _run_list(args: argparse.Namespace) -> int:
+    for name in sorted(EXPERIMENTS):
+        print(name)
+    return 0
+
+
+def _run_experiments(args: argparse.Namespace) -> int:
     results = run_all(
-        scale=scale,
-        names=names or None,
-        workers=worker_sweep(workers) if workers is not None else None,
-        shard_strategy=shard_strategy,
-        backend=backend,
-        store_path=store_path,
+        scale=args.scale,
+        names=args.names or None,
+        workers=worker_sweep(args.workers) if args.workers is not None else None,
+        shard_strategy=args.shard_strategy,
+        backend=args.backend,
+        store_path=args.store_path,
     )
     for result in results:
         print(result.render())
@@ -692,8 +630,8 @@ def _run_experiments(
     return 0
 
 
-def _run_trace(scale: str, seed: int) -> int:
-    trace = build_trace(scale, seed=seed)
+def _run_trace(args: argparse.Namespace) -> int:
+    trace = build_trace(args.scale, seed=args.seed)
     stats = TraceStatistics(trace.queries)
     print(f"trace: {len(trace)} queries, {trace.total_objects()} cross-match objects")
     for key, value in stats.describe().items():
@@ -752,6 +690,26 @@ def _run_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _site_and_trace(args: argparse.Namespace, bucket_count: Optional[int] = None):
+    """The setup ``run`` and ``serve`` share: simulator, trace and saturation."""
+    from repro.sim.simulator import Simulator
+
+    if args.backend is not None and args.workers <= 1:
+        raise SystemExit("--backend requires --workers > 1 (the serial engine has no backend)")
+    if args.store_path is not None:
+        if bucket_count is not None:
+            raise SystemExit("--bucket-count cannot override an ingested store's layout")
+        simulator = Simulator.from_store(args.store_path)
+    else:
+        simulator = build_simulator(
+            args.scale, **({"bucket_count": bucket_count} if bucket_count else {})
+        )
+    trace = build_trace(args.scale, seed=args.seed, bucket_count=len(simulator.layout))
+    if args.saturation is not None:
+        trace = trace.with_saturation(args.saturation)
+    return simulator, trace
+
+
 def _build_reliability(args: argparse.Namespace):
     """Assemble a ReliabilityConfig from the run command's flags (or None)."""
     if (
@@ -771,121 +729,70 @@ def _build_reliability(args: argparse.Namespace):
         return None
     from repro.reliability import FaultPlan, ReliabilityConfig, ScalePlan
 
-    if args.inject_crash and args.scale_up:
-        # Crash injection disables stealing (bit-comparability), but a
-        # joining worker can only acquire work through steal rounds.
-        raise SystemExit(
-            "--inject-crash cannot be combined with --scale-up: crash "
-            "injection disables work stealing, and a joining worker "
-            "acquires work only through steal rounds"
-        )
-    try:
-        faults = FaultPlan.parse(args.inject_crash) if args.inject_crash else None
-        scale = (
-            ScalePlan.parse(args.scale_down or (), args.scale_up or ())
-            if args.scale_down or args.scale_up
-            else None
-        )
-        if scale:
-            scale.validate(args.workers)
-        total_workers = args.workers + (scale.total_ups() if scale else 0)
-        if faults:
-            for point in faults.crashes:
-                if point.worker_id >= total_workers:
-                    raise ValueError(
-                        f"--inject-crash {point.spec} targets worker "
-                        f"{point.worker_id}, but the run has workers "
-                        f"0..{total_workers - 1} (worker ids are 0-based)"
-                    )
-        return ReliabilityConfig(
-            checkpoint_dir=args.checkpoint_dir,
-            cadence=args.checkpoint_every or "windows:1",
-            faults=faults,
-            scale=scale,
-            window_quantum_ms=args.checkpoint_window_ms,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
-
-
-def _single_run(
-    simulator,
-    queries,
-    args: argparse.Namespace,
-    store_path,
-    reliability=None,
-    enable_stealing: bool = True,
-    record_trace=None,
-    metrics_out=None,
-    trace_out=None,
-    archive_out=None,
-):
-    from repro.sim.runspec import RunSpec
-
-    # Reliability runs always go through the parallel path: RunSpec's
-    # dispatch sends any spec with a reliability config (or workers > 1)
-    # to the parallel engine, whose window barriers host the checkpoints
-    # (a 1-worker parallel run reproduces the serial engine exactly —
-    # the parity tests pin that down).
-    return simulator.execute(
-        queries,
-        RunSpec(
-            policy=args.policy,
-            alpha=args.alpha,
-            workers=args.workers,
-            backend=args.backend if args.workers > 1 or reliability is not None else None,
-            enable_stealing=enable_stealing,
-            reliability=reliability,
-            store_path=store_path,
-            record_trace=record_trace,
-            metrics_out=metrics_out,
-            trace_out=trace_out,
-            archive_out=archive_out,
-            series_window_ms=getattr(args, "series_window_ms", None),
-        ),
+    return ReliabilityConfig(
+        checkpoint_dir=args.checkpoint_dir,
+        cadence=args.checkpoint_every or "windows:1",
+        faults=FaultPlan.parse(args.inject_crash or ()) or None,
+        scale=ScalePlan.parse(args.scale_down or (), args.scale_up or ()) or None,
+        window_quantum_ms=args.checkpoint_window_ms,
     )
 
 
-def _run_single(args: argparse.Namespace) -> int:
-    from repro.sim.simulator import VIRTUAL_CLOCK_PARITY_FIELDS, Simulator
+#: A verification re-run repeats the run, not its exports.
+_NO_EXPORTS = dict(record_trace=None, metrics_out=None, trace_out=None, archive_out=None)
 
-    if args.backend is not None and args.workers <= 1:
-        raise SystemExit("--backend requires --workers > 1")
+
+def _check_parity(result, other, columns, failure: str, success: str) -> int:
+    """Print whether two runs agree on every virtual-clock total; 1 if not."""
+    from repro.sim.simulator import VIRTUAL_CLOCK_PARITY_FIELDS
+
+    mismatches = [
+        (field, getattr(result, field), getattr(other, field))
+        for field in VIRTUAL_CLOCK_PARITY_FIELDS
+        if getattr(result, field) != getattr(other, field)
+    ]
+    if mismatches:
+        print(f"\n{failure}")
+        print(render_table(("metric",) + columns, mismatches))
+        return 1
+    print(f"\n{success}")
+    return 0
+
+
+def _run_single(args: argparse.Namespace) -> int:
+    from repro.sim.runspec import RunSpec
+    from repro.sim.simulator import VIRTUAL_CLOCK_PARITY_FIELDS
+
     if args.verify_against_memory and args.store_path is None:
         raise SystemExit("--verify-against-memory requires --store-path")
     if args.verify_recovery and not args.inject_crash:
         raise SystemExit("--verify-recovery requires --inject-crash")
-    if args.store_path is not None:
-        if args.bucket_count is not None:
-            raise SystemExit("--bucket-count cannot override an ingested store's layout")
-        simulator = Simulator.from_store(args.store_path)
-        bucket_count = len(simulator.layout)
-    else:
-        bucket_count = args.bucket_count
-        simulator = build_simulator(
-            args.scale, **({"bucket_count": bucket_count} if bucket_count else {})
+    with _building_inputs():
+        simulator, trace = _site_and_trace(args, args.bucket_count)
+        reliability = _build_reliability(args)
+        # Injected crashes disable stealing: each shard is then a pure function
+        # of its schedule, so the recovered run is bit-comparable to a clean one.
+        stealing = reliability is None or not reliability.faults
+        if reliability is not None:
+            reliability.validate(args.workers, stealing)
+        # A spec with a reliability config runs on the parallel engine even
+        # at one worker: its window barriers host the checkpoints.
+        spec = RunSpec(
+            policy=args.policy,
+            alpha=args.alpha,
+            workers=args.workers,
+            backend=args.backend,
+            enable_stealing=stealing,
+            reliability=reliability,
+            store_path=args.store_path,
+            saturation_qps=args.saturation,
+            record_trace=args.record_trace,
+            metrics_out=args.metrics_out,
+            trace_out=args.trace_out,
+            series_window_ms=args.series_window_ms,
+            archive_out=args.archive_out,
         )
-        bucket_count = len(simulator.layout)
-    trace = build_trace(args.scale, seed=args.seed, bucket_count=bucket_count)
-    if args.saturation is not None:
-        trace = trace.with_saturation(args.saturation)
-
-    reliability = _build_reliability(args)
-    # Injected crashes disable stealing: each shard is then a pure function
-    # of its schedule, so the recovered run is bit-comparable to a clean one.
-    stealing = not (reliability is not None and reliability.faults)
-    result = _single_run(
-        simulator,
-        trace.queries,
-        args,
-        store_path=args.store_path,
-        reliability=reliability,
-        enable_stealing=stealing,
-        record_trace=args.record_trace,
-        metrics_out=args.metrics_out,
-        trace_out=args.trace_out,
-        archive_out=args.archive_out,
-    )
+    result = simulator.execute(trace.queries, spec)
     if args.record_trace:
         print(f"recorded trace -> {args.record_trace}")
     if args.metrics_out:
@@ -894,14 +801,10 @@ def _run_single(args: argparse.Namespace) -> int:
         print(f"wrote span timeline -> {args.trace_out}")
     if args.archive_out:
         print(f"wrote run archive -> {args.archive_out}")
-    engine = (
-        "serial engine"
-        if args.workers == 1 and reliability is None
-        else f"{result.backend} backend x{args.workers}"
-    )
+    engine = f"{result.backend} backend x{args.workers}" if spec.is_parallel else "serial engine"
     print(
         f"run: {result.policy_name} on {engine}, {result.store_backend} store "
-        f"({len(trace)} queries, {bucket_count} buckets)"
+        f"({len(trace)} queries, {len(simulator.layout)} buckets)"
     )
     rows = [(field, getattr(result, field)) for field in VIRTUAL_CLOCK_PARITY_FIELDS]
     rows.append(("makespan_s", result.makespan_s))
@@ -917,14 +820,10 @@ def _run_single(args: argparse.Namespace) -> int:
                 list(result.reliability.describe().items()),
             )
         )
-    if result.serving is not None:
-        summary = result.serving.deadline_summary
-        print("\nserving SLA:")
-        print(render_table(("metric", "value"), sorted(summary.items())))
 
     status = 0
     if args.verify_recovery:
-        planned = len(reliability.faults) if reliability and reliability.faults else 0
+        planned = len(reliability.fault_plan())
         injected = result.reliability.crashes_injected if result.reliability else 0
         if injected < planned:
             # A crash point whose window the run never reached (or whose
@@ -937,52 +836,25 @@ def _run_single(args: argparse.Namespace) -> int:
                 "--inject-crash window indices)"
             )
             return 1
-        clean = _single_run(
-            simulator,
-            trace.queries,
-            args,
-            store_path=args.store_path,
-            reliability=None,
-            enable_stealing=stealing,
+        clean = simulator.execute(trace.queries, replace(spec, reliability=None, **_NO_EXPORTS))
+        status = _check_parity(
+            result,
+            clean,
+            ("crashed", "clean"),
+            "RECOVERY PARITY FAILURE: crash-injected run diverged from clean run",
+            f"recovery parity OK: all {len(VIRTUAL_CLOCK_PARITY_FIELDS)} virtual-clock "
+            "totals identical across crash-injected and clean runs",
         )
-        mismatches = [
-            (field, getattr(result, field), getattr(clean, field))
-            for field in VIRTUAL_CLOCK_PARITY_FIELDS
-            if getattr(result, field) != getattr(clean, field)
-        ]
-        if mismatches:
-            print("\nRECOVERY PARITY FAILURE: crash-injected run diverged from clean run")
-            print(render_table(("metric", "crashed", "clean"), mismatches))
-            status = 1
-        else:
-            print(
-                f"\nrecovery parity OK: all {len(VIRTUAL_CLOCK_PARITY_FIELDS)} "
-                "virtual-clock totals identical across crash-injected and clean runs"
-            )
-
-    if not args.verify_against_memory:
-        return status
-    memory = _single_run(
-        simulator,
-        trace.queries,
-        args,
-        store_path=None,
-        reliability=reliability,
-        enable_stealing=stealing,
-    )
-    mismatches = []
-    for field in VIRTUAL_CLOCK_PARITY_FIELDS:
-        file_value, memory_value = getattr(result, field), getattr(memory, field)
-        if file_value != memory_value:
-            mismatches.append((field, file_value, memory_value))
-    if mismatches:
-        print("\nPARITY FAILURE: file-backed run diverged from in-memory run")
-        print(render_table(("metric", "file", "memory"), mismatches))
-        return 1
-    print(
-        f"\nparity OK: all {len(VIRTUAL_CLOCK_PARITY_FIELDS)} virtual-clock totals identical "
-        "across file-backed and in-memory stores"
-    )
+    if args.verify_against_memory:
+        memory = simulator.execute(trace.queries, replace(spec, store_path=None, **_NO_EXPORTS))
+        status |= _check_parity(
+            result,
+            memory,
+            ("file", "memory"),
+            "PARITY FAILURE: file-backed run diverged from in-memory run",
+            f"parity OK: all {len(VIRTUAL_CLOCK_PARITY_FIELDS)} virtual-clock totals "
+            "identical across file-backed and in-memory stores",
+        )
     return status
 
 
@@ -1072,47 +944,35 @@ def _run_scenarios(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.service.deadline import parse_deadline_mix
     from repro.service.frontend import ServiceConfig
-
-    if args.store_path is not None:
-        from repro.sim.simulator import Simulator
-
-        simulator = Simulator.from_store(args.store_path)
-    else:
-        simulator = build_simulator(args.scale)
-    trace = build_trace(args.scale, seed=args.seed, bucket_count=len(simulator.layout))
-    if args.saturation is not None:
-        trace = trace.with_saturation(args.saturation)
-    config_kwargs = dict(
-        admission=args.admission,
-        intake_bound=args.intake_bound,
-        max_pending_buckets=args.max_pending_buckets,
-        max_client_qps=args.max_client_qps,
-        clients=args.clients,
-        seed=args.seed,
-        live_series_window_ms=args.live_series_window_ms,
-    )
-    if args.deadline_mix:
-        config_kwargs["deadline_mix"] = parse_deadline_mix(args.deadline_mix)
-    service = ServiceConfig(**config_kwargs)
     from repro.sim.runspec import RunSpec
 
-    if args.workers <= 1 and args.backend is not None:
-        raise SystemExit("--backend requires --workers > 1 (the serial engine has no backend)")
-    result = simulator.execute(
-        trace.queries,
-        RunSpec(
+    with _building_inputs():
+        simulator, trace = _site_and_trace(args)
+        mix = {"deadline_mix": parse_deadline_mix(args.deadline_mix)} if args.deadline_mix else {}
+        service = ServiceConfig(
+            admission=args.admission,
+            intake_bound=args.intake_bound,
+            max_pending_buckets=args.max_pending_buckets,
+            max_client_qps=args.max_client_qps,
+            clients=args.clients,
+            seed=args.seed,
+            live_series_window_ms=args.live_series_window_ms,
+            **mix,
+        )
+        spec = RunSpec(
             policy="liferaft",
             alpha=args.alpha,
             workers=args.workers,
             backend=args.backend,
             service=service,
+            saturation_qps=args.saturation,
             metrics_out=args.metrics_out,
-        ),
-    )
+        )
+    result = simulator.execute(trace.queries, spec)
     if args.metrics_out:
         print(f"wrote metrics snapshot -> {args.metrics_out}")
     engine_label = (
-        f"{result.backend} backend x{args.workers}" if args.workers > 1 else "serial engine"
+        f"{result.backend} backend x{args.workers}" if spec.is_parallel else "serial engine"
     )
     serving = result.serving
     assert serving is not None
@@ -1154,27 +1014,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_inspect(args: argparse.Namespace) -> int:
-    from repro.telemetry.inspect import domain_counts, load_snapshot, summary_rows
-    from repro.telemetry.report import diff_snapshots, render_diff
-
-    snapshot = load_snapshot(args.metrics)
-    other = load_snapshot(args.diff) if args.diff else None
-    if other is not None:
-        print(render_diff(snapshot, other, label_a=args.metrics, label_b=args.diff))
-        return 1 if diff_snapshots(snapshot, other) else 0
-    virtual, real = domain_counts(snapshot)
-    print(
-        f"metrics snapshot {args.metrics}: "
-        f"{virtual} virtual-domain + {real} real-domain metrics"
-    )
-    print(render_table(("domain", "metric", "type", "value"), summary_rows(snapshot)))
-    return 0
-
-
 def _run_report(args: argparse.Namespace) -> int:
-    from repro.telemetry.inspect import load_snapshot
-    from repro.telemetry.report import render_report, report_to_json
+    from repro.telemetry.report import load_snapshot, render_report, report_to_json
 
     snapshot = load_snapshot(args.metrics)
     if args.format == "json":
@@ -1186,9 +1027,9 @@ def _run_report(args: argparse.Namespace) -> int:
 
 
 def _run_compare(args: argparse.Namespace) -> int:
-    from repro.telemetry.archive import compare_archives, read_run_archive, render_compare
+    from repro.telemetry.archive import compare_archives, read_comparable, render_compare
 
-    report = compare_archives(read_run_archive(args.archive_a), read_run_archive(args.archive_b))
+    report = compare_archives(read_comparable(args.archive_a), read_comparable(args.archive_b))
     print(render_compare(report, label_a=args.archive_a, label_b=args.archive_b))
     return report.exit_code
 
@@ -1234,17 +1075,19 @@ def _run_envelopes(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Subcommands whose handler takes the parsed arguments whole.
+#: Every subcommand's handler; each takes the parsed arguments whole.
 _COMMANDS = {
+    "experiments": _run_experiments,
+    "trace": _run_trace,
     "serve": _run_serve,
     "ingest": _run_ingest,
     "run": _run_single,
     "replay": _run_replay,
     "scenarios": _run_scenarios,
-    "inspect": _run_inspect,
     "report": _run_report,
     "compare": _run_compare,
     "envelopes": _run_envelopes,
+    "list": _run_list,
 }
 
 
@@ -1256,21 +1099,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            for name in sorted(EXPERIMENTS):
-                print(name)
-            return 0
-        if args.command == "experiments":
-            return _run_experiments(
-                list(args.names),
-                args.scale,
-                workers=args.workers,
-                shard_strategy=args.shard_strategy,
-                backend=args.backend,
-                store_path=args.store_path,
-            )
-        if args.command == "trace":
-            return _run_trace(args.scale, args.seed)
         return _COMMANDS[args.command](args)
     except (OSError, FormatError) as error:
         raise SystemExit(str(error)) from error

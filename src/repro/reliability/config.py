@@ -68,6 +68,29 @@ class ReliabilityConfig:
         """The elasticity plan (empty when the pool is static)."""
         return self.scale if self.scale is not None else ScalePlan()
 
+    def validate(self, workers: int, enable_stealing: bool) -> None:
+        """Check the fault and scale plans against a run of *workers* shards.
+
+        The scale plan must be executable from that pool, a scale-up needs
+        stealing, and every crash point must target a worker the run has.
+        """
+        scale = self.scale_plan()
+        scale.validate(workers)
+        if scale.total_ups() and not enable_stealing:
+            raise ValueError(
+                "scale-up events need work stealing enabled: a joining "
+                "worker has an empty arrival schedule and acquires work "
+                "only through steal rounds"
+            )
+        pool = workers + scale.total_ups()
+        for point in self.fault_plan().crashes:
+            if point.worker_id >= pool:
+                raise ValueError(
+                    f"crash point {point.spec} targets worker {point.worker_id}, "
+                    f"but the run has workers 0..{pool - 1} "
+                    "(worker ids are 0-based; scale-ups take sequential ids)"
+                )
+
 
 @dataclass
 class RecoveryEvent:

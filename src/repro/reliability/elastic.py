@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Tuple, Union
 
+from repro.reliability.faults import parse_worker_window, split_specs
+
 __all__ = ["ScaleDown", "ScalePlan", "ScaleRecord", "ScaleUp"]
 
 
@@ -171,40 +173,18 @@ class ScalePlan:
         *down_specs* are ``WORKER@WINDOW`` entries (one string may hold a
         comma list); *up_specs* are bare window indices.
         """
-        if isinstance(down_specs, str):
-            down_specs = [down_specs]
-        if isinstance(up_specs, str):
-            up_specs = [up_specs]
-        downs: List[ScaleDown] = []
-        for chunk in down_specs:
-            for spec in chunk.split(","):
-                spec = spec.strip()
-                if not spec:
-                    continue
-                worker_text, sep, window_text = spec.partition("@")
-                if not sep:
-                    raise ValueError(
-                        f"scale-down spec {spec!r} must look like WORKER@WINDOW "
-                        "(e.g. '1@3')"
-                    )
-                try:
-                    downs.append(ScaleDown(int(worker_text), int(window_text)))
-                except ValueError as error:
-                    raise ValueError(
-                        f"invalid scale-down spec {spec!r}: {error}"
-                    ) from error
+        downs = [
+            parse_worker_window(spec, "scale-down", ScaleDown)
+            for spec in split_specs(down_specs)
+        ]
         ups: List[ScaleUp] = []
-        for chunk in up_specs:
-            for spec in chunk.split(","):
-                spec = spec.strip()
-                if not spec:
-                    continue
-                try:
-                    ups.append(ScaleUp(int(spec)))
-                except ValueError as error:
-                    raise ValueError(
-                        f"invalid scale-up spec {spec!r}: {error}"
-                    ) from error
+        for spec in split_specs(up_specs):
+            try:
+                ups.append(ScaleUp(int(spec)))
+            except ValueError as error:
+                raise ValueError(
+                    f"invalid scale-up spec {spec!r}: {error}"
+                ) from error
         return cls(downs, ups)
 
 

@@ -14,7 +14,26 @@ in-process shard is discarded, simulating the same total state loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Tuple, Union
+from typing import Callable, FrozenSet, Iterable, Iterator, Tuple, Union
+
+
+def split_specs(specs: Union[str, Iterable[str]]) -> Iterator[str]:
+    """The entries of CLI specs: a repeatable flag whose values may be comma lists."""
+    for chunk in [specs] if isinstance(specs, str) else specs:
+        for spec in chunk.split(","):
+            if spec.strip():
+                yield spec.strip()
+
+
+def parse_worker_window(spec: str, kind: str, make: Callable[[int, int], object]):
+    """``make(worker, window)`` from a ``W@N`` spec; *kind* names the spec in errors."""
+    worker_text, sep, window_text = spec.partition("@")
+    if not sep:
+        raise ValueError(f"{kind} spec {spec!r} must look like WORKER@WINDOW (e.g. '1@3')")
+    try:
+        return make(int(worker_text), int(window_text))
+    except ValueError as error:
+        raise ValueError(f"invalid {kind} spec {spec!r}: {error}") from error
 
 
 @dataclass(frozen=True, order=True)
@@ -75,24 +94,7 @@ class FaultPlan:
     @classmethod
     def parse(cls, specs: Union[str, Iterable[str]]) -> "FaultPlan":
         """Build a plan from ``W@N`` specs (one string may hold a comma list)."""
-        if isinstance(specs, str):
-            specs = [specs]
-        points: List[CrashPoint] = []
-        for chunk in specs:
-            for spec in chunk.split(","):
-                spec = spec.strip()
-                if not spec:
-                    continue
-                worker_text, sep, window_text = spec.partition("@")
-                if not sep:
-                    raise ValueError(
-                        f"crash spec {spec!r} must look like WORKER@WINDOW (e.g. '1@3')"
-                    )
-                try:
-                    points.append(CrashPoint(int(worker_text), int(window_text)))
-                except ValueError as error:
-                    raise ValueError(f"invalid crash spec {spec!r}: {error}") from error
-        return cls(points)
+        return cls(parse_worker_window(spec, "crash", CrashPoint) for spec in split_specs(specs))
 
 
 __all__ = ["CrashPoint", "FaultPlan"]

@@ -331,22 +331,9 @@ class ShardCoordinator:
         self.events = WorkerEventLog()
         self.faults = rel.fault_plan() if rel is not None else FaultPlan()
         self.scale = rel.scale_plan() if rel is not None else ScalePlan()
-        self.scale.validate(spec.workers)
-        if self.scale.total_ups() and not spec.enable_stealing:
-            raise ValueError(
-                "scale-up events need work stealing enabled: a joining "
-                "worker has an empty arrival schedule and acquires work "
-                "only through steal rounds"
-            )
-        max_worker = spec.workers + self.scale.total_ups()
-        for point in self.faults.crashes:
-            if point.worker_id >= max_worker:
-                raise ValueError(
-                    f"crash point {point.spec} targets worker {point.worker_id}, "
-                    f"but the run has workers 0..{max_worker - 1} "
-                    "(worker ids are 0-based; scale-ups take sequential ids)"
-                )
-        self.stealing = spec.enable_stealing and max_worker > 1
+        if rel is not None:
+            rel.validate(spec.workers, spec.enable_stealing)
+        self.stealing = spec.enable_stealing and spec.workers + self.scale.total_ups() > 1
         self.arrivals = fan_out_arrivals(spec, self.plan, self.tracker, self.events)
         #: Every shard — scale-up joiners included — boots from this snapshot.
         self.snapshot = spec.store.snapshot()

@@ -122,6 +122,7 @@ class ServiceConfig:
     live_clock: Optional[Callable[[], float]] = None
 
     def __post_init__(self) -> None:
+        self.limits()  # fail fast on a bad bound
         if self.clients <= 0:
             raise ValueError("clients must be positive")
         if self.defer_delay_ms <= 0:

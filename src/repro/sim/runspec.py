@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Union
 
+from repro.core.baselines import make_policy
 from repro.core.scheduler import SchedulingPolicy
 
 if TYPE_CHECKING:
@@ -101,6 +102,8 @@ class RunSpec:
     archive_out: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.policy, str):
+            make_policy(self.policy, self.alpha)  # fail fast on a bad name or alpha
         if self.workers < 1:
             raise ValueError("workers must be positive")
         if self.series_window_ms is not None and self.series_window_ms <= 0:

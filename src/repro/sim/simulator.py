@@ -187,10 +187,6 @@ def _stamp_digest(result: SimulationResult, response_times_ms: Dict[int, float])
     )
 
 
-#: Backwards-compatible alias of :data:`repro.sim.runspec.DEFAULT_STORE`.
-_DEFAULT_STORE = DEFAULT_STORE
-
-
 class Simulator:
     """Replays traces against a freshly built engine per run.
 
@@ -259,11 +255,11 @@ class Simulator:
         return partitioner.partition_density(self.config.bucket_count)
 
     def _resolve_store_path(self, store_path) -> Optional[str]:
-        if store_path is _DEFAULT_STORE:
+        if store_path is DEFAULT_STORE:
             return self.store_path
         return os.fspath(store_path) if store_path is not None else None
 
-    def _build_store(self, store_path=_DEFAULT_STORE) -> BucketStore:
+    def _build_store(self, store_path=DEFAULT_STORE) -> BucketStore:
         disk = calibrated_disk_for_bucket_read(
             self.config.bucket_megabytes, self.config.cost.tb_ms / 1000.0
         )

@@ -1,6 +1,6 @@
 """Deterministic telemetry: metrics, series, spans, ledgers, archives.
 
-The subsystem has six parts:
+The subsystem has five parts:
 
 * :mod:`repro.telemetry.registry` — labelled counters, gauges,
   fixed-bound histograms and windowed time series split into a
@@ -14,9 +14,8 @@ The subsystem has six parts:
   components with batching sharing attribution;
 * :mod:`repro.telemetry.archive` — versioned ``.lrrun`` run archives
   and the ``liferaft compare`` drift engine;
-* :mod:`repro.telemetry.inspect` — the ``liferaft inspect`` summary;
-* :mod:`repro.telemetry.report` — the ``liferaft report`` renderer and
-  the ``liferaft inspect --diff`` snapshot comparison.
+* :mod:`repro.telemetry.report` — snapshot loading, the ``liferaft
+  report`` renderer and the per-metric snapshot diff ``compare`` grades.
 
 The design contract is **zero perturbation**: instrumentation never
 feeds scheduling decisions or the result digest, so a run's
@@ -32,7 +31,6 @@ from repro.telemetry.archive import (
     render_compare,
     write_run_archive,
 )
-from repro.telemetry.inspect import domain_counts, load_snapshot, summary_rows
 from repro.telemetry.ledger import (
     build_run_ledger,
     diff_ledgers,
@@ -57,9 +55,11 @@ from repro.telemetry.registry import (
 )
 from repro.telemetry.report import (
     diff_snapshots,
-    render_diff,
+    domain_counts,
+    load_snapshot,
     render_report,
     report_to_json,
+    summary_rows,
 )
 from repro.telemetry.spans import build_chrome_trace, validate_chrome_trace, write_chrome_trace
 
@@ -89,7 +89,6 @@ __all__ = [
     "metric_value",
     "read_run_archive",
     "render_compare",
-    "render_diff",
     "render_report",
     "report_to_json",
     "snapshot_from_json",

@@ -17,7 +17,9 @@ two archives per metric (virtual domain only — the real domain is
 wall-clock profile and legitimately differs between identical runs) and
 per query (through :func:`repro.telemetry.ledger.diff_ledgers`), and
 grades the drift: exit code 0 for none, 1 for telemetry/ledger drift,
-2 for result-digest drift.
+2 for result-digest drift.  :func:`read_comparable` also takes a bare
+metrics snapshot, which carries no spec, ledger or digest: only its
+metric section grades.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.fileio import (
 )
 from repro.telemetry.ledger import diff_ledgers
 from repro.telemetry.registry import VIRTUAL_DOMAIN, filter_domain
-from repro.telemetry.report import diff_snapshots
+from repro.telemetry.report import diff_snapshots, load_snapshot
 
 __all__ = [
     "ARCHIVE_MAGIC",
@@ -47,6 +49,7 @@ __all__ = [
     "RunArchive",
     "compare_archives",
     "describe_run_spec",
+    "read_comparable",
     "read_run_archive",
     "render_compare",
     "summarise_result",
@@ -192,6 +195,13 @@ def read_run_archive(path: str) -> RunArchive:
     )
 
 
+def read_comparable(path: str) -> RunArchive:
+    """A ``.lrrun`` archive, or a metrics snapshot as a metrics-only archive."""
+    if read_file(path, f"run archive {path!r}").startswith(ARCHIVE_MAGIC):
+        return read_run_archive(path)
+    return RunArchive(spec={}, result={}, telemetry=load_snapshot(path))
+
+
 @dataclass(frozen=True)
 class CompareReport:
     """What ``liferaft compare A B`` found between two archives."""
@@ -258,7 +268,9 @@ def render_compare(
 ) -> str:
     """Human-readable rendering of a :class:`CompareReport`."""
     lines = [f"compare: {label_a} vs {label_b}"]
-    if report.digest_drift:
+    if not (report.digest_a or report.digest_b):
+        lines.append("  result digest: none (metrics snapshots carry no digest)")
+    elif report.digest_drift:
         lines.append(
             f"  result digest DRIFT: {report.digest_a[:16]}... != {report.digest_b[:16]}..."
         )

@@ -1,14 +1,13 @@
 """Run reports and snapshot diffs over exported metrics snapshots.
 
-Backs ``liferaft report <metrics.json>`` and ``liferaft inspect --diff``:
-both consume snapshot files written by ``liferaft run --metrics-out``,
-so reporting is pure presentation over self-describing outputs — nothing
-here feeds back into a run.
+Backs ``liferaft report <metrics.json>`` and the metric section of
+``liferaft compare``: both consume snapshot files written by ``liferaft
+run --metrics-out``, so reporting is pure presentation over
+self-describing outputs — nothing here feeds back into a run.
 
 A report renders four sections from one snapshot:
 
-* **metrics** — every counter/gauge/histogram, virtual domain first
-  (the same rows ``liferaft inspect`` prints);
+* **metrics** — every counter/gauge/histogram, virtual domain first;
 * **series** — the windowed time-series layer, one row per
   ``(series, shard)`` with its window, sample count and value range;
 * **SLA** — the per-deadline-class admission/completion tallies the
@@ -24,12 +23,104 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.telemetry.inspect import describe_entry, domain_counts, summary_rows
+from repro.fileio import FormatError, read_file
+from repro.telemetry.registry import snapshot_from_json
 
-__all__ = ["diff_snapshots", "render_diff", "render_report", "report_to_json"]
+__all__ = [
+    "describe_entry",
+    "diff_snapshots",
+    "domain_counts",
+    "load_snapshot",
+    "render_report",
+    "report_to_json",
+    "summary_rows",
+]
 
 #: Counter-name prefixes that belong in the events section.
 _EVENT_PREFIXES = ("reliability.", "coordinator.", "parallel.steals")
+
+
+def load_snapshot(path: str) -> dict:
+    """Read and validate a metrics snapshot file."""
+    what = f"metrics snapshot {path!r}"
+    data = read_file(path, what)
+    try:
+        return snapshot_from_json(data.decode("utf-8"))
+    except ValueError as error:  # also JSONDecodeError and UnicodeDecodeError
+        raise FormatError(f"{what} is not valid: {error}") from error
+
+
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, int):
+        return f"{value:,}"
+    if isinstance(value, float):
+        return f"{value:,.4g}"
+    return str(value)
+
+
+def describe_entry(entry: dict) -> str:
+    """One metric's value column."""
+    if entry["type"] == "histogram":
+        count = entry["count"]
+        if count == 0:
+            return "n=0"
+        mean = entry["sum"] / count
+        return f"n={count:,} sum={_format_value(entry['sum'])} mean={mean:,.4g}"
+    if entry["type"] == "series":
+        samples = entry["samples"]
+        if not samples:
+            return f"n=0 window={_format_value(entry['window_ms'])}ms"
+        values = [value for _index, value in samples]
+        return (
+            f"n={len(samples):,} window={_format_value(entry['window_ms'])}ms "
+            f"min={_format_value(min(values))} max={_format_value(max(values))} "
+            f"last={_format_value(values[-1])}"
+        )
+    return _format_value(entry["value"])
+
+
+def _label_text(entry: dict) -> str:
+    labels = entry.get("labels") or {}
+    if not labels:
+        return ""
+    inner = ",".join(f"{key}={labels[key]}" for key in sorted(labels))
+    return f"{{{inner}}}"
+
+
+def _ordered_entries(snapshot: dict) -> List[dict]:
+    """Metric entries, virtual domain first: the deterministic, parity-checked half."""
+    ordered = sorted(
+        snapshot.get("metrics", {}).items(),
+        key=lambda item: (
+            item[1].get("domain", "") != "virtual",
+            item[1].get("domain", ""),
+            item[1].get("name", ""),
+            item[0],
+        ),
+    )
+    return [entry for _key, entry in ordered]
+
+
+def summary_rows(snapshot: dict) -> List[Tuple[str, str, str, str]]:
+    """``(domain, metric, type, value)`` rows, virtual domain first."""
+    return [
+        (
+            entry.get("domain", "?"),
+            f"{entry['name']}{_label_text(entry)}",
+            entry["type"],
+            describe_entry(entry),
+        )
+        for entry in _ordered_entries(snapshot)
+    ]
+
+
+def domain_counts(snapshot: dict) -> Tuple[int, int]:
+    """``(virtual, real)`` metric counts of a snapshot."""
+    entries = snapshot.get("metrics", {}).values()
+    virtual = sum(1 for entry in entries if entry.get("domain") == "virtual")
+    return virtual, len(snapshot.get("metrics", {})) - virtual
 
 
 def _series_entries(snapshot: dict) -> List[Tuple[str, dict]]:
@@ -95,12 +186,10 @@ def render_report(snapshot: dict) -> str:
         lines.append("== series ==")
         rows = []
         for _key, entry in series:
-            labels = entry.get("labels") or {}
-            label_text = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
             rows.append(
                 [
                     entry.get("domain", "?"),
-                    f"{entry['name']}{{{label_text}}}" if label_text else entry["name"],
+                    f"{entry['name']}{_label_text(entry)}",
                     describe_entry(entry),
                 ]
             )
@@ -140,16 +229,8 @@ def report_to_json(snapshot: dict) -> dict:
     into the metric name.
     """
     virtual, real = domain_counts(snapshot)
-    ordered = sorted(
-        snapshot.get("metrics", {}).items(),
-        key=lambda item: (
-            item[1].get("domain", "") != "virtual",
-            item[1].get("name", ""),
-            item[0],
-        ),
-    )
     metrics = []
-    for _key, entry in ordered:
+    for entry in _ordered_entries(snapshot):
         if entry.get("type") == "series":
             continue
         row = {
@@ -188,12 +269,6 @@ def report_to_json(snapshot: dict) -> dict:
         "sla": _sla_counts(snapshot),
         "events": events,
     }
-
-
-def _entry_summary(entry: Optional[dict]) -> str:
-    if entry is None:
-        return "-"
-    return describe_entry(entry)
 
 
 def _series_delta(a: dict, b: dict) -> Optional[str]:
@@ -251,10 +326,10 @@ def diff_snapshots(a: dict, b: dict) -> List[Tuple[str, str, str]]:
         entry_a = a_metrics.get(key)
         entry_b = b_metrics.get(key)
         if entry_a is None:
-            rows.append((key, "only-b", _entry_summary(entry_b)))
+            rows.append((key, "only-b", describe_entry(entry_b)))
             continue
         if entry_b is None:
-            rows.append((key, "only-a", _entry_summary(entry_a)))
+            rows.append((key, "only-a", describe_entry(entry_a)))
             continue
         if entry_a.get("type") != entry_b.get("type"):
             rows.append(
@@ -269,12 +344,3 @@ def diff_snapshots(a: dict, b: dict) -> List[Tuple[str, str, str]]:
             rows.append((key, "changed", delta))
     return rows
 
-
-def render_diff(a: dict, b: dict, label_a: str = "a", label_b: str = "b") -> str:
-    """Render :func:`diff_snapshots` as a text table (or a no-diff note)."""
-    rows = diff_snapshots(a, b)
-    if not rows:
-        return f"snapshots {label_a} and {label_b} are identical"
-    lines = [f"{len(rows)} metrics differ ({label_a} -> {label_b})"]
-    lines.extend(_table(["metric", "status", "delta"], [list(row) for row in rows]))
-    return "\n".join(lines)

@@ -21,10 +21,9 @@ from repro.workload.trace_io import RecordedTrace, read_trace
 class ReplayOutcome:
     """Result of replaying one recorded trace.
 
-    ``digest_checked`` is ``False`` when the replay ran under a different
-    execution shape than the recording (worker count or stealing
-    changed), where only completion-set equality — not a bit-identical
-    timeline — is guaranteed.
+    ``digest_checked`` is ``False`` when the replay ran on a different
+    worker count than the recording, where only completion-set equality —
+    not a bit-identical timeline — is guaranteed.
     """
 
     trace: RecordedTrace
@@ -46,23 +45,21 @@ def replay_recorded(
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     store_path: Optional[str] = None,
-    enable_stealing: Optional[bool] = None,
 ) -> ReplayOutcome:
     """Re-run a ``.lrtr`` trace through ``Simulator.execute``.
 
     The run description (policy, alpha, worker count, stealing) comes
-    from the trace's metadata; *workers*, *backend* and
-    *enable_stealing* override it.  The site is rebuilt from the
-    recorded bucket count, or from *store_path* when the replay should
-    read a real on-disk store.
+    from the trace's metadata; *workers* and *backend* override it.  The
+    site is rebuilt from the recorded bucket count, or from *store_path*
+    when the replay should read a real on-disk store.
 
-    Digest verification is meaningful only when the execution shape
-    matches the recording: each shard is a pure function of its admitted
-    arrival schedule and one loop drives both backends, so the timeline
-    is bit-identical across backends at the same worker count, stealing
-    on or off (the scenario-parity suite pins this), but
-    a different worker count or stealing toggle legitimately changes
-    per-query finish times.  In that case ``digest_checked`` is False.
+    Digest verification is meaningful only when the worker count matches
+    the recording: each shard is a pure function of its admitted arrival
+    schedule and one loop drives both backends, so the timeline is
+    bit-identical across backends at the same worker count, stealing on
+    or off (the scenario-parity suite pins this), but a different worker
+    count legitimately changes per-query finish times.  In that case
+    ``digest_checked`` is False.
     """
     # Imported lazily: ``sim`` imports ``workload.trace_io`` at module
     # level, so a module-level import here would be circular.
@@ -72,9 +69,7 @@ def replay_recorded(
     trace = read_trace(path)
     meta = trace.meta
     recorded_workers = int(meta.get("workers", 1))
-    recorded_stealing = bool(meta.get("enable_stealing", True))
     run_workers = recorded_workers if workers is None else workers
-    run_stealing = recorded_stealing if enable_stealing is None else enable_stealing
     if store_path is not None:
         simulator = Simulator.from_store(store_path)
     else:
@@ -84,16 +79,12 @@ def replay_recorded(
         alpha=float(meta.get("alpha") or 0.25),
         workers=run_workers,
         backend=backend,
-        enable_stealing=run_stealing,
+        enable_stealing=bool(meta.get("enable_stealing", True)),
         saturation_qps=meta.get("saturation_qps"),
         label=str(meta.get("label", "")),
     )
     result = simulator.execute(trace.queries, spec)
-    digest_checked = (
-        bool(trace.expected_digest)
-        and run_workers == recorded_workers
-        and (run_workers == 1 or run_stealing == recorded_stealing)
-    )
+    digest_checked = bool(trace.expected_digest) and run_workers == recorded_workers
     return ReplayOutcome(
         trace=trace,
         result=result,

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main, worker_sweep
@@ -71,7 +73,7 @@ class TestServeCommand:
         assert "interactive" in output and "batch" in output
 
     def test_serve_rejects_bad_deadline_mix(self):
-        with pytest.raises(ValueError, match="unknown deadline class"):
+        with pytest.raises(SystemExit, match="unknown deadline class"):
             main(["serve", "--scale", "small", "--deadline-mix", "warp=1"])
 
     def test_serve_rejects_unknown_admission_policy(self):
@@ -86,6 +88,72 @@ class TestServeCommand:
     def test_serve_report_names_the_engine(self, capsys):
         assert main(["serve", "--scale", "small", "--workers", "2"]) == 0
         assert "virtual backend x2" in capsys.readouterr().out
+
+
+#: A bad value for each of these flags once ended in a ValueError traceback.
+BAD_FLAG_VALUES = [
+    (["serve", "--deadline-mix", "warp=1"], "unknown deadline class 'warp'"),
+    (["run", "--saturation", "-1"], "arrival rate must be positive"),
+    (["run", "--alpha", "-3"], r"alpha must be within \[0, 1\]"),
+    (["serve", "--alpha", "7"], r"alpha must be within \[0, 1\]"),
+    (["run", "--series-window-ms", "-5"], "series_window_ms must be positive"),
+    (["serve", "--live-series-window-ms", "-1"], "live_series_window_ms must be positive"),
+    (["serve", "--max-client-qps", "-2"], "max_client_qps must be positive"),
+    (["run", "--policy", "nope"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_FLAG_VALUES, ids=[" ".join(argv) for argv, _ in BAD_FLAG_VALUES]
+)
+def test_bad_flag_value_is_a_one_line_exit(argv, message, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv[:1] + ["--scale", "small"] + argv[1:])
+    if message is None:  # an argparse choice: usage line plus one error line
+        assert exited.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+    else:
+        text = str(exited.value.code)
+        assert "\n" not in text
+        assert re.search(message, text)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+class TestSaturationIsRecorded:
+    """``--saturation`` rewrites the arrivals and is recorded on the run."""
+
+    @pytest.fixture
+    def specs(self, monkeypatch):
+        from repro.sim.simulator import Simulator
+
+        seen = []
+        execute = Simulator.execute
+
+        def recording(simulator, queries, spec):
+            result = execute(simulator, queries, spec)
+            seen.append((spec, result))
+            return result
+
+        monkeypatch.setattr(Simulator, "execute", recording)
+        return seen
+
+    def test_run_records_the_rate_in_archive_and_trace(self, specs, tmp_path, capsys):
+        from repro.telemetry.archive import read_run_archive
+        from repro.workload.trace_io import read_trace
+
+        archive = str(tmp_path / "a.lrrun")
+        trace = str(tmp_path / "a.lrtr")
+        argv = ["run", "--scale", "small", "--bucket-count", "64", "--saturation", "0.5"]
+        assert main(argv + ["--archive-out", archive, "--record-trace", trace]) == 0
+        ((spec, result),) = specs
+        assert spec.saturation_qps == result.saturation_qps == 0.5
+        assert read_run_archive(archive).spec["saturation_qps"] == 0.5
+        assert read_trace(trace).meta["saturation_qps"] == 0.5
+
+    def test_serve_records_the_rate(self, specs, capsys):
+        assert main(["serve", "--scale", "small", "--saturation", "2.0"]) == 0
+        ((spec, result),) = specs
+        assert spec.saturation_qps == result.saturation_qps == 2.0
 
 
 class TestScalingCommand:
@@ -399,6 +467,23 @@ class TestRecoveryFlags:
                     "2",
                     "--inject-crash",
                     "2@1",
+                ]
+            )
+
+    def test_crash_injection_cannot_scale_up(self):
+        # Crash injection turns stealing off, and a joiner needs stealing.
+        with pytest.raises(SystemExit, match="work stealing"):
+            main(
+                [
+                    "run",
+                    "--scale",
+                    "small",
+                    "--workers",
+                    "2",
+                    "--inject-crash",
+                    "0@1",
+                    "--scale-up",
+                    "2",
                 ]
             )
 

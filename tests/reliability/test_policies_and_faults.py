@@ -3,6 +3,7 @@
 import pytest
 
 from repro.reliability.config import ReliabilityConfig
+from repro.reliability.elastic import ScalePlan
 from repro.reliability.faults import CrashPoint, FaultPlan
 from repro.reliability.policy import EveryKWindows, VirtualInterval, parse_cadence
 
@@ -116,6 +117,30 @@ class TestReliabilityConfig:
         second = config.build_policy()
         assert first is not second
         assert config.fault_plan() == FaultPlan()
+
+
+class TestReliabilityConfigValidate:
+    def test_valid_plans_pass(self):
+        config = ReliabilityConfig(
+            faults=FaultPlan.parse("2@3"), scale=ScalePlan.parse("0@1", "1")
+        )
+        config.validate(2, enable_stealing=True)  # worker 2 joins at window 1
+
+    def test_crash_beyond_the_pool_is_rejected(self):
+        config = ReliabilityConfig(faults=FaultPlan.parse("2@1"))
+        with pytest.raises(ValueError, match="0-based"):
+            config.validate(2, enable_stealing=False)
+
+    def test_scale_up_needs_stealing(self):
+        config = ReliabilityConfig(scale=ScalePlan.parse("", "1"))
+        with pytest.raises(ValueError, match="work stealing"):
+            config.validate(2, enable_stealing=False)
+        config.validate(2, enable_stealing=True)
+
+    def test_scale_plan_must_be_executable(self):
+        config = ReliabilityConfig(scale=ScalePlan.parse("0@1,1@1"))
+        with pytest.raises(ValueError, match="empties the worker pool"):
+            config.validate(2, enable_stealing=True)
 
 
 class TestCoordinatorValidation:

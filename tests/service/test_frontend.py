@@ -31,6 +31,14 @@ def frontend(simulator, **kwargs):
     return ServingFrontEnd(config, simulator.layout, simulator.config.cost)
 
 
+class TestServiceConfig:
+    def test_bad_admission_limit_fails_at_construction(self):
+        with pytest.raises(ValueError, match="max_client_qps must be positive"):
+            ServiceConfig(max_client_qps=-2.0)
+        with pytest.raises(ValueError, match="intake_bound must be positive"):
+            ServiceConfig(intake_bound=0)
+
+
 class TestIntake:
     def test_admit_all_passes_everything_at_arrival_time(self, simulator, queries):
         front = frontend(simulator)

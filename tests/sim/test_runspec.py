@@ -45,6 +45,14 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="series_window_ms must be positive"):
             RunSpec(series_window_ms=-10.0)
 
+    def test_bad_policy_name_or_alpha_fails_at_construction(self):
+        with pytest.raises(ValueError, match="unknown policy"):
+            RunSpec(policy="fifo")
+        with pytest.raises(ValueError, match="alpha must be within"):
+            RunSpec(alpha=1.5)
+        # Baselines ignore alpha, exactly as they do when the run builds them.
+        assert RunSpec(policy="noshare", alpha=7.0).alpha == 7.0
+
     def test_with_store_replaces_only_the_store(self):
         spec = RunSpec(alpha=0.5, workers=2)
         in_memory = spec.with_store(None)

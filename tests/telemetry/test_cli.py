@@ -1,9 +1,9 @@
 """CLI surface of the telemetry subsystem.
 
 ``liferaft run --metrics-out/--trace-out`` export the merged snapshot
-and the span timeline; ``liferaft inspect`` renders an exported
-snapshot; ``liferaft serve`` surfaces the deadline tracker's SLA
-summary in its report.
+and the span timeline; ``liferaft report`` renders an exported snapshot
+and ``liferaft compare`` diffs two of them; ``liferaft serve`` surfaces
+the deadline tracker's SLA summary in its report.
 """
 
 import json
@@ -61,58 +61,6 @@ class TestRunExports:
         assert any(event["ph"] == "X" for event in loaded["traceEvents"])
 
 
-class TestInspectCommand:
-    def test_inspect_renders_the_snapshot(self, exported, capsys):
-        metrics, _trace, _output = exported
-        assert main(["inspect", str(metrics)]) == 0
-        output = capsys.readouterr().out
-        assert "virtual-domain" in output
-        assert "engine.queries_completed" in output
-        assert "counter" in output
-
-    def test_inspect_rejects_a_non_snapshot_file(self, tmp_path):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text("{}", encoding="utf-8")
-        with pytest.raises(SystemExit, match="missing 'metrics'"):
-            main(["inspect", str(bogus)])
-
-    def test_inspect_rejects_a_missing_file(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["inspect", str(tmp_path / "absent.json")])
-
-
-class TestInspectDiff:
-    def test_identical_snapshots_exit_zero(self, exported, capsys):
-        metrics, _trace, _output = exported
-        assert main(["inspect", str(metrics), "--diff", str(metrics)]) == 0
-        assert "are identical" in capsys.readouterr().out
-
-    def test_differing_snapshots_exit_nonzero(self, exported, tmp_path, capsys):
-        metrics, _trace, _output = exported
-        other = tmp_path / "other-metrics.json"
-        assert (
-            main(
-                [
-                    "run",
-                    "--scale",
-                    "small",
-                    "--bucket-count",
-                    "64",
-                    "--seed",
-                    "99",
-                    "--metrics-out",
-                    str(other),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert main(["inspect", str(metrics), "--diff", str(other)]) == 1
-        output = capsys.readouterr().out
-        assert "metrics differ" in output
-        assert "status" in output and "delta" in output
-
-
 class TestReportCommand:
     def test_report_renders_sections(self, exported, capsys):
         metrics, _trace, _output = exported
@@ -123,11 +71,22 @@ class TestReportCommand:
         assert "== series ==" in output
         assert "engine.queries_completed" in output
 
+    def test_report_prints_every_metric_row(self, exported, capsys):
+        metrics, _trace, _output = exported
+        assert main(["report", str(metrics)]) == 0
+        output = capsys.readouterr().out
+        assert "virtual +" in output and "real metrics" in output
+        assert "counter" in output and "histogram" in output
+
     def test_report_rejects_a_non_snapshot_file(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{}", encoding="utf-8")
         with pytest.raises(SystemExit, match="missing 'metrics'"):
             main(["report", str(bogus)])
+
+    def test_report_rejects_a_missing_file(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["report", str(tmp_path / "absent.json")])
 
 
 class TestReportJsonFormat:
@@ -185,6 +144,35 @@ class TestCompareCommand:
         mangled.write_bytes(bytes(raw))
         with pytest.raises(SystemExit, match="CRC"):
             main(["compare", archives[0], str(mangled)])
+
+
+class TestCompareSnapshots:
+    """`compare` grades two metrics snapshots over the virtual domain."""
+
+    def test_identical_snapshots_exit_zero(self, exported, capsys):
+        metrics, _trace, _output = exported
+        assert main(["compare", str(metrics), str(metrics)]) == 0
+        output = capsys.readouterr().out
+        assert "result digest: none" in output
+        assert "metric drift (virtual domain): 0" in output
+        assert "no drift" in output
+
+    def test_differing_snapshots_exit_one(self, exported, tmp_path, capsys):
+        metrics, _trace, _output = exported
+        other = tmp_path / "other-metrics.json"
+        args = ["run", "--scale", "small", "--bucket-count", "64", "--seed", "99"]
+        assert main(args + ["--metrics-out", str(other)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(metrics), str(other)]) == 1
+        output = capsys.readouterr().out
+        assert "[changed]" in output
+        assert "telemetry drift (exit 1)" in output
+
+    def test_non_snapshot_json_is_a_clean_error(self, tmp_path):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text("{}", encoding="utf-8")
+        with pytest.raises(SystemExit, match="missing 'metrics'"):
+            main(["compare", str(bogus), str(bogus)])
 
 
 class TestServeLiveSeries:

@@ -1,4 +1,4 @@
-"""Run reports and snapshot diffs (`liferaft report`, `inspect --diff`).
+"""Run reports and snapshot diffs (`liferaft report`, `liferaft compare`).
 
 Both are pure presentation over exported snapshots, so the tests build
 small registries in memory and check the rendered sections and the diff
@@ -10,9 +10,9 @@ import json
 from repro.telemetry.registry import MetricsRegistry, REAL_DOMAIN
 from repro.telemetry.report import (
     diff_snapshots,
-    render_diff,
     render_report,
     report_to_json,
+    summary_rows,
 )
 
 
@@ -101,8 +101,6 @@ class TestReportToJson:
 class TestDiffSnapshots:
     def test_identical_snapshots_diff_empty(self):
         assert diff_snapshots(serving_snapshot(), serving_snapshot()) == []
-        text = render_diff(serving_snapshot(), serving_snapshot(), "x", "y")
-        assert text == "snapshots x and y are identical"
 
     def test_value_change_reports_delta(self):
         rows = diff_snapshots(serving_snapshot(admitted=9), serving_snapshot(admitted=12))
@@ -157,8 +155,16 @@ class TestDiffSnapshots:
         rows = diff_snapshots(a, b)
         assert ("cache.buckets_peak", "type-changed", "gauge -> counter") in rows
 
-    def test_render_diff_tabulates_the_rows(self):
-        text = render_diff(serving_snapshot(admitted=9), serving_snapshot(admitted=12))
-        lines = text.splitlines()
-        assert lines[0].endswith("(a -> b)")
-        assert lines[1].split() == ["metric", "status", "delta"]
+
+class TestSummaryRows:
+    def test_virtual_domain_leads_then_name_order(self):
+        rows = summary_rows(serving_snapshot())
+        domains = [domain for domain, _metric, _kind, _value in rows]
+        assert domains == sorted(domains, key=lambda domain: domain != "virtual")
+        virtual = [metric for domain, metric, _kind, _value in rows if domain == "virtual"]
+        assert virtual == sorted(virtual)
+
+    def test_labels_render_into_the_metric_name(self):
+        metrics = {metric for _domain, metric, _kind, _value in summary_rows(serving_snapshot())}
+        assert "series.queue_depth{shard=0}" in metrics
+        assert "sla.admitted{class=interactive}" in metrics
