@@ -859,17 +859,16 @@ def _run_single(args: argparse.Namespace) -> int:
 
 
 def _run_replay(args: argparse.Namespace) -> int:
-    from repro.workload.replay import replay_recorded
+    from repro.workload.replay import load_replay
 
-    try:
-        outcome = replay_recorded(
+    with _building_inputs():
+        replay = load_replay(
             args.trace,
             workers=args.workers,
             backend=args.backend,
             store_path=args.store_path,
         )
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
+    outcome = replay.execute()
     trace = outcome.trace
     result = outcome.result
     meta = trace.meta

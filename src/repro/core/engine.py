@@ -96,6 +96,11 @@ class BatchResult:
     objects_served: Tuple[int, ...] = ()
 
     @property
+    def bucket_index(self) -> int:
+        """The serviced bucket (named as on a ``BatchRecord``)."""
+        return self.work_item.bucket_index
+
+    @property
     def cost_ms(self) -> float:
         """Service time of the batch."""
         return self.join.cost_ms

@@ -13,7 +13,7 @@ concurrently (in virtual time):
 * :mod:`repro.parallel.engine` — what the shards add up to: the
   cross-shard :class:`~repro.parallel.engine.CompletionTracker` and the
   one merge of per-worker accounting into an
-  :class:`~repro.core.engine.EngineReport` / :class:`ParallelReport`;
+  :class:`~repro.core.engine.EngineReport`;
 * :mod:`repro.parallel.ipc` — the shard message protocol, the per-shard
   replayer that answers it, and the worker processes that can host one;
 * :mod:`repro.parallel.backend` — the :class:`ExecutionBackend` seam over
@@ -22,7 +22,9 @@ concurrently (in virtual time):
   time, work stealing as message passing at the barriers) over a channel
   kind: :class:`VirtualBackend` keeps every shard in-process (the
   default for tests), :class:`ProcessBackend` gives each its own OS
-  process (``multiprocessing``, spawn-safe).
+  process (``multiprocessing``, spawn-safe).  Both return one
+  :class:`BackendOutcome`: the merged report, the shards' own results,
+  the steal records and the service log, each fact recorded once.
 
 Everything above the :class:`~repro.core.engine.ServiceLoop` is topology,
 everything below is unchanged engine code, and the topology has one
@@ -40,7 +42,6 @@ from repro.parallel.backend import (
     VirtualBackend,
     make_backend,
 )
-from repro.parallel.engine import ParallelReport
 from repro.parallel.ipc import shutdown_workers
 from repro.parallel.sharding import (
     SHARD_STRATEGIES,
@@ -56,7 +57,6 @@ __all__ = [
     "SHARD_STRATEGIES",
     "BackendOutcome",
     "ExecutionBackend",
-    "ParallelReport",
     "ParallelRunSpec",
     "ProcessBackend",
     "ShardPlan",

@@ -25,12 +25,12 @@ module keeps the coordinator's pure bookkeeping — the arrival fan-out,
 the per-shard :class:`ShardView`, the steal rule and the outcome merge.
 
 Both backends return the same :class:`BackendOutcome` — one merged
-:class:`~repro.core.engine.EngineReport`, a
-:class:`~repro.parallel.engine.ParallelReport`, the merged per-worker
-:class:`~repro.sim.events.WorkerEventLog` and a global service log — and
-every virtual-clock fact in it is the same bit for bit, steals included:
-the run description alone determines the result.  Only the *real* wall
-clock (:attr:`BackendOutcome.real_elapsed_s`) differs, which is what the
+:class:`~repro.core.engine.EngineReport`, the shards' own
+:class:`~repro.parallel.ipc.WorkerResult` messages, the steal records and
+one global service log, each fact once — and every virtual-clock fact in
+it is the same bit for bit, steals included: the run description alone
+determines the result.  Only the *real* wall clock
+(:attr:`BackendOutcome.real_elapsed_s`) differs, which is what the
 process backend exists to improve.
 """
 
@@ -43,12 +43,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set,
 from repro.core.engine import EngineConfig, EngineReport
 from repro.core.preprocessor import QueryPreProcessor
 from repro.core.scheduler import SchedulingPolicy
-from repro.parallel.engine import (
-    CompletionTracker,
-    ParallelReport,
-    StealRecord,
-    merge_worker_results,
-)
+from repro.parallel.engine import CompletionTracker, StealRecord, merge_worker_results
 from repro.parallel.ipc import (
     AdoptBucket,
     BatchRecord,
@@ -60,7 +55,6 @@ from repro.parallel.ipc import (
 )
 from repro.parallel.sharding import ShardPlan, make_shard_plan
 from repro.parallel.worker import StagedShare
-from repro.sim.events import Event, EventKind, WorkerEventLog
 from repro.telemetry.registry import REAL_DOMAIN, MetricsRegistry, merge_snapshots
 from repro.storage.bucket_store import BucketStore
 from repro.storage.index import SpatialIndex
@@ -81,10 +75,7 @@ DEFAULT_QUANTUM_BUCKET_READS = 64.0
 
 
 def fan_out_arrivals(
-    spec: "ParallelRunSpec",
-    plan: ShardPlan,
-    tracker: CompletionTracker,
-    events: WorkerEventLog,
+    spec: "ParallelRunSpec", plan: ShardPlan, tracker: CompletionTracker
 ) -> List[List[StagedShare]]:
     """Build every shard's arrival schedule from the trace.
 
@@ -102,17 +93,9 @@ def fan_out_arrivals(
             continue
         if tracker.known(query.query_id):
             raise ValueError(f"query {query.query_id} appears twice in the trace")
-        recipients: Set[int] = set()
         for bucket_index, payload in assignments.items():
-            worker_id = plan.owner_of(bucket_index)
-            arrivals[worker_id].append(
+            arrivals[plan.owner_of(bucket_index)].append(
                 StagedShare(arrival_ms, query.query_id, bucket_index, payload)
-            )
-            recipients.add(worker_id)
-        for worker_id in sorted(recipients):
-            events.record(
-                worker_id,
-                Event(arrival_ms, EventKind.QUERY_ARRIVAL, payload=query.query_id),
             )
         tracker.register(query.query_id, assignments.keys(), arrival_ms)
     return arrivals
@@ -164,7 +147,6 @@ def merge_backend_outcome(
     spec: "ParallelRunSpec",
     plan: ShardPlan,
     tracker: CompletionTracker,
-    events: WorkerEventLog,
     batches: List[BatchRecord],
     steal_records: List[StealRecord],
     results: Sequence[WorkerResult],
@@ -181,14 +163,6 @@ def merge_backend_outcome(
     """
     batches.sort(key=lambda r: (r.started_at_ms, r.worker_id, r.seq))
     for record in batches:
-        events.record(
-            record.worker_id,
-            Event(
-                record.finished_at_ms,
-                EventKind.SERVICE_COMPLETE,
-                payload=(record.bucket_index, record.queries_served),
-            ),
-        )
         for query_id in record.queries_served:
             tracker.on_serviced(query_id, record.bucket_index, record.finished_at_ms)
     ordered_results = sorted(results, key=lambda r: r.worker_id)
@@ -209,28 +183,13 @@ def merge_backend_outcome(
             )
         ]
     )
-    parallel = ParallelReport(
-        engine=report,
-        workers=spec.workers,
-        shard_strategy=plan.strategy,
-        worker_busy_ms=[r.busy_ms for r in ordered_results],
-        worker_clocks_ms=[r.clock_ms for r in ordered_results],
-        worker_services=[r.services for r in ordered_results],
-        steals=len(steal_records),
-        wall_clock_ms=max((r.clock_ms for r in ordered_results), default=0.0),
-    )
     return BackendOutcome(
         backend=backend_name,
         report=report,
-        parallel=parallel,
-        events=events,
+        results=ordered_results,
         steal_records=steal_records,
-        completed=tracker.completed_order,
         services=batches,
-        bucket_reads=sum(r.store_reads for r in ordered_results),
-        megabytes_read=sum(r.store_megabytes for r in ordered_results),
         real_elapsed_s=elapsed_s,
-        store_real_read_s=sum(r.store_real_read_s for r in ordered_results),
         reliability=reliability,
         telemetry=telemetry,
         window_boundaries_ms=boundaries,
@@ -276,24 +235,23 @@ class ParallelRunSpec:
 
 @dataclass
 class BackendOutcome:
-    """What every execution backend returns: merged reports plus logs."""
+    """What every execution backend returns; each fact is recorded once.
+
+    Completions are the keys of ``report.response_times_ms`` (in global
+    completion order); per-shard clocks, busy time and store reads are
+    read off :attr:`results`.  The serial engine's pass is the same
+    record with ``backend="serial"`` and no shard results.
+    """
 
     backend: str
     report: EngineReport
-    parallel: ParallelReport
-    events: WorkerEventLog
+    #: Every shard's final accounting, in worker-id order.
+    results: List[WorkerResult]
     steal_records: List[StealRecord]
-    #: Query ids in global completion order.
-    completed: List[int]
     #: Every bucket service of the run, in global virtual-time order.
     services: List[BatchRecord]
-    bucket_reads: int
-    megabytes_read: float
     #: Real (measured) wall-clock of the run, including backend setup.
     real_elapsed_s: float
-    #: File-backed stores only: wall-clock seconds spent in physical page
-    #: reads + decoding, summed over workers (0.0 for in-memory stores).
-    store_real_read_s: float = 0.0
     #: Reliability runs only: what the checkpoint/recovery machinery did.
     reliability: Optional["ReliabilityReport"] = None
     #: Merged telemetry snapshot of the run (lane registries folded in
@@ -393,7 +351,6 @@ class ShardView:
 def run_steal_round(
     views: Sequence[ShardView],
     steal_records: List[StealRecord],
-    events: WorkerEventLog,
     request: Callable[[int, object], object],
 ) -> List[Tuple[StealRecord, AdoptBucket]]:
     """Window-barrier work stealing: idle shards adopt starving queues.
@@ -456,9 +413,6 @@ def run_steal_round(
         )
         steal_records.append(record)
         migrations.append((record, message))
-        events.record(
-            thief.worker_id, Event(start_ms, EventKind.WORK_STOLEN, payload=record)
-        )
     return migrations
 
 

@@ -11,9 +11,11 @@ neither backend may do differently:
   what makes per-shard workload managers composable: each manager only
   knows its shard's share of a query;
 * :class:`StealRecord` — one whole-queue migration between shards;
-* :func:`merge_worker_results` / :class:`ParallelReport` — the single
-  aggregation rule from per-shard accounting to one
-  :class:`~repro.core.engine.EngineReport` plus parallelism metrics.
+* :func:`merge_worker_results` — the single aggregation rule from
+  per-shard accounting to one :class:`~repro.core.engine.EngineReport`.
+  Per-shard facts (clocks, busy time, reads) are not copied anywhere:
+  the run's :class:`~repro.parallel.backend.BackendOutcome` carries the
+  shards' own :class:`~repro.parallel.ipc.WorkerResult` messages.
 
 With ``workers=1`` a sharded run degenerates to the serial
 :class:`~repro.core.engine.LifeRaftEngine` — same scheduling decisions,
@@ -88,11 +90,6 @@ class CompletionTracker:
         return len(self._arrival_ms)
 
     @property
-    def completed_order(self) -> List[int]:
-        """Query ids in global completion order."""
-        return list(self._order)
-
-    @property
     def first_arrival_ms(self) -> Optional[float]:
         """Earliest registered arrival, or ``None`` before any intake."""
         return self._first_arrival_ms
@@ -119,20 +116,6 @@ class CompletionTracker:
             qid: self._completion_ms[qid] - self._arrival_ms[qid] for qid in self._order
         }
 
-
-@dataclass
-class ParallelReport:
-    """The merged engine report plus per-worker parallelism metrics."""
-
-    engine: EngineReport
-    workers: int
-    shard_strategy: str
-    worker_busy_ms: List[float]
-    worker_clocks_ms: List[float]
-    worker_services: List[int]
-    steals: int
-    #: Virtual wall-clock of the run: the furthest-ahead worker clock.
-    wall_clock_ms: float
 
 def merge_worker_results(
     scheduler_name: str,

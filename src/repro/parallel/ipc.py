@@ -270,7 +270,6 @@ class WorkerResult:
     cache_statistics: Dict[str, float]
     join_statistics: Dict[str, float]
     store_reads: int
-    store_megabytes: float
     #: File-backed stores only: this shard's physical read + decode time.
     store_real_read_s: float = 0.0
     #: The lane's telemetry snapshot (a plain picklable dict; see
@@ -375,13 +374,13 @@ class ShardReplayer:
                     BatchRecord(
                         worker_id=worker.worker_id,
                         seq=self.seq,
-                        bucket_index=result.work_item.bucket_index,
+                        bucket_index=result.bucket_index,
                         queries_served=result.queries_served,
                         started_at_ms=result.started_at_ms,
                         finished_at_ms=result.finished_at_ms,
                         objects_served=result.objects_served,
-                        io_ms=result.join.io_cost_ms,
-                        match_ms=result.join.match_cost_ms,
+                        io_ms=result.io_ms,
+                        match_ms=result.match_ms,
                     )
                 )
                 self.seq += 1
@@ -498,7 +497,6 @@ def worker_result(worker: ShardWorker) -> WorkerResult:
         cache_statistics=loop.cache.statistics(),
         join_statistics=loop.evaluator.statistics(),
         store_reads=store.reads,
-        store_megabytes=store.bytes_read_mb,
         store_real_read_s=getattr(store, "real_read_s", 0.0),
         telemetry=telemetry,
     )

@@ -93,7 +93,6 @@ from repro.reliability.checkpoint import (
 from repro.reliability.config import RecoveryEvent, ReliabilityReport
 from repro.reliability.elastic import ScalePlan, ScaleRecord
 from repro.reliability.faults import FaultPlan
-from repro.sim.events import WorkerEventLog
 
 #: How long the coordinator waits on a single worker-process reply before
 #: declaring the run wedged (generous: windows are seconds of real work).
@@ -328,13 +327,12 @@ class ShardCoordinator:
         self.rel = rel = spec.reliability
         self.plan = spec.resolved_plan()
         self.tracker = CompletionTracker()
-        self.events = WorkerEventLog()
         self.faults = rel.fault_plan() if rel is not None else FaultPlan()
         self.scale = rel.scale_plan() if rel is not None else ScalePlan()
         if rel is not None:
             rel.validate(spec.workers, spec.enable_stealing)
         self.stealing = spec.enable_stealing and spec.workers + self.scale.total_ups() > 1
-        self.arrivals = fan_out_arrivals(spec, self.plan, self.tracker, self.events)
+        self.arrivals = fan_out_arrivals(spec, self.plan, self.tracker)
         #: Every shard — scale-up joiners included — boots from this snapshot.
         self.snapshot = spec.store.snapshot()
         self.channels: List[ShardChannel] = []
@@ -429,7 +427,6 @@ class ShardCoordinator:
             self.spec,
             self.plan,
             self.tracker,
-            self.events,
             self.batches,
             self.steal_records,
             results,
@@ -753,7 +750,6 @@ class ShardCoordinator:
         migrations = run_steal_round(
             [view for view in self.views if view.worker_id not in self.departed],
             self.steal_records,
-            self.events,
             self._request,
         )
         if self.rel is not None:

@@ -540,7 +540,7 @@ class ServingFrontEnd:
     def on_batch(self, batch: BatchResult) -> List[ResultChunk]:
         """Feed one serial-engine bucket service into the result streams."""
         return self.hub.on_service(
-            batch.work_item.bucket_index,
+            batch.bucket_index,
             batch.queries_served,
             batch.objects_served,
             batch.finished_at_ms,

@@ -7,7 +7,7 @@ costs), which makes every experiment deterministic and fast while
 preserving the *relative* behaviour of the scheduling policies — the thing
 the figures actually compare.
 
-``events``     a tiny priority event queue (arrivals, service completions)
+``events``     a tiny priority event queue (arrivals, deferred retries)
 ``stats``      response-time / throughput statistics helpers
 ``simulator``  the open-system simulator replaying a trace against an engine
 """

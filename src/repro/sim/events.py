@@ -1,13 +1,10 @@
-"""Event queues and multi-worker event streams for discrete-event simulation.
+"""The time-ordered event queue of discrete-event simulation.
 
-The main simulator's service loop is sequential (one bucket batch at a
-time), so it mostly needs ordered query arrivals, which
-:class:`EventQueue` keeps in time order.
-
-The parallel engine additionally emits one event *stream* per worker —
-arrivals fanned out to a shard, service completions, steals — which
-:class:`WorkerEventLog` records and can merge back into one time-ordered
-timeline for tests and trace inspection.
+The simulator's service loop is sequential (one bucket batch at a time),
+so what needs a queue is the serving front-end's intake: client arrivals
+and deferred retries, which :class:`EventQueue` keeps in time order.  A
+sharded run's timeline is its service and steal records (see
+:class:`~repro.parallel.backend.BackendOutcome`).
 """
 
 from __future__ import annotations
@@ -16,16 +13,13 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Tuple
 
 
 class EventKind(enum.Enum):
     """Categories of simulated events."""
 
     QUERY_ARRIVAL = "query_arrival"
-    SERVICE_COMPLETE = "service_complete"
-    TRANSFER_COMPLETE = "transfer_complete"
-    WORK_STOLEN = "work_stolen"
     CONTROL = "control"
 
 
@@ -64,43 +58,3 @@ class EventQueue:
         if not self._heap:
             raise IndexError("pop from an empty event queue")
         return heapq.heappop(self._heap)[2]
-
-
-class WorkerEventLog:
-    """Per-worker event streams with a merged, time-ordered view.
-
-    The parallel engine appends events as they happen on each worker's
-    virtual timeline (arrivals fanned to the shard, service completions,
-    steals).  Within one worker the stream is append-ordered; across
-    workers :meth:`merged` re-interleaves by timestamp (stable by record
-    order within a timestamp), giving tests one global timeline to assert
-    over.
-    """
-
-    def __init__(self) -> None:
-        self._streams: Dict[int, List[Event]] = {}
-        self._order = itertools.count()
-        self._sequenced: List[Tuple[float, int, int, Event]] = []
-
-    def record(self, worker_id: int, event: Event) -> None:
-        """Append *event* to the stream of *worker_id*."""
-        self._streams.setdefault(worker_id, []).append(event)
-        self._sequenced.append((event.time_ms, next(self._order), worker_id, event))
-
-    def worker_ids(self) -> List[int]:
-        """Workers that have recorded at least one event."""
-        return sorted(self._streams)
-
-    def stream(self, worker_id: int) -> List[Event]:
-        """The events of one worker, in record order."""
-        return list(self._streams.get(worker_id, []))
-
-    def merged(self) -> List[Tuple[int, Event]]:
-        """All events as ``(worker_id, event)``, ordered by time."""
-        return [
-            (worker_id, event)
-            for _time, _seq, worker_id, event in sorted(self._sequenced)
-        ]
-
-    def __len__(self) -> int:
-        return len(self._sequenced)

@@ -24,6 +24,7 @@ from repro.core.engine import EngineConfig, LifeRaftEngine
 from repro.core.metrics import CostModel
 from repro.core.scheduler import SchedulingPolicy
 from repro.fileio import atomic_write
+from repro.parallel.backend import BackendOutcome, ParallelRunSpec, make_backend
 from repro.sim.runspec import DEFAULT_STORE, RunSpec
 from repro.sim.stats import ResponseTimeStats, summarize_response_times
 from repro.storage.bucket_store import BucketStore
@@ -125,7 +126,7 @@ class SimulationResult:
     workers: int = 1
     steals: int = 0
     wall_clock_s: float = 0.0
-    #: Execution backend that produced the run ("serial" for :meth:`Simulator.run`).
+    #: Execution backend that produced the run ("serial" for the serial engine).
     backend: str = "serial"
     #: Real (measured) wall-clock seconds of the run, including backend setup.
     real_elapsed_s: float = 0.0
@@ -177,14 +178,6 @@ class SimulationResult:
         runs (the stats layer never divides by an empty mean).
         """
         return self.response_stats.coefficient_of_variance
-
-
-def _stamp_digest(result: SimulationResult, response_times_ms: Dict[int, float]) -> None:
-    """Stamp the run's :attr:`SimulationResult.result_digest` in place."""
-    result.result_digest = run_digest(
-        response_times_ms,
-        [float(getattr(result, name)) for name in VIRTUAL_CLOCK_PARITY_FIELDS],
-    )
 
 
 class Simulator:
@@ -329,12 +322,87 @@ class Simulator:
         parallel engine; everything else runs the serial discrete-event
         loop.  Virtual-clock results are dispatch-invariant (the parity
         tests pin ``workers=1`` parallel runs to the serial numbers).
+
+        Everything around the engine happens here, once for both paths:
+        the policy is resolved, the serving front-end (when
+        :attr:`RunSpec.service` is set) gates the trace, the store is
+        opened, and the engine's report becomes the
+        :class:`SimulationResult`, digest stamped before any export.
+        Admission is a pure function of the arrival stream, so the
+        admitted schedule — and every result chunk — is identical across
+        paths and backends.
         """
         spec = spec if spec is not None else RunSpec()
-        if spec.is_parallel:
-            result = self._execute_parallel(queries, spec)
-        else:
-            result = self._execute_serial(queries, spec)
+        policy = spec.policy
+        if isinstance(policy, str):
+            policy = make_policy(policy, alpha=spec.alpha, cost=self.config.cost)
+        # Client arrivals (pre-admission): the ledger charges gate wait
+        # against these, not the rewritten engine hand-off times.
+        client_arrivals_ms = {q.query_id: q.arrival_time_s * 1000.0 for q in queries}
+        frontend = self._build_frontend(spec)
+        admitted = queries if frontend is None else frontend.admit(queries).admitted_queries()
+        run = self._execute_parallel if spec.is_parallel else self._execute_serial
+        # Every store is a context manager (a no-op close for the in-memory
+        # store), so a failed run can never leak an open store fd.
+        with self._build_store(spec.store_path) as store:
+            outcome = run(admitted, spec, policy, store, frontend)
+        # A serial pass reads through *store*; each shard of a sharded run
+        # reads a private copy of it and reports its reads in its result,
+        # so one term of each read total below is always zero.
+        results = outcome.results
+        report = outcome.report
+        result = SimulationResult(
+            policy_name=report.scheduler_name,
+            alpha=getattr(policy, "alpha", None),
+            submitted_queries=report.submitted_queries,
+            completed_queries=report.completed_queries,
+            makespan_s=report.makespan_ms / 1000.0,
+            busy_time_s=report.busy_time_ms / 1000.0,
+            throughput_qps=report.throughput_qps,
+            response_stats=summarize_response_times(
+                [ms / 1000.0 for ms in report.response_times_ms.values()]
+            ),
+            cache_hit_rate=report.cache_hit_rate,
+            bucket_services=report.bucket_services,
+            bucket_reads=store.reads + sum(r.store_reads for r in results),
+            strategy_counts=report.strategy_counts,
+            total_io_s=report.total_io_ms / 1000.0,
+            total_match_s=report.total_match_ms / 1000.0,
+            saturation_qps=spec.saturation_qps,
+            label=spec.label
+            or (f"{policy.name} x{spec.workers}" if spec.is_parallel else policy.name),
+            workers=spec.workers,
+            steals=len(outcome.steal_records),
+            wall_clock_s=max((r.clock_ms for r in results), default=0.0) / 1000.0,
+            backend=outcome.backend,
+            real_elapsed_s=outcome.real_elapsed_s,
+            serving=frontend.report() if frontend is not None else None,
+            store_backend="file" if isinstance(store, DiskBucketStore) else "memory",
+            real_read_s=getattr(store, "real_read_s", 0.0)
+            + sum(r.store_real_read_s for r in results),
+            page_reads=getattr(store, "page_reads", 0),
+            reliability=outcome.reliability,
+        )
+        result.result_digest = run_digest(
+            report.response_times_ms,
+            [float(getattr(result, name)) for name in VIRTUAL_CLOCK_PARITY_FIELDS],
+        )
+        snapshot = merge_snapshots(
+            [outcome.telemetry, frontend.telemetry.snapshot() if frontend is not None else None]
+        )
+        if spec.telemetry:
+            result.telemetry = snapshot
+        self._export_telemetry(
+            spec,
+            result,
+            snapshot,
+            outcome.services,
+            steal_records=outcome.steal_records,
+            window_boundaries_ms=outcome.window_boundaries_ms,
+            reliability=outcome.reliability,
+            admission_records=frontend.admission_records() if frontend is not None else (),
+            arrivals_ms=client_arrivals_ms,
+        )
         if spec.record_trace:
             # Record the *original* (pre-admission) arrival stream:
             # admission is a pure function of it, so a replay reproduces
@@ -368,72 +436,54 @@ class Simulator:
         write_trace(path, queries, meta=meta, expected_digest=result.result_digest)
 
     def _execute_serial(
-        self, queries: Sequence[CrossMatchQuery], spec: RunSpec
-    ) -> SimulationResult:
-        """The serial discrete-event loop (arrivals in virtual time)."""
-        policy = spec.policy
-        if isinstance(policy, str):
-            policy = make_policy(policy, alpha=spec.alpha, cost=self.config.cost)
-        # Client arrivals (pre-admission): the ledger charges gate wait
-        # against these, not the rewritten engine hand-off times.
-        client_arrivals_ms = {q.query_id: q.arrival_time_s * 1000.0 for q in queries}
-        frontend = self._build_frontend(spec)
-        if frontend is not None:
-            queries = frontend.admit(queries).admitted_queries()
-        # Every store is a context manager (a no-op close for the in-memory
-        # store), so a failed run can never leak an open store fd.
-        with self._build_store(spec.store_path) as store:
-            engine = self._build_engine(policy, store=store, spec=spec)
-            ordered = sorted(queries, key=lambda q: (q.arrival_time_s, q.query_id))
-            arrivals_ms = [q.arrival_time_s * 1000.0 for q in ordered]
-            index = 0
-            total = len(ordered)
-            now_ms = arrivals_ms[0] if ordered else 0.0
-            while index < total or engine.has_pending_work():
-                if not engine.has_pending_work() and index < total:
-                    # Idle: jump to the next arrival.
-                    now_ms = max(now_ms, arrivals_ms[index])
-                while index < total and arrivals_ms[index] <= now_ms + 1e-9:
-                    engine.submit(ordered[index], now_ms=arrivals_ms[index])
-                    index += 1
-                if not engine.has_pending_work():
-                    continue
-                result = engine.process_next(now_ms)
-                if result is None:
-                    break
-                if frontend is not None:
-                    frontend.on_batch(result)
-                now_ms = result.finished_at_ms
-            summary = self._summarise(
-                engine, policy, spec.alpha, spec.label, spec.saturation_qps
-            )
+        self,
+        queries: Sequence[CrossMatchQuery],
+        spec: RunSpec,
+        policy: SchedulingPolicy,
+        store: BucketStore,
+        frontend: Optional["ServingFrontEnd"],
+    ) -> BackendOutcome:
+        """The serial discrete-event loop (arrivals in virtual time).
+
+        The result chunks of a served run fire live, batch by batch.  The
+        pass has no shards, so its outcome carries no shard results.
+        """
+        engine = self._build_engine(policy, store=store, spec=spec)
+        ordered = sorted(queries, key=lambda q: (q.arrival_time_s, q.query_id))
+        arrivals_ms = [q.arrival_time_s * 1000.0 for q in ordered]
+        index = 0
+        total = len(ordered)
+        now_ms = arrivals_ms[0] if ordered else 0.0
+        while index < total or engine.has_pending_work():
+            if not engine.has_pending_work() and index < total:
+                # Idle: jump to the next arrival.
+                now_ms = max(now_ms, arrivals_ms[index])
+            while index < total and arrivals_ms[index] <= now_ms + 1e-9:
+                engine.submit(ordered[index], now_ms=arrivals_ms[index])
+                index += 1
+            if not engine.has_pending_work():
+                continue
+            result = engine.process_next(now_ms)
+            if result is None:
+                break
             if frontend is not None:
-                summary.serving = frontend.report()
-            if isinstance(store, DiskBucketStore):
-                summary.store_backend = "file"
-                summary.real_read_s = store.real_read_s
-                summary.page_reads = store.page_reads
-            store_registry = getattr(store, "telemetry", None)
-            snapshot = merge_snapshots(
+                frontend.on_batch(result)
+            now_ms = result.finished_at_ms
+        store_registry = getattr(store, "telemetry", None)
+        return BackendOutcome(
+            backend="serial",
+            report=engine.report(),
+            results=[],
+            steal_records=[],
+            services=engine.loop.batches,
+            real_elapsed_s=0.0,
+            telemetry=merge_snapshots(
                 [
                     engine.loop.telemetry.snapshot(),
                     store_registry.snapshot() if store_registry is not None else None,
-                    frontend.telemetry.snapshot() if frontend is not None else None,
                 ]
-            )
-            if spec.telemetry:
-                summary.telemetry = snapshot
-            self._export_telemetry(
-                spec,
-                summary,
-                snapshot,
-                engine.loop.batches,
-                admission_records=(
-                    frontend.admission_records() if frontend is not None else ()
-                ),
-                arrivals_ms=client_arrivals_ms,
-            )
-            return summary
+            ),
+        )
 
     def _build_frontend(self, spec: RunSpec) -> Optional["ServingFrontEnd"]:
         """Assemble a serving front-end over this simulator's layout."""
@@ -448,88 +498,29 @@ class Simulator:
             series_window_ms=spec.series_window_ms,
         )
 
-    def _summarise(
-        self,
-        engine: LifeRaftEngine,
-        policy: SchedulingPolicy,
-        alpha: float,
-        label: str,
-        saturation_qps: Optional[float],
-    ) -> SimulationResult:
-        report = engine.report()
-        response_s = [ms / 1000.0 for ms in report.response_times_ms.values()]
-        effective_alpha = getattr(policy, "alpha", None)
-        summary = SimulationResult(
-            policy_name=policy.name,
-            alpha=effective_alpha,
-            submitted_queries=report.submitted_queries,
-            completed_queries=report.completed_queries,
-            makespan_s=report.makespan_ms / 1000.0,
-            busy_time_s=report.busy_time_ms / 1000.0,
-            throughput_qps=report.throughput_qps,
-            response_stats=summarize_response_times(response_s),
-            cache_hit_rate=report.cache_hit_rate,
-            bucket_services=report.bucket_services,
-            bucket_reads=engine.store.reads,
-            strategy_counts=report.strategy_counts,
-            total_io_s=report.total_io_ms / 1000.0,
-            total_match_s=report.total_match_ms / 1000.0,
-            saturation_qps=saturation_qps,
-            label=label or policy.name,
-        )
-        _stamp_digest(summary, report.response_times_ms)
-        return summary
-
     def _execute_parallel(
-        self, queries: Sequence[CrossMatchQuery], spec: RunSpec
-    ) -> SimulationResult:
+        self,
+        queries: Sequence[CrossMatchQuery],
+        spec: RunSpec,
+        policy: SchedulingPolicy,
+        store: BucketStore,
+        frontend: Optional["ServingFrontEnd"],
+    ) -> BackendOutcome:
         """Replay a trace against a sharded engine on an execution backend.
 
         :attr:`RunSpec.effective_backend` selects where the shard workers
-        run: ``"virtual"`` keeps every shard inside this process;
-        ``"process"`` runs each shard in its own OS process for real
-        hardware parallelism.  One coordinator drives both, so
-        virtual-clock results are backend-invariant, steals included
-        (the parity tests pin this down); only
-        :attr:`SimulationResult.real_elapsed_s` differs.  ``workers=1``
-        reproduces the serial engine exactly on either backend.
-
-        With :attr:`RunSpec.service` set, the same serving front-end as
-        the serial path gates the trace first; the backends replay the
-        admitted schedule and their service records — which rode the IPC
-        channel on the process backend — feed the result streams.
-        Because admission is a pure function of the arrival stream, the
-        admitted schedule (and therefore every chunk) is identical
-        across backends.
-
-        :attr:`RunSpec.store_path` behaves as in the serial path.  On the
-        process backend a file-backed store ships as a small path-based
-        snapshot: each worker child reopens the file read-only and
-        performs its own physical I/O instead of unpickling the catalog.
-
-        With :attr:`RunSpec.reliability` set, the run checkpoints
-        per-shard state at window barriers under the configured cadence,
-        injects the configured crash plan (really killing worker
-        processes on the process backend), and recovers dead shards from
-        their latest checkpoint.  Virtual-clock results of a
-        crash-injected run are identical to an uninterrupted one (the
-        reliability parity tests pin this down with stealing off); the
-        returned result carries the
-        :class:`~repro.reliability.config.ReliabilityReport` in
-        :attr:`SimulationResult.reliability`.
+        run: ``"virtual"`` keeps every shard inside this process,
+        ``"process"`` gives each its own OS process (a file-backed store
+        ships as a path, and each child does its own physical I/O).  One
+        coordinator drives both, so virtual-clock results are
+        backend-invariant, steals included, and ``workers=1`` reproduces
+        the serial engine.  With :attr:`RunSpec.reliability` set, the run
+        checkpoints at window barriers, injects the planned crashes and
+        recovers dead shards.  The shards' service records feed the
+        serving front-end's result streams once the run ends.
         """
-        from repro.parallel.backend import ParallelRunSpec, make_backend
-
-        policy = spec.policy
-        if isinstance(policy, str):
-            policy = make_policy(policy, alpha=spec.alpha, cost=self.config.cost)
-        client_arrivals_ms = {q.query_id: q.arrival_time_s * 1000.0 for q in queries}
-        frontend = self._build_frontend(spec)
-        if frontend is not None:
-            queries = frontend.admit(queries).admitted_queries()
-        execution = make_backend(spec.effective_backend)
-        with self._build_store(spec.store_path) as store:
-            plan = ParallelRunSpec(
+        outcome = make_backend(spec.effective_backend).execute(
+            ParallelRunSpec(
                 layout=self._layout,
                 store=store,
                 queries=tuple(queries),
@@ -542,61 +533,10 @@ class Simulator:
                 steal_quantum_ms=spec.steal_quantum_ms,
                 reliability=spec.reliability,
             )
-            outcome = execution.execute(plan)
+        )
         if frontend is not None:
             frontend.ingest_records(outcome.services)
-        report = outcome.report
-        response_s = [ms / 1000.0 for ms in report.response_times_ms.values()]
-        effective_alpha = getattr(policy, "alpha", None)
-        serving_report = frontend.report() if frontend is not None else None
-        summary = SimulationResult(
-            policy_name=report.scheduler_name,
-            alpha=effective_alpha,
-            submitted_queries=report.submitted_queries,
-            completed_queries=report.completed_queries,
-            makespan_s=report.makespan_ms / 1000.0,
-            busy_time_s=report.busy_time_ms / 1000.0,
-            throughput_qps=report.throughput_qps,
-            response_stats=summarize_response_times(response_s),
-            cache_hit_rate=report.cache_hit_rate,
-            bucket_services=report.bucket_services,
-            bucket_reads=outcome.bucket_reads,
-            strategy_counts=report.strategy_counts,
-            total_io_s=report.total_io_ms / 1000.0,
-            total_match_s=report.total_match_ms / 1000.0,
-            saturation_qps=spec.saturation_qps,
-            label=spec.label or f"{policy.name} x{spec.workers}",
-            workers=spec.workers,
-            steals=outcome.parallel.steals,
-            wall_clock_s=outcome.parallel.wall_clock_ms / 1000.0,
-            backend=outcome.backend,
-            real_elapsed_s=outcome.real_elapsed_s,
-            serving=serving_report,
-            store_backend="file" if isinstance(store, DiskBucketStore) else "memory",
-            real_read_s=outcome.store_real_read_s,
-            reliability=outcome.reliability,
-        )
-        _stamp_digest(summary, report.response_times_ms)
-        snapshot = merge_snapshots(
-            [outcome.telemetry]
-            + ([frontend.telemetry.snapshot()] if frontend is not None else [])
-        )
-        if spec.telemetry:
-            summary.telemetry = snapshot
-        self._export_telemetry(
-            spec,
-            summary,
-            snapshot,
-            outcome.services,
-            steal_records=outcome.steal_records,
-            window_boundaries_ms=outcome.window_boundaries_ms,
-            reliability=outcome.reliability,
-            admission_records=(
-                frontend.admission_records() if frontend is not None else ()
-            ),
-            arrivals_ms=client_arrivals_ms,
-        )
-        return summary
+        return outcome
 
     @staticmethod
     def _export_telemetry(

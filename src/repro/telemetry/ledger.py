@@ -120,31 +120,16 @@ class LedgerService:
 
 
 def normalize_service(record) -> LedgerService:
-    """Accept a parallel ``BatchRecord`` or a serial ``BatchResult``.
-
-    The same dual-shape rule as the span builder: records carry the I/O
-    and match split directly (``io_ms`` / ``match_ms``, riding the IPC
-    seam since they were added for the ledger); serial batch results
-    expose the identical numbers through their ``JoinResult``.
-    """
-    bucket_index = getattr(record, "bucket_index", None)
-    if bucket_index is None:
-        bucket_index = record.work_item.bucket_index
-    join = getattr(record, "join", None)
-    if join is not None:
-        io_ms = join.io_cost_ms
-        match_ms = join.match_cost_ms
-    else:
-        io_ms = getattr(record, "io_ms", 0.0)
-        match_ms = getattr(record, "match_ms", 0.0)
+    """A parallel ``BatchRecord`` or a serial ``BatchResult``: both name
+    the bucket, the I/O and match split and the per-query objects alike."""
     return LedgerService(
-        bucket_index=bucket_index,
+        bucket_index=record.bucket_index,
         started_at_ms=record.started_at_ms,
         finished_at_ms=record.finished_at_ms,
-        io_ms=io_ms,
-        match_ms=match_ms,
+        io_ms=record.io_ms,
+        match_ms=record.match_ms,
         queries_served=tuple(record.queries_served),
-        objects_served=tuple(getattr(record, "objects_served", ()) or ()),
+        objects_served=tuple(record.objects_served),
     )
 
 

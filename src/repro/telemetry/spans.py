@@ -43,17 +43,15 @@ def _ts_us(virtual_ms: float) -> float:
 
 
 def _normalise_service(record) -> dict:
-    """Accept a parallel ``BatchRecord`` or a serial ``BatchResult``."""
-    bucket_index = getattr(record, "bucket_index", None)
-    if bucket_index is None:
-        bucket_index = record.work_item.bucket_index
+    """A parallel ``BatchRecord`` or a serial ``BatchResult`` (no worker id:
+    the serial engine is one implicit shard)."""
     return {
         "worker_id": getattr(record, "worker_id", 0),
-        "bucket_index": bucket_index,
+        "bucket_index": record.bucket_index,
         "started_at_ms": record.started_at_ms,
         "finished_at_ms": record.finished_at_ms,
         "queries_served": list(record.queries_served),
-        "objects_served": list(getattr(record, "objects_served", ()) or ()),
+        "objects_served": list(record.objects_served),
     }
 
 

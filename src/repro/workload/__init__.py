@@ -18,7 +18,7 @@ Modules
 ``generator``   the synthetic trace generator (skew + temporal locality)
 ``arrival``     arrival processes used to impose a saturation level
 ``stats``       trace statistics (drives Figures 5 and 6)
-``replay``      replay helpers (``replay_recorded`` re-runs ``.lrtr`` traces)
+``replay``      replay helpers (``load_replay`` re-runs ``.lrtr`` traces)
 ``trace_io``    the versioned, CRC-checked ``.lrtr`` recorded-trace codec
 ``scenarios``   named, seeded adversarial scenario builders
 """

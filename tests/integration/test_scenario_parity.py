@@ -16,7 +16,7 @@ import pytest
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
 from repro.workload.generator import TraceConfig, TraceGenerator
-from repro.workload.replay import replay_recorded
+from repro.workload.replay import load_replay
 from repro.workload.trace_io import read_trace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "scenarios"
@@ -44,26 +44,26 @@ class TestRecordReplayRoundTrip:
 
     def test_serial_replay_is_bit_identical(self, recorded_trace):
         path, result = recorded_trace
-        outcome = replay_recorded(path)
+        outcome = load_replay(path).execute()
         assert outcome.digest_checked
         assert outcome.digest_matches
         assert outcome.result.completed_queries == result.completed_queries
 
     def test_virtual_replay_is_bit_identical(self, recorded_trace):
         path, _ = recorded_trace
-        outcome = replay_recorded(path, backend="virtual")
+        outcome = load_replay(path, backend="virtual").execute()
         assert outcome.digest_checked
         assert outcome.digest_matches
 
     def test_process_replay_is_bit_identical(self, recorded_trace):
         path, _ = recorded_trace
-        outcome = replay_recorded(path, backend="process")
+        outcome = load_replay(path, backend="process").execute()
         assert outcome.digest_checked
         assert outcome.digest_matches
 
     def test_other_worker_count_completes_but_skips_digest(self, recorded_trace):
         path, result = recorded_trace
-        outcome = replay_recorded(path, workers=2, backend="virtual")
+        outcome = load_replay(path, workers=2, backend="virtual").execute()
         assert not outcome.digest_checked
         assert outcome.result.completed_queries == result.completed_queries
 
@@ -74,13 +74,13 @@ class TestCommittedFixtures:
 
     @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
     def test_fixture_replays_bit_identically(self, path):
-        outcome = replay_recorded(str(path))
+        outcome = load_replay(str(path)).execute()
         assert outcome.trace.meta["scenario"] == path.stem
         assert outcome.digest_checked
         assert outcome.digest_matches
 
     @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
     def test_fixture_replays_bit_identically_on_virtual(self, path):
-        outcome = replay_recorded(str(path), backend="virtual")
+        outcome = load_replay(str(path), backend="virtual").execute()
         assert outcome.digest_checked
         assert outcome.digest_matches

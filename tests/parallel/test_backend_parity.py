@@ -26,7 +26,6 @@ both backends, so digests, steal schedule and window boundaries are equal.
 """
 
 import dataclasses
-from collections import Counter
 
 import pytest
 
@@ -106,6 +105,11 @@ def build_spec(layout, sim_config, engine_config, queries, workers, strategy, **
     )
 
 
+def bucket_reads(outcome):
+    """Store reads of a sharded run: each shard reads its own store copy."""
+    return sum(result.store_reads for result in outcome.results)
+
+
 @pytest.fixture(scope="module")
 def serial_reference(layout, sim_config, engine_config, batch_queries):
     """The serial engine's outcome on the closed batch."""
@@ -156,9 +160,8 @@ class TestClosedBatchParity:
         self, backend_outcomes, serial_reference, backend_name, workers, strategy
     ):
         outcome = backend_outcomes[(backend_name, workers, strategy)]
-        assert frozenset(outcome.completed) == serial_reference["completed"]
-        # Completion order lists each query exactly once.
-        assert len(outcome.completed) == len(set(outcome.completed))
+        assert frozenset(outcome.report.response_times_ms) == serial_reference["completed"]
+        assert len(outcome.report.response_times_ms) == outcome.report.completed_queries
 
     def test_per_query_bucket_coverage_matches_serial(
         self, backend_outcomes, serial_reference, backend_name, workers, strategy
@@ -191,7 +194,7 @@ class TestClosedBatchParity:
         assert report.total_matches == serial.total_matches
         assert report.bucket_services == serial.bucket_services
         assert report.strategy_counts == serial.strategy_counts
-        assert outcome.bucket_reads == serial_reference["bucket_reads"]
+        assert bucket_reads(outcome) == serial_reference["bucket_reads"]
 
     def test_backends_agree_with_each_other(
         self, backend_outcomes, serial_reference, backend_name, workers, strategy
@@ -199,14 +202,14 @@ class TestClosedBatchParity:
         """Stealing is on in these cells: same loop, same everything."""
         virtual = backend_outcomes[("virtual", workers, strategy)]
         process = backend_outcomes[("process", workers, strategy)]
-        assert virtual.completed == process.completed
+        assert list(virtual.report.response_times_ms) == list(process.report.response_times_ms)
         assert virtual.services == process.services
         assert virtual.steal_records == process.steal_records
         assert virtual.window_boundaries_ms == process.window_boundaries_ms
         assert virtual.report.response_times_ms == process.report.response_times_ms
         assert virtual.report.busy_time_ms == process.report.busy_time_ms
-        assert virtual.parallel.worker_clocks_ms == process.parallel.worker_clocks_ms
-        assert virtual.bucket_reads == process.bucket_reads
+        assert [r.clock_ms for r in virtual.results] == [r.clock_ms for r in process.results]
+        assert bucket_reads(virtual) == bucket_reads(process)
 
 
 class TestSingleWorkerExactness:
@@ -325,24 +328,24 @@ class TestProcessBackendStealing:
         for record in outcome.steal_records:
             assert record.entry_count > 0
             assert record.victim_id != record.thief_id
-        assert frozenset(outcome.completed) == serial_reference["completed"]
+        assert frozenset(outcome.report.response_times_ms) == serial_reference["completed"]
         assert outcome.report.busy_time_ms == pytest.approx(
             serial_reference["report"].busy_time_ms, rel=1e-12
         )
 
     @pytest.mark.parametrize("backend_name", ("virtual", "process"))
-    def test_parallel_report_is_consistent(self, backend_outcomes, backend_name):
+    def test_shard_results_are_consistent(self, backend_outcomes, backend_name):
         outcome = backend_outcomes[(backend_name, 4, "round_robin")]
-        preport = outcome.parallel
-        assert preport.workers == 4
-        assert sum(preport.worker_busy_ms) == pytest.approx(
+        results = outcome.results
+        assert [result.worker_id for result in results] == [0, 1, 2, 3]
+        assert sum(result.busy_ms for result in results) == pytest.approx(
             outcome.report.busy_time_ms, rel=1e-12
         )
-        assert preport.wall_clock_ms == max(preport.worker_clocks_ms)
-        utilisation = sum(busy / preport.wall_clock_ms for busy in preport.worker_busy_ms) / 4
+        wall_clock_ms = max(result.clock_ms for result in results)
+        utilisation = sum(result.busy_ms / wall_clock_ms for result in results) / 4
         assert 0.0 < utilisation <= 1.0
-        assert sum(preport.worker_services) == outcome.report.bucket_services
-        assert preport.steals == len(outcome.steal_records)
+        assert sum(result.services for result in results) == outcome.report.bucket_services
+        assert sum(result.steals for result in results) == len(outcome.steal_records)
         assert outcome.real_elapsed_s > 0.0
 
 
@@ -374,18 +377,14 @@ class TestSimulatorBackendSelection:
             simulator.execute(timed_queries, RunSpec(backend="quantum"))
 
 
-class TestBackendEvents:
-    """Merged per-worker event logs stay consistent on the process backend."""
+class TestRunRecord:
+    """The service log, steal records and shard results agree on both backends."""
 
     @pytest.mark.parametrize("backend_name", ("virtual", "process"))
-    def test_event_counts(self, backend_outcomes, backend_name):
-        from repro.sim.events import EventKind
-
+    def test_services_steals_and_results_agree(self, backend_outcomes, backend_name):
         outcome = backend_outcomes[(backend_name, 2, "zone")]
-        counts = Counter(event.kind for _worker, event in outcome.events.merged())
-        assert counts[EventKind.SERVICE_COMPLETE] == outcome.report.bucket_services
-        assert counts.get(EventKind.WORK_STOLEN, 0) == len(outcome.steal_records)
-        assert counts[EventKind.QUERY_ARRIVAL] >= outcome.report.submitted_queries
-        merged = outcome.events.merged()
-        times = [event.time_ms for _worker, event in merged]
-        assert times == sorted(times)
+        assert len(outcome.services) == outcome.report.bucket_services
+        assert sum(r.services for r in outcome.results) == outcome.report.bucket_services
+        assert sum(r.steals for r in outcome.results) == len(outcome.steal_records)
+        order = [(r.started_at_ms, r.worker_id, r.seq) for r in outcome.services]
+        assert order == sorted(order)

@@ -7,8 +7,6 @@ window of two bucket reads so that the small traces here cross many
 barriers and idle shards really steal.
 """
 
-from collections import Counter
-
 import pytest
 
 from repro.core.baselines import NoShareScheduler
@@ -24,7 +22,6 @@ from repro.parallel.backend import (
 )
 from repro.parallel.engine import StealRecord
 from repro.parallel.ipc import AdoptBucket, BucketQueueMeta, ReleasedBucket
-from repro.sim.events import EventKind, WorkerEventLog
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
 from repro.storage.bucket_store import BucketStore
@@ -79,6 +76,11 @@ def service_counts(outcome):
     return counts
 
 
+def served_queries(outcome):
+    """Every query id the service log served at least once."""
+    return {query_id for record in outcome.services for query_id in record.queries_served}
+
+
 def expected_pairs(queries):
     return {
         (query.query_id, bucket) for query in queries for bucket in query.bucket_footprint
@@ -110,9 +112,9 @@ class TestCorrectness:
     def test_all_queries_complete_once(self, layout, queries):
         outcome = run_sharded(layout, queries, workers=4)
         assert outcome.report.completed_queries == outcome.report.submitted_queries
-        assert len(outcome.completed) == len(set(outcome.completed)), (
-            "a query completed twice"
-        )
+        # One completion per served query: the report and the service log agree.
+        assert set(outcome.report.response_times_ms) == served_queries(outcome)
+        assert len(outcome.report.response_times_ms) == outcome.report.completed_queries
 
     def test_no_bucket_entry_served_twice(self, layout, queries):
         """Each (query, bucket) workload entry is drained exactly once."""
@@ -174,7 +176,7 @@ class TestWorkStealing:
             return ReleasedBucket(0, 3, entries, (), victim_clock_ms)
 
         steals = []
-        run_steal_round([victim, thief], steals, WorkerEventLog(), request)
+        run_steal_round([victim, thief], steals, request)
         assert bool(steals) == bool(sent) == migrates
         if migrates:
             assert steals == [StealRecord(40.0, 3, victim_id=0, thief_id=1, entry_count=2)]
@@ -187,7 +189,9 @@ class TestWorkStealing:
         without = run_sharded(
             layout, queries, workers=4, shard_strategy="zone", enable_stealing=False
         )
-        assert sorted(zone_run.completed) == sorted(without.completed)
+        assert sorted(zone_run.report.response_times_ms) == sorted(
+            without.report.response_times_ms
+        )
 
 
 class TestConstructedSkewStealing:
@@ -301,26 +305,30 @@ class TestDeterminism:
             )
             outcome = run_sharded(layout, trace_queries, workers=4)
             return (
-                outcome.completed,
+                list(outcome.report.response_times_ms),
                 outcome.report.busy_time_ms,
                 outcome.report.makespan_ms,
                 outcome.steal_records,
-                outcome.parallel.worker_services,
+                [result.services for result in outcome.results],
                 outcome.window_boundaries_ms,
             )
 
         assert run_once() == run_once()
 
 
-class TestEventStreams:
-    def test_events_cover_arrivals_services_and_steals(self, zone_run, queries):
-        counts = Counter(event.kind for _worker, event in zone_run.events.merged())
-        assert counts[EventKind.QUERY_ARRIVAL] >= len(queries)
-        assert counts[EventKind.SERVICE_COMPLETE] == zone_run.report.bucket_services
-        assert counts[EventKind.WORK_STOLEN] == len(zone_run.steal_records) > 0
-        merged = zone_run.events.merged()
-        times = [event.time_ms for _worker, event in merged]
-        assert times == sorted(times)
+class TestRunRecord:
+    def test_services_steals_and_results_agree(self, zone_run, queries):
+        """A run's records are its service log, its steal records and one
+        result per shard; each fact is in one of them, and they agree."""
+        results = zone_run.results
+        assert [result.worker_id for result in results] == [0, 1, 2, 3]
+        assert zone_run.report.submitted_queries == len(queries)
+        assert len(zone_run.services) == zone_run.report.bucket_services
+        assert sum(result.services for result in results) == zone_run.report.bucket_services
+        assert sum(result.steals for result in results) == len(zone_run.steal_records) > 0
+        order = [(r.started_at_ms, r.worker_id, r.seq) for r in zone_run.services]
+        assert order == sorted(order)
+        assert set(zone_run.report.response_times_ms) == served_queries(zone_run)
 
 
 class TestScaling:

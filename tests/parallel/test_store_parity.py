@@ -121,15 +121,15 @@ def backend_outcome(site, sim_config, queries, backend_name, workers, file_backe
     )
     outcome = make_backend(backend_name).execute(spec)
     return {
-        "completed": frozenset(outcome.completed),
+        "completed": frozenset(outcome.report.response_times_ms),
         "coverage": outcome.coverage(),
         "busy_ms": outcome.report.busy_time_ms,
         "io_ms": outcome.report.total_io_ms,
         "match_ms": outcome.report.total_match_ms,
         "services": outcome.report.bucket_services,
         "strategy_counts": outcome.report.strategy_counts,
-        "bucket_reads": outcome.bucket_reads,
-        "real_read_s": outcome.store_real_read_s,
+        "bucket_reads": sum(result.store_reads for result in outcome.results),
+        "real_read_s": sum(result.store_real_read_s for result in outcome.results),
     }
 
 

@@ -13,9 +13,14 @@ import gc
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
+import repro
 from repro.core.engine import EngineConfig
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
 from repro.parallel import shutdown_workers
@@ -262,3 +267,63 @@ def test_layout_pickles_as_columns_and_round_trips(simulator, tmp_path):
         return path.read_bytes()
 
     assert checkpoint_bytes("restored.lrcp", restored) == checkpoint_bytes("built.lrcp", layout)
+
+
+#: A process x2 run in a fresh interpreter that writes its idle workers'
+#: pids to a file, then exits normally or SIGKILLs itself.  Spawned
+#: children re-import ``__main__``, so this runs as a script file, not
+#: ``-c``; and the test gives it no pipe, since a worker that inherited
+#: one would hold it open and hide how long it lived.
+_OUTLIVE_SCRIPT = textwrap.dedent(
+    """
+    import multiprocessing, os, signal, sys
+
+    from repro.sim.runspec import RunSpec
+    from repro.sim.simulator import SimulationConfig, Simulator
+    from repro.workload.generator import TraceConfig, TraceGenerator
+
+    if __name__ == "__main__":
+        config = TraceConfig(query_count=20, bucket_count=64, seed=3)
+        queries = TraceGenerator(config).generate().with_saturation(1.0).queries
+        simulator = Simulator(SimulationConfig(bucket_count=64))
+        simulator.execute(queries, RunSpec(workers=2, backend="process"))
+        with open(sys.argv[2], "w") as handle:
+            handle.write(" ".join(str(p.pid) for p in multiprocessing.active_children()))
+        if sys.argv[1] == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+    """
+)
+
+
+def _gone_or_zombie(pid):
+    """``True`` once *pid* has exited (reaped, or a zombie nobody reaped)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except FileNotFoundError:
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
+
+
+@needs_proc
+@pytest.mark.parametrize("ending", ("exit", "kill"))
+def test_no_shard_worker_outlives_its_interpreter(tmp_path, ending):
+    """Idle workers belong to the interpreter that started them: whether it
+    exits normally or is SIGKILLed, every one of them is gone within 10 s."""
+    script, pid_file = tmp_path / "outlive.py", tmp_path / "pids.txt"
+    script.write_text(_OUTLIVE_SCRIPT)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    subprocess.run(
+        [sys.executable, str(script), ending, str(pid_file)],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        timeout=120,
+    )
+    pids = [int(pid) for pid in pid_file.read_text().split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10.0
+    while not all(_gone_or_zombie(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert [pid for pid in pids if not _gone_or_zombie(pid)] == []

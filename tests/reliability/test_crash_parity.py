@@ -198,8 +198,10 @@ class TestCrashParity:
         self, crashed_outcomes, serial_reference, backend_name, workers
     ):
         outcome = crashed_outcomes[(backend_name, workers)]
-        assert frozenset(outcome.completed) == frozenset(serial_reference["completed"])
-        assert len(outcome.completed) == len(set(outcome.completed))
+        assert frozenset(outcome.report.response_times_ms) == frozenset(
+            serial_reference["completed"]
+        )
+        assert len(outcome.report.response_times_ms) == outcome.report.completed_queries
 
     def test_chunk_sequences_match_clean_run(
         self, crashed_outcomes, clean_outcomes, serial_reference, backend_name, workers
@@ -231,7 +233,7 @@ class TestCrashParity:
         assert crashed.report.cache_hit_rate == pytest.approx(
             clean.report.cache_hit_rate, rel=1e-12
         )
-        assert crashed.bucket_reads == clean.bucket_reads
+        assert [r.store_reads for r in crashed.results] == [r.store_reads for r in clean.results]
         assert crashed.coverage() == clean.coverage()
 
     def test_exact_batch_timelines_match_clean_run(
@@ -448,8 +450,9 @@ class TestRecoveryGuards:
         assert isinstance(payload, RunCheckpoint)
         assert info.worker_id == -1
         # The durable tracker resumed from disk is usable coordinator state:
-        # its completion order is a consistent prefix of the finished run.
+        # every admitted query is registered, and what it has completed is
+        # part of the finished run.
         tracker = payload.tracker
-        assert len(tracker.completed_order) == len(set(tracker.completed_order))
         assert set(payload.accepted_seq) == {0, 1}
-        assert result.completed_queries >= len(tracker.completed_order)
+        assert tracker.submitted_count == result.submitted_queries
+        assert len(tracker.response_times_ms()) <= result.completed_queries

@@ -183,13 +183,12 @@ class TestElasticParity:
     ):
         elastic = elastic_outcomes[backend_name]
         static = static_outcomes[backend_name]
-        assert frozenset(elastic.completed) == frozenset(static.completed)
-        assert len(elastic.completed) == len(set(elastic.completed))
+        assert elastic.report.completed_queries == static.report.completed_queries
         assert elastic.report.response_times_ms.keys() == static.report.response_times_ms.keys()
 
     def test_every_query_completes(self, elastic_outcomes, backend_name, timed_queries):
         outcome = elastic_outcomes[backend_name]
-        assert len(outcome.completed) == len(timed_queries)
+        assert outcome.report.completed_queries == len(timed_queries)
         assert outcome.coverage() == static_coverage(timed_queries)
 
 
@@ -208,9 +207,9 @@ class TestScaleUpOnly:
         )
         outcome = make_backend("virtual").execute(spec)
         assert outcome.reliability.scale_ups == 1
-        assert len(outcome.parallel.worker_busy_ms) == 3
-        assert outcome.parallel.worker_busy_ms[2] > 0.0
-        assert len(outcome.completed) == len(timed_queries)
+        assert len(outcome.results) == 3
+        assert outcome.results[2].busy_ms > 0.0
+        assert outcome.report.completed_queries == len(timed_queries)
 
     def test_scale_up_requires_stealing(self, layout, sim_config, timed_queries):
         spec = build_spec(
@@ -243,8 +242,8 @@ class TestMixedFaultsAndScale:
         assert report.crashes_injected == 1
         assert report.recovery_count == 1
         assert report.scale_downs == 1 and report.scale_ups == 1
-        assert frozenset(outcome.completed) == frozenset(
-            static_outcomes["virtual"].completed
+        assert frozenset(outcome.report.response_times_ms) == frozenset(
+            static_outcomes["virtual"].report.response_times_ms
         )
 
     def test_crash_point_may_target_a_joined_worker(self, layout, sim_config, timed_queries):
@@ -263,7 +262,7 @@ class TestMixedFaultsAndScale:
         )
         outcome = make_backend("virtual").execute(spec)
         assert outcome.reliability.crashes_injected == 1
-        assert len(outcome.completed) == len(timed_queries)
+        assert outcome.report.completed_queries == len(timed_queries)
 
     def test_crash_point_beyond_the_pool_is_rejected(self, layout, sim_config, timed_queries):
         spec = build_spec(

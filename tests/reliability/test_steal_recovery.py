@@ -78,6 +78,6 @@ def test_shard_death_mid_steal_is_recovered(clean, message_type):
     (recovery,) = outcome.reliability.recoveries
     assert recovery.worker_id == fired[0]
     # Stealing-on recovery is completion-set (not timeline) equal.
-    assert sorted(outcome.completed) == sorted(clean.completed)
+    assert sorted(outcome.report.response_times_ms) == sorted(clean.report.response_times_ms)
     assert outcome.coverage() == clean.coverage()
     assert len(outcome.steal_records) >= 1

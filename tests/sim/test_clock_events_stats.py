@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.sim.events import Event, EventKind, EventQueue, WorkerEventLog
+from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.stats import summarize_response_times, throughput_qps
 
 
 class TestEventQueue:
     def test_events_pop_in_time_order(self):
         queue = EventQueue()
-        queue.push(Event(30.0, EventKind.SERVICE_COMPLETE))
+        queue.push(Event(30.0, EventKind.QUERY_ARRIVAL))
         queue.push(Event(10.0, EventKind.QUERY_ARRIVAL, payload="q1"))
-        queue.push(Event(20.0, EventKind.TRANSFER_COMPLETE))
+        queue.push(Event(20.0, EventKind.CONTROL))
         assert queue.pop().payload == "q1"
-        assert queue.pop().kind is EventKind.TRANSFER_COMPLETE
+        assert queue.pop().kind is EventKind.CONTROL
         assert len(queue) == 1
 
     def test_fifo_within_same_timestamp(self):
@@ -74,10 +74,10 @@ class TestControlEventOrdering:
     def test_kinds_do_not_reorder_within_a_timestamp(self):
         queue = EventQueue()
         kinds = (
-            EventKind.SERVICE_COMPLETE,
+            EventKind.QUERY_ARRIVAL,
             EventKind.CONTROL,
             EventKind.QUERY_ARRIVAL,
-            EventKind.WORK_STOLEN,
+            EventKind.CONTROL,
             EventKind.CONTROL,
         )
         for position, kind in enumerate(kinds):
@@ -101,49 +101,6 @@ class TestControlEventOrdering:
                 continue
             drained.append((event.time_ms, event.payload))
         assert drained == [(6.0, "a"), (10.0, "b"), (14.0, "c")]
-
-
-class TestWorkerEventLog:
-    def test_streams_are_per_worker_and_append_ordered(self):
-        log = WorkerEventLog()
-        log.record(1, Event(10.0, EventKind.QUERY_ARRIVAL, payload="q1"))
-        log.record(0, Event(5.0, EventKind.QUERY_ARRIVAL, payload="q0"))
-        log.record(1, Event(20.0, EventKind.SERVICE_COMPLETE, payload="s1"))
-        assert log.worker_ids() == [0, 1]
-        assert [e.payload for e in log.stream(1)] == ["q1", "s1"]
-        assert [e.payload for e in log.stream(0)] == ["q0"]
-        assert log.stream(7) == []
-        assert len(log) == 3
-
-    def test_merged_timeline_is_globally_time_ordered(self):
-        log = WorkerEventLog()
-        log.record(2, Event(30.0, EventKind.SERVICE_COMPLETE))
-        log.record(0, Event(10.0, EventKind.QUERY_ARRIVAL))
-        log.record(1, Event(20.0, EventKind.QUERY_ARRIVAL))
-        log.record(0, Event(25.0, EventKind.SERVICE_COMPLETE))
-        merged = log.merged()
-        times = [event.time_ms for _worker, event in merged]
-        assert times == sorted(times)
-        assert [worker for worker, _event in merged] == [0, 1, 0, 2]
-
-    def test_merged_ties_break_by_record_order(self):
-        """Events at the same timestamp keep their global record order,
-        regardless of which worker stream they belong to."""
-        log = WorkerEventLog()
-        log.record(3, Event(5.0, EventKind.CONTROL, payload="first"))
-        log.record(0, Event(5.0, EventKind.CONTROL, payload="second"))
-        log.record(3, Event(5.0, EventKind.CONTROL, payload="third"))
-        assert [event.payload for _worker, event in log.merged()] == [
-            "first",
-            "second",
-            "third",
-        ]
-
-    def test_negative_time_events_rejected(self):
-        log = WorkerEventLog()
-        with pytest.raises(ValueError, match="before time zero"):
-            log.record(0, Event(-0.5, EventKind.QUERY_ARRIVAL))
-        assert len(log) == 0
 
 
 class TestResponseTimeStats:

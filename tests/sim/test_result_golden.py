@@ -1,0 +1,204 @@
+"""Golden results: every fact a run reports, recorded at the parent commit.
+
+``result_digest`` covers the completion timeline and the
+``VIRTUAL_CLOCK_PARITY_FIELDS``; it does not cover ``label``,
+``policy_name``, ``store_backend``, ``page_reads``, ``steals``,
+``wall_clock_s``, ``workers`` or ``backend``, nor the serving report, the
+ledger, the snapshot or the Chrome trace.  This file pins all of them for
+seven specs that between them take every path ``Simulator.execute`` has:
+serial (plain, file-backed, served), virtual with stealing, process,
+crash recovery, and a served sharded run.
+
+Each spec reduces to six sha256 facts: the result digest, every non-wall
+``SimulationResult`` field, the serving report, the ledger, the
+virtual-domain snapshot and the exported trace bytes.  Wall-clock fields
+(``real_elapsed_s``, ``real_read_s``, the reliability report's real
+seconds) are left out.
+
+``tests/fixtures/results/golden_results.json`` was recorded before the
+serial and sharded paths of ``Simulator.execute`` were folded into one.
+Re-record (only when the *intended* behaviour changes) with::
+
+    PYTHONPATH=src python -m tests.sim.test_result_golden
+"""
+
+import dataclasses
+import hashlib
+import json
+import os
+import tempfile
+
+import pytest
+
+from repro.reliability import FaultPlan, ReliabilityConfig
+from repro.service.frontend import ServiceConfig
+from repro.sim.runspec import RunSpec
+from repro.sim.simulator import SimulationConfig, Simulator
+from repro.storage.ingest import materialize_layout
+from repro.telemetry.registry import VIRTUAL_DOMAIN, filter_domain, snapshot_to_json
+from repro.workload.generator import TraceConfig, TraceGenerator
+from tests.telemetry.helpers import ledger_digest
+
+GOLDEN_RESULTS = os.path.join(
+    os.path.dirname(__file__), os.pardir, "fixtures", "results", "golden_results.json"
+)
+
+BUCKETS = 64
+ROWS_PER_BUCKET = 24
+#: Steal/checkpoint window in bucket-read units (as the coordinator golden).
+WINDOW_BUCKET_READS = 4.0
+
+#: Result fields that measure the wall clock, or get a fact of their own.
+_NOT_IN_FIELDS = ("real_elapsed_s", "real_read_s", "serving", "ledger", "telemetry")
+
+
+def _spec_table(quantum_ms: float, store_path: str) -> dict:
+    """The seven specs, by name."""
+    return {
+        "serial": RunSpec(),
+        "serial_noshare_lrbs": RunSpec(policy="noshare", store_path=store_path),
+        "serial_defer": RunSpec(service=ServiceConfig(admission="defer", intake_bound=12)),
+        "virtual_x4_steal": RunSpec(
+            workers=4, backend="virtual", steal_quantum_ms=quantum_ms
+        ),
+        "process_x2": RunSpec(workers=2, backend="process"),
+        "virtual_x2_crash": RunSpec(
+            workers=2,
+            backend="virtual",
+            enable_stealing=False,
+            reliability=ReliabilityConfig(
+                cadence="windows:2",
+                faults=FaultPlan.parse("1@2"),
+                window_quantum_ms=quantum_ms,
+            ),
+        ),
+        "virtual_x2_reject": RunSpec(
+            workers=2,
+            backend="virtual",
+            service=ServiceConfig(admission="reject", intake_bound=12),
+        ),
+    }
+
+
+SPEC_NAMES = tuple(_spec_table(1.0, ""))
+
+
+def _sha(value) -> str:
+    """sha256 of a JSON-codable value (floats round-trip exactly)."""
+    encoded = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def _reliability_facts(report):
+    """The deterministic part of a reliability report (no real seconds)."""
+    if report is None:
+        return None
+    return {
+        "cadence": report.cadence,
+        "windows": report.windows,
+        "checkpoints_written": report.checkpoints_written,
+        "crashes_injected": report.crashes_injected,
+        "recoveries": [
+            (e.worker_id, e.window_index, e.checkpoint_window, e.services_replayed)
+            for e in report.recoveries
+        ],
+        "scale_events": [dataclasses.astuple(e) for e in report.scale_events],
+    }
+
+
+def _result_fields(result) -> dict:
+    fields = {}
+    for field in dataclasses.fields(result):
+        if field.name in _NOT_IN_FIELDS:
+            continue
+        value = getattr(result, field.name)
+        if field.name == "reliability":
+            value = _reliability_facts(value)
+        elif dataclasses.is_dataclass(value):
+            value = dataclasses.asdict(value)
+        fields[field.name] = value
+    return fields
+
+
+class _Site:
+    """The simulator, trace and store every spec runs against."""
+
+    def __init__(self, directory: str) -> None:
+        self.directory = directory
+        self.simulator = Simulator(SimulationConfig(bucket_count=BUCKETS))
+        config = TraceConfig(query_count=60, bucket_count=BUCKETS, seed=21)
+        self.queries = tuple(TraceGenerator(config).generate().with_saturation(1.0).queries)
+        store = os.path.join(directory, "site.lrbs")
+        self.store_path = materialize_layout(
+            store, self.simulator.layout, rows_per_bucket=ROWS_PER_BUCKET
+        ).path
+        quantum_ms = self.simulator.config.cost.tb_ms * WINDOW_BUCKET_READS
+        self.specs = _spec_table(quantum_ms, self.store_path)
+
+    def outcome(self, name: str) -> dict:
+        """Run one spec and reduce it to its six facts."""
+        trace_out = os.path.join(self.directory, f"{name}.trace.json")
+        spec = dataclasses.replace(self.specs[name], trace_out=trace_out)
+        result = self.simulator.execute(self.queries, spec)
+        with open(trace_out, "rb") as handle:
+            trace_sha256 = hashlib.sha256(handle.read()).hexdigest()
+        serving = result.serving
+        return {
+            "result_digest": result.result_digest,
+            "fields_sha256": _sha(_result_fields(result)),
+            "serving_sha256": _sha(
+                dataclasses.asdict(serving) if serving is not None else None
+            ),
+            "ledger_sha256": ledger_digest(result.ledger),
+            "snapshot_sha256": hashlib.sha256(
+                snapshot_to_json(filter_domain(result.telemetry, VIRTUAL_DOMAIN)).encode()
+            ).hexdigest(),
+            "trace_sha256": trace_sha256,
+        }
+
+
+@pytest.fixture(scope="module")
+def site(tmp_path_factory):
+    return _Site(str(tmp_path_factory.mktemp("result-golden")))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_RESULTS, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_fixture_covers_exactly_the_spec_table(golden):
+    assert sorted(golden) == sorted(SPEC_NAMES)
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_result_equals_the_parent_golden(site, golden, name):
+    assert site.outcome(name) == golden[name]
+
+
+def test_the_specs_exercise_the_paths_they_are_named_for(site):
+    """Each spec really takes its path: a golden of a no-op pins nothing."""
+    results = {
+        name: site.simulator.execute(site.queries, site.specs[name]) for name in SPEC_NAMES
+    }
+    assert results["serial"].backend == "serial"
+    assert results["serial_noshare_lrbs"].store_backend == "file"
+    assert results["serial_noshare_lrbs"].page_reads > 0
+    assert results["serial_defer"].serving.deferrals > 0
+    assert results["virtual_x4_steal"].steals > 0
+    assert results["process_x2"].backend == "process"
+    assert results["virtual_x2_crash"].reliability.recovery_count == 1
+    assert results["virtual_x2_reject"].serving.rejected > 0
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        recording_site = _Site(scratch)
+        recorded = {name: recording_site.outcome(name) for name in SPEC_NAMES}
+    os.makedirs(os.path.dirname(GOLDEN_RESULTS), exist_ok=True)
+    with open(GOLDEN_RESULTS, "w", encoding="utf-8") as handle:
+        json.dump(recorded, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    for name, facts in recorded.items():
+        print(f"{name}: {facts['result_digest'][:16]}")

@@ -1,14 +1,20 @@
-"""Test-side views of run telemetry: a ledger digest and a metric sum.
+"""Test-side views of run telemetry: a ledger digest, a metric sum and a
+serial batch builder.
 
-Nothing in ``src/`` needs either; parity and golden tests use them to
-compare ledgers and snapshots from different runs.
+Nothing in ``src/`` needs them; parity and golden tests use the first two
+to compare ledgers and snapshots from different runs, and the span and
+ledger tests feed the builder's real ``BatchResult`` to their exporters.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
+
+from repro.core.engine import BatchResult
+from repro.core.join_evaluator import JoinResult, JoinStrategy
+from repro.core.scheduler import WorkItem
 
 Number = Union[int, float]
 
@@ -18,6 +24,36 @@ def ledger_digest(ledger: dict) -> str:
     bit-identical ledgers (the parity matrix compares these)."""
     encoded = json.dumps(ledger, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def serial_batch(
+    bucket_index: int,
+    start: float,
+    finish: float,
+    queries: Sequence[int],
+    objects: Sequence[int] = (),
+    io_ms: float = 0.0,
+    match_ms: float = 0.0,
+) -> BatchResult:
+    """A serial-engine bucket service with the given timeline and cost split."""
+    join = JoinResult(
+        bucket_index=bucket_index,
+        strategy=JoinStrategy.SEQUENTIAL_SCAN,
+        cost_ms=finish - start,
+        io_cost_ms=io_ms,
+        match_cost_ms=match_ms,
+        objects_processed=sum(objects),
+        cache_hit=io_ms == 0.0,
+    )
+    return BatchResult(
+        work_item=WorkItem(bucket_index),
+        join=join,
+        queries_served=tuple(queries),
+        queries_completed=tuple(queries),
+        started_at_ms=start,
+        finished_at_ms=finish,
+        objects_served=tuple(objects),
+    )
 
 
 def sum_metric(snapshot: Optional[dict], name: str) -> Number:

@@ -6,8 +6,8 @@ engine and both execution backends at any fixed worker count (stealing
 off), identical between a crash-injected recovery run and its clean
 twin, and building it must never perturb the ``result_digest``.  Unit
 tests drive :func:`build_run_ledger` with lightweight record stand-ins
-(the same dual-shape rule as the span builder); the parity matrix runs
-the real engines end to end.
+and real serial ``BatchResult``s (both shapes name the bucket and the
+cost split alike); the parity matrix runs the real engines end to end.
 """
 
 import json
@@ -27,7 +27,7 @@ from repro.telemetry.ledger import (
     ledger_entries,
 )
 from repro.workload.generator import TraceConfig, TraceGenerator
-from tests.telemetry.helpers import ledger_digest
+from tests.telemetry.helpers import ledger_digest, serial_batch
 
 BUCKETS = 64
 WORKER_COUNTS = (1, 2, 4)
@@ -181,14 +181,7 @@ class TestLedgerSchema:
         assert early["queries"][0]["steal_migrations"] == 0
 
     def test_serial_batch_results_normalise_via_join(self):
-        batch = SimpleNamespace(
-            work_item=SimpleNamespace(bucket_index=9),
-            join=SimpleNamespace(io_cost_ms=2.0, match_cost_ms=1.0),
-            started_at_ms=0.0,
-            finished_at_ms=3.0,
-            queries_served=(4,),
-            objects_served=(8,),
-        )
+        batch = serial_batch(9, 0.0, 3.0, queries=(4,), objects=(8,), io_ms=2.0, match_ms=1.0)
         (entry,) = build_run_ledger([batch])["queries"]
         assert entry["io_ms"] == 2.0 and entry["match_ms"] == 1.0
         assert entry["buckets"][0]["bucket"] == 9

@@ -18,6 +18,7 @@ from repro.telemetry.spans import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from tests.telemetry.helpers import serial_batch
 
 
 def parallel_record(worker_id=1, bucket_index=3, start=0.0, finish=2.5):
@@ -32,14 +33,8 @@ def parallel_record(worker_id=1, bucket_index=3, start=0.0, finish=2.5):
 
 
 def serial_record(bucket_index=5, start=1.0, finish=4.0):
-    """Shaped like the serial engine's BatchResult: bucket index lives on
-    the work item and there is no worker id."""
-    return SimpleNamespace(
-        work_item=SimpleNamespace(bucket_index=bucket_index),
-        started_at_ms=start,
-        finished_at_ms=finish,
-        queries_served=(3,),
-    )
+    """The serial engine's BatchResult: it carries no worker id."""
+    return serial_batch(bucket_index, start, finish, queries=(3,))
 
 
 def steal_record(victim=0, thief=2, bucket=9, time_ms=5.0, entries=4):

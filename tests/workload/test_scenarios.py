@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workload.replay import replay_recorded
+from repro.workload.replay import load_replay
 from repro.workload.scenarios import (
     SCENARIOS,
     DiurnalFlashCrowdProcess,
@@ -140,7 +140,7 @@ class TestRecordScenario:
             "hotspot_zone_skew", path, query_count=30, bucket_count=64, seed=4
         )
         assert info.query_count == 30
-        outcome = replay_recorded(path)
+        outcome = load_replay(path).execute()
         assert outcome.trace.meta["scenario"] == "hotspot_zone_skew"
         assert outcome.digest_checked
         assert outcome.digest_matches
@@ -148,6 +148,6 @@ class TestRecordScenario:
     def test_replay_with_different_shape_skips_digest(self, tmp_path):
         path = str(tmp_path / "hotspot.lrtr")
         record_scenario("hotspot_zone_skew", path, query_count=20, bucket_count=64, seed=4)
-        outcome = replay_recorded(path, workers=2, backend="virtual")
+        outcome = load_replay(path, workers=2, backend="virtual").execute()
         assert not outcome.digest_checked
         assert outcome.result.completed_queries == 20
