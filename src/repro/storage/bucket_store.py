@@ -25,6 +25,9 @@ from repro.storage.disk_model import DiskModel, DiskParameters
 from repro.storage.format import ColumnBlock
 from repro.storage.partitioner import BucketSpec, PartitionLayout
 
+#: One bucket's share of the in-memory generation digest: low, high, count, megabytes.
+_GENERATION_ENTRY = struct.Struct("<QQQd")
+
 
 class Bucket:
     """An image of one bucket, as handed to the join evaluator.
@@ -76,7 +79,8 @@ class StoreSnapshot:
     Two variants exist:
 
     * **in-memory** — the partition layout and the disk parameters travel
-      inside the pickle;
+      inside the pickle; the layout is its four columns, so a worker
+      unpickles a 20,000-bucket site without building a spec per bucket;
     * **path-based** (``store_path`` set) — only the file path, its
       expected generation and the disk parameters travel; the restoring
       process reopens the columnar store file read-only and does its own
@@ -129,19 +133,12 @@ class BucketStore:
         cached = getattr(self, "_generation", None)
         if cached is not None:
             return cached
-        digest = hashlib.sha256()
-        digest.update(struct.pack("<IQ", self.layout.leaf_level, len(self.layout)))
-        for index in range(len(self.layout)):
-            spec = self.layout[index]
-            digest.update(
-                struct.pack(
-                    "<QQQd",
-                    spec.htm_range.low,
-                    spec.htm_range.high,
-                    spec.object_count,
-                    spec.megabytes,
-                )
-            )
+        layout = self.layout
+        columns = (layout.lows, layout.highs, layout.counts, layout.megabytes)
+        entries = map(_GENERATION_ENTRY.pack, *columns)
+        digest = hashlib.sha256(
+            b"".join([struct.pack("<IQ", layout.leaf_level, len(layout)), *entries])
+        )
         self._generation = digest.hexdigest()[:16]
         return self._generation
 

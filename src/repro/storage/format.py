@@ -64,7 +64,6 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.catalog.objects import CelestialObject
 from repro.fileio import AtomicFile, FormatError, check_crc, crc32, unpack_header
-from repro.htm.curve import HTMRange
 from repro.storage.partitioner import BucketSpec, PartitionLayout
 
 #: File magic: LifeRaft Bucket Store.
@@ -528,7 +527,7 @@ class BucketFileReader:
         check_crc(payload, directory_crc, f"{self._what} directory")
         self.generation = generation_of(payload)
         offset = 0
-        specs: List[BucketSpec] = []
+        columns: Tuple[List[int], List[int], List[int], List[float]] = ([], [], [], [])
         # Per bucket: row_count, page offset, page length, page CRC.
         self._pages: List[Tuple[int, int, int, int]] = []
         for index in range(bucket_count):
@@ -538,7 +537,8 @@ class BucketFileReader:
                 _DIR_ENTRY.unpack_from(payload, offset)
             )
             offset += _DIR_ENTRY.size
-            specs.append(BucketSpec(index, HTMRange(low, high), object_count, megabytes))
+            for column, value in zip(columns, (low, high, object_count, megabytes)):
+                column.append(value)
             if page_offset + page_length > directory_offset:
                 raise FormatError(f"{self._what} bucket {index}'s page overlaps the directory")
             self._pages.append((row_count, page_offset, page_length, page_crc))
@@ -558,7 +558,7 @@ class BucketFileReader:
             offset += name_length
         self.surveys: Tuple[str, ...] = tuple(surveys)
         try:
-            self.layout = PartitionLayout(specs, leaf_level)
+            self.layout = PartitionLayout(*columns, leaf_level)
         except ValueError as error:
             raise FormatError(f"{self._what} has an invalid layout: {error}") from error
         self.total_rows = sum(row_count for row_count, _, _, _ in self._pages)

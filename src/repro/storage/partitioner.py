@@ -20,8 +20,9 @@ Two partitioning modes are supported:
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.htm import ids as htm_ids
 from repro.htm.curve import HTMRange
@@ -55,54 +56,67 @@ class BucketSpec:
 
 
 class PartitionLayout:
-    """The full list of buckets plus fast lookup from HTM ID to bucket."""
+    """The bucket layout as four columns, plus fast lookup from HTM ID to bucket.
 
-    def __init__(self, buckets: Sequence[BucketSpec], leaf_level: int) -> None:
-        if not buckets:
+    Bucket ``i`` covers the leaf IDs ``lows[i]`` to ``highs[i]``, holds
+    ``counts[i]`` objects and is charged ``megabytes[i]`` per read.  The
+    columns are the whole state, read-only by contract.  ``highs`` and
+    ``counts`` are ``array("Q")`` and ``megabytes`` is ``array("d")``;
+    ``lows`` is a list, because :meth:`bucket_indices_for_range` bisects
+    it once per query object and a bisect over an array boxes an int at
+    every probe.  ``layout[i]`` builds bucket ``i``'s :class:`BucketSpec`
+    on first access and memoises it, so a 20,000-bucket layout costs its
+    user only the specs it touches.
+    """
+
+    def __init__(
+        self,
+        lows: Sequence[int],
+        highs: Sequence[int],
+        counts: Sequence[int],
+        megabytes: Sequence[float],
+        leaf_level: int,
+    ) -> None:
+        if not lows:
             raise ValueError("a partition layout needs at least one bucket")
-        expected = list(range(len(buckets)))
-        if [b.index for b in buckets] != expected:
-            raise ValueError("bucket indices must be consecutive starting at 0")
-        lows = [b.htm_range.low for b in buckets]
-        if lows != sorted(lows):
+        if not len(lows) == len(highs) == len(counts) == len(megabytes):
+            raise ValueError("layout columns must have one entry per bucket")
+        for index, (low, high) in enumerate(zip(lows, highs)):
+            if low > high:
+                raise ValueError(f"bucket {index} has an empty HTM range [{low}, {high}]")
+        if any(low > after for low, after in zip(lows, lows[1:])):
             raise ValueError("buckets must be ordered along the HTM curve")
-        self._buckets: Tuple[BucketSpec, ...] = tuple(buckets)
-        self._lows: List[int] = lows
-        self.leaf_level = leaf_level
+        self.__setstate__(
+            (
+                leaf_level,
+                list(lows),
+                array("Q", highs),
+                array("Q", counts),
+                array("d", megabytes),
+            )
+        )
 
     @property
     def buckets(self) -> Tuple[BucketSpec, ...]:
         """All bucket specs in curve order."""
-        return self._buckets
+        return tuple(self)
 
     def __getstate__(self) -> tuple:
-        """Pickle as four columns, not one dataclass pair per bucket.
+        """Pickle the columns as they are: arrays pickle as their raw bytes.
 
         A layout rides every :class:`~repro.parallel.ipc.ShardTask` of an
-        in-memory run, and the coordinator pickles those one after the
-        other: at 20,000 buckets the columns are a third of the bytes and
-        a sixth of the ``dumps`` time of 40,000 objects.
+        in-memory run, so each cold boot, warm reuse and crash respawn
+        unpickles it; at 20,000 buckets that is three buffer copies and one
+        list of ints, not 40,000 spec and range objects rebuilt.
         """
-        buckets = self._buckets
-        return (
-            self.leaf_level,
-            self._lows,
-            [bucket.htm_range.high for bucket in buckets],
-            [bucket.object_count for bucket in buckets],
-            [bucket.megabytes for bucket in buckets],
-        )
+        return (self.leaf_level, self.lows, self.highs, self.counts, self.megabytes)
 
     def __setstate__(self, state: tuple) -> None:
-        self.leaf_level, self._lows, highs, counts, megabytes = state
-        self._buckets = tuple(
-            BucketSpec(index, HTMRange(low, high), count, size)
-            for index, (low, high, count, size) in enumerate(
-                zip(self._lows, highs, counts, megabytes)
-            )
-        )
+        self.leaf_level, self.lows, self.highs, self.counts, self.megabytes = state
+        self._specs: List[Optional[BucketSpec]] = [None] * len(self.lows)
 
     def __eq__(self, other: object) -> bool:
-        """Layouts are equal when every bucket spec and the level match.
+        """Layouts are equal when every column and the level match.
 
         Used to validate that an on-disk store file describes the same
         site as a simulator's configured partition (bucket boundaries,
@@ -111,20 +125,30 @@ class PartitionLayout:
         """
         if not isinstance(other, PartitionLayout):
             return NotImplemented
-        return self.leaf_level == other.leaf_level and self._buckets == other._buckets
+        return self.__getstate__() == other.__getstate__()
 
     def __hash__(self) -> int:
-        """Hash consistent with :meth:`__eq__` (specs are frozen dataclasses)."""
-        return hash((self.leaf_level, self._buckets))
+        """Hash consistent with :meth:`__eq__`."""
+        return hash((self.leaf_level, *map(tuple, self.__getstate__()[1:])))
 
     def __len__(self) -> int:
-        return len(self._buckets)
+        return len(self._specs)
 
-    def __iter__(self):
-        return iter(self._buckets)
+    def __iter__(self) -> Iterator[BucketSpec]:
+        return map(self.__getitem__, range(len(self._specs)))
 
     def __getitem__(self, index: int) -> BucketSpec:
-        return self._buckets[index]
+        """Bucket *index*'s spec, with tuple indexing (negative, ``IndexError``)."""
+        spec = self._specs[index]
+        if spec is None:
+            index %= len(self._specs)
+            spec = self._specs[index] = BucketSpec(
+                index,
+                HTMRange(self.lows[index], self.highs[index]),
+                self.counts[index],
+                self.megabytes[index],
+            )
+        return spec
 
     def bucket_indices_for_range(self, htm_range: HTMRange) -> range:
         """Indices of the buckets whose extent overlaps *htm_range*, ascending.
@@ -136,33 +160,31 @@ class PartitionLayout:
         bucket), and every later bucket beginning inside the range overlaps
         it.
         """
-        lows = self._lows
+        lows = self.lows
         first = bisect.bisect_right(lows, htm_range.low) - 1
-        if first < 0 or self._buckets[first].htm_range.high < htm_range.low:
+        if first < 0 or self.highs[first] < htm_range.low:
             first += 1
         return range(first, bisect.bisect_right(lows, htm_range.high, first))
 
     def buckets_for_range(self, htm_range: HTMRange) -> List[BucketSpec]:
         """Return every bucket whose extent overlaps *htm_range*, in curve order."""
-        indices = self.bucket_indices_for_range(htm_range)
-        return list(self._buckets[indices.start : indices.stop])
+        return [self[index] for index in self.bucket_indices_for_range(htm_range)]
 
     def total_objects(self) -> int:
         """Sum of the per-bucket object counts."""
-        return sum(b.object_count for b in self._buckets)
+        return sum(self.counts)
 
     def total_megabytes(self) -> float:
         """Total on-disk size of the partitioned table."""
-        return sum(b.megabytes for b in self._buckets)
+        return sum(self.megabytes)
 
     def describe(self) -> Dict[str, float]:
         """Summary statistics used by reports and sanity tests."""
-        counts = [b.object_count for b in self._buckets]
         return {
-            "bucket_count": float(len(self._buckets)),
-            "total_objects": float(sum(counts)),
-            "min_objects": float(min(counts)),
-            "max_objects": float(max(counts)),
+            "bucket_count": float(len(self)),
+            "total_objects": float(self.total_objects()),
+            "min_objects": float(min(self.counts)),
+            "max_objects": float(max(self.counts)),
             "total_megabytes": self.total_megabytes(),
         }
 
@@ -214,10 +236,10 @@ class BucketPartitioner:
         curve_start = 8 << (2 * self.leaf_level)
         curve_end = (16 << (2 * self.leaf_level)) - 1
 
-        buckets: List[BucketSpec] = []
+        highs: List[int] = []
+        counts: List[int] = []
         previous_high = curve_start - 1
         start = 0
-        bucket_index = 0
         total = len(htm_ids_sorted)
         while start < total:
             end = min(start + self.objects_per_bucket, total)
@@ -227,7 +249,6 @@ class BucketPartitioner:
                 boundary_id = htm_ids_sorted[end - 1]
                 while end < total and htm_ids_sorted[end] == boundary_id:
                     end += 1
-            count = end - start
             if end < total:
                 next_first_id = htm_ids_sorted[end]
                 last_id = htm_ids_sorted[end - 1]
@@ -239,13 +260,11 @@ class BucketPartitioner:
                 high = max(high, previous_high + 1)
             else:
                 high = curve_end
-            low = previous_high + 1
-            size = self.bucket_megabytes * (count / self.objects_per_bucket)
-            buckets.append(BucketSpec(bucket_index, HTMRange(low, high), count, size))
+            highs.append(high)
+            counts.append(end - start)
             previous_high = high
             start = end
-            bucket_index += 1
-        return PartitionLayout(buckets, self.leaf_level)
+        return self._tiling(highs, counts)
 
     def partition_density(
         self,
@@ -278,7 +297,7 @@ class BucketPartitioner:
             weights = [1.0 / d for d in densities]
         weight_sum = sum(weights)
 
-        buckets: List[BucketSpec] = []
+        highs: List[int] = []
         cursor = curve_start
         consumed = 0.0
         for index in range(bucket_count):
@@ -288,11 +307,16 @@ class BucketPartitioner:
                 high = max(high, cursor)  # every bucket covers at least one ID
             else:
                 high = curve_end
-            count = (
-                per_bucket if index < bucket_count - 1 else total - per_bucket * (bucket_count - 1)
-            )
-            size = self.bucket_megabytes * (count / self.objects_per_bucket)
-            buckets.append(BucketSpec(index, HTMRange(cursor, high), count, size))
+            highs.append(high)
             cursor = high + 1
-        return PartitionLayout(buckets, self.leaf_level)
+        counts = [per_bucket] * (bucket_count - 1) + [total - per_bucket * (bucket_count - 1)]
+        return self._tiling(highs, counts)
 
+    def _tiling(self, highs: List[int], counts: List[int]) -> PartitionLayout:
+        """The layout whose buckets tile the curve: each begins one past its predecessor.
+
+        A bucket is charged its share of a full bucket's megabytes.
+        """
+        lows = [8 << (2 * self.leaf_level)] + [high + 1 for high in highs[:-1]]
+        megabytes = [self.bucket_megabytes * (count / self.objects_per_bucket) for count in counts]
+        return PartitionLayout(lows, highs, counts, megabytes, self.leaf_level)

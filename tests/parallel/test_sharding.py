@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from repro.htm.curve import HTMRange
 from repro.parallel.sharding import (
     SHARD_STRATEGIES,
     make_shard_plan,
     partition_round_robin,
     partition_zones,
 )
-from repro.storage.partitioner import BucketPartitioner, BucketSpec, PartitionLayout
+from repro.storage.partitioner import BucketPartitioner, PartitionLayout
 
 
 def build_layout(bucket_count=64, densities=None):
@@ -23,16 +22,15 @@ def random_layout(seed, max_buckets=96):
     """A layout with randomly skewed per-bucket object populations."""
     rng = random.Random(seed)
     bucket_count = rng.randint(8, max_buckets)
-    specs = []
+    lows, highs, counts = [], [], []
     cursor = 0
-    for index in range(bucket_count):
+    for _ in range(bucket_count):
         width = rng.randint(1, 50)
-        count = rng.randint(1, 5_000)
-        specs.append(
-            BucketSpec(index, HTMRange(cursor, cursor + width - 1), count, count / 100.0)
-        )
+        lows.append(cursor)
+        highs.append(cursor + width - 1)
+        counts.append(rng.randint(1, 5_000))
         cursor += width
-    return PartitionLayout(specs, leaf_level=10)
+    return PartitionLayout(lows, highs, counts, [count / 100.0 for count in counts], leaf_level=10)
 
 
 def buckets_of(plan, worker_id):

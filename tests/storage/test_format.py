@@ -7,6 +7,8 @@ truncation and version skew are covered for every format at once by
 ``tests/test_fileio.py``.
 """
 
+from zlib import crc32
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,9 @@ from hypothesis import strategies as st
 from repro.catalog.objects import CatalogTable, CelestialObject
 from repro.fileio import FormatError
 from repro.storage.format import (
+    _CRC,
+    _DIR_ENTRY,
+    _HEADER,
     BucketFileReader,
     BucketFileWriter,
     decode_bucket_page,
@@ -205,6 +210,22 @@ class TestCorruptionDetection:
         with pytest.raises(FormatError, match="ingest did not finish"):
             BucketFileReader(writer._out.temp_path)
         writer.abort()
+
+    def test_empty_bucket_range_is_a_format_error_naming_the_file(self, tmp_path):
+        """A directory entry with ``low > high`` under a valid directory CRC."""
+        path = tmp_path / "swapped.lrbs"
+        materialize_layout(path, BucketPartitioner().partition_density(4), rows_per_bucket=2)
+        data = bytearray(path.read_bytes())
+        directory_offset = _HEADER.unpack_from(data)[5]
+        low, high, *rest = _DIR_ENTRY.unpack_from(data, directory_offset)
+        _DIR_ENTRY.pack_into(data, directory_offset, high, low, *rest)
+        _CRC.pack_into(data, len(data) - _CRC.size, crc32(data[directory_offset : -_CRC.size]))
+        path.write_bytes(data)
+        with pytest.raises(
+            FormatError,
+            match=r"swapped\.lrbs' has an invalid layout: bucket 0 has an empty HTM range",
+        ):
+            BucketFileReader(path)
 
 
 class TestColumnarBlocks:

@@ -1,6 +1,7 @@
 """Tests for equal-sized bucket partitioning along the HTM curve."""
 
 import bisect
+import pickle
 import time
 
 import pytest
@@ -8,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htm.curve import HTMRange
-from repro.storage.partitioner import BucketPartitioner, BucketSpec, PartitionLayout
+from repro.experiments.common import build_simulator
+from repro.storage import partitioner as partitioner_module
+from repro.storage.bucket_store import BucketStore
+from repro.storage.format import read_layout
+from repro.storage.ingest import materialize_layout
+from repro.storage.partitioner import BucketPartitioner, PartitionLayout
 
 LEAF_LEVEL = 8
 CURVE_START = 8 << (2 * LEAF_LEVEL)
@@ -17,11 +23,8 @@ CURVE_END = (16 << (2 * LEAF_LEVEL)) - 1
 
 def layout_from_ranges(ranges, object_counts, leaf_level=LEAF_LEVEL):
     """A layout of explicit ``(low, high)`` ranges and object counts, 1 MB per bucket."""
-    buckets = [
-        BucketSpec(index, HTMRange(low, high), count, 1.0)
-        for index, ((low, high), count) in enumerate(zip(ranges, object_counts))
-    ]
-    return PartitionLayout(buckets, leaf_level)
+    lows, highs = zip(*ranges)
+    return PartitionLayout(lows, highs, object_counts, [1.0] * len(ranges), leaf_level)
 
 
 def sorted_ids(draw_count=st.integers(min_value=1, max_value=400)):
@@ -152,12 +155,81 @@ class TestPartitionLayout:
         assert layout.total_megabytes() > 0
 
     def test_layout_validation(self):
-        good = BucketSpec(0, HTMRange(CURVE_START, CURVE_END), 10, 1.0)
-        with pytest.raises(ValueError):
-            PartitionLayout([], leaf_level=LEAF_LEVEL)
-        bad_index = BucketSpec(2, HTMRange(CURVE_START, CURVE_END), 10, 1.0)
-        with pytest.raises(ValueError):
-            PartitionLayout([good, bad_index], leaf_level=LEAF_LEVEL)
+        whole = ([CURVE_START], [CURVE_END], [10], [1.0])
+        PartitionLayout(*whole, leaf_level=LEAF_LEVEL)
+        with pytest.raises(ValueError, match="at least one bucket"):
+            PartitionLayout([], [], [], [], leaf_level=LEAF_LEVEL)
+        # A spec-built layout could skip an index; columns can only disagree in length.
+        with pytest.raises(ValueError, match="one entry per bucket"):
+            PartitionLayout(*whole[:3], [1.0, 1.0], leaf_level=LEAF_LEVEL)
+        with pytest.raises(ValueError, match="ordered along the HTM curve"):
+            layout_from_ranges([(9, 9), (5, 5)], [1, 1])
+        with pytest.raises(ValueError, match=r"bucket 1 has an empty HTM range \[9, 8\]"):
+            layout_from_ranges([(5, 6), (9, 8)], [1, 1])
+
+
+#: ``BucketStore.generation`` of ``BucketPartitioner().partition_density(n)``,
+#: recorded from the spec-per-bucket layout the columns replaced.
+GENERATION_GOLDENS = {
+    64: "f23b2b5f42272560",
+    1_024: "70b74bc2876c4558",
+    20_000: "e8d0677fd352c0b9",
+}
+
+
+def both_producers():
+    partitioner = BucketPartitioner(objects_per_bucket=7, leaf_level=LEAF_LEVEL)
+    ids = sorted(CURVE_START + (i * 7_919) % (CURVE_END - CURVE_START) for i in range(200))
+    return [
+        partitioner.partition_density(40, densities=[1.0 + i % 3 for i in range(40)]),
+        partitioner.partition_objects(ids),
+    ]
+
+
+class TestColumnarLayout:
+    @pytest.mark.parametrize("bucket_count", sorted(GENERATION_GOLDENS))
+    def test_generation_digest_is_unchanged(self, bucket_count):
+        layout = BucketPartitioner().partition_density(bucket_count)
+        assert BucketStore(layout).generation == GENERATION_GOLDENS[bucket_count]
+
+    def test_ingested_store_reads_back_the_simulator_layout(self, tmp_path):
+        layout = build_simulator("small").layout
+        materialize_layout(tmp_path / "site.lrbs", layout, rows_per_bucket=1)
+        restored = read_layout(tmp_path / "site.lrbs")
+        assert restored == layout and list(restored) == list(layout)
+
+    @pytest.mark.parametrize("producer", [0, 1], ids=["density", "objects"])
+    def test_pickle_round_trip(self, producer):
+        layout = both_producers()[producer]
+        restored = pickle.loads(pickle.dumps(layout))
+        assert restored == layout and hash(restored) == hash(layout)
+        assert list(restored) == list(layout)
+        assert restored.describe() == layout.describe()
+
+    def test_unpickling_builds_no_spec_and_an_index_builds_one(self, monkeypatch):
+        built = []
+
+        class CountingSpec(partitioner_module.BucketSpec):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        payload = pickle.dumps(BucketPartitioner().partition_density(20_000))
+        monkeypatch.setattr(partitioner_module, "BucketSpec", CountingSpec)
+        restored = pickle.loads(payload)
+        assert built == []
+        spec = restored[12_345]
+        assert built == [12_345] and spec.index == 12_345
+        assert restored[12_345] is spec and built == [12_345]
+
+    def test_indexing_keeps_tuple_semantics(self):
+        layout = BucketPartitioner().partition_density(16)
+        assert layout[-1] is layout[15] and layout[-16] is layout[0]
+        for past_the_end in (16, -17):
+            with pytest.raises(IndexError):
+                layout[past_the_end]
+        assert [spec.index for spec in layout] == list(range(16))
+        assert layout.buckets == tuple(layout)
 
 
 def scan_buckets_for_range(layout, htm_range):
@@ -184,11 +256,8 @@ def gappy_layouts(draw):
             )
         )
     )
-    specs = []
-    for index, low in enumerate(lows):
-        width = draw(st.integers(min_value=0, max_value=300))
-        specs.append(BucketSpec(index, HTMRange(low, low + width), 10, 1.0))
-    return PartitionLayout(specs, leaf_level=LEAF_LEVEL)
+    highs = [low + draw(st.integers(min_value=0, max_value=300)) for low in lows]
+    return layout_from_ranges(list(zip(lows, highs)), [10] * len(lows))
 
 
 #: Ranges before, after, inside and straddling the stretch the layouts cover.
