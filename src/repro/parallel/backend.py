@@ -443,8 +443,9 @@ class ProcessBackend(ExecutionBackend):
 
         coordinator = ShardCoordinator(spec, self.name, ProcessChannel)
         outcome = coordinator.execute()
-        # The run's workers are idle now; keep no more than it had shards.
-        trim_idle_workers(len(coordinator.channels))
+        # The run's workers are idle now; keep no more than it had shards,
+        # plus the spare when the run was a reliability run.
+        trim_idle_workers(len(coordinator.channels) + (spec.reliability is not None))
         return outcome
 
 

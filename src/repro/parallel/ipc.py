@@ -10,7 +10,9 @@ task → idle … → exit when the pipe closes*.  It is started with nothing
 but its end of the pipe, so N of them boot concurrently, and a run that
 ends normally hands its workers to this module's idle list
 (:func:`release_worker`), from which the next run in the same parent
-draws (:func:`acquire_worker`) before booting anything:
+draws (:func:`acquire_worker`) before booting anything; a reliability run
+also keeps one started *spare* there (:func:`keep_spare`) for its crash
+recoveries:
 
 * a pickled :class:`ShardTask` opens a run — engine config, a cloned
   scheduling policy, a read-only
@@ -542,12 +544,23 @@ def shard_worker_main(conn: "Connection") -> None:
 
 
 # --------------------------------------------------------------------- #
-# worker processes of this parent: boot, idle list, teardown
+# worker processes of this parent: boot, idle list, spare, teardown
 # --------------------------------------------------------------------- #
+#
+# The idle list has two parts: workers a run released (booted, their
+# :class:`WorkerBooted` already read) and at most one *spare* — a worker
+# started ahead of need by :func:`keep_spare`, possibly still booting, its
+# :class:`WorkerBooted` not yet read.  A reliability run keeps one idle
+# worker beside its shards this way, so a crash recovery takes a booted
+# (or half-booted) interpreter instead of waiting for a new one.
 
 #: Booted workers no run is using, as ``(process, parent end of the pipe)``.
 #: Each is blocked in ``recv`` with no shard and no open store.
 _IDLE_WORKERS: List[Tuple["BaseProcess", "Connection"]] = []
+
+#: The spare slot (empty or one entry): started by :func:`keep_spare`,
+#: its ``WorkerBooted`` unread.
+_SPARE: List[Tuple["BaseProcess", "Connection"]] = []
 
 
 def boot_worker() -> Tuple["BaseProcess", "Connection"]:
@@ -567,21 +580,39 @@ def boot_worker() -> Tuple["BaseProcess", "Connection"]:
     return process, conn
 
 
-def acquire_worker() -> Tuple["BaseProcess", "Connection", bool]:
-    """A worker for one shard: an idle one when a live one is listed
-    (``True``), else a freshly started one (``False``).
+def acquire_worker() -> Tuple["BaseProcess", "Connection", bool, bool]:
+    """A worker for one shard, as ``(process, conn, reused, booting)``.
+
+    A released idle worker when a live one is listed, else the spare (both
+    ``reused``), else one started on the spot.  ``booting``: the caller
+    has yet to read the worker's :class:`WorkerBooted` (the spare's and a
+    fresh start's).  :class:`~repro.reliability.runtime.ProcessChannel`
+    turns these into the run's ``coordinator.workers_*`` counters.
 
     An idle worker that died meanwhile (killed from outside) is dropped
     and replaced without a word.
     """
     while True:
-        try:
-            process, conn = _IDLE_WORKERS.pop()
-        except IndexError:
-            return (*boot_worker(), False)
+        if _IDLE_WORKERS:
+            (process, conn), booting = _IDLE_WORKERS.pop(), False
+        elif _SPARE:
+            (process, conn), booting = _SPARE.pop(), True
+        else:
+            return (*boot_worker(), False, True)
         if process.is_alive():
-            return process, conn, True
+            return process, conn, True, booting
         conn.close()
+
+
+def keep_spare() -> None:
+    """Make sure one idle worker waits for the next acquisition.
+
+    Starts the spare when the idle list is empty and returns at once: its
+    boot overlaps the run's work instead of stalling the acquisition that
+    will take it.
+    """
+    if not _IDLE_WORKERS and not _SPARE:
+        _SPARE.append(boot_worker())
 
 
 def release_worker(process: "BaseProcess", conn: "Connection") -> None:
@@ -597,13 +628,16 @@ def destroy_worker(process: "BaseProcess", conn: "Connection") -> None:
 
 
 def trim_idle_workers(keep: int) -> None:
-    """Destroy idle workers beyond the *keep* most recently released."""
+    """Destroy idle workers beyond *keep*: the spare first, then the
+    least recently released."""
+    if _SPARE and len(_IDLE_WORKERS) >= keep:
+        destroy_worker(*_SPARE.pop())
     while len(_IDLE_WORKERS) > keep:
         destroy_worker(*_IDLE_WORKERS.pop(0))
 
 
 def shutdown_workers() -> None:
-    """Destroy every idle worker of this process.
+    """Destroy every idle worker of this process, the spare included.
 
     Idle workers are daemonic, so interpreter exit releases them too;
     call this to have their memory back earlier (each is an imported

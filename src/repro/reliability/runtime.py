@@ -53,7 +53,7 @@ import tempfile
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.parallel.backend import (
     BackendOutcome,
@@ -81,6 +81,7 @@ from repro.parallel.ipc import (
     WorkerResult,
     acquire_worker,
     destroy_worker,
+    keep_spare,
     release_worker,
 )
 from repro.parallel.worker import StagedShare, clone_policy
@@ -162,6 +163,11 @@ class ShardChannel(ABC):
     def release(self) -> None:
         """Collect the reply to a posted ``EndTask`` and let the shard go."""
 
+    @staticmethod
+    def keep_spare() -> None:
+        """Have the next shard of this kind ready before it is asked for
+        (a reliability run calls it after every shard it opens)."""
+
 
 class InlineChannel(ShardChannel):
     """The virtual backend's shard: a replayer beside the coordinator.
@@ -204,10 +210,23 @@ class ProcessChannel(ShardChannel):
     """One shard on a worker process, killable and respawnable.
 
     The process comes from :func:`repro.parallel.ipc.acquire_worker` — an
-    idle one when there is one, else a freshly started one — and the
-    :class:`ShardTask` follows over the pipe with the first message, so
-    constructing N channels has N interpreters booting concurrently.
+    idle one when there is one, the spare next, else a freshly started
+    one — and the :class:`ShardTask` follows over the pipe with the first
+    message, so constructing N channels has N interpreters booting
+    concurrently.  A spare or a fresh start is read for its
+    ``WorkerBooted`` at that first :meth:`send`.
+
+    The counters keep one meaning each: ``workers_booted`` counts
+    acquisitions that had to start an interpreter on the spot,
+    ``workers_reused`` those served from the idle list (the spare
+    included), and ``boot_s`` the seconds spent waiting for any
+    interpreter to come up (a spare still booting included).  Their sum
+    ``workers_booted + workers_reused`` is the number of workers the
+    channel was given.  :meth:`keep_spare` starts the spare
+    (:func:`repro.parallel.ipc.keep_spare`).
     """
+
+    keep_spare = staticmethod(keep_spare)
 
     def __init__(self, task: ShardTask) -> None:
         super().__init__(task)
@@ -283,8 +302,7 @@ class ProcessChannel(ShardChannel):
     def respawn(self, checkpoint_path: Optional[str]) -> None:
         self.kill()
         self._task = dataclasses.replace(self.task, checkpoint_path=checkpoint_path)
-        self._process, self._conn, reused = acquire_worker()
-        self._booting = not reused
+        self._process, self._conn, reused, self._booting = acquire_worker()
         if reused:
             self.workers_reused += 1
         else:
@@ -316,7 +334,7 @@ class ShardCoordinator:
         self,
         spec: ParallelRunSpec,
         backend_name: str,
-        channel_factory: Callable[[ShardTask], ShardChannel],
+        channel_factory: Type[ShardChannel],
     ) -> None:
         #: The run's wall clock includes backend setup (plan, fan-out, spawn).
         self._started = time.perf_counter()
@@ -335,6 +353,8 @@ class ShardCoordinator:
         self.arrivals = fan_out_arrivals(spec, self.plan, self.tracker)
         #: Every shard — scale-up joiners included — boots from this snapshot.
         self.snapshot = spec.store.snapshot()
+        #: The store generation every run-level checkpoint is bound to.
+        self.generation = spec.store.generation if rel is not None else None
         self.channels: List[ShardChannel] = []
         self.views: List[ShardView] = []
         self.policies: list = []
@@ -380,6 +400,13 @@ class ShardCoordinator:
             self.policies.append(self.rel.build_policy())
             self.recovery_budget[worker_id] = self.rel.max_recoveries_per_worker
 
+    def _keep_spare(self) -> None:
+        """A reliability run keeps one idle worker beside its shards, so a
+        recovery or a joiner never waits for an interpreter to boot; called
+        once the initial shards exist and after every later acquisition."""
+        if self.rel is not None:
+            self.channel_factory.keep_spare()
+
     # -- the run ----------------------------------------------------------- #
 
     def execute(self) -> BackendOutcome:
@@ -392,6 +419,7 @@ class ShardCoordinator:
         try:
             for arrivals in self.arrivals:
                 self._spawn_shard(arrivals)
+            self._keep_spare()
             if self.rel is not None or self.stealing:
                 self._window_loop()
             else:
@@ -568,6 +596,7 @@ class ShardCoordinator:
         checkpoint_seq = written.seq if written is not None else 0
         checkpoint_window = written.window_index if written is not None else -1
         self.channels[worker_id].respawn(checkpoint_path)
+        self._keep_spare()
         # Rewind the emitted-record cursor: everything at or past the
         # checkpoint's seq is lost work the replay will re-produce.
         kept = [
@@ -659,6 +688,7 @@ class ShardCoordinator:
         """
         for _ in range(self.scale.ups_due(self.window_index)):
             self._spawn_shard(())
+            self._keep_spare()
             self.report.scale_events.append(
                 ScaleRecord(
                     kind="up",
@@ -802,7 +832,7 @@ class ShardCoordinator:
                 worker_id=RUN_CHECKPOINT_WORKER,
                 window_index=window_index,
                 clock_ms=max((view.clock_ms for view in self.views), default=0.0),
-                generation=self.spec.store.generation,
+                generation=self.generation,
                 payload_obj=RunCheckpoint(
                     window_index=window_index,
                     tracker=self.tracker,

@@ -236,8 +236,8 @@ def test_process_backend_matches_parent_commit(
         assert cell["window_boundaries_ms"] == ()
 
 
-def test_crash_run_matches_parent_commit(simulator, queries, quantum_ms):
-    backend = RecordingProcess()
+def observe_crash(simulator, queries, quantum_ms, backend):
+    """Run the ``CRASHES`` cell (process x2) and reduce it like ``GOLDEN_CRASH``."""
     cell = observe(
         simulator,
         queries,
@@ -258,8 +258,12 @@ def test_crash_run_matches_parent_commit(simulator, queries, quantum_ms):
         (e.worker_id, e.window_index, e.checkpoint_window, e.services_replayed)
         for e in report.recoveries
     )
+    return cell
+
+
+def test_crash_run_matches_parent_commit(simulator, queries, quantum_ms):
     # Crashes change nothing: GOLDEN_CRASH's digests are the clean run's.
-    assert cell == GOLDEN_CRASH
+    assert observe_crash(simulator, queries, quantum_ms, RecordingProcess()) == GOLDEN_CRASH
 
 
 @pytest.mark.parametrize("workers", (2, 4))

@@ -3,7 +3,8 @@
 A worker process outlives the run it served: ``ShardCoordinator`` hands
 the workers of a run that ended normally to the idle list of
 :mod:`repro.parallel.ipc`, and the next process-backend run in this
-interpreter draws from it.  Reuse must be invisible on the virtual clock —
+interpreter draws from it; a reliability run also keeps one spare there
+for its crash recoveries.  Reuse must be invisible on the virtual clock —
 every run below reproduces the constants ``test_coordinator_golden.py``
 recorded when each run still booted its own interpreters — and must leak
 nothing from one task into the next.
@@ -27,7 +28,7 @@ from repro.parallel import shutdown_workers
 from repro.parallel import ipc
 from repro.parallel.ipc import ShardReplayer
 from repro.parallel.worker import build_shard_worker
-from repro.reliability import FaultPlan, ReliabilityConfig, runtime
+from repro.reliability import runtime
 from repro.reliability.checkpoint import checkpoint_worker
 from repro.storage.bucket_store import BucketStore
 from repro.telemetry.registry import metric_key, metric_value
@@ -38,6 +39,7 @@ from tests.parallel.test_coordinator_golden import (  # noqa: F401 (fixtures)
     RecordingProcess,
     RecordingVirtual,
     observe,
+    observe_crash,
     quantum_ms,
     queries,
     simulator,
@@ -48,6 +50,12 @@ from tests.parallel.test_coordinator_golden import (  # noqa: F401 (fixtures)
 def idle_worker_pids():
     """PIDs on the process-backend idle list, oldest first."""
     return [process.pid for process, _ in ipc._IDLE_WORKERS]
+
+
+def spare_pids():
+    """PIDs in the spare slot: started ahead of need, perhaps still booting."""
+    return [process.pid for process, _ in ipc._SPARE]
+
 
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 
@@ -191,31 +199,61 @@ def test_idle_worker_killed_from_outside_is_replaced(simulator, queries, quantum
     assert counters["workers_booted"] == 2 and "workers_reused" not in counters
 
 
-def test_crash_run_lists_only_live_workers(simulator, queries, quantum_ms, handed_out):
+def crash_cell(simulator, queries, quantum_ms, handed_out):
+    """One ``GOLDEN_CRASH`` run; returns its boot counters without ``boot_s``.
+
+    Every worker the run was given counts exactly once, booted or reused.
+    """
+    before = len(handed_out)
     backend = RecordingProcess()
-    cell = observe(
-        simulator,
-        queries,
-        backend,
-        workers=2,
-        enable_stealing=False,
-        reliability=ReliabilityConfig(
-            cadence="windows:2",
-            faults=FaultPlan.parse(CRASHES),
-            window_quantum_ms=quantum_ms,
-        ),
-    )
-    assert backend.outcome.reliability.crashes_injected == 2
-    assert cell.items() <= GOLDEN_CRASH.items()
-    # Two first incarnations were SIGKILLed; their two replacements survive.
+    assert observe_crash(simulator, queries, quantum_ms, backend) == GOLDEN_CRASH
+    counters = boot_counters(backend.outcome.telemetry)
+    counters.pop("boot_s", None)
+    assert sum(counters.values()) == len(handed_out) - before
+    return counters
+
+
+def test_crash_run_lists_only_live_workers(simulator, queries, quantum_ms, handed_out):
+    counters = crash_cell(simulator, queries, quantum_ms, handed_out)
+    # Cold: both shards boot on the spot, both recoveries take the spare.
+    assert counters == {"workers_booted": 2, "workers_reused": 2}
+    # The two first incarnations were SIGKILLed; the spares that replaced
+    # them survive, and a fresh spare waits beside them.
     assert len(handed_out) == 4
-    survivors = {p.pid for p in handed_out if p.is_alive()}
-    assert set(idle_worker_pids()) == survivors and len(survivors) == 2
-    assert boot_counters(backend.outcome.telemetry)["workers_booted"] == 4
+    killed, survivors = handed_out[:2], handed_out[2:]
+    assert not any(p.is_alive() for p in killed)
+    assert all(p.is_alive() for p in survivors)
+    spare = spare_pids()
+    assert len(spare) == 1 and spare[0] not in {p.pid for p in handed_out}
+    assert set(idle_worker_pids()) == {p.pid for p in survivors}
+    assert not {p.pid for p in killed} & set(idle_worker_pids() + spare)
 
     cell, counters = run_cell(simulator, queries, quantum_ms, 2, False)
     assert cell == GOLDEN[(2, False)], "a run after a crash run equals a cold run"
     assert counters == {"workers_reused": 2}
+    assert spare_pids() == [], "a run without reliability keeps no spare"
+    assert set(idle_worker_pids()) == {p.pid for p in survivors}
+
+
+def test_a_warm_crash_run_boots_nothing(simulator, queries, quantum_ms, handed_out):
+    crash_cell(simulator, queries, quantum_ms, handed_out)
+    counters = crash_cell(simulator, queries, quantum_ms, handed_out)
+    assert counters == {"workers_reused": 4}
+    assert len(idle_worker_pids()) == 2 and len(spare_pids()) == 1
+
+
+def test_a_spare_killed_from_outside_is_replaced_by_a_cold_boot(
+    simulator, queries, quantum_ms, handed_out
+):
+    crash_cell(simulator, queries, quantum_ms, handed_out)
+    ((spare, _),) = ipc._SPARE
+    spare.kill()
+    spare.join(10.0)
+    counters = crash_cell(simulator, queries, quantum_ms, handed_out)
+    # The first recovery finds the spare dead and boots; the second takes
+    # the spare started after it.
+    assert counters == {"workers_booted": 1, "workers_reused": 3}
+    assert len(idle_worker_pids()) == 2 and len(spare_pids()) == 1
 
 
 def test_all_workers_are_started_before_the_first_task_byte(
@@ -270,7 +308,9 @@ def test_layout_pickles_as_columns_and_round_trips(simulator, tmp_path):
 
 
 #: A process x2 run in a fresh interpreter that writes its idle workers'
-#: pids to a file, then exits normally or SIGKILLs itself.  Spawned
+#: pids to a file, then exits normally or SIGKILLs itself.  The crash
+#: variant SIGKILLs shard 1 at window 1, so the run ends with a spare that
+#: was started at the recovery and may still be booting.  Spawned
 #: children re-import ``__main__``, so this runs as a script file, not
 #: ``-c``; and the test gives it no pipe, since a worker that inherited
 #: one would hold it open and hide how long it lived.
@@ -278,6 +318,7 @@ _OUTLIVE_SCRIPT = textwrap.dedent(
     """
     import multiprocessing, os, signal, sys
 
+    from repro.reliability import FaultPlan, ReliabilityConfig
     from repro.sim.runspec import RunSpec
     from repro.sim.simulator import SimulationConfig, Simulator
     from repro.workload.generator import TraceConfig, TraceGenerator
@@ -286,7 +327,15 @@ _OUTLIVE_SCRIPT = textwrap.dedent(
         config = TraceConfig(query_count=20, bucket_count=64, seed=3)
         queries = TraceGenerator(config).generate().with_saturation(1.0).queries
         simulator = Simulator(SimulationConfig(bucket_count=64))
-        simulator.execute(queries, RunSpec(workers=2, backend="process"))
+        spec = RunSpec(workers=2, backend="process")
+        if sys.argv[3] == "crash":
+            reliability = ReliabilityConfig(
+                cadence="windows:1", faults=FaultPlan.parse("1@1"), window_quantum_ms=1000.0
+            )
+            spec = RunSpec(
+                workers=2, backend="process", enable_stealing=False, reliability=reliability
+            )
+        simulator.execute(queries, spec)
         with open(sys.argv[2], "w") as handle:
             handle.write(" ".join(str(p.pid) for p in multiprocessing.active_children()))
         if sys.argv[1] == "kill":
@@ -306,15 +355,20 @@ def _gone_or_zombie(pid):
 
 
 @needs_proc
-@pytest.mark.parametrize("ending", ("exit", "kill"))
-def test_no_shard_worker_outlives_its_interpreter(tmp_path, ending):
+@pytest.mark.parametrize(
+    ("run", "ending"),
+    (("plain", "exit"), ("plain", "kill"), ("crash", "exit"), ("crash", "kill")),
+    ids=("exit", "kill", "crash-exit", "crash-kill"),
+)
+def test_no_shard_worker_outlives_its_interpreter(tmp_path, run, ending):
     """Idle workers belong to the interpreter that started them: whether it
-    exits normally or is SIGKILLed, every one of them is gone within 10 s."""
+    exits normally or is SIGKILLed, every one of them — a spare that may
+    still be booting included — is gone within 10 s."""
     script, pid_file = tmp_path / "outlive.py", tmp_path / "pids.txt"
     script.write_text(_OUTLIVE_SCRIPT)
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     subprocess.run(
-        [sys.executable, str(script), ending, str(pid_file)],
+        [sys.executable, str(script), ending, str(pid_file), run],
         env=dict(os.environ, PYTHONPATH=src),
         stdin=subprocess.DEVNULL,
         stdout=subprocess.DEVNULL,
@@ -322,7 +376,8 @@ def test_no_shard_worker_outlives_its_interpreter(tmp_path, ending):
         timeout=120,
     )
     pids = [int(pid) for pid in pid_file.read_text().split()]
-    assert len(pids) == 2
+    # Two released shard workers, plus the spare after a crash run.
+    assert len(pids) == (3 if run == "crash" else 2)
     deadline = time.monotonic() + 10.0
     while not all(_gone_or_zombie(pid) for pid in pids) and time.monotonic() < deadline:
         time.sleep(0.05)
