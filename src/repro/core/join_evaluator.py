@@ -22,8 +22,8 @@ scan because matching from memory is far cheaper than random I/O.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from repro.core.bucket_cache import BucketCacheManager
 from repro.core.kernels import MatchedPair, crossmatch_block
@@ -57,7 +57,6 @@ class JoinResult:
     #: over a file-backed store, see :class:`~repro.core.kernels.MatchColumns`).
     matches: Sequence[MatchedPair] = ()
     match_count: int = 0
-    per_query_matches: Dict[int, int] = field(default_factory=dict)
 
 
 class HybridJoinEvaluator:
@@ -205,10 +204,8 @@ class HybridJoinEvaluator:
             read = self.cache.store.read_bucket(bucket_spec.index)
             bucket, io_cost, cache_hit = read.bucket, read.cost_ms, False
         match_cost = self.cost.tm_ms * queue_objects
-        matches, per_query = self._merge_join(bucket, entries)
+        matches = self._merge_join(bucket, entries)
         match_count = len(matches) if matches else self._estimate_matches(queue_objects)
-        if not matches:
-            per_query = self._estimate_per_query(entries)
         return JoinResult(
             bucket_index=bucket_spec.index,
             strategy=JoinStrategy.SEQUENTIAL_SCAN,
@@ -221,7 +218,6 @@ class HybridJoinEvaluator:
             # an empty one must not pin the decoded block it came from.
             matches=matches or (),
             match_count=match_count,
-            per_query_matches=per_query,
         )
 
     def _evaluate_indexed(
@@ -242,7 +238,6 @@ class HybridJoinEvaluator:
             objects_processed=queue_objects,
             cache_hit=False,
             match_count=self._estimate_matches(queue_objects),
-            per_query_matches=self._estimate_per_query(entries),
         )
 
     # ------------------------------------------------------------------ #
@@ -250,9 +245,7 @@ class HybridJoinEvaluator:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _merge_join(
-        bucket: Bucket, entries: Sequence[WorkloadEntry]
-    ) -> Tuple[Sequence[MatchedPair], Dict[int, int]]:
+    def _merge_join(bucket: Bucket, entries: Sequence[WorkloadEntry]) -> Sequence[MatchedPair]:
         """Plane-sweep merge of the workload queue against the bucket.
 
         "Objects in both the bucket and its corresponding workload queue
@@ -263,8 +256,8 @@ class HybridJoinEvaluator:
         in place; a count-only bucket has nothing to join.
         """
         if bucket.columns is None:
-            return [], {}
-        return crossmatch_block(bucket.columns, entries)
+            return ()
+        return crossmatch_block(bucket.columns, entries)[0]
 
     # ------------------------------------------------------------------ #
     # virtual-mode estimates
@@ -272,12 +265,6 @@ class HybridJoinEvaluator:
 
     def _estimate_matches(self, queue_objects: int) -> int:
         return int(round(self.match_probability * queue_objects))
-
-    def _estimate_per_query(self, entries: Sequence[WorkloadEntry]) -> Dict[int, int]:
-        return {
-            entry.query_id: int(round(self.match_probability * entry.object_count))
-            for entry in entries
-        }
 
     def statistics(self) -> Dict[str, float]:
         """Service counts per strategy (used by the ablation reports)."""

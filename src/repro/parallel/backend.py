@@ -91,13 +91,11 @@ def fan_out_arrivals(
         if not assignments:
             # No overlap at this site: completes immediately (as serially).
             continue
-        if tracker.known(query.query_id):
-            raise ValueError(f"query {query.query_id} appears twice in the trace")
+        tracker.register(query.query_id, assignments.keys(), arrival_ms)
         for bucket_index, payload in assignments.items():
             arrivals[plan.owner_of(bucket_index)].append(
                 StagedShare(arrival_ms, query.query_id, bucket_index, payload)
             )
-        tracker.register(query.query_id, assignments.keys(), arrival_ms)
     return arrivals
 
 

@@ -25,7 +25,7 @@ same costs, same report — which the parity tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Set
 
 from repro.core.engine import EngineReport
 
@@ -56,33 +56,25 @@ class CompletionTracker:
         self._remaining: Dict[int, Set[int]] = {}
         self._arrival_ms: Dict[int, float] = {}
         self._completion_ms: Dict[int, float] = {}
-        self._order: List[int] = []
         self._first_arrival_ms: Optional[float] = None
 
     def register(self, query_id: int, buckets: Iterable[int], arrival_ms: float) -> None:
         """Record a query's arrival and the buckets it must still visit."""
         if query_id in self._remaining:
-            raise ValueError(f"query {query_id} was already submitted")
+            raise ValueError(f"query {query_id} appears twice in the trace")
         self._remaining[query_id] = set(buckets)
         self._arrival_ms[query_id] = arrival_ms
         if self._first_arrival_ms is None or arrival_ms < self._first_arrival_ms:
             self._first_arrival_ms = arrival_ms
 
-    def known(self, query_id: int) -> bool:
-        """``True`` once the query has been registered."""
-        return query_id in self._remaining
-
-    def on_serviced(self, query_id: int, bucket_index: int, finished_ms: float) -> bool:
-        """Mark one bucket of a query as drained; ``True`` on completion."""
+    def on_serviced(self, query_id: int, bucket_index: int, finished_ms: float) -> None:
+        """Mark one bucket of a query as drained; the last one completes it."""
         remaining = self._remaining.get(query_id)
         if remaining is None:
-            return False
+            return
         remaining.discard(bucket_index)
         if not remaining and query_id not in self._completion_ms:
             self._completion_ms[query_id] = finished_ms
-            self._order.append(query_id)
-            return True
-        return False
 
     @property
     def submitted_count(self) -> int:
@@ -99,22 +91,9 @@ class CompletionTracker:
         """Latest completion timestamp (0 before any query finishes)."""
         return max(self._completion_ms.values(), default=0.0)
 
-    def arrival_ms(self, query_id: int) -> float:
-        """Arrival time of a registered query."""
-        return self._arrival_ms[query_id]
-
-    def response_time_ms(self, query_id: int) -> Optional[float]:
-        """Response time of one query, or ``None`` while pending."""
-        done = self._completion_ms.get(query_id)
-        if done is None:
-            return None
-        return done - self._arrival_ms[query_id]
-
     def response_times_ms(self) -> Dict[int, float]:
         """Response times of every completed query, in completion order."""
-        return {
-            qid: self._completion_ms[qid] - self._arrival_ms[qid] for qid in self._order
-        }
+        return {qid: done - self._arrival_ms[qid] for qid, done in self._completion_ms.items()}
 
 
 def merge_worker_results(

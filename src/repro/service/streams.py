@@ -172,10 +172,6 @@ class StreamHub:
         """Every registered stream, by query id."""
         return [self._streams[qid] for qid in sorted(self._streams)]
 
-    def known(self, query_id: int) -> bool:
-        """``True`` once the query's stream is open."""
-        return query_id in self._streams
-
     def open_stream_count(self) -> int:
         """Streams registered but not yet complete (serving occupancy).
 
