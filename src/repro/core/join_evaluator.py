@@ -89,8 +89,9 @@ class HybridJoinEvaluator:
             When false, every service uses a sequential scan (useful for
             the threshold ablation).
         match_probability:
-            In virtual mode (no materialised rows) the number of successful
-            matches is estimated as this fraction of the processed objects.
+            Matches of the workload entries that are not joined (on a
+            count-only bucket, footprint-only entries, every entry of an
+            indexed service) are estimated as this fraction of their objects.
         """
         if threshold_fraction is not None and threshold_fraction < 0:
             raise ValueError("threshold_fraction must be non-negative")
@@ -205,7 +206,14 @@ class HybridJoinEvaluator:
             bucket, io_cost, cache_hit = read.bucket, read.cost_ms, False
         match_cost = self.cost.tm_ms * queue_objects
         matches = self._merge_join(bucket, entries)
-        match_count = len(matches) if matches else self._estimate_matches(queue_objects)
+        # One rule per entry: an entry is *joined* when the bucket is
+        # materialised and the entry carries objects, and counts the pairs
+        # the kernel found for it, zero included.  Every other entry (a
+        # count-only bucket's, or a footprint-only one) is estimated.
+        estimated_objects = sum(
+            entry.object_count for entry in entries if bucket.columns is None or not entry.objects
+        )
+        match_count = len(matches) + self._estimate_matches(estimated_objects)
         return JoinResult(
             bucket_index=bucket_spec.index,
             strategy=JoinStrategy.SEQUENTIAL_SCAN,
@@ -226,8 +234,9 @@ class HybridJoinEvaluator:
         entries: Sequence[WorkloadEntry],
         queue_objects: int,
     ) -> JoinResult:
-        # The index reports costs and counts only, so the matches of an
-        # indexed service are always estimated.
+        # Indexed services are estimated by design: the probe path prices
+        # random I/O per object and never reads the bucket, so it has no
+        # pairs to count, even over a materialised store.
         io_cost = self.cost.index_cost_ms(queue_objects)
         return JoinResult(
             bucket_index=bucket_spec.index,

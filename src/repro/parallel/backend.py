@@ -155,11 +155,14 @@ def merge_backend_outcome(
 ) -> BackendOutcome:
     """Merge per-shard batch records and accounting into one outcome.
 
-    Services are replayed in global virtual-time order — the order N
-    independent servers would have produced them in — so cross-shard
-    completion bookkeeping does not depend on which shard replied first.
+    The service log is put in global finish order once, here: ties break
+    by worker id, then by the shard's own sequence number, so the order
+    does not depend on which shard replied first.  Replayed in that order,
+    the tracker stamps each query at the finish of its last-finishing
+    service — the completion law the ledger and the result streams read
+    off the same log.
     """
-    batches.sort(key=lambda r: (r.started_at_ms, r.worker_id, r.seq))
+    batches.sort(key=lambda r: (r.finished_at_ms, r.worker_id, r.seq))
     for record in batches:
         for query_id in record.queries_served:
             tracker.on_serviced(query_id, record.bucket_index, record.finished_at_ms)
@@ -246,7 +249,8 @@ class BackendOutcome:
     #: Every shard's final accounting, in worker-id order.
     results: List[WorkerResult]
     steal_records: List[StealRecord]
-    #: Every bucket service of the run, in global virtual-time order.
+    #: Every bucket service of the run, in global finish order
+    #: (``finished_at_ms``, then worker id, then the shard's sequence).
     services: List[BatchRecord]
     #: Real (measured) wall-clock of the run, including backend setup.
     real_elapsed_s: float

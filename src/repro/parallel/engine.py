@@ -48,8 +48,10 @@ class CompletionTracker:
     """Cross-shard query bookkeeping: arrivals, remaining buckets, completions.
 
     A query completes when its *last* pending bucket anywhere is drained.
-    The coordinator replays per-shard batch records through it in global
-    virtual-time order; it is also part of the run checkpoint.
+    The coordinator replays the service log through it in global finish
+    order, so that bucket's service is also the query's last to finish:
+    ``arrival + response`` equals the latest finish of the query's
+    services.  It is also part of the run checkpoint.
     """
 
     def __init__(self) -> None:

@@ -547,7 +547,7 @@ class ServingFrontEnd:
         )
 
     def ingest_records(self, records: Iterable) -> int:
-        """Feed a backend's service records (global finish-time order)."""
+        """Feed a backend's service log (already in global finish order)."""
         return self.hub.ingest_records(records)
 
     def cursor(self) -> StreamCursor:

@@ -14,9 +14,9 @@ path shares.  The serial engine feeds it live, one
 :class:`~repro.core.engine.BatchResult` at a time; the execution backends
 feed it the :class:`~repro.parallel.ipc.BatchRecord` stream their shard
 workers emitted (for the process backend those records literally rode the
-IPC pipe).  Records are ingested in global finish-time order, so the
-chunks of one query are non-decreasing in virtual time on every backend —
-the serving parity tests pin this down.
+IPC pipe).  That log is kept in global finish order by the backend, so
+the chunks of one query are non-decreasing in virtual time on every
+backend — the serving parity tests pin this down.
 """
 
 from __future__ import annotations
@@ -250,20 +250,18 @@ class StreamHub:
         return chunks
 
     def ingest_records(self, records: Iterable) -> int:
-        """Feed a whole run's service records, in global finish-time order.
+        """Feed a whole run's service records, in the order given.
 
         Accepts anything shaped like :class:`~repro.parallel.ipc.BatchRecord`
         (``bucket_index`` / ``queries_served`` / ``objects_served`` /
-        ``finished_at_ms``).  Sorting by finish time keeps every per-query
-        chunk sequence non-decreasing in virtual time even when services of
-        different shard workers overlap.
+        ``finished_at_ms``).  A backend's service log
+        (:attr:`~repro.parallel.backend.BackendOutcome.services`) is already
+        in global finish order, so every per-query chunk sequence is
+        non-decreasing in virtual time even when services of different
+        shard workers overlap.
         """
-        ordered = sorted(
-            records,
-            key=lambda r: (r.finished_at_ms, getattr(r, "worker_id", 0), getattr(r, "seq", 0)),
-        )
         emitted = 0
-        for record in ordered:
+        for record in records:
             emitted += len(
                 self.on_service(
                     record.bucket_index,

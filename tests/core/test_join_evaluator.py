@@ -1,5 +1,7 @@
 """Tests for the hybrid join evaluator (strategy choice + spatial merge join)."""
 
+import dataclasses
+
 import pytest
 
 from repro.catalog.generator import SkyGenerator, SkyGeneratorConfig
@@ -222,8 +224,8 @@ class TestFullFidelityJoin:
                     if objs:
                         entries.append(WorkloadEntry(query.query_id, len(objs), 0.0, tuple(objs)))
                 result = evaluator.evaluate(store.layout[bucket_index], entries)
-                if result.matches:
-                    assert result.match_count == len(result.matches)
+                # Every entry is joined: the service counts its pairs, zero included.
+                assert result.match_count == len(result.matches)
                 found.update(
                     (pair.query_id, pair.workload_object.object_id, pair.catalog_object.object_id)
                     for pair in result.matches
@@ -235,6 +237,70 @@ class TestFullFidelityJoin:
         }
         assert found == expected
         assert {query_id for query_id, _, _ in found} == {1, 2}
+
+    @staticmethod
+    def _matched_bucket(store, incoming):
+        """The first bucket the incoming objects really match in, and the
+        objects the pre-processor assigns to it."""
+        evaluator = HybridJoinEvaluator(SMALL_BUCKET_COST, BucketCacheManager(store, capacity=8))
+        query = CrossMatchQuery(query_id=1, objects=tuple(incoming))
+        for bucket_index, objects in QueryPreProcessor(store.layout).assign(query).items():
+            entries = [WorkloadEntry(1, len(objects), 0.0, tuple(objects))]
+            if evaluator.evaluate(store.layout[bucket_index], entries).matches:
+                return bucket_index, tuple(objects)
+        raise AssertionError("the companion survey guarantees real matches")
+
+    def _evaluate_on_matched_bucket(self, setup, entries_for_bucket):
+        path, _base, incoming = setup
+        disk = calibrated_disk_for_bucket_read(4.0, 0.2)
+        with open_disk_store(path, disk) as store:
+            bucket_index, objects = self._matched_bucket(store, incoming)
+            evaluator = HybridJoinEvaluator(
+                SMALL_BUCKET_COST, BucketCacheManager(store, capacity=8)
+            )
+            return evaluator.evaluate(
+                store.layout[bucket_index],
+                entries_for_bucket(objects),
+                force_strategy=JoinStrategy.SEQUENTIAL_SCAN,
+            )
+
+    def test_explicit_entries_without_pairs_count_zero(self, setup):
+        """A joined entry counts the pairs it found, zero included: objects
+        moved a degree off their true position match nothing, and nothing
+        is credited for them."""
+
+        def displaced(objects):
+            moved = tuple(
+                dataclasses.replace(obj, dec=obj.dec - 1.0 if obj.dec > 0 else obj.dec + 1.0)
+                for obj in objects
+            )
+            return [WorkloadEntry(1, len(moved), 0.0, moved)]
+
+        result = self._evaluate_on_matched_bucket(setup, displaced)
+        assert result.objects_processed > 0
+        assert result.matches == ()
+        assert result.match_count == 0
+
+    def test_footprint_only_entries_on_a_materialised_bucket_estimate(self, setup):
+        """An entry without objects has nothing to join, even over a ``.lrbs``
+        bucket: it is estimated, as on a count-only store."""
+        result = self._evaluate_on_matched_bucket(
+            setup, lambda objects: [WorkloadEntry(5, 40, 0.0)]
+        )
+        assert result.matches == ()
+        assert result.match_count == round(0.85 * 40)
+
+    def test_mixed_queue_counts_pairs_plus_the_footprint_estimate(self, setup):
+        result = self._evaluate_on_matched_bucket(
+            setup,
+            lambda objects: [
+                WorkloadEntry(1, len(objects), 0.0, objects),
+                WorkloadEntry(5, 40, 0.0),
+            ],
+        )
+        assert len(result.matches) > 0
+        assert {pair.query_id for pair in result.matches} == {1}
+        assert result.match_count == len(result.matches) + round(0.85 * 40)
 
     def test_indexed_service_estimates_without_reading_the_bucket(self, setup):
         """The index path prices probes and estimates matches: it never

@@ -386,5 +386,5 @@ class TestRunRecord:
         assert len(outcome.services) == outcome.report.bucket_services
         assert sum(r.services for r in outcome.results) == outcome.report.bucket_services
         assert sum(r.steals for r in outcome.results) == len(outcome.steal_records)
-        order = [(r.started_at_ms, r.worker_id, r.seq) for r in outcome.services]
+        order = [(r.finished_at_ms, r.worker_id, r.seq) for r in outcome.services]
         assert order == sorted(order)

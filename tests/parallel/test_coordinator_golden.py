@@ -10,6 +10,13 @@ boundaries and the virtual-domain telemetry all included.
 It also states the property one shared loop gives by construction: the
 plain virtual backend (the same coordinator over inline channels) is
 bit-identical, steals included, to the plain process backend.
+
+The constants are re-recorded by hand, and only for an intended change::
+
+    PYTHONPATH=src python -m tests.parallel.test_coordinator_golden
+
+runs every cell (over inline channels) and prints a moved/unchanged table
+of cell × fact, then the facts of every cell that moved.
 """
 
 import hashlib
@@ -23,7 +30,7 @@ from repro.sim.simulator import SimulationConfig, Simulator
 from repro.storage.ingest import materialize_layout
 from repro.telemetry.registry import VIRTUAL_DOMAIN, filter_domain, snapshot_to_json
 from repro.workload.generator import TraceConfig, TraceGenerator
-from tests.telemetry.helpers import ledger_digest
+from tests.telemetry.helpers import ledger_digest, moved_table
 
 BUCKETS = 64
 ROWS_PER_BUCKET = 24
@@ -38,10 +45,13 @@ def _sha(text: str) -> str:
 
 # Recorded at the parent commit (see the module docstring); keyed by
 # (workers, stealing).  Memory and `.lrbs` runs share one entry: the
-# storage tier is not observable on the virtual clock.
+# storage tier is not observable on the virtual clock.  The result digests
+# of (2, True), (4, True) and (4, False) were re-recorded once, when a
+# sharded query began to complete at its last-finishing service instead of
+# its last-starting one; every other fact here is unchanged.
 GOLDEN = {
     (2, True): {
-        "result_digest": "1c681f83add021571e967b164ef5d724b6cd4b789cfe6e117b8dee9d4809afb6",
+        "result_digest": "66b67d90ec138160efac9ee01b02da8119bde6fef77df1940b4d55bb4095ede8",
         "ledger_digest": "c57a4abaaa8be4c09d7e6a42823a0260dae8b38d3b7ed80c39b928bd18f43a86",
         # (time_ms, bucket, victim, thief, entries)
         "steals": (
@@ -77,7 +87,7 @@ GOLDEN = {
         "telemetry": "ed7693990fdde562",
     },
     (4, True): {
-        "result_digest": "74ecf2f588c48ac2a6af4fa9373bf75fa6c9c64f7e435db4ee57328ee60f9f22",
+        "result_digest": "196a13393be3168906372e4708067d065cb4e2f16ec2b1e62091d54eff6c5542",
         "ledger_digest": "647f460acedbf9b182d6796f2f8277e6139034fa3975db41231e8cfca27221f8",
         "steals": (
             (3254.1148816860687, 17, 1, 2, 3),
@@ -118,7 +128,7 @@ GOLDEN = {
         "telemetry": "6d6395be76bf8f71",
     },
     (4, False): {
-        "result_digest": "c085c503406e39e23e4824f1ca4a66f712882f76ed38d77466019f09c8147a85",
+        "result_digest": "2dfa9b2ea6ca16dd1fc1ae4810c3fe06184a43d895e45903c18e7fbc484e899c",
         "ledger_digest": "5064a792a06fdfa7c17583e9ee6e7eeaf711f3298f714008a2659812aa728eba",
         "steals": (),
         "window_boundaries_ms": (),
@@ -173,9 +183,18 @@ class RecordingVirtual(_Recording, VirtualBackend):
     pass
 
 
+def golden_simulator():
+    return Simulator(SimulationConfig(bucket_count=BUCKETS))
+
+
+def golden_queries():
+    config = TraceConfig(query_count=60, bucket_count=BUCKETS, seed=21)
+    return tuple(TraceGenerator(config).generate().with_saturation(1.0).queries)
+
+
 @pytest.fixture(scope="module")
 def simulator():
-    return Simulator(SimulationConfig(bucket_count=BUCKETS))
+    return golden_simulator()
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +210,7 @@ def store_path(simulator, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def queries():
-    config = TraceConfig(query_count=60, bucket_count=BUCKETS, seed=21)
-    return tuple(TraceGenerator(config).generate().with_saturation(1.0).queries)
+    return golden_queries()
 
 
 def observe(simulator, queries, backend, shard_strategy="zone", **spec_fields):
@@ -308,3 +326,28 @@ def test_single_drain_stays_one_round_trip_per_shard(simulator, queries, monkeyp
             "Finalize",
             "EndTask",
         ]
+
+
+if __name__ == "__main__":
+    golden_sim = golden_simulator()
+    golden_trace = golden_queries()
+    window_ms = golden_sim.config.cost.tb_ms * WINDOW_BUCKET_READS
+    committed = {str(cell): facts for cell, facts in GOLDEN.items()}
+    committed["crash"] = GOLDEN_CRASH
+    recorded = {
+        str((workers, stealing)): observe(
+            golden_sim,
+            golden_trace,
+            RecordingVirtual(),
+            workers=workers,
+            enable_stealing=stealing,
+            steal_quantum_ms=window_ms,
+        )
+        for workers, stealing in GOLDEN
+    }
+    recorded["crash"] = observe_crash(golden_sim, golden_trace, window_ms, RecordingVirtual())
+    print(moved_table(committed, recorded))
+    for cell, facts in recorded.items():
+        moved = {fact: value for fact, value in facts.items() if committed[cell][fact] != value}
+        if moved:
+            print(f"{cell}: {moved!r}")

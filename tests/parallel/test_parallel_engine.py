@@ -8,6 +8,8 @@ barriers and idle shards really steal.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baselines import NoShareScheduler
 from repro.core.engine import EngineConfig
@@ -28,8 +30,10 @@ from repro.storage.bucket_store import BucketStore
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
 from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import BucketPartitioner
+from repro.telemetry.ledger import ledger_entries
 from repro.workload.generator import TraceConfig, TraceGenerator
 from repro.workload.query import CrossMatchQuery
+from tests.parallel.test_coordinator_golden import RecordingProcess, RecordingVirtual
 
 BUCKETS = 128
 
@@ -326,9 +330,75 @@ class TestRunRecord:
         assert len(zone_run.services) == zone_run.report.bucket_services
         assert sum(result.services for result in results) == zone_run.report.bucket_services
         assert sum(result.steals for result in results) == len(zone_run.steal_records) > 0
-        order = [(r.started_at_ms, r.worker_id, r.seq) for r in zone_run.services]
+        order = [(r.finished_at_ms, r.worker_id, r.seq) for r in zone_run.services]
         assert order == sorted(order)
         assert set(zone_run.report.response_times_ms) == served_queries(zone_run)
+
+
+LAW_BUCKETS = 64
+
+
+def law_trace(seed):
+    config = TraceConfig(query_count=40, bucket_count=LAW_BUCKETS, seed=seed)
+    return TraceGenerator(config).generate().with_saturation(2.0).queries
+
+
+def last_finish_ms(services):
+    """Each served query's latest service finish, from the service log."""
+    last = {}
+    for record in services:
+        for query_id in record.queries_served:
+            last[query_id] = max(last.get(query_id, 0.0), record.finished_at_ms)
+    return last
+
+
+def assert_completion_law(queries, backend, **spec_fields):
+    """``arrival + response == max(finish of its services) == ledger
+    completion_ms`` for every query of one run through ``Simulator.execute``."""
+    simulator = Simulator(SimulationConfig(bucket_count=LAW_BUCKETS))
+    result = simulator.execute(queries, RunSpec(backend=backend, **spec_fields))
+    responses = backend.outcome.report.response_times_ms
+    last = last_finish_ms(backend.outcome.services)
+    ledger = ledger_entries(result.ledger)
+    assert set(responses) == set(last) == set(ledger)
+    arrivals = {query.query_id: query.arrival_time_s * 1000.0 for query in queries}
+    for query_id, finish_ms in last.items():
+        assert arrivals[query_id] + responses[query_id] == pytest.approx(finish_ms, rel=1e-12)
+        assert ledger[query_id]["completion_ms"] == finish_ms
+
+
+class TestCompletionLaw:
+    """A sharded query completes at the finish of its last-finishing service."""
+
+    def test_seed_99_queries_complete_at_their_last_finish(self, layout, queries):
+        outcome = run_sharded(layout, queries, workers=4)
+        responses = outcome.report.response_times_ms
+        last = last_finish_ms(outcome.services)
+        # Query 4's last-starting service is not its last-finishing one.
+        assert responses[4] == pytest.approx(11_736.5, abs=0.05)
+        arrivals = {query.query_id: query.arrival_time_s * 1000.0 for query in queries}
+        early = [q for q in responses if arrivals[q] + responses[q] < last[q] - 1e-9]
+        assert len(responses) == 80
+        assert early == []
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        workers=st.sampled_from((1, 2, 4)),
+        shard_strategy=st.sampled_from(("round_robin", "zone")),
+        stealing=st.booleans(),
+    )
+    def test_every_virtual_run_obeys_the_law(self, seed, workers, shard_strategy, stealing):
+        assert_completion_law(
+            law_trace(seed),
+            RecordingVirtual(),
+            workers=workers,
+            shard_strategy=shard_strategy,
+            enable_stealing=stealing,
+        )
+
+    def test_a_process_run_obeys_the_law(self):
+        assert_completion_law(law_trace(7), RecordingProcess(), workers=2)
 
 
 class TestScaling:

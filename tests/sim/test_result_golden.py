@@ -17,9 +17,16 @@ seconds) are left out.
 
 ``tests/fixtures/results/golden_results.json`` was recorded before the
 serial and sharded paths of ``Simulator.execute`` were folded into one.
+Its four sharded specs were re-recorded once, when a sharded query began
+to complete at its last-finishing service instead of its last-starting
+one (result digest, fields and trace moved; serving, ledger and snapshot
+did not).
 Re-record (only when the *intended* behaviour changes) with::
 
     PYTHONPATH=src python -m tests.sim.test_result_golden
+
+which prints a moved/unchanged table of spec × fact against the committed
+file before it overwrites it.
 """
 
 import dataclasses
@@ -37,7 +44,7 @@ from repro.sim.simulator import SimulationConfig, Simulator
 from repro.storage.ingest import materialize_layout
 from repro.telemetry.registry import VIRTUAL_DOMAIN, filter_domain, snapshot_to_json
 from repro.workload.generator import TraceConfig, TraceGenerator
-from tests.telemetry.helpers import ledger_digest
+from tests.telemetry.helpers import ledger_digest, moved_table
 
 GOLDEN_RESULTS = os.path.join(
     os.path.dirname(__file__), os.pardir, "fixtures", "results", "golden_results.json"
@@ -196,6 +203,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         recording_site = _Site(scratch)
         recorded = {name: recording_site.outcome(name) for name in SPEC_NAMES}
+    committed = {}
+    if os.path.exists(GOLDEN_RESULTS):
+        with open(GOLDEN_RESULTS, encoding="utf-8") as handle:
+            committed = json.load(handle)
+    print(moved_table(committed, recorded))
     os.makedirs(os.path.dirname(GOLDEN_RESULTS), exist_ok=True)
     with open(GOLDEN_RESULTS, "w", encoding="utf-8") as handle:
         json.dump(recorded, handle, indent=1, sort_keys=True)

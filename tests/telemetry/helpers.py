@@ -1,16 +1,17 @@
-"""Test-side views of run telemetry: a ledger digest, a metric sum and a
-serial batch builder.
+"""Test-side views of run telemetry: a ledger digest, a metric sum, a
+serial batch builder and a golden re-record table.
 
 Nothing in ``src/`` needs them; parity and golden tests use the first two
-to compare ledgers and snapshots from different runs, and the span and
-ledger tests feed the builder's real ``BatchResult`` to their exporters.
+to compare ledgers and snapshots from different runs, the span and ledger
+tests feed the builder's real ``BatchResult`` to their exporters, and the
+golden files print :func:`moved_table` before they re-record.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from repro.core.engine import BatchResult
 from repro.core.join_evaluator import JoinResult, JoinStrategy
@@ -71,3 +72,29 @@ def sum_metric(snapshot: Optional[dict], name: str) -> Number:
             else:
                 total += entry.get("value", 0)
     return total
+
+
+def moved_table(committed: Mapping, recorded: Mapping) -> str:
+    """A Markdown ``cell × fact`` table: which recorded facts moved.
+
+    Both arguments map a cell name to its facts (``{fact: value}``); a
+    cell absent from *committed* reads ``new``, and a fact a cell does not
+    have reads ``-``.
+    """
+    facts = list(dict.fromkeys(fact for cell in recorded.values() for fact in cell))
+    lines = [
+        "| cell | " + " | ".join(facts) + " |",
+        "|---|" + "---|" * len(facts),
+    ]
+    for name, cell in recorded.items():
+        old = committed.get(name)
+        marks = []
+        for fact in facts:
+            if fact not in cell:
+                marks.append("-")
+            elif old is None:
+                marks.append("new")
+            else:
+                marks.append("moved" if old.get(fact) != cell[fact] else "unchanged")
+        lines.append(f"| {name} | " + " | ".join(marks) + " |")
+    return "\n".join(lines)
