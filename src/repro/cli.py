@@ -34,7 +34,8 @@ virtual-clock numbers) and verify file/memory parity in one shot::
 
 Kill shard worker 1 during window 1 of a two-worker run (a real SIGKILL
 on the process backend), recover it from its checkpoint, and verify the
-crash-injected run is bit-identical to an uninterrupted one::
+crash-injected run — work stealing included — is bit-identical to an
+uninterrupted one::
 
     liferaft run --scale small --store-path /tmp/small.lrbs --workers 2 \
         --backend process --inject-crash 1@1 --checkpoint-every windows:2 \
@@ -42,9 +43,13 @@ crash-injected run is bit-identical to an uninterrupted one::
 
 Shrink a three-worker run to two mid-run, then grow back to three — the
 departing shard's queues migrate over the stealing seam and the run's
-completion set is unchanged::
+completion set is unchanged; a crash on top still verifies against the
+same run without it::
 
     liferaft run --scale small --workers 3 --scale-down 1@2 --scale-up 4
+    liferaft run --scale small --workers 3 --scale-down 1@2 --scale-up 4 \
+        --inject-crash 3@6 --checkpoint-every windows:3 \
+        --checkpoint-window-ms 2400 --verify-recovery
 
 Record a run as a ``.lrtr`` trace, then replay it elsewhere and verify
 the result digest is bit-identical::
@@ -384,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "deterministically kill shard worker W during window N and "
             "recover it from its latest checkpoint (repeatable, or a comma "
-            "list; real SIGKILL on --backend process).  Crash injection "
-            "disables work stealing so the recovered run is bit-comparable "
-            "to an uninterrupted one"
+            "list; real SIGKILL on --backend process).  The recovered shard "
+            "catches up at the barriers it missed, so the run, stealing "
+            "included, is bit-identical to an uninterrupted one"
         ),
     )
     run.add_argument(
@@ -404,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "after a crash-injected run, replay the same trace without "
-            "faults and fail unless every virtual-clock total is identical "
-            "(requires --inject-crash)"
+            "faults (same windows and scale plan) and fail unless every "
+            "virtual-clock total is identical (requires --inject-crash)"
         ),
     )
     run.add_argument(
@@ -427,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "planned join: one cold shard worker spawns at window barrier "
             "N and acquires work through steal rounds (repeatable, or a "
-            "comma list; requires stealing, so it cannot be combined with "
-            "--inject-crash)"
+            "comma list)"
         ),
     )
     run.add_argument(
@@ -770,11 +774,6 @@ def _run_single(args: argparse.Namespace) -> int:
     with _building_inputs():
         simulator, trace = _site_and_trace(args, args.bucket_count)
         reliability = _build_reliability(args)
-        # Injected crashes disable stealing: each shard is then a pure function
-        # of its schedule, so the recovered run is bit-comparable to a clean one.
-        stealing = reliability is None or not reliability.faults
-        if reliability is not None:
-            reliability.validate(args.workers, stealing)
         # A spec with a reliability config runs on the parallel engine even
         # at one worker: its window barriers host the checkpoints.
         spec = RunSpec(
@@ -782,7 +781,6 @@ def _run_single(args: argparse.Namespace) -> int:
             alpha=args.alpha,
             workers=args.workers,
             backend=args.backend,
-            enable_stealing=stealing,
             reliability=reliability,
             store_path=args.store_path,
             saturation_qps=args.saturation,
@@ -792,6 +790,8 @@ def _run_single(args: argparse.Namespace) -> int:
             series_window_ms=args.series_window_ms,
             archive_out=args.archive_out,
         )
+        if reliability is not None:
+            reliability.validate(spec.workers, spec.enable_stealing)
     result = simulator.execute(trace.queries, spec)
     if args.record_trace:
         print(f"recorded trace -> {args.record_trace}")
@@ -836,7 +836,12 @@ def _run_single(args: argparse.Namespace) -> int:
                 "--inject-crash window indices)"
             )
             return 1
-        clean = simulator.execute(trace.queries, replace(spec, reliability=None, **_NO_EXPORTS))
+        # The clean run keeps the windows and the scale plan; it writes its
+        # checkpoints to a private directory, not over the user's files.
+        fault_free = replace(reliability, faults=None, checkpoint_dir=None)
+        clean = simulator.execute(
+            trace.queries, replace(spec, reliability=fault_free, **_NO_EXPORTS)
+        )
         status = _check_parity(
             result,
             clean,

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.engine import EngineConfig, EngineReport
 from repro.core.preprocessor import QueryPreProcessor
@@ -266,7 +266,7 @@ class BackendOutcome:
 
     def coverage(self) -> Dict[int, frozenset]:
         """Per-query bucket coverage: which buckets serviced each query."""
-        covered: Dict[int, Set[int]] = {}
+        covered: Dict[int, set] = {}
         for record in self.services:
             for query_id in record.queries_served:
                 covered.setdefault(query_id, set()).add(record.bucket_index)
@@ -352,9 +352,8 @@ class ShardView:
 
 def run_steal_round(
     views: Sequence[ShardView],
-    steal_records: List[StealRecord],
     request: Callable[[int, object], object],
-) -> List[Tuple[StealRecord, AdoptBucket]]:
+) -> Iterator[Tuple[StealRecord, AdoptBucket]]:
     """Window-barrier work stealing: idle shards adopt starving queues.
 
     The one steal rule: each idle shard (no queued
@@ -367,11 +366,11 @@ def run_steal_round(
 
     *request* ``(worker_id, message) -> reply`` is the coordinator's
     crash-recovering round trip; both halves of a migration go through
-    it.  Returns the round's migrations as ``(record, adopt message)`` so
-    the caller can journal them (recovery re-settles bucket ownership by
-    replaying the journal).
+    it.  Each migration is yielded as ``(record, adopt message)`` once
+    both halves were delivered and before the next one starts, so the
+    caller records and journals it at once (a recovery later in the same
+    round replays the journal).
     """
-    migrations: List[Tuple[StealRecord, AdoptBucket]] = []
     thieves = sorted(
         (view for view in views if not view.pending),
         key=lambda view: (view.clock_ms, view.worker_id),
@@ -413,9 +412,7 @@ def run_steal_round(
             thief_id=thief.worker_id,
             entry_count=len(released.entries),
         )
-        steal_records.append(record)
-        migrations.append((record, message))
-    return migrations
+        yield record, message
 
 
 class ProcessBackend(ExecutionBackend):

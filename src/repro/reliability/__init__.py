@@ -13,7 +13,7 @@ at window barriers and replaying schedule tails.  This package provides:
   executed at window barriers (elasticity as generalised recovery);
 * :mod:`repro.reliability.runtime` — the channel coordinator: the one
   driver of message-passing shards, which with a reliability config also
-  kills, detects, respawns and re-settles them on both execution backends;
+  kills, detects, respawns and catches them up on both execution backends;
 * :mod:`repro.reliability.config` — :class:`ReliabilityConfig`, the knob
   :class:`~repro.sim.runspec.RunSpec.reliability` and the CLI expose, and the
   :class:`ReliabilityReport` every reliable run returns.

@@ -31,17 +31,18 @@ kind is the only difference between the backends:
 Recovery is the same either way: rebuild the shard from its
 :class:`~repro.parallel.ipc.ShardTask` **plus its latest checkpoint**,
 discard the batch records the replay will re-emit (the coordinator's
-per-shard cursor rewinds to the checkpoint's ``seq``), re-settle bucket
-ownership for any post-checkpoint steals through the existing
-``ReleaseBucket``/``AdoptBucket`` machinery, and let the window loop
-re-run the schedule tail.  Because every shard is a pure function of its
-admitted schedule, the recovered run's virtual-clock outcome — completion
-sets, per-query chunk sequences, every parity field — is identical to an
-uninterrupted run (``tests/reliability/`` pins this across backends and
-worker counts with stealing off, and with stealing on when every barrier
-checkpoints; a sparser cadence under stealing is the known hole, see
-:meth:`ShardCoordinator._resettle`).  Without a reliability config a dead
-shard is simply the run's typed failure.
+per-shard cursor rewinds to the checkpoint's ``seq``), and catch the
+shard up at the barriers it missed: the post-checkpoint queue migrations
+it took part in are replayed in order, each at its own window boundary
+(:meth:`ShardCoordinator._catch_up`).  Because every shard is a pure
+function of its admitted schedule and its migrations, and a boundary
+pauses the timeline without altering it, the recovered run's
+virtual-clock outcome — completion sets, per-query chunk sequences,
+steals, window boundaries, every parity field — is identical to an
+uninterrupted run at any cadence, stealing on or off
+(``tests/reliability/`` pins this across backends and worker counts).
+Without a reliability config a dead shard is simply the run's typed
+failure.
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ class ProcessChannel(ShardChannel):
 
 @dataclass
 class _JournaledSteal:
-    """One queue migration the coordinator witnessed (for re-settlement)."""
+    """One queue migration the coordinator witnessed (for catch-up)."""
 
     window_index: int
     record: StealRecord
@@ -361,6 +362,11 @@ class ShardCoordinator:
         self.batches: List[BatchRecord] = []
         self.steal_records: List[StealRecord] = []
         self.window_boundaries: List[float] = []
+        #: Where a restored shard's catch-up ends: the current window's
+        #: boundary once every live shard has been advanced to it, 0.0
+        #: while that round is in flight (the re-sent ``RunWindow`` then
+        #: advances the shard itself).
+        self.barrier_ms = 0.0
         #: Index of the window in flight; the number of windows run once
         #: the loop has ended.
         self.window_index = 0
@@ -492,7 +498,9 @@ class ShardCoordinator:
                 if not view.drained and self.faults.crash_due(channel.worker_id, self.window_index):
                     channel.kill()
                     self.report.crashes_injected += 1
+            self.barrier_ms = 0.0
             self._run_window(boundary)
+            self.barrier_ms = boundary
             if self.scale:
                 self._scale_round()
             drained = all(view.drained for view in self.views)
@@ -512,7 +520,7 @@ class ShardCoordinator:
         runs concurrently across worker processes.  Returns the replies
         and the ids of shards found dead; those are recovered by the
         caller only after every in-flight reply has drained
-        (re-settlement must not talk to a shard with a reply outstanding).
+        (catch-up must not talk to a shard with a reply outstanding).
         """
         for worker_id, message in messages.items():
             self.channels[worker_id].send(message)
@@ -567,8 +575,9 @@ class ShardCoordinator:
 
         Every coordinator request outside a broadcast goes through here,
         so there is one retry rule.  Re-sending is always safe — the
-        restored shard has not seen the message, and migrations are
-        journaled only after both halves were delivered.
+        restored shard is back in the state the message was first sent
+        to, and migrations are journaled only after both halves were
+        delivered, so none is replayed twice.
         """
         channel = self.channels[worker_id]
         while True:
@@ -578,13 +587,9 @@ class ShardCoordinator:
                 if self.rel is None:
                     raise  # no recovery configured: the death is the outcome
                 self._recover(worker_id)
-                if isinstance(message, Finalize):
-                    # A recovered shard may have a schedule tail to replay
-                    # before its accounting is final again.
-                    self._apply_window(self._request(worker_id, RunWindow(None)))
 
     def _recover(self, worker_id: int) -> None:
-        """Restore a dead shard from its latest checkpoint and re-settle."""
+        """Restore a dead shard from its latest checkpoint and catch it up."""
         if self.recovery_budget[worker_id] <= 0:
             raise RuntimeError(
                 f"shard worker {worker_id} exceeded "
@@ -607,7 +612,7 @@ class ShardCoordinator:
         services_replayed = len(self.batches) - len(kept)
         self.batches = kept
         self.accepted_seq[worker_id] = checkpoint_seq
-        self._resettle(worker_id, checkpoint_window)
+        self._catch_up(worker_id, checkpoint_window)
         self.report.recoveries.append(
             RecoveryEvent(
                 worker_id=worker_id,
@@ -618,61 +623,48 @@ class ShardCoordinator:
             )
         )
 
-    def _resettle(self, worker_id: int, checkpoint_window: int) -> None:
-        """Replay post-checkpoint queue migrations involving the shard.
+    def _catch_up(self, worker_id: int, checkpoint_window: int) -> None:
+        """Bring a restored shard through the barriers it missed.
 
-        Steals are settled through the coordinator, so every migrated
-        payload passed through here and can be replayed: migrations the
-        crashed shard *received* after its checkpoint are re-adopted;
-        queues it *gave up* after its checkpoint are extracted again from
-        the restored state and forwarded to the current owner (which may
-        hold newer entries — adoption merges, and downstream completion
-        and stream bookkeeping are idempotent per (query, bucket)).
+        The one recovery rule: walk the journal of post-checkpoint queue
+        migrations the shard took part in, in order.  At the first one of
+        each window, advance the shard to that window's boundary (once: an
+        adopt can leave the thief's clock below it, and a second advance
+        would run next-window services early); then replay the migration
+        itself — the journaled ``AdoptBucket`` when
+        the shard was the thief, a ``ReleaseBucket`` whose reply is
+        dropped when it was the victim (the thief already holds that
+        queue).  A last ``RunWindow`` takes the shard to
+        :attr:`barrier_ms` — or, if it has just replayed migrations at that
+        barrier, is empty — and its report refreshes the coordinator's
+        view.  ``advance(until)`` pauses the timeline at a boundary without
+        altering it, so this rebuilds exactly the lost state and nothing
+        outside the shard moves: the recovered run is the uninterrupted
+        one, at any cadence, with stealing on.
 
         A window's steal round runs *before* its checkpoint round, so a
         checkpoint captured at window ``w`` already contains that window's
-        migrations — only steals from strictly later windows are replayed
-        (replaying window ``w``'s would double-adopt their entries).
-
-        Known hole: the migrations are re-applied up front, not at the
-        barriers they happened at, so when the checkpoint is more than one
-        steal round old the replayed tail sees queues (and a clock) earlier
-        than the lost one did.  The run still completes every query once,
-        but is bit-identical to the clean run only under an every-barrier
-        cadence (``tests/reliability/test_crash_parity.py`` carries the
-        sparse-cadence case as a strict xfail).
+        migrations — only migrations of strictly later windows are
+        replayed.
         """
         channel = self.channels[worker_id]
-        touched: set = set()
+        passed = checkpoint_window
         for steal in self.journal:
-            if steal.window_index <= checkpoint_window:
+            record = steal.record
+            if steal.window_index <= checkpoint_window or worker_id not in (
+                record.thief_id,
+                record.victim_id,
+            ):
                 continue
-            if steal.record.thief_id == worker_id:
+            if steal.window_index > passed:
+                passed = steal.window_index
+                self._apply_window(channel.request(RunWindow(self.window_boundaries[passed])))
+            if record.thief_id == worker_id:
                 channel.request(steal.adopt)
-            elif steal.record.victim_id == worker_id:
-                released = channel.request(ReleaseBucket(steal.record.bucket_index))
-                owner = self._current_owner(steal.record.bucket_index)
-                if (released.entries or released.staged) and owner != worker_id:
-                    self.channels[owner].request(
-                        AdoptBucket(
-                            bucket_index=steal.record.bucket_index,
-                            entries=released.entries,
-                            staged=released.staged,
-                            clock_ms=0.0,
-                        )
-                    )
-                    touched.add(owner)
-        # An empty window per touched shard refreshes the coordinator's view.
-        for shard in [worker_id, *sorted(touched)]:
-            self._apply_window(self.channels[shard].request(RunWindow(0.0)))
-
-    def _current_owner(self, bucket_index: int) -> int:
-        """Who owns a bucket's queue now: the plan, or the latest thief."""
-        owner = self.plan.owner_of(bucket_index)
-        for steal in self.journal:
-            if steal.record.bucket_index == bucket_index:
-                owner = steal.record.thief_id
-        return owner
+            else:
+                channel.request(ReleaseBucket(record.bucket_index))
+        until = 0.0 if passed == self.window_index else self.barrier_ms
+        self._apply_window(channel.request(RunWindow(until)))
 
     # -- planned elasticity (window-barrier scale events) ------------------- #
 
@@ -705,8 +697,8 @@ class ShardCoordinator:
         Every queue (pending entries *and* not-yet-ingested staged
         shares) migrates to the surviving shards through the same
         ``ReleaseBucket``/``AdoptBucket`` seam stealing uses, journaled
-        like steals so later crash recoveries re-settle ownership
-        correctly.  The departing shard's accounting is captured now and
+        like steals so a later crash recovery replays them at this
+        barrier.  The departing shard's accounting is captured now and
         merged at run end.
         """
         released_all = self._request(worker_id, ReleaseAllBuckets())
@@ -735,7 +727,7 @@ class ShardCoordinator:
             )
             self._request(target.worker_id, message)
             target.apply_adopt(message)
-            # Journaled like a steal (ownership tracking / re-settlement)
+            # Journaled like a steal (a recovery's catch-up replays it)
             # but NOT appended to steal_records: a planned departure is
             # not a steal in the run's workload accounting.
             self.journal.append(
@@ -775,18 +767,15 @@ class ShardCoordinator:
     def _steal_round(self) -> None:
         """One steal round (:func:`repro.parallel.backend.run_steal_round`)
         over crash-recovering round trips.  With recovery configured every
-        migration is journaled so a later recovery can re-settle bucket
-        ownership."""
-        migrations = run_steal_round(
+        migration is journaled as soon as both halves were delivered, so a
+        later recovery — in this very round included — replays it."""
+        for record, adopt in run_steal_round(
             [view for view in self.views if view.worker_id not in self.departed],
-            self.steal_records,
             self._request,
-        )
-        if self.rel is not None:
-            self.journal.extend(
-                _JournaledSteal(self.window_index, record, adopt)
-                for record, adopt in migrations
-            )
+        ):
+            self.steal_records.append(record)
+            if self.rel is not None:
+                self.journal.append(_JournaledSteal(self.window_index, record, adopt))
 
     # -- checkpoint cadence ------------------------------------------------- #
 

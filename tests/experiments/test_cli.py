@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main, worker_sweep
+from repro.telemetry.registry import metric_value, snapshot_from_json
 
 
 class TestParser:
@@ -470,22 +471,72 @@ class TestRecoveryFlags:
                 ]
             )
 
-    def test_crash_injection_cannot_scale_up(self):
-        # Crash injection turns stealing off, and a joiner needs stealing.
-        with pytest.raises(SystemExit, match="work stealing"):
+    def test_crash_injection_with_scale_up_steals_and_verifies(self, tmp_path, capsys):
+        # A crash-injected run steals like any other run, so a joiner —
+        # which acquires work only through steal rounds — rides along, and
+        # the crash (on the joiner itself) verifies against the same run
+        # without it.
+        metrics = tmp_path / "metrics.json"
+        assert (
             main(
                 [
                     "run",
                     "--scale",
                     "small",
+                    "--bucket-count",
+                    "64",
                     "--workers",
-                    "2",
-                    "--inject-crash",
-                    "0@1",
+                    "3",
+                    "--scale-down",
+                    "1@2",
                     "--scale-up",
-                    "2",
+                    "4",
+                    "--inject-crash",
+                    "3@40",
+                    "--checkpoint-every",
+                    "windows:3",
+                    "--checkpoint-window-ms",
+                    "2400",
+                    "--verify-recovery",
+                    "--metrics-out",
+                    str(metrics),
                 ]
             )
+            == 0
+        )
+        assert "recovery parity OK" in capsys.readouterr().out
+        snapshot = snapshot_from_json(metrics.read_text(encoding="utf-8"))
+        assert metric_value(snapshot, "coordinator.steals") > 0
+        assert metric_value(snapshot, "reliability.scale_events") == 2
+
+    def test_verify_recovery_reruns_with_the_same_windows_and_scale_plan(self, capsys):
+        # The clean rerun is this run without its faults.  Rerunning
+        # without the reliability config dropped the scale-down and the
+        # window size and reported a false parity failure.
+        assert (
+            main(
+                [
+                    "run",
+                    "--scale",
+                    "small",
+                    "--bucket-count",
+                    "64",
+                    "--workers",
+                    "3",
+                    "--inject-crash",
+                    "2@3",
+                    "--scale-down",
+                    "1@2",
+                    "--checkpoint-every",
+                    "windows:2",
+                    "--checkpoint-window-ms",
+                    "2400",
+                    "--verify-recovery",
+                ]
+            )
+            == 0
+        )
+        assert "recovery parity OK" in capsys.readouterr().out
 
     def test_window_knob_alone_does_not_enable_reliability(self):
         with pytest.raises(SystemExit, match="requires --checkpoint-dir"):

@@ -179,8 +179,7 @@ class TestWorkStealing:
             sent.append((worker_id, message))
             return ReleasedBucket(0, 3, entries, (), victim_clock_ms)
 
-        steals = []
-        run_steal_round([victim, thief], steals, request)
+        steals = [record for record, _adopt in run_steal_round([victim, thief], request)]
         assert bool(steals) == bool(sent) == migrates
         if migrates:
             assert steals == [StealRecord(40.0, 3, victim_id=0, thief_id=1, entry_count=2)]

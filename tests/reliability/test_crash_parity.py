@@ -7,10 +7,11 @@ backend and the process backend, workers {1, 2, 4}, with stealing off.
 The schedule-purity property makes this possible; the checkpoint/restore
 machinery makes it true; this harness pins it down.
 
-With stealing **on** the same holds, on both backends and at digest
-level, when every barrier checkpoints (``windows:1``).  A sparser cadence
-under stealing is the hole that remains — recorded below as a strict
-xfail.
+With stealing **on** the same holds at digest level — steal schedule and
+window boundaries included — at every checkpoint cadence, sparse ones
+and cold restarts too, on both backends: a restored shard catches up at
+the barriers it missed (``ShardCoordinator._catch_up``), so the sweep
+below compares every crash cell with the clean golden cell.
 """
 
 import pytest
@@ -332,37 +333,42 @@ class TestRecoveryThroughSimulator:
         for field in VIRTUAL_CLOCK_PARITY_FIELDS:
             assert getattr(crashed, field) == getattr(clean, field), field
 
-    def test_stealing_on_preserves_completion_set(self, timed_queries, sim_config):
-        """With stealing the windowed schedules differ, but recovery must
-        still complete every query exactly once."""
+    def test_stealing_on_matches_clean_run_with_same_windows(self, timed_queries, sim_config):
+        """Stealing on, a sparse cadence: the crash-injected run is the
+        clean run over the same windows, bit for bit."""
         simulator = Simulator(sim_config)
-        clean = simulator.execute(
-            timed_queries, RunSpec(workers=4, enable_stealing=False)
-        )
-        crashed = simulator.execute(
-            timed_queries,
-            RunSpec(
-                workers=4,
-                enable_stealing=True,
-                reliability=reliability_config(4, tb_ms=sim_config.cost.tb_ms),
-            ),
-        )
-        assert crashed.completed_queries == clean.completed_queries
-        assert crashed.reliability is not None
-        assert crashed.reliability.crashes_injected > 0
+
+        def run(faults):
+            return simulator.execute(
+                timed_queries,
+                RunSpec(
+                    workers=4,
+                    reliability=reliability_config(
+                        4, cadence="windows:3", plan=faults, tb_ms=sim_config.cost.tb_ms
+                    ),
+                ),
+            )
+
+        clean, crashed = run(""), run("1@2,3@3")
+        assert crashed.reliability.crashes_injected == 2
+        assert crashed.reliability.services_replayed > 0
+        assert crashed.steals > 0
+        assert crashed.result_digest == clean.result_digest
+        for field in VIRTUAL_CLOCK_PARITY_FIELDS:
+            assert getattr(crashed, field) == getattr(clean, field), field
 
 
 #: Crash plans over the golden trace at 4 zone shards, stealing on.
 STEALING_CRASH_PLANS = ("0@1,2@3", "1@2,1@5,3@4")
 
 
-def crash_cell(simulator, queries, quantum_ms, backend, cadence, plan):
-    """The golden (4 workers, stealing on) cell, run under a crash plan."""
+def crash_cell(simulator, queries, quantum_ms, backend, cadence, plan, workers=4):
+    """The golden (*workers*, stealing on) cell, run under a crash plan."""
     cell = observe(
         simulator,
         queries,
         backend,
-        workers=4,
+        workers=workers,
         steal_quantum_ms=quantum_ms,
         reliability=ReliabilityConfig(
             cadence=cadence, faults=FaultPlan.parse(plan), window_quantum_ms=quantum_ms
@@ -378,7 +384,7 @@ def test_stealing_with_every_window_cadence_is_bit_identical(
     simulator, queries, quantum_ms, backend, plan
 ):
     """A checkpoint at window w already contains window w's steals (the
-    steal round runs before the checkpoint round), so re-settlement must
+    steal round runs before the checkpoint round), so the catch-up must
     not replay them — double adoption inflated busy time and serviced
     duplicated entries.  With an every-window cadence the restored state
     equals the barrier state exactly, so a crash-injected stealing run is
@@ -387,22 +393,52 @@ def test_stealing_with_every_window_cadence_is_bit_identical(
     assert cell == GOLDEN[(4, True)]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "checkpoint-aware stealing is not done: ShardCoordinator._resettle "
-        "re-applies every post-checkpoint migration to the restored shard up "
-        "front, not at the barrier it happened at, so behind a sparse cadence "
-        "the replayed tail is not the lost one"
-    ),
-)
 def test_stealing_with_sparse_cadence_is_bit_identical(simulator, queries, quantum_ms):
-    """The hole: crash + stealing + a cadence that skips barriers.  Same
-    steal count and windows as the clean run here, a different digest."""
+    """Crash + stealing + a cadence that skips barriers: the restored
+    shard replays each post-checkpoint migration at its own barrier."""
     cell = crash_cell(
         simulator, queries, quantum_ms, RecordingVirtual(), "windows:3", STEALING_CRASH_PLANS[0]
     )
     assert cell == GOLDEN[(4, True)]
+
+
+#: (workers, backend, cadence, crash plan) over the golden trace, stealing
+#: on: sparse and interval cadences whose recoveries replay lost work and
+#: post-checkpoint migrations, and cold restarts (``0@0``: a crash before
+#: any checkpoint), on both channel kinds.
+CATCH_UP_CELLS = (
+    (4, RecordingVirtual, "windows:3", "1@2,1@5,3@4"),
+    (4, RecordingVirtual, "windows:1000", "0@1,2@3"),
+    (4, RecordingVirtual, "interval:20000", "3@9,1@10"),
+    (4, RecordingVirtual, "windows:2", "0@0"),
+    (4, RecordingProcess, "windows:5", "1@2,1@5,3@4"),
+    (2, RecordingVirtual, "windows:3", "1@1,0@3"),
+    (2, RecordingVirtual, "interval:20000", "0@8,1@11"),
+    (2, RecordingVirtual, "windows:1000", "1@12"),
+    (2, RecordingProcess, "windows:3", "0@8,1@11"),
+    (2, RecordingProcess, "windows:2", "0@0"),
+)
+
+
+@pytest.mark.parametrize(
+    "workers, backend, cadence, plan",
+    CATCH_UP_CELLS,
+    ids=[
+        f"{w}-{b.__name__.replace('Recording', '').lower()}-{c}-{p}"
+        for w, b, c, p in CATCH_UP_CELLS
+    ],
+)
+def test_crash_with_stealing_equals_golden_at_any_cadence(
+    simulator, queries, quantum_ms, workers, backend, cadence, plan
+):
+    recording = backend()
+    cell = crash_cell(simulator, queries, quantum_ms, recording, cadence, plan, workers)
+    report = recording.outcome.reliability
+    if plan == "0@0":
+        assert report.recoveries[0].checkpoint_window == -1  # cold restart
+    else:
+        assert report.services_replayed > 0  # the crash really lost work
+    assert cell == GOLDEN[(workers, True)]
 
 
 class TestRecoveryGuards:

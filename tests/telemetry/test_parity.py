@@ -10,7 +10,10 @@ Two contracts pinned down here:
   ``VirtualBackend`` and the ``ProcessBackend`` at any fixed worker
   count with stealing off, and identical between a crash-injected
   recovery run and its uninterrupted twin (checkpointed counters are
-  restored and replay re-counts exactly).
+  restored and replay re-counts exactly).  With stealing on, the crash
+  sweep of ``tests/reliability/test_crash_parity.py`` holds the same
+  snapshot hash to the clean golden at every cadence: the restored
+  shard's catch-up at the barriers it missed re-counts exactly too.
 """
 
 import pytest
