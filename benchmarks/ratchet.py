@@ -52,6 +52,10 @@ RATCHETED_METRICS: Dict[str, str] = {
     # a slower machine cannot move; the absolute figure rides beside it
     "decision_growth_16x": "lower",
     "decision_us_at_4096": "lower",
+    # scheduler: a NoShare partial drain must not rescan its queue — µs per
+    # drain at queue depth 1,024 ÷ µs at 64, with the absolute figure beside it
+    "partial_drain_growth_16x": "lower",
+    "partial_drain_us_at_1024": "lower",
     # kernels: the columnar crossmatch kernel over the row-at-a-time merge
     # join on one dense service, both timed in the same process — again a
     # dimensionless ratio with the absolute rate beside it
@@ -62,6 +66,9 @@ RATCHETED_METRICS: Dict[str, str] = {
     # at 256, dimensionless, with the absolute figure beside it
     "intake_growth_16x": "lower",
     "intake_us_per_event_at_4096": "lower",
+    # telemetry: the per-query ledger build over the builder it replaced
+    # (tests/telemetry/ledger_oracle.py), both timed in one process
+    "ledger_speedup_vs_oracle": "higher",
 }
 
 #: Default allowed relative regression before the ratchet fails.

@@ -8,6 +8,12 @@ same on a fast and a slow machine (a full rescan of the pending set reads
 ≈ 17 here, the indexed decision ≈ 1.5) — and, beside it, the absolute
 ``decision_us_at_4096``.  ``BENCH_scheduler.json`` at the repository root is
 the committed baseline (``--bench-json``; compare with ``benchmarks.ratchet``).
+
+A NoShare service drains one query's entry from a queue shared by many, so
+its cost must not grow with the queue either: ``partial_drain_growth_16x``
+is microseconds per drain at queue depth 1,024 over depth 64 (rescanning
+the queue reads ≈ 9 here, draining by the per-query entry map ≈ 1), with
+``partial_drain_us_at_1024`` beside it.
 """
 
 import time
@@ -97,4 +103,54 @@ def test_bench_decision_mixed_ages_and_residents(benchmark, alpha):
     benchmark.extra_info["age_groups"] = len(list(manager.age_groups()))
     benchmark.extra_info["decision_us_mixed"] = round(
         decision_us(scheduler, manager, cache, now_ms), 3
+    )
+
+
+def partial_drain_us(depth: int, drains: int = 400, samples: int = 15) -> float:
+    """Best-of-*samples* microseconds of one NoShare drain at a steady queue *depth*.
+
+    One bucket holds *depth* single-entry queries.  Each step is what a
+    NoShare service does to the queue: fetch the oldest query's entries,
+    drain them, and (to hold the depth) one more query arrives.
+    """
+    best = float("inf")
+    for _ in range(samples):
+        manager = WorkloadManager()
+        for query_id in range(depth):
+            manager.add_query(query_id, {0: 10 + query_id % 7}, float(query_id))
+        # The first partial drain derives the queue's per-query map; time
+        # the steady state after it.
+        manager.drain_bucket(0, 0.0, query_ids=(0,))
+        manager.add_query(depth, {0: 10}, float(depth))
+        next_id = depth + 1
+        started = time.perf_counter()
+        for oldest in range(1, drains + 1):
+            manager.queue(0).entries_of((oldest,))
+            manager.drain_bucket(0, 0.0, query_ids=(oldest,))
+            manager.add_query(next_id, {0: 10 + next_id % 7}, float(next_id))
+            next_id += 1
+        best = min(best, time.perf_counter() - started)
+    return best / drains * 1e6
+
+
+def test_bench_partial_drain_vs_queue_depth(benchmark):
+    manager = WorkloadManager()
+    for query_id in range(1_024):
+        manager.add_query(query_id, {0: 10}, float(query_id))
+    drained_ids = iter(range(1_024))
+
+    def drain_oldest():
+        return manager.drain_bucket(0, 0.0, query_ids=(next(drained_ids),))
+
+    drained, _completed = benchmark.pedantic(drain_oldest, rounds=200, iterations=1)
+    assert len(drained) == 1
+    us_at_64 = partial_drain_us(64)
+    us_at_1024 = partial_drain_us(1_024)
+    growth = us_at_1024 / us_at_64
+    benchmark.extra_info["partial_drain_us_at_64"] = round(us_at_64, 3)
+    benchmark.extra_info["partial_drain_us_at_1024"] = round(us_at_1024, 3)
+    benchmark.extra_info["partial_drain_growth_16x"] = round(growth, 3)
+    assert growth <= MAX_GROWTH_16X, (
+        f"a partial drain costs {growth:.1f}x more at 16x the queue depth "
+        f"({us_at_64:.1f} -> {us_at_1024:.1f} us): it rescans the queue again"
     )

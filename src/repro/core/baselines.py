@@ -70,10 +70,14 @@ class NoShareScheduler:
     """Arrival-order, per-query execution with no I/O sharing."""
 
     name = "noshare"
+    #: Join strategy every service is forced to (``None``: the evaluator's
+    #: hybrid choice — NoShare is the same per-query scan-based execution,
+    #: just without shared I/O).
+    force_strategy: Optional[JoinStrategy] = None
 
     def clone(self) -> "NoShareScheduler":
         """A fresh, stateless copy (per-shard construction)."""
-        return NoShareScheduler()
+        return type(self)()
 
     def next_work(
         self, manager: WorkloadManager, cache: BucketCacheManager, now_ms: float
@@ -86,41 +90,19 @@ class NoShareScheduler:
             return None
         # Buckets are visited in HTM order within a query; every remaining
         # bucket still holds this query's entry (invariant of the manager).
-        # The hybrid join choice is left to the evaluator — NoShare is the
-        # same per-query scan-based execution, just without shared I/O.
-        bucket = min(remaining)
         return WorkItem(
-            bucket_index=bucket,
+            bucket_index=min(remaining),
             query_ids=(query_id,),
             share_io=False,
+            force_strategy=self.force_strategy,
         )
 
 
-class IndexOnlyScheduler:
+class IndexOnlyScheduler(NoShareScheduler):
     """Arrival-order execution through the spatial index only."""
 
     name = "index_only"
-
-    def clone(self) -> "IndexOnlyScheduler":
-        """A fresh, stateless copy (per-shard construction)."""
-        return IndexOnlyScheduler()
-
-    def next_work(
-        self, manager: WorkloadManager, cache: BucketCacheManager, now_ms: float
-    ) -> Optional[WorkItem]:
-        query_id = manager.oldest_pending_query()
-        if query_id is None:
-            return None
-        remaining = manager.remaining_buckets_for(query_id)
-        if not remaining:
-            return None
-        bucket = min(remaining)
-        return WorkItem(
-            bucket_index=bucket,
-            query_ids=(query_id,),
-            share_io=False,
-            force_strategy=JoinStrategy.INDEXED_JOIN,
-        )
+    force_strategy = JoinStrategy.INDEXED_JOIN
 
 
 class RoundRobinScheduler:

@@ -263,12 +263,7 @@ class ServiceLoop:
         work = self.scheduler.next_work(self.manager, self.cache, now_ms)
         if work is None:
             return None
-        queue = self.manager.queue(work.bucket_index)
-        if work.query_ids is None:
-            entries = list(queue.entries)
-        else:
-            wanted = set(work.query_ids)
-            entries = [e for e in queue.entries if e.query_id in wanted]
+        entries = self.manager.queue(work.bucket_index).entries_of(work.query_ids)
         join = self.evaluator.evaluate(
             self.layout[work.bucket_index],
             entries,

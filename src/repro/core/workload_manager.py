@@ -22,6 +22,7 @@ entries instead of rescoring every pending bucket.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -46,11 +47,14 @@ class WorkloadQueue:
     """All pending work for a single bucket.
 
     The total object count and the oldest enqueue time are maintained
-    incrementally on append and recomputed only on partial drains (which
-    only the per-query baselines perform).
+    incrementally.  A partial drain (only the per-query baselines perform
+    them) costs the entries it removes, not the queue: the queue's first
+    one derives a per-query entry map and the sorted enqueue times, which
+    appends then maintain.  Queues only ever drained whole never build
+    them, and neither is pickled.
     """
 
-    __slots__ = ("bucket_index", "entries", "_total_objects", "_oldest_ms")
+    __slots__ = ("bucket_index", "entries", "_total_objects", "_oldest_ms", "_by_query", "_times")
 
     def __init__(self, bucket_index: int, entries: Optional[List[WorkloadEntry]] = None) -> None:
         self.bucket_index = bucket_index
@@ -59,6 +63,17 @@ class WorkloadQueue:
         self._oldest_ms = (
             min(e.enqueue_time_ms for e in self.entries) if self.entries else float("inf")
         )
+        self._by_query: Optional[Dict[int, List[WorkloadEntry]]] = None
+        self._times: Optional[List[float]] = None
+
+    def __getstate__(self) -> tuple:
+        # The default slot state without the derived fields.
+        return (None, {name: getattr(self, name) for name in self.__slots__[:4]})
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._by_query = self._times = None
 
     @property
     def total_objects(self) -> int:
@@ -82,17 +97,53 @@ class WorkloadQueue:
         self._total_objects += entry.object_count
         if entry.enqueue_time_ms < self._oldest_ms:
             self._oldest_ms = entry.enqueue_time_ms
+        if self._by_query is not None:
+            self._by_query.setdefault(entry.query_id, []).append(entry)
+            insort(self._times, entry.enqueue_time_ms)
 
-    def remove_queries(self, query_ids: Set[int]) -> List[WorkloadEntry]:
-        """Remove and return the entries belonging to *query_ids*."""
-        removed = [e for e in self.entries if e.query_id in query_ids]
+    def _derive(self) -> Dict[int, List[WorkloadEntry]]:
+        """Build the per-query entry map and the sorted enqueue times."""
+        by_query: Dict[int, List[WorkloadEntry]] = {}
+        for entry in self.entries:
+            by_query.setdefault(entry.query_id, []).append(entry)
+        self._by_query = by_query
+        self._times = sorted(entry.enqueue_time_ms for entry in self.entries)
+        return by_query
+
+    def entries_of(self, query_ids: Optional[Collection[int]]) -> List[WorkloadEntry]:
+        """The entries of *query_ids* (every entry for ``None``), in queue order."""
+        if query_ids is None:
+            return list(self.entries)
+        by_query = self._by_query if self._by_query is not None else self._derive()
+        if len(query_ids) == 1:
+            for query_id in query_ids:
+                return list(by_query.get(query_id, ()))
+        wanted = {id(entry) for query_id in query_ids for entry in by_query.get(query_id, ())}
+        return [entry for entry in self.entries if id(entry) in wanted]
+
+    def remove_queries(self, query_ids: Collection[int]) -> List[WorkloadEntry]:
+        """Remove and return the entries belonging to *query_ids*, in queue order."""
+        removed = self.entries_of(query_ids)
         if not removed:
             return []
-        self.entries = [e for e in self.entries if e.query_id not in query_ids]
-        self._total_objects = sum(e.object_count for e in self.entries)
-        self._oldest_ms = (
-            min(e.enqueue_time_ms for e in self.entries) if self.entries else float("inf")
-        )
+        by_query = self._by_query
+        for query_id in query_ids:
+            by_query.pop(query_id, None)
+        entries = self.entries
+        count = len(removed)
+        # Entries leave by identity: equal field values do not make two
+        # entries the same one.  Arrival-order service removes the oldest
+        # query's entries, which lead the queue.
+        if all(kept is gone for kept, gone in zip(entries, removed)):
+            del entries[:count]
+        else:
+            gone = {id(entry) for entry in removed}
+            self.entries = [entry for entry in entries if id(entry) not in gone]
+        times = self._times
+        for entry in removed:
+            self._total_objects -= entry.object_count
+            del times[bisect_left(times, entry.enqueue_time_ms)]
+        self._oldest_ms = times[0] if times else float("inf")
         return removed
 
     def drain_all(self) -> List[WorkloadEntry]:
@@ -101,6 +152,7 @@ class WorkloadQueue:
         self.entries = []
         self._total_objects = 0
         self._oldest_ms = float("inf")
+        self._by_query = self._times = None
         return drained
 
     def __len__(self) -> int:
@@ -412,7 +464,7 @@ class WorkloadManager:
         self,
         bucket_index: int,
         now_ms: float,
-        query_ids: Optional[Iterable[int]] = None,
+        query_ids: Optional[Collection[int]] = None,
     ) -> Tuple[List[WorkloadEntry], List[int]]:
         """Remove work from a bucket's queue after it has been serviced.
 
@@ -427,7 +479,7 @@ class WorkloadManager:
         if query_ids is None:
             drained = queue.drain_all()
         else:
-            drained = queue.remove_queries(set(query_ids))
+            drained = queue.remove_queries(query_ids)
         self._pending_entries -= len(drained)
         completed: List[int] = []
         for entry in drained:

@@ -194,7 +194,10 @@ class BucketStore:
         spec = self.layout[bucket_index]
         cost = 0.0
         if charge_io:
-            cost = self.disk.bucket_read_ms(spec.megabytes, label=f"bucket:{bucket_index}")
+            disk = self.disk
+            # The label exists only for an enabled I/O trace to record.
+            label = f"bucket:{bucket_index}" if disk.trace.enabled else ""
+            cost = disk.bucket_read_ms(spec.megabytes, label=label)
         self.reads += 1
         self.bytes_read_mb += spec.megabytes
         return BucketReadResult(self._materialise(spec), cost, from_disk=True)

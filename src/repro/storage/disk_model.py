@@ -176,9 +176,10 @@ class DiskModel:
         buckets are sized at tens of megabytes (§3.1).
         """
         cost = self.parameters.positioning_ms + self.parameters.transfer_ms(bucket_megabytes)
-        self.trace.record(
-            IORecord(IOKind.SEQUENTIAL_BUCKET_READ, bucket_megabytes, cost, label)
-        )
+        if self.trace.enabled:
+            self.trace.record(
+                IORecord(IOKind.SEQUENTIAL_BUCKET_READ, bucket_megabytes, cost, label)
+            )
         return cost
 
     def index_probe_ms(self, pages: int = 1, label: str = "") -> float:

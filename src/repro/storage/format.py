@@ -504,13 +504,17 @@ class BucketFileReader:
             self.close()
             raise
 
-    def _slice(self, offset: int, size: int, what: str) -> memoryview:
-        """A bounds-checked window into the map (zero-copy)."""
+    def _slice(self, offset: int, size: int, what: str, *what_args: object) -> memoryview:
+        """A bounds-checked window into the map (zero-copy).
+
+        *what* names the window in the error, formatted with *what_args*
+        only when the check fails (this is on the per-read hot path).
+        """
         if offset + size > self.file_bytes:
             available = max(0, self.file_bytes - offset)
             raise FormatError(
-                f"{self._what} is truncated: expected {size} bytes of {what}, "
-                f"got {available}"
+                f"{self._what} is truncated: expected {size} bytes of "
+                f"{what.format(*what_args)}, got {available}"
             )
         return self._view[offset : offset + size]
 
@@ -575,7 +579,7 @@ class BucketFileReader:
         if not 0 <= bucket_index < len(self._pages):
             raise IndexError(f"bucket {bucket_index} outside the store's layout")
         _row_count, page_offset, page_length, page_crc = self._pages[bucket_index]
-        payload = self._slice(page_offset, page_length, f"bucket {bucket_index} page")
+        payload = self._slice(page_offset, page_length, "bucket {} page", bucket_index)
         # Inline rather than check_crc: this is the per-read hot path, and the
         # message is only formatted on failure.
         if crc32(payload) != page_crc:

@@ -15,7 +15,7 @@ Ledgers are assembled *after* a run from records the engines already
 emit — :class:`~repro.parallel.ipc.BatchRecord` services (which carry
 the per-batch I/O and match cost over the ``WorkerResult`` IPC seam),
 the front-end's :class:`~repro.service.frontend.AdmissionInstant`
-stream, and the steal journal — so building one costs the run nothing
+stream, and the steal journal — so building one never perturbs the run
 (the zero-perturbation contract: ``result_digest`` is identical with
 the ledger enabled or disabled).  Because every input is part of the
 deterministic virtual domain, ledgers obey the repo's parity contract:
@@ -34,16 +34,13 @@ pre-sort — the hypothesis commutativity tests pin this down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "LEDGER_VERSION",
-    "LedgerService",
     "build_run_ledger",
     "diff_ledgers",
     "ledger_entries",
-    "normalize_service",
 ]
 
 #: Schema version of the ledger dict (bumped on incompatible change).
@@ -73,66 +70,6 @@ _ENTRY_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class LedgerService:
-    """One bucket service normalised to what the ledger needs.
-
-    Deliberately carries **no worker id**: bucket service timelines are
-    pure functions of the bucket's admitted arrivals, so dropping the
-    (topology-dependent) worker id is what makes a one-worker parallel
-    ledger bit-identical to the serial engine's.
-    """
-
-    bucket_index: int
-    started_at_ms: float
-    finished_at_ms: float
-    io_ms: float
-    match_ms: float
-    queries_served: Tuple[int, ...]
-    objects_served: Tuple[int, ...]
-
-    @property
-    def cost_ms(self) -> float:
-        """Service time of the batch."""
-        return self.finished_at_ms - self.started_at_ms
-
-    @property
-    def shared_by(self) -> int:
-        """How many co-batched queries amortised this service."""
-        return max(1, len(self.queries_served))
-
-    def sort_key(self) -> tuple:
-        """A total order independent of arrival order (merge canonicaliser).
-
-        Covers *every* field: colliding prefixes with different payloads
-        would otherwise fall back to (stable-sort) input order, breaking
-        the order-insensitivity guarantee the hypothesis tests pin down.
-        """
-        return (
-            self.started_at_ms,
-            self.finished_at_ms,
-            self.bucket_index,
-            self.queries_served,
-            self.objects_served,
-            self.io_ms,
-            self.match_ms,
-        )
-
-
-def normalize_service(record) -> LedgerService:
-    """A parallel ``BatchRecord`` or a serial ``BatchResult``: both name
-    the bucket, the I/O and match split and the per-query objects alike."""
-    return LedgerService(
-        bucket_index=record.bucket_index,
-        started_at_ms=record.started_at_ms,
-        finished_at_ms=record.finished_at_ms,
-        io_ms=record.io_ms,
-        match_ms=record.match_ms,
-        queries_served=tuple(record.queries_served),
-        objects_served=tuple(record.objects_served),
-    )
-
-
 def _admission_story(
     admission_records: Sequence,
 ) -> Tuple[Dict[int, float], Dict[int, float], Dict[int, int]]:
@@ -160,19 +97,35 @@ def build_run_ledger(
 ) -> dict:
     """Assemble one run's per-query cost ledger as a JSON-ready dict.
 
-    *services* may arrive in any order and from any mixture of per-worker
-    fragments — the builder canonicalises internally, so merging is
-    order-insensitive (concatenation commutes).  *arrivals_ms* supplies
-    the original client arrival per query id; when absent, a query's
-    arrival falls back to its first gate instant (serving runs) and then
-    to its first service start.
+    *services* are parallel ``BatchRecord``s or serial ``BatchResult``s
+    (both name the bucket, the I/O and match split and the per-query
+    objects alike), each naming a query at most once.  They may arrive in
+    any order and from any mixture of per-worker fragments — the builder
+    canonicalises internally, so merging is order-insensitive
+    (concatenation commutes).  *arrivals_ms* supplies the original client
+    arrival per query id; when absent, a query's arrival falls back to its
+    first gate instant (serving runs) and then to its first service start.
 
     Only queries that received at least one bucket service appear:
     rejected and no-overlap arrivals have no cost to decompose.
     """
-    normalised = sorted(
-        (normalize_service(record) for record in services),
-        key=LedgerService.sort_key,
+    # One plain row per service.  The row carries no worker id — service
+    # timelines are pure functions of a bucket's admitted arrivals, so
+    # dropping the topology is what makes a one-worker parallel ledger
+    # bit-identical to the serial engine's — and it covers *every* field,
+    # so equal rows are indistinguishable and the sort is a total order
+    # independent of arrival order.
+    rows = sorted(
+        (
+            record.started_at_ms,
+            record.finished_at_ms,
+            record.bucket_index,
+            tuple(record.queries_served),
+            tuple(record.objects_served),
+            record.io_ms,
+            record.match_ms,
+        )
+        for record in services
     )
     first_seen, admitted_at, defers = _admission_story(admission_records)
     arrivals = dict(arrivals_ms or {})
@@ -180,16 +133,17 @@ def build_run_ledger(
     for record in steal_records:
         steals_by_bucket.setdefault(record.bucket_index, []).append(record.time_ms)
 
-    per_query: Dict[int, List[LedgerService]] = {}
-    for service in normalised:
-        for query_id in service.queries_served:
-            per_query.setdefault(query_id, []).append(service)
+    # Per query, its services in row order, each with the query's position
+    # in the row's ``queries_served`` (which indexes ``objects_served``).
+    chains: Dict[int, List[Tuple[tuple, int]]] = {}
+    for row in rows:
+        for position, query_id in enumerate(row[3]):
+            chains.setdefault(query_id, []).append((row, position))
 
     entries: List[dict] = []
-    for query_id in sorted(per_query):
-        chain = per_query[query_id]
-        first_service_ms = chain[0].started_at_ms
-        completion_ms = max(service.finished_at_ms for service in chain)
+    for query_id in sorted(chains):
+        chain = chains[query_id]
+        first_service_ms = chain[0][0][0]
         submit_ms = admitted_at.get(query_id)
         arrival_ms = arrivals.get(query_id)
         if arrival_ms is None:
@@ -199,45 +153,46 @@ def build_run_ledger(
         if submit_ms is None:
             # No gate in front of the engines: hand-off is the arrival.
             submit_ms = arrival_ms
+        completion_ms = chain[0][0][1]
         service_ms = 0.0
         attributed_service_ms = 0.0
         io_ms = 0.0
         attributed_io_ms = 0.0
         match_ms = 0.0
-        cache_hits = 0
         io_services = 0
         steal_migrations = 0
         steal_wait_ms = 0.0
         buckets: List[dict] = []
-        for service in chain:
-            shared_by = service.shared_by
-            cost = service.cost_ms
+        for row, position in chain:
+            started, finished, bucket, queries, objects, service_io_ms, service_match_ms = row
+            shared_by = len(queries) or 1
+            cost = finished - started
+            if finished > completion_ms:
+                completion_ms = finished
             service_ms += cost
             attributed_service_ms += cost / shared_by
-            io_ms += service.io_ms
-            attributed_io_ms += service.io_ms / shared_by
-            match_ms += service.match_ms
-            if service.io_ms > 0.0:
+            io_ms += service_io_ms
+            attributed_io_ms += service_io_ms / shared_by
+            match_ms += service_match_ms
+            if service_io_ms > 0.0:
                 io_services += 1
-            else:
-                cache_hits += 1
-            for steal_ms in steals_by_bucket.get(service.bucket_index, ()):
+            for steal_ms in steals_by_bucket.get(bucket, ()):
                 # A migration between this query's arrival and the bucket's
                 # eventual service delayed that service by the remaining
                 # wait; with stealing off this term is identically zero.
-                if arrival_ms <= steal_ms <= service.started_at_ms:
+                if arrival_ms <= steal_ms <= started:
                     steal_migrations += 1
-                    steal_wait_ms += service.started_at_ms - steal_ms
-            counts = dict(zip(service.queries_served, service.objects_served))
+                    steal_wait_ms += started - steal_ms
             buckets.append(
                 {
-                    "bucket": service.bucket_index,
+                    "bucket": bucket,
                     "shared_by": shared_by,
                     "service_ms": cost,
-                    "io_ms": service.io_ms,
-                    "objects": counts.get(query_id, 0),
+                    "io_ms": service_io_ms,
+                    "objects": objects[position] if position < len(objects) else 0,
                 }
             )
+        cache_hits = len(chain) - io_services
         entries.append(
             {
                 "query_id": query_id,
@@ -265,7 +220,7 @@ def build_run_ledger(
 
     totals = {
         "queries": len(entries),
-        "services": len(normalised),
+        "services": len(rows),
         "service_ms": sum(entry["service_ms"] for entry in entries),
         "attributed_service_ms": sum(
             entry["attributed_service_ms"] for entry in entries

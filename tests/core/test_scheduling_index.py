@@ -6,6 +6,12 @@ bucket.  The stateful test drives two managers and a real bucket cache
 through everything that can change a queue's key, the cache's residency or
 the scheduler's configuration, and requires the same ``WorkItem`` at every
 decision — ties, clamped ages and both α extremes included.
+
+Every queue is shadowed by the rescanning queue partial drains used to be
+(``queue_oracle.py``).  After each step the live queues must hold the
+oracle's entries in the oracle's order, with its totals and oldest
+requests; the index must be the one the oracle's queues imply; and the
+manager must pickle to the bytes of a twin that never drained partially.
 """
 
 import pickle
@@ -19,10 +25,11 @@ from repro.core.bucket_cache import BucketCacheManager
 from repro.core.engine import EngineConfig, LifeRaftEngine
 from repro.core.metrics import CostModel
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
-from repro.core.workload_manager import WorkloadManager
+from repro.core.workload_manager import WorkloadEntry, WorkloadManager
 from repro.storage.bucket_store import BucketStore
 from repro.storage.partitioner import BucketPartitioner
 from repro.workload.query import CrossMatchQuery
+from tests.core.queue_oracle import RescanningQueue, oracle_twin
 from tests.core.scheduler_oracle import (
     aged_workload_throughput,
     oracle_next_work,
@@ -65,6 +72,12 @@ def check_index(manager: WorkloadManager) -> None:
     assert manager.has_pending_work() == bool(queues)
 
 
+def assert_same_entries(actual, expected) -> None:
+    """The same entry objects in the same order (equal fields are not enough)."""
+    assert len(actual) == len(expected)
+    assert all(a is b for a, b in zip(actual, expected))
+
+
 class IndexedDecisionMachine(RuleBasedStateMachine):
     """Two managers (a steal pair), one cache, one scheduler whose config moves."""
 
@@ -72,11 +85,35 @@ class IndexedDecisionMachine(RuleBasedStateMachine):
         super().__init__()
         layout = BucketPartitioner().partition_density(BUCKETS)
         self.managers = [WorkloadManager(), WorkloadManager()]
+        #: Per manager, the rescanning oracle of every pending queue.
+        self.oracles = [{}, {}]
         self.cache = BucketCacheManager(BucketStore(layout), capacity=3)
         self.scheduler = LifeRaftScheduler(SchedulerConfig())
         self.next_query_id = 0
 
     # -- queue mutations ------------------------------------------------ #
+
+    def _enqueue(self, which, query_id, footprint, arrival_ms, merge=False):
+        manager = self.managers[which]
+        manager.add_query(query_id, footprint, arrival_ms, merge=merge)
+        for bucket, count in footprint.items():
+            entry = manager.queue(bucket).entries[-1]
+            assert entry == WorkloadEntry(query_id, count, arrival_ms)
+            self.oracles[which].setdefault(bucket, RescanningQueue(bucket)).append(entry)
+
+    def _drain(self, which, bucket, now_ms, query_ids=None):
+        manager = self.managers[which]
+        oracle = self.oracles[which].get(bucket)
+        if query_ids is not None:
+            expected = oracle.remove_queries(set(query_ids)) if oracle else []
+            # What a service evaluates before it drains.
+            assert_same_entries(manager.queue(bucket).entries_of(query_ids), expected)
+        else:
+            expected = oracle.drain_all() if oracle else []
+        drained, _completed = manager.drain_bucket(bucket, now_ms, query_ids=query_ids)
+        assert_same_entries(drained, expected)
+        if oracle is not None and not oracle.entries:
+            del self.oracles[which][bucket]
 
     @rule(
         which=st.integers(0, 1),
@@ -84,7 +121,7 @@ class IndexedDecisionMachine(RuleBasedStateMachine):
         arrival_ms=TIMES,
     )
     def add_query(self, which, footprint, arrival_ms):
-        self.managers[which].add_query(self.next_query_id, footprint, arrival_ms)
+        self._enqueue(which, self.next_query_id, footprint, arrival_ms)
         self.next_query_id += 1
 
     @precondition(lambda self: self.next_query_id > 0)
@@ -97,23 +134,37 @@ class IndexedDecisionMachine(RuleBasedStateMachine):
     def merge_more_work(self, which, data, footprint, arrival_ms):
         """A known query gains work — possibly with an *earlier* arrival time."""
         query_id = data.draw(st.integers(0, self.next_query_id - 1))
-        self.managers[which].add_query(query_id, footprint, arrival_ms, merge=True)
+        self._enqueue(which, query_id, footprint, arrival_ms, merge=True)
 
     @rule(which=st.integers(0, 1), bucket=BUCKET, now_ms=TIMES)
     def drain_fully(self, which, bucket, now_ms):
-        self.managers[which].drain_bucket(bucket, now_ms)
+        self._drain(which, bucket, now_ms)
 
     @rule(which=st.integers(0, 1), bucket=BUCKET, now_ms=TIMES, data=st.data())
     def drain_some_queries(self, which, bucket, now_ms, data):
-        manager = self.managers[which]
-        present = manager.queue(bucket).query_ids
+        present = self.managers[which].queue(bucket).query_ids
         wanted = data.draw(st.lists(st.sampled_from(present or [-1]), max_size=3))
-        manager.drain_bucket(bucket, now_ms, query_ids=wanted)
+        self._drain(which, bucket, now_ms, query_ids=wanted)
+
+    @rule(which=st.integers(0, 1), now_ms=TIMES)
+    def serve_oldest_query(self, which, now_ms):
+        """NoShare's drain: the oldest pending query's entries in its lowest bucket."""
+        manager = self.managers[which]
+        query_id = manager.oldest_pending_query()
+        if query_id is not None:
+            bucket = min(manager.remaining_buckets_for(query_id))
+            self._drain(which, bucket, now_ms, query_ids=(query_id,))
 
     @rule(source=st.integers(0, 1), bucket=BUCKET)
     def steal(self, source, bucket):
         entries = self.managers[source].release_bucket(bucket)
+        oracle = self.oracles[source].pop(bucket, None)
+        assert_same_entries(entries, oracle.drain_all() if oracle else [])
         self.managers[1 - source].adopt_bucket(bucket, entries)
+        if entries:
+            target = self.oracles[1 - source].setdefault(bucket, RescanningQueue(bucket))
+            for entry in entries:
+                target.append(entry)
 
     # -- cache residency -------------------------------------------------- #
 
@@ -152,6 +203,21 @@ class IndexedDecisionMachine(RuleBasedStateMachine):
     def index_matches_queues(self):
         for manager in self.managers:
             check_index(manager)
+
+    @invariant()
+    def queues_match_the_rescanning_oracle(self):
+        for manager, oracles in zip(self.managers, self.oracles):
+            queues = manager._queues
+            assert list(queues) == list(oracles)
+            for bucket, oracle in oracles.items():
+                queue = queues[bucket]
+                assert_same_entries(queue.entries, oracle.entries)
+                assert queue.total_objects == oracle._total_objects
+                assert queue._oldest_ms == oracle._oldest_ms
+            assert manager._by_size == sorted(
+                (-o._total_objects, bucket, o._oldest_ms) for bucket, o in oracles.items()
+            )
+            assert pickle.dumps(manager) == pickle.dumps(oracle_twin(manager, oracles))
 
 
 TestIndexedDecision = IndexedDecisionMachine.TestCase
@@ -257,9 +323,14 @@ class TestIndexStaysExact:
             largest = max(largest, len(manager._by_size))
             assert len(manager._by_size) == manager.pending_bucket_count() <= BUCKETS
             assert sum(map(len, manager._groups.values())) == len(manager._by_size)
-        while engine.has_pending_work():
+        # Every service drains at least one entry, so the backlog empties
+        # within this many; a drain that removes nothing fails, not hangs.
+        for _ in range(queries * BUCKETS):
+            if not engine.has_pending_work():
+                break
             now_ms = engine.process_next(now_ms).finished_at_ms
             check_index(engine.manager)
+        assert not engine.has_pending_work(), "services stopped draining the queues"
         assert engine.manager._by_size == [] and engine.manager._groups == {}
         assert engine.manager._group_times == []
         assert engine.manager.completed_count() == queries

@@ -37,6 +37,24 @@ class TestWorkloadQueue:
         assert queue.total_objects == 10
         assert queue.age_ms(150.0) == 50.0
 
+    def test_partial_drains_remove_by_identity_in_queue_order(self):
+        queue = WorkloadQueue(7)
+        first, twin = WorkloadEntry(1, 4, 30.0), WorkloadEntry(1, 4, 30.0)
+        others = [WorkloadEntry(2, 5, 10.0), WorkloadEntry(3, 6, 20.0)]
+        for entry in (first, others[0], twin, others[1]):
+            queue.append(entry)
+        assert queue.remove_queries({3}) == [others[1]]  # builds the per-query map
+        late = WorkloadEntry(4, 2, 5.0)
+        queue.append(late)  # kept in the map and the sorted times
+        removed = queue.remove_queries({1, 4})
+        assert len(removed) == 3
+        assert all(a is b for a, b in zip(removed, (first, twin, late)))
+        assert queue.entries == [others[0]] and queue.entries[0] is others[0]
+        assert queue.total_objects == 5
+        assert queue.age_ms(12.0) == 2.0
+        assert queue.remove_queries({2}) == [others[0]]
+        assert queue.total_objects == 0 and queue.age_ms(99.0) == 0.0
+
     def test_drain_all_empties_queue(self):
         queue = WorkloadQueue(7)
         queue.append(WorkloadEntry(1, 10, 100.0))

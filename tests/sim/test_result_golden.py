@@ -13,7 +13,8 @@ Each spec reduces to six sha256 facts: the result digest, every non-wall
 ``SimulationResult`` field, the serving report, the ledger, the
 virtual-domain snapshot and the exported trace bytes.  Wall-clock fields
 (``real_elapsed_s``, ``real_read_s``, the reliability report's real
-seconds) are left out.
+seconds) are left out.  Each spec runs once per module, and the same runs
+also check the conservation laws the ledger implies.
 
 ``tests/fixtures/results/golden_results.json`` was recorded before the
 serial and sharded paths of ``Simulator.execute`` were folded into one.
@@ -32,6 +33,7 @@ file before it overwrites it.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -40,10 +42,11 @@ import pytest
 from repro.reliability import FaultPlan, ReliabilityConfig
 from repro.service.frontend import ServiceConfig
 from repro.sim.runspec import RunSpec
-from repro.sim.simulator import SimulationConfig, Simulator
+from repro.sim.simulator import VIRTUAL_CLOCK_PARITY_FIELDS, SimulationConfig, Simulator
 from repro.storage.ingest import materialize_layout
 from repro.telemetry.registry import VIRTUAL_DOMAIN, filter_domain, snapshot_to_json
 from repro.workload.generator import TraceConfig, TraceGenerator
+from repro.workload.trace_io import run_digest
 from tests.telemetry.helpers import ledger_digest, moved_table
 
 GOLDEN_RESULTS = os.path.join(
@@ -142,12 +145,22 @@ class _Site:
         quantum_ms = self.simulator.config.cost.tb_ms * WINDOW_BUCKET_READS
         self.specs = _spec_table(quantum_ms, self.store_path)
 
+        self._results: dict = {}
+
+    def trace_path(self, name: str) -> str:
+        return os.path.join(self.directory, f"{name}.trace.json")
+
+    def result(self, name: str):
+        """Run one spec, once: every test of the module reads the same run."""
+        if name not in self._results:
+            spec = dataclasses.replace(self.specs[name], trace_out=self.trace_path(name))
+            self._results[name] = self.simulator.execute(self.queries, spec)
+        return self._results[name]
+
     def outcome(self, name: str) -> dict:
         """Run one spec and reduce it to its six facts."""
-        trace_out = os.path.join(self.directory, f"{name}.trace.json")
-        spec = dataclasses.replace(self.specs[name], trace_out=trace_out)
-        result = self.simulator.execute(self.queries, spec)
-        with open(trace_out, "rb") as handle:
+        result = self.result(name)
+        with open(self.trace_path(name), "rb") as handle:
             trace_sha256 = hashlib.sha256(handle.read()).hexdigest()
         serving = result.serving
         return {
@@ -186,9 +199,7 @@ def test_result_equals_the_parent_golden(site, golden, name):
 
 def test_the_specs_exercise_the_paths_they_are_named_for(site):
     """Each spec really takes its path: a golden of a no-op pins nothing."""
-    results = {
-        name: site.simulator.execute(site.queries, site.specs[name]) for name in SPEC_NAMES
-    }
+    results = {name: site.result(name) for name in SPEC_NAMES}
     assert results["serial"].backend == "serial"
     assert results["serial_noshare_lrbs"].store_backend == "file"
     assert results["serial_noshare_lrbs"].page_reads > 0
@@ -214,3 +225,55 @@ if __name__ == "__main__":
         handle.write("\n")
     for name, facts in recorded.items():
         print(f"{name}: {facts['result_digest'][:16]}")
+
+
+class TestLedgerConservationLaws:
+    """What a run's ledger implies about the run, checked on every golden spec.
+
+    Each law holds exactly or to float summation order: a violation is a
+    bug in the run or the ledger, never a tolerance to widen.
+    """
+
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    def test_every_completed_query_has_one_entry(self, site, name):
+        result = site.result(name)
+        assert len(result.ledger["queries"]) == result.completed_queries
+
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    def test_each_service_is_a_cache_hit_or_an_io(self, site, name):
+        for entry in site.result(name).ledger["queries"]:
+            assert entry["cache_hit_services"] + entry["io_services"] == entry["services"]
+
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    def test_attributed_costs_sum_to_the_run_totals(self, site, name):
+        """Sharing splits each service among its queries and loses nothing."""
+        result = site.result(name)
+        entries = result.ledger["queries"]
+        assert math.isclose(
+            math.fsum(entry["attributed_service_ms"] for entry in entries),
+            result.busy_time_s * 1000.0,
+            rel_tol=1e-12,
+        )
+        assert math.isclose(
+            math.fsum(entry["attributed_io_ms"] for entry in entries),
+            result.total_io_s * 1000.0,
+            rel_tol=1e-12,
+        )
+
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    def test_a_query_completes_at_its_last_service(self, site, name):
+        """Completion = engine arrival + that query's response time, bit for bit.
+
+        The engine's clock starts at hand-off: the client arrival, or for a
+        served run the admit instant, which reaches the engine as a query's
+        ``arrival_time_s`` (so in seconds, then back to milliseconds).  The
+        per-query response times are checked through the result digest,
+        which covers each of them exactly.
+        """
+        result = site.result(name)
+        response_times_ms = {
+            entry["query_id"]: entry["completion_ms"] - (entry["submit_ms"] / 1000.0) * 1000.0
+            for entry in result.ledger["queries"]
+        }
+        parity = [float(getattr(result, field)) for field in VIRTUAL_CLOCK_PARITY_FIELDS]
+        assert run_digest(response_times_ms, parity) == result.result_digest

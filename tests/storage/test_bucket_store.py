@@ -12,7 +12,14 @@ import pytest
 
 from repro.catalog.objects import CelestialObject
 from repro.storage.bucket_store import Bucket, BucketStore
-from repro.storage.disk_model import calibrated_disk_for_bucket_read
+from repro.storage import disk_model
+from repro.storage.disk_model import (
+    DiskModel,
+    IOKind,
+    IORecord,
+    IOTrace,
+    calibrated_disk_for_bucket_read,
+)
 from repro.storage.disk_store import open_disk_store
 from repro.storage.format import BucketFileWriter
 from repro.storage.ingest import materialize_layout
@@ -132,6 +139,31 @@ class TestMaterialisedStore:
             assert len(bucket.columns) == 0
             assert bucket.object_count == 10
             assert bucket.columns is not None
+
+
+class TestIOTraceOnTheReadPath:
+    def test_an_enabled_trace_records_each_charged_read(self):
+        layout, _ids = partition()
+        disk = DiskModel(calibrated_disk_for_bucket_read(40.0, 1.2).parameters, IOTrace())
+        store = BucketStore(layout, disk)
+        costs = [store.read_bucket(index).cost_ms for index in (2, 0, 2)]
+        store.read_bucket(1, charge_io=False)
+        read = IOKind.SEQUENTIAL_BUCKET_READ
+        assert disk.trace.records == [
+            IORecord(read, layout[index].megabytes, cost, f"bucket:{index}")
+            for index, cost in zip((2, 0, 2), costs)
+        ]
+
+    def test_a_disabled_trace_builds_no_record(self, monkeypatch):
+        """The read path builds a record (and its label) only for a trace to keep."""
+
+        def no_record(*args):
+            raise AssertionError("an I/O record was built for a disabled trace")
+
+        monkeypatch.setattr(disk_model, "IORecord", no_record)
+        store = build_store()
+        assert store.read_bucket(0).cost_ms == pytest.approx(1200.0, rel=1e-9)
+        assert store.disk.trace.records == []
 
 
 class TestVirtualStore:

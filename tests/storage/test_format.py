@@ -165,6 +165,14 @@ class TestFileRoundTrip:
             ]
         assert len(ids) == len(set(ids))
 
+    def test_a_truncated_window_names_what_it_holds(self, tmp_path):
+        """The window's description is formatted only when the bounds check fails."""
+        layout = BucketPartitioner().partition_density(4)
+        materialize_layout(tmp_path / "w.lrbs", layout, rows_per_bucket=4)
+        with BucketFileReader(tmp_path / "w.lrbs") as reader:
+            with pytest.raises(FormatError, match="expected 64 bytes of bucket 3 page, got 8"):
+                reader._slice(reader.file_bytes - 8, 64, "bucket {} page", 3)
+
     def test_layout_round_trips(self, tmp_path):
         layout = BucketPartitioner().partition_density(
             24, densities=[1.0 + (i % 5) for i in range(24)]

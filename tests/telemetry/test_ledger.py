@@ -28,6 +28,7 @@ from repro.telemetry.ledger import (
 )
 from repro.workload.generator import TraceConfig, TraceGenerator
 from tests.telemetry.helpers import ledger_digest, serial_batch
+from tests.telemetry.ledger_oracle import oracle_run_ledger
 
 BUCKETS = 64
 WORKER_COUNTS = (1, 2, 4)
@@ -257,6 +258,112 @@ class TestMergeCommutativity:
         split = min(cut, len(records))
         left, right = records[:split], records[split:]
         assert build_run_ledger(left + right) == build_run_ledger(right + left)
+
+
+@st.composite
+def oracle_inputs(draw):
+    """Everything the builder reads, drawn to hit its corners.
+
+    Services share buckets and start instants (ties in the canonical
+    order), repeat whole records, and carry empty, short and repeated
+    ``objects_served``; steal records land on the same buckets; admission
+    instants defer, admit and reject; client arrivals cover some queries.
+    """
+    query_ids = st.integers(min_value=1, max_value=9)
+    times = st.sampled_from([0.0, 2.5, 2.5, 7.0]) | st.floats(0.0, 60.0, allow_nan=False)
+    records = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        queries = draw(st.lists(query_ids, min_size=0, max_size=4, unique=True))
+        objects = draw(st.lists(st.sampled_from([1, 3, 3, 8]), min_size=0, max_size=len(queries)))
+        start = draw(times)
+        records.append(
+            service(
+                bucket=draw(st.integers(min_value=0, max_value=4)),
+                start=start,
+                finish=start + draw(st.sampled_from([0.0, 1.5, 5.0])),
+                io_ms=draw(st.sampled_from([0.0, 0.0, 3.0, 1.25])),
+                match_ms=draw(st.sampled_from([0.0, 2.0, 0.75])),
+                queries=queries,
+                objects=objects,
+            )
+        )
+    if records:
+        records += draw(st.lists(st.sampled_from(records), max_size=3))
+    steals = [
+        SimpleNamespace(bucket_index=bucket, time_ms=time_ms)
+        for bucket, time_ms in draw(
+            st.lists(st.tuples(st.integers(min_value=0, max_value=4), times), max_size=4)
+        )
+    ]
+    admissions = [
+        instant(time_ms, query_id, outcome, attempt)
+        for time_ms, query_id, outcome, attempt in draw(
+            st.lists(
+                st.tuples(
+                    times,
+                    query_ids,
+                    st.sampled_from(["defer", "admit", "reject"]),
+                    st.integers(min_value=0, max_value=3),
+                ),
+                max_size=6,
+            )
+        )
+    ]
+    arrivals = draw(st.none() | st.dictionaries(query_ids, times, max_size=5))
+    return records, admissions, steals, arrivals
+
+
+class TestLedgerEqualsOracle:
+    """The row-based builder against the builder it replaced, field for field."""
+
+    @staticmethod
+    def assert_same(ledger, expected):
+        assert ledger == expected
+        assert json.dumps(ledger) == json.dumps(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=oracle_inputs())
+    def test_equal_to_the_oracle(self, inputs):
+        records, admissions, steals, arrivals = inputs
+        self.assert_same(
+            build_run_ledger(
+                records, admission_records=admissions, steal_records=steals, arrivals_ms=arrivals
+            ),
+            oracle_run_ledger(
+                records, admission_records=admissions, steal_records=steals, arrivals_ms=arrivals
+            ),
+        )
+
+    def test_serial_batches_equal_the_oracle(self):
+        batches = [
+            serial_batch(9, 0.0, 3.0, queries=(4, 6), objects=(8, 8), io_ms=2.0, match_ms=1.0),
+            serial_batch(2, 3.0, 3.5, queries=(4,), objects=(), io_ms=0.0, match_ms=0.5),
+        ]
+        self.assert_same(build_run_ledger(batches), oracle_run_ledger(batches))
+
+    def test_real_runs_equal_the_oracle(self, simulator, timed_queries, sim_config):
+        """A serial run and a stealing sharded run, fed the engines' own records."""
+        captured = []
+        export = Simulator._export_telemetry
+
+        def capture(spec, result, snapshot, services, **kwargs):
+            captured.append((list(services), kwargs))
+            return export(spec, result, snapshot, services, **kwargs)
+
+        quantum_ms = sim_config.cost.tb_ms * WINDOW_BUCKET_READS
+        specs = (RunSpec(), RunSpec(workers=4, backend="virtual", steal_quantum_ms=quantum_ms))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Simulator, "_export_telemetry", staticmethod(capture))
+            results = [simulator.execute(timed_queries, spec) for spec in specs]
+        assert results[1].steals > 0
+        for result, (services, kwargs) in zip(results, captured):
+            expected = oracle_run_ledger(
+                services,
+                admission_records=kwargs["admission_records"],
+                steal_records=kwargs["steal_records"],
+                arrivals_ms=kwargs["arrivals_ms"],
+            )
+            self.assert_same(result.ledger, expected)
 
 
 class TestLedgerParityMatrix:
