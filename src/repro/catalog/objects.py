@@ -13,8 +13,6 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence
 
-from repro.htm.geometry import SkyPoint
-
 
 @dataclass(frozen=True)
 class CelestialObject:
@@ -40,11 +38,6 @@ class CelestialObject:
     htm_id: int
     magnitude: float = 20.0
     survey: str = "sdss"
-
-    @property
-    def position(self) -> SkyPoint:
-        """The object's sky position."""
-        return SkyPoint(self.ra, self.dec)
 
 
 class CatalogTable:

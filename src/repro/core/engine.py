@@ -11,14 +11,19 @@ surface:
   owns the clock, so the same engine is driven by the online examples and
   by the discrete-event simulator; called without a time it reads and
   advances the engine's internal virtual clock);
-* :meth:`LifeRaftEngine.report` — throughput, response times, cache and
-  join statistics.
+* :meth:`LifeRaftEngine.report` — throughput, response times, cache hit
+  rate and the lane's cost totals.
 
 The schedule-evaluate-drain core of a single bucket service lives in
 :class:`ServiceLoop` so that the serial engine and every shard worker of
 a sharded run (:mod:`repro.parallel`) execute the *same* code path: one
 scheduling decision, one hybrid-join evaluation, one queue drain, with
-identical accounting.
+identical accounting.  A lane's running totals (services, busy time,
+I/O, match cost, matches per strategy, cache hits) are kept once, as
+counters of the lane's :class:`~repro.telemetry.registry.MetricsRegistry`;
+:func:`build_engine_report` is the one rule that turns a snapshot of
+them — one lane's, or a sharded run's merge of its lanes — into an
+:class:`EngineReport`.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from repro.core.workload_manager import WorkloadManager
 from repro.storage.bucket_store import BucketStore
 from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import PartitionLayout
-from repro.telemetry.registry import REAL_DOMAIN, MetricsRegistry
+from repro.telemetry.registry import REAL_DOMAIN, MetricsRegistry, metric_value
 from repro.workload.query import CrossMatchQuery
 
 #: Virtual-millisecond bounds of the per-batch service-cost histogram
@@ -128,8 +133,6 @@ class EngineReport:
     response_times_ms: Dict[int, float]
     bucket_services: int
     cache_hit_rate: float
-    cache_statistics: Dict[str, float]
-    join_statistics: Dict[str, float]
     strategy_counts: Dict[str, int]
     total_io_ms: float
     total_match_ms: float
@@ -150,17 +153,54 @@ class EngineReport:
         return sum(self.response_times_ms.values()) / len(self.response_times_ms) / 1000.0
 
 
+def build_engine_report(
+    scheduler_name: str,
+    submitted_queries: int,
+    response_times_ms: Dict[int, float],
+    first_arrival_ms: Optional[float],
+    last_completion_ms: float,
+    snapshot: dict,
+) -> EngineReport:
+    """The one rule from lane totals to an :class:`EngineReport`.
+
+    *snapshot* is the serial lane's registry snapshot, or a sharded run's
+    merge of its lanes in worker-id order (counters add, so every backend
+    folds the same floats the same way).  The cache hit rate is recomputed
+    from the pooled hit and miss counters; the makespan spans the first
+    arrival to the last completion.
+    """
+    hits = metric_value(snapshot, "cache.hits")
+    accesses = hits + metric_value(snapshot, "cache.misses")
+    return EngineReport(
+        scheduler_name=scheduler_name,
+        submitted_queries=submitted_queries,
+        completed_queries=len(response_times_ms),
+        busy_time_ms=float(metric_value(snapshot, "engine.busy_ms")),
+        makespan_ms=max(0.0, last_completion_ms - (first_arrival_ms or 0.0)),
+        response_times_ms=response_times_ms,
+        bucket_services=metric_value(snapshot, "engine.services"),
+        cache_hit_rate=hits / accesses if accesses else 0.0,
+        strategy_counts={
+            s.value: metric_value(snapshot, "engine.strategy_services", {"strategy": s.value})
+            for s in JoinStrategy
+        },
+        total_io_ms=float(metric_value(snapshot, "engine.io_ms")),
+        total_match_ms=float(metric_value(snapshot, "engine.match_ms")),
+        total_matches=metric_value(snapshot, "engine.matches"),
+    )
+
+
 class ServiceLoop:
     """The schedule → evaluate → drain pipeline over one workload manager.
 
     A :class:`ServiceLoop` owns the mutable service-side state of one
     execution lane — the workload manager, the scheduling policy, the
-    bucket cache and the hybrid join evaluator — together with the
-    accounting every report aggregates (busy time, per-strategy counts,
-    I/O and match cost totals).  It is deliberately clock-free: callers
-    pass ``now_ms`` and own time, so the same loop serves the serial
-    :class:`LifeRaftEngine`, the discrete-event simulator, and each
-    :class:`repro.parallel.ShardWorker`.
+    bucket cache and the hybrid join evaluator — together with the lane's
+    metrics registry, the one record of the totals every report reads
+    (busy time, per-strategy counts, I/O and match cost totals).  It is
+    deliberately clock-free: callers pass ``now_ms`` and own time, so the
+    same loop serves the serial :class:`LifeRaftEngine`, the discrete-event
+    simulator, and each :class:`repro.parallel.ShardWorker`.
     """
 
     def __init__(
@@ -179,23 +219,16 @@ class ServiceLoop:
         self.manager = manager
         self.cache = cache
         self.evaluator = evaluator
+        #: The batches this lane serviced.  Crash recovery does not replay
+        #: the history, so counts are read off the registry, not this list.
         self.batches: List[BatchResult] = []
-        #: Lifetime service count.  Usually ``len(batches)``, but crash
-        #: recovery restores the counter without replaying the batch
-        #: history, so reports must read this rather than the list length.
-        self.services = 0
-        self.busy_ms = 0.0
-        self.last_completion_ms = 0.0
-        self.strategy_counts: Dict[str, int] = {s.value: 0 for s in JoinStrategy}
-        self.total_io_ms = 0.0
-        self.total_match_ms = 0.0
-        self.total_matches = 0
-        #: Per-lane metrics registry.  Every metric recorded here is in
-        #: the virtual domain: bucket services are pure functions of the
-        #: lane's arrival schedule, so snapshots are backend-invariant.
-        #: Metric handles are resolved once; ``_record`` pays one
-        #: attribute bump per metric per batch (the bench ratchet keeps
-        #: that overhead honest).
+        #: Per-lane metrics registry: the lane's only record of its totals,
+        #: recorded whether or not a run exports telemetry.  Every metric
+        #: here is in the virtual domain: bucket services are pure
+        #: functions of the lane's arrival schedule, so snapshots are
+        #: backend-invariant.  Metric handles are resolved once;
+        #: ``_record`` pays one attribute bump per metric per batch (the
+        #: bench ratchet keeps that overhead honest).
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         registry = self.telemetry
         self._t_services = registry.counter("engine.services")
@@ -248,6 +281,11 @@ class ServiceLoop:
             if getattr(cache.store, "page_cache", None) is not None
             else None
         )
+
+    @property
+    def total_matches(self) -> int:
+        """Matches found by this lane so far (the ``engine.matches`` counter)."""
+        return self._t_matches.value
 
     def has_pending_work(self) -> bool:
         """``True`` while any workload queue of this lane is non-empty."""
@@ -319,14 +357,6 @@ class ServiceLoop:
 
     def _record(self, result: BatchResult) -> None:
         self.batches.append(result)
-        self.services += 1
-        self.busy_ms += result.cost_ms
-        self.strategy_counts[result.join.strategy.value] += 1
-        self.total_io_ms += result.join.io_cost_ms
-        self.total_match_ms += result.join.match_cost_ms
-        self.total_matches += result.join.match_count
-        if result.queries_completed:
-            self.last_completion_ms = max(self.last_completion_ms, result.finished_at_ms)
         self._t_services.inc()
         self._t_strategy[result.join.strategy.value].inc()
         self._t_busy_ms.inc(result.cost_ms)
@@ -402,7 +432,6 @@ class LifeRaftEngine:
         self.manager = self.loop.manager
         self.cache = self.loop.cache
         self.evaluator = self.loop.evaluator
-        self._queries: Dict[int, CrossMatchQuery] = {}
         self._now_ms = 0.0
         self._first_arrival_ms: Optional[float] = None
 
@@ -423,7 +452,6 @@ class LifeRaftEngine:
             # A query with no overlap at this site completes immediately.
             return
         self.manager.add_query(query.query_id, assignments, arrival_ms)
-        self._queries[query.query_id] = query
         if self._first_arrival_ms is None or arrival_ms < self._first_arrival_ms:
             self._first_arrival_ms = arrival_ms
         self._now_ms = max(self._now_ms, arrival_ms)
@@ -462,26 +490,13 @@ class LifeRaftEngine:
 
     def report(self) -> EngineReport:
         """Summarise what the engine has done so far."""
-        response_times: Dict[int, float] = {}
-        for query_id in self.manager.completed_queries():
-            rt = self.manager.response_time_ms(query_id)
-            if rt is not None:
-                response_times[query_id] = rt
-        first_arrival = self._first_arrival_ms or 0.0
-        makespan = max(0.0, self.loop.last_completion_ms - first_arrival)
-        return EngineReport(
-            scheduler_name=self.scheduler.name,
-            submitted_queries=self.manager.submitted_count(),
-            completed_queries=self.manager.completed_count(),
-            busy_time_ms=self.loop.busy_ms,
-            makespan_ms=makespan,
-            response_times_ms=response_times,
-            bucket_services=self.loop.services,
-            cache_hit_rate=self.cache.hit_rate,
-            cache_statistics=self.cache.statistics(),
-            join_statistics=self.evaluator.statistics(),
-            strategy_counts=dict(self.loop.strategy_counts),
-            total_io_ms=self.loop.total_io_ms,
-            total_match_ms=self.loop.total_match_ms,
-            total_matches=self.loop.total_matches,
+        manager = self.manager
+        completed = manager.completed_queries()
+        return build_engine_report(
+            self.scheduler.name,
+            manager.submitted_count(),
+            {query_id: manager.response_time_ms(query_id) for query_id in completed},
+            self._first_arrival_ms,
+            max(map(manager.completion_time_ms, completed), default=0.0),
+            self.loop.telemetry.snapshot(),
         )

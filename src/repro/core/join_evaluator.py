@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.bucket_cache import BucketCacheManager
 from repro.core.kernels import MatchedPair, crossmatch_block
@@ -103,8 +103,6 @@ class HybridJoinEvaluator:
         self.enable_hybrid = enable_hybrid
         self.match_probability = match_probability
         self._threshold_fraction = threshold_fraction
-        self.scan_services = 0
-        self.index_services = 0
 
     # ------------------------------------------------------------------ #
     # strategy selection
@@ -186,9 +184,7 @@ class HybridJoinEvaluator:
             queue_objects, bucket_spec.object_count, resident, force_strategy
         )
         if strategy is JoinStrategy.INDEXED_JOIN:
-            self.index_services += 1
             return self._evaluate_indexed(bucket_spec, entries, queue_objects)
-        self.scan_services += 1
         return self._evaluate_scan(bucket_spec, entries, queue_objects, share_io)
 
     def _evaluate_scan(
@@ -274,13 +270,3 @@ class HybridJoinEvaluator:
 
     def _estimate_matches(self, queue_objects: int) -> int:
         return int(round(self.match_probability * queue_objects))
-
-    def statistics(self) -> Dict[str, float]:
-        """Service counts per strategy (used by the ablation reports)."""
-        total = self.scan_services + self.index_services
-        return {
-            "scan_services": float(self.scan_services),
-            "index_services": float(self.index_services),
-            "index_service_fraction": (self.index_services / total) if total else 0.0,
-            "threshold_fraction": self.threshold_fraction,
-        }

@@ -116,9 +116,9 @@ class LifeRaftScheduler:
     def _ua(self, now_ms: float, max_age_ms: float) -> Callable[[int, float, float], float]:
         """Equations (1)–(2) for one instant: ``ua(queue size, oldest enqueue ms, io ms)``.
 
-        The only place the metric is computed: :meth:`score` and every
-        comparison in :meth:`next_work` (candidates *and* pruning bounds)
-        call the returned function, so they agree bit for bit.  *io ms* is
+        The only place the metric is computed: every comparison in
+        :meth:`next_work` (candidates *and* pruning bounds) calls the
+        returned function, so they agree bit for bit.  *io ms* is
         ``Tb`` for a cold bucket and 0 for a cache-resident one (the φ(i) of
         Equation 1).
         """
@@ -139,23 +139,6 @@ class LifeRaftScheduler:
             return one_minus_alpha * ut + alpha * age
 
         return ua
-
-    def score(
-        self,
-        bucket_index: int,
-        manager: WorkloadManager,
-        cache: BucketCacheManager,
-        now_ms: float,
-        max_age_ms: Optional[float] = None,
-    ) -> float:
-        """The aged workload throughput ``Ua`` of one bucket right now."""
-        if max_age_ms is None:
-            max_age_ms = manager.max_pending_age_ms(now_ms)
-        return self._ua(now_ms, max_age_ms)(
-            manager.queue_size(bucket_index),
-            manager.oldest_bucket_enqueue_ms(bucket_index),
-            0.0 if cache.resident(bucket_index) else self.config.cost.tb_ms,
-        )
 
     def next_work(
         self, manager: WorkloadManager, cache: BucketCacheManager, now_ms: float

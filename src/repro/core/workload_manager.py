@@ -499,11 +499,6 @@ class WorkloadManager:
     # bucket migration (work stealing between parallel shards)
     # ------------------------------------------------------------------ #
 
-    def oldest_bucket_enqueue_ms(self, bucket_index: int) -> float:
-        """Enqueue time of the oldest entry in a bucket's queue (inf if empty)."""
-        queue = self._queues.get(bucket_index)
-        return queue._oldest_ms if queue is not None else float("inf")
-
     def release_bucket(self, bucket_index: int) -> List[WorkloadEntry]:
         """Hand a whole workload queue to another manager (steal source).
 

@@ -46,10 +46,6 @@ class SkyPoint:
         """Return the unit vector pointing at this sky position."""
         return unit_vector(self.ra, self.dec)
 
-    def separation(self, other: "SkyPoint") -> float:
-        """Angular separation from *other* in degrees."""
-        return angular_separation(self.ra, self.dec, other.ra, other.dec)
-
 
 def unit_vector(ra: float, dec: float) -> Vector:
     """Convert (RA, Dec) in degrees into a Cartesian unit vector.

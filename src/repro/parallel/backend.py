@@ -40,10 +40,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.engine import EngineConfig, EngineReport
+from repro.core.engine import EngineConfig, EngineReport, build_engine_report
 from repro.core.preprocessor import QueryPreProcessor
 from repro.core.scheduler import SchedulingPolicy
-from repro.parallel.engine import CompletionTracker, StealRecord, merge_worker_results
+from repro.parallel.engine import CompletionTracker, StealRecord
 from repro.parallel.ipc import (
     AdoptBucket,
     BatchRecord,
@@ -167,11 +167,6 @@ def merge_backend_outcome(
         for query_id in record.queries_served:
             tracker.on_serviced(query_id, record.bucket_index, record.finished_at_ms)
     ordered_results = sorted(results, key=lambda r: r.worker_id)
-    scheduler_name = (
-        f"parallel(workers={spec.workers}, policy={spec.policy.name}, "
-        f"shard={plan.strategy})"
-    )
-    report = merge_worker_results(scheduler_name, tracker, ordered_results)
     boundaries = list(window_boundaries_ms or [])
     telemetry = merge_snapshots(
         [r.telemetry for r in ordered_results]
@@ -183,6 +178,14 @@ def merge_backend_outcome(
                 worker_processes=worker_processes,
             )
         ]
+    )
+    report = build_engine_report(
+        f"parallel(workers={spec.workers}, policy={spec.policy.name}, shard={plan.strategy})",
+        tracker.submitted_count,
+        tracker.response_times_ms(),
+        tracker.first_arrival_ms,
+        tracker.last_completion_ms,
+        telemetry,
     )
     return BackendOutcome(
         backend=backend_name,

@@ -10,12 +10,14 @@ neither backend may do differently:
   query finishes when its *last* bucket anywhere is drained), which is
   what makes per-shard workload managers composable: each manager only
   knows its shard's share of a query;
-* :class:`StealRecord` — one whole-queue migration between shards;
-* :func:`merge_worker_results` — the single aggregation rule from
-  per-shard accounting to one :class:`~repro.core.engine.EngineReport`.
-  Per-shard facts (clocks, busy time, reads) are not copied anywhere:
-  the run's :class:`~repro.parallel.backend.BackendOutcome` carries the
-  shards' own :class:`~repro.parallel.ipc.WorkerResult` messages.
+* :class:`StealRecord` — one whole-queue migration between shards.
+
+The run's report is built by the serial engine's rule
+(:func:`~repro.core.engine.build_engine_report`) from the worker-order
+merge of the shards' lane snapshots; per-shard facts (clocks, store
+reads, lane snapshots) are not copied anywhere: the run's
+:class:`~repro.parallel.backend.BackendOutcome` carries the shards' own
+:class:`~repro.parallel.ipc.WorkerResult` messages.
 
 With ``workers=1`` a sharded run degenerates to the serial
 :class:`~repro.core.engine.LifeRaftEngine` — same scheduling decisions,
@@ -25,12 +27,7 @@ same costs, same report — which the parity tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Set
-
-from repro.core.engine import EngineReport
-
-if TYPE_CHECKING:
-    from repro.parallel.ipc import WorkerResult
+from typing import Dict, Iterable, Optional, Set
 
 
 @dataclass(frozen=True)
@@ -96,65 +93,3 @@ class CompletionTracker:
     def response_times_ms(self) -> Dict[int, float]:
         """Response times of every completed query, in completion order."""
         return {qid: done - self._arrival_ms[qid] for qid, done in self._completion_ms.items()}
-
-
-def merge_worker_results(
-    scheduler_name: str,
-    completion: CompletionTracker,
-    results: Sequence["WorkerResult"],
-) -> EngineReport:
-    """Merge per-worker accounting into one :class:`EngineReport`.
-
-    The single aggregation rule of every sharded run: the coordinator
-    merges the :class:`WorkerResult` messages its shards return, whichever
-    channel carried them, so the merged report cannot drift between
-    backends.  Busy time, service counts, strategy counts and I/O totals
-    are sums over workers; the cache hit rate is recomputed from the
-    pooled hit/miss counters; the makespan spans first arrival to the last
-    query completion anywhere, exactly as in the serial report.
-    """
-    response_times = completion.response_times_ms()
-    first_arrival = completion.first_arrival_ms or 0.0
-    makespan = max(0.0, completion.last_completion_ms - first_arrival)
-    hits = sum(r.cache_statistics.get("hits", 0.0) for r in results)
-    misses = sum(r.cache_statistics.get("misses", 0.0) for r in results)
-    accesses = hits + misses
-    cache_stats = {
-        "hits": hits,
-        "misses": misses,
-        "accesses": accesses,
-        "hit_rate": (hits / accesses) if accesses else 0.0,
-    }
-    scan_services = sum(r.join_statistics.get("scan_services", 0.0) for r in results)
-    index_services = sum(r.join_statistics.get("index_services", 0.0) for r in results)
-    total_join_services = scan_services + index_services
-    join_stats = {
-        "scan_services": scan_services,
-        "index_services": index_services,
-        "index_service_fraction": (
-            index_services / total_join_services if total_join_services else 0.0
-        ),
-        "threshold_fraction": (
-            results[0].join_statistics.get("threshold_fraction", 0.0) if results else 0.0
-        ),
-    }
-    strategy_counts: Dict[str, int] = {}
-    for result in results:
-        for key, value in result.strategy_counts.items():
-            strategy_counts[key] = strategy_counts.get(key, 0) + value
-    return EngineReport(
-        scheduler_name=scheduler_name,
-        submitted_queries=completion.submitted_count,
-        completed_queries=len(response_times),
-        busy_time_ms=sum(r.busy_ms for r in results),
-        makespan_ms=makespan,
-        response_times_ms=response_times,
-        bucket_services=sum(r.services for r in results),
-        cache_hit_rate=cache_stats["hit_rate"],
-        cache_statistics=cache_stats,
-        join_statistics=join_stats,
-        strategy_counts=strategy_counts,
-        total_io_ms=sum(r.total_io_ms for r in results),
-        total_match_ms=sum(r.total_match_ms for r in results),
-        total_matches=sum(r.total_matches for r in results),
-    )

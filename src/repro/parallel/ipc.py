@@ -25,8 +25,10 @@ recoveries:
 * :class:`ReleaseBucket` / :class:`AdoptBucket` migrate one whole workload
   queue (entries *and* its not-yet-ingested staged shares) between
   processes — work stealing as message passing;
-* :class:`Finalize` collects the shard's aggregate accounting as a
-  :class:`WorkerResult`;
+* :class:`Finalize` collects the shard's final state as a
+  :class:`WorkerResult`: its clock, its store reads and its lane's
+  metrics-registry snapshot — the one record of the lane's totals, which
+  the coordinator merges in worker-id order into the run's report;
 * :class:`CaptureCheckpoint` has the child write its resumable state as a
   ``.lrcp`` file (see :mod:`repro.reliability.checkpoint`); a respawned
   child restores from :attr:`ShardTask.checkpoint_path` and resumes its
@@ -50,7 +52,7 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.engine import EngineConfig
 from repro.core.scheduler import SchedulingPolicy
@@ -137,7 +139,7 @@ class CaptureCheckpoint:
 
 @dataclass(frozen=True)
 class Finalize:
-    """Request the shard's final accounting."""
+    """Request the shard's final state (a :class:`WorkerResult`)."""
 
 
 @dataclass(frozen=True)
@@ -258,26 +260,17 @@ class CheckpointWritten:
 
 @dataclass(frozen=True)
 class WorkerResult:
-    """Final per-shard accounting, merged by the coordinator."""
+    """A shard's final state: its clock, its store reads and its lane snapshot."""
 
     worker_id: int
     clock_ms: float
-    busy_ms: float
-    services: int
-    steals: int
-    total_io_ms: float
-    total_match_ms: float
-    total_matches: int
-    strategy_counts: Dict[str, int]
-    cache_statistics: Dict[str, float]
-    join_statistics: Dict[str, float]
     store_reads: int
+    #: The lane's telemetry snapshot (a plain picklable dict; see
+    #: :mod:`repro.telemetry.registry`): the one record of the shard's
+    #: totals, merged in worker-id order by the coordinator.
+    telemetry: dict
     #: File-backed stores only: this shard's physical read + decode time.
     store_real_read_s: float = 0.0
-    #: The lane's telemetry snapshot (a plain picklable dict; see
-    #: :mod:`repro.telemetry.registry`).  Merged order-insensitively by
-    #: the coordinator.  ``None`` when the producer predates telemetry.
-    telemetry: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -454,7 +447,6 @@ class ShardReplayer:
         worker.manager.adopt_bucket(message.bucket_index, list(message.entries))
         worker.stage_merged(message.staged)
         worker.now_ms = max(worker.now_ms, message.clock_ms)
-        worker.steals += 1
 
     def capture_checkpoint(self, message: CaptureCheckpoint) -> CheckpointWritten:
         """Write the shard's resumable state at the current barrier."""
@@ -473,7 +465,7 @@ class ShardReplayer:
 
 
 def worker_result(worker: ShardWorker) -> WorkerResult:
-    """Collect one shard's final accounting for the coordinator.
+    """Collect one shard's final state for the coordinator.
 
     Every shard owns a private store rebuilt from the run's snapshot, so
     the store's real-domain registry rides along in the lane snapshot.
@@ -489,18 +481,9 @@ def worker_result(worker: ShardWorker) -> WorkerResult:
     return WorkerResult(
         worker_id=worker.worker_id,
         clock_ms=worker.now_ms,
-        busy_ms=loop.busy_ms,
-        services=loop.services,
-        steals=worker.steals,
-        total_io_ms=loop.total_io_ms,
-        total_match_ms=loop.total_match_ms,
-        total_matches=loop.total_matches,
-        strategy_counts=dict(loop.strategy_counts),
-        cache_statistics=loop.cache.statistics(),
-        join_statistics=loop.evaluator.statistics(),
         store_reads=store.reads,
-        store_real_read_s=getattr(store, "real_read_s", 0.0),
         telemetry=telemetry,
+        store_real_read_s=getattr(store, "real_read_s", 0.0),
     )
 
 

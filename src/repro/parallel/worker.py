@@ -58,8 +58,6 @@ class ShardWorker:
         self.worker_id = worker_id
         self.loop = loop
         self.now_ms = 0.0
-        #: Buckets stolen *by* this worker (count, for reports and tests).
-        self.steals = 0
         #: Arrivals not yet on the worker's timeline, in arrival order.
         self._staged: Deque[StagedShare] = deque()
 

@@ -13,8 +13,10 @@ at a window barrier.  A :class:`ShardCheckpoint` therefore carries:
 * the tier-1 cache image as a residency list (bucket indices in LRU
   order; the images themselves are re-materialised from the immutable
   store on restore) and the cache's lifetime counters,
-* the accounting every report aggregates (busy/I/O/match totals,
-  strategy counts, store read counters).
+* the store's read counters,
+* the lane's metrics-registry snapshot — the one record of the totals
+  every report reads (services, busy/I/O/match cost, strategy counts,
+  cache hits); nothing else in the checkpoint copies them.
 
 Restoring that state into a freshly built worker and replaying the
 schedule tail reproduces the uninterrupted run bit for bit.
@@ -73,7 +75,6 @@ class ShardCheckpoint:
     #: Batch records emitted before the barrier; replay resumes numbering
     #: here and the coordinator discards any record at or past it.
     seq: int
-    steals: int
     staged: Tuple[StagedShare, ...]
     #: The workload manager, pickled wholesale (queues + query states).
     manager: object
@@ -82,21 +83,11 @@ class ShardCheckpoint:
     #: Tier-1 cache residency, least to most recently used.
     cache_residency: Tuple[int, ...]
     cache_statistics: Dict[str, float]
-    scan_services: int
-    index_services: int
-    busy_ms: float
-    services: int
-    last_completion_ms: float
-    strategy_counts: Dict[str, int]
-    total_io_ms: float
-    total_match_ms: float
-    total_matches: int
     store_reads: int
     store_megabytes: float
-    #: The lane's metrics-registry snapshot (engine/cache counters).
-    #: ``None`` in checkpoints written before telemetry existed; restore
-    #: treats that as an empty registry.
-    telemetry: Optional[dict] = None
+    #: The lane's metrics-registry snapshot: the one record of the lane's
+    #: totals (services, busy/I/O/match cost, strategy counts, cache hits).
+    telemetry: dict
 
 
 @dataclass
@@ -248,21 +239,11 @@ def capture_shard(worker: ShardWorker, seq: int, window_index: int) -> ShardChec
         window_index=window_index,
         clock_ms=worker.now_ms,
         seq=seq,
-        steals=worker.steals,
         staged=worker.staged_shares(),
         manager=loop.manager,
         policy=loop.scheduler,
         cache_residency=loop.cache.resident_buckets(),
         cache_statistics=loop.cache.statistics(),
-        scan_services=loop.evaluator.scan_services,
-        index_services=loop.evaluator.index_services,
-        busy_ms=loop.busy_ms,
-        services=loop.services,
-        last_completion_ms=loop.last_completion_ms,
-        strategy_counts=dict(loop.strategy_counts),
-        total_io_ms=loop.total_io_ms,
-        total_match_ms=loop.total_match_ms,
-        total_matches=loop.total_matches,
         store_reads=store.reads,
         store_megabytes=store.bytes_read_mb,
         telemetry=loop.telemetry.snapshot(),
@@ -275,9 +256,10 @@ def restore_shard(worker: ShardWorker, state: ShardCheckpoint) -> None:
     The worker must have been constructed from the same task (same store
     snapshot, same config) that produced the checkpoint; after this call
     its timeline resumes at the barrier exactly as the uninterrupted run
-    would have continued.  The batch *history* is not restored — only its
-    aggregates — so recovered workers stay lean; the coordinator already
-    holds every accepted record.
+    would have continued.  The batch *history* is not restored — only the
+    lane snapshot that totals it — so recovered workers stay lean; the
+    coordinator already holds every accepted record.  Fields a checkpoint
+    of an older build carries beyond these are ignored.
     """
     if state.worker_id != worker.worker_id:
         raise FormatError(
@@ -288,15 +270,6 @@ def restore_shard(worker: ShardWorker, state: ShardCheckpoint) -> None:
     loop.manager = state.manager
     loop.scheduler = state.policy
     loop.batches = []
-    loop.services = state.services
-    loop.busy_ms = state.busy_ms
-    loop.last_completion_ms = state.last_completion_ms
-    loop.strategy_counts = dict(state.strategy_counts)
-    loop.total_io_ms = state.total_io_ms
-    loop.total_match_ms = state.total_match_ms
-    loop.total_matches = state.total_matches
-    loop.evaluator.scan_services = state.scan_services
-    loop.evaluator.index_services = state.index_services
     loop.cache.restore(state.cache_residency, state.cache_statistics)
     store = loop.cache.store
     store.reads = state.store_reads
@@ -304,9 +277,8 @@ def restore_shard(worker: ShardWorker, state: ShardCheckpoint) -> None:
     # In-place restore: the loop's (and cache's) pre-resolved metric
     # handles keep pointing at the live objects, so replayed services
     # continue counting from the barrier's totals.
-    loop.telemetry.restore(getattr(state, "telemetry", None))
+    loop.telemetry.restore(state.telemetry)
     worker.now_ms = state.clock_ms
-    worker.steals = state.steals
     worker.restore_staged(state.staged)
 
 

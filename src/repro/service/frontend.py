@@ -55,7 +55,7 @@ from repro.service.deadline import (
     assign_deadline_class,
 )
 from repro.service.sessions import RATE_WINDOW_MS, SessionRegistry
-from repro.service.streams import ResultChunk, StreamCursor, StreamHub
+from repro.service.streams import ResultChunk, StreamHub
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.stats import ResponseTimeStats, summarize_response_times
 from repro.storage.partitioner import PartitionLayout
@@ -462,7 +462,6 @@ class ServingFrontEnd:
                     AdmissionInstant(now_ms, query.query_id, "admit", attempt)
                 )
                 self.model.admit(query.query_id, footprint, now_ms)
-                session.admitted += 1
                 self.deadlines.on_admitted(query.query_id)
                 admitted.append(
                     AdmittedQuery(
@@ -478,7 +477,6 @@ class ServingFrontEnd:
                 self._admission_instants.append(
                     AdmissionInstant(now_ms, query.query_id, "defer", attempt)
                 )
-                session.deferred += 1
                 deferrals += 1
                 events.push(
                     Event(
@@ -492,7 +490,6 @@ class ServingFrontEnd:
                 self._admission_instants.append(
                     AdmissionInstant(now_ms, query.query_id, "reject", attempt)
                 )
-                session.rejected += 1
                 self.deadlines.on_rejected(query.query_id)
                 reason = ",".join(snapshot.breached(self.limits)) or "rejected"
                 rejected.append(RejectedQuery(query, arrival_ms, reason, attempt))
@@ -549,10 +546,6 @@ class ServingFrontEnd:
     def ingest_records(self, records: Iterable) -> int:
         """Feed a backend's service log (already in global finish order)."""
         return self.hub.ingest_records(records)
-
-    def cursor(self) -> StreamCursor:
-        """Snapshot the emitted-chunk position (for durable recovery)."""
-        return self.hub.cursor()
 
     # ------------------------------------------------------------------ #
     # reporting

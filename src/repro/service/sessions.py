@@ -1,21 +1,21 @@
-"""Per-client sessions: identity, offered-rate measurement and accounting.
+"""Per-client sessions: identity and offered-rate measurement.
 
 The serving front-end multiplexes many clients over one archive.  A
-:class:`ClientSession` tracks what one client has offered and what became
-of it (admitted / deferred / rejected) plus a sliding-window measurement
-of the client's offered rate in virtual time — the quantity per-client
-admission limits gate on.  The :class:`SessionRegistry` owns the sessions
-and the client-assignment rule: a query carrying a recorded
+:class:`ClientSession` holds a sliding-window measurement of one
+client's offered rate in virtual time — the quantity per-client
+admission limits gate on.  What became of each offer is recorded once,
+by the front-end (its intake outcome, ``admission.decisions`` counters
+and admission instants), not here.  The :class:`SessionRegistry` owns the
+sessions and the client-assignment rule: a query carrying a recorded
 :attr:`~repro.workload.query.CrossMatchQuery.client_id` keeps it,
-anything else hashes onto a fixed pool of synthetic clients, and callers
-can still inject their own assignment function.
+anything else hashes onto a fixed pool of synthetic clients.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict
 
 from repro.workload.query import CrossMatchQuery
 
@@ -31,15 +31,10 @@ class ClientSession:
 
     client_id: int
     window_ms: float = RATE_WINDOW_MS
-    offered: int = 0
-    admitted: int = 0
-    deferred: int = 0
-    rejected: int = 0
     _offer_times: Deque[float] = field(default_factory=deque)
 
     def observe_offer(self, now_ms: float) -> None:
         """Record one query offered by this client at *now_ms*."""
-        self.offered += 1
         self._offer_times.append(now_ms)
         self._prune(now_ms)
 
@@ -59,28 +54,18 @@ class ClientSession:
 class SessionRegistry:
     """Owns the client sessions and the query-to-client assignment."""
 
-    def __init__(
-        self,
-        clients: int = 4,
-        client_of: Optional[Callable[[CrossMatchQuery], int]] = None,
-        window_ms: float = RATE_WINDOW_MS,
-    ) -> None:
+    def __init__(self, clients: int = 4, window_ms: float = RATE_WINDOW_MS) -> None:
         if clients <= 0:
             raise ValueError("clients must be positive")
         self.clients = clients
         self.window_ms = window_ms
-        self._client_of = client_of or self._default_client_of
         self._sessions: Dict[int, ClientSession] = {}
 
-    def _default_client_of(self, query: CrossMatchQuery) -> int:
-        """Recorded client id when the trace carries one, else a hash."""
+    def client_of(self, query: CrossMatchQuery) -> int:
+        """The client a query belongs to: its recorded id, else a hash."""
         if query.client_id is not None:
             return query.client_id
         return query.query_id % self.clients
-
-    def client_of(self, query: CrossMatchQuery) -> int:
-        """The client a query belongs to."""
-        return self._client_of(query)
 
     def session(self, client_id: int) -> ClientSession:
         """The session of *client_id* (created on first use)."""
@@ -93,17 +78,3 @@ class SessionRegistry:
     def session_for(self, query: CrossMatchQuery) -> ClientSession:
         """The session owning *query*."""
         return self.session(self.client_of(query))
-
-    def sessions(self) -> List[ClientSession]:
-        """Every session that has seen at least one offer, by client id."""
-        return [self._sessions[cid] for cid in sorted(self._sessions)]
-
-    def totals(self) -> Dict[str, int]:
-        """Aggregate intake accounting over all sessions."""
-        sessions = self._sessions.values()
-        return {
-            "offered": sum(s.offered for s in sessions),
-            "admitted": sum(s.admitted for s in sessions),
-            "deferred": sum(s.deferred for s in sessions),
-            "rejected": sum(s.rejected for s in sessions),
-        }

@@ -164,10 +164,6 @@ class StreamHub:
         """Invoke *callback* for every chunk emitted from now on."""
         self._subscribers.append(callback)
 
-    def stream(self, query_id: int) -> ResultStream:
-        """The stream of one registered query."""
-        return self._streams[query_id]
-
     def streams(self) -> List[ResultStream]:
         """Every registered stream, by query id."""
         return [self._streams[qid] for qid in sorted(self._streams)]
@@ -179,23 +175,6 @@ class StreamHub:
         but serving runs hold at most the admitted-query count of streams.
         """
         return sum(1 for stream in self._streams.values() if not stream.is_complete)
-
-    def cursor(self) -> StreamCursor:
-        """Snapshot the emitted-chunk position of every stream."""
-        emitted = []
-        for query_id in sorted(self._streams):
-            chunks = self._streams[query_id].chunks
-            if chunks:
-                emitted.append(
-                    (
-                        query_id,
-                        tuple(
-                            (c.bucket_index, c.objects_matched, c.time_ms)
-                            for c in chunks
-                        ),
-                    )
-                )
-        return StreamCursor(total_chunks=self.total_chunks, emitted=tuple(emitted))
 
     def restore(self, cursor: StreamCursor) -> None:
         """Replay a cursor into freshly registered streams, silently.

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, Iterable, Optional
 
 from repro.telemetry.registry import MetricsRegistry
 
@@ -115,11 +115,6 @@ class IOTrace:
 
     def _labels(self, kind: IOKind) -> dict:
         return {"kind": kind.value}
-
-    @property
-    def records(self) -> List[IORecord]:
-        """The retained detailed entries, oldest first (a bounded window)."""
-        return list(self._records)
 
     def record(self, record: IORecord) -> None:
         """Fold *record* into the aggregates and the ring buffer."""

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 from repro.storage.bucket_store import Bucket, BucketStore, StoreSnapshot
 from repro.storage.cache import LRUCache
 from repro.storage.disk_model import DiskModel
-from repro.storage.format import BucketFileReader, StoreManifest
+from repro.storage.format import BucketFileReader
 from repro.storage.partitioner import BucketSpec
 from repro.telemetry.registry import REAL_DOMAIN, MetricsRegistry
 
@@ -139,10 +139,6 @@ class DiskBucketStore(BucketStore):
     def generation(self) -> str:
         """The opened file's content-derived generation."""
         return self._reader.generation
-
-    def manifest(self) -> StoreManifest:
-        """Describe the backing file."""
-        return self._reader.manifest()
 
     def _materialise(self, spec: BucketSpec) -> Bucket:
         generation = self._reader.generation

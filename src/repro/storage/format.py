@@ -570,10 +570,6 @@ class BucketFileReader:
     def __len__(self) -> int:
         return len(self._pages)
 
-    def row_count(self, bucket_index: int) -> int:
-        """Number of physical rows materialised for bucket *bucket_index*."""
-        return self._pages[bucket_index][0]
-
     def _page_payload(self, bucket_index: int) -> memoryview:
         """CRC-checked zero-copy window over one bucket page."""
         if not 0 <= bucket_index < len(self._pages):
@@ -601,18 +597,6 @@ class BucketFileReader:
     ) -> Tuple[Tuple[int, ...], Tuple[CelestialObject, ...]]:
         """CRC-check and strictly decode one bucket page into row objects."""
         return decode_bucket_page(self._page_payload(bucket_index), self.surveys)
-
-    def manifest(self) -> StoreManifest:
-        """Describe the opened file (mirrors the writer's return value)."""
-        return StoreManifest(
-            path=self.path,
-            generation=self.generation,
-            leaf_level=self.layout.leaf_level,
-            bucket_count=len(self.layout),
-            total_objects=self.layout.total_objects(),
-            total_rows=self.total_rows,
-            file_bytes=self.file_bytes,
-        )
 
     def close(self) -> None:
         """Release the mapping (deferred while decoded blocks still use it).

@@ -91,9 +91,6 @@ class Gauge:
         self.domain = domain
         self.value: Number = 0
 
-    def set(self, value: Number) -> None:
-        self.value = value
-
     def mark(self, value: Number) -> None:
         """Raise the gauge to *value* if it exceeds the current reading."""
         if value > self.value:

@@ -63,13 +63,6 @@ class CrossMatchObject:
     match_radius_arcsec: float = 2.0
     magnitude: float = 20.0
 
-    @property
-    def position(self) -> Optional[SkyPoint]:
-        """Sky position, when the object carries one."""
-        if self.ra is None or self.dec is None:
-            return None
-        return SkyPoint(self.ra, self.dec)
-
 
 @dataclass
 class CrossMatchQuery:

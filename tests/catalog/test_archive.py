@@ -11,6 +11,7 @@ import pytest
 from repro.catalog.generator import SkyGenerator, SkyGeneratorConfig
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
 from repro.storage.disk_store import open_disk_store
+from repro.storage.format import StoreManifest
 from repro.storage.index import SpatialIndex
 from repro.storage.ingest import ingest_catalog
 from tests.core.join_oracle import range_scan
@@ -60,7 +61,16 @@ class TestBuildArchive:
         summary = store.layout.describe()
         assert summary["total_objects"] == len(catalog)
         assert summary["bucket_count"] == manifest.bucket_count
-        assert store.manifest() == manifest
+        reader = store._reader
+        assert manifest == StoreManifest(
+            path=reader.path,
+            generation=reader.generation,
+            leaf_level=reader.layout.leaf_level,
+            bucket_count=len(reader.layout),
+            total_objects=reader.layout.total_objects(),
+            total_rows=reader.total_rows,
+            file_bytes=reader.file_bytes,
+        )
 
 
 class TestSyntheticArchive:

@@ -1,7 +1,5 @@
 """Tests for celestial objects and catalog tables."""
 
-import pytest
-
 from repro.catalog.objects import CatalogTable, CelestialObject
 from repro.htm.geometry import SkyPoint
 from repro.htm.mesh import HTMMesh
@@ -21,7 +19,8 @@ def make_object(object_id, ra, dec, mesh=None, survey="sdss"):
 class TestCelestialObject:
     def test_position(self):
         a = make_object(1, 10.0, 10.0)
-        assert a.position.ra == pytest.approx(10.0)
+        assert (a.ra, a.dec) == (10.0, 10.0)
+        assert HTMMesh().locate(SkyPoint(a.ra, a.dec), 14) == a.htm_id
 
 
 class TestCatalogTable:

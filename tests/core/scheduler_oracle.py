@@ -6,8 +6,8 @@ the hand-inlined loop, moved here verbatim.  Nothing in ``src/`` calls it;
 tests compare the indexed decision against it, pick for pick.
 
 Equations (1) and (2) of the paper live here too, one function each, as
-written in ``repro.core.metrics``'s docstring: tests compare
-``LifeRaftScheduler.score`` against them bit for bit.
+written in ``repro.core.metrics``'s docstring: tests compare :func:`score`
+(the scheduler's own ``ua`` for one bucket) against them bit for bit.
 """
 
 from __future__ import annotations
@@ -67,6 +67,21 @@ def oracle_next_work(
     return WorkItem(bucket_index=best_bucket)
 
 
+def score(
+    scheduler: LifeRaftScheduler,
+    bucket_index: int,
+    manager: WorkloadManager,
+    cache: BucketCacheManager,
+    now_ms: float,
+) -> float:
+    """The aged workload throughput ``Ua`` the scheduler gives one bucket right now."""
+    queue = manager._queues.get(bucket_index)
+    return scheduler._ua(now_ms, manager.max_pending_age_ms(now_ms))(
+        manager.queue_size(bucket_index),
+        queue._oldest_ms if queue is not None else float("inf"),
+        0.0 if cache.resident(bucket_index) else scheduler.config.cost.tb_ms,
+    )
+
 
 def rank_buckets(
     scheduler: LifeRaftScheduler,
@@ -74,11 +89,12 @@ def rank_buckets(
     cache: BucketCacheManager,
     now_ms: float,
 ) -> Dict[int, float]:
-    """The live ``score`` of every pending bucket."""
+    """The :func:`score` of every pending bucket."""
     return {
-        bucket: scheduler.score(bucket, manager, cache, now_ms)
+        bucket: score(scheduler, bucket, manager, cache, now_ms)
         for bucket in manager.pending_buckets()
     }
+
 
 def workload_throughput(queue_objects: int, in_memory: bool, cost: CostModel) -> float:
     """Equation (1): the workload throughput ``Ut`` of one bucket.

@@ -142,12 +142,12 @@ class TestVirtualEvaluation:
 
     def test_statistics_track_strategy_mix(self):
         evaluator, layout, _cache = make_virtual_setup()
-        evaluator.evaluate(layout[0], entries_for([600]))
-        evaluator.evaluate(layout[3], entries_for([10], start_query=9))
-        stats = evaluator.statistics()
-        assert stats["scan_services"] == 1
-        assert stats["index_services"] == 1
-        assert 0 < stats["index_service_fraction"] < 1
+        scan = evaluator.evaluate(layout[0], entries_for([600]))
+        probe = evaluator.evaluate(layout[3], entries_for([10], start_query=9))
+        assert [scan.strategy, probe.strategy] == [
+            JoinStrategy.SEQUENTIAL_SCAN,
+            JoinStrategy.INDEXED_JOIN,
+        ]
 
     def test_validation(self):
         cost = CostModel.paper_defaults()

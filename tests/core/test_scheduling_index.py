@@ -34,6 +34,7 @@ from tests.core.scheduler_oracle import (
     aged_workload_throughput,
     oracle_next_work,
     rank_buckets,
+    score,
     workload_throughput,
 )
 
@@ -254,12 +255,12 @@ class TestOneScoringExpression:
                         max_age_ms=max_age,
                         normalize=normalize,
                     )
-                    assert scheduler.score(bucket, manager, cache, now_ms) == expected
+                    assert score(scheduler, bucket, manager, cache, now_ms) == expected
 
     def test_score_of_a_bucket_without_work_is_zero(self):
         manager, cache = make_manager_and_cache()
         manager.add_query(1, {1: 10}, 0.0)
-        assert LifeRaftScheduler().score(7, manager, cache, 500.0) == 0.0
+        assert score(LifeRaftScheduler(), 7, manager, cache, 500.0) == 0.0
 
 
 class TestIndexIsDerivedState:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htm import ids as htm_ids
-from repro.htm.geometry import SkyPoint, dot, radec_from_vector
+from repro.htm.geometry import SkyPoint, angular_separation, dot, radec_from_vector
 from repro.htm.mesh import HTMMesh
 
 ras = st.floats(min_value=0.0, max_value=359.99)
@@ -71,7 +71,7 @@ class TestLocate:
         axis, radius = trixel.circumcircle()
         axis_ra, axis_dec = radec_from_vector(axis)
         # The point must fall inside the trixel's bounding cone.
-        assert point.separation(SkyPoint(axis_ra, axis_dec)) <= radius + 1e-6
+        assert angular_separation(ra, dec, axis_ra, axis_dec) <= radius + 1e-6
 
     @given(ras, decs)
     @settings(max_examples=40, deadline=None)

@@ -38,6 +38,7 @@ from repro.storage.bucket_store import BucketStore
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
 from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import BucketPartitioner
+from repro.telemetry.registry import metric_value
 from repro.workload.generator import TraceConfig, TraceGenerator
 from tests.parallel.test_coordinator_golden import (  # noqa: F401 (fixtures)
     RecordingProcess,
@@ -338,14 +339,14 @@ class TestProcessBackendStealing:
         outcome = backend_outcomes[(backend_name, 4, "round_robin")]
         results = outcome.results
         assert [result.worker_id for result in results] == [0, 1, 2, 3]
-        assert sum(result.busy_ms for result in results) == pytest.approx(
-            outcome.report.busy_time_ms, rel=1e-12
-        )
+        busy_ms = [metric_value(result.telemetry, "engine.busy_ms") for result in results]
+        assert sum(busy_ms) == pytest.approx(outcome.report.busy_time_ms, rel=1e-12)
         wall_clock_ms = max(result.clock_ms for result in results)
-        utilisation = sum(result.busy_ms / wall_clock_ms for result in results) / 4
+        utilisation = sum(busy / wall_clock_ms for busy in busy_ms) / 4
         assert 0.0 < utilisation <= 1.0
-        assert sum(result.services for result in results) == outcome.report.bucket_services
-        assert sum(result.steals for result in results) == len(outcome.steal_records)
+        services = [metric_value(result.telemetry, "engine.services") for result in results]
+        assert sum(services) == outcome.report.bucket_services
+        assert metric_value(outcome.telemetry, "coordinator.steals") == len(outcome.steal_records)
         assert outcome.real_elapsed_s > 0.0
 
 
@@ -384,7 +385,7 @@ class TestRunRecord:
     def test_services_steals_and_results_agree(self, backend_outcomes, backend_name):
         outcome = backend_outcomes[(backend_name, 2, "zone")]
         assert len(outcome.services) == outcome.report.bucket_services
-        assert sum(r.services for r in outcome.results) == outcome.report.bucket_services
-        assert sum(r.steals for r in outcome.results) == len(outcome.steal_records)
+        assert metric_value(outcome.telemetry, "engine.services") == len(outcome.services)
+        assert metric_value(outcome.telemetry, "coordinator.steals") == len(outcome.steal_records)
         order = [(r.finished_at_ms, r.worker_id, r.seq) for r in outcome.services]
         assert order == sorted(order)

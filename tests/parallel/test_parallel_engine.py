@@ -31,6 +31,7 @@ from repro.storage.disk_model import calibrated_disk_for_bucket_read
 from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import BucketPartitioner
 from repro.telemetry.ledger import ledger_entries
+from repro.telemetry.registry import metric_value
 from repro.workload.generator import TraceConfig, TraceGenerator
 from repro.workload.query import CrossMatchQuery
 from tests.parallel.test_coordinator_golden import RecordingProcess, RecordingVirtual
@@ -312,7 +313,7 @@ class TestDeterminism:
                 outcome.report.busy_time_ms,
                 outcome.report.makespan_ms,
                 outcome.steal_records,
-                [result.services for result in outcome.results],
+                [metric_value(result.telemetry, "engine.services") for result in outcome.results],
                 outcome.window_boundaries_ms,
             )
 
@@ -327,8 +328,10 @@ class TestRunRecord:
         assert [result.worker_id for result in results] == [0, 1, 2, 3]
         assert zone_run.report.submitted_queries == len(queries)
         assert len(zone_run.services) == zone_run.report.bucket_services
-        assert sum(result.services for result in results) == zone_run.report.bucket_services
-        assert sum(result.steals for result in results) == len(zone_run.steal_records) > 0
+        services = [metric_value(result.telemetry, "engine.services") for result in results]
+        assert sum(services) == zone_run.report.bucket_services
+        steals = metric_value(zone_run.telemetry, "coordinator.steals")
+        assert steals == len(zone_run.steal_records) > 0
         order = [(r.finished_at_ms, r.worker_id, r.seq) for r in zone_run.services]
         assert order == sorted(order)
         assert set(zone_run.report.response_times_ms) == served_queries(zone_run)

@@ -10,6 +10,7 @@ import pickle
 import pytest
 
 from repro.core.engine import EngineConfig
+from repro.core.join_evaluator import JoinStrategy
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
 from repro.fileio import FormatError
 from repro.parallel.ipc import ShardReplayer
@@ -26,6 +27,7 @@ from repro.reliability.checkpoint import (
 )
 from repro.storage.bucket_store import BucketStore
 from repro.storage.partitioner import BucketPartitioner
+from repro.telemetry.registry import VIRTUAL_DOMAIN, filter_domain, metric_value
 
 BUCKETS = 16
 
@@ -124,10 +126,11 @@ class TestShardStateFidelity:
             ]
 
         assert as_tuples(head + tail) == as_tuples(reference_records)
-        # Final accounting matches the uninterrupted worker exactly.
-        assert recovered.loop.busy_ms == pytest.approx(reference.loop.busy_ms)
-        assert recovered.loop.services == reference.loop.services
-        assert recovered.loop.total_io_ms == pytest.approx(reference.loop.total_io_ms)
+        # Final accounting matches the uninterrupted worker bit for bit:
+        # the lane snapshot is the one record of its totals.
+        assert filter_domain(recovered.loop.telemetry.snapshot(), VIRTUAL_DOMAIN) == (
+            filter_domain(reference.loop.telemetry.snapshot(), VIRTUAL_DOMAIN)
+        )
         assert recovered.cache.statistics() == reference.cache.statistics()
         assert recovered.cache.resident_buckets() == reference.cache.resident_buckets()
         assert (
@@ -135,11 +138,60 @@ class TestShardStateFidelity:
             or recovered.manager.completed_queries()
         )
 
+    def test_old_checkpoint_with_copied_totals_restores_the_same_tail(self, layout, tmp_path):
+        """Older builds pickled copies of the lane totals (and an adopt count)
+        beside the lane snapshot; restore ignores them and reads the snapshot."""
+        reference = build_worker(layout)
+        stage_workload(reference)
+        reference_records = ShardReplayer(reference).advance(None)
+
+        subject = build_worker(layout)
+        stage_workload(subject)
+        replayer = ShardReplayer(subject)
+        head = replayer.advance(reference_records[len(reference_records) // 2].finished_at_ms)
+        state = capture_shard(subject, replayer.seq, window_index=1)
+
+        def counter(name, **labels):
+            return metric_value(state.telemetry, name, labels)
+
+        strategy_counts = {
+            s.value: counter("engine.strategy_services", strategy=s.value) for s in JoinStrategy
+        }
+        vars(state).update(
+            steals=0,
+            scan_services=strategy_counts[JoinStrategy.SEQUENTIAL_SCAN.value],
+            index_services=strategy_counts[JoinStrategy.INDEXED_JOIN.value],
+            busy_ms=counter("engine.busy_ms"),
+            services=counter("engine.services"),
+            last_completion_ms=max(record.finished_at_ms for record in head),
+            strategy_counts=strategy_counts,
+            total_io_ms=counter("engine.io_ms"),
+            total_match_ms=counter("engine.match_ms"),
+            total_matches=counter("engine.matches"),
+        )
+        path = tmp_path / "old.lrcp"
+        generation = subject.loop.cache.store.generation
+        write_checkpoint(path, 0, 1, subject.now_ms, generation, state, seq=replayer.seq)
+
+        recovered = build_worker(layout)
+        stage_workload(recovered)
+        restored = restore_worker(path, recovered)
+        assert restored.services == counter("engine.services") > 0
+        tail = ShardReplayer(recovered, start_seq=restored.seq).advance(None)
+        assert [(r.seq, r.bucket_index, r.started_at_ms) for r in head + tail] == [
+            (r.seq, r.bucket_index, r.started_at_ms) for r in reference_records
+        ]
+        assert filter_domain(recovered.loop.telemetry.snapshot(), VIRTUAL_DOMAIN) == (
+            filter_domain(reference.loop.telemetry.snapshot(), VIRTUAL_DOMAIN)
+        )
+
     def test_scheduling_index_is_not_checkpointed(self, layout, tmp_path):
         """The manager's scheduling index is derived state: ``.lrcp`` files
-        carry the queues only (the byte size below was recorded at the
-        commit before the index existed), and a restored worker rebuilds the
-        index and picks the same buckets to the end of the run."""
+        carry the queues only, and a restored worker rebuilds the index and
+        picks the same buckets to the end of the run.  The byte size below
+        pins what the file holds: queues, stage, policy, cache residency,
+        store reads and the lane snapshot, with no second copy of the lane
+        totals beside the snapshot and no index."""
 
         def stage_deep(worker):
             # Three shares per arrival time over 16 buckets: deep queues,
@@ -165,7 +217,7 @@ class TestShardStateFidelity:
         assert len(subject.manager.pending_buckets()) > 8
         path = tmp_path / "deep.lrcp"
         info = checkpoint_worker(path, subject, replayer.seq, window_index=1)
-        assert info.byte_size == 6_397
+        assert info.byte_size == 6_183
 
         recovered = build_worker(layout)
         stage_deep(recovered)
@@ -223,4 +275,6 @@ class TestShardStateFidelity:
         assert clone.window_index == 2
         assert clone.clock_ms == worker.now_ms
         assert clone.staged == worker.staged_shares()
-        assert clone.services == worker.loop.services
+        assert metric_value(clone.telemetry, "engine.services") == metric_value(
+            worker.loop.telemetry.snapshot(), "engine.services"
+        )

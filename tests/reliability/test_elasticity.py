@@ -26,6 +26,7 @@ from repro.storage.bucket_store import BucketStore
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
 from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import BucketPartitioner
+from repro.telemetry.registry import metric_value
 from repro.workload.generator import TraceConfig, TraceGenerator
 
 BUCKETS = 64
@@ -208,7 +209,7 @@ class TestScaleUpOnly:
         outcome = make_backend("virtual").execute(spec)
         assert outcome.reliability.scale_ups == 1
         assert len(outcome.results) == 3
-        assert outcome.results[2].busy_ms > 0.0
+        assert metric_value(outcome.results[2].telemetry, "engine.busy_ms") > 0.0
         assert outcome.report.completed_queries == len(timed_queries)
 
     def test_scale_up_requires_stealing(self, layout, sim_config, timed_queries):

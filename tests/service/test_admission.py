@@ -149,25 +149,19 @@ class TestSessions:
         session = registry.session(0)
         for t in (0.0, 1_000.0, 2_000.0):
             session.observe_offer(t)
-        assert session.offered == 3
         assert session.offered_rate_qps(2_000.0) == pytest.approx(3 / 10.0)
         # Two offers age out of the window.
         assert session.offered_rate_qps(11_500.0) == pytest.approx(1 / 10.0)
         assert session.offered_rate_qps(60_000.0) == 0.0
 
-    def test_totals_aggregate_over_sessions(self):
-        registry = SessionRegistry(clients=2)
+    def test_each_client_has_its_own_window(self):
+        registry = SessionRegistry(clients=2, window_ms=10_000.0)
+        registry.session(0).observe_offer(0.0)
         registry.session(0).observe_offer(0.0)
         registry.session(1).observe_offer(0.0)
-        registry.session(0).admitted += 1
-        registry.session(1).rejected += 1
-        assert registry.totals() == {
-            "offered": 2,
-            "admitted": 1,
-            "deferred": 0,
-            "rejected": 1,
-        }
-        assert [s.client_id for s in registry.sessions()] == [0, 1]
+        assert registry.session(0) is registry.session(0)
+        assert registry.session(0).offered_rate_qps(0.0) == pytest.approx(2 / 10.0)
+        assert registry.session(1).offered_rate_qps(0.0) == pytest.approx(1 / 10.0)
 
     def test_invalid_pool_size_rejected(self):
         with pytest.raises(ValueError):

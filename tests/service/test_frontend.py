@@ -7,6 +7,7 @@ from repro.service.frontend import ServiceConfig, ServingFrontEnd
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationResult
 from repro.sim.stats import summarize_response_times
+from repro.telemetry.registry import metric_value
 
 BUCKETS = 128
 
@@ -91,9 +92,13 @@ class TestIntake:
         outcome = front.admit(queries)
         assert outcome.rejected
         assert all("max_client_qps" in r.reason for r in outcome.rejected)
-        totals = front.sessions.totals()
-        assert totals["offered"] == outcome.offered
-        assert totals["rejected"] == len(outcome.rejected)
+        snapshot = front.telemetry.snapshot()
+
+        def decisions(outcome_label):
+            return metric_value(snapshot, "admission.decisions", {"outcome": outcome_label})
+
+        assert decisions("admitted") + decisions("rejected") == outcome.offered
+        assert decisions("rejected") == len(outcome.rejected)
 
     def test_admission_is_deterministic(self, simulator, queries):
         def admitted_ids(**kwargs):

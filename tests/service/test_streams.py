@@ -2,7 +2,25 @@
 
 import pytest
 
-from repro.service.streams import ResultStream, StreamHub
+from repro.service.streams import ResultStream, StreamCursor, StreamHub
+
+
+def stream_of(hub, query_id):
+    """The result stream of one registered query."""
+    return next(stream for stream in hub.streams() if stream.query_id == query_id)
+
+
+def cursor_of(hub):
+    """A hub's emitted-chunk position: what :meth:`StreamHub.restore` replays."""
+    emitted = tuple(
+        (
+            stream.query_id,
+            tuple((c.bucket_index, c.objects_matched, c.time_ms) for c in stream.chunks),
+        )
+        for stream in hub.streams()
+        if stream.chunks
+    )
+    return StreamCursor(total_chunks=hub.total_chunks, emitted=emitted)
 
 
 class TestResultStream:
@@ -101,7 +119,7 @@ class TestStreamHub:
             _Record(1, 0, 1, (1,), (7,), start=20.0, finish=30.0),
         ]
         hub.ingest_records(records)
-        chunks = hub.stream(1).chunks
+        chunks = stream_of(hub, 1).chunks
         assert [(chunk.bucket_index, chunk.time_ms) for chunk in chunks] == [
             (0, 100.0),
             (1, 30.0),
@@ -140,7 +158,7 @@ class TestStreamCursor:
         records = self._records()
         # Original hub sees the first half, then "crashes".
         original = self._fed_hub(records[:2])
-        cursor = original.cursor()
+        cursor = cursor_of(original)
         assert cursor.total_chunks == 3
 
         # A rebuilt hub restores the cursor silently, then ingests the
@@ -158,10 +176,10 @@ class TestStreamCursor:
         for query_id in (1, 2):
             assert [
                 (c.seq, c.bucket_index, c.objects_matched, c.time_ms, c.final)
-                for c in restored.stream(query_id).chunks
+                for c in stream_of(restored, query_id).chunks
             ] == [
                 (c.seq, c.bucket_index, c.objects_matched, c.time_ms, c.final)
-                for c in reference.stream(query_id).chunks
+                for c in stream_of(reference, query_id).chunks
             ]
         assert restored.total_chunks == reference.total_chunks
         # Only the tail's chunks reached subscribers, in ingestion order.
@@ -169,7 +187,7 @@ class TestStreamCursor:
 
     def test_restore_requires_registered_streams(self):
         original = self._fed_hub(self._records()[:1])
-        cursor = original.cursor()
+        cursor = cursor_of(original)
         empty = StreamHub()
         with pytest.raises(ValueError, match="no registered stream"):
             empty.restore(cursor)
@@ -177,12 +195,12 @@ class TestStreamCursor:
     def test_restore_requires_fresh_streams(self):
         records = self._records()
         original = self._fed_hub(records[:2])
-        cursor = original.cursor()
+        cursor = cursor_of(original)
         dirty = self._fed_hub(records[:1])
         with pytest.raises(ValueError, match="fresh streams"):
             dirty.restore(cursor)
 
-    def test_frontend_delegates_cursor(self):
+    def test_frontend_hub_cursor_restores_into_a_fresh_frontend(self):
         from repro.core.metrics import CostModel
         from repro.service.frontend import ServiceConfig, ServingFrontEnd
         from repro.storage.partitioner import BucketPartitioner
@@ -192,7 +210,7 @@ class TestStreamCursor:
         trace = TraceGenerator(TraceConfig(query_count=6, bucket_count=32, seed=4)).generate()
         first = ServingFrontEnd(ServiceConfig(), layout, CostModel.paper_defaults())
         first.admit(trace.queries)
-        cursor = first.cursor()
+        cursor = cursor_of(first.hub)
         assert cursor.total_chunks == 0
 
         second = ServingFrontEnd(ServiceConfig(), layout, CostModel.paper_defaults())

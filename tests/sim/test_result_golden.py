@@ -44,7 +44,7 @@ from repro.service.frontend import ServiceConfig
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import VIRTUAL_CLOCK_PARITY_FIELDS, SimulationConfig, Simulator
 from repro.storage.ingest import materialize_layout
-from repro.telemetry.registry import VIRTUAL_DOMAIN, filter_domain, snapshot_to_json
+from repro.telemetry.registry import VIRTUAL_DOMAIN, filter_domain, metric_value, snapshot_to_json
 from repro.workload.generator import TraceConfig, TraceGenerator
 from repro.workload.trace_io import run_digest
 from tests.telemetry.helpers import ledger_digest, moved_table
@@ -259,6 +259,31 @@ class TestLedgerConservationLaws:
             result.total_io_s * 1000.0,
             rel_tol=1e-12,
         )
+
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    def test_strategy_counts_sum_to_the_services(self, site, name):
+        result = site.result(name)
+        assert sum(result.strategy_counts.values()) == result.bucket_services
+
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    def test_the_report_reads_the_snapshot_counters(self, site, name):
+        """Every lane total the result reports is the virtual snapshot's counter, bit for bit."""
+        result = site.result(name)
+        snapshot = filter_domain(result.telemetry, VIRTUAL_DOMAIN)
+
+        def counter(metric, **labels):
+            return metric_value(snapshot, metric, labels)
+
+        hits, misses = counter("cache.hits"), counter("cache.misses")
+        assert result.bucket_services == counter("engine.services")
+        assert result.busy_time_s == counter("engine.busy_ms") / 1000.0
+        assert result.total_io_s == counter("engine.io_ms") / 1000.0
+        assert result.total_match_s == counter("engine.match_ms") / 1000.0
+        assert result.cache_hit_rate == (hits / (hits + misses) if hits + misses else 0.0)
+        assert result.strategy_counts == {
+            strategy: counter("engine.strategy_services", strategy=strategy)
+            for strategy in result.strategy_counts
+        }
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_a_query_completes_at_its_last_service(self, site, name):

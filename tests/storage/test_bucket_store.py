@@ -149,7 +149,7 @@ class TestIOTraceOnTheReadPath:
         costs = [store.read_bucket(index).cost_ms for index in (2, 0, 2)]
         store.read_bucket(1, charge_io=False)
         read = IOKind.SEQUENTIAL_BUCKET_READ
-        assert disk.trace.records == [
+        assert list(disk.trace._records) == [
             IORecord(read, layout[index].megabytes, cost, f"bucket:{index}")
             for index, cost in zip((2, 0, 2), costs)
         ]
@@ -163,7 +163,7 @@ class TestIOTraceOnTheReadPath:
         monkeypatch.setattr(disk_model, "IORecord", no_record)
         store = build_store()
         assert store.read_bucket(0).cost_ms == pytest.approx(1200.0, rel=1e-9)
-        assert store.disk.trace.records == []
+        assert list(store.disk.trace._records) == []
 
 
 class TestVirtualStore:

@@ -14,6 +14,11 @@ from repro.storage.disk_model import (
 )
 
 
+def records(trace):
+    """The trace's retained detailed entries, oldest first (a bounded window)."""
+    return list(trace._records)
+
+
 def cost_ms(trace, kind=None):
     """Charged I/O time the trace's ``io.cost_ms`` counters hold, for one kind or all."""
     kinds = [kind] if kind is not None else list(IOKind)
@@ -79,15 +84,15 @@ class TestDiskModel:
     def test_trace_disabled_by_default(self):
         disk = DiskModel()
         disk.bucket_read_ms(40.0)
-        assert disk.trace.records == []
+        assert records(disk.trace) == []
 
     def test_trace_cap_and_clear(self):
         trace = IOTrace(enabled=True, max_records=2)
         for _ in range(5):
             trace.record(IORecord(IOKind.RANDOM_PAGE_READ, 0.01, 1.0))
-        assert len(trace.records) == 2
+        assert len(records(trace)) == 2
         trace.clear()
-        assert trace.records == []
+        assert records(trace) == []
 
 
 class TestTraceRingBuffer:
@@ -97,7 +102,7 @@ class TestTraceRingBuffer:
         trace = IOTrace(enabled=True, max_records=3)
         for i in range(10):
             trace.record(IORecord(IOKind.RANDOM_PAGE_READ, 0.01, 1.0, label=f"r{i}"))
-        assert [r.label for r in trace.records] == ["r7", "r8", "r9"]
+        assert [r.label for r in records(trace)] == ["r7", "r8", "r9"]
         assert trace.dropped == 7
 
     def test_aggregates_survive_ring_eviction(self):
@@ -107,7 +112,7 @@ class TestTraceRingBuffer:
         for _ in range(50):
             trace.record(IORecord(IOKind.RANDOM_INDEX_PROBE, 0.008, 13.0))
         # Only 2 detailed records remain, but the counters are exact.
-        assert len(trace.records) == 2
+        assert len(records(trace)) == 2
         assert trace.count(IOKind.SEQUENTIAL_BUCKET_READ) == 100
         assert trace.count(IOKind.RANDOM_INDEX_PROBE) == 50
         assert cost_ms(trace, IOKind.SEQUENTIAL_BUCKET_READ) == pytest.approx(120_000.0)
@@ -119,7 +124,7 @@ class TestTraceRingBuffer:
         disk = DiskModel(trace=trace)
         for i in range(10_000):
             disk.bucket_read_ms(40.0, label=f"bucket:{i % 7}")
-        assert len(trace.records) == 16
+        assert len(records(trace)) == 16
         assert trace.count(IOKind.SEQUENTIAL_BUCKET_READ) == 10_000
 
     def test_clear_resets_aggregates_and_drop_counter(self):
@@ -135,7 +140,7 @@ class TestTraceRingBuffer:
     def test_disabled_trace_records_nothing(self):
         trace = IOTrace(enabled=False)
         trace.record(IORecord(IOKind.RANDOM_PAGE_READ, 0.01, 1.0))
-        assert trace.records == []
+        assert records(trace) == []
         assert trace.count(IOKind.RANDOM_PAGE_READ) == 0
 
     def test_invalid_capacity_rejected(self):

@@ -262,7 +262,7 @@ class TestColumnarBlocks:
                 ids, rows = reader.read_bucket(index)
                 assert list(block.htm_ids) == list(ids)
                 assert list(block.rows()) == list(rows)
-                assert len(block) == reader.row_count(index)
+                assert len(block) == reader._pages[index][0]
                 for position, row in enumerate(rows):
                     assert block.row(position) == row
                     assert block.object_ids[position] == row.object_id

@@ -84,8 +84,6 @@ class TestMetricTypes:
         gauge.mark(7)
         gauge.mark(3)
         assert gauge.value == 7
-        gauge.set(2)
-        assert gauge.value == 2
 
     def test_histogram_bins_with_overflow_bucket(self):
         hist = MetricsRegistry().histogram("h", HIST_BOUNDS)

@@ -76,7 +76,7 @@ ARCHIVE = RunArchive(
 def metrics_snapshot() -> dict:
     registry = MetricsRegistry()
     registry.counter("engine.services").inc(12)
-    registry.gauge("cache.resident", labels={"tier": "1"}).set(4)
+    registry.gauge("cache.resident", labels={"tier": "1"}).mark(4)
     registry.histogram("engine.batch_size", bounds=(1, 4, 16)).observe(3)
     registry.series("series.queue_depth", window_ms=100.0).record(2, 7)
     return registry.snapshot()

@@ -196,6 +196,20 @@ DEAD_CASES = {
         },
         [],
     ),
+    "method-not-reached-by-a-bare-name": (
+        {
+            SRC: "class A:\n    def size(self):\n        return 1\n",
+            "examples/demo.py": "from repro.m import A\n\nA()\nsize = 2\nprint(size)\n",
+        },
+        ["repro.m.A.size"],
+    ),
+    "method-by-getattr-key": (
+        {
+            SRC: "class A:\n    def run(self):\n        pass\n",
+            "examples/demo.py": "from repro.m import A\n\ngetattr(A(), 'run')()\n",
+        },
+        [],
+    ),
     "property-read": (
         {
             SRC: "class A:\n    @property\n    def size(self):\n        return 1\n",

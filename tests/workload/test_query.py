@@ -11,8 +11,8 @@ class TestCrossMatchObject:
     def test_position_property(self):
         with_position = CrossMatchObject(1, HTMRange(0, 10), ra=10.0, dec=-5.0)
         without_position = CrossMatchObject(2, HTMRange(0, 10))
-        assert with_position.position == SkyPoint(10.0, -5.0)
-        assert without_position.position is None
+        assert SkyPoint(with_position.ra, with_position.dec) == SkyPoint(10.0, -5.0)
+        assert (without_position.ra, without_position.dec) == (None, None)
 
 
 class TestCrossMatchQuery:

@@ -231,6 +231,10 @@ def _is_documentation(node: ast.AST) -> bool:
     return False
 
 
+#: Marks a use that can reach a method: an attribute access or a string key.
+_MEMBER = "."
+
+
 def _collect(
     tree: ast.Module, module: Optional[str], path: str, symbols: List[_Symbol], roots: Set[str]
 ) -> None:
@@ -248,9 +252,9 @@ def _collect(
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             uses.add(node.id)
         elif isinstance(node, ast.Attribute):
-            uses.add(node.attr)
+            uses.add(_MEMBER + node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            uses.add(node.value)
+            uses.add(_MEMBER + node.value)
         for child in ast.iter_child_nodes(node):
             if _is_documentation(child):
                 continue
@@ -286,8 +290,10 @@ def dead_code(root: str = ".", allowlist: Dict[str, str] = DEAD_CODE_ALLOWLIST) 
 
     Candidates are the module-level functions and classes of ``src/repro``
     plus every non-dunder method and property of those classes.  A symbol is
-    used when its name appears as a ``Name``, an ``Attribute`` or a string
-    constant (a ``getattr`` key) in live code.  Live code is a root file's
+    used when its name appears as an ``Attribute`` or a string constant (a
+    ``getattr`` key) in live code; a module-level symbol also when it
+    appears as a bare ``Name`` (a method is never reached by one, so a
+    local variable that shares its name keeps nothing alive).  Live code is a root file's
     code outside any candidate, plus the body of every live candidate — so a
     helper only dead code calls is dead too, and a symbol's own body never
     keeps it alive.  A method is live only while its class is.  Docstrings,
@@ -305,7 +311,8 @@ def dead_code(root: str = ".", allowlist: Dict[str, str] = DEAD_CODE_ALLOWLIST) 
             text = handle.read()
         # setup.py counts as text: its entry points are strings ("repro.cli:main").
         if not path.endswith(".py") or os.path.basename(path) == "setup.py":
-            roots |= set(re.findall(r"[A-Za-z_]\w*", re.sub(r"(?m)(^|\s)#.*$", "", text)))
+            words = set(re.findall(r"[A-Za-z_]\w*", re.sub(r"(?m)(^|\s)#.*$", "", text)))
+            roots |= words | {_MEMBER + word for word in words}
             continue
         module = None
         if os.path.commonpath([package, path]) == package:
@@ -323,7 +330,10 @@ def dead_code(root: str = ".", allowlist: Dict[str, str] = DEAD_CODE_ALLOWLIST) 
     while changed:
         changed = False
         for index, symbol in enumerate(symbols):
-            if index in live or symbol.name not in used:
+            reached = _MEMBER + symbol.name in used or (
+                symbol.parent is None and symbol.name in used
+            )
+            if index in live or not reached:
                 continue
             if symbol.parent is None or symbol.parent in live:
                 live.add(index)
