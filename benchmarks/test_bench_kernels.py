@@ -77,15 +77,23 @@ def dense_service(seed: int = 17):
     return rows, entries
 
 
-def best_seconds(call, samples: int = 30, calls: int = 20) -> float:
-    """Best-of-*samples* seconds of one *call* (mean over *calls*)."""
-    best = float("inf")
-    for _ in range(samples):
-        started = time.perf_counter()
-        for _ in range(calls):
-            call()
-        best = min(best, time.perf_counter() - started)
-    return best / calls
+def best_seconds(functions, samples: int = 30, calls: int = 20):
+    """Best-of-*samples* seconds of each of *functions* (mean over *calls*).
+
+    The functions take turns within each sample, and which one goes first
+    flips every sample, so a change in the host's load moves both sides of
+    the ratio alike instead of landing on whichever was timed last.
+    """
+    best = [float("inf")] * len(functions)
+    slots = list(range(len(functions)))
+    for sample in range(samples):
+        for slot in slots if sample % 2 == 0 else reversed(slots):
+            function = functions[slot]
+            started = time.perf_counter()
+            for _ in range(calls):
+                function()
+            best[slot] = min(best[slot], time.perf_counter() - started)
+    return [seconds / calls for seconds in best]
 
 
 @pytest.mark.parametrize("consume", [False, True], ids=["counted", "materialised"])
@@ -108,7 +116,7 @@ def test_bench_crossmatch_kernel_vs_row_path(benchmark, consume):
     candidates = sum(
         sum(1 for row in rows if row.htm_id in obj.htm_range) for e in entries for obj in e.objects
     )
-    kernel_s, row_path_s = best_seconds(kernel), best_seconds(row_path)
+    kernel_s, row_path_s = best_seconds((kernel, row_path))
     speedup = row_path_s / kernel_s
     benchmark.extra_info["candidates_per_object"] = round(candidates / OBJECTS, 3)
     benchmark.extra_info["matches_per_object"] = round(len(reference) / OBJECTS, 3)
