@@ -28,7 +28,7 @@ them — one lane's, or a sharded run's merge of its lanes — into an
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bucket_cache import BucketCacheManager, PAPER_CACHE_BUCKETS
@@ -374,7 +374,6 @@ def build_service_loop(
     store: BucketStore,
     scheduler: SchedulingPolicy,
     config: EngineConfig,
-    index: Optional[SpatialIndex] = None,
     shard: int = 0,
 ) -> ServiceLoop:
     """Assemble a :class:`ServiceLoop` with its own cache and evaluator.
@@ -391,7 +390,6 @@ def build_service_loop(
     evaluator = HybridJoinEvaluator(
         cost=config.cost,
         cache=cache,
-        index=index,
         threshold_fraction=config.hybrid_threshold_fraction,
         enable_hybrid=config.enable_hybrid,
         match_probability=config.match_probability,
@@ -419,16 +417,18 @@ class LifeRaftEngine:
         index: Optional[SpatialIndex] = None,
         config: Optional[EngineConfig] = None,
     ) -> None:
+        # The index only says whether one exists on the join key; below the
+        # engine that fact is ``EngineConfig.enable_hybrid`` alone.
         self.config = config or EngineConfig()
+        if index is None:
+            self.config = replace(self.config, enable_hybrid=False)
         self.layout = layout
         self.store = store
         self.scheduler: SchedulingPolicy = scheduler or LifeRaftScheduler(
             SchedulerConfig(cost=self.config.cost)
         )
         self.preprocessor = QueryPreProcessor(layout)
-        self.loop = build_service_loop(
-            layout, store, self.scheduler, self.config, index=index
-        )
+        self.loop = build_service_loop(layout, store, self.scheduler, self.config)
         self.manager = self.loop.manager
         self.cache = self.loop.cache
         self.evaluator = self.loop.evaluator

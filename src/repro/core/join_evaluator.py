@@ -30,7 +30,6 @@ from repro.core.kernels import MatchedPair, crossmatch_block
 from repro.core.metrics import CostModel
 from repro.core.workload_manager import WorkloadEntry
 from repro.storage.bucket_store import Bucket
-from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import BucketSpec
 
 
@@ -66,9 +65,8 @@ class HybridJoinEvaluator:
         self,
         cost: CostModel,
         cache: BucketCacheManager,
-        index: Optional[SpatialIndex] = None,
         threshold_fraction: Optional[float] = None,
-        enable_hybrid: bool = True,
+        enable_hybrid: bool = False,
         match_probability: float = 0.85,
     ) -> None:
         """
@@ -78,16 +76,14 @@ class HybridJoinEvaluator:
             The cost model (Tb, Tm, index probe cost).
         cache:
             Bucket cache used by the scan path.
-        index:
-            Spatial index used by the indexed path; when ``None`` the
-            evaluator always scans.
         threshold_fraction:
             Hybrid-join threshold as a fraction of the bucket's object
             count.  ``None`` derives the break-even point from the cost
             model (≈3 % with the paper's constants).
         enable_hybrid:
-            When false, every service uses a sequential scan (useful for
-            the threshold ablation).
+            Whether an index on the join key exists, so the indexed path
+            may be chosen.  When false (the default), every service uses a
+            sequential scan (also the threshold ablation's "off" arm).
         match_probability:
             Matches of the workload entries that are not joined (on a
             count-only bucket, footprint-only entries, every entry of an
@@ -99,7 +95,6 @@ class HybridJoinEvaluator:
             raise ValueError("match_probability must be within [0, 1]")
         self.cost = cost
         self.cache = cache
-        self.index = index
         self.enable_hybrid = enable_hybrid
         self.match_probability = match_probability
         self._threshold_fraction = threshold_fraction
@@ -130,7 +125,7 @@ class HybridJoinEvaluator:
         """
         if force is not None:
             return force
-        if not self.enable_hybrid or self.index is None:
+        if not self.enable_hybrid:
             return JoinStrategy.SEQUENTIAL_SCAN
         if bucket_resident:
             return JoinStrategy.SEQUENTIAL_SCAN

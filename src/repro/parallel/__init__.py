@@ -7,15 +7,16 @@ concurrently (in virtual time):
 
 * :mod:`repro.parallel.sharding` — deterministic bucket → worker
   assignment (round-robin or zone-contiguous along the HTM curve);
-* :mod:`repro.parallel.worker` — one :class:`ShardWorker` per shard, each
-  owning a private bucket cache, hybrid join evaluator, scheduler instance
-  and virtual clock;
+* :mod:`repro.parallel.worker` — what a shard is fed: its staged arrival
+  shares and its clone of the scheduling policy;
 * :mod:`repro.parallel.engine` — what the shards add up to: the
   cross-shard :class:`~repro.parallel.engine.CompletionTracker` and the
   one merge of per-worker accounting into an
   :class:`~repro.core.engine.EngineReport`;
-* :mod:`repro.parallel.ipc` — the shard message protocol, the per-shard
-  replayer that answers it, and the worker processes that can host one;
+* :mod:`repro.parallel.ipc` — the shard itself, :class:`ShardWorker` (a
+  private bucket cache, hybrid join evaluator, scheduler instance and
+  virtual clock, answering the shard message protocol in one place), the
+  protocol's messages, and the worker processes that can host a shard;
 * :mod:`repro.parallel.backend` — the :class:`ExecutionBackend` seam over
   the shard plan.  Both backends are the one channel coordinator
   (:class:`repro.reliability.runtime.ShardCoordinator`: windowed virtual
@@ -42,7 +43,7 @@ from repro.parallel.backend import (
     VirtualBackend,
     make_backend,
 )
-from repro.parallel.ipc import shutdown_workers
+from repro.parallel.ipc import ShardWorker, shutdown_workers
 from repro.parallel.sharding import (
     SHARD_STRATEGIES,
     ShardPlan,
@@ -50,7 +51,6 @@ from repro.parallel.sharding import (
     partition_round_robin,
     partition_zones,
 )
-from repro.parallel.worker import ShardWorker
 
 __all__ = [
     "EXECUTION_BACKENDS",

@@ -53,11 +53,10 @@ from repro.parallel.ipc import (
     WorkerResult,
     trim_idle_workers,
 )
-from repro.parallel.sharding import ShardPlan, make_shard_plan
+from repro.parallel.sharding import ShardPlan
 from repro.parallel.worker import StagedShare
 from repro.telemetry.registry import REAL_DOMAIN, MetricsRegistry, merge_snapshots
 from repro.storage.bucket_store import BucketStore
-from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import PartitionLayout
 from repro.workload.query import CrossMatchQuery
 
@@ -211,8 +210,6 @@ class ParallelRunSpec:
     config: EngineConfig
     workers: int = 1
     shard_strategy: str = "round_robin"
-    plan: Optional[ShardPlan] = None
-    index: Optional[SpatialIndex] = None
     enable_stealing: bool = True
     #: Virtual-time window between steal barriers;
     #: ``None`` derives it from the cost model's bucket-read time.
@@ -223,10 +220,6 @@ class ParallelRunSpec:
     #: crashes injected), and dead shards are restored from their latest
     #: checkpoint.
     reliability: Optional["ReliabilityConfig"] = None
-
-    def resolved_plan(self) -> ShardPlan:
-        """The shard plan of the run (built from the strategy when absent)."""
-        return self.plan or make_shard_plan(self.layout, self.workers, self.shard_strategy)
 
     def quantum_ms(self) -> float:
         """The steal window of the run."""
@@ -291,7 +284,7 @@ class VirtualBackend(ExecutionBackend):
 
     The coordinator and the protocol are the process backend's; a message
     is a method call on the shard's :class:`~repro.parallel.ipc.
-    ShardReplayer`.  Every shard still gets a private store rebuilt from
+    ShardWorker`.  Every shard still gets a private store rebuilt from
     the run's snapshot, so per-shard read accounting matches too.
     """
 

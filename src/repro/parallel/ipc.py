@@ -1,8 +1,13 @@
-"""The shard message protocol, and the worker processes that can carry it.
+"""The shard, the message protocol it answers, and the worker processes
+that can carry it.
 
-A small synchronous message protocol driven by the channel coordinator
-(:class:`repro.reliability.runtime.ShardCoordinator`), answered by one
-function (:meth:`ShardReplayer.handle`) wherever the shard lives: beside
+A shard is one object, :class:`ShardWorker`: a service lane
+(:class:`~repro.core.engine.ServiceLoop`: workload manager, scheduler,
+bucket cache, hybrid join evaluator) with its own virtual clock, its
+staged arrivals and its batch cursor.  A small synchronous message
+protocol driven by the channel coordinator
+(:class:`repro.reliability.runtime.ShardCoordinator`) is answered by one
+method (:meth:`ShardWorker.handle`) wherever the shard lives: beside
 the coordinator (the virtual backend's inline channel) or in an OS
 process of its own behind a duplex pipe (the process backend).  A worker
 process has one lifecycle (:func:`shard_worker_main`): *boot → idle → serve a
@@ -37,33 +42,38 @@ recoveries:
   process then drops the shard and is idle again.
 
 Everything the protocol ships must pickle under the ``spawn`` start
-method; the replay logic and the message dispatch are plain in-process
-code, so the worker process and the inline channel answer every message
-through the very same function.  The replayer's local rule — deliver
-arrivals at or before the clock, jump an idle worker to its next arrival,
-service at the clock — makes a shard's timeline a pure function of the
-messages it received, so both backends are bit-for-bit identical,
-stealing included (the cross-backend parity tests pin this down).
+method; the shard is plain in-process code, so the worker process and
+the inline channel answer every message through the very same method.
+The shard's local rule — deliver arrivals at or before the clock, jump
+an idle shard to its next arrival, service at the clock — makes its
+timeline a pure function of the messages it received, so both backends
+are bit-for-bit identical, stealing included (the cross-backend parity
+tests pin this down).
 """
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Iterable, List, Optional, Tuple
 
-from repro.core.engine import EngineConfig
+from repro.core.engine import EngineConfig, ServiceLoop, build_service_loop
 from repro.core.scheduler import SchedulingPolicy
 from repro.core.workload_manager import WorkloadEntry
-from repro.parallel.worker import ShardWorker, StagedShare, build_shard_worker
+from repro.parallel.worker import StagedShare
 from repro.storage.bucket_store import BucketStore, StoreSnapshot
-from repro.storage.index import SpatialIndex
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
     from multiprocessing.process import BaseProcess
+
+#: Slack used when comparing virtual timestamps, matching the arrival
+#: delivery slack of the serial simulator loop.
+TIME_EPS = 1e-9
 
 
 # --------------------------------------------------------------------- #
@@ -83,7 +93,6 @@ class ShardTask:
     config: EngineConfig
     policy: SchedulingPolicy
     snapshot: StoreSnapshot
-    index: Optional[SpatialIndex]
     arrivals: Tuple[StagedShare, ...]
     #: Recovery only: restore the shard from this ``.lrcp`` checkpoint
     #: after rebuilding it, then resume the schedule tail from there.
@@ -282,31 +291,39 @@ class WorkerFailure:
 
 
 # --------------------------------------------------------------------- #
-# the shard replayer (the same object in a worker process and in-process)
+# the shard (the same object in a worker process and in-process)
 # --------------------------------------------------------------------- #
 
 
-class ShardReplayer:
-    """Replays one shard's staged arrival schedule on its own timeline.
+class ShardWorker:
+    """One shard: a service lane, its clock, its stage and its batch cursor.
 
-    The loop is the serial replay rule on one shard: ingest every share
-    whose arrival time the clock has reached, service at the clock while
-    work is pending, and jump an idle worker forward to its next arrival.
-    ``advance(until_ms)`` stops before any service or jump that would
-    start at or past the boundary, so window boundaries pause the
-    timeline without altering it.
+    The shard replays its staged arrival schedule on its own timeline by
+    the serial replay rule: ingest every share whose arrival time the
+    clock has reached, service at the clock while work is pending, and
+    jump an idle shard forward to its next arrival.  ``advance(until_ms)``
+    stops before any service or jump that would start at or past the
+    boundary, so window boundaries pause the timeline without altering it.
     """
 
-    def __init__(self, worker: ShardWorker, start_seq: int = 0) -> None:
-        self.worker = worker
+    def __init__(
+        self, worker_id: int, loop: ServiceLoop, arrivals: Iterable[StagedShare] = ()
+    ) -> None:
+        self.worker_id = worker_id
+        #: The lane: workload manager, scheduler, bucket cache, evaluator.
+        self.loop = loop
+        #: The shard's private virtual clock.
+        self.now_ms = 0.0
+        #: Arrivals not yet on the shard's timeline, in arrival order.
+        self.staged: Deque[StagedShare] = deque(arrivals)
         #: Next batch sequence number.  A recovered shard resumes at its
         #: checkpoint's cursor so replayed records carry the same numbers
         #: the lost originals did.
-        self.seq = start_seq
+        self.seq = 0
 
     @classmethod
-    def from_task(cls, task: ShardTask) -> "ShardReplayer":
-        """Rebuild a shard from its pickled task (child-side setup).
+    def from_task(cls, task: ShardTask) -> ShardWorker:
+        """Build a shard from its pickled task: the one construction recipe.
 
         The layout comes from the restored store, not the snapshot
         directly: path-based snapshots carry no layout (the store file
@@ -317,21 +334,19 @@ class ShardReplayer:
         a store that was re-ingested since the capture fails cleanly.
         """
         store = BucketStore.from_snapshot(task.snapshot)
-        worker = build_shard_worker(
-            task.worker_id, store.layout, store, task.policy, task.config, index=task.index
+        loop = build_service_loop(
+            store.layout, store, task.policy, task.config, shard=task.worker_id
         )
-        for share in task.arrivals:
-            worker.stage(share)
-        if task.checkpoint_path is None:
-            return cls(worker)
-        from repro.reliability.checkpoint import restore_worker
+        shard = cls(task.worker_id, loop, task.arrivals)
+        if task.checkpoint_path is not None:
+            from repro.reliability.checkpoint import restore_shard
 
-        state = restore_worker(task.checkpoint_path, worker, expected_generation=store.generation)
-        return cls(worker, start_seq=state.seq)
+            restore_shard(task.checkpoint_path, shard, expected_generation=store.generation)
+        return shard
 
     def close(self) -> None:
         """Release the shard's private store (its file and page cache)."""
-        self.worker.loop.cache.store.close()
+        self.loop.cache.store.close()
 
     def handle(self, message):
         """Answer one coordinator message (the whole protocol, one place)."""
@@ -343,31 +358,43 @@ class ShardReplayer:
             return self.release_all()
         if isinstance(message, AdoptBucket):
             self.adopt(message)
-            return Ack(self.worker.worker_id)
+            return Ack(self.worker_id)
         if isinstance(message, CaptureCheckpoint):
             return self.capture_checkpoint(message)
         if isinstance(message, Finalize):
-            return worker_result(self.worker)
+            return self.result()
         if isinstance(message, EndTask):
             self.close()
-            return Ack(self.worker.worker_id)
+            return Ack(self.worker_id)
         raise TypeError(f"unexpected coordinator message: {message!r}")
 
     def advance(self, until_ms: Optional[float]) -> List[BatchRecord]:
         """Run services starting before *until_ms* (``None`` = drain all)."""
-        worker = self.worker
+        loop = self.loop
+        manager = loop.manager
+        staged = self.staged
         records: List[BatchRecord] = []
         while True:
-            worker.ingest_due()
-            if worker.has_pending_work():
-                if until_ms is not None and worker.now_ms >= until_ms:
+            # Deliver arrivals at or before the clock, exactly as the
+            # serial replay loop does.
+            while staged and staged[0].arrival_ms <= self.now_ms + TIME_EPS:
+                share = staged.popleft()
+                manager.add_query(
+                    share.query_id,
+                    {share.bucket_index: share.payload},
+                    share.arrival_ms,
+                    merge=True,
+                )
+            if manager.has_pending_work():
+                if until_ms is not None and self.now_ms >= until_ms:
                     break
-                result = worker.service_next()
+                result = loop.service_next(self.now_ms)
                 if result is None:  # defensive: scheduler refused pending work
                     break
+                self.now_ms = result.finished_at_ms
                 records.append(
                     BatchRecord(
-                        worker_id=worker.worker_id,
+                        worker_id=self.worker_id,
                         seq=self.seq,
                         bucket_index=result.bucket_index,
                         queries_served=result.queries_served,
@@ -379,52 +406,53 @@ class ShardReplayer:
                     )
                 )
                 self.seq += 1
+            elif staged and (until_ms is None or staged[0].arrival_ms < until_ms):
+                self.now_ms = max(self.now_ms, staged[0].arrival_ms)
             else:
-                staged = worker.next_staged_ms()
-                if staged is None:
-                    break
-                if until_ms is not None and staged >= until_ms:
-                    break
-                worker.jump_to(staged)
+                break
         return records
 
     def window_report(self, batches: List[BatchRecord]) -> WindowReport:
         """Summarise the shard's state at the current boundary."""
-        worker = self.worker
+        manager = self.loop.manager
         pending: List[BucketQueueMeta] = []
-        for bucket_index in worker.pending_buckets():
-            queue = worker.manager.queue(bucket_index)
-            enqueue_times = [entry.enqueue_time_ms for entry in queue.entries]
+        for bucket_index in sorted(manager.pending_buckets()):
+            enqueue_times = [entry.enqueue_time_ms for entry in manager.queue(bucket_index).entries]
             pending.append(
                 BucketQueueMeta(
                     bucket_index=bucket_index,
-                    entry_count=len(queue.entries),
+                    entry_count=len(enqueue_times),
                     oldest_enqueue_ms=min(enqueue_times),
                     newest_enqueue_ms=max(enqueue_times),
                 )
             )
-        pending.sort(key=lambda meta: meta.bucket_index)
         return WindowReport(
-            worker_id=worker.worker_id,
-            clock_ms=worker.now_ms,
-            drained=not worker.has_pending_work() and not worker.has_staged(),
+            worker_id=self.worker_id,
+            clock_ms=self.now_ms,
+            drained=not manager.has_pending_work() and not self.staged,
             pending=tuple(pending),
             batches=tuple(batches),
-            next_staged_ms=worker.next_staged_ms(),
+            next_staged_ms=self.staged[0].arrival_ms if self.staged else None,
         )
 
     def release(self, bucket_index: int) -> ReleasedBucket:
-        """Give up one whole workload queue plus its staged future."""
-        worker = self.worker
-        entries = worker.manager.release_bucket(bucket_index)
-        staged = worker.extract_staged(bucket_index)
+        """Give up one whole workload queue plus its staged future.
+
+        Work stealing takes the bucket's staged shares too, so future
+        arrivals follow the migrated queue instead of splitting the bucket
+        across shards.
+        """
+        entries = self.loop.manager.release_bucket(bucket_index)
+        taken = tuple(share for share in self.staged if share.bucket_index == bucket_index)
+        if taken:
+            self.staged = deque(s for s in self.staged if s.bucket_index != bucket_index)
         return ReleasedBucket(
-            worker_id=worker.worker_id,
+            worker_id=self.worker_id,
             bucket_index=bucket_index,
             entries=tuple(entries),
-            staged=tuple(staged),
-            clock_ms=worker.now_ms,
-            next_staged_ms=worker.next_staged_ms(),
+            staged=taken,
+            clock_ms=self.now_ms,
+            next_staged_ms=self.staged[0].arrival_ms if self.staged else None,
         )
 
     def release_all(self) -> ReleasedAll:
@@ -433,58 +461,59 @@ class ShardReplayer:
         Buckets are released in index order so the migration schedule is
         deterministic regardless of internal dict ordering.
         """
-        worker = self.worker
         buckets = sorted(
-            set(worker.pending_buckets())
-            | {share.bucket_index for share in worker.staged_shares()}
+            set(self.loop.manager.pending_buckets()) | {share.bucket_index for share in self.staged}
         )
         released = tuple(self.release(bucket_index) for bucket_index in buckets)
-        return ReleasedAll(worker_id=worker.worker_id, buckets=released)
+        return ReleasedAll(worker_id=self.worker_id, buckets=released)
 
     def adopt(self, message: AdoptBucket) -> None:
-        """Take ownership of a migrated queue, starting it at the steal time."""
-        worker = self.worker
-        worker.manager.adopt_bucket(message.bucket_index, list(message.entries))
-        worker.stage_merged(message.staged)
-        worker.now_ms = max(worker.now_ms, message.clock_ms)
+        """Take ownership of a migrated queue, starting it at the steal time.
+
+        The migrated staged shares merge into the stage by arrival time; on
+        a tie the shard's own shares stay first.
+        """
+        self.loop.manager.adopt_bucket(message.bucket_index, list(message.entries))
+        incoming = sorted(message.staged, key=lambda s: (s.arrival_ms, s.query_id))
+        self.staged = deque(heapq.merge(self.staged, incoming, key=lambda s: s.arrival_ms))
+        self.now_ms = max(self.now_ms, message.clock_ms)
 
     def capture_checkpoint(self, message: CaptureCheckpoint) -> CheckpointWritten:
         """Write the shard's resumable state at the current barrier."""
-        from repro.reliability.checkpoint import checkpoint_worker
+        from repro.reliability.checkpoint import checkpoint_shard
 
         started = time.perf_counter()
-        info = checkpoint_worker(message.path, self.worker, self.seq, message.window_index)
+        info = checkpoint_shard(message.path, self, message.window_index)
         return CheckpointWritten(
-            worker_id=self.worker.worker_id,
+            worker_id=self.worker_id,
             window_index=message.window_index,
-            clock_ms=self.worker.now_ms,
+            clock_ms=self.now_ms,
             seq=self.seq,
             byte_size=info.byte_size,
             real_elapsed_s=time.perf_counter() - started,
         )
 
+    def result(self) -> WorkerResult:
+        """The shard's final state for the coordinator.
 
-def worker_result(worker: ShardWorker) -> WorkerResult:
-    """Collect one shard's final state for the coordinator.
+        Every shard owns a private store rebuilt from the run's snapshot,
+        so the store's real-domain registry rides along in the lane
+        snapshot.
+        """
+        store = self.loop.cache.store
+        telemetry = self.loop.telemetry.snapshot()
+        store_registry = getattr(store, "telemetry", None)
+        if store_registry is not None:
+            from repro.telemetry.registry import merge_snapshots
 
-    Every shard owns a private store rebuilt from the run's snapshot, so
-    the store's real-domain registry rides along in the lane snapshot.
-    """
-    loop = worker.loop
-    store = loop.cache.store
-    telemetry = loop.telemetry.snapshot()
-    store_registry = getattr(store, "telemetry", None)
-    if store_registry is not None:
-        from repro.telemetry.registry import merge_snapshots
-
-        telemetry = merge_snapshots([telemetry, store_registry.snapshot()])
-    return WorkerResult(
-        worker_id=worker.worker_id,
-        clock_ms=worker.now_ms,
-        store_reads=store.reads,
-        telemetry=telemetry,
-        store_real_read_s=getattr(store, "real_read_s", 0.0),
-    )
+            telemetry = merge_snapshots([telemetry, store_registry.snapshot()])
+        return WorkerResult(
+            worker_id=self.worker_id,
+            clock_ms=self.now_ms,
+            store_reads=store.reads,
+            telemetry=telemetry,
+            store_real_read_s=getattr(store, "real_read_s", 0.0),
+        )
 
 
 def shard_worker_main(conn: "Connection") -> None:
@@ -492,14 +521,14 @@ def shard_worker_main(conn: "Connection") -> None:
 
     Boot, report :class:`WorkerBooted`, then idle on the pipe: a
     :class:`ShardTask` builds the shard, every other message is answered
-    by :meth:`ShardReplayer.handle`; after :class:`EndTask` the shard is
+    by :meth:`ShardWorker.handle`; after :class:`EndTask` the shard is
     dropped and the worker is idle again.  The only quiet exit is the pipe
     closing under ``recv`` (the parent dropped or outlived the worker);
     whatever a task raises — an ``EOFError`` included — travels back as a
     :class:`WorkerFailure` and ends the process.
     """
     worker_id = -1
-    replayer: Optional[ShardReplayer] = None
+    shard: Optional[ShardWorker] = None
     try:
         conn.send(WorkerBooted())
         while True:
@@ -509,13 +538,13 @@ def shard_worker_main(conn: "Connection") -> None:
                 return
             if isinstance(message, ShardTask):
                 worker_id = message.worker_id
-                replayer = ShardReplayer.from_task(message)
+                shard = ShardWorker.from_task(message)
             else:
-                reply = replayer.handle(message)
+                reply = shard.handle(message)
                 if isinstance(message, EndTask):
                     # Drop the shard before acknowledging: its column blocks
                     # keep the store's map (and descriptor) open until freed.
-                    replayer = None
+                    shard = None
                 conn.send(reply)
     except BaseException:
         try:

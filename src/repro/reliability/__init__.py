@@ -5,7 +5,7 @@ schedules, so fault tolerance reduces to checkpointing queue-shaped state
 at window barriers and replaying schedule tails.  This package provides:
 
 * :mod:`repro.reliability.checkpoint` — the versioned, CRC-checked,
-  store-generation-bound ``.lrcp`` codec plus shard state capture/restore;
+  store-generation-bound ``.lrcp`` codec: one write and one read per shard;
 * :mod:`repro.reliability.policy` — pluggable checkpoint cadences
   (every-K-windows, virtual-time interval);
 * :mod:`repro.reliability.faults` — deterministic crash plans (``W@N`` specs);
@@ -24,11 +24,9 @@ from repro.reliability.checkpoint import (
     CheckpointInfo,
     RunCheckpoint,
     ShardCheckpoint,
-    capture_shard,
-    checkpoint_worker,
+    checkpoint_shard,
     read_checkpoint,
     restore_shard,
-    restore_worker,
     write_checkpoint,
 )
 from repro.reliability.config import RecoveryEvent, ReliabilityConfig, ReliabilityReport
@@ -58,11 +56,9 @@ __all__ = [
     "ScaleUp",
     "ShardCheckpoint",
     "VirtualInterval",
-    "capture_shard",
-    "checkpoint_worker",
+    "checkpoint_shard",
     "parse_cadence",
     "read_checkpoint",
     "restore_shard",
-    "restore_worker",
     "write_checkpoint",
 ]

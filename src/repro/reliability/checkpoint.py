@@ -1,7 +1,7 @@
 """The ``.lrcp`` checkpoint codec (LifeRaft CheckPoint).
 
 LifeRaft's data-driven batching makes fault tolerance unusually cheap:
-each shard worker is a *pure function of its admitted arrival schedule*
+each shard is a *pure function of its admitted arrival schedule*
 (the property the cross-backend parity tests pin down), so a checkpoint
 never has to capture in-flight computation — only the queue-shaped state
 at a window barrier.  A :class:`ShardCheckpoint` therefore carries:
@@ -18,8 +18,11 @@ at a window barrier.  A :class:`ShardCheckpoint` therefore carries:
   every report reads (services, busy/I/O/match cost, strategy counts,
   cache hits); nothing else in the checkpoint copies them.
 
-Restoring that state into a freshly built worker and replaying the
-schedule tail reproduces the uninterrupted run bit for bit.
+A shard (:class:`repro.parallel.ipc.ShardWorker`) is checkpointed by one
+write, :func:`checkpoint_shard`, and restored by one read,
+:func:`restore_shard`.  Restoring into a shard freshly built from the
+same task and replaying the schedule tail reproduces the uninterrupted
+run bit for bit.
 
 Every batch-record-derived artifact inherits crash parity from this
 seam: the coordinator's accepted-``seq`` cursor keeps pre-crash records
@@ -44,11 +47,15 @@ from __future__ import annotations
 import os
 import pickle
 import struct
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.fileio import FormatError, atomic_write, check_crc, crc32, read_file, unpack_header
-from repro.parallel.worker import ShardWorker, StagedShare
+from repro.parallel.worker import StagedShare
+
+if TYPE_CHECKING:
+    from repro.parallel.ipc import ShardWorker
 
 #: File magic: LifeRaft CheckPoint.
 MAGIC = b"LRCP"
@@ -221,25 +228,27 @@ def read_checkpoint(
 
 
 # --------------------------------------------------------------------- #
-# shard state capture / restore
+# one shard's state: one write, one read
 # --------------------------------------------------------------------- #
 
 
-def capture_shard(worker: ShardWorker, seq: int, window_index: int) -> ShardCheckpoint:
-    """Capture one shard worker's resumable state at a window barrier.
+def checkpoint_shard(
+    path: str | os.PathLike, shard: ShardWorker, window_index: int
+) -> CheckpointInfo:
+    """Capture *shard*'s resumable state at a window barrier into one
+    ``.lrcp`` file at *path*.
 
-    The returned object aliases live state (the manager, the policy);
-    callers serialise it immediately — every call site writes the
-    checkpoint file before the worker runs again.
+    The captured state aliases live objects (the manager, the policy), so
+    it is serialised here, before the shard runs again.
     """
-    loop = worker.loop
+    loop = shard.loop
     store = loop.cache.store
-    return ShardCheckpoint(
-        worker_id=worker.worker_id,
+    state = ShardCheckpoint(
+        worker_id=shard.worker_id,
         window_index=window_index,
-        clock_ms=worker.now_ms,
-        seq=seq,
-        staged=worker.staged_shares(),
+        clock_ms=shard.now_ms,
+        seq=shard.seq,
+        staged=tuple(shard.staged),
         manager=loop.manager,
         policy=loop.scheduler,
         cache_residency=loop.cache.resident_buckets(),
@@ -248,25 +257,45 @@ def capture_shard(worker: ShardWorker, seq: int, window_index: int) -> ShardChec
         store_megabytes=store.bytes_read_mb,
         telemetry=loop.telemetry.snapshot(),
     )
+    return write_checkpoint(
+        path,
+        worker_id=shard.worker_id,
+        window_index=window_index,
+        clock_ms=shard.now_ms,
+        generation=store.generation,
+        payload_obj=state,
+        seq=shard.seq,
+    )
 
 
-def restore_shard(worker: ShardWorker, state: ShardCheckpoint) -> None:
-    """Overlay a checkpointed state onto a freshly built shard worker.
+def restore_shard(
+    path: str | os.PathLike,
+    shard: ShardWorker,
+    expected_generation: Optional[str] = None,
+) -> ShardCheckpoint:
+    """Read an ``.lrcp`` file and overlay its state onto a freshly built shard.
 
-    The worker must have been constructed from the same task (same store
+    The shard must have been built from the same task (same store
     snapshot, same config) that produced the checkpoint; after this call
-    its timeline resumes at the barrier exactly as the uninterrupted run
-    would have continued.  The batch *history* is not restored — only the
-    lane snapshot that totals it — so recovered workers stay lean; the
-    coordinator already holds every accepted record.  Fields a checkpoint
-    of an older build carries beyond these are ignored.
+    its timeline — clock, stage and batch cursor included — resumes at the
+    barrier exactly as the uninterrupted run would have continued.  The
+    batch *history* is not restored — only the lane snapshot that totals
+    it — so recovered shards stay lean; the coordinator already holds
+    every accepted record.  Fields a checkpoint of an older build carries
+    beyond these are ignored.
     """
-    if state.worker_id != worker.worker_id:
+    state, _info = read_checkpoint(path, expected_generation=expected_generation)
+    if not isinstance(state, ShardCheckpoint):
+        raise FormatError(
+            f"{os.fspath(path)!r} holds a {type(state).__name__}, "
+            "not a shard checkpoint"
+        )
+    if state.worker_id != shard.worker_id:
         raise FormatError(
             f"checkpoint belongs to worker {state.worker_id}, "
-            f"cannot restore into worker {worker.worker_id}"
+            f"cannot restore into worker {shard.worker_id}"
         )
-    loop = worker.loop
+    loop = shard.loop
     loop.manager = state.manager
     loop.scheduler = state.policy
     loop.batches = []
@@ -278,43 +307,9 @@ def restore_shard(worker: ShardWorker, state: ShardCheckpoint) -> None:
     # handles keep pointing at the live objects, so replayed services
     # continue counting from the barrier's totals.
     loop.telemetry.restore(state.telemetry)
-    worker.now_ms = state.clock_ms
-    worker.restore_staged(state.staged)
-
-
-def checkpoint_worker(
-    path: str | os.PathLike,
-    worker: ShardWorker,
-    seq: int,
-    window_index: int,
-) -> CheckpointInfo:
-    """Capture *worker*'s state and write it as one ``.lrcp`` file."""
-    state = capture_shard(worker, seq, window_index)
-    generation = worker.loop.cache.store.generation
-    return write_checkpoint(
-        path,
-        worker_id=worker.worker_id,
-        window_index=window_index,
-        clock_ms=worker.now_ms,
-        generation=generation,
-        payload_obj=state,
-        seq=seq,
-    )
-
-
-def restore_worker(
-    path: str | os.PathLike,
-    worker: ShardWorker,
-    expected_generation: Optional[str] = None,
-) -> ShardCheckpoint:
-    """Read an ``.lrcp`` file and restore *worker* from it."""
-    state, _info = read_checkpoint(path, expected_generation=expected_generation)
-    if not isinstance(state, ShardCheckpoint):
-        raise FormatError(
-            f"{os.fspath(path)!r} holds a {type(state).__name__}, "
-            "not a shard checkpoint"
-        )
-    restore_shard(worker, state)
+    shard.now_ms = state.clock_ms
+    shard.staged = deque(state.staged)
+    shard.seq = state.seq
     return state
 
 
@@ -326,10 +321,8 @@ __all__ = [
     "CheckpointInfo",
     "RunCheckpoint",
     "ShardCheckpoint",
-    "capture_shard",
-    "checkpoint_worker",
+    "checkpoint_shard",
     "read_checkpoint",
     "restore_shard",
-    "restore_worker",
     "write_checkpoint",
 ]

@@ -24,8 +24,8 @@ kind is the only difference between the backends:
   :mod:`repro.parallel.ipc` and the next run draws from it; a run that
   raises kills every one it touched.
 * :class:`InlineChannel` — the shard's :class:`~repro.parallel.ipc.
-  ShardReplayer` answering the same messages in-process.  A crash
-  discards the live worker object, simulating the same total state loss
+  ShardWorker` answering the same messages in-process.  A crash
+  discards the live shard object, simulating the same total state loss
   deterministically.
 
 Recovery is the same either way: rebuild the shard from its
@@ -75,8 +75,8 @@ from repro.parallel.ipc import (
     ReleaseAllBuckets,
     ReleaseBucket,
     RunWindow,
-    ShardReplayer,
     ShardTask,
+    ShardWorker,
     WindowReport,
     WorkerFailure,
     WorkerResult,
@@ -85,6 +85,7 @@ from repro.parallel.ipc import (
     keep_spare,
     release_worker,
 )
+from repro.parallel.sharding import make_shard_plan
 from repro.parallel.worker import StagedShare, clone_policy
 from repro.reliability.checkpoint import (
     CHECKPOINT_SUFFIX,
@@ -171,10 +172,10 @@ class ShardChannel(ABC):
 
 
 class InlineChannel(ShardChannel):
-    """The virtual backend's shard: a replayer beside the coordinator.
+    """The virtual backend's shard: a :class:`ShardWorker` beside the coordinator.
 
     Setup and message dispatch are exactly the worker process's
-    (``ShardReplayer.from_task`` + ``ShardReplayer.handle``), minus the
+    (``ShardWorker.from_task`` + ``ShardWorker.handle``), minus the
     process — so a simulated crash/recovery exercises the identical
     restore code path the process backend runs.  The work of a message
     happens at :meth:`receive`.
@@ -183,22 +184,22 @@ class InlineChannel(ShardChannel):
     def __init__(self, task: ShardTask) -> None:
         super().__init__(task)
         self._inbox = None
-        self._replayer: Optional[ShardReplayer] = None
+        self._shard: Optional[ShardWorker] = None
         self.respawn(None)
 
     def send(self, message) -> None:
         self._inbox = message
 
     def receive(self):
-        if self._replayer is None:
+        if self._shard is None:
             raise ChannelCrashed(self.worker_id)
-        return self._replayer.handle(self._inbox)
+        return self._shard.handle(self._inbox)
 
     def kill(self) -> None:
-        self._replayer = None  # every bit of shard state is gone
+        self._shard = None  # every bit of shard state is gone
 
     def respawn(self, checkpoint_path: Optional[str]) -> None:
-        self._replayer = ShardReplayer.from_task(
+        self._shard = ShardWorker.from_task(
             dataclasses.replace(self.task, checkpoint_path=checkpoint_path)
         )
 
@@ -344,7 +345,7 @@ class ShardCoordinator:
         self.channel_factory = channel_factory
         #: ``None`` switches every barrier hook off (see the module docstring).
         self.rel = rel = spec.reliability
-        self.plan = spec.resolved_plan()
+        self.plan = make_shard_plan(spec.layout, spec.workers, spec.shard_strategy)
         self.tracker = CompletionTracker()
         self.faults = rel.fault_plan() if rel is not None else FaultPlan()
         self.scale = rel.scale_plan() if rel is not None else ScalePlan()
@@ -396,7 +397,6 @@ class ShardCoordinator:
             config=self.spec.config,
             policy=clone_policy(self.spec.policy, worker_id),
             snapshot=self.snapshot,
-            index=self.spec.index,
             arrivals=tuple(arrivals),
         )
         self.channels.append(self.channel_factory(task))

@@ -528,7 +528,6 @@ class Simulator:
                 config=self._engine_config(spec),
                 workers=spec.workers,
                 shard_strategy=spec.shard_strategy,
-                index=SpatialIndex([], rows=None, disk=None),
                 enable_stealing=spec.enable_stealing,
                 steal_quantum_ms=spec.steal_quantum_ms,
                 reliability=spec.reliability,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.baselines import NoShareScheduler
 from repro.core.engine import EngineConfig, LifeRaftEngine
+from repro.core.join_evaluator import JoinStrategy
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
 from repro.storage.bucket_store import BucketStore
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
@@ -35,6 +36,16 @@ class TestConfig:
     def test_cache_capacity_validated(self):
         with pytest.raises(ValueError):
             EngineConfig(cache_buckets=0)
+
+    def test_no_index_means_no_hybrid_join(self):
+        """``index=`` stops at the engine: without one, every service scans."""
+        with_index = make_engine()
+        layout, store = with_index.layout, with_index.store
+        engine = LifeRaftEngine(layout, store, config=EngineConfig(cache_buckets=4))
+        assert with_index.evaluator.enable_hybrid
+        assert not engine.config.enable_hybrid and not engine.evaluator.enable_hybrid
+        engine.submit(abstract_query(1, {3: 10}), now_ms=0.0)
+        assert engine.process_next(0.0).join.strategy is JoinStrategy.SEQUENTIAL_SCAN
 
 
 class TestSubmitAndProcess:

@@ -13,7 +13,6 @@ from repro.core.workload_manager import WorkloadEntry
 from repro.storage.bucket_store import BucketStore
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
 from repro.storage.disk_store import open_disk_store
-from repro.storage.index import SpatialIndex
 from repro.storage.ingest import ingest_catalog
 from repro.storage.partitioner import BucketPartitioner
 from repro.workload.query import CrossMatchQuery
@@ -32,7 +31,7 @@ def make_virtual_setup(cache_capacity=4):
     )
     store = BucketStore(layout, calibrated_disk_for_bucket_read(40.0, 1.2))
     cache = BucketCacheManager(store, capacity=cache_capacity)
-    evaluator = HybridJoinEvaluator(cost, cache, index=SpatialIndex([]))
+    evaluator = HybridJoinEvaluator(cost, cache, enable_hybrid=True)
     return evaluator, layout, cache
 
 
@@ -74,10 +73,10 @@ class TestStrategyChoice:
         cost = CostModel.paper_defaults()
         layout = BucketPartitioner().partition_density(4)
         store = BucketStore(layout, calibrated_disk_for_bucket_read(40.0, 1.2))
-        evaluator = HybridJoinEvaluator(
-            cost, BucketCacheManager(store), index=SpatialIndex([]), enable_hybrid=False
-        )
+        evaluator = HybridJoinEvaluator(cost, BucketCacheManager(store), enable_hybrid=False)
         assert evaluator.choose_strategy(1, 10_000, False) is JoinStrategy.SEQUENTIAL_SCAN
+        default = HybridJoinEvaluator(cost, BucketCacheManager(store))
+        assert default.choose_strategy(1, 10_000, False) is JoinStrategy.SEQUENTIAL_SCAN
 
     def test_threshold_defaults_to_cost_model_breakeven(self):
         evaluator, _layout, _cache = make_virtual_setup()
@@ -90,7 +89,7 @@ class TestStrategyChoice:
         layout = BucketPartitioner().partition_density(4)
         store = BucketStore(layout, calibrated_disk_for_bucket_read(40.0, 1.2))
         evaluator = HybridJoinEvaluator(
-            cost, BucketCacheManager(store), index=SpatialIndex([]), threshold_fraction=0.5
+            cost, BucketCacheManager(store), enable_hybrid=True, threshold_fraction=0.5
         )
         assert evaluator.choose_strategy(4_000, 10_000, False) is JoinStrategy.INDEXED_JOIN
 

@@ -101,7 +101,6 @@ def build_spec(layout, sim_config, engine_config, queries, workers, strategy, **
         config=engine_config,
         workers=workers,
         shard_strategy=strategy,
-        index=SpatialIndex([], rows=None, disk=None),
         **kwargs,
     )
 

@@ -28,7 +28,6 @@ from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
 from repro.storage.bucket_store import BucketStore
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
-from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import BucketPartitioner
 from repro.telemetry.ledger import ledger_entries
 from repro.telemetry.registry import metric_value
@@ -64,7 +63,6 @@ def run_sharded(layout, queries, workers, policy=None, **kwargs):
         policy=policy or LifeRaftScheduler(SchedulerConfig(cost=config.cost)),
         config=EngineConfig(cache_buckets=config.cache_buckets, cost=config.cost),
         workers=workers,
-        index=SpatialIndex([], rows=None, disk=None),
         steal_quantum_ms=config.cost.tb_ms * 2,
         **kwargs,
     )

@@ -117,7 +117,6 @@ def backend_outcome(site, sim_config, queries, backend_name, workers, file_backe
         config=EngineConfig(cache_buckets=sim_config.cache_buckets, cost=sim_config.cost),
         workers=workers,
         shard_strategy="round_robin",
-        index=SpatialIndex([], rows=None, disk=None),
     )
     outcome = make_backend(backend_name).execute(spec)
     return {

@@ -22,14 +22,13 @@ import time
 import pytest
 
 import repro
-from repro.core.engine import EngineConfig
+from repro.core.engine import EngineConfig, build_service_loop
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
 from repro.parallel import shutdown_workers
 from repro.parallel import ipc
-from repro.parallel.ipc import ShardReplayer
-from repro.parallel.worker import build_shard_worker
+from repro.parallel.ipc import ShardWorker
 from repro.reliability import runtime
-from repro.reliability.checkpoint import checkpoint_worker
+from repro.reliability.checkpoint import checkpoint_shard
 from repro.storage.bucket_store import BucketStore
 from repro.telemetry.registry import metric_key, metric_value
 from tests.parallel.test_coordinator_golden import (  # noqa: F401 (fixtures)
@@ -161,13 +160,13 @@ def test_file_backed_inline_shards_close_their_stores(
     process does, so its private store is closed — not left to the
     collector, which is off here."""
     closed = []
-    real_close = ShardReplayer.close
+    real_close = ShardWorker.close
 
-    def recording_close(replayer):
-        closed.append(replayer.worker.worker_id)
-        real_close(replayer)
+    def recording_close(shard):
+        closed.append(shard.worker_id)
+        real_close(shard)
 
-    monkeypatch.setattr(ShardReplayer, "close", recording_close)
+    monkeypatch.setattr(ShardWorker, "close", recording_close)
     gc.collect()
     gc.disable()
     try:
@@ -295,13 +294,16 @@ def test_layout_pickles_as_columns_and_round_trips(simulator, tmp_path):
     assert b"BucketSpec" not in payload and b"HTMRange" not in payload
 
     # A .lrcp never carries the layout: the same bytes over either object
-    # (tests/reliability/test_checkpoint.py pins the size, 6,397).
+    # (tests/reliability/test_checkpoint.py pins the size, 6,183).
     def checkpoint_bytes(name, over):
-        worker = build_shard_worker(
-            0, over, BucketStore(over), LifeRaftScheduler(SchedulerConfig()), EngineConfig()
+        loop = build_service_loop(
+            over,
+            BucketStore(over),
+            LifeRaftScheduler(SchedulerConfig()),
+            EngineConfig(enable_hybrid=False),
         )
         path = tmp_path / name
-        checkpoint_worker(path, worker, 0, window_index=0)
+        checkpoint_shard(path, ShardWorker(0, loop), window_index=0)
         return path.read_bytes()
 
     assert checkpoint_bytes("restored.lrcp", restored) == checkpoint_bytes("built.lrcp", layout)

@@ -13,16 +13,15 @@ from repro.core.engine import EngineConfig
 from repro.core.join_evaluator import JoinStrategy
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
 from repro.fileio import FormatError
-from repro.parallel.ipc import ShardReplayer
-from repro.parallel.worker import StagedShare, build_shard_worker
+from repro.parallel.ipc import ShardTask, ShardWorker
+from repro.parallel.worker import StagedShare
 from repro.reliability.checkpoint import (
     MAGIC,
     RunCheckpoint,
     ShardCheckpoint,
-    capture_shard,
-    checkpoint_worker,
+    checkpoint_shard,
     read_checkpoint,
-    restore_worker,
+    restore_shard,
     write_checkpoint,
 )
 from repro.storage.bucket_store import BucketStore
@@ -37,24 +36,32 @@ def layout():
     return BucketPartitioner().partition_density(BUCKETS)
 
 
-def build_worker(layout, worker_id=0):
-    store = BucketStore(layout)
-    policy = LifeRaftScheduler(SchedulerConfig())
-    return build_shard_worker(worker_id, layout, store, policy, EngineConfig())
+def build_shard(layout, arrivals=(), worker_id=0):
+    """A shard built the way every shard is: from its task.
+
+    No index on the join key here, so every service scans.
+    """
+    task = ShardTask(
+        worker_id=worker_id,
+        config=EngineConfig(enable_hybrid=False),
+        policy=LifeRaftScheduler(SchedulerConfig()),
+        snapshot=BucketStore(layout).snapshot(),
+        arrivals=tuple(arrivals),
+    )
+    return ShardWorker.from_task(task)
 
 
-def stage_workload(worker, count=12, seed=3):
-    """Stage a deterministic per-bucket arrival schedule."""
-    for i in range(count):
-        bucket = (i * 5 + seed) % BUCKETS
-        worker.stage(
-            StagedShare(
-                arrival_ms=100.0 * i,
-                query_id=i,
-                bucket_index=bucket,
-                payload=50 + (i % 3) * 25,
-            )
+def workload(count=12, seed=3):
+    """A deterministic per-bucket arrival schedule."""
+    return [
+        StagedShare(
+            arrival_ms=100.0 * i,
+            query_id=i,
+            bucket_index=(i * 5 + seed) % BUCKETS,
+            payload=50 + (i % 3) * 25,
         )
+        for i in range(count)
+    ]
 
 
 class TestEnvelope:
@@ -93,31 +100,26 @@ class TestEnvelope:
 
 
 class TestShardStateFidelity:
-    """A restored worker must continue exactly as the original would have."""
+    """A restored shard must continue exactly as the original would have."""
 
     def test_capture_restore_mid_run_produces_identical_tail(self, layout, tmp_path):
-        # Reference: run one worker straight through.
-        reference = build_worker(layout)
-        stage_workload(reference)
-        ref_replayer = ShardReplayer(reference)
-        reference_records = ref_replayer.advance(None)
+        # Reference: run one shard straight through.
+        reference = build_shard(layout, workload())
+        reference_records = reference.advance(None)
 
         # Subject: advance halfway, checkpoint, restore into a fresh
-        # worker, drain the tail there.
-        subject = build_worker(layout)
-        stage_workload(subject)
-        replayer = ShardReplayer(subject)
+        # shard, drain the tail there.
+        subject = build_shard(layout, workload())
         barrier_ms = reference_records[len(reference_records) // 2].finished_at_ms
-        head = replayer.advance(barrier_ms)
+        head = subject.advance(barrier_ms)
         path = tmp_path / "mid.lrcp"
-        info = checkpoint_worker(path, subject, replayer.seq, window_index=1)
+        info = checkpoint_shard(path, subject, window_index=1)
         assert info.seq == len(head)
 
-        recovered = build_worker(layout)
-        stage_workload(recovered)
-        state = restore_worker(path, recovered)
-        tail_replayer = ShardReplayer(recovered, start_seq=state.seq)
-        tail = tail_replayer.advance(None)
+        recovered = build_shard(layout, workload())
+        state = restore_shard(path, recovered)
+        assert recovered.seq == state.seq == len(head)
+        tail = recovered.advance(None)
 
         def as_tuples(records):
             return [
@@ -126,30 +128,25 @@ class TestShardStateFidelity:
             ]
 
         assert as_tuples(head + tail) == as_tuples(reference_records)
-        # Final accounting matches the uninterrupted worker bit for bit:
+        # Final accounting matches the uninterrupted shard bit for bit:
         # the lane snapshot is the one record of its totals.
         assert filter_domain(recovered.loop.telemetry.snapshot(), VIRTUAL_DOMAIN) == (
             filter_domain(reference.loop.telemetry.snapshot(), VIRTUAL_DOMAIN)
         )
-        assert recovered.cache.statistics() == reference.cache.statistics()
-        assert recovered.cache.resident_buckets() == reference.cache.resident_buckets()
-        assert (
-            recovered.manager.completed_queries()[len(state.manager.completed_queries()):]
-            or recovered.manager.completed_queries()
-        )
+        assert recovered.loop.cache.statistics() == reference.loop.cache.statistics()
+        assert recovered.loop.cache.resident_buckets() == reference.loop.cache.resident_buckets()
+        completed = recovered.loop.manager.completed_queries()
+        assert completed[len(state.manager.completed_queries()):] or completed
 
     def test_old_checkpoint_with_copied_totals_restores_the_same_tail(self, layout, tmp_path):
         """Older builds pickled copies of the lane totals (and an adopt count)
         beside the lane snapshot; restore ignores them and reads the snapshot."""
-        reference = build_worker(layout)
-        stage_workload(reference)
-        reference_records = ShardReplayer(reference).advance(None)
+        reference = build_shard(layout, workload())
+        reference_records = reference.advance(None)
 
-        subject = build_worker(layout)
-        stage_workload(subject)
-        replayer = ShardReplayer(subject)
-        head = replayer.advance(reference_records[len(reference_records) // 2].finished_at_ms)
-        state = capture_shard(subject, replayer.seq, window_index=1)
+        subject = build_shard(layout, workload())
+        head = subject.advance(reference_records[len(reference_records) // 2].finished_at_ms)
+        state, _info = read_checkpoint(checkpoint_shard(tmp_path / "new.lrcp", subject, 1).path)
 
         def counter(name, **labels):
             return metric_value(state.telemetry, name, labels)
@@ -171,13 +168,12 @@ class TestShardStateFidelity:
         )
         path = tmp_path / "old.lrcp"
         generation = subject.loop.cache.store.generation
-        write_checkpoint(path, 0, 1, subject.now_ms, generation, state, seq=replayer.seq)
+        write_checkpoint(path, 0, 1, subject.now_ms, generation, state, seq=subject.seq)
 
-        recovered = build_worker(layout)
-        stage_workload(recovered)
-        restored = restore_worker(path, recovered)
+        recovered = build_shard(layout, workload())
+        restored = restore_shard(path, recovered)
         assert restored.services == counter("engine.services") > 0
-        tail = ShardReplayer(recovered, start_seq=restored.seq).advance(None)
+        tail = recovered.advance(None)
         assert [(r.seq, r.bucket_index, r.started_at_ms) for r in head + tail] == [
             (r.seq, r.bucket_index, r.started_at_ms) for r in reference_records
         ]
@@ -187,68 +183,56 @@ class TestShardStateFidelity:
 
     def test_scheduling_index_is_not_checkpointed(self, layout, tmp_path):
         """The manager's scheduling index is derived state: ``.lrcp`` files
-        carry the queues only, and a restored worker rebuilds the index and
+        carry the queues only, and a restored shard rebuilds the index and
         picks the same buckets to the end of the run.  The byte size below
         pins what the file holds: queues, stage, policy, cache residency,
         store reads and the lane snapshot, with no second copy of the lane
         totals beside the snapshot and no index."""
+        # Three shares per arrival time over 16 buckets: deep queues,
+        # shared oldest-enqueue times, many buckets pending at once.
+        deep = [
+            StagedShare(
+                arrival_ms=40.0 * (i // 3),
+                query_id=i // 3,
+                bucket_index=(i * 5 + 3) % BUCKETS,
+                payload=50 + (i % 4) * 25,
+            )
+            for i in range(60)
+        ]
+        reference_records = build_shard(layout, deep).advance(None)
 
-        def stage_deep(worker):
-            # Three shares per arrival time over 16 buckets: deep queues,
-            # shared oldest-enqueue times, many buckets pending at once.
-            for i in range(60):
-                worker.stage(
-                    StagedShare(
-                        arrival_ms=40.0 * (i // 3),
-                        query_id=i // 3,
-                        bucket_index=(i * 5 + 3) % BUCKETS,
-                        payload=50 + (i % 4) * 25,
-                    )
-                )
-
-        reference = build_worker(layout)
-        stage_deep(reference)
-        reference_records = ShardReplayer(reference).advance(None)
-
-        subject = build_worker(layout)
-        stage_deep(subject)
-        replayer = ShardReplayer(subject)
-        head = replayer.advance(3_000.0)
-        assert len(subject.manager.pending_buckets()) > 8
+        subject = build_shard(layout, deep)
+        head = subject.advance(3_000.0)
+        assert len(subject.loop.manager.pending_buckets()) > 8
         path = tmp_path / "deep.lrcp"
-        info = checkpoint_worker(path, subject, replayer.seq, window_index=1)
+        info = checkpoint_shard(path, subject, window_index=1)
         assert info.byte_size == 6_183
 
-        recovered = build_worker(layout)
-        stage_deep(recovered)
-        state = restore_worker(path, recovered)
-        assert recovered.manager.size_order() == subject.manager.size_order()
-        assert list(recovered.manager.age_groups()) == list(subject.manager.age_groups())
-        tail = ShardReplayer(recovered, start_seq=state.seq).advance(None)
+        recovered = build_shard(layout, deep)
+        restore_shard(path, recovered)
+        assert recovered.loop.manager.size_order() == subject.loop.manager.size_order()
+        assert list(recovered.loop.manager.age_groups()) == list(subject.loop.manager.age_groups())
+        tail = recovered.advance(None)
         assert [(r.seq, r.bucket_index, r.queries_served) for r in head + tail] == [
             (r.seq, r.bucket_index, r.queries_served) for r in reference_records
         ]
 
     def test_restore_rejects_wrong_worker(self, layout, tmp_path):
-        worker = build_worker(layout, worker_id=0)
-        stage_workload(worker)
+        shard = build_shard(layout, workload(), worker_id=0)
         path = tmp_path / "w0.lrcp"
-        checkpoint_worker(path, worker, 0, window_index=0)
-        other = build_worker(layout, worker_id=1)
+        checkpoint_shard(path, shard, window_index=0)
+        other = build_shard(layout, worker_id=1)
         with pytest.raises(FormatError, match="belongs to worker 0"):
-            restore_worker(path, other)
+            restore_shard(path, other)
 
     def test_restore_rejects_generation_mismatch(self, layout, tmp_path):
-        worker = build_worker(layout)
-        stage_workload(worker)
+        shard = build_shard(layout, workload())
         path = tmp_path / "gen.lrcp"
-        checkpoint_worker(path, worker, 0, window_index=0)
+        checkpoint_shard(path, shard, window_index=0)
         other_layout = BucketPartitioner().partition_density(BUCKETS * 2)
-        other = build_worker(other_layout)
+        other = build_shard(other_layout)
         with pytest.raises(FormatError, match="re-ingested"):
-            restore_worker(
-                path, other, expected_generation=other.loop.cache.store.generation
-            )
+            restore_shard(path, other, expected_generation=other.loop.cache.store.generation)
 
     def test_restore_rejects_run_checkpoint_payload(self, layout, tmp_path):
         path = tmp_path / "run.lrcp"
@@ -257,24 +241,24 @@ class TestShardStateFidelity:
             0,
             0,
             0.0,
-            build_worker(layout).loop.cache.store.generation,
+            build_shard(layout).loop.cache.store.generation,
             RunCheckpoint(window_index=0, tracker=None, accepted_seq={}),
         )
-        worker = build_worker(layout)
+        shard = build_shard(layout)
         with pytest.raises(FormatError, match="not a shard checkpoint"):
-            restore_worker(path, worker)
+            restore_shard(path, shard)
 
-    def test_captured_state_is_picklable_and_complete(self, layout):
-        worker = build_worker(layout)
-        stage_workload(worker)
-        ShardReplayer(worker).advance(500.0)
-        state = capture_shard(worker, seq=4, window_index=2)
+    def test_captured_state_is_picklable_and_complete(self, layout, tmp_path):
+        shard = build_shard(layout, workload())
+        records = shard.advance(500.0)
+        info = checkpoint_shard(tmp_path / "state.lrcp", shard, window_index=2)
+        state, _info = read_checkpoint(info.path)
         clone = pickle.loads(pickle.dumps(state))
         assert isinstance(clone, ShardCheckpoint)
-        assert clone.seq == 4
+        assert clone.seq == shard.seq == len(records) > 0
         assert clone.window_index == 2
-        assert clone.clock_ms == worker.now_ms
-        assert clone.staged == worker.staged_shares()
+        assert clone.clock_ms == shard.now_ms
+        assert clone.staged == tuple(shard.staged)
         assert metric_value(clone.telemetry, "engine.services") == metric_value(
-            worker.loop.telemetry.snapshot(), "engine.services"
+            shard.loop.telemetry.snapshot(), "engine.services"
         )

@@ -88,7 +88,6 @@ def build_spec(layout, sim_config, engine_config, queries, workers, **kwargs):
         config=engine_config,
         workers=workers,
         shard_strategy="round_robin",
-        index=SpatialIndex([], rows=None, disk=None),
         enable_stealing=False,
         **kwargs,
     )

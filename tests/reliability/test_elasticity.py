@@ -24,7 +24,6 @@ from repro.reliability import (
 from repro.sim.simulator import SimulationConfig
 from repro.storage.bucket_store import BucketStore
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
-from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import BucketPartitioner
 from repro.telemetry.registry import metric_value
 from repro.workload.generator import TraceConfig, TraceGenerator
@@ -121,7 +120,6 @@ def build_spec(layout, sim_config, queries, workers, **kwargs):
         config=EngineConfig(cache_buckets=sim_config.cache_buckets, cost=sim_config.cost),
         workers=workers,
         shard_strategy="round_robin",
-        index=SpatialIndex([], rows=None, disk=None),
         enable_stealing=True,
         **kwargs,
     )

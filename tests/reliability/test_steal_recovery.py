@@ -23,7 +23,6 @@ from repro.reliability.runtime import ChannelCrashed, InlineChannel, ShardCoordi
 from repro.sim.simulator import SimulationConfig
 from repro.storage.bucket_store import BucketStore
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
-from repro.storage.index import SpatialIndex
 from repro.storage.partitioner import BucketPartitioner
 from repro.workload.generator import TraceConfig, TraceGenerator
 
@@ -67,7 +66,6 @@ def coordinator(channel_class, **spec_fields):
         config=EngineConfig(cache_buckets=sim_config.cache_buckets, cost=sim_config.cost),
         workers=2,
         shard_strategy="zone",
-        index=SpatialIndex([], rows=None, disk=None),
         steal_quantum_ms=sim_config.cost.tb_ms * WINDOW_BUCKET_READS,
         reliability=ReliabilityConfig(cadence=CADENCE),
     )

@@ -31,7 +31,7 @@ def test_run_description_field_counts():
     }
     assert counts == {
         "RunSpec": 18,
-        "ParallelRunSpec": 12,
+        "ParallelRunSpec": 10,
         "ReliabilityConfig": 6,
         "ServiceConfig": 13,
     }
