@@ -1,9 +1,10 @@
 """Benchmark ratchet: compare two ``--bench-json`` snapshots, fail on regression.
 
 The committed baselines (``BENCH_storage.json``, ``BENCH_parallel.json``,
-``BENCH_scheduler.json``, ``BENCH_kernels.json``, ``BENCH_service.json`` at the
-repository root) pin the performance the storage and parallel subsystems, the
-scheduler, the crossmatch kernel and the serving gate have already demonstrated.
+``BENCH_scheduler.json``, ``BENCH_kernels.json``, ``BENCH_service.json``,
+``BENCH_recovery.json`` at the repository root) pin the performance the storage
+and parallel subsystems, the scheduler, the crossmatch kernel, the serving gate
+and the checkpoint codec have already demonstrated.
 CI reruns the same benchmarks, writes a candidate snapshot with
 ``--bench-json``, and this module compares the two::
 
@@ -69,6 +70,10 @@ RATCHETED_METRICS: Dict[str, str] = {
     # telemetry: the per-query ledger build over the builder it replaced
     # (tests/telemetry/ledger_oracle.py), both timed in one process
     "ledger_speedup_vs_oracle": "higher",
+    # reliability: one shard's .lrcp size at a fixed mid-run barrier of a
+    # deterministic run — a checkpoint carries live state only (the stage
+    # as a length, finished queries as columns), so this is exact
+    "shard_checkpoint_bytes": "lower",
 }
 
 #: Default allowed relative regression before the ratchet fails.

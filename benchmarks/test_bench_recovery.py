@@ -8,6 +8,11 @@ columnar decodes per service, so checkpoint I/O competes with real work):
   cost of durability with no crashes;
 * **recovery cost** — a crash-injected run, reporting the real recovery
   latency and the re-executed services next to the parity-checked result.
+
+The overhead benchmark also records ``shard_checkpoint_bytes``: the size of
+shard 0's ``.lrcp`` file at its middle checkpoint barrier.  The run is
+deterministic, so the figure is too; ``BENCH_recovery.json`` ratchets it, so
+a checkpoint that starts carrying more than live state again fails CI.
 """
 
 import pytest
@@ -70,6 +75,8 @@ def test_bench_checkpoint_overhead(benchmark, bench_setup):
         assert getattr(result, field) == getattr(baseline, field), field
     benchmark.extra_info["checkpoints"] = report.checkpoints_written
     benchmark.extra_info["checkpoint_kib"] = round(report.checkpoint_bytes / 1024.0, 1)
+    marks = [mark for mark in report.checkpoint_marks if mark.worker_id == 0]
+    benchmark.extra_info["shard_checkpoint_bytes"] = marks[len(marks) // 2].byte_size
     benchmark.extra_info["checkpoint_real_s"] = round(report.checkpoint_real_s, 4)
     if baseline.real_elapsed_s > 0:
         benchmark.extra_info["overhead_vs_plain"] = round(

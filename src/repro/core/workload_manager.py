@@ -207,7 +207,12 @@ class WorkloadManager:
       pending request is ``_group_times[0]``.
 
     The index is never pickled: a checkpoint carries the queues, and
-    ``__setstate__`` rebuilds the index from them.
+    ``__setstate__`` rebuilds the index from them.  Nor does a checkpoint
+    carry *finished* queries' states (completed, nothing left to serve;
+    most of a long run's) as objects: they pickle as five plain columns
+    (id, arrival, total buckets, total objects, completion), beside the
+    open states, which stay objects, and their positions in the query
+    order, so ``__setstate__`` restores that order.
     """
 
     def __init__(self) -> None:
@@ -263,9 +268,36 @@ class WorkloadManager:
         state = self.__dict__.copy()
         for derived in ("_by_size", "_groups", "_group_times", "_pending_entries"):
             del state[derived]
+        finished: Tuple[List, ...] = ([], [], [], [], [])
+        ids, arrivals, buckets, objects, completions = finished
+        open_states: List[Tuple[int, _QueryState]] = []
+        for position, query in enumerate(self._queries.values()):
+            if query.remaining_buckets or query.completion_time_ms is None:
+                open_states.append((position, query))
+            else:
+                ids.append(query.query_id)
+                arrivals.append(query.arrival_time_ms)
+                buckets.append(query.total_buckets)
+                objects.append(query.total_objects)
+                completions.append(query.completion_time_ms)
+        state["_queries"] = (finished, open_states)
         return state
 
     def __setstate__(self, state: dict) -> None:
+        columns, open_states = state["_queries"]
+        finished = (
+            _QueryState(query_id, arrival_ms, buckets, objects, set(), completion_ms)
+            for query_id, arrival_ms, buckets, objects, completion_ms in zip(*columns)
+        )
+        queries: Dict[int, _QueryState] = {}
+        for position, query in open_states:
+            while len(queries) < position:
+                done = next(finished)
+                queries[done.query_id] = done
+            queries[query.query_id] = query
+        for done in finished:
+            queries[done.query_id] = done
+        state["_queries"] = queries
         self.__dict__.update(state)
         self._rebuild_index()
 

@@ -59,7 +59,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.engine import EngineConfig, ServiceLoop, build_service_loop
 from repro.core.scheduler import SchedulingPolicy
@@ -316,6 +316,11 @@ class ShardWorker:
         self.now_ms = 0.0
         #: Arrivals not yet on the shard's timeline, in arrival order.
         self.staged: Deque[StagedShare] = deque(arrivals)
+        #: Whether the stage is still a suffix of the shard's own arrival
+        #: schedule: true until a release takes a staged share or an adopt
+        #: brings one.  While it holds, a checkpoint stores only the
+        #: stage's length.
+        self.stage_is_own = True
         #: Next batch sequence number.  A recovered shard resumes at its
         #: checkpoint's cursor so replayed records carry the same numbers
         #: the lost originals did.
@@ -446,6 +451,7 @@ class ShardWorker:
         taken = tuple(share for share in self.staged if share.bucket_index == bucket_index)
         if taken:
             self.staged = deque(s for s in self.staged if s.bucket_index != bucket_index)
+            self.stage_is_own = False
         return ReleasedBucket(
             worker_id=self.worker_id,
             bucket_index=bucket_index,
@@ -458,13 +464,40 @@ class ShardWorker:
     def release_all(self) -> ReleasedAll:
         """Evacuate every queue — pending *and* staged — for scale-down.
 
-        Buckets are released in index order so the migration schedule is
-        deterministic regardless of internal dict ordering.
+        The same replies as :meth:`release` for each bucket in index order
+        (so the migration schedule is deterministic regardless of internal
+        dict ordering), with the stage partitioned once instead of once per
+        bucket.
         """
-        buckets = sorted(
-            set(self.loop.manager.pending_buckets()) | {share.bucket_index for share in self.staged}
+        manager = self.loop.manager
+        by_bucket: Dict[int, List[StagedShare]] = {}
+        for share in self.staged:
+            by_bucket.setdefault(share.bucket_index, []).append(share)
+        if by_bucket:
+            self.staged = deque()
+            self.stage_is_own = False
+        buckets = sorted(set(manager.pending_buckets()).union(by_bucket))
+        # The stage is in arrival order, so what is left of it after each
+        # release starts at the earliest first share of the buckets behind.
+        next_staged: List[Optional[float]] = []
+        earliest: Optional[float] = None
+        for bucket_index in reversed(buckets):
+            next_staged.append(earliest)
+            shares = by_bucket.get(bucket_index)
+            if shares and (earliest is None or shares[0].arrival_ms < earliest):
+                earliest = shares[0].arrival_ms
+        next_staged.reverse()
+        released = tuple(
+            ReleasedBucket(
+                worker_id=self.worker_id,
+                bucket_index=bucket_index,
+                entries=tuple(manager.release_bucket(bucket_index)),
+                staged=tuple(by_bucket.get(bucket_index, ())),
+                clock_ms=self.now_ms,
+                next_staged_ms=next_ms,
+            )
+            for bucket_index, next_ms in zip(buckets, next_staged)
         )
-        released = tuple(self.release(bucket_index) for bucket_index in buckets)
         return ReleasedAll(worker_id=self.worker_id, buckets=released)
 
     def adopt(self, message: AdoptBucket) -> None:
@@ -474,8 +507,10 @@ class ShardWorker:
         a tie the shard's own shares stay first.
         """
         self.loop.manager.adopt_bucket(message.bucket_index, list(message.entries))
-        incoming = sorted(message.staged, key=lambda s: (s.arrival_ms, s.query_id))
-        self.staged = deque(heapq.merge(self.staged, incoming, key=lambda s: s.arrival_ms))
+        if message.staged:
+            incoming = sorted(message.staged, key=lambda s: (s.arrival_ms, s.query_id))
+            self.staged = deque(heapq.merge(self.staged, incoming, key=lambda s: s.arrival_ms))
+            self.stage_is_own = False
         self.now_ms = max(self.now_ms, message.clock_ms)
 
     def capture_checkpoint(self, message: CaptureCheckpoint) -> CheckpointWritten:

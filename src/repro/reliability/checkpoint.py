@@ -4,11 +4,16 @@ LifeRaft's data-driven batching makes fault tolerance unusually cheap:
 each shard is a *pure function of its admitted arrival schedule*
 (the property the cross-backend parity tests pin down), so a checkpoint
 never has to capture in-flight computation — only the queue-shaped state
-at a window barrier.  A :class:`ShardCheckpoint` therefore carries:
+at a window barrier, and of that only what the restoring shard cannot
+rebuild from its own task.  A :class:`ShardCheckpoint` therefore carries:
 
 * the shard's virtual clock and emitted-batch cursor (``seq``),
-* the workload manager — bucket queues plus per-query bookkeeping,
-* the not-yet-ingested staged arrivals,
+* the workload manager — bucket queues plus per-query bookkeeping, a
+  finished query's as one row of five plain columns (see
+  :class:`~repro.core.workload_manager.WorkloadManager`),
+* the not-yet-ingested stage: only its length while it is still a suffix
+  of the shard's own arrival schedule (the restoring task holds those
+  shares), the shares themselves once a migration changed it,
 * the scheduling policy instance (decision counters, adaptive state),
 * the tier-1 cache image as a residency list (bucket indices in LRU
   order; the images themselves are re-materialised from the immutable
@@ -49,7 +54,8 @@ import pickle
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from itertools import islice
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.fileio import FormatError, atomic_write, check_crc, crc32, read_file, unpack_header
 from repro.parallel.worker import StagedShare
@@ -82,8 +88,12 @@ class ShardCheckpoint:
     #: Batch records emitted before the barrier; replay resumes numbering
     #: here and the coordinator discards any record at or past it.
     seq: int
-    staged: Tuple[StagedShare, ...]
-    #: The workload manager, pickled wholesale (queues + query states).
+    #: The not-yet-ingested stage: its length while it is a suffix of the
+    #: shard's own arrival schedule (restore takes that suffix of the
+    #: task's arrivals), else the staged shares themselves.
+    staged: Union[int, Tuple[StagedShare, ...]]
+    #: The workload manager: queues, open query states, finished queries
+    #: as columns.
     manager: object
     #: The scheduling policy instance (per-shard counters travel with it).
     policy: object
@@ -248,7 +258,7 @@ def checkpoint_shard(
         window_index=window_index,
         clock_ms=shard.now_ms,
         seq=shard.seq,
-        staged=tuple(shard.staged),
+        staged=len(shard.staged) if shard.stage_is_own else tuple(shard.staged),
         manager=loop.manager,
         policy=loop.scheduler,
         cache_residency=loop.cache.resident_buckets(),
@@ -278,11 +288,12 @@ def restore_shard(
     The shard must have been built from the same task (same store
     snapshot, same config) that produced the checkpoint; after this call
     its timeline — clock, stage and batch cursor included — resumes at the
-    barrier exactly as the uninterrupted run would have continued.  The
-    batch *history* is not restored — only the lane snapshot that totals
-    it — so recovered shards stay lean; the coordinator already holds
-    every accepted record.  Fields a checkpoint of an older build carries
-    beyond these are ignored.
+    barrier exactly as the uninterrupted run would have continued.  A stage
+    stored as a length is that suffix of the fresh shard's stage (its
+    task's arrivals).  The batch *history* is not restored — only the lane
+    snapshot that totals it — so recovered shards stay lean; the
+    coordinator already holds every accepted record.  Fields a checkpoint
+    of an older build carries beyond these are ignored.
     """
     state, _info = read_checkpoint(path, expected_generation=expected_generation)
     if not isinstance(state, ShardCheckpoint):
@@ -294,6 +305,12 @@ def restore_shard(
         raise FormatError(
             f"checkpoint belongs to worker {state.worker_id}, "
             f"cannot restore into worker {shard.worker_id}"
+        )
+    stage_is_own = isinstance(state.staged, int)
+    if stage_is_own and state.staged > len(shard.staged):
+        raise FormatError(
+            f"checkpoint stages {state.staged} arrivals; the shard's "
+            f"schedule has only {len(shard.staged)}"
         )
     loop = shard.loop
     loop.manager = state.manager
@@ -308,7 +325,12 @@ def restore_shard(
     # continue counting from the barrier's totals.
     loop.telemetry.restore(state.telemetry)
     shard.now_ms = state.clock_ms
-    shard.staged = deque(state.staged)
+    shard.stage_is_own = stage_is_own
+    if stage_is_own:
+        # The fresh shard's stage is its whole arrival schedule.
+        shard.staged = deque(islice(shard.staged, len(shard.staged) - state.staged, None))
+    else:
+        shard.staged = deque(state.staged)
     shard.seq = state.seq
     return state
 

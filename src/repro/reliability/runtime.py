@@ -353,10 +353,12 @@ class ShardCoordinator:
             rel.validate(spec.workers, spec.enable_stealing)
         self.stealing = spec.enable_stealing and spec.workers + self.scale.total_ups() > 1
         self.arrivals = fan_out_arrivals(spec, self.plan, self.tracker)
+        #: The store generation every checkpoint is bound to.  Derived before
+        #: the snapshot is taken, so the snapshot carries it and no shard
+        #: re-derives it; a run without reliability never derives it.
+        self.generation = spec.store.generation if rel is not None else None
         #: Every shard — scale-up joiners included — boots from this snapshot.
         self.snapshot = spec.store.snapshot()
-        #: The store generation every run-level checkpoint is bound to.
-        self.generation = spec.store.generation if rel is not None else None
         self.channels: List[ShardChannel] = []
         self.views: List[ShardView] = []
         self.policies: list = []
@@ -513,19 +515,24 @@ class ShardCoordinator:
             if drained:
                 break
 
-    def _broadcast(self, messages: Dict[int, object]) -> Tuple[list, List[int]]:
-        """Post every message before collecting any reply.
+    def _post(self, messages: Dict[int, object]) -> None:
+        """Post every message before any reply is collected.
 
         Real per-shard work (page reads, decodes, checkpoint writes) then
-        runs concurrently across worker processes.  Returns the replies
-        and the ids of shards found dead; those are recovered by the
-        caller only after every in-flight reply has drained
-        (catch-up must not talk to a shard with a reply outstanding).
+        runs concurrently across worker processes.
         """
         for worker_id, message in messages.items():
             self.channels[worker_id].send(message)
+
+    def _collect(self, worker_ids) -> Tuple[list, List[int]]:
+        """The replies to posted messages, and the ids of shards found dead.
+
+        The dead are recovered by the caller only after every in-flight
+        reply has drained (catch-up must not talk to a shard with a reply
+        outstanding).
+        """
         replies, crashed = [], []
-        for worker_id in messages:
+        for worker_id in worker_ids:
             try:
                 replies.append(self.channels[worker_id].receive())
             except ChannelCrashed:
@@ -534,13 +541,9 @@ class ShardCoordinator:
 
     def _run_window(self, until_ms: Optional[float]) -> None:
         """Advance every undrained shard to *until_ms* (``None`` = drain)."""
-        reports, crashed = self._broadcast(
-            {
-                view.worker_id: RunWindow(until_ms)
-                for view in self.views
-                if not view.drained
-            }
-        )
+        messages = {view.worker_id: RunWindow(until_ms) for view in self.views if not view.drained}
+        self._post(messages)
+        reports, crashed = self._collect(messages)
         for report in reports:
             self._apply_window(report)
         for worker_id in crashed:
@@ -790,14 +793,34 @@ class ShardCoordinator:
             for view, policy in zip(self.views, self.policies)
             if not view.drained and policy.due(window_index, view.clock_ms)
         }
+        if not paths:
+            return
         # Each shard serialises and writes its own .lrcp file, so
-        # checkpoint I/O runs concurrently across worker processes.
-        captures, crashed = self._broadcast(
-            {
-                worker_id: CaptureCheckpoint(path, window_index)
-                for worker_id, path in paths.items()
-            }
+        # checkpoint I/O runs concurrently across worker processes — and
+        # the coordinator writes its own durable state meanwhile: the
+        # cross-shard completion tracker and the per-shard emitted-record
+        # cursor (the result streams' chunk cursor).  Neither moves while
+        # captures are in flight.
+        self._post(
+            {worker_id: CaptureCheckpoint(path, window_index) for worker_id, path in paths.items()}
         )
+        started = time.perf_counter()
+        info = write_checkpoint(
+            os.path.join(checkpoint_dir, f"run-w{window_index:06d}{CHECKPOINT_SUFFIX}"),
+            worker_id=RUN_CHECKPOINT_WORKER,
+            window_index=window_index,
+            clock_ms=max((view.clock_ms for view in self.views), default=0.0),
+            generation=self.generation,
+            payload_obj=RunCheckpoint(
+                window_index=window_index,
+                tracker=self.tracker,
+                accepted_seq=dict(self.accepted_seq),
+            ),
+        )
+        self.report.checkpoints_written += 1
+        self.report.checkpoint_bytes += info.byte_size
+        self.report.checkpoint_real_s += time.perf_counter() - started
+        captures, crashed = self._collect(paths)
         for written in captures:
             self.latest[written.worker_id] = (paths[written.worker_id], written)
             self.report.checkpoints_written += 1
@@ -808,29 +831,6 @@ class ShardCoordinator:
         # recover; the next barrier retries.
         for worker_id in crashed:
             self._recover(worker_id)
-        if captures:
-            # The coordinator's own durable state rides alongside: the
-            # cross-shard completion tracker and the per-shard
-            # emitted-record cursor (the result streams' chunk cursor).
-            run_path = os.path.join(
-                checkpoint_dir, f"run-w{window_index:06d}{CHECKPOINT_SUFFIX}"
-            )
-            started = time.perf_counter()
-            info = write_checkpoint(
-                run_path,
-                worker_id=RUN_CHECKPOINT_WORKER,
-                window_index=window_index,
-                clock_ms=max((view.clock_ms for view in self.views), default=0.0),
-                generation=self.generation,
-                payload_obj=RunCheckpoint(
-                    window_index=window_index,
-                    tracker=self.tracker,
-                    accepted_seq=dict(self.accepted_seq),
-                ),
-            )
-            self.report.checkpoints_written += 1
-            self.report.checkpoint_bytes += info.byte_size
-            self.report.checkpoint_real_s += time.perf_counter() - started
 
 
 __all__ = [

@@ -80,7 +80,10 @@ class StoreSnapshot:
 
     * **in-memory** — the partition layout and the disk parameters travel
       inside the pickle; the layout is its four columns, so a worker
-      unpickles a 20,000-bucket site without building a spec per bucket;
+      unpickles a 20,000-bucket site without building a spec per bucket.
+      ``generation`` is the store's generation when the snapshotted store
+      had derived it (a reliability run's coordinator does), so each
+      restoring worker is seeded with it instead of re-hashing the layout;
     * **path-based** (``store_path`` set) — only the file path, its
       expected generation and the disk parameters travel; the restoring
       process reopens the columnar store file read-only and does its own
@@ -97,7 +100,8 @@ class StoreSnapshot:
     disk_parameters: "DiskParameters"
     #: Path to a columnar ``.lrbs`` store file (path-based variant).
     store_path: Optional[str] = None
-    #: Expected file generation; restoring fails cleanly on a mismatch.
+    #: Path-based: the expected file generation; restoring fails cleanly on
+    #: a mismatch.  In-memory: the layout's generation, if already derived.
     generation: Optional[str] = None
     #: Tier-2 decoded-page cache capacity for the restored store.
     page_cache_buckets: int = 0
@@ -119,6 +123,7 @@ class BucketStore:
         self.disk = disk or DiskModel()
         self.reads = 0
         self.bytes_read_mb = 0.0
+        self._generation: Optional[str] = None
 
     @property
     def generation(self) -> str:
@@ -128,11 +133,12 @@ class BucketStore:
         digest; the in-memory store derives an equivalent digest from its
         layout so checkpoints (which are only valid against the exact
         store they were captured over) can be generation-bound on every
-        storage tier.
+        storage tier.  The digest is derived on first use (or seeded by
+        :meth:`from_snapshot`), so a run that never checkpoints never
+        hashes the layout.
         """
-        cached = getattr(self, "_generation", None)
-        if cached is not None:
-            return cached
+        if self._generation is not None:
+            return self._generation
         layout = self.layout
         columns = (layout.lows, layout.highs, layout.counts, layout.megabytes)
         entries = map(_GENERATION_ENTRY.pack, *columns)
@@ -157,8 +163,13 @@ class BucketStore:
         self.close()
 
     def snapshot(self) -> StoreSnapshot:
-        """Capture a read-only image of this store for another process."""
-        return StoreSnapshot(layout=self.layout, disk_parameters=self.disk.parameters)
+        """Capture a read-only image of this store for another process.
+
+        The image carries the generation only if it was already derived.
+        """
+        return StoreSnapshot(
+            layout=self.layout, disk_parameters=self.disk.parameters, generation=self._generation
+        )
 
     @classmethod
     def from_snapshot(cls, snapshot: StoreSnapshot) -> "BucketStore":
@@ -182,7 +193,9 @@ class BucketStore:
             )
         if snapshot.layout is None:
             raise ValueError("snapshot carries neither a layout nor a store path")
-        return cls(snapshot.layout, DiskModel(snapshot.disk_parameters))
+        store = cls(snapshot.layout, DiskModel(snapshot.disk_parameters))
+        store._generation = snapshot.generation
+        return store
 
     def read_bucket(self, bucket_index: int, charge_io: bool = True) -> BucketReadResult:
         """Execute the range query for bucket *bucket_index*.

@@ -273,16 +273,40 @@ class TestIndexIsDerivedState:
             manager.add_query(query_id, footprint, 25.0 * (query_id // 2))
         manager.drain_bucket(3, 900.0)
         manager.drain_bucket(5, 950.0, query_ids=[1, 2])
-        assert list(manager.__getstate__()) == [
+        # Finish a few queries outright, and re-open one that finished
+        # (an adopted queue brings it a new bucket), so the query states
+        # hold all three kinds: finished, open, and re-opened.
+        for bucket in (4, 6, 7, 8):
+            manager.drain_bucket(bucket, 1_000.0)
+        finished = [q for q in manager._queries.values() if q.completion_time_ms is not None]
+        assert len(finished) > 2
+        reopened = finished[0].query_id
+        manager.adopt_bucket(BUCKETS - 1, [WorkloadEntry(reopened, 5, 0.0)])
+        state = manager.__getstate__()
+        assert list(state) == [
             "_queues",
             "_queries",
             "_completed",
             "_arrival_order",
             "_arrival_cursor",
         ]
+        # Finished queries travel as five plain columns in query order, open
+        # ones as objects beside their positions in that order.
+        columns, open_states = state["_queries"]
+        assert [len(column) for column in columns] == [len(finished) - 1] * 5
+        assert all(isinstance(column, list) for column in columns)
+        assert columns[0] == [q.query_id for q in finished if q.query_id != reopened]
+        positions = {query_id: i for i, query_id in enumerate(manager._queries)}
+        assert [(i, q.query_id) for i, q in open_states] == [
+            (positions[q.query_id], q.query_id)
+            for q in manager._queries.values()
+            if q.remaining_buckets or q.completion_time_ms is None
+        ]
         payload = pickle.dumps(manager)
         assert b"_by_size" not in payload and b"_group" not in payload
         restored = pickle.loads(payload)
+        assert list(restored._queries.items()) == list(manager._queries.items())
+        assert pickle.dumps(restored) == payload
         check_index(restored)
         assert restored._by_size == manager._by_size
         scheduler = LifeRaftScheduler()

@@ -294,7 +294,7 @@ def test_layout_pickles_as_columns_and_round_trips(simulator, tmp_path):
     assert b"BucketSpec" not in payload and b"HTMRange" not in payload
 
     # A .lrcp never carries the layout: the same bytes over either object
-    # (tests/reliability/test_checkpoint.py pins the size, 6,183).
+    # (tests/reliability/test_checkpoint.py pins the size, 6,239).
     def checkpoint_bytes(name, over):
         loop = build_service_loop(
             over,

@@ -12,7 +12,9 @@ import pytest
 from repro.core.engine import EngineConfig
 from repro.core.join_evaluator import JoinStrategy
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
+from repro.core.workload_manager import WorkloadManager
 from repro.fileio import FormatError
+from repro.parallel.backend import ParallelRunSpec
 from repro.parallel.ipc import ShardTask, ShardWorker
 from repro.parallel.worker import StagedShare
 from repro.reliability.checkpoint import (
@@ -24,6 +26,8 @@ from repro.reliability.checkpoint import (
     restore_shard,
     write_checkpoint,
 )
+from repro.reliability.config import ReliabilityConfig
+from repro.reliability.runtime import InlineChannel, ShardCoordinator
 from repro.storage.bucket_store import BucketStore
 from repro.storage.partitioner import BucketPartitioner
 from repro.telemetry.registry import VIRTUAL_DOMAIN, filter_domain, metric_value
@@ -206,7 +210,7 @@ class TestShardStateFidelity:
         assert len(subject.loop.manager.pending_buckets()) > 8
         path = tmp_path / "deep.lrcp"
         info = checkpoint_shard(path, subject, window_index=1)
-        assert info.byte_size == 6_183
+        assert info.byte_size == 6_239
 
         recovered = build_shard(layout, deep)
         restore_shard(path, recovered)
@@ -249,7 +253,7 @@ class TestShardStateFidelity:
             restore_shard(path, shard)
 
     def test_captured_state_is_picklable_and_complete(self, layout, tmp_path):
-        shard = build_shard(layout, workload())
+        shard = build_shard(layout, workload(count=40))
         records = shard.advance(500.0)
         info = checkpoint_shard(tmp_path / "state.lrcp", shard, window_index=2)
         state, _info = read_checkpoint(info.path)
@@ -258,7 +262,82 @@ class TestShardStateFidelity:
         assert clone.seq == shard.seq == len(records) > 0
         assert clone.window_index == 2
         assert clone.clock_ms == shard.now_ms
-        assert clone.staged == tuple(shard.staged)
+        # The stage is a suffix of the shard's own schedule: only its length.
+        assert shard.stage_is_own
+        assert clone.staged == len(shard.staged) > 0
+        assert tuple(shard.staged) == tuple(workload(count=40))[-clone.staged :]
+        # Finished and open query states alike come back whole, in order.
+        manager = shard.loop.manager
+        assert manager.completed_count() > 0
+        assert list(clone.manager._queries.items()) == list(manager._queries.items())
         assert metric_value(clone.telemetry, "engine.services") == metric_value(
             shard.loop.telemetry.snapshot(), "engine.services"
         )
+
+    def test_a_migrated_stage_is_stored_as_its_shares(self, layout, tmp_path):
+        """Once a release takes a staged share the stage is no longer a
+        suffix of the schedule, so the checkpoint carries the shares."""
+        shard = build_shard(layout, workload(count=40))
+        shard.advance(500.0)
+        released = shard.release(shard.staged[-1].bucket_index)
+        assert released.staged and not shard.stage_is_own
+        info = checkpoint_shard(tmp_path / "moved.lrcp", shard, window_index=2)
+        state, _info = read_checkpoint(info.path)
+        assert state.staged == tuple(shard.staged)
+        recovered = build_shard(layout, workload(count=40))
+        restore_shard(info.path, recovered)
+        assert recovered.staged == shard.staged and not recovered.stage_is_own
+        assert recovered.advance(None) == shard.advance(None)
+
+    def test_restore_rejects_a_stage_longer_than_the_schedule(self, layout, tmp_path):
+        shard = build_shard(layout, workload())
+        path = tmp_path / "long.lrcp"
+        checkpoint_shard(path, shard, window_index=0)
+        with pytest.raises(FormatError, match="schedule has only 3"):
+            restore_shard(path, build_shard(layout, workload(count=3)))
+
+    def test_parent_format_manager_payload_is_a_format_error(self, layout, tmp_path, monkeypatch):
+        """Checkpoints of the build before finished queries became columns
+        pickled every query state as one dict; such a file is rejected as a
+        typed :class:`FormatError`, never a bare ``KeyError`` mid-restore."""
+
+        def parent_getstate(manager):
+            state = manager.__dict__.copy()
+            for derived in ("_by_size", "_groups", "_group_times", "_pending_entries"):
+                del state[derived]
+            return state
+
+        shard = build_shard(layout, workload())
+        shard.advance(500.0)
+        path = tmp_path / "parent.lrcp"
+        with monkeypatch.context() as patched:
+            patched.setattr(WorkloadManager, "__getstate__", parent_getstate)
+            checkpoint_shard(path, shard, window_index=1)
+        with pytest.raises(FormatError, match="does not deserialise") as caught:
+            restore_shard(path, build_shard(layout, workload()))
+        assert not isinstance(caught.value.__cause__, KeyError)
+
+
+def test_only_a_reliability_run_derives_the_store_generation(layout):
+    """The coordinator derives the generation its checkpoints are bound to
+    once, before taking the snapshot every shard boots from, so no shard
+    re-derives it; a run without reliability never derives it at all."""
+
+    def coordinator(reliability):
+        spec = ParallelRunSpec(
+            layout=layout,
+            store=BucketStore(layout),
+            queries=(),
+            policy=LifeRaftScheduler(SchedulerConfig()),
+            config=EngineConfig(),
+            workers=2,
+            reliability=reliability,
+        )
+        return ShardCoordinator(spec, "virtual", InlineChannel)
+
+    plain = coordinator(None)
+    assert plain.generation is None and plain.snapshot.generation is None
+    assert plain.spec.store._generation is None
+    reliable = coordinator(ReliabilityConfig())
+    assert reliable.snapshot.generation == reliable.generation
+    assert reliable.generation == BucketStore(layout).generation

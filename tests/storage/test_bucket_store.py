@@ -11,8 +11,8 @@ import pickle
 import pytest
 
 from repro.catalog.objects import CelestialObject
+from repro.storage import bucket_store, disk_model
 from repro.storage.bucket_store import Bucket, BucketStore
-from repro.storage import disk_model
 from repro.storage.disk_model import (
     DiskModel,
     IOKind,
@@ -212,6 +212,23 @@ class TestVirtualStore:
         assert restored.reads == 0
         for index in range(len(store.layout)):
             assert restored.read_bucket(index).cost_ms == store.read_bucket(index).cost_ms
+
+    def test_a_derived_generation_travels_in_the_snapshot(self, monkeypatch):
+        """A store that derived its generation hands it to every store
+        restored from its snapshot, which then never hashes the layout; one
+        that never derived it hands over nothing and derives nothing."""
+        store = build_store()
+        assert store.snapshot().generation is None
+        assert BucketStore.from_snapshot(store.snapshot())._generation is None
+        generation = store.generation
+        snapshot = pickle.loads(pickle.dumps(store.snapshot()))
+        assert snapshot.generation == generation
+
+        def no_hash(*args):
+            raise AssertionError("a seeded store hashed its layout")
+
+        monkeypatch.setattr(bucket_store.hashlib, "sha256", no_hash)
+        assert BucketStore.from_snapshot(snapshot).generation == generation
 
     def test_repr_names_the_bucket_shape(self, materialised):
         disk_store, _, _ = materialised
