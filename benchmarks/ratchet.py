@@ -53,6 +53,10 @@ RATCHETED_METRICS: Dict[str, str] = {
     # a slower machine cannot move; the absolute figure rides beside it
     "decision_growth_16x": "lower",
     "decision_us_at_4096": "lower",
+    # scheduler: the live decision over the threshold walk it replaced (one
+    # ``ua`` closure call per score, tests/core/scheduler_oracle.py), both
+    # timed in one process in turns — dimensionless
+    "decision_speedup_vs_walk": "higher",
     # scheduler: a NoShare partial drain must not rescan its queue — µs per
     # drain at queue depth 1,024 ÷ µs at 64, with the absolute figure beside it
     "partial_drain_growth_16x": "lower",

@@ -30,8 +30,9 @@ graded behaviour at α = 0.25/0.5/0.75 — the scheduler also offers a
 ``A`` by the current maximum pending age, so both terms live in ``[0, 1]``.
 Normalisation is the default; the raw combination is available for
 comparison (``SchedulerConfig.normalize_metric=False``) and is exercised by
-the ablation bench.  ``LifeRaftScheduler._ua`` is the one place either is
-evaluated; this module holds the cost constants both equations read.
+the ablation bench.  ``repro.core.scheduler``'s ``throughput_term`` and
+``age_term`` (``Ua`` is their sum) are the one place either is evaluated;
+this module holds the cost constants both equations read.
 """
 
 from __future__ import annotations

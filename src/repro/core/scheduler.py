@@ -17,7 +17,7 @@ the *entire* workload queue of the chosen bucket.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Tuple
+from typing import Dict, Optional, Protocol, Tuple
 
 from repro.core.bucket_cache import BucketCacheManager
 from repro.core.join_evaluator import JoinStrategy
@@ -87,12 +87,63 @@ class SchedulerConfig:
             raise ValueError("alpha must be within [0, 1]")
 
 
+# Equations (1)–(2) are evaluated here and nowhere else in ``src/``:
+# ``Ua(i) = throughput_term + age_term``, each the floating-point operations
+# of the written formula in its order, so every score — a memoised part or a
+# fresh one — is the same bits.
+
+
+#: A scheduler's memo of throughput terms is cleared when it holds more
+#: sizes than this.  A ``sched_deep`` pass meets ≈ 2,300 distinct sizes, but
+#: the sizes one decision reads recur within a few decisions, so a cleared
+#: memo refills at once (≈ 1.4 instead of ≈ 1.1 computed terms a decision);
+#: unbounded, the memo cost that pass ≈ 1 MiB of peak RSS.
+MAX_MEMOISED_TERMS = 1_024
+
+
+def throughput_term(config: SchedulerConfig, queue_objects: int, io_ms: float) -> float:
+    """The contention half of ``Ua``: ``(1 − α)·Ut(i)``, times ``Tm`` when normalised.
+
+    ``Ut`` is Equation (1); *io_ms* is its ``Tb·φ(i)`` — ``Tb`` for a cold
+    bucket, 0 for a resident one.  The raw metric multiplies by 1.0, which
+    is exact.
+    """
+    tm = config.cost.tm_ms
+    ut = queue_objects / (io_ms + tm * queue_objects) if queue_objects else 0.0
+    return (1.0 - config.alpha) * ut * (tm if config.normalize_metric else 1.0)
+
+
+def age_unit_ms(config: SchedulerConfig, max_age_ms: float) -> float:
+    """What :func:`age_term` divides an age by.
+
+    Normalised, the age of the oldest pending request (*max_age_ms*); raw,
+    or when every age is 0, 1.0 — dividing by it is exact.
+    """
+    return max_age_ms if config.normalize_metric and max_age_ms > 0 else 1.0
+
+
+def age_term(alpha: float, unit_ms: float, now_ms: float, oldest_ms: float) -> float:
+    """The age half of ``Ua``: ``α·A(i)`` of Equation (2), ``A`` in *unit_ms*.
+
+    ``A(i)`` is the age of the queue's oldest request, never below 0 (a
+    request enqueued after *now_ms* has not aged yet).
+    """
+    age = now_ms - oldest_ms
+    if age < 0.0:
+        age = 0.0
+    return alpha * (age / unit_ms)
+
+
 class LifeRaftScheduler:
     """Selects the pending bucket with the highest aged workload throughput."""
 
     def __init__(self, config: Optional[SchedulerConfig] = None) -> None:
         self.config = config or SchedulerConfig()
         self.decisions = 0
+        #: :func:`throughput_term` by queue size: a resident queue's under its
+        #: size, a cold one's under the negated size (the index's key).  Sizes
+        #: are positive, so the two never collide.
+        self._terms: Dict[int, float] = {}
 
     @property
     def name(self) -> str:
@@ -113,32 +164,16 @@ class LifeRaftScheduler:
         """Current age bias."""
         return self.config.alpha
 
-    def _ua(self, now_ms: float, max_age_ms: float) -> Callable[[int, float, float], float]:
-        """Equations (1)–(2) for one instant: ``ua(queue size, oldest enqueue ms, io ms)``.
+    def __getstate__(self) -> dict:
+        # The memo of terms is derived from the config alone: a pickled
+        # scheduler is its config and decision count, as a fresh one's is.
+        state = self.__dict__.copy()
+        del state["_terms"]
+        return state
 
-        The only place the metric is computed: every comparison in
-        :meth:`next_work` (candidates *and* pruning bounds) calls the
-        returned function, so they agree bit for bit.  *io ms* is
-        ``Tb`` for a cold bucket and 0 for a cache-resident one (the φ(i) of
-        Equation 1).
-        """
-        cfg = self.config
-        tm = cfg.cost.tm_ms
-        alpha = cfg.alpha
-        one_minus_alpha = 1.0 - alpha
-        normalize = cfg.normalize_metric
-
-        def ua(queue_objects: int, oldest_ms: float, io_ms: float) -> float:
-            ut = queue_objects / (io_ms + tm * queue_objects) if queue_objects else 0.0
-            age = now_ms - oldest_ms
-            if age < 0.0:
-                age = 0.0
-            if normalize:
-                age_term = (age / max_age_ms) if max_age_ms > 0 else 0.0
-                return one_minus_alpha * ut * tm + alpha * age_term
-            return one_minus_alpha * ut + alpha * age
-
-        return ua
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._terms = {}
 
     def next_work(
         self, manager: WorkloadManager, cache: BucketCacheManager, now_ms: float
@@ -149,7 +184,7 @@ class LifeRaftScheduler:
         deterministic (and therefore reproducible across runs).
 
         The choice is the one a scan of every pending bucket would make, but
-        only a few are scored.  ``ua`` never decreases when a cold queue
+        only a few are scored.  ``Ua`` never decreases when a cold queue
         grows or its oldest request ages (each floating-point operation in
         it is monotone; for the queue size see the README's ``core/``
         section), and the manager keeps the pending buckets sorted both
@@ -157,35 +192,58 @@ class LifeRaftScheduler:
         first.  Then the two orders are read in step, every bucket scored as
         if cold — the next-largest queue, and the next-oldest age group, down
         the group only while its scores still tie the best — until
-        ``ua(next size, next age)``, which no bucket unseen in both orders
+        ``Ua(next size, next age)``, which no bucket unseen in both orders
         can exceed, falls below the best.  (A resident bucket met again
         scores no higher cold than it already did, so it changes nothing.)
+
+        A score is :func:`throughput_term` + :func:`age_term`.  The throughput
+        term of a queue size, cold or resident, is computed once per
+        scheduler (the memo is never pickled, and is cleared past
+        :data:`MAX_MEMOISED_TERMS` sizes), and the age term once per age
+        group, so the walk down a group is a dictionary read and one addition
+        per bucket — the same floating-point operations as scoring each bucket
+        afresh.
         """
         if not manager.has_pending_work():
             return None
         self.decisions += 1
-        ua = self._ua(now_ms, manager.max_pending_age_ms(now_ms))
-        tb = self.config.cost.tb_ms
+        cfg = self.config
+        alpha = cfg.alpha
+        unit_ms = age_unit_ms(cfg, manager.max_pending_age_ms(now_ms))
+        terms = self._terms
+        if len(terms) > MAX_MEMOISED_TERMS:
+            terms.clear()
         best_score = float("-inf")
         best_bucket = -1
         for bucket, queue_objects, oldest_ms in manager.pending_among(cache.resident_buckets()):
-            score = ua(queue_objects, oldest_ms, 0.0)
+            warm = terms.get(queue_objects)
+            if warm is None:
+                warm = terms[queue_objects] = throughput_term(cfg, queue_objects, 0.0)
+            score = warm + age_term(alpha, unit_ms, now_ms, oldest_ms)
             if score > best_score or (score == best_score and bucket < best_bucket):
                 best_score = score
                 best_bucket = bucket
+        tb = cfg.cost.tb_ms
         # There are no more age groups than pending buckets, so the size
         # order cannot run out before the groups do.
         by_size = iter(manager.size_order())
         for group_ms, group in manager.age_groups():
+            group_age = age_term(alpha, unit_ms, now_ms, group_ms)
             negated_size, bucket, oldest_ms = next(by_size)
-            if ua(-negated_size, group_ms, tb) < best_score:
+            cold = terms.get(negated_size)
+            if cold is None:
+                cold = terms[negated_size] = throughput_term(cfg, -negated_size, tb)
+            if cold + group_age < best_score:
                 break
-            score = ua(-negated_size, oldest_ms, tb)
+            score = cold + age_term(alpha, unit_ms, now_ms, oldest_ms)
             if score > best_score or (score == best_score and bucket < best_bucket):
                 best_score = score
                 best_bucket = bucket
             for negated_size, bucket, _ in group:
-                score = ua(-negated_size, group_ms, tb)
+                cold = terms.get(negated_size)
+                if cold is None:
+                    cold = terms[negated_size] = throughput_term(cfg, -negated_size, tb)
+                score = cold + group_age
                 if score < best_score:
                     break
                 if score > best_score or bucket < best_bucket:

@@ -430,8 +430,8 @@ class WorkloadManager:
         sizes by bucket index.  The lists are the live index: read, never
         modify.
         """
-        groups = self._groups
-        return ((oldest_ms, groups[oldest_ms]) for oldest_ms in self._group_times)
+        times = self._group_times
+        return zip(times, map(self._groups.__getitem__, times))
 
     def size_order(self) -> Sequence[IndexEntry]:
         """The scheduling index by size: every pending bucket, largest queue first.

@@ -1,22 +1,33 @@
-"""Reference implementation of the LifeRaft decision: score every pending bucket.
+"""Reference implementations of the LifeRaft decision, oldest first.
 
-This is the scan ``LifeRaftScheduler.next_work`` ran on every bucket
-service before the manager kept a scheduling index — ``pending_state`` and
-the hand-inlined loop, moved here verbatim.  Nothing in ``src/`` calls it;
-tests compare the indexed decision against it, pick for pick.
+:func:`oracle_next_work` is the scan ``LifeRaftScheduler.next_work`` ran on
+every bucket service before the manager kept a scheduling index —
+``pending_state`` and the hand-inlined loop, moved here verbatim.
+:func:`walk_next_work` is the threshold walk over that index as it was
+before scores were built from precomputed terms: one ``ua`` closure call
+per score (:func:`walk_ua`, the scheduler's ``_ua``), moved here verbatim.
+Nothing in ``src/`` calls either; tests compare the live decision against
+both, pick for pick.
 
 Equations (1) and (2) of the paper live here too, one function each, as
 written in ``repro.core.metrics``'s docstring: tests compare :func:`score`
-(the scheduler's own ``ua`` for one bucket) against them bit for bit.
+(the scheduler's own term functions for one bucket) against them bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.bucket_cache import BucketCacheManager
 from repro.core.metrics import CostModel
-from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig, WorkItem
+from repro.core.scheduler import (
+    LifeRaftScheduler,
+    SchedulerConfig,
+    WorkItem,
+    age_term,
+    age_unit_ms,
+    throughput_term,
+)
 from repro.core.workload_manager import WorkloadManager
 
 
@@ -67,6 +78,74 @@ def oracle_next_work(
     return WorkItem(bucket_index=best_bucket)
 
 
+def walk_ua(
+    config: SchedulerConfig, now_ms: float, max_age_ms: float
+) -> Callable[[int, float, float], float]:
+    """Equations (1)–(2) for one instant: ``ua(queue size, oldest enqueue ms, io ms)``.
+
+    Every comparison in :func:`walk_next_work` (candidates *and* pruning
+    bounds) calls the returned function, so they agree bit for bit.  *io ms* is
+    ``Tb`` for a cold bucket and 0 for a cache-resident one (the φ(i) of
+    Equation 1).
+    """
+    cfg = config
+    tm = cfg.cost.tm_ms
+    alpha = cfg.alpha
+    one_minus_alpha = 1.0 - alpha
+    normalize = cfg.normalize_metric
+
+    def ua(queue_objects: int, oldest_ms: float, io_ms: float) -> float:
+        ut = queue_objects / (io_ms + tm * queue_objects) if queue_objects else 0.0
+        age = now_ms - oldest_ms
+        if age < 0.0:
+            age = 0.0
+        if normalize:
+            age_term = (age / max_age_ms) if max_age_ms > 0 else 0.0
+            return one_minus_alpha * ut * tm + alpha * age_term
+        return one_minus_alpha * ut + alpha * age
+
+    return ua
+
+
+def walk_next_work(
+    config: SchedulerConfig,
+    manager: WorkloadManager,
+    cache: BucketCacheManager,
+    now_ms: float,
+) -> Optional[WorkItem]:
+    """The threshold walk over the scheduling index, one ``ua`` call per score."""
+    if not manager.has_pending_work():
+        return None
+    ua = walk_ua(config, now_ms, manager.max_pending_age_ms(now_ms))
+    tb = config.cost.tb_ms
+    best_score = float("-inf")
+    best_bucket = -1
+    for bucket, queue_objects, oldest_ms in manager.pending_among(cache.resident_buckets()):
+        score = ua(queue_objects, oldest_ms, 0.0)
+        if score > best_score or (score == best_score and bucket < best_bucket):
+            best_score = score
+            best_bucket = bucket
+    # There are no more age groups than pending buckets, so the size
+    # order cannot run out before the groups do.
+    by_size = iter(manager.size_order())
+    for group_ms, group in manager.age_groups():
+        negated_size, bucket, oldest_ms = next(by_size)
+        if ua(-negated_size, group_ms, tb) < best_score:
+            break
+        score = ua(-negated_size, oldest_ms, tb)
+        if score > best_score or (score == best_score and bucket < best_bucket):
+            best_score = score
+            best_bucket = bucket
+        for negated_size, bucket, _ in group:
+            score = ua(-negated_size, group_ms, tb)
+            if score < best_score:
+                break
+            if score > best_score or bucket < best_bucket:
+                best_score = score
+                best_bucket = bucket
+    return WorkItem(bucket_index=best_bucket)
+
+
 def score(
     scheduler: LifeRaftScheduler,
     bucket_index: int,
@@ -75,11 +154,14 @@ def score(
     now_ms: float,
 ) -> float:
     """The aged workload throughput ``Ua`` the scheduler gives one bucket right now."""
+    config = scheduler.config
     queue = manager._queues.get(bucket_index)
-    return scheduler._ua(now_ms, manager.max_pending_age_ms(now_ms))(
-        manager.queue_size(bucket_index),
+    io_ms = 0.0 if cache.resident(bucket_index) else config.cost.tb_ms
+    return throughput_term(config, manager.queue_size(bucket_index), io_ms) + age_term(
+        config.alpha,
+        age_unit_ms(config, manager.max_pending_age_ms(now_ms)),
+        now_ms,
         queue._oldest_ms if queue is not None else float("inf"),
-        0.0 if cache.resident(bucket_index) else scheduler.config.cost.tb_ms,
     )
 
 

@@ -1,11 +1,20 @@
 """Tests for the LifeRaft scheduler (aged workload throughput selection)."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bucket_cache import BucketCacheManager
-from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig, WorkItem
+from repro.core.metrics import CostModel
+from repro.core.scheduler import (
+    MAX_MEMOISED_TERMS,
+    LifeRaftScheduler,
+    SchedulerConfig,
+    WorkItem,
+)
 from repro.core.workload_manager import WorkloadManager
 from repro.storage.bucket_store import BucketStore
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
@@ -125,3 +134,73 @@ class TestScoring:
         work = scheduler.next_work(manager, cache, now)
         ranks = rank_buckets(scheduler, manager, cache, now)
         assert work.bucket_index == min(ranks, key=lambda bucket: (-ranks[bucket], bucket))
+
+
+class TestTermMemo:
+    """The memo of throughput terms is derived state: it never travels."""
+
+    CONFIGS = [
+        SchedulerConfig(),
+        SchedulerConfig(alpha=0.0, normalize_metric=False),
+        SchedulerConfig(alpha=0.7, cost=CostModel(tb_ms=50.0, tm_ms=0.001)),
+    ]
+
+    def decided(self, config):
+        manager, cache = make_environment()
+        for query_id in range(12):
+            manager.add_query(query_id, {query_id % 9: 10 + query_id % 4}, 25.0 * query_id)
+        cache.load(3)
+        scheduler = LifeRaftScheduler(config)
+        now_ms = 400.0
+        while manager.has_pending_work():
+            work = scheduler.next_work(manager, cache, now_ms)
+            manager.drain_bucket(work.bucket_index, now_ms)
+            now_ms += 130.0
+        assert scheduler._terms
+        return scheduler
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_a_scheduler_that_decided_pickles_like_a_fresh_one(self, config):
+        scheduler = self.decided(config)
+        fresh = LifeRaftScheduler(config)
+        fresh.decisions = scheduler.decisions
+        payload = pickle.dumps(scheduler)
+        assert payload == pickle.dumps(fresh)
+        assert b"_terms" not in payload
+        for copied in (pickle.loads(payload), copy.deepcopy(scheduler), copy.copy(scheduler)):
+            assert copied._terms == {}
+            assert copied.decisions == scheduler.decisions
+            assert copied.config == config
+
+    def test_clone_starts_with_an_empty_memo(self):
+        scheduler = self.decided(SchedulerConfig(alpha=0.4))
+        clone = scheduler.clone()
+        assert clone._terms == {} and clone.decisions == 0
+        assert clone.config == scheduler.config
+
+    def test_a_resident_queue_never_reads_a_cold_term_of_its_size(self):
+        """Equal sizes, one cold and one resident: the memo keeps their terms apart."""
+        manager, cache = make_environment()
+        manager.add_query(1, {2: 50, 7: 50}, 0.0)
+        scheduler = LifeRaftScheduler(SchedulerConfig(alpha=0.0))
+        assert scheduler.next_work(manager, cache, 100.0).bucket_index == 2
+        cache.load(7)
+        assert scheduler.next_work(manager, cache, 100.0).bucket_index == 7
+        cache.clear()
+        assert scheduler.next_work(manager, cache, 100.0).bucket_index == 2
+
+    def test_a_memo_past_its_bound_is_cleared_before_a_decision(self):
+        manager, cache = make_environment()
+        manager.add_query(1, {2: 50, 7: 900}, 0.0)
+        scheduler = LifeRaftScheduler(SchedulerConfig(alpha=0.0))
+        assert scheduler.next_work(manager, cache, 100.0).bucket_index == 7
+        assert sorted(scheduler._terms) == [-900, -50]
+        # Terms of sizes no queue has: only clearing removes them.
+        first = 1_000_000
+        for size in range(first, first + MAX_MEMOISED_TERMS - 2):
+            scheduler._terms[-size] = -1.0
+        assert scheduler.next_work(manager, cache, 100.0).bucket_index == 7
+        assert len(scheduler._terms) == MAX_MEMOISED_TERMS
+        scheduler._terms[-first + 1] = -1.0
+        assert scheduler.next_work(manager, cache, 100.0).bucket_index == 7
+        assert sorted(scheduler._terms) == [-900, -50]

@@ -1,11 +1,14 @@
-"""The indexed decision against the full-scan oracle, and the index invariants.
+"""The indexed decision against its two oracles, and the index invariants.
 
-``LifeRaftScheduler.next_work`` reads the manager's scheduling index; the
-oracle (``scheduler_oracle.py``, the scan it replaced) scores every pending
-bucket.  The stateful test drives two managers and a real bucket cache
-through everything that can change a queue's key, the cache's residency or
-the scheduler's configuration, and requires the same ``WorkItem`` at every
-decision — ties, clamped ages and both α extremes included.
+``LifeRaftScheduler.next_work`` reads the manager's scheduling index and
+scores from precomputed terms.  ``scheduler_oracle.py`` holds what it
+replaced: the threshold walk that called ``ua`` once per score, and the
+full scan that scores every pending bucket.  The stateful test drives two
+managers and a real bucket cache through everything that can change a
+queue's key, the cache's residency or the scheduler's configuration, and
+requires the same ``WorkItem`` from all three at every decision — ties,
+clamped ages, both α extremes, repeated queue sizes and a scheduler whose
+memo of throughput terms has lived through many decisions included.
 
 Every queue is shadowed by the rescanning queue partial drains used to be
 (``queue_oracle.py``).  After each step the live queues must hold the
@@ -24,7 +27,7 @@ from repro.core.baselines import NoShareScheduler
 from repro.core.bucket_cache import BucketCacheManager
 from repro.core.engine import EngineConfig, LifeRaftEngine
 from repro.core.metrics import CostModel
-from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
+from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig, throughput_term
 from repro.core.workload_manager import WorkloadEntry, WorkloadManager
 from repro.storage.bucket_store import BucketStore
 from repro.storage.partitioner import BucketPartitioner
@@ -35,6 +38,7 @@ from tests.core.scheduler_oracle import (
     oracle_next_work,
     rank_buckets,
     score,
+    walk_next_work,
     workload_throughput,
 )
 
@@ -156,6 +160,19 @@ class IndexedDecisionMachine(RuleBasedStateMachine):
             bucket = min(manager.remaining_buckets_for(query_id))
             self._drain(which, bucket, now_ms, query_ids=(query_id,))
 
+    @precondition(lambda self: any(self.oracles))
+    @rule(which=st.integers(0, 1), data=st.data(), arrival_ms=TIMES)
+    def repeat_a_queue_size(self, which, data, arrival_ms):
+        """New queues as large as a pending one: equal sizes share a memoised term."""
+        pending = {b: o._total_objects for oracles in self.oracles for b, o in oracles.items()}
+        size = pending[data.draw(st.sampled_from(sorted(pending)))]
+        empty = [b for b in range(BUCKETS) if b not in self.oracles[which]]
+        buckets = data.draw(st.lists(st.sampled_from(empty or [0]), min_size=1, max_size=3))
+        footprint = {bucket: size for bucket in buckets if bucket not in self.oracles[which]}
+        if footprint:
+            self._enqueue(which, self.next_query_id, footprint, arrival_ms)
+            self.next_query_id += 1
+
     @rule(source=st.integers(0, 1), bucket=BUCKET)
     def steal(self, source, bucket):
         entries = self.managers[source].release_bucket(bucket)
@@ -193,12 +210,41 @@ class IndexedDecisionMachine(RuleBasedStateMachine):
         now_ms=TIMES | st.sampled_from([-5.0, 5.0, 10.5, 1e7]),
     )
     def decide(self, which, now_ms):
+        self._decide(which, now_ms)
+
+    def _decide(self, which, now_ms):
+        """The scheduler's pick, checked against the walk and the full scan."""
         manager = self.managers[which]
-        expected = oracle_next_work(self.scheduler.config, manager, self.cache, now_ms)
-        assert self.scheduler.next_work(manager, self.cache, now_ms) == expected
+        config = self.scheduler.config
+        expected = oracle_next_work(config, manager, self.cache, now_ms)
+        assert walk_next_work(config, manager, self.cache, now_ms) == expected
+        work = self.scheduler.next_work(manager, self.cache, now_ms)
+        assert work == expected
         if expected is not None:
             ranks = rank_buckets(self.scheduler, manager, self.cache, now_ms)
             assert expected.bucket_index == min(ranks, key=lambda b: (-ranks[b], b))
+        return work
+
+    @rule(which=st.integers(0, 1), now_ms=TIMES, services=st.integers(1, 8))
+    def serve_in_turn(self, which, now_ms, services):
+        """Decide and drain the pick, again and again, with the one scheduler.
+
+        Its memo of throughput terms carries over from decision to decision while
+        queues shrink and the clock moves on.
+        """
+        for _ in range(services):
+            work = self._decide(which, now_ms)
+            if work is None:
+                break
+            self._drain(which, work.bucket_index, now_ms)
+            now_ms += 130.0
+
+    @invariant()
+    def memo_holds_throughput_terms(self):
+        config = self.scheduler.config
+        for key, term in self.scheduler._terms.items():
+            io_ms = 0.0 if key > 0 else config.cost.tb_ms
+            assert term == throughput_term(config, abs(key), io_ms)
 
     @invariant()
     def index_matches_queues(self):
