@@ -48,7 +48,7 @@ class CompletionTracker:
     The coordinator replays the service log through it in global finish
     order, so that bucket's service is also the query's last to finish:
     ``arrival + response`` equals the latest finish of the query's
-    services.  It is also part of the run checkpoint.
+    services.
     """
 
     def __init__(self) -> None:

@@ -5,7 +5,8 @@ schedules, so fault tolerance reduces to checkpointing queue-shaped state
 at window barriers and replaying schedule tails.  This package provides:
 
 * :mod:`repro.reliability.checkpoint` — the versioned, CRC-checked,
-  store-generation-bound ``.lrcp`` codec: one write and one read per shard;
+  store-generation-bound ``.lrcp`` codec: one write and one read per shard
+  (a run writes no other checkpoint file);
 * :mod:`repro.reliability.policy` — pluggable checkpoint cadences
   (every-K-windows, virtual-time interval);
 * :mod:`repro.reliability.faults` — deterministic crash plans (``W@N`` specs);
@@ -22,7 +23,6 @@ at window barriers and replaying schedule tails.  This package provides:
 from repro.reliability.checkpoint import (
     CHECKPOINT_SUFFIX,
     CheckpointInfo,
-    RunCheckpoint,
     ShardCheckpoint,
     checkpoint_shard,
     read_checkpoint,
@@ -49,7 +49,6 @@ __all__ = [
     "RecoveryEvent",
     "ReliabilityConfig",
     "ReliabilityReport",
-    "RunCheckpoint",
     "ScaleDown",
     "ScalePlan",
     "ScaleRecord",

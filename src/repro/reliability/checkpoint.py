@@ -27,7 +27,10 @@ A shard (:class:`repro.parallel.ipc.ShardWorker`) is checkpointed by one
 write, :func:`checkpoint_shard`, and restored by one read,
 :func:`restore_shard`.  Restoring into a shard freshly built from the
 same task and replaying the schedule tail reproduces the uninterrupted
-run bit for bit.
+run bit for bit.  Shard files are the only ``.lrcp`` files a run writes:
+the coordinator's state (completion tracker, accepted-record cursors,
+steal journal) stays in its memory, which is all a shard recovery needs
+beside the shard's own file.
 
 Every batch-record-derived artifact inherits crash parity from this
 seam: the coordinator's accepted-``seq`` cursor keeps pre-crash records
@@ -69,8 +72,6 @@ MAGIC = b"LRCP"
 CHECKPOINT_VERSION = 1
 #: Default file extension for checkpoint files.
 CHECKPOINT_SUFFIX = ".lrcp"
-#: ``worker_id`` of a run-level (coordinator) checkpoint.
-RUN_CHECKPOINT_WORKER = -1
 
 # magic, version, flags, worker_id, window_index, clock_ms, generation,
 # payload_length, header_crc
@@ -105,24 +106,6 @@ class ShardCheckpoint:
     #: The lane's metrics-registry snapshot: the one record of the lane's
     #: totals (services, busy/I/O/match cost, strategy counts, cache hits).
     telemetry: dict
-
-
-@dataclass
-class RunCheckpoint:
-    """The coordinator's durable state at a global window barrier.
-
-    The per-shard files capture everything each worker needs; this
-    companion captures what only the coordinator knows — the cross-shard
-    completion tracker and the per-worker emitted-record cursor (which is
-    also the result streams' exactly-once chunk cursor, since chunks are
-    derived from accepted batch records).
-    """
-
-    window_index: int
-    #: The cross-shard :class:`~repro.parallel.engine.CompletionTracker`.
-    tracker: object
-    #: Per-worker count of batch records accepted so far.
-    accepted_seq: Dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -339,9 +322,7 @@ __all__ = [
     "CHECKPOINT_SUFFIX",
     "CHECKPOINT_VERSION",
     "MAGIC",
-    "RUN_CHECKPOINT_WORKER",
     "CheckpointInfo",
-    "RunCheckpoint",
     "ShardCheckpoint",
     "checkpoint_shard",
     "read_checkpoint",

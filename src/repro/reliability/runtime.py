@@ -87,12 +87,7 @@ from repro.parallel.ipc import (
 )
 from repro.parallel.sharding import make_shard_plan
 from repro.parallel.worker import StagedShare, clone_policy
-from repro.reliability.checkpoint import (
-    CHECKPOINT_SUFFIX,
-    RUN_CHECKPOINT_WORKER,
-    RunCheckpoint,
-    write_checkpoint,
-)
+from repro.reliability.checkpoint import CHECKPOINT_SUFFIX
 from repro.reliability.config import RecoveryEvent, ReliabilityReport
 from repro.reliability.elastic import ScalePlan, ScaleRecord
 from repro.reliability.faults import FaultPlan
@@ -353,10 +348,12 @@ class ShardCoordinator:
             rel.validate(spec.workers, spec.enable_stealing)
         self.stealing = spec.enable_stealing and spec.workers + self.scale.total_ups() > 1
         self.arrivals = fan_out_arrivals(spec, self.plan, self.tracker)
-        #: The store generation every checkpoint is bound to.  Derived before
-        #: the snapshot is taken, so the snapshot carries it and no shard
-        #: re-derives it; a run without reliability never derives it.
-        self.generation = spec.store.generation if rel is not None else None
+        if rel is not None:
+            # Derive the store generation every checkpoint is bound to
+            # before the snapshot is taken, so the snapshot carries it and
+            # no shard re-derives it; a run without reliability never
+            # derives it.
+            spec.store.generation
         #: Every shard — scale-up joiners included — boots from this snapshot.
         self.snapshot = spec.store.snapshot()
         self.channels: List[ShardChannel] = []
@@ -796,30 +793,12 @@ class ShardCoordinator:
         if not paths:
             return
         # Each shard serialises and writes its own .lrcp file, so
-        # checkpoint I/O runs concurrently across worker processes — and
-        # the coordinator writes its own durable state meanwhile: the
-        # cross-shard completion tracker and the per-shard emitted-record
-        # cursor (the result streams' chunk cursor).  Neither moves while
-        # captures are in flight.
+        # checkpoint I/O runs concurrently across worker processes.  The
+        # coordinator's own state needs no file: recovery rebuilds a shard
+        # from its task, its checkpoint and the in-memory journal.
         self._post(
             {worker_id: CaptureCheckpoint(path, window_index) for worker_id, path in paths.items()}
         )
-        started = time.perf_counter()
-        info = write_checkpoint(
-            os.path.join(checkpoint_dir, f"run-w{window_index:06d}{CHECKPOINT_SUFFIX}"),
-            worker_id=RUN_CHECKPOINT_WORKER,
-            window_index=window_index,
-            clock_ms=max((view.clock_ms for view in self.views), default=0.0),
-            generation=self.generation,
-            payload_obj=RunCheckpoint(
-                window_index=window_index,
-                tracker=self.tracker,
-                accepted_seq=dict(self.accepted_seq),
-            ),
-        )
-        self.report.checkpoints_written += 1
-        self.report.checkpoint_bytes += info.byte_size
-        self.report.checkpoint_real_s += time.perf_counter() - started
         captures, crashed = self._collect(paths)
         for written in captures:
             self.latest[written.worker_id] = (paths[written.worker_id], written)

@@ -22,9 +22,9 @@ backend — the serving parity tests pin this down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
-__all__ = ["ResultChunk", "ResultStream", "StreamCursor", "StreamHub"]
+__all__ = ["ResultChunk", "ResultStream", "StreamHub"]
 
 
 @dataclass(frozen=True)
@@ -44,24 +44,6 @@ class ResultChunk:
     time_ms: float
     #: ``True`` on the chunk that completes the query.
     final: bool
-
-
-@dataclass(frozen=True)
-class StreamCursor:
-    """A resumable position over a :class:`StreamHub`'s emitted chunks.
-
-    The serving-side half of crash recovery: chunks already delivered to
-    clients must never be re-emitted when a hub is rebuilt after a
-    failure.  The cursor records, per query, exactly what each stream has
-    emitted — ``(bucket, objects, time_ms)`` triples in sequence order —
-    so :meth:`StreamHub.restore` can silently replay them into fresh
-    streams (no subscriber callbacks fire) and subsequent record
-    ingestion resumes exactly once from the cut.
-    """
-
-    total_chunks: int
-    #: Per query id: the emitted chunks as (bucket, objects, time_ms).
-    emitted: Tuple[Tuple[int, Tuple[Tuple[int, int, float], ...]], ...]
 
 
 class ResultStream:
@@ -175,31 +157,6 @@ class StreamHub:
         but serving runs hold at most the admitted-query count of streams.
         """
         return sum(1 for stream in self._streams.values() if not stream.is_complete)
-
-    def restore(self, cursor: StreamCursor) -> None:
-        """Replay a cursor into freshly registered streams, silently.
-
-        Every stream named by the cursor must be registered and must not
-        have emitted anything yet; the replayed chunks do **not** reach
-        subscribers — the clients already received them before the
-        failure.  After this call, :meth:`ingest_records` resumes
-        exactly-once: replaying a record whose bucket the cursor already
-        covers is a no-op.
-        """
-        for query_id, chunks in cursor.emitted:
-            stream = self._streams.get(query_id)
-            if stream is None:
-                raise ValueError(
-                    f"cursor names query {query_id}, which has no registered stream"
-                )
-            if stream.chunks:
-                raise ValueError(
-                    f"query {query_id}'s stream already emitted chunks; "
-                    "cursors restore into fresh streams only"
-                )
-            for bucket_index, objects, time_ms in chunks:
-                stream.emit(bucket_index, objects, time_ms)
-        self.total_chunks = cursor.total_chunks
 
     def on_service(
         self,

@@ -31,7 +31,7 @@ analytical cost model lives in :mod:`repro.storage.disk_model`.
 
 from repro.storage.bucket_store import Bucket, BucketStore, StoreSnapshot
 from repro.storage.cache import CacheStatistics, LRUCache
-from repro.storage.disk_model import DiskModel, DiskParameters, IOKind, IOTrace
+from repro.storage.disk_model import DiskModel, DiskParameters
 from repro.storage.disk_store import (
     DEFAULT_PAGE_CACHE_BUCKETS,
     DecodedPageCache,
@@ -57,8 +57,6 @@ __all__ = [
     # analytical cost model
     "DiskModel",
     "DiskParameters",
-    "IOTrace",
-    "IOKind",
     # caches
     "LRUCache",
     "CacheStatistics",

@@ -176,9 +176,9 @@ class BucketStore:
         """Rebuild an equivalent store from a :class:`StoreSnapshot`.
 
         The restored store charges the same costs as the original (same
-        disk parameters, no I/O trace) but owns fresh read counters, so
-        per-process accounting can be summed by the coordinator.  A
-        path-based snapshot restores as a file-backed
+        disk parameters) but owns fresh read counters, so per-process
+        accounting can be summed by the coordinator.  A path-based
+        snapshot restores as a file-backed
         :class:`~repro.storage.disk_store.DiskBucketStore` opened
         read-only against the snapshot's generation.
         """
@@ -207,10 +207,7 @@ class BucketStore:
         spec = self.layout[bucket_index]
         cost = 0.0
         if charge_io:
-            disk = self.disk
-            # The label exists only for an enabled I/O trace to record.
-            label = f"bucket:{bucket_index}" if disk.trace.enabled else ""
-            cost = disk.bucket_read_ms(spec.megabytes, label=label)
+            cost = self.disk.bucket_read_ms(spec.megabytes)
         self.reads += 1
         self.bytes_read_mb += spec.megabytes
         return BucketReadResult(self._materialise(spec), cost, from_disk=True)

@@ -8,28 +8,14 @@ same constants fall out of physically plausible parameters, and so that the
 experiments can vary bucket size, index probe cost or sequential bandwidth
 and still obtain consistent costs.
 
-The model also keeps an optional I/O trace, which the tests and the cache
-ablation use to verify that the scheduler issues the sequential/random I/O
-pattern the paper claims (one sequential bucket read shared by a whole
-batch, instead of per-query random reads).
+The model is stateless: it returns costs and records nothing.  What was
+read is counted by the stores and the engine's metrics registry.
 """
 
 from __future__ import annotations
 
-import enum
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, Optional
-
-from repro.telemetry.registry import MetricsRegistry
-
-
-class IOKind(enum.Enum):
-    """Category of a simulated I/O request."""
-
-    SEQUENTIAL_BUCKET_READ = "sequential_bucket_read"
-    RANDOM_INDEX_PROBE = "random_index_probe"
-    RANDOM_PAGE_READ = "random_page_read"
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -66,118 +52,27 @@ class DiskParameters:
         return 1000.0 * megabytes / self.sequential_bandwidth_mb_per_s
 
 
-@dataclass
-class IORecord:
-    """One entry of the I/O trace."""
-
-    kind: IOKind
-    megabytes: float
-    cost_ms: float
-    label: str = ""
-
-
-class IOTrace:
-    """A bounded I/O trace: a ring buffer of records plus exact aggregates.
-
-    Long serving runs issue millions of I/O requests; an unbounded trace
-    would grow without limit.  Detailed :class:`IORecord` entries therefore
-    live in a ring buffer of ``max_records`` (the *newest* entries win —
-    the tail of a run is what failure analysis wants), while the
-    aggregates behind :meth:`count` and :meth:`total_megabytes` (and the
-    ``io.cost_ms`` counter) are per-kind labelled telemetry counters on
-    :attr:`telemetry` — the single source of truth, exact no matter how
-    many detailed entries the ring has dropped.  The cache ablation's
-    sequential-vs-random assertions run on those aggregates, so they
-    keep working on runs of any length; the trace itself stays a thin
-    view over the registry.
-    """
-
-    def __init__(
-        self,
-        records: Iterable[IORecord] = (),
-        enabled: bool = True,
-        max_records: int = 65_536,
-    ) -> None:
-        if max_records <= 0:
-            raise ValueError("max_records must be positive")
-        self.enabled = enabled
-        self.max_records = max_records
-        self._records: Deque[IORecord] = deque(maxlen=max_records)
-        #: Aggregate accounting: ``io.requests`` / ``io.cost_ms`` /
-        #: ``io.megabytes`` counters labelled by :class:`IOKind`.  Charged
-        #: costs are virtual-clock amounts, so the counters live in the
-        #: registry's virtual domain.
-        self.telemetry = MetricsRegistry()
-        #: Detailed entries evicted by the ring buffer (aggregates kept).
-        self.dropped = 0
-        for record in records:
-            self.record(record)
-
-    def _labels(self, kind: IOKind) -> dict:
-        return {"kind": kind.value}
-
-    def record(self, record: IORecord) -> None:
-        """Fold *record* into the aggregates and the ring buffer."""
-        if not self.enabled:
-            return
-        labels = self._labels(record.kind)
-        self.telemetry.counter("io.requests", labels=labels).inc()
-        self.telemetry.counter("io.cost_ms", labels=labels).inc(record.cost_ms)
-        self.telemetry.counter("io.megabytes", labels=labels).inc(record.megabytes)
-        if len(self._records) == self.max_records:
-            self.dropped += 1
-        self._records.append(record)
-
-    def count(self, kind: IOKind) -> int:
-        """Number of recorded requests of *kind* (exact, never truncated)."""
-        return self.telemetry.counter("io.requests", labels=self._labels(kind)).value
-
-    def total_megabytes(self, kind: Optional[IOKind] = None) -> float:
-        """Total bytes moved, optionally restricted to one kind."""
-        if kind is not None:
-            return self.telemetry.counter("io.megabytes", labels=self._labels(kind)).value
-        return sum(
-            self.telemetry.counter("io.megabytes", labels=self._labels(k)).value for k in IOKind
-        )
-
-    def clear(self) -> None:
-        """Drop all recorded entries and reset the aggregates."""
-        self._records.clear()
-        self.telemetry = MetricsRegistry()
-        self.dropped = 0
-
-
 class DiskModel:
-    """Charges I/O costs and optionally records an I/O trace.
+    """Charges I/O costs.
 
     All costs are returned in **milliseconds of simulated time**; callers
     (the join evaluator and the simulator) advance the virtual clock by the
     returned amount rather than sleeping.
     """
 
-    def __init__(
-        self,
-        parameters: Optional[DiskParameters] = None,
-        trace: Optional[IOTrace] = None,
-    ) -> None:
+    def __init__(self, parameters: Optional[DiskParameters] = None) -> None:
         self.parameters = parameters or DiskParameters()
-        self.trace = trace or IOTrace(enabled=False)
 
-    def bucket_read_ms(self, bucket_megabytes: float, label: str = "") -> float:
+    def bucket_read_ms(self, bucket_megabytes: float) -> float:
         """Cost of reading one bucket with a single sequential pass.
 
         This is the model behind the paper's ``Tb``: one positioning delay
         amortised over a large sequential transfer, which is exactly why
         buckets are sized at tens of megabytes (§3.1).
         """
-        cost = self.parameters.positioning_ms + self.parameters.transfer_ms(bucket_megabytes)
-        if self.trace.enabled:
-            self.trace.record(
-                IORecord(IOKind.SEQUENTIAL_BUCKET_READ, bucket_megabytes, cost, label)
-            )
-        return cost
+        return self.parameters.positioning_ms + self.parameters.transfer_ms(bucket_megabytes)
 
-    def index_probe_ms(self, pages: int = 1, label: str = "") -> float:
+    def index_probe_ms(self, pages: int = 1) -> float:
         """Cost of one index lookup touching *pages* random leaf pages.
 
         Each page read pays a positioning delay plus a page transfer; this
@@ -186,13 +81,11 @@ class DiskModel:
         """
         if pages <= 0:
             raise ValueError("an index probe touches at least one page")
-        megabytes = pages * self.parameters.page_size_kb / 1024.0
-        cost = pages * (
+        return pages * (
             self.parameters.positioning_ms
             + self.parameters.transfer_ms(self.parameters.page_size_kb / 1024.0)
         )
-        self.trace.record(IORecord(IOKind.RANDOM_INDEX_PROBE, megabytes, cost, label))
-        return cost
+
 
 def calibrated_disk_for_bucket_read(
     bucket_megabytes: float = 40.0, target_bucket_read_s: float = 1.2

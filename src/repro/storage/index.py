@@ -98,7 +98,7 @@ class SpatialIndex:
         pages = self.height + max(1, math.ceil(matched / self.rows_per_page))
         cost = 0.0
         if self.disk is not None:
-            cost = self.disk.index_probe_ms(pages, label=f"probe:{htm_range.low}")
+            cost = self.disk.index_probe_ms(pages)
         rows: Tuple[object, ...] = ()
         if self._rows is not None:
             rows = tuple(self._rows[low:high])

@@ -159,7 +159,8 @@ GOLDEN_CRASH = {
         68643.36176487495,
     ),
     "windows": 13,
-    "checkpoints_written": 18,
+    # Six checkpoint rounds of two shard files each.
+    "checkpoints_written": 12,
     # (worker, window, checkpoint window, services replayed)
     "recoveries": ((1, 3, 2, 0), (0, 4, 2, 8)),
 }

@@ -19,7 +19,6 @@ from repro.parallel.ipc import ShardTask, ShardWorker
 from repro.parallel.worker import StagedShare
 from repro.reliability.checkpoint import (
     MAGIC,
-    RunCheckpoint,
     ShardCheckpoint,
     checkpoint_shard,
     read_checkpoint,
@@ -238,15 +237,10 @@ class TestShardStateFidelity:
         with pytest.raises(FormatError, match="re-ingested"):
             restore_shard(path, other, expected_generation=other.loop.cache.store.generation)
 
-    def test_restore_rejects_run_checkpoint_payload(self, layout, tmp_path):
-        path = tmp_path / "run.lrcp"
+    def test_restore_rejects_a_non_shard_payload(self, layout, tmp_path):
+        path = tmp_path / "other.lrcp"
         write_checkpoint(
-            path,
-            0,
-            0,
-            0.0,
-            build_shard(layout).loop.cache.store.generation,
-            RunCheckpoint(window_index=0, tracker=None, accepted_seq={}),
+            path, 0, 0, 0.0, build_shard(layout).loop.cache.store.generation, {"window_index": 0}
         )
         shard = build_shard(layout)
         with pytest.raises(FormatError, match="not a shard checkpoint"):
@@ -336,8 +330,7 @@ def test_only_a_reliability_run_derives_the_store_generation(layout):
         return ShardCoordinator(spec, "virtual", InlineChannel)
 
     plain = coordinator(None)
-    assert plain.generation is None and plain.snapshot.generation is None
+    assert plain.snapshot.generation is None
     assert plain.spec.store._generation is None
     reliable = coordinator(ReliabilityConfig())
-    assert reliable.snapshot.generation == reliable.generation
-    assert reliable.generation == BucketStore(layout).generation
+    assert reliable.snapshot.generation == BucketStore(layout).generation

@@ -2,25 +2,12 @@
 
 import pytest
 
-from repro.service.streams import ResultStream, StreamCursor, StreamHub
+from repro.service.streams import ResultStream, StreamHub
 
 
 def stream_of(hub, query_id):
     """The result stream of one registered query."""
     return next(stream for stream in hub.streams() if stream.query_id == query_id)
-
-
-def cursor_of(hub):
-    """A hub's emitted-chunk position: what :meth:`StreamHub.restore` replays."""
-    emitted = tuple(
-        (
-            stream.query_id,
-            tuple((c.bucket_index, c.objects_matched, c.time_ms) for c in stream.chunks),
-        )
-        for stream in hub.streams()
-        if stream.chunks
-    )
-    return StreamCursor(total_chunks=hub.total_chunks, emitted=emitted)
 
 
 class TestResultStream:
@@ -135,85 +122,3 @@ class TestStreamHub:
         # Query 2 never streamed: it contributes to neither summary.
         assert len(hub.time_to_first_result_s()) == 1
 
-
-class TestStreamCursor:
-    """Exactly-once chunk resume across a service restart."""
-
-    def _fed_hub(self, records):
-        hub = StreamHub()
-        hub.register(1, [0, 1, 2], arrival_ms=0.0)
-        hub.register(2, [1, 3], arrival_ms=50.0)
-        hub.ingest_records(records)
-        return hub
-
-    def _records(self):
-        return [
-            _Record(0, 0, 0, (1,), (10,), 90.0, 100.0),
-            _Record(0, 1, 1, (1, 2), (5, 7), 190.0, 200.0),
-            _Record(0, 2, 2, (1,), (3,), 290.0, 300.0),
-            _Record(0, 3, 3, (2,), (4,), 390.0, 400.0),
-        ]
-
-    def test_cursor_round_trip_resumes_exactly_once(self):
-        records = self._records()
-        # Original hub sees the first half, then "crashes".
-        original = self._fed_hub(records[:2])
-        cursor = cursor_of(original)
-        assert cursor.total_chunks == 3
-
-        # A rebuilt hub restores the cursor silently, then ingests the
-        # tail — including a replayed record, which must be a no-op.
-        seen = []
-        restored = StreamHub()
-        restored.register(1, [0, 1, 2], arrival_ms=0.0)
-        restored.register(2, [1, 3], arrival_ms=50.0)
-        restored.subscribe(seen.append)
-        restored.restore(cursor)
-        assert seen == []  # replay never re-notifies subscribers
-        restored.ingest_records(records)  # full stream: head is replayed
-
-        reference = self._fed_hub(records)
-        for query_id in (1, 2):
-            assert [
-                (c.seq, c.bucket_index, c.objects_matched, c.time_ms, c.final)
-                for c in stream_of(restored, query_id).chunks
-            ] == [
-                (c.seq, c.bucket_index, c.objects_matched, c.time_ms, c.final)
-                for c in stream_of(reference, query_id).chunks
-            ]
-        assert restored.total_chunks == reference.total_chunks
-        # Only the tail's chunks reached subscribers, in ingestion order.
-        assert [(c.query_id, c.seq) for c in seen] == [(1, 2), (2, 1)]
-
-    def test_restore_requires_registered_streams(self):
-        original = self._fed_hub(self._records()[:1])
-        cursor = cursor_of(original)
-        empty = StreamHub()
-        with pytest.raises(ValueError, match="no registered stream"):
-            empty.restore(cursor)
-
-    def test_restore_requires_fresh_streams(self):
-        records = self._records()
-        original = self._fed_hub(records[:2])
-        cursor = cursor_of(original)
-        dirty = self._fed_hub(records[:1])
-        with pytest.raises(ValueError, match="fresh streams"):
-            dirty.restore(cursor)
-
-    def test_frontend_hub_cursor_restores_into_a_fresh_frontend(self):
-        from repro.core.metrics import CostModel
-        from repro.service.frontend import ServiceConfig, ServingFrontEnd
-        from repro.storage.partitioner import BucketPartitioner
-        from repro.workload.generator import TraceConfig, TraceGenerator
-
-        layout = BucketPartitioner().partition_density(32)
-        trace = TraceGenerator(TraceConfig(query_count=6, bucket_count=32, seed=4)).generate()
-        first = ServingFrontEnd(ServiceConfig(), layout, CostModel.paper_defaults())
-        first.admit(trace.queries)
-        cursor = cursor_of(first.hub)
-        assert cursor.total_chunks == 0
-
-        second = ServingFrontEnd(ServiceConfig(), layout, CostModel.paper_defaults())
-        second.admit(trace.queries)
-        second.hub.restore(cursor)
-        assert second.hub.total_chunks == 0
