@@ -98,6 +98,13 @@ class TestEnvelope:
         with pytest.raises(FormatError, match="re-ingested"):
             read_checkpoint(path, expected_generation="d" * 16)
 
+    def test_reader_without_an_expected_generation_accepts_any(self, tmp_path):
+        path = tmp_path / "state.lrcp"
+        write_checkpoint(path, 1, 2, 3.0, "e" * 16, [4, 5])
+        payload, info = read_checkpoint(path)
+        assert payload == [4, 5]
+        assert info.generation == "e" * 16
+
     def test_magic_is_lrcp(self):
         assert MAGIC == b"LRCP"
 

@@ -467,3 +467,35 @@ class TestRecoveryGuards:
         )
         assert sum(files.values()) == report.checkpoint_bytes
         assert report.checkpoints_written == len(marks)
+
+    @pytest.mark.parametrize(
+        "cadence, plan",
+        [("windows:1", "1@1,0@3"), ("windows:3", "0@2"), ("interval:20000", "1@4")],
+    )
+    def test_a_crash_run_writes_shard_files_only(
+        self, timed_queries, sim_config, tmp_path, cadence, plan
+    ):
+        """Recoveries read shard files and the coordinator's memory, so a
+        crash run, like a clean one, leaves one shard file per mark."""
+        target = tmp_path / "checkpoints"
+        report = Simulator(sim_config).execute(
+            timed_queries,
+            RunSpec(
+                workers=2,
+                enable_stealing=False,
+                reliability=ReliabilityConfig(
+                    checkpoint_dir=str(target),
+                    cadence=cadence,
+                    faults=FaultPlan.parse(plan),
+                    window_quantum_ms=sim_config.cost.tb_ms * WINDOW_BUCKET_READS,
+                ),
+            ),
+        ).reliability
+        assert report.recovery_count == len(FaultPlan.parse(plan))
+        files = {path.name: path.stat().st_size for path in target.iterdir()}
+        marks = report.checkpoint_marks
+        assert sorted(files) == sorted(
+            f"shard{mark.worker_id:02d}-w{mark.window_index:06d}.lrcp" for mark in marks
+        )
+        assert sum(files.values()) == report.checkpoint_bytes
+        assert report.checkpoints_written == len(marks)

@@ -122,3 +122,41 @@ class TestStreamHub:
         # Query 2 never streamed: it contributes to neither summary.
         assert len(hub.time_to_first_result_s()) == 1
 
+    def test_replaying_a_log_emits_nothing_new(self):
+        """Each needed bucket streams once: a log fed a second time adds no
+        chunk and notifies no subscriber."""
+        hub = StreamHub()
+        hub.register(1, (0, 1, 2), arrival_ms=0.0)
+        hub.register(2, (1, 3), arrival_ms=50.0)
+        seen = []
+        hub.subscribe(seen.append)
+        records = [
+            _Record(0, 0, 0, (1,), (10,), 90.0, 100.0),
+            _Record(0, 1, 1, (1, 2), (5, 7), 190.0, 200.0),
+            _Record(0, 2, 3, (2,), (4,), 290.0, 300.0),
+        ]
+        assert hub.ingest_records(records) == 4
+        before = [list(stream.chunks) for stream in hub.streams()]
+        assert hub.ingest_records(records) == 0
+        assert [list(stream.chunks) for stream in hub.streams()] == before
+        assert hub.total_chunks == 4 and len(seen) == 4
+        assert hub.completed_queries() == [2]
+
+    def test_missing_object_counts_report_zero_objects(self):
+        hub = StreamHub()
+        hub.register(1, (0, 1), arrival_ms=0.0)
+        (chunk,) = hub.on_service(0, (1,), (), time_ms=10.0)
+        assert chunk.objects_matched == 0
+        assert chunk.progress == pytest.approx(0.5)
+        assert not chunk.final
+
+    def test_open_stream_count_tracks_incomplete_streams(self):
+        hub = StreamHub()
+        assert hub.open_stream_count() == 0
+        hub.register(1, (0, 1), arrival_ms=0.0)
+        hub.register(2, (0,), arrival_ms=0.0)
+        assert hub.open_stream_count() == 2
+        hub.on_service(0, (1, 2), (1, 1), time_ms=10.0)
+        assert hub.open_stream_count() == 1
+        hub.on_service(1, (1,), (1,), time_ms=20.0)
+        assert hub.open_stream_count() == 0

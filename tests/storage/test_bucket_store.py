@@ -163,6 +163,19 @@ class TestVirtualStore:
         assert image.spec == store.layout[2]
         assert store.reads == 0
 
+    def test_read_cost_is_the_disk_models_bucket_read(self):
+        store = build_store()
+        for index, spec in enumerate(store.layout):
+            assert store.read_bucket(index).cost_ms == store.disk.bucket_read_ms(spec.megabytes)
+
+    def test_uncharged_read_still_counts_the_read(self):
+        """Callers that charge I/O themselves still read the bucket."""
+        store = build_store()
+        result = store.read_bucket(3, charge_io=False)
+        assert result.bucket.object_count == 5
+        assert store.reads == 1
+        assert store.bytes_read_mb == store.layout[3].megabytes
+
     def test_partial_final_bucket_costs_less(self):
         store = build_store()
         full = store.read_bucket(0).cost_ms
