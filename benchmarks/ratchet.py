@@ -66,6 +66,10 @@ RATCHETED_METRICS: Dict[str, str] = {
     # dimensionless ratio with the absolute rate beside it
     "kernel_speedup_vs_row_path": "higher",
     "crossmatch_objects_per_s": "higher",
+    # kernels: the pre-processor's run assignment over one layout search per
+    # object (tests/core/preprocessor_oracle.py) on one HTM-coherent query,
+    # both timed in one process in turns — dimensionless
+    "assign_speedup_vs_per_object": "higher",
     # service: one event at the serving gate must not scale with the
     # admitted-but-undrained backlog — µs at 4,096 in-flight admissions ÷ µs
     # at 256, dimensionless, with the absolute figure beside it

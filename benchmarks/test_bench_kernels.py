@@ -10,6 +10,11 @@ both best-of-N in this process, a dimensionless number a slow runner cannot
 move — and, beside it, the absolute ``crossmatch_objects_per_s``.  Measured
 twice: with the matches only counted (what every engine does) and with
 every :class:`~repro.core.kernels.MatchedPair` materialised.
+
+The pre-processor that feeds the kernel is measured the same way:
+``assign_speedup_vs_per_object`` is one HTM-coherent query assigned to
+buckets by runs against the one-search-per-object loop it replaced
+(``tests/core/preprocessor_oracle.py``), on a 40- and a 20,000-bucket layout.
 ``BENCH_kernels.json`` at the repository root is the committed baseline
 (``--bench-json``; compare with ``benchmarks.ratchet``).
 """
@@ -21,14 +26,21 @@ import pytest
 
 from repro.catalog.objects import CelestialObject
 from repro.core.kernels import crossmatch_block
+from repro.core.preprocessor import QueryPreProcessor
 from repro.core.workload_manager import WorkloadEntry
 from repro.htm.curve import HTMRange
 from repro.storage.format import decode_column_block, encode_bucket_page
-from repro.workload.query import CrossMatchObject
+from repro.storage.partitioner import BucketPartitioner
+from repro.workload.query import CrossMatchObject, CrossMatchQuery
 from tests.core.join_oracle import merge_join
+from tests.core.preprocessor_oracle import assign_per_object
 
 #: The kernel must stay at least this many times faster than the row path.
 MIN_SPEEDUP_VS_ROW_PATH = 2.0
+
+#: Run assignment must stay at least this many times faster than one layout
+#: search per object.
+MIN_SPEEDUP_VS_PER_OBJECT = 2.0
 
 ROWS = 100
 OBJECTS = 86
@@ -126,4 +138,49 @@ def test_bench_crossmatch_kernel_vs_row_path(benchmark, consume):
     assert speedup >= MIN_SPEEDUP_VS_ROW_PATH, (
         f"the columnar kernel is only {speedup:.2f}x the row path "
         f"({OBJECTS / kernel_s:,.0f} vs {OBJECTS / row_path_s:,.0f} objects/s)"
+    )
+
+
+def coherent_query(bucket_count: int, objects: int = 300) -> tuple:
+    """``(layout, query)``: *objects* in HTM order across three middle buckets.
+
+    Evenly spaced boxes each 1/200 of a bucket wide, as a query's objects
+    sorted along the curve arrive; the few that touch a bucket edge
+    straddle it.
+    """
+    layout = BucketPartitioner().partition_density(bucket_count)
+    first = bucket_count // 2
+    low, high = layout.lows[first], layout.highs[first + 2]
+    width = (layout.highs[first] - low) // 200
+    step = (high - width - low) // (objects - 1)
+    shipped = tuple(
+        CrossMatchObject(object_id=i, htm_range=HTMRange(low + i * step, low + i * step + width))
+        for i in range(objects)
+    )
+    return layout, CrossMatchQuery(1, objects=shipped)
+
+
+@pytest.mark.parametrize("bucket_count", [40, 20_000])
+def test_bench_assign_vs_per_object(benchmark, bucket_count):
+    layout, query = coherent_query(bucket_count)
+    preprocessor = QueryPreProcessor(layout)
+
+    def runs():
+        return preprocessor.assign(query)
+
+    def per_object():
+        return assign_per_object(layout, query.objects)
+
+    assignment = benchmark.pedantic(runs, rounds=200, iterations=1)
+    assert list(assignment.items()) == list(per_object().items())
+    runs_s, per_object_s = best_seconds((runs, per_object))
+    speedup = per_object_s / runs_s
+    objects = len(query.objects)
+    benchmark.extra_info["buckets_touched"] = len(assignment)
+    benchmark.extra_info["assign_us_per_object"] = round(runs_s / objects * 1e6, 4)
+    benchmark.extra_info["per_object_us_per_object"] = round(per_object_s / objects * 1e6, 4)
+    benchmark.extra_info["assign_speedup_vs_per_object"] = round(speedup, 3)
+    assert speedup >= MIN_SPEEDUP_VS_PER_OBJECT, (
+        f"run assignment is only {speedup:.2f}x one search per object "
+        f"({runs_s / objects * 1e6:.3f} vs {per_object_s / objects * 1e6:.3f} us per object)"
     )

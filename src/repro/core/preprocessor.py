@@ -9,6 +9,15 @@ layout and assigns the object to every overlapping bucket (an object "may
 overlap multiple buckets", §3.1 — no duplicate elimination is needed
 because the join is on point data).
 
+A query's objects arrive in HTM order, or close to it, so consecutive
+objects nearly always fall in the same bucket.  The pre-processor keeps the
+bucket the previous object fell in alone; an object inside that bucket's
+extent joins it without a layout search (buckets are disjoint, so no other
+bucket can overlap it), and any other object is looked up in the layout as
+usual.  The result is the per-object lookup's: the same buckets in the same
+first-touch order, and the same objects in the same order in each bucket
+(``tests/core/preprocessor_oracle.py`` keeps that lookup as the oracle).
+
 Abstract queries that already carry a bucket footprint (the scaled
 experiment traces) pass through unchanged after validation.
 """
@@ -59,13 +68,29 @@ class QueryPreProcessor:
         self, objects: Sequence[CrossMatchObject]
     ) -> Dict[int, List[CrossMatchObject]]:
         assignments: Dict[int, List[CrossMatchObject]] = {}
+        lows, highs = self.layout.lows, self.layout.highs
         indices_for_range = self.layout.bucket_indices_for_range
+        # The run: the list of the last bucket an object fell in alone, and
+        # that bucket's extent [run_low, run_high].  Buckets are disjoint,
+        # so a range inside the extent overlaps that bucket and no other,
+        # and is appended with no search.  The extent starts empty.
+        run_append = None
+        run_low, run_high = 1, 0
         for obj in objects:
+            htm_range = obj.htm_range
+            if run_low <= htm_range.low and htm_range.high <= run_high:
+                run_append(obj)
+                continue
             # An empty span: the object's bounding box falls outside the
             # partitioned table (e.g. outside the survey footprint); it
             # simply has no potential matches at this site.
-            for bucket_index in indices_for_range(obj.htm_range):
+            indices = indices_for_range(htm_range)
+            for bucket_index in indices:
                 assignments.setdefault(bucket_index, []).append(obj)
+            if len(indices) == 1:
+                bucket_index = indices[0]
+                run_append = assignments[bucket_index].append
+                run_low, run_high = lows[bucket_index], highs[bucket_index]
         return assignments
 
     def footprint(self, query: CrossMatchQuery) -> Dict[int, int]:

@@ -5,6 +5,8 @@ hardware) and, for each saturation, the age bias α.  Figure 8(a) shows the
 throughput gap between the α values widening as saturation grows; Figure
 8(b) shows how response time moves, which is what drives the adaptive
 choice of α (increase α at low saturation, keep it small when saturated).
+Each row reports the 95th-percentile and the largest response beside the
+mean, since α trades the mean against the tail of starved queries.
 
 Because the reproduction's absolute capacity differs from the paper's
 testbed, the sweep is expressed as multiples of the greedy scheduler's
@@ -72,6 +74,8 @@ def run(
                     alpha,
                     result.throughput_qps,
                     result.avg_response_time_s,
+                    result.response_stats.p95_s,
+                    result.response_stats.maximum_s,
                     result.cache_hit_rate,
                 )
             )
@@ -96,6 +100,8 @@ def run(
             "alpha",
             "throughput (q/s)",
             "avg response (s)",
+            "p95 response (s)",
+            "max response (s)",
             "cache hit rate",
         ),
         rows=rows,

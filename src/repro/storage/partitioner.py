@@ -60,11 +60,13 @@ class PartitionLayout:
 
     Bucket ``i`` covers the leaf IDs ``lows[i]`` to ``highs[i]``, holds
     ``counts[i]`` objects and is charged ``megabytes[i]`` per read.  The
-    columns are the whole state, read-only by contract.  ``highs`` and
-    ``counts`` are ``array("Q")`` and ``megabytes`` is ``array("d")``;
-    ``lows`` is a list, because :meth:`bucket_indices_for_range` bisects
-    it once per query object and a bisect over an array boxes an int at
-    every probe.  ``layout[i]`` builds bucket ``i``'s :class:`BucketSpec`
+    buckets are disjoint and in curve order (``highs[i] < lows[i + 1]``);
+    gaps between them are allowed.  The columns are the whole state,
+    read-only by contract.  ``highs`` and ``counts`` are ``array("Q")`` and
+    ``megabytes`` is ``array("d")``; ``lows`` is a list, because
+    :meth:`bucket_indices_for_range` bisects it for each query object that
+    leaves its predecessor's bucket, and a bisect over an array boxes an
+    int at every probe.  ``layout[i]`` builds bucket ``i``'s :class:`BucketSpec`
     on first access and memoises it, so a 20,000-bucket layout costs its
     user only the specs it touches.
     """
@@ -86,6 +88,14 @@ class PartitionLayout:
                 raise ValueError(f"bucket {index} has an empty HTM range [{low}, {high}]")
         if any(low > after for low, after in zip(lows, lows[1:])):
             raise ValueError("buckets must be ordered along the HTM curve")
+        # Buckets are disjoint (§3.1): a leaf ID two buckets claimed would be
+        # looked up in one of them only.
+        for index, (high, after) in enumerate(zip(highs, lows[1:])):
+            if high >= after:
+                raise ValueError(
+                    f"buckets {index} and {index + 1} overlap: bucket {index} ends at "
+                    f"{high}, bucket {index + 1} begins at {after}"
+                )
         self.__setstate__(
             (
                 leaf_level,

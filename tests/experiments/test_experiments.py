@@ -140,6 +140,11 @@ class TestSchedulingFigures:
             alphas=(0.0, 1.0),
         )
         assert len(result.rows) == 4
+        assert result.headers[4:7] == ("avg response (s)", "p95 response (s)", "max response (s)")
+        for row in result.rows:
+            assert len(row) == len(result.headers) == 8
+            mean_s, p95_s, max_s = row[4:7]
+            assert 0 < mean_s <= max_s and p95_s <= max_s
         assert result.headline["greedy_capacity_qps"] > 0
         # The throughput gap between alpha=0 and alpha=1 does not shrink as
         # saturation grows (the paper's "gap widens" observation).

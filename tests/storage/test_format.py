@@ -235,6 +235,23 @@ class TestCorruptionDetection:
         ):
             BucketFileReader(path)
 
+    def test_overlapping_buckets_are_a_format_error_naming_the_file(self, tmp_path):
+        """Bucket 0's directory entry reaching into bucket 1, under a valid directory CRC."""
+        path = tmp_path / "overlapping.lrbs"
+        materialize_layout(path, BucketPartitioner().partition_density(4), rows_per_bucket=2)
+        data = bytearray(path.read_bytes())
+        directory_offset = _HEADER.unpack_from(data)[5]
+        low, _, *rest = _DIR_ENTRY.unpack_from(data, directory_offset)
+        next_low = _DIR_ENTRY.unpack_from(data, directory_offset + _DIR_ENTRY.size)[0]
+        _DIR_ENTRY.pack_into(data, directory_offset, low, next_low, *rest)
+        _CRC.pack_into(data, len(data) - _CRC.size, crc32(data[directory_offset : -_CRC.size]))
+        path.write_bytes(data)
+        with pytest.raises(
+            FormatError,
+            match=r"overlapping\.lrbs' has an invalid layout: buckets 0 and 1 overlap",
+        ):
+            BucketFileReader(path)
+
 
 class TestColumnarBlocks:
     """Zero-copy ColumnBlock reads: parity with the strict row path."""

@@ -167,6 +167,23 @@ class TestPartitionLayout:
         with pytest.raises(ValueError, match=r"bucket 1 has an empty HTM range \[9, 8\]"):
             layout_from_ranges([(5, 6), (9, 8)], [1, 1])
 
+    def test_overlapping_buckets_rejected(self):
+        """Buckets are disjoint (§3.1); touching and gapped buckets are fine."""
+        start = CURVE_START
+        layout_from_ranges([(start, start + 5), (start + 6, start + 9)], [1, 1])
+        layout_from_ranges([(start, start + 5), (start + 8, start + 9)], [1, 1])
+        # Bucket 0 covers start + 6, which a lookup would give to bucket 1 only.
+        with pytest.raises(ValueError, match="buckets 0 and 1 overlap"):
+            layout_from_ranges([(start, start + 10), (start + 5, start + 12)], [1, 1])
+        # Equal lows: a lookup of start + 7 would find no bucket at all.
+        with pytest.raises(ValueError, match="buckets 0 and 1 overlap"):
+            layout_from_ranges([(start, start + 10), (start, start + 3)], [1, 1])
+        # One shared ID is an overlap too.
+        with pytest.raises(ValueError, match="buckets 1 and 2 overlap"):
+            layout_from_ranges(
+                [(start, start + 1), (start + 2, start + 5), (start + 5, start + 9)], [1, 1, 1]
+            )
+
 
 #: ``BucketStore.generation`` of ``BucketPartitioner().partition_density(n)``,
 #: recorded from the spec-per-bucket layout the columns replaced.
@@ -246,18 +263,24 @@ def scan_buckets_for_range(layout, htm_range):
 
 @st.composite
 def gappy_layouts(draw):
-    """Layouts with gaps, touching buckets, equal lows and overlapping extents."""
-    lows = sorted(
-        draw(
-            st.lists(
-                st.integers(min_value=CURVE_START, max_value=CURVE_START + 2_000),
-                min_size=1,
-                max_size=30,
-            )
+    """Disjoint layouts with gaps and touching buckets, as the constructor accepts."""
+    extents = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0), st.integers(min_value=1, max_value=150)),  # gap before
+                st.integers(min_value=1, max_value=200),  # width
+            ),
+            min_size=1,
+            max_size=30,
         )
     )
-    highs = [low + draw(st.integers(min_value=0, max_value=300)) for low in lows]
-    return layout_from_ranges(list(zip(lows, highs)), [10] * len(lows))
+    ranges = []
+    low = CURVE_START
+    for gap, width in extents:
+        low += gap
+        ranges.append((low, low + width - 1))
+        low += width
+    return layout_from_ranges(ranges, [10] * len(ranges))
 
 
 #: Ranges before, after, inside and straddling the stretch the layouts cover.
