@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Workload-adaptive tuning of the age bias α.
 
-Reproduces the control loop described in §4 of the paper:
+Reproduces the selection rule described in §4 of the paper:
 
 1. Offline, measure one throughput/response-time trade-off curve per
    saturation level by sweeping the age bias α over a representative trace.
-2. Online, estimate the current saturation from recent arrivals and pick,
-   for the closest curve, the α that minimises response time while staying
-   within a tolerance threshold (20 %) of the maximum throughput.
+2. Given a saturation level, take the closest curve and pick the α that
+   minimises response time while staying within a tolerance threshold
+   (20 %) of the maximum throughput.
 
-The example then plays a bursty day — quiet mornings, a saturated evening —
-and shows the controller moving α as the arrival rate changes.
+The example then walks a day from a quiet morning to a saturated evening
+and shows the α the controller picks at each arrival rate.
 
 Run with::
 
@@ -21,7 +21,6 @@ from repro.core.adaptive import AlphaController
 from repro.experiments.common import render_table
 from repro.experiments.figure4 import build_tradeoff_curves
 from repro.sim.simulator import SimulationConfig, Simulator
-from repro.workload.arrival import BurstyArrivalProcess
 from repro.workload.generator import TraceConfig, TraceGenerator
 
 
@@ -47,29 +46,31 @@ def main() -> None:
         )
     )
 
-    # ---- online: let the controller follow a bursty arrival stream ------
+    # ---- selection: the α each saturation level gets --------------------
     controller = AlphaController(list(curves.values()), tolerance=0.2)
     print()
     print("tolerance threshold: give up at most 20% of the maximum throughput")
     for label, curve in curves.items():
-        chosen = curve.select_alpha(0.2)
+        chosen = controller.alpha_for_saturation(curve.saturation_qps)
         print(f"  saturation {label:6s} ({curve.saturation_qps:.3f} q/s) -> alpha = {chosen:g}")
 
     print()
-    print("online adaptation over a bursty arrival stream:")
-    arrivals = BurstyArrivalProcess(
-        burst_rate_qps=2.0, burst_length=40, gap_seconds=600.0, seed=3
-    ).arrival_times(160)
-    checkpoints = (20, 60, 100, 140)
-    for index, time_s in enumerate(arrivals):
-        controller.observe_arrival(time_s)
-        if index in checkpoints:
-            rate = controller.estimator.rate_qps(now_s=time_s)
-            alpha = controller.current_alpha(now_s=time_s)
-            print(
-                f"  after {index + 1:3d} arrivals (t={time_s:8.1f}s): "
-                f"estimated rate {rate:.3f} q/s -> alpha = {alpha:g}"
-            )
+    print("alpha over a day, from the quiet morning to the saturated evening:")
+    low = curves["low"].saturation_qps
+    high = curves["high"].saturation_qps
+    for period, rate in (
+        ("night", 0.5 * low),
+        ("morning", low),
+        ("midday", 0.5 * (low + high)),
+        ("evening", high),
+        ("flash crowd", 1.5 * high),
+    ):
+        alpha = controller.alpha_for_saturation(rate)
+        curve = controller.curve_for_saturation(rate)
+        print(
+            f"  {period:11s} {rate:7.3f} q/s: closest curve {curve.saturation_qps:.3f} q/s "
+            f"-> alpha = {alpha:g}"
+        )
 
 
 if __name__ == "__main__":

@@ -9,9 +9,8 @@ the filter step of the cross-match.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -72,23 +71,3 @@ class CatalogTable:
     def htm_ids(self) -> Sequence[int]:
         """HTM IDs aligned with :attr:`rows`."""
         return self._ids
-
-    def insert(self, obj: CelestialObject) -> None:
-        """Insert one object, keeping HTM order."""
-        position = bisect.bisect_right(self._ids, obj.htm_id)
-        self._ids.insert(position, obj.htm_id)
-        self._rows.insert(position, obj)
-
-    def extend(self, objects: Iterable[CelestialObject]) -> None:
-        """Bulk-insert objects (re-sorts once; cheaper than repeated inserts)."""
-        self._rows.extend(objects)
-        self._rows.sort(key=lambda o: o.htm_id)
-        self._ids = [o.htm_id for o in self._rows]
-
-    def describe(self) -> Dict[str, float]:
-        """Summary statistics for reports."""
-        return {
-            "rows": float(len(self._rows)),
-            "min_htm_id": float(self._ids[0]) if self._ids else 0.0,
-            "max_htm_id": float(self._ids[-1]) if self._ids else 0.0,
-        }

@@ -20,8 +20,8 @@ paper:
 * the **Join Evaluator** (:mod:`repro.core.join_evaluator`) applies the
   hybrid join strategy (indexed join vs. sequential scan) and performs the
   plane-sweep spatial merge join;
-* the **adaptive controller** (:mod:`repro.core.adaptive`) tunes the age
-  bias α from trade-off curves and a tolerance threshold;
+* the **α selection** (:mod:`repro.core.adaptive`) picks the age bias α
+  from offline trade-off curves and a tolerance threshold;
 * the **engine** (:mod:`repro.core.engine`) wires everything together.
 """
 
@@ -37,7 +37,7 @@ from repro.core.baselines import (
     IndexOnlyScheduler,
     LeastSharableFirstScheduler,
 )
-from repro.core.adaptive import TradeoffPoint, TradeoffCurve, AlphaController, SaturationEstimator
+from repro.core.adaptive import TradeoffPoint, TradeoffCurve, AlphaController
 from repro.core.engine import LifeRaftEngine, EngineConfig
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "TradeoffPoint",
     "TradeoffCurve",
     "AlphaController",
-    "SaturationEstimator",
     "LifeRaftEngine",
     "EngineConfig",
 ]

@@ -1,21 +1,27 @@
-"""Workload-adaptive selection of the age bias α.
+"""Selection of the age bias α from offline trade-off curves.
 
 Section 4 of the paper describes how α is chosen: trade-off curves of
 (normalised) query throughput versus (normalised) response time are
-determined offline for representative saturation levels by sweeping α
-(Figure 4); online, the controller estimates the current saturation and
-picks, for the closest curve, the α that minimises response time while
-giving up no more than a user-specified **tolerance threshold** of the
-maximum achievable throughput.  At low saturation that pushes α toward 1
-(arrival order — big response-time wins for a small throughput cost); at
-high saturation toward small α (contention wins dominate).
+measured offline for representative saturation levels by sweeping α
+(Figure 4).  For a given saturation, :class:`AlphaController` takes the
+closest curve and picks the α that minimises response time while giving
+up no more than a user-specified **tolerance threshold** of the maximum
+achievable throughput.  At low saturation that pushes α toward 1 (arrival
+order — big response-time wins for a small throughput cost); at high
+saturation toward small α (contention wins dominate).
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+
+def _checked_tolerance(tolerance: float) -> float:
+    """*tolerance* itself, or ``ValueError`` unless it lies within [0, 1)."""
+    if not 0.0 <= tolerance < 1.0:
+        raise ValueError("tolerance must be within [0, 1)")
+    return tolerance
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,7 @@ class TradeoffCurve:
         20 % of maximum achievable throughput" (§4) corresponds to
         ``tolerance=0.2``.
         """
-        if not 0.0 <= tolerance < 1.0:
-            raise ValueError("tolerance must be within [0, 1)")
+        _checked_tolerance(tolerance)
         if not self.points:
             raise ValueError("empty trade-off curve")
         floor = (1.0 - tolerance) * self.max_throughput()
@@ -88,70 +93,20 @@ class TradeoffCurve:
         return best.alpha
 
 
-class SaturationEstimator:
-    """Sliding-window estimate of the query arrival rate.
-
-    The controller needs to know how saturated the workload currently is;
-    a window over recent arrival timestamps gives a rate estimate robust to
-    the bursty, non-stationary traffic the paper worries about in §6.
-    """
-
-    def __init__(self, window_s: float = 600.0) -> None:
-        if window_s <= 0:
-            raise ValueError("window must be positive")
-        self.window_s = window_s
-        self._arrivals: List[float] = []
-
-    def observe_arrival(self, time_s: float) -> None:
-        """Record one query arrival at *time_s* (seconds)."""
-        if self._arrivals and time_s < self._arrivals[-1]:
-            raise ValueError("arrival times must be non-decreasing")
-        self._arrivals.append(time_s)
-
-    def rate_qps(self, now_s: Optional[float] = None) -> float:
-        """Arrivals per second over the trailing window."""
-        if not self._arrivals:
-            return 0.0
-        now = now_s if now_s is not None else self._arrivals[-1]
-        cutoff = now - self.window_s
-        start = bisect.bisect_left(self._arrivals, cutoff)
-        recent = len(self._arrivals) - start
-        if recent <= 0:
-            return 0.0
-        # Divide by the full window once enough history exists; during the
-        # cold start divide by the span actually observed so far.
-        observed_span = now - self._arrivals[0]
-        horizon = max(min(self.window_s, observed_span), 1e-9)
-        return recent / horizon
-
-
 class AlphaController:
     """Chooses α from offline trade-off curves and a tolerance threshold."""
 
-    def __init__(
-        self,
-        curves: Sequence[TradeoffCurve],
-        tolerance: float = 0.2,
-        estimator: Optional[SaturationEstimator] = None,
-    ) -> None:
+    def __init__(self, curves: Sequence[TradeoffCurve], tolerance: float = 0.2) -> None:
         if not curves:
             raise ValueError("at least one trade-off curve is required")
         self.curves: List[TradeoffCurve] = sorted(curves, key=lambda c: c.saturation_qps)
-        self.tolerance = tolerance
-        self.estimator = estimator or SaturationEstimator()
+        self.tolerance = _checked_tolerance(tolerance)
 
     def curve_for_saturation(self, saturation_qps: float) -> TradeoffCurve:
-        """The offline curve whose saturation level is closest to the estimate."""
+        """The offline curve whose saturation level is closest to *saturation_qps*."""
         return min(self.curves, key=lambda c: abs(c.saturation_qps - saturation_qps))
 
     def alpha_for_saturation(self, saturation_qps: float) -> float:
         """α recommended for an explicitly given saturation level."""
         return self.curve_for_saturation(saturation_qps).select_alpha(self.tolerance)
 
-    def observe_arrival(self, time_s: float) -> None:
-        """Feed one arrival into the saturation estimator."""
-        self.estimator.observe_arrival(time_s)
-
-    def current_alpha(self, now_s: Optional[float] = None) -> float:
-        """α recommended for the currently estimated saturation."""
-        return self.alpha_for_saturation(self.estimator.rate_qps(now_s))

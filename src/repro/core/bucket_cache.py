@@ -67,11 +67,6 @@ class BucketCacheManager:
         self._t_read_ms = registry.counter("store.read_ms")
         self._t_read_mb = registry.counter("store.read_mb")
 
-    @property
-    def capacity(self) -> int:
-        """Number of buckets the cache can hold."""
-        return self._cache.capacity
-
     def resident(self, bucket_index: int) -> bool:
         """The φ(i) probe: is the bucket in memory?  (No side effects.)"""
         return self._cache.contains(bucket_index)

@@ -29,7 +29,7 @@ them — one lane's, or a sharded run's merge of its lanes — into an
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.bucket_cache import BucketCacheManager, PAPER_CACHE_BUCKETS
 from repro.core.join_evaluator import HybridJoinEvaluator, JoinResult, JoinStrategy
@@ -144,13 +144,6 @@ class EngineReport:
         if self.makespan_ms <= 0:
             return 0.0
         return self.completed_queries / (self.makespan_ms / 1000.0)
-
-    @property
-    def avg_response_time_s(self) -> float:
-        """Mean response time over completed queries, in seconds."""
-        if not self.response_times_ms:
-            return 0.0
-        return sum(self.response_times_ms.values()) / len(self.response_times_ms) / 1000.0
 
 
 def build_engine_report(
@@ -330,7 +323,7 @@ class ServiceLoop:
         return result
 
     def _sample_series(self, now_ms: float) -> None:
-        """Flush windowed gauge samples for every barrier ``(k+1)·W ≤ now``.
+        """Flush windowed series samples for every barrier ``(k+1)·W ≤ now``.
 
         Sampling happens at service completions only, after the batch has
         drained, so the recorded state is the lane's post-drain state at
@@ -439,11 +432,6 @@ class LifeRaftEngine:
     # intake
     # ------------------------------------------------------------------ #
 
-    @property
-    def now_ms(self) -> float:
-        """The engine's internal virtual clock (:meth:`process_next` without a time)."""
-        return self._now_ms
-
     def submit(self, query: CrossMatchQuery, now_ms: Optional[float] = None) -> None:
         """Accept a query: pre-process it and enqueue its per-bucket workloads."""
         arrival_ms = now_ms if now_ms is not None else query.arrival_time_s * 1000.0
@@ -482,11 +470,6 @@ class LifeRaftEngine:
     # ------------------------------------------------------------------ #
     # reporting
     # ------------------------------------------------------------------ #
-
-    @property
-    def batches(self) -> Sequence[BatchResult]:
-        """Every batch processed so far, in execution order."""
-        return self.loop.batches
 
     def report(self) -> EngineReport:
         """Summarise what the engine has done so far."""

@@ -80,11 +80,6 @@ class WorkloadQueue:
         """Size of the workload queue (the ``sum_j W_i^j`` of Equation 1)."""
         return self._total_objects
 
-    @property
-    def query_ids(self) -> List[int]:
-        """Queries with pending work in this bucket, in enqueue order."""
-        return [entry.query_id for entry in self.entries]
-
     def age_ms(self, now_ms: float) -> float:
         """Age ``A(i)`` of the oldest request at time *now_ms*."""
         if not self.entries:

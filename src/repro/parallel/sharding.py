@@ -53,23 +53,6 @@ class ShardPlan:
         """The worker owning *bucket_index*."""
         return self.owners[bucket_index]
 
-    def bucket_counts(self) -> List[int]:
-        """Number of buckets owned by each worker."""
-        counts = [0] * self.worker_count
-        for owner in self.owners:
-            counts[owner] += 1
-        return counts
-
-    def describe(self) -> Dict[str, float]:
-        """Balance statistics used by tests and reports."""
-        counts = self.bucket_counts()
-        return {
-            "worker_count": float(self.worker_count),
-            "bucket_count": float(len(self.owners)),
-            "min_buckets": float(min(counts)),
-            "max_buckets": float(max(counts)),
-        }
-
 
 def partition_round_robin(layout: PartitionLayout, workers: int) -> ShardPlan:
     """Bucket *i* → worker ``i % workers``."""

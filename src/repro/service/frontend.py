@@ -54,7 +54,7 @@ from repro.service.deadline import (
     DeadlineTracker,
     assign_deadline_class,
 )
-from repro.service.sessions import RATE_WINDOW_MS, SessionRegistry
+from repro.service.sessions import SessionRegistry
 from repro.service.streams import ResultChunk, StreamHub
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.stats import ResponseTimeStats, summarize_response_times
@@ -105,8 +105,6 @@ class ServiceConfig:
     )
     #: Seed of the deterministic class-assignment hash.
     seed: int = 8675309
-    #: Sliding window of the per-client rate measurement.
-    rate_window_ms: float = RATE_WINDOW_MS
     #: Optional subscriber invoked for every emitted result chunk.  On the
     #: serial engine chunks fire live, mid-run; on the execution backends
     #: they fire when the run's service records are ingested — in the same
@@ -117,9 +115,6 @@ class ServiceConfig:
     #: run serves.  Wall-clock profile — never parity-asserted, and
     #: excluded from the virtual-domain parity filters by construction.
     live_series_window_ms: Optional[float] = None
-    #: Injectable wall clock for the live sampler (seconds; defaults to
-    #: ``time.perf_counter``) — tests drive it deterministically.
-    live_clock: Optional[Callable[[], float]] = None
 
     def __post_init__(self) -> None:
         self.limits()  # fail fast on a bad bound
@@ -272,21 +267,15 @@ class LiveServingSampler:
     Ticks are driven by chunk emission (the hub subscription) plus one
     final flush at ``finish()``; the window cursor is the series' own
     sample count against elapsed wall milliseconds — the same barrier
-    rule as the virtual series, just on a different clock.  The clock is
-    injectable so tests can drive it deterministically.
+    rule as the virtual series, just on a different clock
+    (``time.perf_counter``).
     """
 
-    def __init__(
-        self,
-        frontend: "ServingFrontEnd",
-        window_ms: float,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, frontend: "ServingFrontEnd", window_ms: float) -> None:
         if window_ms <= 0:
             raise ValueError("live sampler window_ms must be positive")
         self._frontend = frontend
         self.window_ms = window_ms
-        self._clock = clock if clock is not None else time.perf_counter
         self._origin_s: Optional[float] = None
         registry = frontend.telemetry
         self._s_open = registry.series(
@@ -304,7 +293,7 @@ class LiveServingSampler:
         """Wall milliseconds since the first tick (0 before it)."""
         if self._origin_s is None:
             return 0.0
-        return (self._clock() - self._origin_s) * 1000.0
+        return (time.perf_counter() - self._origin_s) * 1000.0
 
     def _on_chunk(self, _chunk: ResultChunk) -> None:
         self.tick()
@@ -312,7 +301,7 @@ class LiveServingSampler:
     def tick(self) -> None:
         """Close every wall window that elapsed since the last tick."""
         if self._origin_s is None:
-            self._origin_s = self._clock()
+            self._origin_s = time.perf_counter()
         elapsed_ms = self.elapsed_ms()
         count = self._s_open.sample_count
         while (count + 1) * self.window_ms <= elapsed_ms + _SERIES_TIME_EPS:
@@ -346,9 +335,7 @@ class ServingFrontEnd:
         self.policy = make_admission_policy(config.admission)
         self.limits = config.limits()
         self.model = IntakeModel(cost)
-        self.sessions = SessionRegistry(
-            clients=config.clients, window_ms=config.rate_window_ms
-        )
+        self.sessions = SessionRegistry(clients=config.clients)
         self.deadlines = DeadlineTracker()
         self.hub = StreamHub()
         if config.on_chunk is not None:
@@ -384,9 +371,7 @@ class ServingFrontEnd:
         #: enabled by :attr:`ServiceConfig.live_series_window_ms`.
         self.live_sampler: Optional[LiveServingSampler] = None
         if config.live_series_window_ms is not None:
-            self.live_sampler = LiveServingSampler(
-                self, config.live_series_window_ms, clock=config.live_clock
-            )
+            self.live_sampler = LiveServingSampler(self, config.live_series_window_ms)
 
     # ------------------------------------------------------------------ #
     # intake

@@ -98,11 +98,6 @@ class ResultStream:
             return None
         return done - self.arrival_ms
 
-    @property
-    def objects_matched(self) -> int:
-        """Total objects cross-matched for this query so far."""
-        return sum(chunk.objects_matched for chunk in self.chunks)
-
     def emit(self, bucket_index: int, objects: int, time_ms: float) -> Optional[ResultChunk]:
         """Record one drained bucket; returns the chunk, or ``None`` when
         the bucket is not (or no longer) needed by this query."""

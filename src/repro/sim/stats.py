@@ -62,10 +62,3 @@ def summarize_response_times(response_times_s: Iterable[float]) -> ResponseTimeS
         median_s=_percentile(values, 0.5),
         p95_s=_percentile(values, 0.95),
     )
-
-
-def throughput_qps(completed: int, makespan_s: float) -> float:
-    """Completed queries per second of makespan (0 for an empty run)."""
-    if makespan_s <= 0:
-        return 0.0
-    return completed / makespan_s

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.storage.disk_model import DiskModel, DiskParameters
 from repro.storage.format import ColumnBlock
@@ -218,10 +218,3 @@ class BucketStore:
 
     def _materialise(self, spec: BucketSpec) -> Bucket:
         return Bucket(spec)
-
-    def statistics(self) -> Dict[str, float]:
-        """Aggregate read counters (used by the experiment reports)."""
-        return {
-            "bucket_reads": float(self.reads),
-            "megabytes_read": self.bytes_read_mb,
-        }

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.storage.bucket_store import Bucket, BucketStore, StoreSnapshot
 from repro.storage.cache import LRUCache
@@ -68,10 +68,6 @@ class DecodedPageCache:
     def put(self, generation: str, bucket_index: int, bucket: Bucket) -> None:
         """Insert one decoded bucket image."""
         self._cache.put((generation, bucket_index), bucket)
-
-    def statistics(self) -> Dict[str, float]:
-        """Hit/miss counters of the decoded-page tier."""
-        return self._cache.statistics.snapshot()
 
     @property
     def hit_rate(self) -> float:
@@ -173,18 +169,6 @@ class DiskBucketStore(BucketStore):
             page_cache_buckets=self.page_cache.capacity,
         )
 
-    def statistics(self) -> Dict[str, float]:
-        """Read counters plus the physical-tier accounting."""
-        stats = super().statistics()
-        stats.update(
-            {
-                "page_reads": float(self.page_reads),
-                "real_read_s": self.real_read_s,
-                "page_cache_hit_rate": self.page_cache.hit_rate,
-            }
-        )
-        return stats
-
     def close(self) -> None:
         """Release the underlying file handle.
 
@@ -231,9 +215,6 @@ class _NullPageCache(DecodedPageCache):
 
     def put(self, generation: str, bucket_index: int, bucket: Bucket) -> None:
         return None
-
-    def statistics(self) -> Dict[str, float]:
-        return {"hits": 0, "misses": 0, "insertions": 0, "evictions": 0, "hit_rate": 0.0}
 
     @property
     def hit_rate(self) -> float:

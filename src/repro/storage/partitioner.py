@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 from repro.htm import ids as htm_ids
 from repro.htm.curve import HTMRange
@@ -106,11 +106,6 @@ class PartitionLayout:
             )
         )
 
-    @property
-    def buckets(self) -> Tuple[BucketSpec, ...]:
-        """All bucket specs in curve order."""
-        return tuple(self)
-
     def __getstate__(self) -> tuple:
         """Pickle the columns as they are: arrays pickle as their raw bytes.
 
@@ -183,20 +178,6 @@ class PartitionLayout:
     def total_objects(self) -> int:
         """Sum of the per-bucket object counts."""
         return sum(self.counts)
-
-    def total_megabytes(self) -> float:
-        """Total on-disk size of the partitioned table."""
-        return sum(self.megabytes)
-
-    def describe(self) -> Dict[str, float]:
-        """Summary statistics used by reports and sanity tests."""
-        return {
-            "bucket_count": float(len(self)),
-            "total_objects": float(self.total_objects()),
-            "min_objects": float(min(self.counts)),
-            "max_objects": float(max(self.counts)),
-            "total_megabytes": self.total_megabytes(),
-        }
 
 
 class BucketPartitioner:

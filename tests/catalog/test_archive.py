@@ -56,11 +56,10 @@ class TestBuildArchive:
         assert index.count_range(spec.htm_range) == len(store.bucket_image(1).columns)
         assert index.probe_range(spec.htm_range).pages_read > 0
 
-    def test_describe_summarises_shape(self, archive):
+    def test_manifest_summarises_shape(self, archive):
         catalog, manifest, store, _index = archive
-        summary = store.layout.describe()
-        assert summary["total_objects"] == len(catalog)
-        assert summary["bucket_count"] == manifest.bucket_count
+        assert store.layout.total_objects() == len(catalog)
+        assert len(store.layout) == manifest.bucket_count
         reader = store._reader
         assert manifest == StoreManifest(
             path=reader.path,

@@ -32,26 +32,14 @@ class TestCatalogTable:
         assert ids == sorted(ids)
         assert len(table) == 3
 
-    def test_insert_preserves_order(self):
-        mesh = HTMMesh()
-        table = CatalogTable("sdss", [make_object(0, 10.0, 0.0, mesh)])
-        table.insert(make_object(1, 300.0, 0.0, mesh))
-        table.insert(make_object(2, 150.0, 0.0, mesh))
-        ids = list(table.htm_ids)
-        assert ids == sorted(ids)
-        assert len(table) == 3
+    def test_empty_table(self):
+        table = CatalogTable("sdss")
+        assert len(table) == 0
+        assert list(table) == [] and list(table.htm_ids) == []
 
-    def test_extend_resorts(self):
+    def test_rows_and_ids_stay_aligned(self):
         mesh = HTMMesh()
-        table = CatalogTable("sdss", [make_object(0, 10.0, 0.0, mesh)])
-        table.extend([make_object(1, 340.0, 2.0, mesh), make_object(2, 170.0, -2.0, mesh)])
-        ids = list(table.htm_ids)
-        assert ids == sorted(ids)
-
-    def test_describe_empty_and_nonempty(self):
-        assert CatalogTable("sdss").describe()["rows"] == 0
-        mesh = HTMMesh()
-        table = CatalogTable("sdss", [make_object(0, 1.0, 1.0, mesh)])
-        summary = table.describe()
-        assert summary["rows"] == 1
-        assert summary["min_htm_id"] == summary["max_htm_id"]
+        objects = [make_object(i, ra, -5.0, mesh) for i, ra in enumerate((300.0, 20.0, 150.0))]
+        table = CatalogTable("sdss", objects)
+        assert [row.htm_id for row in table.rows] == list(table.htm_ids)
+        assert [table[i].object_id for i in range(len(table))] == [1, 2, 0]

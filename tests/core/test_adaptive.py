@@ -1,10 +1,9 @@
-"""Tests for the adaptive α controller, trade-off curves and saturation estimation."""
+"""Tests for the α controller and the offline trade-off curves it selects from."""
 
 import pytest
 
 from repro.core.adaptive import (
     AlphaController,
-    SaturationEstimator,
     TradeoffCurve,
     TradeoffPoint,
 )
@@ -80,33 +79,9 @@ class TestTradeoffCurve:
         with pytest.raises(ValueError):
             HIGH_CURVE.select_alpha(tolerance=1.0)
 
-
-class TestSaturationEstimator:
-    def test_rate_estimate_over_window(self):
-        estimator = SaturationEstimator(window_s=100.0)
-        for t in range(0, 50, 5):
-            estimator.observe_arrival(float(t))
-        assert estimator.rate_qps(now_s=50.0) == pytest.approx(10 / 50.0, rel=0.05)
-
-    def test_old_arrivals_age_out_of_the_window(self):
-        estimator = SaturationEstimator(window_s=10.0)
-        estimator.observe_arrival(0.0)
-        estimator.observe_arrival(1.0)
-        estimator.observe_arrival(100.0)
-        assert estimator.rate_qps(now_s=100.0) == pytest.approx(1 / 10.0, rel=0.2)
-
-    def test_empty_estimator_reports_zero(self):
-        assert SaturationEstimator().rate_qps() == 0.0
-
-    def test_non_monotone_arrivals_rejected(self):
-        estimator = SaturationEstimator()
-        estimator.observe_arrival(10.0)
-        with pytest.raises(ValueError):
-            estimator.observe_arrival(5.0)
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            SaturationEstimator(window_s=0.0)
+    def test_equal_response_times_prefer_the_larger_alpha(self):
+        curve = make_curve(0.3, [(0.0, 1.0, 10.0), (0.5, 1.0, 10.0), (1.0, 0.5, 5.0)])
+        assert curve.select_alpha(tolerance=0.2) == 0.5
 
 
 class TestAlphaController:
@@ -127,8 +102,17 @@ class TestAlphaController:
         # attractive with less saturation.
         assert controller.alpha_for_saturation(0.1) > controller.alpha_for_saturation(0.5)
 
-    def test_online_estimation_drives_alpha(self):
-        controller = AlphaController([LOW_CURVE, HIGH_CURVE], tolerance=0.2)
-        for t in range(20):
-            controller.observe_arrival(t * 2.0)  # 0.5 q/s
-        assert controller.current_alpha(now_s=40.0) == 0.25
+    def test_one_curve_serves_every_saturation(self):
+        controller = AlphaController([HIGH_CURVE], tolerance=0.2)
+        assert controller.alpha_for_saturation(0.0) == 0.25
+        assert controller.alpha_for_saturation(100.0) == 0.25
+
+    def test_zero_tolerance_keeps_the_best_throughput(self):
+        controller = AlphaController([LOW_CURVE, HIGH_CURVE], tolerance=0.0)
+        assert controller.alpha_for_saturation(0.1) == 0.0
+        assert controller.alpha_for_saturation(0.5) == 0.0
+
+    @pytest.mark.parametrize("tolerance", [-0.1, 1.0, 1.5])
+    def test_invalid_tolerance_rejected_at_construction(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            AlphaController([LOW_CURVE, HIGH_CURVE], tolerance=tolerance)

@@ -15,8 +15,14 @@ def store():
 
 
 class TestBucketCacheManager:
-    def test_paper_default_capacity_is_twenty(self, store):
-        assert BucketCacheManager(store).capacity == PAPER_CACHE_BUCKETS == 20
+    def test_paper_default_capacity_is_twenty(self):
+        partitioner = BucketPartitioner(objects_per_bucket=100, bucket_megabytes=40.0)
+        layout = partitioner.partition_density(24)
+        cache = BucketCacheManager(BucketStore(layout, calibrated_disk_for_bucket_read(40.0, 1.2)))
+        for bucket_index in range(24):
+            cache.load(bucket_index)
+        assert len(cache.resident_buckets()) == PAPER_CACHE_BUCKETS == 20
+        assert cache.resident_buckets() == tuple(range(4, 24))
 
     def test_miss_then_hit(self, store):
         cache = BucketCacheManager(store, capacity=2)

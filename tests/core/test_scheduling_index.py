@@ -147,7 +147,7 @@ class IndexedDecisionMachine(RuleBasedStateMachine):
 
     @rule(which=st.integers(0, 1), bucket=BUCKET, now_ms=TIMES, data=st.data())
     def drain_some_queries(self, which, bucket, now_ms, data):
-        present = self.managers[which].queue(bucket).query_ids
+        present = [entry.query_id for entry in self.managers[which].queue(bucket).entries]
         wanted = data.draw(st.lists(st.sampled_from(present or [-1]), max_size=3))
         self._drain(which, bucket, now_ms, query_ids=wanted)
 

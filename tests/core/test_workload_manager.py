@@ -26,7 +26,7 @@ class TestWorkloadQueue:
         queue.append(WorkloadEntry(2, 5, 50.0))
         assert queue.total_objects == 15
         assert queue.age_ms(150.0) == 100.0
-        assert queue.query_ids == [1, 2]
+        assert [entry.query_id for entry in queue.entries] == [1, 2]
 
     def test_remove_queries_recomputes_aggregates(self):
         queue = WorkloadQueue(7)

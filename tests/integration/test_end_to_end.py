@@ -134,7 +134,7 @@ class TestFullFidelityPipeline:
             report = engine.report()
             found = sorted(
                 (pair.query_id, pair.workload_object.object_id, pair.catalog_object.object_id)
-                for batch in engine.batches
+                for batch in engine.loop.batches
                 for pair in batch.join.matches
             )
         assert report.completed_queries == 3

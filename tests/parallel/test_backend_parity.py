@@ -125,7 +125,7 @@ def serial_reference(layout, sim_config, engine_config, batch_queries):
     while engine.process_next() is not None:
         pass
     coverage = {}
-    for batch in engine.batches:
+    for batch in engine.loop.batches:
         for query_id in batch.queries_served:
             coverage.setdefault(query_id, set()).add(batch.work_item.bucket_index)
     return {

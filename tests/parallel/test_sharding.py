@@ -38,6 +38,11 @@ def buckets_of(plan, worker_id):
     return tuple(index for index, owner in enumerate(plan.owners) if owner == worker_id)
 
 
+def bucket_counts(plan):
+    """Number of buckets owned by each worker, read from ``plan.owners``."""
+    return [plan.owners.count(worker_id) for worker_id in range(plan.worker_count)]
+
+
 class TestRoundRobin:
     def test_every_bucket_owned_exactly_once(self):
         layout = build_layout(64)
@@ -52,7 +57,7 @@ class TestRoundRobin:
 
     def test_balanced_within_one_bucket(self):
         plan = partition_round_robin(build_layout(65), 4)
-        counts = plan.bucket_counts()
+        counts = bucket_counts(plan)
         assert max(counts) - min(counts) <= 1
 
     def test_rejects_non_positive_workers(self):
@@ -71,7 +76,7 @@ class TestZones:
     def test_every_worker_owns_at_least_one_bucket(self):
         for workers in (1, 2, 3, 7, 16):
             plan = partition_zones(build_layout(16), workers)
-            assert all(count >= 1 for count in plan.bucket_counts())
+            assert all(count >= 1 for count in bucket_counts(plan))
 
     def test_object_population_roughly_balanced(self):
         layout = build_layout(64)
@@ -137,7 +142,7 @@ class TestPartitionProperties:
                 for bucket_index in buckets_of(plan, worker_id):
                     assert plan.owner_of(bucket_index) == worker_id
             # Every worker owns at least one bucket and the counts add up.
-            counts = plan.bucket_counts()
+            counts = bucket_counts(plan)
             assert sum(counts) == len(layout)
             assert all(count >= 1 for count in counts)
 
@@ -166,10 +171,7 @@ class TestShardPlan:
         with pytest.raises(ValueError):
             ShardPlan("round_robin", 2, (0, 1, 2))
 
-    def test_describe_reports_balance(self):
+    def test_owners_report_balance(self):
         plan = partition_round_robin(build_layout(10), 4)
-        summary = plan.describe()
-        assert summary["worker_count"] == 4.0
-        assert summary["bucket_count"] == 10.0
-        assert summary["min_buckets"] == 2.0
-        assert summary["max_buckets"] == 3.0
+        assert plan.worker_count == 4 and len(plan.owners) == 10
+        assert bucket_counts(plan) == [3, 3, 2, 2]

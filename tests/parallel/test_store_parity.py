@@ -90,7 +90,7 @@ def serial_outcome(site, sim_config, queries, file_backed):
         pass
     report = engine.report()
     coverage = {}
-    for batch in engine.batches:
+    for batch in engine.loop.batches:
         for query_id in batch.queries_served:
             coverage.setdefault(query_id, set()).add(batch.work_item.bucket_index)
     return {

@@ -289,7 +289,7 @@ def test_layout_pickles_as_columns_and_round_trips(simulator, tmp_path):
     payload = pickle.dumps(layout, protocol=pickle.HIGHEST_PROTOCOL)
     restored = pickle.loads(payload)
     assert restored == layout and hash(restored) == hash(layout)
-    assert restored.buckets == layout.buckets
+    assert list(restored) == list(layout)
     assert restored.buckets_for_range(layout[17].htm_range) == [layout[17]]
     assert b"BucketSpec" not in payload and b"HTMRange" not in payload
 

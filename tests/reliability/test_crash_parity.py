@@ -143,7 +143,7 @@ def serial_reference(layout, sim_config, engine_config, timed_queries):
             break
         now_ms = result.finished_at_ms
     coverage = {}
-    for batch in engine.batches:
+    for batch in engine.loop.batches:
         for query_id in batch.queries_served:
             coverage.setdefault(query_id, set()).add(batch.work_item.bucket_index)
     return {

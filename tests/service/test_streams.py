@@ -22,7 +22,7 @@ class TestResultStream:
         final = stream.emit(9, objects=5, time_ms=900.0)
         assert final.final and final.progress == pytest.approx(1.0)
         assert stream.is_complete
-        assert stream.objects_matched == 55
+        assert sum(chunk.objects_matched for chunk in stream.chunks) == 55
 
     def test_latency_properties_are_client_perceived(self):
         stream = ResultStream(1, needed_buckets=(0, 1), arrival_ms=1_000.0)

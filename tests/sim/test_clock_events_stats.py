@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.events import Event, EventKind, EventQueue
-from repro.sim.stats import summarize_response_times, throughput_qps
+from repro.sim.stats import summarize_response_times
 
 
 class TestEventQueue:
@@ -121,7 +121,3 @@ class TestResponseTimeStats:
         assert empty.coefficient_of_variance == 0.0
         single = summarize_response_times([5.0])
         assert single.median_s == 5.0 and single.p95_s == 5.0 and single.std_s == 0.0
-
-    def test_throughput_helper(self):
-        assert throughput_qps(10, 20.0) == 0.5
-        assert throughput_qps(10, 0.0) == 0.0

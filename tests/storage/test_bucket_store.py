@@ -90,7 +90,7 @@ class TestMaterialisedStore:
         result = store.read_bucket(0)
         assert result.cost_ms == pytest.approx(1200.0, rel=1e-9)
         assert store.reads == 1
-        assert store.statistics()["bucket_reads"] == 1
+        assert store.bytes_read_mb == pytest.approx(store.layout[0].megabytes)
 
     def test_read_cost_matches_the_count_only_store(self, materialised):
         store, _, _ = materialised
@@ -147,7 +147,7 @@ class TestVirtualStore:
         result = store.read_bucket(0)
         assert result.cost_ms == pytest.approx(1200.0, rel=1e-9)
         assert store.reads == 1
-        assert store.statistics()["bucket_reads"] == 1
+        assert store.bytes_read_mb == pytest.approx(store.layout[0].megabytes)
 
     def test_read_cost_estimate_matches_actual(self):
         assert_read_costs_follow_the_disk_model(build_store())

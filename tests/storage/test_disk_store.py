@@ -86,7 +86,7 @@ class TestDecodedPageTier:
         assert store.reads == 2  # virtual-read accounting unaffected
         assert store.page_reads == 1  # but only one physical decode
         assert again.cost_ms == pytest.approx(first.cost_ms)  # full cost charged
-        assert store.statistics()["page_cache_hit_rate"] > 0.0
+        assert store.page_cache.hit_rate > 0.0
         store.close()
 
     def test_disabled_tier_always_reads(self, store_path):
@@ -126,9 +126,7 @@ class TestDecodedPageTier:
         store = open_disk_store(store_path, make_disk())
         store.read_bucket(1)
         assert store.real_read_s > 0.0
-        stats = store.statistics()
-        assert stats["page_reads"] == 1.0
-        assert stats["real_read_s"] == store.real_read_s
+        assert store.page_reads == 1
         store.close()
 
 

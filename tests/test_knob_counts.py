@@ -33,7 +33,7 @@ def test_run_description_field_counts():
         "RunSpec": 18,
         "ParallelRunSpec": 10,
         "ReliabilityConfig": 6,
-        "ServiceConfig": 13,
+        "ServiceConfig": 11,
     }
 
 

@@ -65,7 +65,7 @@ DEAD_CODE_ROOTS = (
 DEAD_CODE_ALLOWLIST: Dict[str, str] = {
     "repro.storage.index": (
         "benchmarks/e2e/tracing.py builds a SpatialIndex; the module goes whole "
-        "(ROADMAP 2a) once that benchmark stops, so its probes are not cut one by one"
+        "(ROADMAP 4(iii)) once that benchmark stops, so its probes are not cut one by one"
     ),
 }
 
