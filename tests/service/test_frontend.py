@@ -1,13 +1,17 @@
 """Tests for the serving front-end: intake, backpressure, reports."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments.common import build_simulator, build_trace
+from repro.service import frontend as frontend_module
 from repro.service.frontend import ServiceConfig, ServingFrontEnd
+from repro.service.sessions import RATE_WINDOW_MS
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationResult
 from repro.sim.stats import summarize_response_times
-from repro.telemetry.registry import metric_value
+from repro.telemetry.registry import REAL_DOMAIN, metric_value
 
 BUCKETS = 128
 
@@ -100,6 +104,21 @@ class TestIntake:
         assert decisions("admitted") + decisions("rejected") == outcome.offered
         assert decisions("rejected") == len(outcome.rejected)
 
+    def test_client_rate_is_measured_over_sixty_seconds(self, simulator, queries):
+        front = frontend(simulator, clients=3)
+        outcome = front.admit(queries)
+        assert front.sessions.window_ms == RATE_WINDOW_MS == 60_000.0
+        offers = [(a.arrival_ms, front.sessions.client_of(a.query)) for a in outcome.admitted]
+        now_ms = max(arrival for arrival, _ in offers)
+        for client in range(3):
+            recent = [
+                arrival
+                for arrival, owner in offers
+                if owner == client and arrival > now_ms - RATE_WINDOW_MS
+            ]
+            session = front.sessions.session(client)
+            assert session.offered_rate_qps(now_ms) == pytest.approx(len(recent) / 60.0)
+
     def test_admission_is_deterministic(self, simulator, queries):
         def admitted_ids(**kwargs):
             outcome = frontend(simulator, **kwargs).admit(queries)
@@ -107,6 +126,29 @@ class TestIntake:
 
         kwargs = dict(admission="reject", intake_bound=6, max_pending_buckets=40)
         assert admitted_ids(**kwargs) == admitted_ids(**kwargs)
+
+
+class TestLiveSampler:
+    def test_one_sample_per_elapsed_wall_window(self, simulator, monkeypatch):
+        wall_s = [100.0]
+        monkeypatch.setattr(
+            frontend_module, "time", SimpleNamespace(perf_counter=lambda: wall_s[0])
+        )
+        front = frontend(simulator, live_series_window_ms=10.0)
+        sampler = front.live_sampler
+        samples = front.telemetry.series("series.live_chunks_emitted", 10.0, domain=REAL_DOMAIN)
+
+        sampler.tick()  # the first tick only starts the wall clock
+        assert sampler.elapsed_ms() == 0.0 and samples.sample_count == 0
+        wall_s[0] = 100.025
+        sampler.tick()
+        assert [index for index, _ in samples.samples] == [0, 1]
+        sampler.tick()
+        assert samples.sample_count == 2, "no new window elapsed"
+        wall_s[0] = 100.031
+        sampler.finish()
+        assert [index for index, _ in samples.samples] == [0, 1, 2, 3]
+        assert all(value == 0.0 for _, value in samples.samples)
 
 
 class TestServingRuns:
