@@ -391,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
             "recover it from its latest checkpoint (repeatable, or a comma "
             "list; real SIGKILL on --backend process).  The recovered shard "
             "catches up at the barriers it missed, so the run, stealing "
-            "included, is bit-identical to an uninterrupted one"
+            "included, is bit-identical to an uninterrupted one.  Entries "
+            "are barrier events of one plan: W@N:leave and @N:join are the "
+            "departures and joins --scale-down and --scale-up spell"
         ),
     )
     run.add_argument(
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "after a crash-injected run, replay the same trace without "
-            "faults (same windows and scale plan) and fail unless every "
+            "kills (same windows, departures and joins) and fail unless every "
             "virtual-clock total is identical (requires --inject-crash)"
         ),
     )
@@ -731,13 +733,19 @@ def _build_reliability(args: argparse.Namespace):
                 "--inject-crash, --scale-down or --scale-up"
             )
         return None
-    from repro.reliability import FaultPlan, ReliabilityConfig, ScalePlan
+    from repro.reliability import FaultPlan, ReliabilityConfig
+    from repro.reliability.faults import split_specs
 
+    # --scale-down W@N and --scale-up N spell the plan's W@N:leave and @N:join.
+    events = [
+        *(args.inject_crash or ()),
+        *(f"{spec}:leave" for spec in split_specs(args.scale_down or ())),
+        *(f"@{spec}:join" for spec in split_specs(args.scale_up or ())),
+    ]
     return ReliabilityConfig(
         checkpoint_dir=args.checkpoint_dir,
         cadence=args.checkpoint_every or "windows:1",
-        faults=FaultPlan.parse(args.inject_crash or ()) or None,
-        scale=ScalePlan.parse(args.scale_down or (), args.scale_up or ()) or None,
+        faults=FaultPlan.parse(events),
         window_quantum_ms=args.checkpoint_window_ms,
     )
 
@@ -769,11 +777,11 @@ def _run_single(args: argparse.Namespace) -> int:
 
     if args.verify_against_memory and args.store_path is None:
         raise SystemExit("--verify-against-memory requires --store-path")
-    if args.verify_recovery and not args.inject_crash:
-        raise SystemExit("--verify-recovery requires --inject-crash")
     with _building_inputs():
-        simulator, trace = _site_and_trace(args, args.bucket_count)
         reliability = _build_reliability(args)
+        if args.verify_recovery and not (reliability and reliability.faults.count("kill")):
+            raise ValueError("--verify-recovery requires --inject-crash with at least one kill")
+        simulator, trace = _site_and_trace(args, args.bucket_count)
         # A spec with a reliability config runs on the parallel engine even
         # at one worker: its window barriers host the checkpoints.
         spec = RunSpec(
@@ -791,7 +799,7 @@ def _run_single(args: argparse.Namespace) -> int:
             archive_out=args.archive_out,
         )
         if reliability is not None:
-            reliability.validate(spec.workers, spec.enable_stealing)
+            reliability.faults.validate(spec.workers, spec.enable_stealing)
     result = simulator.execute(trace.queries, spec)
     if args.record_trace:
         print(f"recorded trace -> {args.record_trace}")
@@ -823,7 +831,7 @@ def _run_single(args: argparse.Namespace) -> int:
 
     status = 0
     if args.verify_recovery:
-        planned = len(reliability.fault_plan())
+        planned = reliability.faults.count("kill")
         injected = result.reliability.crashes_injected if result.reliability else 0
         if injected < planned:
             # A crash point whose window the run never reached (or whose
@@ -836,9 +844,11 @@ def _run_single(args: argparse.Namespace) -> int:
                 "--inject-crash window indices)"
             )
             return 1
-        # The clean run keeps the windows and the scale plan; it writes its
-        # checkpoints to a private directory, not over the user's files.
-        fault_free = replace(reliability, faults=None, checkpoint_dir=None)
+        # The clean run keeps the windows, departures and joins; it writes
+        # its checkpoints to a private directory, not over the user's files.
+        plan = reliability.faults
+        without_kills = replace(plan, events=tuple(e for e in plan.events if e.kind != "kill"))
+        fault_free = replace(reliability, faults=without_kills, checkpoint_dir=None)
         clean = simulator.execute(
             trace.queries, replace(spec, reliability=fault_free, **_NO_EXPORTS)
         )

@@ -26,19 +26,19 @@ from repro.experiments.common import (
     build_trace,
     estimate_capacity_qps,
 )
-from repro.reliability import ReliabilityConfig, ScalePlan
+from repro.reliability import FaultPlan, ReliabilityConfig
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import Simulator
 from repro.workload.generator import QueryTrace
 
 #: Shards of the static baseline.
 WORKERS = 3
-#: The scale plans on the experiment's x axis: (label, downs, ups).
-PLAN_SWEEP: Tuple[Tuple[str, str, str], ...] = (
-    ("static", "", ""),
-    ("shrink 3->2", "1@2", ""),
-    ("grow 3->4", "", "2"),
-    ("shrink+grow", "1@2", "4"),
+#: The barrier plans on the experiment's x axis: (label, event specs).
+PLAN_SWEEP: Tuple[Tuple[str, str], ...] = (
+    ("static", ""),
+    ("shrink 3->2", "1@2:leave"),
+    ("grow 3->4", "@2:join"),
+    ("shrink+grow", "1@2:leave,@4:join"),
 )
 #: What the elastic run must conserve exactly: every admitted query still
 #: completes.  (Batch counts, bucket reads and busy/IO time legitimately
@@ -56,7 +56,7 @@ def run(
     scale: str = "small",
     trace: Optional[QueryTrace] = None,
     simulator: Optional[Simulator] = None,
-    plans: Sequence[Tuple[str, str, str]] = PLAN_SWEEP,
+    plans: Sequence[Tuple[str, str]] = PLAN_SWEEP,
     backend: str = "virtual",
 ) -> ExperimentResult:
     """Compare elastic scale plans against a static pool on one trace."""
@@ -70,8 +70,8 @@ def run(
     static = None
     rows = []
     headline = {"saturation_qps": saturation, "workers": float(WORKERS)}
-    for label, downs, ups in plans:
-        plan = ScalePlan.parse(downs, ups)
+    for label, specs in plans:
+        plan = FaultPlan.parse(specs)
         result = simulator.execute(
             replayed.queries,
             RunSpec(
@@ -81,7 +81,7 @@ def run(
                 backend=backend,
                 reliability=ReliabilityConfig(
                     cadence="windows:2",
-                    scale=plan if plan else None,
+                    faults=plan,
                     window_quantum_ms=quantum_ms,
                 ),
             ),
@@ -138,6 +138,6 @@ def run(
             f"{WORKERS} shard workers, window quantum "
             f"{WINDOW_BUCKET_READS:g} bucket reads, stealing on; trace "
             f"replayed at {SATURATION_FACTOR:g}x serial capacity; "
-            "scale-down specs are worker@window, scale-ups are windows"
+            "a departure is W@N:leave, a join @N:join"
         ),
     )

@@ -9,9 +9,10 @@ at window barriers and replaying schedule tails.  This package provides:
   (a run writes no other checkpoint file);
 * :mod:`repro.reliability.policy` — pluggable checkpoint cadences
   (every-K-windows, virtual-time interval);
-* :mod:`repro.reliability.faults` — deterministic crash plans (``W@N`` specs);
-* :mod:`repro.reliability.elastic` — planned scale-down/scale-up events
-  executed at window barriers (elasticity as generalised recovery);
+* :mod:`repro.reliability.faults` — the one barrier plan: kills
+  (``W@N``), planned departures (``W@N:leave``) and joins (``@N:join``),
+  each a fixed event at a window barrier (elasticity as generalised
+  recovery);
 * :mod:`repro.reliability.runtime` — the channel coordinator: the one
   driver of message-passing shards, which with a reliability config also
   kills, detects, respawns and catches them up on both execution backends;
@@ -29,9 +30,13 @@ from repro.reliability.checkpoint import (
     restore_shard,
     write_checkpoint,
 )
-from repro.reliability.config import RecoveryEvent, ReliabilityConfig, ReliabilityReport
-from repro.reliability.elastic import ScaleDown, ScalePlan, ScaleRecord, ScaleUp
-from repro.reliability.faults import CrashPoint, FaultPlan
+from repro.reliability.config import (
+    RecoveryEvent,
+    ReliabilityConfig,
+    ReliabilityReport,
+    ScaleRecord,
+)
+from repro.reliability.faults import FaultEvent, FaultPlan
 from repro.reliability.policy import (
     CheckpointPolicy,
     EveryKWindows,
@@ -43,16 +48,13 @@ __all__ = [
     "CHECKPOINT_SUFFIX",
     "CheckpointInfo",
     "CheckpointPolicy",
-    "CrashPoint",
     "EveryKWindows",
+    "FaultEvent",
     "FaultPlan",
     "RecoveryEvent",
     "ReliabilityConfig",
     "ReliabilityReport",
-    "ScaleDown",
-    "ScalePlan",
     "ScaleRecord",
-    "ScaleUp",
     "ShardCheckpoint",
     "VirtualInterval",
     "checkpoint_shard",

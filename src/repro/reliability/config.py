@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.reliability.elastic import ScalePlan, ScaleRecord
 from repro.reliability.faults import FaultPlan
 from repro.reliability.policy import CheckpointPolicy, parse_cadence
 
@@ -25,23 +24,15 @@ class ReliabilityConfig:
         (see :func:`repro.reliability.policy.parse_cadence`).  Each shard
         gets its own policy instance built from this spec.
     faults:
-        Deterministic crash plan; ``None`` injects nothing (checkpoints
-        are still written — the steady-state overhead the recovery
-        benchmark measures).
-    scale:
-        Planned elasticity: :class:`~repro.reliability.elastic.ScalePlan`
-        scale-down/scale-up events executed at window barriers; ``None``
-        keeps the worker pool static.
-    max_recoveries_per_worker:
-        Hard cap on recoveries of one shard before the run is declared
-        lost (guards against a crash loop in a broken environment).
+        The barrier plan (:class:`~repro.reliability.faults.FaultPlan`):
+        kills, planned departures and joins.  An empty plan keeps the
+        pool static and injects nothing (checkpoints are still written —
+        the steady-state overhead the recovery benchmark measures).
     """
 
     checkpoint_dir: Optional[str] = None
     cadence: str = "windows:1"
-    faults: Optional[FaultPlan] = None
-    scale: Optional[ScalePlan] = None
-    max_recoveries_per_worker: int = 8
+    faults: FaultPlan = FaultPlan()
     #: Virtual-time window between barriers of a reliable run.  ``None``
     #: inherits the run's steal quantum (64 bucket reads by default); a
     #: smaller window bounds lost work more tightly at the price of more
@@ -51,45 +42,12 @@ class ReliabilityConfig:
 
     def __post_init__(self) -> None:
         parse_cadence(self.cadence)  # fail fast on a bad spec
-        if self.max_recoveries_per_worker <= 0:
-            raise ValueError("max_recoveries_per_worker must be positive")
         if self.window_quantum_ms is not None and self.window_quantum_ms <= 0:
             raise ValueError("window_quantum_ms must be positive")
 
     def build_policy(self) -> CheckpointPolicy:
         """A fresh per-shard cadence policy instance."""
         return parse_cadence(self.cadence)
-
-    def fault_plan(self) -> FaultPlan:
-        """The crash plan (empty when no faults are configured)."""
-        return self.faults if self.faults is not None else FaultPlan()
-
-    def scale_plan(self) -> ScalePlan:
-        """The elasticity plan (empty when the pool is static)."""
-        return self.scale if self.scale is not None else ScalePlan()
-
-    def validate(self, workers: int, enable_stealing: bool) -> None:
-        """Check the fault and scale plans against a run of *workers* shards.
-
-        The scale plan must be executable from that pool, a scale-up needs
-        stealing, and every crash point must target a worker the run has.
-        """
-        scale = self.scale_plan()
-        scale.validate(workers)
-        if scale.total_ups() and not enable_stealing:
-            raise ValueError(
-                "scale-up events need work stealing enabled: a joining "
-                "worker has an empty arrival schedule and acquires work "
-                "only through steal rounds"
-            )
-        pool = workers + scale.total_ups()
-        for point in self.fault_plan().crashes:
-            if point.worker_id >= pool:
-                raise ValueError(
-                    f"crash point {point.spec} targets worker {point.worker_id}, "
-                    f"but the run has workers 0..{pool - 1} "
-                    "(worker ids are 0-based; scale-ups take sequential ids)"
-                )
 
 
 @dataclass
@@ -104,6 +62,20 @@ class RecoveryEvent:
     services_replayed: int
     #: Real seconds from crash detection to the shard being runnable again.
     real_latency_s: float
+
+
+@dataclass
+class ScaleRecord:
+    """One executed departure or join, for reports and the elasticity experiment."""
+
+    #: ``"down"`` or ``"up"``.
+    kind: str
+    worker_id: int
+    window_index: int
+    #: Departures only: queues migrated off the leaving shard.
+    buckets_migrated: int = 0
+    #: Departures only: queued entries carried by those queues.
+    entries_migrated: int = 0
 
 
 @dataclass
@@ -167,4 +139,4 @@ class ReliabilityReport:
         }
 
 
-__all__ = ["RecoveryEvent", "ReliabilityConfig", "ReliabilityReport"]
+__all__ = ["RecoveryEvent", "ReliabilityConfig", "ReliabilityReport", "ScaleRecord"]

@@ -54,6 +54,7 @@ import tempfile
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.parallel.backend import (
@@ -88,9 +89,8 @@ from repro.parallel.ipc import (
 from repro.parallel.sharding import make_shard_plan
 from repro.parallel.worker import StagedShare, clone_policy
 from repro.reliability.checkpoint import CHECKPOINT_SUFFIX
-from repro.reliability.config import RecoveryEvent, ReliabilityReport
-from repro.reliability.elastic import ScalePlan, ScaleRecord
-from repro.reliability.faults import FaultPlan
+from repro.reliability.config import RecoveryEvent, ReliabilityReport, ScaleRecord
+from repro.reliability.faults import FaultEvent, FaultPlan
 
 #: How long the coordinator waits on a single worker-process reply before
 #: declaring the run wedged (generous: windows are seconds of real work).
@@ -99,6 +99,10 @@ REPLY_TIMEOUT_S = 600.0
 #: Poll granularity while waiting on a child reply (liveness checks run
 #: between polls so a dead child is detected promptly).
 POLL_INTERVAL_S = 0.05
+
+#: Recoveries of one shard before the run is declared lost (guards
+#: against a crash loop in a broken environment).
+MAX_RECOVERIES_PER_WORKER = 8
 
 
 class ChannelCrashed(RuntimeError):
@@ -342,11 +346,14 @@ class ShardCoordinator:
         self.rel = rel = spec.reliability
         self.plan = make_shard_plan(spec.layout, spec.workers, spec.shard_strategy)
         self.tracker = CompletionTracker()
-        self.faults = rel.fault_plan() if rel is not None else FaultPlan()
-        self.scale = rel.scale_plan() if rel is not None else ScalePlan()
-        if rel is not None:
-            rel.validate(spec.workers, spec.enable_stealing)
-        self.stealing = spec.enable_stealing and spec.workers + self.scale.total_ups() > 1
+        faults = rel.faults if rel is not None else FaultPlan()
+        faults.validate(spec.workers, spec.enable_stealing)
+        #: The barrier plan indexed by window once; each list in barrier order.
+        self.barrier_events: Dict[int, List[FaultEvent]] = {
+            window: list(events)
+            for window, events in groupby(faults.events, lambda event: event.window_index)
+        }
+        self.stealing = spec.enable_stealing and spec.workers + faults.count("join") > 1
         self.arrivals = fan_out_arrivals(spec, self.plan, self.tracker)
         if rel is not None:
             # Derive the store generation every checkpoint is bound to
@@ -403,7 +410,7 @@ class ShardCoordinator:
         self.accepted_seq[worker_id] = 0
         if self.rel is not None:
             self.policies.append(self.rel.build_policy())
-            self.recovery_budget[worker_id] = self.rel.max_recoveries_per_worker
+            self.recovery_budget[worker_id] = MAX_RECOVERIES_PER_WORKER
 
     def _keep_spare(self) -> None:
         """A reliability run keeps one idle worker beside its shards, so a
@@ -490,18 +497,19 @@ class ShardCoordinator:
                 break
             boundary = min(candidates) + quantum_ms
             self.window_boundaries.append(boundary)
-            # Inject this window's scheduled crashes: the shard dies while
+            due = self.barrier_events.get(self.window_index, ())
+            # Inject this window's scheduled kills: the shard dies while
             # the window is (about to be) in flight, exactly as a machine
             # failure would land mid-computation.
-            for view, channel in zip(self.views, self.channels):
-                if not view.drained and self.faults.crash_due(channel.worker_id, self.window_index):
-                    channel.kill()
+            for event in due:
+                if event.kind == "kill" and not self.views[event.worker_id].drained:
+                    self.channels[event.worker_id].kill()
                     self.report.crashes_injected += 1
             self.barrier_ms = 0.0
             self._run_window(boundary)
             self.barrier_ms = boundary
-            if self.scale:
-                self._scale_round()
+            if due:
+                self._scale_round(due)
             drained = all(view.drained for view in self.views)
             if not drained:
                 if self.stealing:
@@ -593,7 +601,7 @@ class ShardCoordinator:
         if self.recovery_budget[worker_id] <= 0:
             raise RuntimeError(
                 f"shard worker {worker_id} exceeded "
-                f"{self.rel.max_recoveries_per_worker} recoveries; giving up"
+                f"{MAX_RECOVERIES_PER_WORKER} recoveries; giving up"
             )
         self.recovery_budget[worker_id] -= 1
         started = time.perf_counter()
@@ -668,8 +676,8 @@ class ShardCoordinator:
 
     # -- planned elasticity (window-barrier scale events) ------------------- #
 
-    def _scale_round(self) -> None:
-        """Execute this barrier's planned membership changes.
+    def _scale_round(self, due: Sequence[FaultEvent]) -> None:
+        """Execute this barrier's planned joins and departures.
 
         Joins run before departures (a newcomer is immediately eligible
         to adopt a leaver's queues, and the pool can never empty at a
@@ -678,18 +686,19 @@ class ShardCoordinator:
         until the next steal round hands it a starving queue — the same
         seam ordinary stealing uses.
         """
-        for _ in range(self.scale.ups_due(self.window_index)):
-            self._spawn_shard(())
-            self._keep_spare()
-            self.report.scale_events.append(
-                ScaleRecord(
-                    kind="up",
-                    worker_id=len(self.channels) - 1,
-                    window_index=self.window_index,
+        for event in due:
+            if event.kind == "leave":
+                self._scale_down(event.worker_id)
+            elif event.kind == "join":
+                self._spawn_shard(())
+                self._keep_spare()
+                self.report.scale_events.append(
+                    ScaleRecord(
+                        kind="up",
+                        worker_id=len(self.channels) - 1,
+                        window_index=self.window_index,
+                    )
                 )
-            )
-        for worker_id in self.scale.downs_due(self.window_index):
-            self._scale_down(worker_id)
 
     def _scale_down(self, worker_id: int) -> None:
         """One worker departs: evacuate, finalize, shut down.

@@ -30,7 +30,6 @@ class ClientSession:
     """One client's view of the serving front-end."""
 
     client_id: int
-    window_ms: float = RATE_WINDOW_MS
     _offer_times: Deque[float] = field(default_factory=deque)
 
     def observe_offer(self, now_ms: float) -> None:
@@ -43,10 +42,10 @@ class ClientSession:
         self._prune(now_ms)
         if not self._offer_times:
             return 0.0
-        return len(self._offer_times) / (self.window_ms / 1000.0)
+        return len(self._offer_times) / (RATE_WINDOW_MS / 1000.0)
 
     def _prune(self, now_ms: float) -> None:
-        horizon = now_ms - self.window_ms
+        horizon = now_ms - RATE_WINDOW_MS
         while self._offer_times and self._offer_times[0] <= horizon:
             self._offer_times.popleft()
 
@@ -54,11 +53,10 @@ class ClientSession:
 class SessionRegistry:
     """Owns the client sessions and the query-to-client assignment."""
 
-    def __init__(self, clients: int = 4, window_ms: float = RATE_WINDOW_MS) -> None:
+    def __init__(self, clients: int = 4) -> None:
         if clients <= 0:
             raise ValueError("clients must be positive")
         self.clients = clients
-        self.window_ms = window_ms
         self._sessions: Dict[int, ClientSession] = {}
 
     def client_of(self, query: CrossMatchQuery) -> int:
@@ -71,7 +69,7 @@ class SessionRegistry:
         """The session of *client_id* (created on first use)."""
         session = self._sessions.get(client_id)
         if session is None:
-            session = ClientSession(client_id, window_ms=self.window_ms)
+            session = ClientSession(client_id)
             self._sessions[client_id] = session
         return session
 

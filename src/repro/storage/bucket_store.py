@@ -213,7 +213,7 @@ class BucketStore:
         return BucketReadResult(self._materialise(spec), cost, from_disk=True)
 
     def bucket_image(self, bucket_index: int) -> Bucket:
-        """Return the bucket image without charging any I/O (for tests)."""
+        """Return the bucket image without charging any I/O (a cache restore seeds it)."""
         return self._materialise(self.layout[bucket_index])
 
     def _materialise(self, spec: BucketSpec) -> Bucket:

@@ -415,9 +415,10 @@ class TestRecoveryFlags:
         assert list(target.glob("*.lrcp")), "explicit --checkpoint-dir retains files"
         assert "reliability:" in capsys.readouterr().out
 
-    def test_verify_recovery_requires_inject_crash(self):
+    @pytest.mark.parametrize("plan", ((), ("--inject-crash", "1@2:leave")))
+    def test_verify_recovery_requires_inject_crash(self, plan):
         with pytest.raises(SystemExit, match="requires --inject-crash"):
-            main(["run", "--scale", "small", "--verify-recovery"])
+            main(["run", "--scale", "small", "--workers", "2", "--verify-recovery", *plan])
 
     def test_bad_crash_spec_rejected(self):
         with pytest.raises(SystemExit):
@@ -470,6 +471,19 @@ class TestRecoveryFlags:
                     "2@1",
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "plan",
+        (
+            ("--scale-down", "1@2", "--inject-crash", "1@5"),  # worker 1 has left
+            ("--scale-up", "4", "--inject-crash", "3@1"),  # worker 3 has not joined
+        ),
+    )
+    def test_kill_of_an_inactive_worker_rejected(self, plan):
+        # Neither kill can ever fire, so the plan is refused before the
+        # run rather than ending with crashes_injected 0.
+        with pytest.raises(SystemExit, match="not active at window"):
+            main(["run", "--scale", "small", "--workers", "3", *plan])
 
     def test_crash_injection_with_scale_up_steals_and_verifies(self, tmp_path, capsys):
         # A crash-injected run steals like any other run, so a joiner —

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
 from repro.parallel import ipc, shutdown_workers
-from repro.reliability import ReliabilityConfig
+from repro.reliability import ReliabilityConfig, runtime
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
 from repro.workload.generator import TraceConfig, TraceGenerator
@@ -156,8 +156,9 @@ def test_dead_child_is_a_typed_error_without_reliability(simulator, queries, han
     assert_no_children_left(handed_out)
 
 
-def test_dead_child_exhausts_the_recovery_budget(simulator, queries, handed_out):
-    reliability = ReliabilityConfig(cadence="windows:1", max_recoveries_per_worker=2)
+def test_dead_child_exhausts_the_recovery_budget(simulator, queries, handed_out, monkeypatch):
+    monkeypatch.setattr(runtime, "MAX_RECOVERIES_PER_WORKER", 2)
+    reliability = ReliabilityConfig(cadence="windows:1")
     with pytest.raises(RuntimeError, match="exceeded 2 recoveries"):
         run(simulator, queries, VanishingPolicy, reliability, stealing=False)
     assert_no_children_left(handed_out)

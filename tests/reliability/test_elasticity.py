@@ -14,13 +14,7 @@ import pytest
 from repro.core.engine import EngineConfig
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
 from repro.parallel.backend import ParallelRunSpec, make_backend
-from repro.reliability import (
-    FaultPlan,
-    ReliabilityConfig,
-    ScaleDown,
-    ScalePlan,
-    ScaleUp,
-)
+from repro.reliability import FaultEvent, FaultPlan, ReliabilityConfig
 from repro.sim.simulator import SimulationConfig
 from repro.storage.bucket_store import BucketStore
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
@@ -32,64 +26,73 @@ BUCKETS = 64
 WORKERS = 3
 WINDOW_BUCKET_READS = 4.0
 #: Mid-run shrink then grow: worker 1 leaves at window 2, one joins at 4.
-ELASTIC_PLAN = ScalePlan.parse("1@2", "4")
+ELASTIC_PLAN = "1@2:leave,@4:join"
 
 
-class TestScaleEvents:
+class TestLeaveAndJoinEvents:
     def test_scale_down_validates_and_round_trips_its_spec(self):
-        event = ScaleDown(worker_id=1, window_index=3)
-        assert event.spec == "1@3"
+        event = FaultEvent("leave", window_index=3, worker_id=1)
+        assert event.spec == "1@3:leave"
+        assert FaultEvent.parse("1@3:leave") == event
         with pytest.raises(ValueError, match="worker ids"):
-            ScaleDown(worker_id=-1, window_index=0)
+            FaultEvent("leave", window_index=0, worker_id=-1)
         with pytest.raises(ValueError, match="window indices"):
-            ScaleDown(worker_id=0, window_index=-1)
+            FaultEvent("leave", window_index=-1, worker_id=0)
 
     def test_scale_up_validates_and_round_trips_its_spec(self):
-        assert ScaleUp(window_index=4).spec == "4"
+        assert FaultEvent("join", window_index=4).spec == "@4:join"
+        assert FaultEvent.parse("@4:join") == FaultEvent("join", window_index=4)
         with pytest.raises(ValueError, match="window indices"):
-            ScaleUp(window_index=-2)
+            FaultEvent("join", window_index=-2)
 
 
-class TestScalePlan:
+class TestElasticPlans:
     def test_parse_accepts_comma_lists_and_repeated_flags(self):
-        plan = ScalePlan.parse(["1@2,0@5", "2@2"], ["3", "3,6"])
-        assert plan.downs == (ScaleDown(1, 2), ScaleDown(2, 2), ScaleDown(0, 5))
-        assert plan.ups == (ScaleUp(3), ScaleUp(3), ScaleUp(6))
-        assert plan.downs_due(2) == [1, 2]
-        assert plan.ups_due(3) == 2
-        assert plan.total_ups() == 3
+        plan = FaultPlan.parse(
+            ["1@2:leave,0@5:leave", "2@2:leave", "@3:join", "@3:join,@6:join"]
+        )
+        assert [event.spec for event in plan.events] == [
+            "1@2:leave",
+            "2@2:leave",
+            "@3:join",
+            "@3:join",
+            "0@5:leave",
+            "@6:join",
+        ]
+        assert plan.count("leave") == 3
+        assert plan.count("join") == 3
         assert len(plan) == 6 and bool(plan)
 
     def test_parse_rejects_malformed_specs(self):
         with pytest.raises(ValueError, match="WORKER@WINDOW"):
-            ScalePlan.parse("3")
-        with pytest.raises(ValueError, match="invalid scale-down"):
-            ScalePlan.parse("a@b")
-        with pytest.raises(ValueError, match="invalid scale-up"):
-            ScalePlan.parse("", "soon")
+            FaultPlan.parse("3:leave")
+        with pytest.raises(ValueError, match="invalid event spec"):
+            FaultPlan.parse("a@b:leave")
+        with pytest.raises(ValueError, match="invalid event spec"):
+            FaultPlan.parse("@soon:join")
 
     def test_empty_plan_is_falsy(self):
-        plan = ScalePlan.parse("", "")
+        plan = FaultPlan.parse("")
         assert not plan and len(plan) == 0
-        plan.validate(1)  # vacuously fine
+        plan.validate(1, enable_stealing=False)  # vacuously fine
 
     def test_validate_rejects_departed_or_unknown_targets(self):
         with pytest.raises(ValueError, match="not active"):
-            ScalePlan.parse("5@1").validate(2)
+            FaultPlan.parse("5@1:leave").validate(2, enable_stealing=True)
         with pytest.raises(ValueError, match="not active"):
-            ScalePlan.parse("0@1,0@3").validate(2)
+            FaultPlan.parse("0@1:leave,0@3:leave").validate(2, enable_stealing=True)
 
     def test_validate_rejects_emptying_the_pool(self):
         with pytest.raises(ValueError, match="empties the worker pool"):
-            ScalePlan.parse("0@1,1@1").validate(2)
-        # A join at the same window keeps the pool alive (ups first).
-        ScalePlan.parse("0@1,1@1", "1").validate(2)
+            FaultPlan.parse("0@1:leave,1@1:leave").validate(2, enable_stealing=True)
+        # A join at the same window keeps the pool alive (joins first).
+        FaultPlan.parse("0@1:leave,1@1:leave,@1:join").validate(2, enable_stealing=True)
 
     def test_joins_take_sequential_ids(self):
         # The joiner at window 1 becomes worker 2 and may depart later.
-        ScalePlan.parse("2@3", "1").validate(2)
+        FaultPlan.parse("2@3:leave,@1:join").validate(2, enable_stealing=True)
         with pytest.raises(ValueError, match="not active"):
-            ScalePlan.parse("2@0", "1").validate(2)
+            FaultPlan.parse("2@0:leave,@1:join").validate(2, enable_stealing=True)
 
 
 @pytest.fixture(scope="module")
@@ -125,11 +128,10 @@ def build_spec(layout, sim_config, queries, workers, **kwargs):
     )
 
 
-def reliability_config(sim_config, scale=None, faults=None):
+def reliability_config(sim_config, plan=""):
     return ReliabilityConfig(
         cadence="windows:2",
-        scale=scale,
-        faults=faults,
+        faults=FaultPlan.parse(plan),
         window_quantum_ms=sim_config.cost.tb_ms * WINDOW_BUCKET_READS,
     )
 
@@ -153,7 +155,7 @@ def elastic_outcomes(layout, sim_config, timed_queries):
                 sim_config,
                 timed_queries,
                 WORKERS,
-                reliability=reliability_config(sim_config, scale=ELASTIC_PLAN),
+                reliability=reliability_config(sim_config, ELASTIC_PLAN),
             )
         )
         for name in ("virtual", "process")
@@ -202,7 +204,7 @@ class TestScaleUpOnly:
             sim_config,
             timed_queries,
             2,
-            reliability=reliability_config(sim_config, scale=ScalePlan.parse("", "1")),
+            reliability=reliability_config(sim_config, "@1:join"),
         )
         outcome = make_backend("virtual").execute(spec)
         assert outcome.reliability.scale_ups == 1
@@ -216,7 +218,7 @@ class TestScaleUpOnly:
             sim_config,
             timed_queries,
             2,
-            reliability=reliability_config(sim_config, scale=ScalePlan.parse("", "1")),
+            reliability=reliability_config(sim_config, "@1:join"),
         )
         object.__setattr__(spec, "enable_stealing", False)
         with pytest.raises(ValueError, match="work stealing"):
@@ -232,9 +234,7 @@ class TestMixedFaultsAndScale:
             sim_config,
             timed_queries,
             WORKERS,
-            reliability=reliability_config(
-                sim_config, scale=ELASTIC_PLAN, faults=FaultPlan.parse("0@1")
-            ),
+            reliability=reliability_config(sim_config, f"{ELASTIC_PLAN},0@1"),
         )
         outcome = make_backend("virtual").execute(spec)
         report = outcome.reliability
@@ -253,11 +253,7 @@ class TestMixedFaultsAndScale:
             sim_config,
             timed_queries,
             WORKERS,
-            reliability=reliability_config(
-                sim_config,
-                scale=ScalePlan.parse("", "1"),
-                faults=FaultPlan.parse("3@3"),
-            ),
+            reliability=reliability_config(sim_config, "@1:join,3@3"),
         )
         outcome = make_backend("virtual").execute(spec)
         assert outcome.reliability.crashes_injected == 1
@@ -269,7 +265,7 @@ class TestMixedFaultsAndScale:
             sim_config,
             timed_queries,
             WORKERS,
-            reliability=reliability_config(sim_config, faults=FaultPlan.parse("7@1")),
+            reliability=reliability_config(sim_config, "7@1"),
         )
         with pytest.raises(ValueError, match="crash"):
             make_backend("virtual").execute(spec)

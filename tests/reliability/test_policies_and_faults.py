@@ -3,8 +3,7 @@
 import pytest
 
 from repro.reliability.config import ReliabilityConfig
-from repro.reliability.elastic import ScalePlan
-from repro.reliability.faults import CrashPoint, FaultPlan
+from repro.reliability.faults import FaultEvent, FaultPlan
 from repro.reliability.policy import EveryKWindows, VirtualInterval, parse_cadence
 
 
@@ -73,17 +72,20 @@ class TestParseCadence:
 class TestFaultPlan:
     def test_parse_single_and_comma_list(self):
         plan = FaultPlan.parse("1@3,0@5")
-        assert plan.crash_due(1, 3)
-        assert plan.crash_due(0, 5)
-        assert not plan.crash_due(0, 3)
+        assert FaultEvent("kill", 3, 1) in plan.events
+        assert FaultEvent("kill", 5, 0) in plan.events
+        assert FaultEvent("kill", 3, 0) not in plan.events
         assert len(plan) == 2
-        assert plan.crashes == (CrashPoint(1, 3), CrashPoint(0, 5))
+        assert plan.events == (FaultEvent("kill", 3, 1), FaultEvent("kill", 5, 0))
 
     def test_parse_repeated_flags(self):
         plan = FaultPlan.parse(["2@1", "0@0"])
-        assert plan.crash_due(2, 1) and plan.crash_due(0, 0)
+        assert plan.events == (FaultEvent("kill", 0, 0), FaultEvent("kill", 1, 2))
 
-    @pytest.mark.parametrize("bad", ["3", "a@b", "1@", "@2", "-1@2", "1@-2"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["3", "a@b", "1@", "@2", "-1@2", "1@-2", "1@2:join", "@2:leave", "1@2:stop"],
+    )
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValueError):
             FaultPlan.parse(bad)
@@ -91,11 +93,36 @@ class TestFaultPlan:
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan()
         assert not FaultPlan.parse("")
-        assert FaultPlan.parse("").crashes == ()
+        assert FaultPlan.parse("").events == ()
 
     def test_repr_lists_crash_specs(self):
         assert "1@3" in repr(FaultPlan.parse("1@3"))
         assert "none" in repr(FaultPlan())
+
+    def test_events_are_in_barrier_order(self):
+        # Within a window: kills, then joins, then departures.
+        plan = FaultPlan.parse("0@2:leave,@2:join,1@2,0@1")
+        assert [event.spec for event in plan.events] == ["0@1", "1@2", "@2:join", "0@2:leave"]
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            "1@3",
+            "1@3,1@3,0@5",  # a duplicate kill collapses
+            "2@1:leave,2@1:leave",  # so does a duplicate departure
+            "@3:join,@3:join,@6:join",  # repeated joins count
+            "1@2:leave,@4:join,3@6,0@6:kill",
+        ],
+    )
+    def test_specs_round_trip(self, specs):
+        plan = FaultPlan.parse(specs)
+        again = FaultPlan.parse(",".join(event.spec for event in plan.events))
+        assert again == plan and hash(again) == hash(plan)
+
+    def test_duplicates_collapse_but_joins_count(self):
+        assert len(FaultPlan.parse("1@3,1@3,1@3:kill")) == 1
+        assert len(FaultPlan.parse("0@1:leave,0@1:leave")) == 1
+        assert FaultPlan.parse("@3:join,@3:join").count("join") == 2
 
 
 class TestReliabilityConfig:
@@ -107,40 +134,47 @@ class TestReliabilityConfig:
         with pytest.raises(ValueError):
             ReliabilityConfig(window_quantum_ms=0.0)
 
-    def test_bad_recovery_budget_rejected(self):
-        with pytest.raises(ValueError):
-            ReliabilityConfig(max_recoveries_per_worker=0)
-
     def test_policies_built_per_call(self):
         config = ReliabilityConfig(cadence="windows:2")
         first = config.build_policy()
         second = config.build_policy()
         assert first is not second
-        assert config.fault_plan() == FaultPlan()
+        assert config.faults == FaultPlan()
 
 
-class TestReliabilityConfigValidate:
+class TestFaultPlanValidate:
     def test_valid_plans_pass(self):
-        config = ReliabilityConfig(
-            faults=FaultPlan.parse("2@3"), scale=ScalePlan.parse("0@1", "1")
-        )
-        config.validate(2, enable_stealing=True)  # worker 2 joins at window 1
+        # Worker 2 joins at window 1 and is killed at window 3.
+        FaultPlan.parse("2@3,0@1:leave,@1:join").validate(2, enable_stealing=True)
 
     def test_crash_beyond_the_pool_is_rejected(self):
-        config = ReliabilityConfig(faults=FaultPlan.parse("2@1"))
         with pytest.raises(ValueError, match="0-based"):
-            config.validate(2, enable_stealing=False)
+            FaultPlan.parse("2@1").validate(2, enable_stealing=False)
 
     def test_scale_up_needs_stealing(self):
-        config = ReliabilityConfig(scale=ScalePlan.parse("", "1"))
+        plan = FaultPlan.parse("@1:join")
         with pytest.raises(ValueError, match="work stealing"):
-            config.validate(2, enable_stealing=False)
-        config.validate(2, enable_stealing=True)
+            plan.validate(2, enable_stealing=False)
+        plan.validate(2, enable_stealing=True)
 
     def test_scale_plan_must_be_executable(self):
-        config = ReliabilityConfig(scale=ScalePlan.parse("0@1,1@1"))
         with pytest.raises(ValueError, match="empties the worker pool"):
-            config.validate(2, enable_stealing=True)
+            FaultPlan.parse("0@1:leave,1@1:leave").validate(2, enable_stealing=True)
+
+    def test_kill_after_the_target_departed_is_rejected(self):
+        # Worker 1 leaves at barrier 2; a kill at window 5 could never fire.
+        with pytest.raises(ValueError, match="crash 1@5 .* not active at window 5"):
+            FaultPlan.parse("1@5,1@2:leave").validate(3, enable_stealing=True)
+        # A kill in the departure's own window lands before it leaves.
+        FaultPlan.parse("1@2,1@2:leave").validate(3, enable_stealing=True)
+
+    def test_kill_before_the_target_joined_is_rejected(self):
+        # Worker 3 joins at barrier 4; a kill at window 1 could never fire,
+        # nor one at window 4 itself (a window's kills land before its joins).
+        for kill in ("3@1", "3@4"):
+            with pytest.raises(ValueError, match="not active"):
+                FaultPlan.parse(f"{kill},@4:join").validate(3, enable_stealing=True)
+        FaultPlan.parse("3@5,@4:join").validate(3, enable_stealing=True)
 
 
 class TestCoordinatorValidation:

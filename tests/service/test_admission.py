@@ -145,23 +145,23 @@ class TestSessions:
         assert registry.session_for(self.query(4)).client_id == 1
 
     def test_offered_rate_uses_a_sliding_window(self):
-        registry = SessionRegistry(clients=1, window_ms=10_000.0)
+        registry = SessionRegistry(clients=1)
         session = registry.session(0)
-        for t in (0.0, 1_000.0, 2_000.0):
+        for t in (0.0, 6_000.0, 12_000.0):
             session.observe_offer(t)
-        assert session.offered_rate_qps(2_000.0) == pytest.approx(3 / 10.0)
-        # Two offers age out of the window.
-        assert session.offered_rate_qps(11_500.0) == pytest.approx(1 / 10.0)
-        assert session.offered_rate_qps(60_000.0) == 0.0
+        assert session.offered_rate_qps(12_000.0) == pytest.approx(3 / 60.0)
+        # Two offers age out of the 60 s window.
+        assert session.offered_rate_qps(69_000.0) == pytest.approx(1 / 60.0)
+        assert session.offered_rate_qps(360_000.0) == 0.0
 
     def test_each_client_has_its_own_window(self):
-        registry = SessionRegistry(clients=2, window_ms=10_000.0)
+        registry = SessionRegistry(clients=2)
         registry.session(0).observe_offer(0.0)
         registry.session(0).observe_offer(0.0)
         registry.session(1).observe_offer(0.0)
         assert registry.session(0) is registry.session(0)
-        assert registry.session(0).offered_rate_qps(0.0) == pytest.approx(2 / 10.0)
-        assert registry.session(1).offered_rate_qps(0.0) == pytest.approx(1 / 10.0)
+        assert registry.session(0).offered_rate_qps(0.0) == pytest.approx(2 / 60.0)
+        assert registry.session(1).offered_rate_qps(0.0) == pytest.approx(1 / 60.0)
 
     def test_invalid_pool_size_rejected(self):
         with pytest.raises(ValueError):

@@ -409,7 +409,7 @@ class TestCrashRecoveryParity:
                 ),
             )
 
-        return run(None), run(FaultPlan.parse("1@1"))
+        return run(FaultPlan()), run(FaultPlan.parse("1@1"))
 
     def test_crash_ledger_matches_clean(self, reliability_pair):
         clean, crashed = reliability_pair

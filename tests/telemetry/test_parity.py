@@ -162,7 +162,7 @@ class TestCrashTelemetryParity:
                 ),
             )
 
-        return run(None), run(FaultPlan.parse("1@1"))
+        return run(FaultPlan()), run(FaultPlan.parse("1@1"))
 
     def test_crash_actually_fired(self, reliability_pair):
         _clean, crashed = reliability_pair

@@ -32,7 +32,7 @@ def test_run_description_field_counts():
     assert counts == {
         "RunSpec": 18,
         "ParallelRunSpec": 10,
-        "ReliabilityConfig": 6,
+        "ReliabilityConfig": 4,
         "ServiceConfig": 11,
     }
 
