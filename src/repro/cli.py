@@ -101,6 +101,7 @@ from repro.core.baselines import POLICY_NAMES
 from repro.experiments import EXPERIMENTS, run_all
 from repro.experiments.common import SCALES, build_simulator, build_trace, render_table
 from repro.fileio import FormatError
+from repro.parallel.backend import BACKENDS
 from repro.workload.stats import TraceStatistics
 
 
@@ -139,7 +140,7 @@ _SHARED_FLAGS = {
     ),
     "--backend": dict(
         default=None,
-        choices=("virtual", "process"),
+        choices=BACKENDS,
         help=(
             "execution backend of a multi-worker run: 'virtual' keeps every "
             "shard worker in-process (deterministic), 'process' runs one OS "
@@ -771,6 +772,28 @@ def _check_parity(result, other, columns, failure: str, success: str) -> int:
     return 0
 
 
+def _warn_unfired(faults, report) -> None:
+    """One stderr line when planned barrier events did not all execute: only
+    the run knows its window count, and it skips an event past the last
+    window (or a kill of a shard that had already drained)."""
+    executed = {
+        "kill": report.crashes_injected,
+        "leave": report.scale_downs,
+        "join": report.scale_ups,
+    }
+    short = [
+        f"{kind} {done} of {faults.count(kind)}"
+        for kind, done in executed.items()
+        if done < faults.count(kind)
+    ]
+    if short:
+        print(
+            f"warning: planned fault events did not fire ({', '.join(short)} executed); "
+            f"the run ended after {report.windows} windows",
+            file=sys.stderr,
+        )
+
+
 def _run_single(args: argparse.Namespace) -> int:
     from repro.sim.runspec import RunSpec
     from repro.sim.simulator import VIRTUAL_CLOCK_PARITY_FIELDS
@@ -829,6 +852,8 @@ def _run_single(args: argparse.Namespace) -> int:
             )
         )
 
+    if result.reliability is not None:
+        _warn_unfired(reliability.faults, result.reliability)
     status = 0
     if args.verify_recovery:
         planned = reliability.faults.count("kill")

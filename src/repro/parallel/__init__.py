@@ -17,13 +17,15 @@ concurrently (in virtual time):
   private bucket cache, hybrid join evaluator, scheduler instance and
   virtual clock, answering the shard message protocol in one place), the
   protocol's messages, and the worker processes that can host a shard;
-* :mod:`repro.parallel.backend` — the :class:`ExecutionBackend` seam over
-  the shard plan.  Both backends are the one channel coordinator
-  (:class:`repro.reliability.runtime.ShardCoordinator`: windowed virtual
-  time, work stealing as message passing at the barriers) over a channel
-  kind: :class:`VirtualBackend` keeps every shard in-process (the
-  default for tests), :class:`ProcessBackend` gives each its own OS
-  process (``multiprocessing``, spawn-safe).  Both return one
+* :mod:`repro.parallel.backend` — the run description
+  (:class:`ParallelRunSpec`), the names of the execution backends
+  (:data:`BACKENDS`) and the coordinator's pure bookkeeping (arrival
+  fan-out, shard views, the steal rule).  Every sharded run is the one
+  channel coordinator (:class:`repro.reliability.runtime.ShardCoordinator`:
+  windowed virtual time, work stealing as message passing at the barriers)
+  over the channel kind its backend names: ``"virtual"`` keeps every
+  shard in-process (the default for tests), ``"process"`` gives each its
+  own OS process (``multiprocessing``, spawn-safe).  Either returns one
   :class:`BackendOutcome`: the merged report, the shards' own results,
   the steal records and the service log, each fact recorded once.
 
@@ -34,15 +36,7 @@ virtual-clock results, steals included (the cross-backend parity tests
 pin this down).
 """
 
-from repro.parallel.backend import (
-    EXECUTION_BACKENDS,
-    BackendOutcome,
-    ExecutionBackend,
-    ParallelRunSpec,
-    ProcessBackend,
-    VirtualBackend,
-    make_backend,
-)
+from repro.parallel.backend import BACKENDS, BackendOutcome, ParallelRunSpec
 from repro.parallel.ipc import ShardWorker, shutdown_workers
 from repro.parallel.sharding import (
     SHARD_STRATEGIES,
@@ -53,16 +47,12 @@ from repro.parallel.sharding import (
 )
 
 __all__ = [
-    "EXECUTION_BACKENDS",
+    "BACKENDS",
     "SHARD_STRATEGIES",
     "BackendOutcome",
-    "ExecutionBackend",
     "ParallelRunSpec",
-    "ProcessBackend",
     "ShardPlan",
     "ShardWorker",
-    "VirtualBackend",
-    "make_backend",
     "make_shard_plan",
     "partition_round_robin",
     "partition_zones",

@@ -1,30 +1,24 @@
-"""Execution backends behind the :class:`~repro.parallel.sharding.ShardPlan` seam.
+"""What a sharded run is, beside the loop that drives it.
 
 A sharded run's topology — N shard workers, staged per-worker arrival
 schedules, whole-queue work stealing at window barriers — is independent
 of *where* the workers run.  One loop drives it, the channel coordinator
 (:class:`repro.reliability.runtime.ShardCoordinator`), over one message
-protocol (:mod:`repro.parallel.ipc`); an :class:`ExecutionBackend` only
-names the channel kind the messages travel on:
+protocol (:mod:`repro.parallel.ipc`); an execution backend is only the
+name of the channel kind the messages travel on (:data:`BACKENDS`):
+``"virtual"`` keeps every shard beside the coordinator (the deterministic
+default every test drives), ``"process"`` gives each its own OS process
+(``multiprocessing``, spawn-safe; every child rebuilds a read-only
+:class:`~repro.storage.bucket_store.StoreSnapshot` of the archive).
 
-* :class:`VirtualBackend` — every shard lives beside the coordinator
-  (:class:`~repro.reliability.runtime.InlineChannel`; the deterministic
-  default every test drives);
-* :class:`ProcessBackend` — every shard lives in its own OS process
-  (:class:`~repro.reliability.runtime.ProcessChannel`; ``multiprocessing``,
-  spawn-safe): per-shard workloads ship as pickled
-  :class:`~repro.parallel.ipc.ShardTask` messages and every child rebuilds
-  a read-only :class:`~repro.storage.bucket_store.StoreSnapshot` of the
-  archive.
+This module keeps the run's description (:class:`ParallelRunSpec`) and
+the coordinator's pure bookkeeping — the arrival fan-out, the per-shard
+:class:`ShardView` and the steal rule (:func:`run_steal_round`: at each
+window barrier an idle shard adopts the most starving bucket queue of a
+busy one, :class:`~repro.parallel.ipc.ReleaseBucket` /
+:class:`~repro.parallel.ipc.AdoptBucket` messages).
 
-Work stealing is message passing on both: at each window barrier the
-coordinator re-assigns the most starving bucket queue from a busy shard
-to an idle one (:class:`~repro.parallel.ipc.ReleaseBucket` /
-:class:`~repro.parallel.ipc.AdoptBucket`, :func:`run_steal_round`).  This
-module keeps the coordinator's pure bookkeeping — the arrival fan-out,
-the per-shard :class:`ShardView`, the steal rule and the outcome merge.
-
-Both backends return the same :class:`BackendOutcome` — one merged
+Either backend returns the same :class:`BackendOutcome` — one merged
 :class:`~repro.core.engine.EngineReport`, the shards' own
 :class:`~repro.parallel.ipc.WorkerResult` messages, the steal records and
 one global service log, each fact once — and every virtual-clock fact in
@@ -36,11 +30,10 @@ process backend exists to improve.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.engine import EngineConfig, EngineReport, build_engine_report
+from repro.core.engine import EngineConfig, EngineReport
 from repro.core.preprocessor import QueryPreProcessor
 from repro.core.scheduler import SchedulingPolicy
 from repro.parallel.engine import CompletionTracker, StealRecord
@@ -51,11 +44,9 @@ from repro.parallel.ipc import (
     ReleaseBucket,
     WindowReport,
     WorkerResult,
-    trim_idle_workers,
 )
 from repro.parallel.sharding import ShardPlan
 from repro.parallel.worker import StagedShare
-from repro.telemetry.registry import REAL_DOMAIN, MetricsRegistry, merge_snapshots
 from repro.storage.bucket_store import BucketStore
 from repro.storage.partitioner import PartitionLayout
 from repro.workload.query import CrossMatchQuery
@@ -71,6 +62,11 @@ if TYPE_CHECKING:
 #: 3.66x virtual-clock speedup at 4 workers; a barrier after every service
 #: measured 3.99x for ~8x the coordination traffic.
 DEFAULT_QUANTUM_BUCKET_READS = 64.0
+
+#: The execution backends by name: where a sharded run's shard workers
+#: live.  :class:`~repro.sim.runspec.RunSpec` validates against it, the
+#: coordinator looks up its channel kind in it and the CLI offers it.
+BACKENDS = ("virtual", "process")
 
 
 def fan_out_arrivals(
@@ -98,107 +94,6 @@ def fan_out_arrivals(
     return arrivals
 
 
-def coordinator_snapshot(
-    steal_count: int = 0,
-    window_count: int = 0,
-    reliability: Optional["ReliabilityReport"] = None,
-    worker_processes: Optional[Dict[str, float]] = None,
-) -> Optional[dict]:
-    """Coordinator-side accounting as a mergeable telemetry snapshot.
-
-    Everything here lives in the **real** domain: window counts and steal
-    totals depend on barrier placement (a coordination artefact, not part
-    of the deterministic contract), and checkpoint bytes / crash counts
-    are operational profile.  Counters are only created when non-zero, so
-    a single-drain run (stealing off, no reliability) has none of them.
-    *worker_processes* is the process backend's boot accounting
-    (``coordinator.workers_booted`` / ``workers_reused`` / ``boot_s``): it
-    says whether the run's ``real_elapsed_s`` paid for interpreter boots.
-    """
-    registry = MetricsRegistry()
-    for name, value in (
-        ("coordinator.steals", steal_count),
-        ("coordinator.windows", window_count),
-        *(worker_processes or {}).items(),
-    ):
-        if value:
-            registry.counter(name, domain=REAL_DOMAIN).inc(value)
-    if reliability is not None:
-        for name, value in (
-            ("reliability.windows", reliability.windows),
-            ("reliability.checkpoints_written", reliability.checkpoints_written),
-            ("reliability.checkpoint_bytes", reliability.checkpoint_bytes),
-            ("reliability.checkpoint_real_s", reliability.checkpoint_real_s),
-            ("reliability.crashes_injected", reliability.crashes_injected),
-            ("reliability.recoveries", reliability.recovery_count),
-            ("reliability.scale_events", len(reliability.scale_events)),
-        ):
-            if value:
-                registry.counter(name, domain=REAL_DOMAIN).inc(value)
-    snapshot = registry.snapshot()
-    return snapshot if snapshot["metrics"] else None
-
-
-def merge_backend_outcome(
-    backend_name: str,
-    spec: "ParallelRunSpec",
-    plan: ShardPlan,
-    tracker: CompletionTracker,
-    batches: List[BatchRecord],
-    steal_records: List[StealRecord],
-    results: Sequence[WorkerResult],
-    elapsed_s: float,
-    reliability: Optional["ReliabilityReport"] = None,
-    window_boundaries_ms: Optional[List[float]] = None,
-    worker_processes: Optional[Dict[str, float]] = None,
-) -> BackendOutcome:
-    """Merge per-shard batch records and accounting into one outcome.
-
-    The service log is put in global finish order once, here: ties break
-    by worker id, then by the shard's own sequence number, so the order
-    does not depend on which shard replied first.  Replayed in that order,
-    the tracker stamps each query at the finish of its last-finishing
-    service — the completion law the ledger and the result streams read
-    off the same log.
-    """
-    batches.sort(key=lambda r: (r.finished_at_ms, r.worker_id, r.seq))
-    for record in batches:
-        for query_id in record.queries_served:
-            tracker.on_serviced(query_id, record.bucket_index, record.finished_at_ms)
-    ordered_results = sorted(results, key=lambda r: r.worker_id)
-    boundaries = list(window_boundaries_ms or [])
-    telemetry = merge_snapshots(
-        [r.telemetry for r in ordered_results]
-        + [
-            coordinator_snapshot(
-                steal_count=len(steal_records),
-                window_count=len(boundaries),
-                reliability=reliability,
-                worker_processes=worker_processes,
-            )
-        ]
-    )
-    report = build_engine_report(
-        f"parallel(workers={spec.workers}, policy={spec.policy.name}, shard={plan.strategy})",
-        tracker.submitted_count,
-        tracker.response_times_ms(),
-        tracker.first_arrival_ms,
-        tracker.last_completion_ms,
-        telemetry,
-    )
-    return BackendOutcome(
-        backend=backend_name,
-        report=report,
-        results=ordered_results,
-        steal_records=steal_records,
-        services=batches,
-        real_elapsed_s=elapsed_s,
-        reliability=reliability,
-        telemetry=telemetry,
-        window_boundaries_ms=boundaries,
-    )
-
-
 @dataclass
 class ParallelRunSpec:
     """Everything one parallel run needs, independent of the backend."""
@@ -222,7 +117,10 @@ class ParallelRunSpec:
     reliability: Optional["ReliabilityConfig"] = None
 
     def quantum_ms(self) -> float:
-        """The steal window of the run."""
+        """The window of the run: a reliability run's own
+        ``window_quantum_ms`` when it sets one, else the steal window."""
+        if self.reliability is not None and self.reliability.window_quantum_ms is not None:
+            return self.reliability.window_quantum_ms
         if self.steal_quantum_ms is not None:
             if self.steal_quantum_ms <= 0:
                 raise ValueError("steal_quantum_ms must be positive")
@@ -267,33 +165,6 @@ class BackendOutcome:
             for query_id in record.queries_served:
                 covered.setdefault(query_id, set()).add(record.bucket_index)
         return {query_id: frozenset(buckets) for query_id, buckets in covered.items()}
-
-
-class ExecutionBackend(ABC):
-    """Strategy interface: run one sharded workload to completion."""
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def execute(self, spec: ParallelRunSpec) -> BackendOutcome:
-        """Run *spec* to completion and return the merged outcome."""
-
-
-class VirtualBackend(ExecutionBackend):
-    """Every shard beside the coordinator, no process (the default for tests).
-
-    The coordinator and the protocol are the process backend's; a message
-    is a method call on the shard's :class:`~repro.parallel.ipc.
-    ShardWorker`.  Every shard still gets a private store rebuilt from
-    the run's snapshot, so per-shard read accounting matches too.
-    """
-
-    name = "virtual"
-
-    def execute(self, spec: ParallelRunSpec) -> BackendOutcome:
-        from repro.reliability.runtime import InlineChannel, ShardCoordinator
-
-        return ShardCoordinator(spec, self.name, InlineChannel).execute()
 
 
 class ShardView:
@@ -409,55 +280,3 @@ def run_steal_round(
             entry_count=len(released.entries),
         )
         yield record, message
-
-
-class ProcessBackend(ExecutionBackend):
-    """One OS process per shard worker, coordinated over pipes.
-
-    The channel coordinator pre-computes every shard's full arrival
-    schedule, ships it with a read-only store snapshot to each child,
-    then advances all shards concurrently:
-
-    * stealing disabled — a single drain message per shard, maximal
-      parallelism, each shard a pure function of its schedule;
-    * stealing enabled — bounded virtual-time windows; at every barrier
-      idle shards adopt the most starving foreign bucket queue (entries
-      *and* staged future), whole, as messages;
-    * ``spec.reliability`` set — always windowed, with checkpoints, crash
-      injection/recovery and scale events at the barriers.
-
-    Virtual-clock accounting (busy time, I/O, services, per-query bucket
-    coverage) is identical to the virtual backend by construction — same
-    loop, same messages; the parity tests pin that down.
-    """
-
-    name = "process"
-
-    def execute(self, spec: ParallelRunSpec) -> BackendOutcome:
-        from repro.reliability.runtime import ProcessChannel, ShardCoordinator
-
-        coordinator = ShardCoordinator(spec, self.name, ProcessChannel)
-        outcome = coordinator.execute()
-        # The run's workers are idle now; keep no more than it had shards,
-        # plus the spare when the run was a reliability run.
-        trim_idle_workers(len(coordinator.channels) + (spec.reliability is not None))
-        return outcome
-
-
-#: Registry of execution backends by name.
-EXECUTION_BACKENDS = {
-    VirtualBackend.name: VirtualBackend,
-    ProcessBackend.name: ProcessBackend,
-}
-
-
-def make_backend(backend: Union[str, ExecutionBackend]) -> ExecutionBackend:
-    """Resolve a backend instance from a name or pass an instance through."""
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    if backend not in EXECUTION_BACKENDS:
-        raise ValueError(
-            f"unknown execution backend {backend!r}; available: "
-            f"{sorted(EXECUTION_BACKENDS)}"
-        )
-    return EXECUTION_BACKENDS[backend]()

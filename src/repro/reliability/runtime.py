@@ -1,7 +1,7 @@
 """The channel coordinator: the one run loop of every sharded run.
 
-Both execution backends are :class:`ShardCoordinator` over a channel
-kind, with or without a
+Every sharded run is :class:`ShardCoordinator` over the channel kind its
+backend names (:data:`CHANNEL_KINDS`), with or without a
 :class:`~repro.reliability.config.ReliabilityConfig` attached.  The
 coordinator fans the trace out into per-shard arrival schedules, then
 advances all shards concurrently:
@@ -17,16 +17,16 @@ advances all shards concurrently:
 The coordinator talks to :class:`ShardChannel` message pipes; the channel
 kind is the only difference between the backends:
 
-* :class:`ProcessChannel` — one OS process per shard over a pipe.  A due
-  crash point really ``SIGKILL``\\ s the child; detection is the broken
-  pipe at the next message exchange.  The processes outlive the run: a
-  run that ends normally returns them to the idle list of
+* :class:`ProcessChannel` (``"process"``) — one OS process per shard over
+  a pipe.  A due crash point really ``SIGKILL``\\ s the child; detection
+  is the broken pipe at the next message exchange.  The processes outlive
+  the run: a run that ends normally returns them to the idle list of
   :mod:`repro.parallel.ipc` and the next run draws from it; a run that
   raises kills every one it touched.
-* :class:`InlineChannel` — the shard's :class:`~repro.parallel.ipc.
-  ShardWorker` answering the same messages in-process.  A crash
-  discards the live shard object, simulating the same total state loss
-  deterministically.
+* :class:`InlineChannel` (``"virtual"``) — the shard's
+  :class:`~repro.parallel.ipc.ShardWorker` answering the same messages
+  in-process.  A crash discards the live shard object, simulating the
+  same total state loss deterministically.
 
 Recovery is the same either way: rebuild the shard from its
 :class:`~repro.parallel.ipc.ShardTask` **plus its latest checkpoint**,
@@ -57,12 +57,13 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
+from repro.core.engine import build_engine_report
 from repro.parallel.backend import (
+    BACKENDS,
     BackendOutcome,
     ParallelRunSpec,
     ShardView,
     fan_out_arrivals,
-    merge_backend_outcome,
     run_steal_round,
 )
 from repro.parallel.engine import CompletionTracker, StealRecord
@@ -85,12 +86,14 @@ from repro.parallel.ipc import (
     destroy_worker,
     keep_spare,
     release_worker,
+    trim_idle_workers,
 )
 from repro.parallel.sharding import make_shard_plan
 from repro.parallel.worker import StagedShare, clone_policy
 from repro.reliability.checkpoint import CHECKPOINT_SUFFIX
 from repro.reliability.config import RecoveryEvent, ReliabilityReport, ScaleRecord
 from repro.reliability.faults import FaultEvent, FaultPlan
+from repro.telemetry.registry import REAL_DOMAIN, MetricsRegistry, merge_snapshots
 
 #: How long the coordinator waits on a single worker-process reply before
 #: declaring the run wedged (generous: windows are seconds of real work).
@@ -169,6 +172,11 @@ class ShardChannel(ABC):
         """Have the next shard of this kind ready before it is asked for
         (a reliability run calls it after every shard it opens)."""
 
+    @staticmethod
+    def trim_idle_workers(keep: int) -> None:
+        """Let idle hosts of this kind beyond *keep* go (a run that ended
+        normally calls it with its shard count, plus its spare)."""
+
 
 class InlineChannel(ShardChannel):
     """The virtual backend's shard: a :class:`ShardWorker` beside the coordinator.
@@ -223,11 +231,12 @@ class ProcessChannel(ShardChannel):
     included), and ``boot_s`` the seconds spent waiting for any
     interpreter to come up (a spare still booting included).  Their sum
     ``workers_booted + workers_reused`` is the number of workers the
-    channel was given.  :meth:`keep_spare` starts the spare
-    (:func:`repro.parallel.ipc.keep_spare`).
+    channel was given.  :meth:`keep_spare` and :meth:`trim_idle_workers`
+    are :mod:`repro.parallel.ipc`'s own.
     """
 
     keep_spare = staticmethod(keep_spare)
+    trim_idle_workers = staticmethod(trim_idle_workers)
 
     def __init__(self, task: ShardTask) -> None:
         super().__init__(task)
@@ -319,6 +328,10 @@ class ProcessChannel(ShardChannel):
         self._process = self._conn = None
 
 
+#: The channel kind of each execution backend, in :data:`BACKENDS` order.
+CHANNEL_KINDS: Dict[str, Type[ShardChannel]] = dict(zip(BACKENDS, (InlineChannel, ProcessChannel)))
+
+
 @dataclass
 class _JournaledSteal:
     """One queue migration the coordinator witnessed (for catch-up)."""
@@ -335,13 +348,14 @@ class ShardCoordinator:
         self,
         spec: ParallelRunSpec,
         backend_name: str,
-        channel_factory: Type[ShardChannel],
+        channel_factory: Optional[Type[ShardChannel]] = None,
     ) -> None:
         #: The run's wall clock includes backend setup (plan, fan-out, spawn).
         self._started = time.perf_counter()
         self.spec = spec
         self.backend_name = backend_name
-        self.channel_factory = channel_factory
+        #: The backend's channel kind unless the caller brings its own.
+        self.channel_factory = channel_factory or CHANNEL_KINDS[backend_name]
         #: ``None`` switches every barrier hook off (see the module docstring).
         self.rel = rel = spec.reliability
         self.plan = make_shard_plan(spec.layout, spec.workers, spec.shard_strategy)
@@ -462,31 +476,90 @@ class ShardCoordinator:
                 shutil.rmtree(owned_dir, ignore_errors=True)
         if self.report is not None:
             self.report.windows = self.window_index
-        return merge_backend_outcome(
-            self.backend_name,
-            self.spec,
-            self.plan,
-            self.tracker,
-            self.batches,
-            self.steal_records,
-            results,
-            time.perf_counter() - self._started,
+        outcome = self._outcome(results)
+        # The run's workers are idle now; keep no more than it had shards,
+        # plus the spare when the run was a reliability run.
+        self.channel_factory.trim_idle_workers(len(self.channels) + (self.rel is not None))
+        return outcome
+
+    def _outcome(self, results: Sequence[WorkerResult]) -> BackendOutcome:
+        """Merge the shards' batch records and accounting into one outcome.
+
+        The service log is put in global finish order once, here: ties break
+        by worker id, then by the shard's own sequence number, so the order
+        does not depend on which shard replied first.  Replayed in that order,
+        the tracker stamps each query at the finish of its last-finishing
+        service — the completion law the ledger and the result streams read
+        off the same log.
+        """
+        elapsed_s = time.perf_counter() - self._started
+        self.batches.sort(key=lambda r: (r.finished_at_ms, r.worker_id, r.seq))
+        for record in self.batches:
+            for query_id in record.queries_served:
+                self.tracker.on_serviced(query_id, record.bucket_index, record.finished_at_ms)
+        ordered_results = sorted(results, key=lambda r: r.worker_id)
+        telemetry = merge_snapshots(
+            [r.telemetry for r in ordered_results] + [self._coordinator_snapshot()]
+        )
+        spec, tracker = self.spec, self.tracker
+        report = build_engine_report(
+            f"parallel(workers={spec.workers}, policy={spec.policy.name}, "
+            f"shard={self.plan.strategy})",
+            tracker.submitted_count,
+            tracker.response_times_ms(),
+            tracker.first_arrival_ms,
+            tracker.last_completion_ms,
+            telemetry,
+        )
+        return BackendOutcome(
+            backend=self.backend_name,
+            report=report,
+            results=ordered_results,
+            steal_records=self.steal_records,
+            services=self.batches,
+            real_elapsed_s=elapsed_s,
             reliability=self.report,
+            telemetry=telemetry,
             window_boundaries_ms=self.window_boundaries,
-            worker_processes={
-                "coordinator.workers_booted": sum(c.workers_booted for c in self.channels),
-                "coordinator.workers_reused": sum(c.workers_reused for c in self.channels),
-                "coordinator.boot_s": sum(c.boot_s for c in self.channels),
-            },
         )
 
+    def _coordinator_snapshot(self) -> Optional[dict]:
+        """Coordinator-side accounting as a mergeable telemetry snapshot.
+
+        Everything here lives in the **real** domain: window counts and steal
+        totals depend on barrier placement (a coordination artefact, not part
+        of the deterministic contract); checkpoint bytes, crash counts and the
+        channels' boot accounting are operational profile.  Counters are only
+        created when non-zero, so a single-drain run on inline channels has
+        none of them.
+        """
+        counters = [
+            ("coordinator.steals", len(self.steal_records)),
+            ("coordinator.windows", len(self.window_boundaries)),
+            ("coordinator.workers_booted", sum(c.workers_booted for c in self.channels)),
+            ("coordinator.workers_reused", sum(c.workers_reused for c in self.channels)),
+            ("coordinator.boot_s", sum(c.boot_s for c in self.channels)),
+        ]
+        report = self.report
+        if report is not None:
+            counters += [
+                ("reliability.windows", report.windows),
+                ("reliability.checkpoints_written", report.checkpoints_written),
+                ("reliability.checkpoint_bytes", report.checkpoint_bytes),
+                ("reliability.checkpoint_real_s", report.checkpoint_real_s),
+                ("reliability.crashes_injected", report.crashes_injected),
+                ("reliability.recoveries", report.recovery_count),
+                ("reliability.scale_events", len(report.scale_events)),
+            ]
+        registry = MetricsRegistry()
+        for name, value in counters:
+            if value:
+                registry.counter(name, domain=REAL_DOMAIN).inc(value)
+        snapshot = registry.snapshot()
+        return snapshot if snapshot["metrics"] else None
+
     def _window_loop(self) -> None:
-        rel = self.rel
-        quantum_ms = (
-            rel.window_quantum_ms
-            if rel is not None and rel.window_quantum_ms is not None
-            else self.spec.quantum_ms()
-        )
+        quantum_ms = self.spec.quantum_ms()
         while True:
             candidates = [
                 candidate
@@ -514,7 +587,7 @@ class ShardCoordinator:
             if not drained:
                 if self.stealing:
                     self._steal_round()
-                if rel is not None:
+                if self.rel is not None:
                     self._checkpoint_round()
             self.window_index += 1
             if drained:
@@ -822,6 +895,7 @@ class ShardCoordinator:
 
 
 __all__ = [
+    "CHANNEL_KINDS",
     "ChannelCrashed",
     "InlineChannel",
     "ProcessChannel",

@@ -24,9 +24,9 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.baselines import make_policy
 from repro.core.scheduler import SchedulingPolicy
+from repro.parallel.backend import BACKENDS
 
 if TYPE_CHECKING:
-    from repro.parallel.backend import ExecutionBackend
     from repro.reliability.config import ReliabilityConfig
     from repro.service.frontend import ServiceConfig
 
@@ -54,12 +54,12 @@ class RunSpec:
     workers: int = 1
     #: How queries map to shards (parallel runs).
     shard_strategy: str = "round_robin"
-    #: Execution backend: ``"virtual"`` (every shard in this process),
-    #: ``"process"`` (one OS process per shard) or a
-    #: constructed backend.  ``None`` selects the serial engine unless
+    #: Execution backend, one of :data:`~repro.parallel.backend.BACKENDS`:
+    #: ``"virtual"`` (every shard in this process) or ``"process"`` (one
+    #: OS process per shard).  ``None`` selects the serial engine unless
     #: ``workers`` or ``reliability`` force the parallel one (then
     #: ``"virtual"`` is used).
-    backend: Optional[Union[str, "ExecutionBackend"]] = None
+    backend: Optional[str] = None
     #: Allow idle shards to steal work (parallel runs).
     enable_stealing: bool = True
     #: Override the virtual-time window between steal barriers
@@ -104,6 +104,10 @@ class RunSpec:
     def __post_init__(self) -> None:
         if isinstance(self.policy, str):
             make_policy(self.policy, self.alpha)  # fail fast on a bad name or alpha
+        if self.backend is not None and self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown execution backend {self.backend!r}; expected one of {BACKENDS}"
+            )
         if self.workers < 1:
             raise ValueError("workers must be positive")
         if self.series_window_ms is not None and self.series_window_ms <= 0:
@@ -119,7 +123,7 @@ class RunSpec:
         )
 
     @property
-    def effective_backend(self) -> Union[str, "ExecutionBackend"]:
+    def effective_backend(self) -> str:
         """The execution backend a parallel run will use."""
         return self.backend if self.backend is not None else "virtual"
 

@@ -24,7 +24,8 @@ from repro.core.engine import EngineConfig, LifeRaftEngine
 from repro.core.metrics import CostModel
 from repro.core.scheduler import SchedulingPolicy
 from repro.fileio import atomic_write
-from repro.parallel.backend import BackendOutcome, ParallelRunSpec, make_backend
+from repro.parallel.backend import BackendOutcome, ParallelRunSpec
+from repro.reliability.runtime import ShardCoordinator
 from repro.sim.runspec import DEFAULT_STORE, RunSpec
 from repro.sim.stats import ResponseTimeStats, summarize_response_times
 from repro.storage.bucket_store import BucketStore
@@ -508,18 +509,19 @@ class Simulator:
     ) -> BackendOutcome:
         """Replay a trace against a sharded engine on an execution backend.
 
-        :attr:`RunSpec.effective_backend` selects where the shard workers
-        run: ``"virtual"`` keeps every shard inside this process,
-        ``"process"`` gives each its own OS process (a file-backed store
-        ships as a path, and each child does its own physical I/O).  One
-        coordinator drives both, so virtual-clock results are
+        :attr:`RunSpec.effective_backend` names the channel kind of the
+        :class:`~repro.reliability.runtime.ShardCoordinator` that runs it:
+        ``"virtual"`` keeps every shard inside this process, ``"process"``
+        gives each its own OS process (a file-backed store ships as a path,
+        and each child does its own physical I/O).  One coordinator drives
+        both, so virtual-clock results are
         backend-invariant, steals included, and ``workers=1`` reproduces
         the serial engine.  With :attr:`RunSpec.reliability` set, the run
         checkpoints at window barriers, injects the planned crashes and
         recovers dead shards.  The shards' service records feed the
         serving front-end's result streams once the run ends.
         """
-        outcome = make_backend(spec.effective_backend).execute(
+        outcome = ShardCoordinator(
             ParallelRunSpec(
                 layout=self._layout,
                 store=store,
@@ -531,8 +533,9 @@ class Simulator:
                 enable_stealing=spec.enable_stealing,
                 steal_quantum_ms=spec.steal_quantum_ms,
                 reliability=spec.reliability,
-            )
-        )
+            ),
+            spec.effective_backend,
+        ).execute()
         if frontend is not None:
             frontend.ingest_records(outcome.services)
         return outcome

@@ -109,7 +109,7 @@ _RESULT_FIELDS = (
 def describe_run_spec(spec) -> dict:
     """A JSON-safe description of a :class:`RunSpec` for the archive.
 
-    Constructed policy/backend objects degrade to their display names;
+    A constructed policy object degrades to its display name;
     the default-store sentinel degrades to ``"default"``.  The point is
     comparability across processes, not reconstruction — ``.lrtr``
     traces are the replayable artifact.
@@ -118,8 +118,6 @@ def describe_run_spec(spec) -> dict:
     if not isinstance(policy, str):
         policy = getattr(policy, "name", type(policy).__name__)
     backend = spec.effective_backend if spec.is_parallel else "serial"
-    if not isinstance(backend, str):
-        backend = getattr(backend, "name", type(backend).__name__)
     store_path = spec.store_path
     if not (store_path is None or isinstance(store_path, str)):
         store_path = "default"

@@ -5,9 +5,9 @@ The registry is split into two **domains**:
 ``virtual``
     Advanced only by the virtual clock (or by other values that are a
     pure function of the admitted arrival schedule).  Virtual-domain
-    snapshots are bit-identical across the serial engine, the
-    ``VirtualBackend`` and the ``ProcessBackend`` at any fixed worker
-    count — the telemetry parity suite pins that down.
+    snapshots are bit-identical across the serial engine and the
+    ``"virtual"`` and ``"process"`` backends at any fixed worker count —
+    the telemetry parity suite pins that down.
 
 ``real``
     Wall-clock profile (real read seconds, page-cache behaviour,

@@ -364,9 +364,10 @@ class TestRecoveryFlags:
             )
             == 0
         )
-        output = capsys.readouterr().out
-        assert "reliability:" in output
-        assert "recovery parity OK" in output
+        captured = capsys.readouterr()
+        assert "reliability:" in captured.out
+        assert "recovery parity OK" in captured.out
+        assert captured.err == "", "a plan that fired in full warns about nothing"
 
     def test_crash_injected_run_on_file_backed_store(self, small_store, capsys):
         assert (
@@ -457,6 +458,24 @@ class TestRecoveryFlags:
             == 1
         )
         assert "RECOVERY VERIFICATION INVALID" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "plan, unfired",
+        (
+            (("--inject-crash", "1@100000"), "kill 0 of 1"),
+            (("--scale-down", "1@100000"), "leave 0 of 1"),
+            (("--scale-up", "100000"), "join 0 of 1"),
+        ),
+        ids=("kill", "leave", "join"),
+    )
+    def test_unfired_plan_events_are_named_on_stderr(self, plan, unfired, capsys):
+        # Planned events past the run's last window never execute: the
+        # run still succeeds, but says so on one stderr line.
+        args = ["run", "--scale", "small", "--bucket-count", "64", "--workers", "2", *plan]
+        assert main(args) == 0
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert unfired in errors[0]
 
     def test_out_of_range_crash_worker_rejected(self):
         with pytest.raises(SystemExit, match="0-based"):

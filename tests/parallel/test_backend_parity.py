@@ -3,9 +3,9 @@
 The execution backends promise that *where* the shard workers run changes
 only the real wall clock, never the virtual-clock outcome.  This harness
 pins that promise down by replaying one seeded workload three ways —
-through the serial :class:`~repro.core.engine.LifeRaftEngine`, the
-in-process :class:`~repro.parallel.backend.VirtualBackend`, and the
-multiprocessing :class:`~repro.parallel.backend.ProcessBackend` — across
+through the serial :class:`~repro.core.engine.LifeRaftEngine`, and the
+:class:`~repro.reliability.runtime.ShardCoordinator` over in-process
+(``"virtual"``) and multiprocessing (``"process"``) channels — across
 worker counts {1, 2, 4} and both shard strategies, asserting
 
 * identical completion sets (every query finishes exactly once),
@@ -31,7 +31,8 @@ import pytest
 
 from repro.core.engine import EngineConfig, LifeRaftEngine
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
-from repro.parallel.backend import ParallelRunSpec, ProcessBackend, make_backend
+from repro.parallel.backend import ParallelRunSpec
+from repro.reliability.runtime import ShardCoordinator
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
 from repro.storage.bucket_store import BucketStore
@@ -41,8 +42,6 @@ from repro.storage.partitioner import BucketPartitioner
 from repro.telemetry.registry import metric_value
 from repro.workload.generator import TraceConfig, TraceGenerator
 from tests.parallel.test_coordinator_golden import (  # noqa: F401 (fixtures)
-    RecordingProcess,
-    RecordingVirtual,
     observe,
     quantum_ms,
     queries,
@@ -146,9 +145,9 @@ def backend_outcomes(layout, sim_config, engine_config, batch_queries):
                 spec = build_spec(
                     layout, sim_config, engine_config, batch_queries, workers, strategy
                 )
-                outcomes[(backend_name, workers, strategy)] = make_backend(
-                    backend_name
-                ).execute(spec)
+                outcomes[(backend_name, workers, strategy)] = ShardCoordinator(
+                    spec, backend_name
+                ).execute()
     return outcomes
 
 
@@ -249,7 +248,7 @@ class TestOpenSystemTimelineParity:
                 strategy,
                 enable_stealing=False,
             )
-            return make_backend(backend_name).execute(spec)
+            return ShardCoordinator(spec, backend_name).execute()
 
         virtual = run("virtual")
         process = run("process")
@@ -284,7 +283,7 @@ class TestOpenSystemTimelineParity:
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("workers", (2, 4))
 def test_stealing_on_is_bit_identical_across_backends(
-    simulator, queries, quantum_ms, store_path, workers, strategy, file_backed
+    simulator, queries, quantum_ms, store_path, coordinator_outcomes, workers, strategy, file_backed
 ):
     """Timed arrivals, a four-bucket-read window, stealing on: result and
     ledger digests, steal tuples, window boundaries and the virtual-domain
@@ -293,19 +292,20 @@ def test_stealing_on_is_bit_identical_across_backends(
         observe(
             simulator,
             queries,
+            coordinator_outcomes,
             backend,
             shard_strategy=strategy,
             workers=workers,
             steal_quantum_ms=quantum_ms,
             store_path=store_path if file_backed else None,
         )
-        for backend in (RecordingVirtual(), RecordingProcess())
+        for backend in ("virtual", "process")
     ]
     assert cells[0] == cells[1]
     assert cells[0]["steals"], "the cell must really exercise stealing"
 
 
-class TestProcessBackendStealing:
+class TestProcessChannelStealing:
     """Work stealing as message passing: a skewed closed batch must migrate
     queues between processes without losing or duplicating any service."""
 
@@ -323,7 +323,7 @@ class TestProcessBackendStealing:
             "zone",
             steal_quantum_ms=sim_config.cost.tb_ms * 2,
         )
-        outcome = ProcessBackend().execute(spec)
+        outcome = ShardCoordinator(spec, "process").execute()
         assert outcome.steal_records, "expected steals on zone-sharded skew"
         for record in outcome.steal_records:
             assert record.entry_count > 0

@@ -11,6 +11,10 @@ It also states the property one shared loop gives by construction: the
 plain virtual backend (the same coordinator over inline channels) is
 bit-identical, steals included, to the plain process backend.
 
+Each cell runs through ``Simulator.execute``; the
+``coordinator_outcomes`` fixture (``tests/conftest.py``) keeps the raw
+coordinator outcome beside the simulator result.
+
 The constants are re-recorded by hand, and only for an intended change::
 
     PYTHONPATH=src python -m tests.parallel.test_coordinator_golden
@@ -23,13 +27,13 @@ import hashlib
 
 import pytest
 
-from repro.parallel.backend import ProcessBackend, VirtualBackend
 from repro.reliability import FaultPlan, ReliabilityConfig
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
 from repro.storage.ingest import materialize_layout
 from repro.telemetry.registry import VIRTUAL_DOMAIN, filter_domain, snapshot_to_json
 from repro.workload.generator import TraceConfig, TraceGenerator
+from tests.conftest import record_outcomes
 from tests.telemetry.helpers import ledger_digest, moved_table
 
 BUCKETS = 64
@@ -166,24 +170,6 @@ GOLDEN_CRASH = {
 }
 
 
-class _Recording:
-    """Mixin keeping the backend's raw outcome next to the simulator result."""
-
-    outcome = None
-
-    def execute(self, spec):
-        self.outcome = super().execute(spec)
-        return self.outcome
-
-
-class RecordingProcess(_Recording, ProcessBackend):
-    pass
-
-
-class RecordingVirtual(_Recording, VirtualBackend):
-    pass
-
-
 def golden_simulator():
     return Simulator(SimulationConfig(bucket_count=BUCKETS))
 
@@ -214,12 +200,13 @@ def queries():
     return golden_queries()
 
 
-def observe(simulator, queries, backend, shard_strategy="zone", **spec_fields):
-    """Run one cell and reduce it to the pinned facts."""
+def observe(simulator, queries, outcomes, backend, shard_strategy="zone", **spec_fields):
+    """Run one cell on *backend* and reduce it to the pinned facts; its raw
+    outcome is appended to *outcomes* (see :func:`tests.conftest.record_outcomes`)."""
     result = simulator.execute(
         queries, RunSpec(backend=backend, shard_strategy=shard_strategy, **spec_fields)
     )
-    outcome = backend.outcome
+    outcome = outcomes[-1]
     return {
         "result_digest": result.result_digest,
         "ledger_digest": ledger_digest(result.ledger),
@@ -236,12 +223,13 @@ def observe(simulator, queries, backend, shard_strategy="zone", **spec_fields):
 @pytest.mark.parametrize("stealing", (True, False), ids=("steal", "nosteal"))
 @pytest.mark.parametrize("workers", (2, 4))
 def test_process_backend_matches_parent_commit(
-    simulator, queries, quantum_ms, store_path, workers, stealing, file_backed
+    simulator, queries, quantum_ms, store_path, coordinator_outcomes, workers, stealing, file_backed
 ):
     cell = observe(
         simulator,
         queries,
-        RecordingProcess(),
+        coordinator_outcomes,
+        "process",
         workers=workers,
         enable_stealing=stealing,
         steal_quantum_ms=quantum_ms,
@@ -255,11 +243,12 @@ def test_process_backend_matches_parent_commit(
         assert cell["window_boundaries_ms"] == ()
 
 
-def observe_crash(simulator, queries, quantum_ms, backend):
-    """Run the ``CRASHES`` cell (process x2) and reduce it like ``GOLDEN_CRASH``."""
+def observe_crash(simulator, queries, quantum_ms, outcomes, backend):
+    """Run the ``CRASHES`` cell (x2) and reduce it like ``GOLDEN_CRASH``."""
     cell = observe(
         simulator,
         queries,
+        outcomes,
         backend,
         workers=2,
         enable_stealing=False,
@@ -269,7 +258,7 @@ def observe_crash(simulator, queries, quantum_ms, backend):
             window_quantum_ms=quantum_ms,
         ),
     )
-    report = backend.outcome.reliability
+    report = outcomes[-1].reliability
     assert report.crashes_injected == 2
     cell["windows"] = report.windows
     cell["checkpoints_written"] = report.checkpoints_written
@@ -280,27 +269,31 @@ def observe_crash(simulator, queries, quantum_ms, backend):
     return cell
 
 
-def test_crash_run_matches_parent_commit(simulator, queries, quantum_ms):
+def test_crash_run_matches_parent_commit(simulator, queries, quantum_ms, coordinator_outcomes):
     # Crashes change nothing: GOLDEN_CRASH's digests are the clean run's.
-    assert observe_crash(simulator, queries, quantum_ms, RecordingProcess()) == GOLDEN_CRASH
+    cell = observe_crash(simulator, queries, quantum_ms, coordinator_outcomes, "process")
+    assert cell == GOLDEN_CRASH
 
 
 @pytest.mark.parametrize("workers", (2, 4))
 def test_inline_channels_equal_process_channels_with_stealing_on(
-    simulator, queries, quantum_ms, workers
+    simulator, queries, quantum_ms, coordinator_outcomes, workers
 ):
     """One loop, two channel kinds: the steal schedule cannot differ."""
     inline = observe(
         simulator,
         queries,
-        RecordingVirtual(),
+        coordinator_outcomes,
+        "virtual",
         workers=workers,
         steal_quantum_ms=quantum_ms,
     )
     assert inline == GOLDEN[(workers, True)]
 
 
-def test_single_drain_stays_one_round_trip_per_shard(simulator, queries, monkeypatch):
+def test_single_drain_stays_one_round_trip_per_shard(
+    simulator, queries, coordinator_outcomes, monkeypatch
+):
     """Stealing off, no reliability: the barrier machinery is not merely
     idle, it is never entered — one drain message per shard, no checkpoint
     directory, no reliability report."""
@@ -318,9 +311,8 @@ def test_single_drain_stays_one_round_trip_per_shard(simulator, queries, monkeyp
 
     monkeypatch.setattr(runtime.ProcessChannel, "send", recording_send)
     monkeypatch.setattr(runtime.tempfile, "mkdtemp", no_checkpoint_dir)
-    backend = RecordingProcess()
-    observe(simulator, queries, backend, workers=2, enable_stealing=False)
-    assert backend.outcome.reliability is None
+    observe(simulator, queries, coordinator_outcomes, "process", workers=2, enable_stealing=False)
+    assert coordinator_outcomes[-1].reliability is None
     for worker_id in (0, 1):
         assert [name for shard, name in sent if shard == worker_id] == [
             "RunWindow",
@@ -335,18 +327,21 @@ if __name__ == "__main__":
     window_ms = golden_sim.config.cost.tb_ms * WINDOW_BUCKET_READS
     committed = {str(cell): facts for cell, facts in GOLDEN.items()}
     committed["crash"] = GOLDEN_CRASH
-    recorded = {
-        str((workers, stealing)): observe(
-            golden_sim,
-            golden_trace,
-            RecordingVirtual(),
-            workers=workers,
-            enable_stealing=stealing,
-            steal_quantum_ms=window_ms,
-        )
-        for workers, stealing in GOLDEN
-    }
-    recorded["crash"] = observe_crash(golden_sim, golden_trace, window_ms, RecordingVirtual())
+    with pytest.MonkeyPatch.context() as patch:
+        outcomes = record_outcomes(patch)
+        recorded = {
+            str((workers, stealing)): observe(
+                golden_sim,
+                golden_trace,
+                outcomes,
+                "virtual",
+                workers=workers,
+                enable_stealing=stealing,
+                steal_quantum_ms=window_ms,
+            )
+            for workers, stealing in GOLDEN
+        }
+        recorded["crash"] = observe_crash(golden_sim, golden_trace, window_ms, outcomes, "virtual")
     print(moved_table(committed, recorded))
     for cell, facts in recorded.items():
         moved = {fact: value for fact, value in facts.items() if committed[cell][fact] != value}

@@ -1,7 +1,7 @@
 """Sharded-run behaviour through the virtual backend: parity, correctness,
 stealing and scaling.
 
-Every run goes through ``make_backend("virtual").execute(ParallelRunSpec)``
+Every run goes through ``ShardCoordinator(ParallelRunSpec, "virtual")``
 — the one coordinator loop over in-process shards.  Stealing runs use a
 window of two bucket reads so that the small traces here cross many
 barriers and idle shards really steal.
@@ -16,14 +16,11 @@ from repro.core.engine import EngineConfig
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
 from repro.core.workload_manager import WorkloadEntry
 from repro.experiments.common import build_trace
-from repro.parallel.backend import (
-    ParallelRunSpec,
-    ShardView,
-    make_backend,
-    run_steal_round,
-)
+from repro.parallel.backend import ParallelRunSpec, ShardView, run_steal_round
 from repro.parallel.engine import StealRecord
 from repro.parallel.ipc import AdoptBucket, BucketQueueMeta, ReleasedBucket
+from repro.reliability import ReliabilityConfig
+from repro.reliability.runtime import ShardCoordinator
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
 from repro.storage.bucket_store import BucketStore
@@ -33,9 +30,11 @@ from repro.telemetry.ledger import ledger_entries
 from repro.telemetry.registry import metric_value
 from repro.workload.generator import TraceConfig, TraceGenerator
 from repro.workload.query import CrossMatchQuery
-from tests.parallel.test_coordinator_golden import RecordingProcess, RecordingVirtual
+from tests.conftest import record_outcomes
 
 BUCKETS = 128
+#: The bucket-read time of every run here; ``run_sharded`` steals every two.
+TB_MS = SimulationConfig(bucket_count=BUCKETS).cost.tb_ms
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +65,7 @@ def run_sharded(layout, queries, workers, policy=None, **kwargs):
         steal_quantum_ms=config.cost.tb_ms * 2,
         **kwargs,
     )
-    return make_backend("virtual").execute(spec)
+    return ShardCoordinator(spec, "virtual").execute()
 
 
 def service_counts(outcome):
@@ -193,6 +192,22 @@ class TestWorkStealing:
         )
         assert sorted(zone_run.report.response_times_ms) == sorted(
             without.report.response_times_ms
+        )
+
+    @pytest.mark.parametrize(
+        "reliability, window_reads",
+        ((ReliabilityConfig(window_quantum_ms=TB_MS * 5), 5.0), (None, 2.0)),
+        ids=("reliability", "stealing-only"),
+    )
+    def test_a_run_windows_at_its_own_quantum(self, layout, queries, reliability, window_reads):
+        """The window rule: a reliability run's ``window_quantum_ms`` wins
+        over the steal window it also sets; a run without one windows at
+        ``steal_quantum_ms``.  The first barrier lies one window past the
+        first arrival."""
+        outcome = run_sharded(layout, queries, workers=2, reliability=reliability)
+        first_arrival_ms = min(query.arrival_time_s for query in queries) * 1000.0
+        assert outcome.window_boundaries_ms[0] == pytest.approx(
+            first_arrival_ms + TB_MS * window_reads, rel=1e-12
         )
 
 
@@ -356,9 +371,14 @@ def assert_completion_law(queries, backend, **spec_fields):
     """``arrival + response == max(finish of its services) == ledger
     completion_ms`` for every query of one run through ``Simulator.execute``."""
     simulator = Simulator(SimulationConfig(bucket_count=LAW_BUCKETS))
-    result = simulator.execute(queries, RunSpec(backend=backend, **spec_fields))
-    responses = backend.outcome.report.response_times_ms
-    last = last_finish_ms(backend.outcome.services)
+    # Recorded per call, not by the fixture: hypothesis runs one test
+    # function many times over, and a fixture would span them all.
+    with pytest.MonkeyPatch.context() as patch:
+        outcomes = record_outcomes(patch)
+        result = simulator.execute(queries, RunSpec(backend=backend, **spec_fields))
+    (outcome,) = outcomes
+    responses = outcome.report.response_times_ms
+    last = last_finish_ms(outcome.services)
     ledger = ledger_entries(result.ledger)
     assert set(responses) == set(last) == set(ledger)
     arrivals = {query.query_id: query.arrival_time_s * 1000.0 for query in queries}
@@ -391,14 +411,14 @@ class TestCompletionLaw:
     def test_every_virtual_run_obeys_the_law(self, seed, workers, shard_strategy, stealing):
         assert_completion_law(
             law_trace(seed),
-            RecordingVirtual(),
+            "virtual",
             workers=workers,
             shard_strategy=shard_strategy,
             enable_stealing=stealing,
         )
 
     def test_a_process_run_obeys_the_law(self):
-        assert_completion_law(law_trace(7), RecordingProcess(), workers=2)
+        assert_completion_law(law_trace(7), "process", workers=2)
 
 
 class TestScaling:

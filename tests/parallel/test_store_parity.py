@@ -20,7 +20,8 @@ import pytest
 
 from repro.core.engine import EngineConfig, LifeRaftEngine
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
-from repro.parallel.backend import ParallelRunSpec, make_backend
+from repro.parallel.backend import ParallelRunSpec
+from repro.reliability.runtime import ShardCoordinator
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
 from repro.storage.bucket_store import BucketStore
@@ -118,7 +119,7 @@ def backend_outcome(site, sim_config, queries, backend_name, workers, file_backe
         workers=workers,
         shard_strategy="round_robin",
     )
-    outcome = make_backend(backend_name).execute(spec)
+    outcome = ShardCoordinator(spec, backend_name).execute()
     return {
         "completed": frozenset(outcome.report.response_times_ms),
         "coverage": outcome.coverage(),

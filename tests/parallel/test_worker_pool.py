@@ -35,8 +35,6 @@ from tests.parallel.test_coordinator_golden import (  # noqa: F401 (fixtures)
     CRASHES,
     GOLDEN,
     GOLDEN_CRASH,
-    RecordingProcess,
-    RecordingVirtual,
     observe,
     observe_crash,
     quantum_ms,
@@ -70,19 +68,19 @@ def empty_idle_list():
     ]
 
 
-def run_cell(simulator, queries, quantum_ms, workers, stealing, store=None):
-    """One golden cell plus the boot counters its telemetry carries."""
-    backend = RecordingProcess()
+def run_cell(simulator, queries, quantum_ms, outcomes, workers, stealing, store=None):
+    """One golden process cell plus the boot counters its telemetry carries."""
     cell = observe(
         simulator,
         queries,
-        backend,
+        outcomes,
+        "process",
         workers=workers,
         enable_stealing=stealing,
         steal_quantum_ms=quantum_ms,
         store_path=store,
     )
-    return cell, boot_counters(backend.outcome.telemetry)
+    return cell, boot_counters(outcomes[-1].telemetry)
 
 
 def boot_counters(telemetry):
@@ -95,28 +93,34 @@ def boot_counters(telemetry):
     }
 
 
-def test_reused_workers_reproduce_the_golden_runs(simulator, queries, quantum_ms, store_path):
+def test_reused_workers_reproduce_the_golden_runs(
+    simulator, queries, quantum_ms, store_path, coordinator_outcomes
+):
     """memory x2 -> .lrbs x2 -> x4 -> x2 with stealing, through the same
     children: every run is bit-equal to its cold recording."""
-    cell, counters = run_cell(simulator, queries, quantum_ms, 2, False)
+    cell, counters = run_cell(simulator, queries, quantum_ms, coordinator_outcomes, 2, False)
     assert cell == GOLDEN[(2, False)]
     assert counters.pop("boot_s") > 0.0
     assert counters == {"workers_booted": 2}
     first_pair = set(idle_worker_pids())
     assert len(first_pair) == 2
 
-    cell, counters = run_cell(simulator, queries, quantum_ms, 2, False, store_path)
+    cell, counters = run_cell(
+        simulator, queries, quantum_ms, coordinator_outcomes, 2, False, store_path
+    )
     assert cell == GOLDEN[(2, False)]
     assert counters == {"workers_reused": 2}, "a warm run boots nothing and waits for no boot"
     assert set(idle_worker_pids()) == first_pair
 
-    cell, counters = run_cell(simulator, queries, quantum_ms, 4, True, store_path)
+    cell, counters = run_cell(
+        simulator, queries, quantum_ms, coordinator_outcomes, 4, True, store_path
+    )
     assert cell == GOLDEN[(4, True)]
     assert (counters["workers_booted"], counters["workers_reused"]) == (2, 2)
     four = set(idle_worker_pids())
     assert first_pair < four and len(four) == 4
 
-    cell, counters = run_cell(simulator, queries, quantum_ms, 2, True)
+    cell, counters = run_cell(simulator, queries, quantum_ms, coordinator_outcomes, 2, True)
     assert cell == GOLDEN[(2, True)]
     assert counters == {"workers_reused": 2}
     assert set(idle_worker_pids()) < four
@@ -124,28 +128,30 @@ def test_reused_workers_reproduce_the_golden_runs(simulator, queries, quantum_ms
 
 @needs_proc
 def test_file_backed_runs_leak_no_descriptor_into_the_workers(
-    simulator, queries, quantum_ms, store_path
+    simulator, queries, quantum_ms, store_path, coordinator_outcomes
 ):
     def descriptors():
         return {pid: len(os.listdir(f"/proc/{pid}/fd")) for pid in idle_worker_pids()}
 
-    run_cell(simulator, queries, quantum_ms, 2, False, store_path)
+    run_cell(simulator, queries, quantum_ms, coordinator_outcomes, 2, False, store_path)
     before = descriptors()
     assert len(before) == 2
     for _ in range(20):
-        cell, _ = run_cell(simulator, queries, quantum_ms, 2, False, store_path)
+        cell, _ = run_cell(
+            simulator, queries, quantum_ms, coordinator_outcomes, 2, False, store_path
+        )
         assert cell == GOLDEN[(2, False)]
     assert descriptors() == before
 
 
 @needs_proc
 def test_an_acknowledged_end_task_leaves_no_store_open(
-    simulator, queries, quantum_ms, store_path
+    simulator, queries, quantum_ms, store_path, coordinator_outcomes
 ):
     """A worker drops its shard before it acknowledges ``EndTask``, so the
     moment a run returns no idle worker still maps the store file."""
     for _ in range(20):
-        run_cell(simulator, queries, quantum_ms, 2, False, store_path)
+        run_cell(simulator, queries, quantum_ms, coordinator_outcomes, 2, False, store_path)
         for pid in idle_worker_pids():
             fd_dir = f"/proc/{pid}/fd"
             targets = {os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir)}
@@ -154,7 +160,7 @@ def test_an_acknowledged_end_task_leaves_no_store_open(
 
 @needs_proc
 def test_file_backed_inline_shards_close_their_stores(
-    simulator, queries, quantum_ms, store_path, monkeypatch
+    simulator, queries, quantum_ms, store_path, monkeypatch, coordinator_outcomes
 ):
     """The virtual twin: an inline shard answers ``EndTask`` like a worker
     process does, so its private store is closed — not left to the
@@ -175,7 +181,8 @@ def test_file_backed_inline_shards_close_their_stores(
             cell = observe(
                 simulator,
                 queries,
-                RecordingVirtual(),
+                coordinator_outcomes,
+                "virtual",
                 workers=2,
                 steal_quantum_ms=quantum_ms,
                 store_path=store_path,
@@ -187,33 +194,36 @@ def test_file_backed_inline_shards_close_their_stores(
         gc.enable()
 
 
-def test_idle_worker_killed_from_outside_is_replaced(simulator, queries, quantum_ms):
-    run_cell(simulator, queries, quantum_ms, 2, False)
+def test_idle_worker_killed_from_outside_is_replaced(
+    simulator, queries, quantum_ms, coordinator_outcomes
+):
+    run_cell(simulator, queries, quantum_ms, coordinator_outcomes, 2, False)
     # What benchmarks/e2e/harness.reap_children does after a failed pass.
     for child in multiprocessing.active_children():
         child.kill()
         child.join(10.0)
-    cell, counters = run_cell(simulator, queries, quantum_ms, 2, False)
+    cell, counters = run_cell(simulator, queries, quantum_ms, coordinator_outcomes, 2, False)
     assert cell == GOLDEN[(2, False)]
     assert counters["workers_booted"] == 2 and "workers_reused" not in counters
 
 
-def crash_cell(simulator, queries, quantum_ms, handed_out):
+def crash_cell(simulator, queries, quantum_ms, outcomes, handed_out):
     """One ``GOLDEN_CRASH`` run; returns its boot counters without ``boot_s``.
 
     Every worker the run was given counts exactly once, booted or reused.
     """
     before = len(handed_out)
-    backend = RecordingProcess()
-    assert observe_crash(simulator, queries, quantum_ms, backend) == GOLDEN_CRASH
-    counters = boot_counters(backend.outcome.telemetry)
+    assert observe_crash(simulator, queries, quantum_ms, outcomes, "process") == GOLDEN_CRASH
+    counters = boot_counters(outcomes[-1].telemetry)
     counters.pop("boot_s", None)
     assert sum(counters.values()) == len(handed_out) - before
     return counters
 
 
-def test_crash_run_lists_only_live_workers(simulator, queries, quantum_ms, handed_out):
-    counters = crash_cell(simulator, queries, quantum_ms, handed_out)
+def test_crash_run_lists_only_live_workers(
+    simulator, queries, quantum_ms, handed_out, coordinator_outcomes
+):
+    counters = crash_cell(simulator, queries, quantum_ms, coordinator_outcomes, handed_out)
     # Cold: both shards boot on the spot, both recoveries take the spare.
     assert counters == {"workers_booted": 2, "workers_reused": 2}
     # The two first incarnations were SIGKILLed; the spares that replaced
@@ -227,28 +237,30 @@ def test_crash_run_lists_only_live_workers(simulator, queries, quantum_ms, hande
     assert set(idle_worker_pids()) == {p.pid for p in survivors}
     assert not {p.pid for p in killed} & set(idle_worker_pids() + spare)
 
-    cell, counters = run_cell(simulator, queries, quantum_ms, 2, False)
+    cell, counters = run_cell(simulator, queries, quantum_ms, coordinator_outcomes, 2, False)
     assert cell == GOLDEN[(2, False)], "a run after a crash run equals a cold run"
     assert counters == {"workers_reused": 2}
     assert spare_pids() == [], "a run without reliability keeps no spare"
     assert set(idle_worker_pids()) == {p.pid for p in survivors}
 
 
-def test_a_warm_crash_run_boots_nothing(simulator, queries, quantum_ms, handed_out):
-    crash_cell(simulator, queries, quantum_ms, handed_out)
-    counters = crash_cell(simulator, queries, quantum_ms, handed_out)
+def test_a_warm_crash_run_boots_nothing(
+    simulator, queries, quantum_ms, handed_out, coordinator_outcomes
+):
+    crash_cell(simulator, queries, quantum_ms, coordinator_outcomes, handed_out)
+    counters = crash_cell(simulator, queries, quantum_ms, coordinator_outcomes, handed_out)
     assert counters == {"workers_reused": 4}
     assert len(idle_worker_pids()) == 2 and len(spare_pids()) == 1
 
 
 def test_a_spare_killed_from_outside_is_replaced_by_a_cold_boot(
-    simulator, queries, quantum_ms, handed_out
+    simulator, queries, quantum_ms, handed_out, coordinator_outcomes
 ):
-    crash_cell(simulator, queries, quantum_ms, handed_out)
+    crash_cell(simulator, queries, quantum_ms, coordinator_outcomes, handed_out)
     ((spare, _),) = ipc._SPARE
     spare.kill()
     spare.join(10.0)
-    counters = crash_cell(simulator, queries, quantum_ms, handed_out)
+    counters = crash_cell(simulator, queries, quantum_ms, coordinator_outcomes, handed_out)
     # The first recovery finds the spare dead and boots; the second takes
     # the spare started after it.
     assert counters == {"workers_booted": 1, "workers_reused": 3}
@@ -256,7 +268,7 @@ def test_a_spare_killed_from_outside_is_replaced_by_a_cold_boot(
 
 
 def test_all_workers_are_started_before_the_first_task_byte(
-    simulator, queries, quantum_ms, handed_out, monkeypatch
+    simulator, queries, quantum_ms, handed_out, monkeypatch, coordinator_outcomes
 ):
     """Concurrent boot, structurally: the task travels inside the first
     ``send``, and by then every shard's process exists."""
@@ -269,17 +281,17 @@ def test_all_workers_are_started_before_the_first_task_byte(
         real_send(channel, message)
 
     monkeypatch.setattr(runtime.ProcessChannel, "send", recording_send)
-    _, counters = run_cell(simulator, queries, quantum_ms, 4, False)
+    _, counters = run_cell(simulator, queries, quantum_ms, coordinator_outcomes, 4, False)
     assert counters["workers_booted"] == 4 and "workers_reused" not in counters
     assert len(set(started_at_first_send[0])) == 4
 
 
 def test_idle_list_never_exceeds_the_finishing_runs_shards(
-    simulator, queries, quantum_ms, handed_out
+    simulator, queries, quantum_ms, handed_out, coordinator_outcomes
 ):
-    run_cell(simulator, queries, quantum_ms, 4, False)
+    run_cell(simulator, queries, quantum_ms, coordinator_outcomes, 4, False)
     assert len(idle_worker_pids()) == 4
-    run_cell(simulator, queries, quantum_ms, 2, False)
+    run_cell(simulator, queries, quantum_ms, coordinator_outcomes, 2, False)
     assert len(idle_worker_pids()) == 2
     assert sum(p.is_alive() for p in handed_out[:4]) == 2, "the surplus pair was destroyed"
 

@@ -18,8 +18,9 @@ import pytest
 
 from repro.core.engine import EngineConfig, LifeRaftEngine
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
-from repro.parallel.backend import ParallelRunSpec, make_backend
+from repro.parallel.backend import ParallelRunSpec
 from repro.reliability import FaultPlan, ReliabilityConfig
+from repro.reliability.runtime import ShardCoordinator
 from repro.service.streams import StreamHub
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import (
@@ -34,8 +35,6 @@ from repro.storage.partitioner import BucketPartitioner
 from repro.workload.generator import TraceConfig, TraceGenerator
 from tests.parallel.test_coordinator_golden import (  # noqa: F401 (fixtures)
     GOLDEN,
-    RecordingProcess,
-    RecordingVirtual,
     observe,
     quantum_ms,
     queries,
@@ -162,7 +161,7 @@ def clean_outcomes(layout, sim_config, engine_config, timed_queries):
     for backend_name in ("virtual", "process"):
         for workers in WORKER_COUNTS:
             spec = build_spec(layout, sim_config, engine_config, timed_queries, workers)
-            outcomes[(backend_name, workers)] = make_backend(backend_name).execute(spec)
+            outcomes[(backend_name, workers)] = ShardCoordinator(spec, backend_name).execute()
     return outcomes
 
 
@@ -180,7 +179,7 @@ def crashed_outcomes(layout, sim_config, engine_config, timed_queries):
                 workers,
                 reliability=reliability_config(workers, tb_ms=sim_config.cost.tb_ms),
             )
-            outcomes[(backend_name, workers)] = make_backend(backend_name).execute(spec)
+            outcomes[(backend_name, workers)] = ShardCoordinator(spec, backend_name).execute()
     return outcomes
 
 
@@ -361,11 +360,12 @@ class TestRecoveryThroughSimulator:
 STEALING_CRASH_PLANS = ("0@1,2@3", "1@2,1@5,3@4")
 
 
-def crash_cell(simulator, queries, quantum_ms, backend, cadence, plan, workers=4):
+def crash_cell(simulator, queries, quantum_ms, outcomes, backend, cadence, plan, workers=4):
     """The golden (*workers*, stealing on) cell, run under a crash plan."""
     cell = observe(
         simulator,
         queries,
+        outcomes,
         backend,
         workers=workers,
         steal_quantum_ms=quantum_ms,
@@ -373,14 +373,14 @@ def crash_cell(simulator, queries, quantum_ms, backend, cadence, plan, workers=4
             cadence=cadence, faults=FaultPlan.parse(plan), window_quantum_ms=quantum_ms
         ),
     )
-    assert backend.outcome.reliability.crashes_injected == len(FaultPlan.parse(plan))
+    assert outcomes[-1].reliability.crashes_injected == len(FaultPlan.parse(plan))
     return cell
 
 
 @pytest.mark.parametrize("plan", STEALING_CRASH_PLANS)
-@pytest.mark.parametrize("backend", (RecordingVirtual, RecordingProcess))
+@pytest.mark.parametrize("backend", ("virtual", "process"))
 def test_stealing_with_every_window_cadence_is_bit_identical(
-    simulator, queries, quantum_ms, backend, plan
+    simulator, queries, quantum_ms, coordinator_outcomes, backend, plan
 ):
     """A checkpoint at window w already contains window w's steals (the
     steal round runs before the checkpoint round), so the catch-up must
@@ -388,15 +388,25 @@ def test_stealing_with_every_window_cadence_is_bit_identical(
     duplicated entries.  With an every-window cadence the restored state
     equals the barrier state exactly, so a crash-injected stealing run is
     the clean run: digests, steal schedule, window boundaries."""
-    cell = crash_cell(simulator, queries, quantum_ms, backend(), "windows:1", plan)
+    cell = crash_cell(
+        simulator, queries, quantum_ms, coordinator_outcomes, backend, "windows:1", plan
+    )
     assert cell == GOLDEN[(4, True)]
 
 
-def test_stealing_with_sparse_cadence_is_bit_identical(simulator, queries, quantum_ms):
+def test_stealing_with_sparse_cadence_is_bit_identical(
+    simulator, queries, quantum_ms, coordinator_outcomes
+):
     """Crash + stealing + a cadence that skips barriers: the restored
     shard replays each post-checkpoint migration at its own barrier."""
     cell = crash_cell(
-        simulator, queries, quantum_ms, RecordingVirtual(), "windows:3", STEALING_CRASH_PLANS[0]
+        simulator,
+        queries,
+        quantum_ms,
+        coordinator_outcomes,
+        "virtual",
+        "windows:3",
+        STEALING_CRASH_PLANS[0],
     )
     assert cell == GOLDEN[(4, True)]
 
@@ -406,33 +416,31 @@ def test_stealing_with_sparse_cadence_is_bit_identical(simulator, queries, quant
 #: post-checkpoint migrations, and cold restarts (``0@0``: a crash before
 #: any checkpoint), on both channel kinds.
 CATCH_UP_CELLS = (
-    (4, RecordingVirtual, "windows:3", "1@2,1@5,3@4"),
-    (4, RecordingVirtual, "windows:1000", "0@1,2@3"),
-    (4, RecordingVirtual, "interval:20000", "3@9,1@10"),
-    (4, RecordingVirtual, "windows:2", "0@0"),
-    (4, RecordingProcess, "windows:5", "1@2,1@5,3@4"),
-    (2, RecordingVirtual, "windows:3", "1@1,0@3"),
-    (2, RecordingVirtual, "interval:20000", "0@8,1@11"),
-    (2, RecordingVirtual, "windows:1000", "1@12"),
-    (2, RecordingProcess, "windows:3", "0@8,1@11"),
-    (2, RecordingProcess, "windows:2", "0@0"),
+    (4, "virtual", "windows:3", "1@2,1@5,3@4"),
+    (4, "virtual", "windows:1000", "0@1,2@3"),
+    (4, "virtual", "interval:20000", "3@9,1@10"),
+    (4, "virtual", "windows:2", "0@0"),
+    (4, "process", "windows:5", "1@2,1@5,3@4"),
+    (2, "virtual", "windows:3", "1@1,0@3"),
+    (2, "virtual", "interval:20000", "0@8,1@11"),
+    (2, "virtual", "windows:1000", "1@12"),
+    (2, "process", "windows:3", "0@8,1@11"),
+    (2, "process", "windows:2", "0@0"),
 )
 
 
 @pytest.mark.parametrize(
     "workers, backend, cadence, plan",
     CATCH_UP_CELLS,
-    ids=[
-        f"{w}-{b.__name__.replace('Recording', '').lower()}-{c}-{p}"
-        for w, b, c, p in CATCH_UP_CELLS
-    ],
+    ids=[f"{w}-{b}-{c}-{p}" for w, b, c, p in CATCH_UP_CELLS],
 )
 def test_crash_with_stealing_equals_golden_at_any_cadence(
-    simulator, queries, quantum_ms, workers, backend, cadence, plan
+    simulator, queries, quantum_ms, coordinator_outcomes, workers, backend, cadence, plan
 ):
-    recording = backend()
-    cell = crash_cell(simulator, queries, quantum_ms, recording, cadence, plan, workers)
-    report = recording.outcome.reliability
+    cell = crash_cell(
+        simulator, queries, quantum_ms, coordinator_outcomes, backend, cadence, plan, workers
+    )
+    report = coordinator_outcomes[-1].reliability
     if plan == "0@0":
         assert report.recoveries[0].checkpoint_window == -1  # cold restart
     else:

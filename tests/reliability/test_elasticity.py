@@ -13,8 +13,9 @@ import pytest
 
 from repro.core.engine import EngineConfig
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
-from repro.parallel.backend import ParallelRunSpec, make_backend
+from repro.parallel.backend import ParallelRunSpec
 from repro.reliability import FaultEvent, FaultPlan, ReliabilityConfig
+from repro.reliability.runtime import ShardCoordinator
 from repro.sim.simulator import SimulationConfig
 from repro.storage.bucket_store import BucketStore
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
@@ -139,9 +140,9 @@ def reliability_config(sim_config, plan=""):
 @pytest.fixture(scope="module")
 def static_outcomes(layout, sim_config, timed_queries):
     return {
-        name: make_backend(name).execute(
-            build_spec(layout, sim_config, timed_queries, WORKERS)
-        )
+        name: ShardCoordinator(
+            build_spec(layout, sim_config, timed_queries, WORKERS), name
+        ).execute()
         for name in ("virtual", "process")
     }
 
@@ -149,15 +150,16 @@ def static_outcomes(layout, sim_config, timed_queries):
 @pytest.fixture(scope="module")
 def elastic_outcomes(layout, sim_config, timed_queries):
     return {
-        name: make_backend(name).execute(
+        name: ShardCoordinator(
             build_spec(
                 layout,
                 sim_config,
                 timed_queries,
                 WORKERS,
                 reliability=reliability_config(sim_config, ELASTIC_PLAN),
-            )
-        )
+            ),
+            name,
+        ).execute()
         for name in ("virtual", "process")
     }
 
@@ -206,7 +208,7 @@ class TestScaleUpOnly:
             2,
             reliability=reliability_config(sim_config, "@1:join"),
         )
-        outcome = make_backend("virtual").execute(spec)
+        outcome = ShardCoordinator(spec, "virtual").execute()
         assert outcome.reliability.scale_ups == 1
         assert len(outcome.results) == 3
         assert metric_value(outcome.results[2].telemetry, "engine.busy_ms") > 0.0
@@ -222,7 +224,7 @@ class TestScaleUpOnly:
         )
         object.__setattr__(spec, "enable_stealing", False)
         with pytest.raises(ValueError, match="work stealing"):
-            make_backend("virtual").execute(spec)
+            ShardCoordinator(spec, "virtual").execute()
 
 
 class TestMixedFaultsAndScale:
@@ -236,7 +238,7 @@ class TestMixedFaultsAndScale:
             WORKERS,
             reliability=reliability_config(sim_config, f"{ELASTIC_PLAN},0@1"),
         )
-        outcome = make_backend("virtual").execute(spec)
+        outcome = ShardCoordinator(spec, "virtual").execute()
         report = outcome.reliability
         assert report.crashes_injected == 1
         assert report.recovery_count == 1
@@ -255,7 +257,7 @@ class TestMixedFaultsAndScale:
             WORKERS,
             reliability=reliability_config(sim_config, "@1:join,3@3"),
         )
-        outcome = make_backend("virtual").execute(spec)
+        outcome = ShardCoordinator(spec, "virtual").execute()
         assert outcome.reliability.crashes_injected == 1
         assert outcome.report.completed_queries == len(timed_queries)
 
@@ -268,4 +270,4 @@ class TestMixedFaultsAndScale:
             reliability=reliability_config(sim_config, "7@1"),
         )
         with pytest.raises(ValueError, match="crash"):
-            make_backend("virtual").execute(spec)
+            ShardCoordinator(spec, "virtual").execute()

@@ -53,6 +53,12 @@ class TestRunSpec:
         # Baselines ignore alpha, exactly as they do when the run builds them.
         assert RunSpec(policy="noshare", alpha=7.0).alpha == 7.0
 
+    def test_unknown_backend_fails_at_construction(self):
+        with pytest.raises(
+            ValueError, match=r"unknown execution backend 'bogus'.*\('virtual', 'process'\)"
+        ):
+            RunSpec(backend="bogus")
+
     def test_with_store_replaces_only_the_store(self):
         spec = RunSpec(alpha=0.5, workers=2)
         in_memory = spec.with_store(None)

@@ -6,9 +6,9 @@ Two contracts pinned down here:
   clock: a run with telemetry disabled produces the identical
   ``result_digest`` (it only loses the snapshot attachment).
 * **Virtual-domain parity** — the virtual-domain half of the merged
-  snapshot is bit-identical across the serial engine, the
-  ``VirtualBackend`` and the ``ProcessBackend`` at any fixed worker
-  count with stealing off, and identical between a crash-injected
+  snapshot is bit-identical across the serial engine and the
+  ``"virtual"`` and ``"process"`` backends at any fixed worker count
+  with stealing off, and identical between a crash-injected
   recovery run and its uninterrupted twin (checkpointed counters are
   restored and replay re-counts exactly).  With stealing on, the crash
   sweep of ``tests/reliability/test_crash_parity.py`` holds the same

@@ -6,8 +6,8 @@ the ``.lrcp`` checkpoint envelope, and merges order-insensitively.  The
 contracts pinned here:
 
 * the virtual-domain series are **bit-identical** across the serial
-  engine, the ``VirtualBackend`` and the ``ProcessBackend`` at any
-  fixed worker count with stealing off;
+  engine and the ``"virtual"`` and ``"process"`` backends at any fixed
+  worker count with stealing off;
 * a crash-injected recovery run reproduces its uninterrupted twin's
   series exactly (the sampling cursor rides the checkpoint);
 * sampling is **zero perturbation**: enabling the series layer at any
