@@ -59,7 +59,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.engine import build_engine_report
 from repro.parallel.backend import (
-    BACKENDS,
     BackendOutcome,
     ParallelRunSpec,
     ShardView,
@@ -328,8 +327,8 @@ class ProcessChannel(ShardChannel):
         self._process = self._conn = None
 
 
-#: The channel kind of each execution backend, in :data:`BACKENDS` order.
-CHANNEL_KINDS: Dict[str, Type[ShardChannel]] = dict(zip(BACKENDS, (InlineChannel, ProcessChannel)))
+#: The channel kind of each execution backend, keyed by its name in :data:`BACKENDS`.
+CHANNEL_KINDS: Dict[str, Type[ShardChannel]] = {"virtual": InlineChannel, "process": ProcessChannel}
 
 
 @dataclass
@@ -344,18 +343,12 @@ class _JournaledSteal:
 class ShardCoordinator:
     """Drives one message-passing run; see the module docstring."""
 
-    def __init__(
-        self,
-        spec: ParallelRunSpec,
-        backend_name: str,
-        channel_factory: Optional[Type[ShardChannel]] = None,
-    ) -> None:
+    def __init__(self, spec: ParallelRunSpec, backend_name: str) -> None:
         #: The run's wall clock includes backend setup (plan, fan-out, spawn).
         self._started = time.perf_counter()
         self.spec = spec
         self.backend_name = backend_name
-        #: The backend's channel kind unless the caller brings its own.
-        self.channel_factory = channel_factory or CHANNEL_KINDS[backend_name]
+        self.channel_factory = CHANNEL_KINDS[backend_name]
         #: ``None`` switches every barrier hook off (see the module docstring).
         self.rel = rel = spec.reliability
         self.plan = make_shard_plan(spec.layout, spec.workers, spec.shard_strategy)

@@ -31,8 +31,13 @@ import pytest
 
 from repro.core.engine import EngineConfig, LifeRaftEngine
 from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
-from repro.parallel.backend import ParallelRunSpec
-from repro.reliability.runtime import ShardCoordinator
+from repro.parallel.backend import BACKENDS, ParallelRunSpec
+from repro.reliability.runtime import (
+    CHANNEL_KINDS,
+    InlineChannel,
+    ProcessChannel,
+    ShardCoordinator,
+)
 from repro.sim.runspec import RunSpec
 from repro.sim.simulator import SimulationConfig, Simulator
 from repro.storage.bucket_store import BucketStore
@@ -375,6 +380,11 @@ class TestSimulatorBackendSelection:
         simulator = Simulator(SimulationConfig(bucket_count=BUCKETS))
         with pytest.raises(ValueError, match="unknown execution backend"):
             simulator.execute(timed_queries, RunSpec(backend="quantum"))
+
+    def test_every_backend_name_has_its_channel_kind(self):
+        assert tuple(CHANNEL_KINDS) == BACKENDS
+        assert CHANNEL_KINDS["virtual"] is InlineChannel
+        assert CHANNEL_KINDS["process"] is ProcessChannel
 
 
 class TestRunRecord:

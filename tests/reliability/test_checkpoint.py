@@ -26,7 +26,7 @@ from repro.reliability.checkpoint import (
     write_checkpoint,
 )
 from repro.reliability.config import ReliabilityConfig
-from repro.reliability.runtime import InlineChannel, ShardCoordinator
+from repro.reliability.runtime import ShardCoordinator
 from repro.storage.bucket_store import BucketStore
 from repro.storage.partitioner import BucketPartitioner
 from repro.telemetry.registry import VIRTUAL_DOMAIN, filter_domain, metric_value
@@ -334,7 +334,7 @@ def test_only_a_reliability_run_derives_the_store_generation(layout):
             workers=2,
             reliability=reliability,
         )
-        return ShardCoordinator(spec, "virtual", InlineChannel)
+        return ShardCoordinator(spec, "virtual")
 
     plain = coordinator(None)
     assert plain.snapshot.generation is None

@@ -19,6 +19,7 @@ from repro.core.scheduler import LifeRaftScheduler, SchedulerConfig
 from repro.parallel.backend import ParallelRunSpec
 from repro.parallel.ipc import AdoptBucket, EndTask, ReleaseBucket, RunWindow
 from repro.reliability import FaultPlan, ReliabilityConfig
+from repro.reliability import runtime
 from repro.reliability.runtime import ChannelCrashed, InlineChannel, ShardCoordinator
 from repro.sim.simulator import SimulationConfig
 from repro.storage.bucket_store import BucketStore
@@ -51,7 +52,8 @@ def dying_channel(should_die):
     return DyingChannel, fired, replies
 
 
-def coordinator(channel_class, **spec_fields):
+def run(channel_class, **spec_fields):
+    """Execute the trace on inline shards of *channel_class*."""
     sim_config = SimulationConfig(bucket_count=BUCKETS)
     layout = BucketPartitioner().partition_density(BUCKETS)
     disk = calibrated_disk_for_bucket_read(
@@ -69,7 +71,9 @@ def coordinator(channel_class, **spec_fields):
         steal_quantum_ms=sim_config.cost.tb_ms * WINDOW_BUCKET_READS,
         reliability=ReliabilityConfig(cadence=CADENCE),
     )
-    return ShardCoordinator(dataclasses.replace(spec, **spec_fields), "virtual", channel_class)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(runtime.CHANNEL_KINDS, "virtual", channel_class)
+        return ShardCoordinator(dataclasses.replace(spec, **spec_fields), "virtual").execute()
 
 
 def facts(outcome):
@@ -88,7 +92,7 @@ def facts(outcome):
 
 @pytest.fixture(scope="module")
 def clean():
-    outcome = coordinator(InlineChannel).execute()
+    outcome = run(InlineChannel)
     assert outcome.steal_records, "the trace must really exercise stealing"
     return outcome
 
@@ -98,7 +102,7 @@ def test_shard_death_mid_steal_is_recovered(clean, message_type):
     channel_class, fired, _ = dying_channel(
         lambda message, _: isinstance(message, message_type)
     )
-    outcome = coordinator(channel_class).execute()
+    outcome = run(channel_class)
     assert len(fired) == 1
     (recovery,) = outcome.reliability.recoveries
     assert recovery.worker_id == fired[0]
@@ -109,13 +113,13 @@ def test_shard_death_at_every_message_is_recovered_exactly(clean):
     """Wherever the death lands — a window, either half of a steal, a
     checkpoint capture, the final accounting — nothing moves."""
     counting, _, replies = dying_channel(lambda message, count: False)
-    coordinator(counting).execute()
+    run(counting)
     for death in range(1, replies[0] + 1):
         channel_class, fired, _ = dying_channel(
             lambda message, count, death=death: count == death
             and not isinstance(message, EndTask)
         )
-        outcome = coordinator(channel_class).execute()
+        outcome = run(channel_class)
         assert facts(outcome) == facts(clean), (death, fired)
 
 
@@ -135,7 +139,7 @@ def test_stealing_off_recovery_sends_one_empty_window():
             super().respawn(checkpoint_path)
 
     reliability = ReliabilityConfig(cadence=CADENCE, faults=FaultPlan.parse("1@4"))
-    coordinator(Recording, enable_stealing=False, reliability=reliability).execute()
+    run(Recording, enable_stealing=False, reliability=reliability)
     to_shard = [message for worker_id, message in sent if worker_id == 1]
     restored = to_shard.index("respawn", 1)  # the first respawn is the boot
     assert to_shard[restored + 1] == RunWindow(0.0)
