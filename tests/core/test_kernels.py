@@ -25,7 +25,6 @@ from repro.core.metrics import CostModel
 from repro.core.preprocessor import QueryPreProcessor
 from repro.core.workload_manager import WorkloadEntry
 from repro.htm.curve import HTMRange
-from repro.htm.geometry import angular_separation
 from repro.storage.bucket_store import Bucket, BucketStore
 from repro.storage.disk_model import calibrated_disk_for_bucket_read
 from repro.storage.disk_store import open_disk_store
@@ -34,6 +33,7 @@ from repro.storage.ingest import ingest_catalog
 from repro.storage.partitioner import BucketPartitioner
 from repro.workload.query import CrossMatchObject, CrossMatchQuery
 from tests.core.join_oracle import merge_join
+from tests.htm.separation_reference import angular_separation
 
 LEAF_LEVEL = 8
 CURVE_START = 8 << (2 * LEAF_LEVEL)

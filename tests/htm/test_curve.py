@@ -1,13 +1,28 @@
 """Tests for HTM range arithmetic and cone covers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htm import ids as htm_ids
-from repro.htm.curve import HTMRange, HTMRangeSet, cone_cover, range_for_trixel
+from repro.htm.curve import (
+    COVER_MEMO_LEVEL,
+    HTMRange,
+    HTMRangeSet,
+    cone_cover,
+    range_for_trixel,
+)
 from repro.htm.geometry import SkyPoint
-from repro.htm.mesh import HTMMesh
+from repro.htm.mesh import HTMMesh, Trixel
+from tests.htm.cover_oracle import cone_cover as oracle_cover
+
+ARCSEC = 1.0 / 3600.0
+#: The oracle grid: radii from a point to a quarter of the sky.
+GRID_RADII = (0.0, 3.0 * ARCSEC, 0.01, 0.5, 10.0, 60.0)
+#: Every trixel at a level up to COVER_MEMO_LEVEL: 8 · (4⁵ − 1) / 3.
+MEMO_CAP = 2_728
 
 
 def ranges(max_value=10_000):
@@ -123,6 +138,108 @@ class TestConeCover:
         point = SkyPoint(200.0, -30.0)
         cover = cone_cover(point, 3.0 / 3600.0, cover_level=10, mesh=mesh)
         assert covers(cover, mesh.locate(point, 14))
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_radius_rejected(self, mesh, radius):
+        # A NaN radius fails every comparison, so the descent used to accept
+        # each face at cover_level: the whole sky, and 8 · 4¹² trixel tests
+        # at cover_level 12.
+        with pytest.raises(ValueError, match="finite"):
+            cone_cover(SkyPoint(10.0, 10.0), radius, cover_level=3, mesh=mesh)
+
+    def test_negative_cover_level_rejected(self, mesh):
+        with pytest.raises(ValueError, match="non-negative"):
+            cone_cover(SkyPoint(10.0, 10.0), 1.0, cover_level=-1, mesh=mesh)
+
+
+def special_points():
+    """Poles, RA 0 / 360 and the root faces' edges (the equator and the
+    meridians at RA 0, 90, 180 and 270), singly and in combination."""
+    ra = st.sampled_from([0.0, 90.0, 180.0, 270.0, 360.0, 359.9999999, 1e-9, 45.0])
+    dec = st.sampled_from([-90.0, -45.0, -1e-9, 0.0, 1e-9, 45.0, 90.0])
+    return st.builds(SkyPoint, ra, dec)
+
+
+def sky_points():
+    return st.one_of(
+        special_points(),
+        st.builds(
+            SkyPoint,
+            st.floats(min_value=0.0, max_value=360.0),
+            st.floats(min_value=-90.0, max_value=90.0),
+        ),
+    )
+
+
+def assert_matches_oracle(center, radius, cover_level, leaf_level=14, mesh=None):
+    """The live cover equals the oracle's, range for range (fresh meshes
+    unless *mesh* is given, which the live cover then shares)."""
+    live = cone_cover(center, radius, cover_level, leaf_level, mesh=mesh)
+    reference = oracle_cover(center, radius, cover_level, leaf_level, mesh=HTMMesh())
+    assert live.ranges == reference.ranges, (center, radius, cover_level, leaf_level)
+
+
+class TestCoverMatchesOracle:
+    """The flat descent with a shallow memo is the old Trixel walk, bit for bit."""
+
+    @given(
+        sky_points(),
+        st.sampled_from(GRID_RADII),
+        st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_center_radius_and_level(self, center, radius, cover_level):
+        assert_matches_oracle(center, radius, cover_level)
+
+    @pytest.mark.parametrize("radius", GRID_RADII)
+    def test_grid_at_special_centers(self, radius):
+        mesh = HTMMesh()
+        for cover_level in range(9):
+            for center in (SkyPoint(0.0, 90.0), SkyPoint(360.0, 0.0), SkyPoint(90.0, -45.0)):
+                assert_matches_oracle(center, radius, cover_level, mesh=mesh)
+
+    @given(sky_points(), st.sampled_from([0.0, 0.1 * ARCSEC, 3.0 * ARCSEC, 0.01]))
+    @settings(max_examples=40, deadline=None)
+    def test_small_radii_at_the_leaf_level(self, center, radius):
+        assert_matches_oracle(center, radius, cover_level=14)
+
+    def test_warm_memo_over_many_error_circles(self):
+        # The crossmatch_file shape: 3-arcsecond circles at level 12, one mesh.
+        rng = random.Random(46)
+        live_mesh, oracle_mesh = HTMMesh(), HTMMesh()
+        for _ in range(500):
+            center = SkyPoint(rng.uniform(0.0, 360.0), rng.uniform(-90.0, 90.0))
+            live = cone_cover(center, 3.0 * ARCSEC, cover_level=12, mesh=live_mesh)
+            reference = oracle_cover(center, 3.0 * ARCSEC, cover_level=12, mesh=oracle_mesh)
+            assert live.ranges == reference.ranges, center
+        assert 0 < len(live_mesh.cover_terms) <= MEMO_CAP
+
+    @given(sky_points(), st.sampled_from(GRID_RADII), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=30, deadline=None)
+    def test_without_a_mesh(self, center, radius, cover_level):
+        live = cone_cover(center, radius, cover_level)
+        assert live.ranges == oracle_cover(center, radius, cover_level).ranges
+
+    def test_degenerate_faces_take_the_centroid_fallback(self):
+        # Collinear corners have no circumcircle normal; both covers must take
+        # triangle_circumcircle's centroid axis and agree from there down.
+        class DegenerateMesh(HTMMesh):
+            def root_trixels(self):
+                x, y, z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+                return (Trixel(8, (x, x, y)), Trixel(9, (y, z, z)), Trixel(10, (x, y, z)))
+
+        for center, radius in ((SkyPoint(45.0, 0.0), 5.0), (SkyPoint(10.0, 80.0), 30.0)):
+            live = cone_cover(center, radius, cover_level=4, mesh=DegenerateMesh())
+            reference = oracle_cover(center, radius, cover_level=4, mesh=DegenerateMesh())
+            assert live.ranges == reference.ranges
+
+    def test_memo_holds_only_shallow_trixels(self):
+        mesh = HTMMesh()
+        for center in (SkyPoint(0.0, 90.0), SkyPoint(120.0, 25.0), SkyPoint(300.0, -60.0)):
+            cone_cover(center, 60.0, cover_level=8, mesh=mesh)
+        assert mesh.cover_terms
+        assert max(htm_ids.htm_level(i) for i in mesh.cover_terms) == COVER_MEMO_LEVEL
+        assert len(mesh.cover_terms) <= MEMO_CAP
 
 
 class TestRangeForTrixel:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.htm.geometry import (
     SkyPoint,
-    angular_separation,
     cross,
     dot,
     midpoint,
@@ -18,6 +17,7 @@ from repro.htm.geometry import (
     triangle_contains,
     unit_vector,
 )
+from tests.htm.separation_reference import angular_separation
 
 ras = st.floats(min_value=0.0, max_value=359.999)
 decs = st.floats(min_value=-89.0, max_value=89.0)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htm import ids as htm_ids
-from repro.htm.geometry import SkyPoint, angular_separation, dot, radec_from_vector
+from repro.htm.geometry import SkyPoint, dot, radec_from_vector
 from repro.htm.mesh import HTMMesh
+from tests.htm.separation_reference import angular_separation
 
 ras = st.floats(min_value=0.0, max_value=359.99)
 decs = st.floats(min_value=-89.9, max_value=89.9)
