@@ -41,6 +41,10 @@ RATCHETED_METRICS: Dict[str, str] = {
     "columnar_decode_mb_per_s": "higher",
     "columnar_rows_per_s": "higher",
     "ingest_rows_per_s": "higher",
+    # storage: the columnar density encode over the row-object path it
+    # replaced (tests/storage/ingest_oracle.py), both timed in one process
+    # in turns — dimensionless
+    "ingest_speedup_vs_row_path": "higher",
     # parallel: virtual-clock scaling quality (deterministic)
     "speedup_2x": "higher",
     "speedup_4x": "higher",

@@ -5,9 +5,16 @@ physical analogue of the paper's ``Tb``), with the engine taken out.  The
 process backend's scaling over a store is measured by
 ``test_bench_parallel.py`` (``speedup_4x``, ``process_wall_speedup_4x``):
 the store does not move the virtual clock.
+
+``ingest_speedup_vs_row_path`` is the density ingest's encode step —
+columns synthesised and packed per bucket — against the row path it
+replaced (``tests/storage/ingest_oracle.py``: one row object per synthetic
+row, columns pulled back out of them), timed in turns in this process: a
+dimensionless number a slow runner cannot move.
 """
 
 import os
+import statistics
 import time
 
 import pytest
@@ -15,11 +22,16 @@ import pytest
 from repro.experiments.common import build_simulator
 from repro.storage.disk_store import open_disk_store
 from repro.storage.format import BucketFileReader
-from repro.storage.ingest import materialize_layout
+from repro.storage.ingest import DEFAULT_ROWS_PER_BUCKET, encode_synthetic_page, materialize_layout
+from tests.storage.ingest_oracle import density_page
 
 #: Physical rows per bucket for the benchmark stores: enough bytes that a
 #: bucket read is real work, small enough that ingest stays in seconds.
 BENCH_ROWS_PER_BUCKET = 256
+
+#: The columnar density encode must stay at least this many times faster
+#: than the row path it replaced.
+MIN_INGEST_SPEEDUP_VS_ROW_PATH = 2.5
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +110,7 @@ def test_bench_store_columnar_scan(benchmark, bench_store):
 
 
 def test_bench_store_ingest(benchmark, tmp_path, scale):
-    """Serial ingest rate: encode + CRC + write one columnar page per bucket."""
+    """Density ingest rate: synthesise + encode + CRC + write one columnar page per bucket."""
     simulator = build_simulator(scale)
     counter = iter(range(1_000_000))
     timings = []
@@ -118,3 +130,39 @@ def test_bench_store_ingest(benchmark, tmp_path, scale):
     if elapsed > 0:
         benchmark.extra_info["ingest_rows_per_s"] = round(manifest.total_rows / elapsed, 0)
 
+
+def test_bench_ingest_vs_row_path(benchmark, scale):
+    """Density encode of 64 buckets at the default page size, live vs row path.
+
+    The ratio is the median of per-pair ratios over live/row-path pairs
+    timed back to back (which side goes first flips every pair), so a burst
+    of host load spoils a pair or two instead of one side's best-of.
+    """
+    layout = build_simulator(scale).layout
+    tasks = [(spec, min(spec.object_count, DEFAULT_ROWS_PER_BUCKET)) for spec in layout][:64]
+    seed = 8675309
+
+    def live():
+        return [encode_synthetic_page(spec, rows, seed)[0] for spec, rows in tasks]
+
+    def row_path():
+        return [density_page(spec, rows, seed) for spec, rows in tasks]
+
+    assert live() == row_path()
+    benchmark.pedantic(live, rounds=5, iterations=1)
+    ratios = []
+    for pair in range(9):
+        seconds = {}
+        for side in (live, row_path) if pair % 2 == 0 else (row_path, live):
+            started = time.perf_counter()
+            side()
+            seconds[side] = time.perf_counter() - started
+        ratios.append(seconds[row_path] / seconds[live])
+    speedup = statistics.median(ratios)
+    rows = sum(count for _, count in tasks)
+    benchmark.extra_info["rows_encoded"] = rows
+    benchmark.extra_info["ingest_speedup_vs_row_path"] = round(speedup, 3)
+    assert speedup >= MIN_INGEST_SPEEDUP_VS_ROW_PATH, (
+        f"the columnar density encode is only {speedup:.2f}x the row path it "
+        f"replaced (per-pair ratios {sorted(round(r, 2) for r in ratios)})"
+    )

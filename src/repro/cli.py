@@ -312,17 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     ingest.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help=(
-            "processes synthesising and encoding bucket pages in parallel "
-            "(single-writer assembly keeps the file byte-identical to a "
-            "serial ingest; density ingests only)"
-        ),
-    )
-    ingest.add_argument(
         "--sky-objects",
         type=_positive_int,
         default=None,
@@ -658,9 +647,9 @@ def _run_ingest(args: argparse.Namespace) -> int:
     if args.sky_objects is not None:
         from repro.catalog.generator import SkyGenerator, SkyGeneratorConfig
 
-        if args.rows_per_bucket is not None or args.bucket_count is not None or args.workers > 1:
+        if args.rows_per_bucket is not None or args.bucket_count is not None:
             raise SystemExit(
-                "--rows-per-bucket/--bucket-count/--workers apply to density "
+                "--rows-per-bucket/--bucket-count apply to density "
                 "ingests only; a --sky-objects ingest writes the generated "
                 "catalog exactly (size it with --sky-objects and "
                 "--objects-per-bucket)"
@@ -684,7 +673,6 @@ def _run_ingest(args: argparse.Namespace) -> int:
             layout,
             rows_per_bucket=args.rows_per_bucket or DEFAULT_ROWS_PER_BUCKET,
             seed=args.seed,
-            workers=args.workers,
         )
         mode = f"density layout ({args.scale} scale)"
     print(f"ingested {mode} -> {manifest.path}")

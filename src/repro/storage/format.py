@@ -56,10 +56,12 @@ import hashlib
 import io
 import math
 import mmap
+import operator
 import os
 import struct
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.catalog.objects import CelestialObject
@@ -78,6 +80,7 @@ _HEADER = struct.Struct("<4sHHIIQI")  # magic, version, flags, leaf_level,
 _DIR_ENTRY = struct.Struct("<QQQdQQQI")  # low, high, object_count, megabytes,
 # row_count, page_offset, page_length, page_crc
 _PAGE_HEADER = struct.Struct("<I")  # row_count
+_ROW_BYTES = 8 + 8 + 8 + 8 + 8 + 1  # five 8-byte columns and a 1-byte survey code
 _CRC = struct.Struct("<I")
 
 
@@ -214,7 +217,7 @@ def decode_column_block(payload, surveys: Sequence[str]) -> ColumnBlock:
         raise FormatError("bucket page shorter than its row-count header")
     (count,) = _PAGE_HEADER.unpack_from(view, 0)
     offset = _PAGE_HEADER.size
-    expected = offset + count * (8 + 8 + 8 + 8 + 8 + 1)
+    expected = offset + count * _ROW_BYTES
     if len(view) != expected:
         raise FormatError(
             f"bucket page length mismatch: {len(view)} bytes for {count} rows "
@@ -266,38 +269,58 @@ class StoreManifest:
     file_bytes: int
 
 
+def _is_sorted(ids: Sequence[int]) -> bool:
+    """Whether *ids* ascend (ties allowed): one C-speed pass, no Python loop."""
+    return all(map(operator.le, ids, islice(ids, 1, None)))
+
+
+def encode_columns(
+    htm_ids_sorted: Sequence[int],
+    object_ids: Sequence[int],
+    ra: Sequence[float],
+    dec: Sequence[float],
+    magnitude: Sequence[float],
+    survey_codes: bytes | bytearray,
+) -> bytes:
+    """Encode one bucket's columns as a columnar page (without its CRC).
+
+    Columns are struct-packed arrays in a fixed order: HTM IDs, object
+    IDs, RA, Dec, magnitude, one-byte survey dictionary codes.  The HTM
+    column must already be sorted — the on-disk order *is* the merge-join
+    order.
+    """
+    count = len(htm_ids_sorted)
+    columns = (htm_ids_sorted, object_ids, ra, dec, magnitude)
+    if any(len(column) != count for column in (*columns, survey_codes)):
+        raise ValueError("every page column must be as long as the HTM column")
+    if not _is_sorted(htm_ids_sorted):
+        raise ValueError("bucket pages must be HTM-sorted")
+    packed = (struct.pack(f"<{count}{code}", *column) for code, column in zip("Qqddd", columns))
+    return _PAGE_HEADER.pack(count) + b"".join(packed) + bytes(survey_codes)
+
+
 def encode_bucket_page(
     htm_ids_sorted: Sequence[int],
     rows: Sequence[CelestialObject],
     survey_codes: Dict[str, int],
 ) -> bytes:
-    """Encode one bucket's rows as a columnar page (without its CRC).
+    """Encode row objects as a page: :func:`encode_columns` over their fields.
 
-    Columns are struct-packed arrays in a fixed order: HTM IDs, object
-    IDs, RA, Dec, magnitude, survey dictionary codes.  The HTM column must
-    already be sorted — the on-disk order *is* the merge-join order.
+    The ``ingest_catalog`` path; surveys new to *survey_codes* join it in
+    first-seen order.
     """
-    count = len(rows)
-    if len(htm_ids_sorted) != count:
+    if len(htm_ids_sorted) != len(rows):
         raise ValueError("htm_ids and rows must be the same length")
-    if any(htm_ids_sorted[i] > htm_ids_sorted[i + 1] for i in range(count - 1)):
-        raise ValueError("bucket pages must be HTM-sorted")
-    buffer = io.BytesIO()
-    buffer.write(_PAGE_HEADER.pack(count))
-    buffer.write(struct.pack(f"<{count}Q", *htm_ids_sorted))
-    buffer.write(struct.pack(f"<{count}q", *(row.object_id for row in rows)))
-    buffer.write(struct.pack(f"<{count}d", *(row.ra for row in rows)))
-    buffer.write(struct.pack(f"<{count}d", *(row.dec for row in rows)))
-    buffer.write(struct.pack(f"<{count}d", *(row.magnitude for row in rows)))
-    codes = []
+    codes = bytearray()
     for row in rows:
         if row.survey not in survey_codes:
             if len(survey_codes) >= 255:
                 raise ValueError("a store file supports at most 255 distinct surveys")
             survey_codes[row.survey] = len(survey_codes)
         codes.append(survey_codes[row.survey])
-    buffer.write(struct.pack(f"<{count}B", *codes))
-    return buffer.getvalue()
+    fields = ("object_id", "ra", "dec", "magnitude")
+    columns = (list(map(operator.attrgetter(name), rows)) for name in fields)
+    return encode_columns(htm_ids_sorted, *columns, codes)
 
 
 def decode_bucket_page(
@@ -312,7 +335,7 @@ def decode_bucket_page(
     """
     block = decode_column_block(payload, surveys)
     ids = tuple(block.htm_ids)
-    if any(ids[i] > ids[i + 1] for i in range(len(ids) - 1)):
+    if not _is_sorted(ids):
         raise FormatError("bucket page is not HTM-sorted")
     return ids, block.rows()
 
@@ -373,23 +396,26 @@ class BucketFileWriter:
     def append_encoded(
         self, page: bytes, row_count: int, surveys: Sequence[str]
     ) -> None:
-        """Write the next bucket's pre-encoded page (the parallel-ingest path).
+        """Write the next bucket's pre-encoded page (the density-ingest path).
 
         *surveys* is the code-ordered survey dictionary the encoder used
         (code *i* is ``surveys[i]``).  Encoders must assign codes the way
         this writer would have — first-seen order starting at an empty
-        dictionary — so pages produced by independent workers assemble
-        into a file byte-identical to a serial ingest; a disagreement
-        raises rather than silently mislabelling rows.
+        dictionary — so a disagreement raises rather than silently
+        mislabelling rows.  *row_count* must be the count the page's header
+        and length hold: the directory records it, and readers refuse a
+        store whose page lengths disagree with it.
         """
         if self._next_index >= len(self.layout):
             raise ValueError("more bucket pages than layout buckets")
-        for survey in surveys:
+        page_bytes = _PAGE_HEADER.size + row_count * _ROW_BYTES
+        if len(page) != page_bytes or _PAGE_HEADER.unpack_from(page)[0] != row_count:
+            raise ValueError(f"the pre-encoded page does not hold its row_count ({row_count}) rows")
+        for code, survey in enumerate(surveys):
             if survey not in self._survey_codes:
                 if len(self._survey_codes) >= 255:
                     raise ValueError("a store file supports at most 255 distinct surveys")
                 self._survey_codes[survey] = len(self._survey_codes)
-        for code, survey in enumerate(surveys):
             if self._survey_codes[survey] != code:
                 raise ValueError(
                     f"pre-encoded page assigns survey {survey!r} code {code}, "
@@ -546,6 +572,13 @@ class BucketFileReader:
                 column.append(value)
             if page_offset + page_length > directory_offset:
                 raise FormatError(f"{self._what} bucket {index}'s page overlaps the directory")
+            # Decoding checks a page's own row count against its length; this
+            # ties the length to the entry's count (and so to total_rows).
+            if page_length != _PAGE_HEADER.size + row_count * _ROW_BYTES:
+                raise FormatError(
+                    f"{self._what} bucket {index}'s page is {page_length} bytes, "
+                    f"not the {row_count} rows its directory entry counts"
+                )
             self._pages.append((row_count, page_offset, page_length, page_crc))
         if offset + 1 > len(payload):
             raise FormatError(f"{self._what} directory lacks its survey dictionary")
@@ -638,6 +671,7 @@ __all__ = [
     "DerivedColumns",
     "BucketFileWriter",
     "BucketFileReader",
+    "encode_columns",
     "encode_bucket_page",
     "decode_bucket_page",
     "decode_column_block",

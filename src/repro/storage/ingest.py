@@ -9,11 +9,11 @@ Two ingest paths cover the two partitioning modes of the reproduction:
 * :func:`materialize_layout` — the scaled-experiment path: take a
   density-derived :class:`~repro.storage.partitioner.PartitionLayout`
   (whose buckets carry counts, not rows) and synthesise a bounded number
-  of deterministic physical rows per bucket.  The layout's cost-model
-  numbers (``object_count``, ``megabytes``) are written unchanged, so a
-  file-backed run charges exactly the virtual-clock costs of the
-  in-memory run while every bucket service performs real seeks, reads,
-  checksum verification and columnar decoding.
+  of deterministic physical rows per bucket, as columns (no row objects).
+  The layout's cost-model numbers (``object_count``, ``megabytes``) are
+  written unchanged, so a file-backed run charges exactly the virtual-clock
+  costs of the in-memory run while every bucket service performs real
+  seeks, reads, checksum verification and columnar decoding.
 
 Both return the :class:`~repro.storage.format.StoreManifest` of the
 written file.
@@ -21,12 +21,11 @@ written file.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import List, Optional, Tuple
 
-from repro.catalog.objects import CatalogTable, CelestialObject
-from repro.storage.format import BucketFileWriter, StoreManifest, encode_bucket_page
+from repro.catalog.objects import CatalogTable
+from repro.storage.format import BucketFileWriter, StoreManifest, encode_columns
 from repro.storage.partitioner import (
     DEFAULT_BUCKET_MEGABYTES,
     DEFAULT_OBJECTS_PER_BUCKET,
@@ -38,8 +37,8 @@ from repro.storage.partitioner import (
 #: Default cap on physical rows written per bucket when materialising a
 #: density layout.  Real I/O work per bucket service stays meaningful
 #: (kilobytes of packed columns to read and decode) while whole-site files
-#: stay tens of megabytes instead of the archive's terabytes.  Raised
-#: 256 → 512 once parallel ingest made bigger pages cheap to write.
+#: stay tens of megabytes instead of the archive's terabytes.  Columnar
+#: synthesis writes 1,024 such pages in about half a second on one core.
 DEFAULT_ROWS_PER_BUCKET = 512
 
 
@@ -69,11 +68,9 @@ def ingest_catalog(
     writer = BucketFileWriter(path, layout)
     try:
         cursor = 0
-        ids = table.htm_ids
-        rows = table.rows
         for spec in layout:
             end = cursor + spec.object_count
-            writer.append_bucket(ids[cursor:end], rows[cursor:end])
+            writer.append_bucket(table.htm_ids[cursor:end], table.rows[cursor:end])
             cursor = end
         return writer.finish()
     except BaseException:
@@ -81,10 +78,13 @@ def ingest_catalog(
         raise
 
 
-def synthesize_bucket_rows(
-    spec: BucketSpec, rows: int, survey: str = "synthetic", seed: int = 0
-) -> list[CelestialObject]:
-    """Deterministic physical rows for one count-only bucket.
+#: The survey name every synthesised row carries.
+SYNTHETIC_SURVEY = "synthetic"
+
+
+def synthesize_bucket_columns(spec: BucketSpec, rows: int, seed: int = 0) -> Tuple[List, ...]:
+    """Deterministic physical rows for one count-only bucket, as the columns
+    ``(htm_ids, object_ids, ra, dec, magnitude)``.
 
     HTM IDs are spread evenly over the bucket's curve range (ascending, so
     pages stay merge-join ready); positions and magnitudes are cheap
@@ -96,42 +96,27 @@ def synthesize_bucket_rows(
         raise ValueError("rows must be non-negative")
     low, high = spec.htm_range.low, spec.htm_range.high
     span = high - low + 1
-    result = []
-    for i in range(rows):
-        htm_id = low + (i * span) // max(rows, 1)
-        mix = (htm_id * 2654435761 + seed * 97 + i) & 0xFFFFFFFF
-        result.append(
-            CelestialObject(
-                # Bucket-scoped base keeps IDs unique across buckets even
-                # when row counts vary per bucket (partial final buckets).
-                object_id=(spec.index << 32) | i,
-                ra=(mix % 3_600_000) / 10_000.0,
-                dec=((mix >> 12) % 1_600_000) / 10_000.0 - 80.0,
-                htm_id=htm_id,
-                magnitude=14.0 + (mix % 8_000) / 1_000.0,
-                survey=survey,
-            )
-        )
-    return result
+    divisor = max(rows, 1)
+    htm_ids = [low + (i * span) // divisor for i in range(rows)]
+    salt = seed * 97
+    mixes = [(htm_id * 2654435761 + salt + i) & 0xFFFFFFFF for i, htm_id in enumerate(htm_ids)]
+    # Bucket-scoped base keeps IDs unique across buckets even when row
+    # counts vary per bucket (partial final buckets).
+    base = spec.index << 32
+    return (
+        htm_ids,
+        [base | i for i in range(rows)],
+        [(mix % 3_600_000) / 10_000.0 for mix in mixes],
+        [((mix >> 12) % 1_600_000) / 10_000.0 - 80.0 for mix in mixes],
+        [14.0 + (mix % 8_000) / 1_000.0 for mix in mixes],
+    )
 
 
-def _encode_synthetic_page(
-    task: Tuple[BucketSpec, int, int],
-) -> Tuple[int, bytes, Tuple[str, ...]]:
-    """Synthesise and encode one bucket page (importable for ``spawn``).
-
-    Each worker encodes against a fresh survey dictionary; because every
-    synthesised row carries the same survey, the dictionary every worker
-    derives is identical to the one a serial ingest would have built, so
-    the assembled file is byte-identical (asserted by the parallel-ingest
-    determinism tests).
-    """
-    spec, count, seed = task
-    rows = synthesize_bucket_rows(spec, count, seed=seed)
-    survey_codes: dict = {}
-    page = encode_bucket_page([row.htm_id for row in rows], rows, survey_codes)
-    surveys = tuple(sorted(survey_codes, key=survey_codes.get))
-    return len(rows), page, surveys
+def encode_synthetic_page(spec: BucketSpec, rows: int, seed: int) -> Tuple[bytes, Tuple[str, ...]]:
+    """One bucket's synthesised page and the survey dictionary it uses (every
+    row is code 0, :data:`SYNTHETIC_SURVEY`; an empty page names no survey)."""
+    page = encode_columns(*synthesize_bucket_columns(spec, rows, seed), bytes(rows))
+    return page, ((SYNTHETIC_SURVEY,) if rows else ())
 
 
 def materialize_layout(
@@ -139,7 +124,6 @@ def materialize_layout(
     layout: PartitionLayout,
     rows_per_bucket: Optional[int] = DEFAULT_ROWS_PER_BUCKET,
     seed: int = 0,
-    workers: int = 1,
 ) -> StoreManifest:
     """Write a density layout to disk with synthesised physical rows.
 
@@ -148,39 +132,17 @@ def materialize_layout(
     counted object).  The directory records the layout's *original*
     object counts and megabytes, so the cost model — and therefore every
     virtual-clock number — is unchanged relative to the in-memory store.
-
-    ``workers > 1`` fans the synthesise+encode work (the CPU-bound part)
-    out over a spawn-safe process pool while this process stays the
-    single writer, appending the encoded pages in layout order — the
-    output file is byte-identical to a serial ingest, whatever the
-    worker count.
     """
     if rows_per_bucket is not None and rows_per_bucket < 0:
         raise ValueError("rows_per_bucket must be non-negative")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    tasks: List[Tuple[BucketSpec, int, int]] = []
-    for spec in layout:
-        count = spec.object_count
-        if rows_per_bucket is not None:
-            count = min(count, rows_per_bucket)
-        tasks.append((spec, count, seed))
     writer = BucketFileWriter(path, layout)
     try:
-        if workers == 1 or len(tasks) < 2:
-            for task in tasks:
-                row_count, page, surveys = _encode_synthetic_page(task)
-                writer.append_encoded(page, row_count, surveys)
-        else:
-            context = multiprocessing.get_context("spawn")
-            chunk = max(1, len(tasks) // (workers * 4))
-            with context.Pool(min(workers, len(tasks))) as pool:
-                # imap preserves layout order: pages are encoded out of
-                # order across the pool but assembled sequentially here.
-                for row_count, page, surveys in pool.imap(
-                    _encode_synthetic_page, tasks, chunksize=chunk
-                ):
-                    writer.append_encoded(page, row_count, surveys)
+        for spec in layout:
+            count = spec.object_count
+            if rows_per_bucket is not None:
+                count = min(count, rows_per_bucket)
+            page, surveys = encode_synthetic_page(spec, count, seed)
+            writer.append_encoded(page, count, surveys)
         return writer.finish()
     except BaseException:
         writer.abort()
@@ -189,7 +151,8 @@ def materialize_layout(
 
 __all__ = [
     "DEFAULT_ROWS_PER_BUCKET",
+    "encode_synthetic_page",
     "ingest_catalog",
     "materialize_layout",
-    "synthesize_bucket_rows",
+    "synthesize_bucket_columns",
 ]

@@ -234,28 +234,10 @@ class TestIngestCommand:
         with pytest.raises(SystemExit, match="density ingests only"):
             main(["ingest", "--sky-objects", "100", "--rows-per-bucket", "4", "--out", out])
 
-    def test_parallel_ingest_is_byte_identical_to_serial(self, tmp_path):
-        serial = tmp_path / "serial.lrbs"
-        parallel = tmp_path / "parallel.lrbs"
-        base = ["ingest", "--scale", "small", "--bucket-count", "32", "--rows-per-bucket", "16"]
-        assert main(base + ["--out", str(serial)]) == 0
-        assert main(base + ["--workers", "2", "--out", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-
-    def test_ingest_rejects_non_positive_workers(self, tmp_path):
-        out = str(tmp_path / "w.lrbs")
-        with pytest.raises(SystemExit):
-            main(["ingest", "--scale", "small", "--workers", "0", "--out", out])
-
     def test_ingest_rejects_non_positive_rows_per_bucket(self, tmp_path):
         out = str(tmp_path / "r.lrbs")
         with pytest.raises(SystemExit):
             main(["ingest", "--scale", "small", "--rows-per-bucket", "0", "--out", out])
-
-    def test_sky_mode_rejects_parallel_workers(self, tmp_path):
-        out = str(tmp_path / "s.lrbs")
-        with pytest.raises(SystemExit, match="density ingests only"):
-            main(["ingest", "--sky-objects", "100", "--workers", "2", "--out", out])
 
     def test_sky_flags_conflict_with_density_mode(self, tmp_path):
         out = str(tmp_path / "y.lrbs")

@@ -26,12 +26,27 @@ from repro.storage.format import (
     read_layout,
 )
 from repro.storage import ingest as ingest_module
-from repro.storage.ingest import ingest_catalog, materialize_layout, synthesize_bucket_rows
+from repro.storage.ingest import (
+    SYNTHETIC_SURVEY,
+    ingest_catalog,
+    materialize_layout,
+    synthesize_bucket_columns,
+)
 from repro.storage.partitioner import BucketPartitioner
 
 LEAF_LEVEL = 8
 CURVE_START = 8 << (2 * LEAF_LEVEL)
 CURVE_END = (16 << (2 * LEAF_LEVEL)) - 1
+
+
+def synthesize_bucket_rows(spec, rows: int, seed: int = 0) -> list:
+    """A density ingest's rows for one bucket, as row objects (its columns zipped)."""
+    return [
+        CelestialObject(object_id, ra, dec, htm_id, magnitude, SYNTHETIC_SURVEY)
+        for htm_id, object_id, ra, dec, magnitude in zip(
+            *synthesize_bucket_columns(spec, rows, seed)
+        )
+    ]
 
 
 @st.composite
@@ -85,7 +100,7 @@ class TestPageCodec:
             CelestialObject(object_id=i, ra=0.0, dec=0.0, htm_id=htm_id)
             for i, htm_id in enumerate([CURVE_START + 5, CURVE_START + 1])
         ]
-        with pytest.raises(ValueError, match="HTM-sorted"):
+        with pytest.raises(ValueError, match="^bucket pages must be HTM-sorted$"):
             encode_bucket_page([r.htm_id for r in rows], rows, {})
 
     def test_empty_page_round_trips(self):
@@ -344,14 +359,14 @@ class TestAtomicPublish:
         path = tmp_path / "site.lrbs"
         materialize_layout(path, layout, rows_per_bucket=32, seed=1)
         original = path.read_bytes()
-        encode = ingest_module._encode_synthetic_page
+        encode = ingest_module.encode_synthetic_page
 
-        def fail_midway(task):
-            if task[0].index == 5:
+        def fail_midway(spec, rows, seed):
+            if spec.index == 5:
                 raise RuntimeError("ingest died")
-            return encode(task)
+            return encode(spec, rows, seed)
 
-        monkeypatch.setattr(ingest_module, "_encode_synthetic_page", fail_midway)
+        monkeypatch.setattr(ingest_module, "encode_synthetic_page", fail_midway)
         with pytest.raises(RuntimeError, match="ingest died"):
             materialize_layout(path, layout, rows_per_bucket=32, seed=2)
         assert path.read_bytes() == original
@@ -393,19 +408,3 @@ class TestAtomicPublish:
         writer.abort()
         assert path.read_bytes() == original
         assert [entry.name for entry in tmp_path.iterdir()] == ["site.lrbs"]
-
-
-class TestParallelIngest:
-    def test_parallel_ingest_is_byte_identical(self, tmp_path):
-        layout = BucketPartitioner(objects_per_bucket=16).partition_density(4, total_objects=256)
-        serial = materialize_layout(tmp_path / "serial.lrbs", layout, rows_per_bucket=12)
-        parallel = materialize_layout(
-            tmp_path / "parallel.lrbs", layout, rows_per_bucket=12, workers=2
-        )
-        assert parallel.generation == serial.generation
-        assert (tmp_path / "parallel.lrbs").read_bytes() == (tmp_path / "serial.lrbs").read_bytes()
-
-    def test_workers_validated(self, tmp_path):
-        layout = BucketPartitioner(objects_per_bucket=16).partition_density(4, total_objects=64)
-        with pytest.raises(ValueError, match="workers must be positive"):
-            materialize_layout(tmp_path / "w.lrbs", layout, rows_per_bucket=4, workers=0)
