@@ -39,6 +39,10 @@ RATCHETED_METRICS: Dict[str, str] = {
     # storage: zero-copy read path and ingest
     "read_decode_mb_per_s": "higher",
     "columnar_decode_mb_per_s": "higher",
+    # storage: the zero-copy columnar scan over the strict row-object decode
+    # of the same store, both timed in one process in turns — dimensionless,
+    # where the absolute rate beside it moves with the host's load
+    "columnar_decode_speedup_vs_strict": "higher",
     "columnar_rows_per_s": "higher",
     "ingest_rows_per_s": "higher",
     # storage: the columnar density encode over the row-object path it
@@ -78,6 +82,10 @@ RATCHETED_METRICS: Dict[str, str] = {
     # (tests/htm/cover_oracle.py) on 3-arcsecond error circles at level 12,
     # both timed in one process in turns — dimensionless
     "cover_speedup_vs_oracle": "higher",
+    # kernels: the flat HTM point location over the memoised Trixel walk it
+    # replaced (tests/htm/locate_oracle.py) on 1,000 sky positions at level
+    # 14, both timed in one process in turns — dimensionless
+    "locate_speedup_vs_oracle": "higher",
     # service: one event at the serving gate must not scale with the
     # admitted-but-undrained backlog — µs at 4,096 in-flight admissions ÷ µs
     # at 256, dimensionless, with the absolute figure beside it

@@ -20,7 +20,9 @@ buckets by runs against the one-search-per-object loop it replaced
 So are the HTM bounding ranges the objects arrive with:
 ``cover_speedup_vs_oracle`` is ``repro.htm.curve.cone_cover`` on 3″ error
 circles at level 12, one mesh per side, against the Trixel walk it
-replaced (``tests/htm/cover_oracle.py``).
+replaced (``tests/htm/cover_oracle.py``), and ``locate_speedup_vs_oracle``
+is ``HTMMesh.locate`` on 1,000 sky positions at level 14 against the
+memoised Trixel walk it replaced (``tests/htm/locate_oracle.py``).
 ``BENCH_kernels.json`` at the repository root is the committed baseline
 (``--bench-json``; compare with ``benchmarks.ratchet``).
 """
@@ -44,6 +46,7 @@ from repro.workload.query import CrossMatchObject, CrossMatchQuery
 from tests.core.join_oracle import merge_join
 from tests.core.preprocessor_oracle import assign_per_object
 from tests.htm.cover_oracle import cone_cover as oracle_cover
+from tests.htm.locate_oracle import OracleMesh
 
 #: The kernel must stay at least this many times faster than the row path.
 MIN_SPEEDUP_VS_ROW_PATH = 2.0
@@ -55,6 +58,10 @@ MIN_SPEEDUP_VS_PER_OBJECT = 2.0
 #: The flat, memoised cone cover must stay at least this many times faster
 #: than the Trixel walk it replaced.
 MIN_COVER_SPEEDUP_VS_ORACLE = 1.5
+
+#: The flat point location must stay at least this many times faster than
+#: the Trixel walk it replaced.
+MIN_LOCATE_SPEEDUP_VS_ORACLE = 2.0
 
 ROWS = 100
 OBJECTS = 86
@@ -238,4 +245,30 @@ def test_bench_cone_cover_vs_oracle(benchmark):
     assert speedup >= MIN_COVER_SPEEDUP_VS_ORACLE, (
         f"the cone cover is only {speedup:.2f}x the Trixel walk it replaced "
         f"({oracle_s / len(centers) * 1e6:.0f} -> {live_s / len(centers) * 1e6:.0f} us per cover)"
+    )
+
+
+def test_bench_locate_vs_oracle(benchmark):
+    points = error_circles(1_000, seed=48)
+    live_mesh, oracle_mesh = HTMMesh(), OracleMesh()
+
+    def live():
+        return [live_mesh.locate(p, 14) for p in points]
+
+    def oracle():
+        return [oracle_mesh.locate(p, 14) for p in points]
+
+    # The equality check warms the oracle's trixel memo, as a catalog does.
+    assert live() == oracle()
+    benchmark.pedantic(live, rounds=10, iterations=1)
+    # The ratio is the median of back-to-back pairs', the per-point times the best.
+    live_times, oracle_times = timed_turns((live, oracle), samples=21, calls=1)
+    speedup = statistics.median(o / l for l, o in zip(live_times, oracle_times))
+    live_s, oracle_s = min(live_times), min(oracle_times)
+    benchmark.extra_info["locate_us_per_point"] = round(live_s / len(points) * 1e6, 2)
+    benchmark.extra_info["oracle_us_per_point"] = round(oracle_s / len(points) * 1e6, 2)
+    benchmark.extra_info["locate_speedup_vs_oracle"] = round(speedup, 3)
+    assert speedup >= MIN_LOCATE_SPEEDUP_VS_ORACLE, (
+        f"point location is only {speedup:.2f}x the Trixel walk it replaced "
+        f"({oracle_s / len(points) * 1e6:.0f} -> {live_s / len(points) * 1e6:.0f} us per point)"
     )

@@ -10,7 +10,11 @@ the store does not move the virtual clock.
 columns synthesised and packed per bucket — against the row path it
 replaced (``tests/storage/ingest_oracle.py``: one row object per synthetic
 row, columns pulled back out of them), timed in turns in this process: a
-dimensionless number a slow runner cannot move.
+dimensionless number a slow runner cannot move.  So is
+``columnar_decode_speedup_vs_strict``: the zero-copy columnar scan of a
+store against the strict ``decode_bucket_page`` scan (row order re-checked,
+row objects built) of the same file, where the absolute
+``columnar_decode_mb_per_s`` beside it moves with the host's load.
 """
 
 import os
@@ -98,8 +102,12 @@ def test_bench_store_columnar_scan(benchmark, bench_store):
             timings.append(time.perf_counter() - started)
             return rows, checksum
 
+    def strict_scan():
+        with BucketFileReader(bench_store.path) as reader:
+            return sum(len(reader.read_bucket(index)[1]) for index in range(len(reader)))
+
     rows, _checksum = benchmark.pedantic(scan, rounds=5, iterations=1)
-    assert rows == bench_store.total_rows
+    assert rows == bench_store.total_rows == strict_scan()
     elapsed = min(timings)
     megabytes = bench_store.file_bytes / 1e6
     benchmark.extra_info["file_megabytes"] = round(megabytes, 2)
@@ -107,6 +115,17 @@ def test_bench_store_columnar_scan(benchmark, bench_store):
     if elapsed > 0:
         benchmark.extra_info["columnar_decode_mb_per_s"] = round(megabytes / elapsed, 2)
         benchmark.extra_info["columnar_rows_per_s"] = round(rows / elapsed, 0)
+    # Both whole scans timed back to back, which goes first flipping every
+    # pair; the ratio is the median pair's.
+    ratios = []
+    for pair in range(9):
+        seconds = {}
+        for side in (scan, strict_scan) if pair % 2 == 0 else (strict_scan, scan):
+            started = time.perf_counter()
+            side()
+            seconds[side] = time.perf_counter() - started
+        ratios.append(seconds[strict_scan] / seconds[scan])
+    benchmark.extra_info["columnar_decode_speedup_vs_strict"] = round(statistics.median(ratios), 3)
 
 
 def test_bench_store_ingest(benchmark, tmp_path, scale):

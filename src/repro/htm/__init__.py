@@ -33,8 +33,6 @@ from repro.htm.mesh import HTMMesh, Trixel
 from repro.htm.ids import (
     htm_level,
     htm_id_to_name,
-    parent_id,
-    child_ids,
     id_range_at_level,
 )
 from repro.htm.curve import HTMRange, HTMRangeSet, cone_cover
@@ -47,8 +45,6 @@ __all__ = [
     "Trixel",
     "htm_level",
     "htm_id_to_name",
-    "parent_id",
-    "child_ids",
     "id_range_at_level",
     "HTMRange",
     "HTMRangeSet",

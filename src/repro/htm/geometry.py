@@ -28,7 +28,7 @@ class SkyPoint:
     Parameters
     ----------
     ra:
-        Right ascension in degrees, in ``[0, 360)``.
+        Right ascension in degrees, finite; normalised into ``[0, 360)``.
     dec:
         Declination in degrees, in ``[-90, +90]``.
     """
@@ -37,6 +37,8 @@ class SkyPoint:
     dec: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.ra):
+            raise ValueError(f"right ascension must be finite, not {self.ra!r}")
         if not -90.0 <= self.dec <= 90.0:
             raise ValueError(f"declination {self.dec} outside [-90, 90]")
         # Normalise RA into [0, 360).  frozen dataclass -> object.__setattr__.
@@ -101,23 +103,6 @@ def cross(a: Sequence[float], b: Sequence[float]) -> Vector:
 def midpoint(a: Sequence[float], b: Sequence[float]) -> Vector:
     """Normalised midpoint of two unit vectors (great-circle bisector)."""
     return normalize((a[0] + b[0], a[1] + b[1], a[2] + b[2]))
-
-
-def triangle_contains(corners: Sequence[Vector], v: Sequence[float]) -> bool:
-    """Return ``True`` when unit vector *v* lies inside the spherical triangle.
-
-    The triangle is given by three corner unit vectors in counter-clockwise
-    order (seen from outside the sphere).  A point is inside when it is on
-    the positive side of all three edge planes.  The comparison uses a small
-    negative epsilon so points on an edge are accepted; callers that need a
-    unique owner (the mesh) disambiguate by child visiting order.
-    """
-    c0, c1, c2 = corners
-    return (
-        dot(cross(c0, c1), v) >= -EDGE_EPSILON
-        and dot(cross(c1, c2), v) >= -EDGE_EPSILON
-        and dot(cross(c2, c0), v) >= -EDGE_EPSILON
-    )
 
 
 def triangle_circumcircle(corners: Sequence[Vector]) -> Tuple[Vector, float]:

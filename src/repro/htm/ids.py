@@ -51,24 +51,6 @@ def htm_id_to_name(htm_id: int) -> str:
     return face + "".join(reversed(digits))
 
 
-def parent_id(htm_id: int) -> int:
-    """Return the ID of the parent trixel.
-
-    Raises ``ValueError`` for a root face, which has no parent.
-    """
-    if htm_level(htm_id) == 0:
-        raise ValueError(f"root face {htm_id} has no parent")
-    return htm_id >> 2
-
-
-def child_ids(htm_id: int) -> Tuple[int, int, int, int]:
-    """Return the IDs of the four children of *htm_id*, in child order."""
-    if not is_valid_htm_id(htm_id):
-        raise ValueError(f"{htm_id} is not a valid HTM ID")
-    base = htm_id << 2
-    return (base, base + 1, base + 2, base + 3)
-
-
 def id_range_at_level(htm_id: int, level: int) -> Tuple[int, int]:
     """Return the inclusive range of descendant IDs of *htm_id* at *level*.
 

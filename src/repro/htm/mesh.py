@@ -6,27 +6,26 @@ children by connecting the midpoints of its edges.  ``HTMMesh`` provides
 the two operations LifeRaft needs:
 
 * :meth:`HTMMesh.locate` — assign a sky position the HTM ID of the trixel
-  containing it at a given level (this is how observations receive their
-  32-bit level-14 IDs), and
-* :meth:`HTMMesh.trixel` — recover the spherical triangle for an ID, used
-  when computing covers of query regions.
-
-Trixel corner vectors are memoised because the cross-match pre-processor
-locates millions of objects against the same shallow prefix of the tree.
+  containing it at a given level (this is how the synthetic catalogs'
+  observations receive their 32-bit level-14 IDs), and
+* :meth:`HTMMesh.root_trixels` — the eight faces the cone covers of query
+  regions descend from.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.htm import ids as htm_ids
 from repro.htm.geometry import (
+    EDGE_EPSILON,
     SkyPoint,
     Vector,
+    cross,
     midpoint,
     triangle_circumcircle,
-    triangle_contains,
 )
 
 # Octahedron vertices: v0 = north pole, v5 = south pole, v1..v4 on the equator.
@@ -67,22 +66,9 @@ class Trixel:
     corners: Tuple[Vector, Vector, Vector]
 
     @property
-    def level(self) -> int:
-        """Subdivision level of this trixel."""
-        return htm_ids.htm_level(self.htm_id)
-
-    @property
     def name(self) -> str:
         """Textual HTM name, e.g. ``"N012"``."""
         return htm_ids.htm_id_to_name(self.htm_id)
-
-    def contains(self, point: SkyPoint) -> bool:
-        """Return ``True`` when *point* lies inside this trixel."""
-        return triangle_contains(self.corners, point.to_vector())
-
-    def contains_vector(self, v: Vector) -> bool:
-        """Return ``True`` when unit vector *v* lies inside this trixel."""
-        return triangle_contains(self.corners, v)
 
     def circumcircle(self) -> Tuple[Vector, float]:
         """Return the (axis, angular radius in degrees) bounding cone."""
@@ -103,16 +89,18 @@ class Trixel:
         )
 
 
-class HTMMesh:
-    """Locator and enumerator for the hierarchical triangular mesh.
+#: The root trixels in ID order, and their edge normals as the edge test
+#: computes them: ``cross(c0, c1)``, ``cross(c1, c2)``, ``cross(c2, c0)``.
+_ROOTS: Tuple[Trixel, ...] = tuple(
+    Trixel(face_id, _ROOT_FACES[face_id]) for face_id in htm_ids.root_face_ids()
+)
+_ROOT_EDGE_NORMALS = tuple(
+    (cross(c0, c1), cross(c1, c2), cross(c2, c0)) for c0, c1, c2 in (t.corners for t in _ROOTS)
+)
 
-    Parameters
-    ----------
-    cache_levels:
-        Trixels at levels up to this depth are memoised after first use.
-        Shallow levels are hit constantly while locating points, so caching
-        them is a large win; deep levels are cheap to recompute and would
-        otherwise exhaust memory (level 14 has 2.1 billion trixels).
+
+class HTMMesh:
+    """Locator for the hierarchical triangular mesh.
 
     Attributes
     ----------
@@ -126,28 +114,12 @@ class HTMMesh:
         memoised value is bit-identical to recomputing it.
     """
 
-    def __init__(self, cache_levels: int = 6) -> None:
-        self._cache_levels = cache_levels
+    def __init__(self) -> None:
         self.cover_terms: Dict[int, Tuple[float, float, float, float]] = {}
-        self._trixel_cache: Dict[int, Trixel] = {
-            face_id: Trixel(face_id, corners)
-            for face_id, corners in _ROOT_FACES.items()
-        }
 
     def root_trixels(self) -> Tuple[Trixel, ...]:
         """Return the eight root trixels (the octahedron faces)."""
-        return tuple(self._trixel_cache[face_id] for face_id in htm_ids.root_face_ids())
-
-    def trixel(self, htm_id: int) -> Trixel:
-        """Return the :class:`Trixel` for *htm_id*, computing corners on demand."""
-        cached = self._trixel_cache.get(htm_id)
-        if cached is not None:
-            return cached
-        parent = self.trixel(htm_ids.parent_id(htm_id))
-        child = parent.children()[htm_id & 0b11]
-        if child.level <= self._cache_levels:
-            self._trixel_cache[htm_id] = child
-        return child
+        return _ROOTS
 
     def locate(self, point: SkyPoint, level: int = htm_ids.SKYQUERY_LEVEL) -> int:
         """Return the HTM ID of the trixel at *level* containing *point*.
@@ -155,39 +127,93 @@ class HTMMesh:
         Every point belongs to exactly one trixel per level; points that
         fall on shared edges are assigned to the first containing child in
         child order, which keeps the assignment deterministic.
+
+        One loop carries the current ID and its corners as floats; a
+        :class:`Trixel` is built only by the two numerical fallbacks.  The
+        midpoints and every edge test use the float operations of
+        ``Trixel.children`` and ``dot(cross(a, b), v) >= -EDGE_EPSILON`` in
+        their order, and
+        since ``cross(b, a)`` is exactly ``-cross(a, b)`` the three inner
+        edges are computed once for the four children.  Every ID is
+        bit-identical to the Trixel walk's (``tests/htm/locate_oracle.py``).
         """
         if level < 0:
             raise ValueError("level must be non-negative")
         v = point.to_vector()
-        current: Optional[Trixel] = None
-        for root in self.root_trixels():
-            if root.contains_vector(v):
-                current = root
+        x, y, z = v
+        eps = EDGE_EPSILON
+        floor = -eps
+        for root, (n0, n1, n2) in zip(_ROOTS, _ROOT_EDGE_NORMALS):
+            if (
+                n0[0] * x + n0[1] * y + n0[2] * z >= floor
+                and n1[0] * x + n1[1] * y + n1[2] * z >= floor
+                and n2[0] * x + n2[1] * y + n2[2] * z >= floor
+            ):
                 break
-        if current is None:
+        else:
             # Numerical corner case exactly on a root edge/vertex: pick the
             # face whose circumcircle axis is closest to the point.
-            current = max(
-                self.root_trixels(),
-                key=lambda t: _axis_alignment(t, v),
-            )
+            root = max(_ROOTS, key=lambda t: _axis_alignment(t, v))
+        htm_id = root.htm_id
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = root.corners
+        sqrt = math.sqrt
         for _ in range(level):
-            for child in self._children_of(current):
-                if child.contains_vector(v):
-                    current = child
-                    break
+            # Trixel.children(): w0 = midpoint(c1, c2), w1 = midpoint(c0, c2),
+            # w2 = midpoint(c0, c1), with geometry.midpoint's arithmetic.
+            sx, sy, sz = bx + cx, by + cy, bz + cz
+            norm = sqrt(sx * sx + sy * sy + sz * sz)
+            ux, uy, uz = sx / norm, sy / norm, sz / norm
+            sx, sy, sz = ax + cx, ay + cy, az + cz
+            norm = sqrt(sx * sx + sy * sy + sz * sz)
+            vx, vy, vz = sx / norm, sy / norm, sz / norm
+            sx, sy, sz = ax + bx, ay + by, az + bz
+            norm = sqrt(sx * sx + sy * sy + sz * sz)
+            wx, wy, wz = sx / norm, sy / norm, sz / norm
+            # dot(cross(w0, w1), v), dot(cross(w1, w2), v), dot(cross(w2, w0), v).
+            d01 = (uy * vz - uz * vy) * x + (uz * vx - ux * vz) * y + (ux * vy - uy * vx) * z
+            d12 = (vy * wz - vz * wy) * x + (vz * wx - vx * wz) * y + (vx * wy - vy * wx) * z
+            d20 = (wy * uz - wz * uy) * x + (wz * ux - wx * uz) * y + (wx * uy - wy * ux) * z
+            htm_id <<= 2
+            if (
+                # child 0, (c0, w2, w1): edge (w2, w1) is -d12.
+                d12 <= eps
+                and (ay * wz - az * wy) * x + (az * wx - ax * wz) * y + (ax * wy - ay * wx) * z
+                >= floor
+                and (vy * az - vz * ay) * x + (vz * ax - vx * az) * y + (vx * ay - vy * ax) * z
+                >= floor
+            ):
+                bx, by, bz, cx, cy, cz = wx, wy, wz, vx, vy, vz
+            elif (
+                # child 1, (c1, w0, w2): edge (w0, w2) is -d20.
+                d20 <= eps
+                and (by * uz - bz * uy) * x + (bz * ux - bx * uz) * y + (bx * uy - by * ux) * z
+                >= floor
+                and (wy * bz - wz * by) * x + (wz * bx - wx * bz) * y + (wx * by - wy * bx) * z
+                >= floor
+            ):
+                htm_id += 1
+                ax, ay, az, bx, by, bz, cx, cy, cz = bx, by, bz, ux, uy, uz, wx, wy, wz
+            elif (
+                # child 2, (c2, w1, w0): edge (w1, w0) is -d01.
+                d01 <= eps
+                and (cy * vz - cz * vy) * x + (cz * vx - cx * vz) * y + (cx * vy - cy * vx) * z
+                >= floor
+                and (uy * cz - uz * cy) * x + (uz * cx - ux * cz) * y + (ux * cy - uy * cx) * z
+                >= floor
+            ):
+                htm_id += 2
+                ax, ay, az, bx, by, bz, cx, cy, cz = cx, cy, cz, vx, vy, vz, ux, uy, uz
+            elif d01 >= floor and d12 >= floor and d20 >= floor:
+                # child 3, (w0, w1, w2).
+                htm_id += 3
+                ax, ay, az, bx, by, bz, cx, cy, cz = ux, uy, uz, vx, vy, vz, wx, wy, wz
             else:
                 # Again a numerical edge case: descend into the closest child.
-                current = max(
-                    self._children_of(current), key=lambda t: _axis_alignment(t, v)
-                )
-        return current.htm_id
-
-    def _children_of(self, trixel: Trixel) -> Tuple[Trixel, ...]:
-        """Children of *trixel*, going through the cache when possible."""
-        if trixel.level < self._cache_levels:
-            return tuple(self.trixel(cid) for cid in htm_ids.child_ids(trixel.htm_id))
-        return trixel.children()
+                parent = Trixel(htm_id >> 2, ((ax, ay, az), (bx, by, bz), (cx, cy, cz)))
+                child = max(parent.children(), key=lambda t: _axis_alignment(t, v))
+                htm_id = child.htm_id
+                (ax, ay, az), (bx, by, bz), (cx, cy, cz) = child.corners
+        return htm_id
 
 
 def _axis_alignment(trixel: Trixel, v: Vector) -> float:

@@ -1,7 +1,8 @@
 """The cone cover ``repro.htm.curve.cone_cover`` replaced, kept as its oracle.
 
-:func:`cone_cover` below is the old body verbatim: one :class:`Trixel` per
-visited trixel, its bounding cone from ``Trixel.circumcircle`` →
+:func:`cone_cover` below is the old body verbatim (``Trixel.level``, since
+deleted, spelled out as the ``htm_level`` call it was): one :class:`Trixel`
+per visited trixel, its bounding cone from ``Trixel.circumcircle`` →
 ``radec_from_vector`` → ``angular_separation``.  The live cover walks the
 same trixels with those float operations inlined and shallow trixels'
 terms memoised on the mesh, and must return exactly these ranges.  (The
@@ -56,7 +57,8 @@ def cone_cover(
         separation = angular_separation(center.ra, center.dec, axis_ra, axis_dec)
         if separation > radius_deg + circum_radius:
             continue  # disjoint
-        if separation + circum_radius <= radius_deg or trixel.level >= cover_level:
+        level = htm_ids.htm_level(trixel.htm_id)
+        if separation + circum_radius <= radius_deg or level >= cover_level:
             accepted.append(range_for_trixel(trixel.htm_id, leaf_level))
             continue
         stack.extend(trixel.children())

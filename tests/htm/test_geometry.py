@@ -14,9 +14,9 @@ from repro.htm.geometry import (
     normalize,
     radec_from_vector,
     triangle_circumcircle,
-    triangle_contains,
     unit_vector,
 )
+from tests.htm.locate_oracle import triangle_contains
 from tests.htm.separation_reference import angular_separation
 
 ras = st.floats(min_value=0.0, max_value=359.999)
@@ -33,6 +33,14 @@ class TestSkyPoint:
             SkyPoint(10.0, 91.0)
         with pytest.raises(ValueError):
             SkyPoint(10.0, -90.5)
+        with pytest.raises(ValueError):
+            SkyPoint(10.0, float("nan"))
+
+    @pytest.mark.parametrize("ra", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_right_ascension_rejected(self, ra):
+        # inf % 360 is NaN, which used to locate silently to 2147483648 (S0 00...0).
+        with pytest.raises(ValueError, match="right ascension must be finite"):
+            SkyPoint(ra, 10.0)
 
     def test_separation_is_zero_to_self(self):
         point = SkyPoint(123.4, -21.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.htm import ids as htm_ids
 from repro.htm.geometry import SkyPoint, dot, radec_from_vector
 from repro.htm.mesh import HTMMesh
+from tests.htm.locate_oracle import OracleMesh, child_ids, triangle_contains
 from tests.htm.separation_reference import angular_separation
 
 ras = st.floats(min_value=0.0, max_value=359.99)
@@ -38,6 +39,12 @@ def mesh():
     return HTMMesh()
 
 
+@pytest.fixture(scope="module")
+def oracle():
+    """The old memoising mesh: the tests' way from an HTM ID to its trixel."""
+    return OracleMesh()
+
+
 class TestRootFaces:
     def test_there_are_eight_roots(self, mesh):
         roots = mesh.root_trixels()
@@ -50,7 +57,8 @@ class TestRootFaces:
 
     def test_every_point_is_in_exactly_one_root(self, mesh):
         point = SkyPoint(123.0, 45.0)
-        containing = [t for t in mesh.root_trixels() if t.contains(point)]
+        v = point.to_vector()
+        containing = [t for t in mesh.root_trixels() if triangle_contains(t.corners, v)]
         assert len(containing) >= 1
 
 
@@ -68,7 +76,7 @@ class TestLocate:
         mesh = HTMMesh()
         point = SkyPoint(ra, dec)
         htm_id = mesh.locate(point, 8)
-        trixel = mesh.trixel(htm_id)
+        trixel = OracleMesh().trixel(htm_id)
         axis, radius = trixel.circumcircle()
         axis_ra, axis_dec = radec_from_vector(axis)
         # The point must fall inside the trixel's bounding cone.
@@ -94,38 +102,42 @@ class TestLocate:
         assert a >> (2 * (14 - 6)) == b >> (2 * (14 - 6))
 
     def test_cache_depth_does_not_change_located_ids(self, mesh):
+        # The Trixel walk locate replaced, at any depth of its trixel memo,
+        # finds the IDs the flat descent finds.
         points = [SkyPoint(10.0, 10.0), SkyPoint(200.0, -30.0), SkyPoint(359.5, 89.0)]
         for cache_levels in (0, 3, 10):
-            other = HTMMesh(cache_levels=cache_levels)
+            other = OracleMesh(cache_levels=cache_levels)
             for point in points:
-                assert other.locate(point, 9) == mesh.locate(point, 9)
+                for level in (0, 9, 14):
+                    assert other.locate(point, level) == mesh.locate(point, level)
 
-    def test_located_trixel_contains_its_point(self, mesh):
+    def test_located_trixel_contains_its_point(self, mesh, oracle):
         for point in (SkyPoint(10.0, 10.0), SkyPoint(123.0, 45.0), SkyPoint(250.0, -60.0)):
             for level in (0, 4, 12):
-                assert mesh.trixel(mesh.locate(point, level)).contains(point)
+                corners = oracle.trixel(mesh.locate(point, level)).corners
+                assert triangle_contains(corners, point.to_vector())
 
 
 class TestTrixels:
-    def test_children_partition_parent_area(self, mesh):
-        parent = mesh.trixel(9)
+    def test_children_partition_parent_area(self, oracle):
+        parent = oracle.trixel(9)
         child_area = sum(area_steradians(c) for c in parent.children())
         assert child_area == pytest.approx(area_steradians(parent), rel=1e-6)
 
-    def test_trixels_at_level_enumeration(self, mesh):
+    def test_trixels_at_level_enumeration(self, oracle):
         # Level 2 holds IDs 8 << 4 .. (16 << 4) - 1, in curve order.
-        level2 = [mesh.trixel(htm_id) for htm_id in range(8 << 4, 16 << 4)]
-        assert all(t.level == 2 for t in level2)
+        level2 = [oracle.trixel(htm_id) for htm_id in range(8 << 4, 16 << 4)]
+        assert all(htm_ids.htm_level(t.htm_id) == 2 for t in level2)
         total_area = sum(area_steradians(t) for t in level2)
         assert total_area == pytest.approx(4.0 * math.pi, rel=1e-6)
 
-    def test_trixel_lookup_matches_children(self, mesh):
-        parent = mesh.trixel(12)
+    def test_trixel_lookup_matches_children(self, oracle):
+        parent = oracle.trixel(12)
         for child in parent.children():
-            looked_up = mesh.trixel(child.htm_id)
+            looked_up = oracle.trixel(child.htm_id)
             for corner_a, corner_b in zip(looked_up.corners, child.corners):
                 assert corner_a == pytest.approx(corner_b)
 
-    def test_trixel_name_property(self, mesh):
-        assert mesh.trixel(8).name == "S0"
-        assert mesh.trixel(htm_ids.child_ids(15)[2]).name == "N32"
+    def test_trixel_name_property(self, oracle):
+        assert oracle.trixel(8).name == "S0"
+        assert oracle.trixel(child_ids(15)[2]).name == "N32"
