@@ -32,7 +32,6 @@ from repro.htm.geometry import (
 from repro.htm.mesh import HTMMesh, Trixel
 from repro.htm.ids import (
     htm_level,
-    htm_id_to_name,
     id_range_at_level,
 )
 from repro.htm.curve import HTMRange, HTMRangeSet, cone_cover
@@ -44,7 +43,6 @@ __all__ = [
     "HTMMesh",
     "Trixel",
     "htm_level",
-    "htm_id_to_name",
     "id_range_at_level",
     "HTMRange",
     "HTMRangeSet",

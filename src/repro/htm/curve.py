@@ -19,10 +19,14 @@ from repro.htm import ids as htm_ids
 from repro.htm.geometry import SkyPoint, radec_from_vector, triangle_circumcircle
 from repro.htm.mesh import HTMMesh
 
-#: Cone covers memoise the bounding-cone terms of trixels at levels up to
+#: Cone covers memoise the cosine and axis terms of trixels at levels up to
 #: this one on their mesh (``HTMMesh.cover_terms``): 8 · (4⁵ − 1) / 3 =
 #: 2,728 trixels at most, the shallow ones every cover of a sky visits.
 COVER_MEMO_LEVEL = 4
+
+#: The gap, in cosine, by which :func:`cone_cover`'s trig-free test must
+#: clear its bound before it decides a trixel (the error bound is there).
+FILTER_MARGIN = 1.0e-9
 
 
 @dataclass(frozen=True, order=True)
@@ -154,37 +158,59 @@ def cone_cover(
     with bucket boundaries.
 
     The descent is one loop over ``(htm_id, level, corners)`` tuples; no
-    :class:`~repro.htm.mesh.Trixel` is built.  A trixel's bounding-cone
-    terms — its axis longitude, the cos and sin of its axis latitude and its
-    circumradius — are computed with exactly the float operations of
-    :func:`~repro.htm.geometry.triangle_circumcircle`, then
-    :func:`~repro.htm.geometry.radec_from_vector`, then the Vincenty
-    ``angular_separation`` (``tests/htm/separation_reference.py``), in their
-    order, and children's corners with those of ``Trixel.children``, so
-    every reject/accept decision and every range is bit-identical to
-    building the trixels and calling those functions.  The terms of trixels at levels up
-    to :data:`COVER_MEMO_LEVEL` are memoised in ``mesh.cover_terms``: they
-    depend only on the trixel's corners, which every mesh derives alike, so
-    a memoised value is the value the computation would give again, and the
-    memo never holds more than 2,728 entries.  Pass one mesh to many covers
-    to share it.
+    :class:`~repro.htm.mesh.Trixel` is built.  With ``a`` a trixel's axis,
+    normalised and oriented as :func:`~repro.htm.geometry.triangle_circumcircle`
+    does, ``d = a·c0 = cos R``, ``sin R = sqrt((1 − d)(1 + d))`` (``1 − d``
+    is exact, ``1 − d²`` cancels for deep trixels) and ``p`` the center's
+    unit vector, the trixel is disjoint when ``a·p < cos r · d − sin r ·
+    sin R = cos(r + R)`` and ``d > −cos r`` (``r + R < 180°``, where cos is
+    monotone), and never inside when ``d < cos r`` (``R > r``).  Such a test
+    decides only when it clears :data:`FILTER_MARGIN` (M = 1e-9): as
+    ``|cos u − cos v| ≤ |u − v|``, the true angle is then at least M from
+    the bound.  The test's own rounding is below 1e-15 (unit vectors within
+    a few ulp, ``sin R`` within a few ulp of ``sin(acos d)`` for the *same*
+    ``d``); the exact path's is below 1e-14 rad plus what ``asin`` loses
+    near a pole, 2.2e-16 / cos(axis dec), and the axes nearest a pole at
+    level L are ≈ 1.1 / 2^L rad from it, so that is below 2.1e-10 at levels
+    ≤ 20.  So the test's decision is the exact path's.  (Deeper, a cosine
+    gap M at a bound ``b`` is an angle gap M / sin b, so only a cover
+    visiting over 10⁷ trixels at that level could reach the pole term.)
+    Within the margin, for a trixel shallower than *cover_level* that may be
+    inside (``R < r``), for collinear corners (the centroid fallback) and
+    for every trixel when ``radius_deg ≥ 180``, :func:`_axis_terms` and
+    :func:`_vincenty_separation` decide with exactly the float operations of
+    ``triangle_circumcircle`` → ``radec_from_vector`` → the Vincenty
+    ``angular_separation`` (``tests/htm/separation_reference.py``), so every
+    range is bit-identical to the Trixel walk's; a 3″ level-12 cover takes
+    that path ≈ 0.2 times.  Both kinds of terms of levels up to
+    :data:`COVER_MEMO_LEVEL` are memoised in ``mesh.cover_terms`` (at most
+    2,728 entries; they depend only on the corners, which every mesh derives
+    alike).  Pass one mesh to many covers to share it.
 
-    Raises ``ValueError`` for a negative or non-finite *radius_deg* and for
-    a *cover_level* outside ``[0, leaf_level]``.
+    Raises ``ValueError`` for a negative or non-finite *radius_deg*, for a
+    non-integer *cover_level* or *leaf_level* and for a *cover_level*
+    outside ``[0, leaf_level]``.
     """
     if not math.isfinite(radius_deg) or radius_deg < 0:
         raise ValueError(f"radius must be finite and non-negative, not {radius_deg!r}")
+    if not (isinstance(cover_level, int) and isinstance(leaf_level, int)):
+        raise ValueError(f"levels must be integers, not {cover_level!r} and {leaf_level!r}")
     if cover_level < 0:
         raise ValueError("cover_level must be non-negative")
     if cover_level > leaf_level:
         raise ValueError("cover_level cannot exceed leaf_level")
     mesh = mesh or HTMMesh()
     memo, memo_level = mesh.cover_terms, COVER_MEMO_LEVEL
-    sqrt, acos, asin, atan2 = math.sqrt, math.acos, math.asin, math.atan2
-    cos, sin, hypot, degrees, radians = math.cos, math.sin, math.hypot, math.degrees, math.radians
+    sqrt = math.sqrt
+    px, py, pz = center.to_vector()
+    r = math.radians(radius_deg)
+    cos_r, sin_r = math.cos(r), math.sin(r)
+    # An infinite margin fails every cosine test: the exact path decides all.
+    margin = FILTER_MARGIN if radius_deg < 180.0 else math.inf
+    wrap = margin - cos_r  # d > wrap: cos R > cos(π − r) + M, so r + R < 180°
     # The center's half of angular_separation, once per cover.
-    lon1, lat1 = radians(center.ra), radians(center.dec)
-    cos_lat1, sin_lat1 = cos(lat1), sin(lat1)
+    lon1, lat1 = math.radians(center.ra), math.radians(center.dec)
+    cos_lat1, sin_lat1 = math.cos(lat1), math.sin(lat1)
     accepted: List[HTMRange] = []
     stack = [(trixel.htm_id, 0, trixel.corners) for trixel in mesh.root_trixels()]
     pop, extend = stack.pop, stack.extend
@@ -192,51 +218,46 @@ def cone_cover(
         htm_id, level, corners = pop()
         terms = memo.get(htm_id) if level <= memo_level else None
         if terms is not None:
-            lon2, cos_lat2, sin_lat2, circum_radius = terms
+            x, y, z, d, sin_R, axis = terms
         else:
-            # triangle_circumcircle(corners) ...
+            axis = None
+            # triangle_circumcircle(corners), in its order.
             c0, c1, c2 = corners
             ux, uy, uz = c1[0] - c0[0], c1[1] - c0[1], c1[2] - c0[2]
             vx, vy, vz = c2[0] - c1[0], c2[1] - c1[1], c2[2] - c1[2]
             x, y, z = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
             norm = sqrt(x * x + y * y + z * z)
             if norm == 0.0:
-                # Collinear corners: triangle_circumcircle's centroid fallback, as is.
-                axis, circum_radius = triangle_circumcircle(corners)
-                axis_ra, axis_dec = radec_from_vector(axis)
+                (x, y, z), _ = triangle_circumcircle(corners)  # the centroid fallback
             else:
                 x, y, z = x / norm, y / norm, z / norm
                 if x * c0[0] + y * c0[1] + z * c0[2] < 0:
                     x, y, z = -x, -y, -z
-                # max(-1.0, min(1.0, d)) without the two calls (NaN included).
-                d = x * c0[0] + y * c0[1] + z * c0[2]
-                d = d if d < 1.0 else 1.0
-                d = d if d > -1.0 else -1.0
-                circum_radius = degrees(acos(d))
-                # ... radec_from_vector(axis) ...
-                norm = sqrt(x * x + y * y + z * z)
-                x, y, z = x / norm, y / norm, z / norm
-                z = z if z < 1.0 else 1.0
-                z = z if z > -1.0 else -1.0
-                axis_dec = degrees(asin(z))
-                axis_ra = degrees(atan2(y, x)) % 360.0
-            # ... and angular_separation's half for the axis.
-            lon2, lat2 = radians(axis_ra), radians(axis_dec)
-            cos_lat2, sin_lat2 = cos(lat2), sin(lat2)
+            # max(-1.0, min(1.0, d)) without the two calls (NaN included).
+            d = x * c0[0] + y * c0[1] + z * c0[2]
+            d = d if d < 1.0 else 1.0
+            d = d if d > -1.0 else -1.0
+            # A NaN sin R fails every cosine test: the fallback goes the exact path.
+            sin_R = sqrt((1.0 - d) * (1.0 + d)) if norm else math.nan
             if level <= memo_level:
-                memo[htm_id] = (lon2, cos_lat2, sin_lat2, circum_radius)
-        # angular_separation(center, axis), in its order.
-        dlon = lon2 - lon1
-        cos_dlon = cos(dlon)
-        num = hypot(
-            cos_lat2 * sin(dlon),
-            cos_lat1 * sin_lat2 - sin_lat1 * cos_lat2 * cos_dlon,
-        )
-        den = sin_lat1 * sin_lat2 + cos_lat1 * cos_lat2 * cos_dlon
-        separation = degrees(atan2(num, den))
-        if separation > radius_deg + circum_radius:
+                memo[htm_id] = (x, y, z, d, sin_R, None)
+        cos_angle = x * px + y * py + z * pz
+        low = cos_r * d - sin_r * sin_R  # cos(r + R)
+        if cos_angle < low - margin and d > wrap:
             continue  # disjoint
-        if separation + circum_radius <= radius_deg or level >= cover_level:
+        if cos_angle > low + margin and (level >= cover_level or d < cos_r - margin):
+            accept = level >= cover_level  # at cover_level, or never inside (R > r)
+        else:
+            if axis is None:
+                axis = _axis_terms(x, y, z, d)
+                if level <= memo_level:
+                    memo[htm_id] = (x, y, z, d, sin_R, axis)
+            circum_radius = axis[3]
+            separation = _vincenty_separation(axis, lon1, cos_lat1, sin_lat1)
+            if separation > radius_deg + circum_radius:
+                continue  # disjoint
+            accept = separation + circum_radius <= radius_deg or level >= cover_level
+        if accept:
             accepted.append(range_for_trixel(htm_id, leaf_level))
             continue
         # Trixel.children(): midpoint subdivision, in child order, with
@@ -264,3 +285,26 @@ def cone_cover(
         )
     return HTMRangeSet(accepted)
 
+
+def _axis_terms(x: float, y: float, z: float, d: float) -> Tuple[float, float, float, float]:
+    """The Trixel walk's (longitude, cos and sin of latitude, circumradius in
+    degrees) for the oriented unit axis ``(x, y, z)`` and clamped ``d``."""
+    axis_ra, axis_dec = radec_from_vector((x, y, z))
+    lon2, lat2 = math.radians(axis_ra), math.radians(axis_dec)
+    return lon2, math.cos(lat2), math.sin(lat2), math.degrees(math.acos(d))
+
+
+def _vincenty_separation(
+    axis: Tuple[float, float, float, float], lon1: float, cos_lat1: float, sin_lat1: float
+) -> float:
+    """``angular_separation(center, axis)`` in degrees, in its order, from
+    :func:`_axis_terms` and the center's precomputed radians."""
+    lon2, cos_lat2, sin_lat2, _ = axis
+    dlon = lon2 - lon1
+    cos_dlon = math.cos(dlon)
+    num = math.hypot(
+        cos_lat2 * math.sin(dlon),
+        cos_lat1 * sin_lat2 - sin_lat1 * cos_lat2 * cos_dlon,
+    )
+    den = sin_lat1 * sin_lat2 + cos_lat1 * cos_lat2 * cos_dlon
+    return math.degrees(math.atan2(num, den))

@@ -15,12 +15,10 @@ LifeRaft stores in the fact table and uses to order buckets.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 #: The level at which SkyQuery assigns HTM IDs to observations (paper §3.1).
 SKYQUERY_LEVEL = 14
-
-_FACE_NAMES = ("S0", "S1", "S2", "S3", "N0", "N1", "N2", "N3")
 
 
 def is_valid_htm_id(htm_id: int) -> bool:
@@ -37,18 +35,6 @@ def htm_level(htm_id: int) -> int:
     if not is_valid_htm_id(htm_id):
         raise ValueError(f"{htm_id} is not a valid HTM ID")
     return (htm_id.bit_length() - 4) // 2
-
-
-def htm_id_to_name(htm_id: int) -> str:
-    """Convert an integer HTM ID back into its textual name."""
-    level = htm_level(htm_id)
-    digits: List[str] = []
-    value = htm_id
-    for _ in range(level):
-        digits.append(str(value & 0b11))
-        value >>= 2
-    face = _FACE_NAMES[value - 8]
-    return face + "".join(reversed(digits))
 
 
 def id_range_at_level(htm_id: int, level: int) -> Tuple[int, int]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.htm import ids as htm_ids
 from repro.htm.geometry import (
@@ -27,6 +27,9 @@ from repro.htm.geometry import (
     midpoint,
     triangle_circumcircle,
 )
+
+#: An ``HTMMesh.cover_terms`` value.
+_CoverTerms = Tuple[float, float, float, float, float, Optional[Tuple[float, float, float, float]]]
 
 # Octahedron vertices: v0 = north pole, v5 = south pole, v1..v4 on the equator.
 _V0: Vector = (0.0, 0.0, 1.0)
@@ -65,11 +68,6 @@ class Trixel:
     htm_id: int
     corners: Tuple[Vector, Vector, Vector]
 
-    @property
-    def name(self) -> str:
-        """Textual HTM name, e.g. ``"N012"``."""
-        return htm_ids.htm_id_to_name(self.htm_id)
-
     def circumcircle(self) -> Tuple[Vector, float]:
         """Return the (axis, angular radius in degrees) bounding cone."""
         return triangle_circumcircle(self.corners)
@@ -105,9 +103,12 @@ class HTMMesh:
     Attributes
     ----------
     cover_terms:
-        :func:`~repro.htm.curve.cone_cover`'s memo: HTM ID → the bounding-cone
-        terms (axis longitude, cos and sin of the axis latitude, circumradius)
-        of each trixel a cover with this mesh visited, for levels up to
+        :func:`~repro.htm.curve.cone_cover`'s memo: HTM ID → the terms
+        ``(ax, ay, az, d, sin R, axis)`` — the oriented unit axis, ``d = a·c0
+        = cos R``, ``sin R`` (NaN for collinear corners) and, once a cover
+        took the exact path there, the axis's Vincenty terms (longitude, cos
+        and sin of latitude, circumradius; else ``None``) — of each trixel a
+        cover with this mesh visited, for levels up to
         ``repro.htm.curve.COVER_MEMO_LEVEL`` (4) only, so at most 2,728
         entries.  The terms are a function of the trixel's corners alone, and
         every mesh derives the same corners from the same root faces, so a
@@ -115,7 +116,7 @@ class HTMMesh:
     """
 
     def __init__(self) -> None:
-        self.cover_terms: Dict[int, Tuple[float, float, float, float]] = {}
+        self.cover_terms: Dict[int, _CoverTerms] = {}
 
     def root_trixels(self) -> Tuple[Trixel, ...]:
         """Return the eight root trixels (the octahedron faces)."""

@@ -4,10 +4,11 @@
 deleted, spelled out as the ``htm_level`` call it was): one :class:`Trixel`
 per visited trixel, its bounding cone from ``Trixel.circumcircle`` →
 ``radec_from_vector`` → ``angular_separation``.  The live cover walks the
-same trixels with those float operations inlined and shallow trixels'
-terms memoised on the mesh, and must return exactly these ranges.  (The
-live cover also rejects a non-finite radius and a negative
-``cover_level``; this one does not, so compare only valid inputs.)
+same trixels, decides most of them with a trig-free cosine test and the
+rest with these float operations, and must return exactly these ranges.
+(The live cover also rejects a non-finite radius, a negative
+``cover_level`` and non-integer levels; this one does not, so compare
+only valid inputs.)
 """
 
 from typing import List, Optional

@@ -1,11 +1,13 @@
 """Tests for HTM range arithmetic and cone covers."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.htm import curve
 from repro.htm import ids as htm_ids
 from repro.htm.curve import (
     COVER_MEMO_LEVEL,
@@ -14,13 +16,16 @@ from repro.htm.curve import (
     cone_cover,
     range_for_trixel,
 )
-from repro.htm.geometry import SkyPoint
+from repro.htm.geometry import SkyPoint, cross, normalize, radec_from_vector, triangle_circumcircle
 from repro.htm.mesh import HTMMesh, Trixel
 from tests.htm.cover_oracle import cone_cover as oracle_cover
+from tests.htm.locate_oracle import OracleMesh
 
 ARCSEC = 1.0 / 3600.0
 #: The oracle grid: radii from a point to a quarter of the sky.
 GRID_RADII = (0.0, 3.0 * ARCSEC, 0.01, 0.5, 10.0, 60.0)
+#: Radii at and past the quarter sky, where r + R can pass 180°.
+WIDE_RADII = (89.999, 90.0, 120.0, 179.0, 180.0, 270.0)
 #: Every trixel at a level up to COVER_MEMO_LEVEL: 8 · (4⁵ − 1) / 3.
 MEMO_CAP = 2_728
 
@@ -151,6 +156,12 @@ class TestConeCover:
         with pytest.raises(ValueError, match="non-negative"):
             cone_cover(SkyPoint(10.0, 10.0), 1.0, cover_level=-1, mesh=mesh)
 
+    @pytest.mark.parametrize("levels", [{"cover_level": 2.5}, {"leaf_level": 14.5}])
+    def test_non_integer_levels_rejected(self, mesh, levels):
+        # cover_level=2.5 used to return the level-3 cover.
+        with pytest.raises(ValueError, match="integers"):
+            cone_cover(SkyPoint(10.0, 10.0), 1.0, mesh=mesh, **levels)
+
 
 def special_points():
     """Poles, RA 0 / 360 and the root faces' edges (the equator and the
@@ -169,6 +180,27 @@ def sky_points():
             st.floats(min_value=-90.0, max_value=90.0),
         ),
     )
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The arguments of every exact-path (Vincenty) decision the cover takes."""
+    calls = []
+    exact = curve._vincenty_separation
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(curve, "_vincenty_separation", counted)
+    return calls
+
+
+def center_at(axis, toward, angle):
+    """The sky point *angle* radians from unit vector *axis*, toward *toward*."""
+    side = normalize(cross(cross(axis, toward), axis))
+    cos_a, sin_a = math.cos(angle), math.sin(angle)
+    return SkyPoint(*radec_from_vector([cos_a * a + sin_a * t for a, t in zip(axis, side)]))
 
 
 def assert_matches_oracle(center, radius, cover_level, leaf_level=14, mesh=None):
@@ -203,7 +235,7 @@ class TestCoverMatchesOracle:
     def test_small_radii_at_the_leaf_level(self, center, radius):
         assert_matches_oracle(center, radius, cover_level=14)
 
-    def test_warm_memo_over_many_error_circles(self):
+    def test_warm_memo_over_many_error_circles(self, exact_calls):
         # The crossmatch_file shape: 3-arcsecond circles at level 12, one mesh.
         rng = random.Random(46)
         live_mesh, oracle_mesh = HTMMesh(), HTMMesh()
@@ -213,6 +245,50 @@ class TestCoverMatchesOracle:
             reference = oracle_cover(center, 3.0 * ARCSEC, cover_level=12, mesh=oracle_mesh)
             assert live.ranges == reference.ranges, center
         assert 0 < len(live_mesh.cover_terms) <= MEMO_CAP
+        # The cosine test decides all but the trixels within its margin.
+        assert 0 < len(exact_calls) < 500
+
+    @pytest.mark.parametrize("radius", WIDE_RADII)
+    def test_wide_radii(self, radius, exact_calls):
+        mesh = HTMMesh()
+        for cover_level in range(7):
+            for center in (SkyPoint(0.0, 90.0), SkyPoint(200.0, -30.0), SkyPoint(45.0, 0.0)):
+                assert_matches_oracle(center, radius, cover_level, mesh=mesh)
+        # Trixels with R < r above cover_level, and from 180° on every
+        # trixel, take the exact path; below 180° the cosine test holds only
+        # where r + R < 180°, which the roots (R ≈ 54.7°) break from 125.3° on.
+        assert exact_calls
+
+    @given(
+        sky_points(),
+        st.floats(min_value=0.1, max_value=3.6),
+        st.integers(min_value=16, max_value=20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tiny_radii_at_deep_levels(self, center, radius_arcsec, cover_level):
+        assert_matches_oracle(center, radius_arcsec * ARCSEC, cover_level, leaf_level=20)
+
+    @pytest.mark.parametrize("level", [1, 4, 8, 12, 16])
+    def test_centers_at_the_margin(self, level, exact_calls):
+        # Centers r + R (the disjoint bound) and |r − R| (the inside bound)
+        # away from trixels' own axes, offset by 0, an ulp, and 1e-15 … 1e-9
+        # rad either way: the cosine test's margin sits among these, so some
+        # go the exact path.
+        oracle, mesh = OracleMesh(), HTMMesh()
+        for point in (SkyPoint(0.0, 90.0), SkyPoint(0.0, -90.0), SkyPoint(123.4, 37.8)):
+            corners = oracle.trixel(mesh.locate(point, level)).corners
+            axis, _ = triangle_circumcircle(corners)
+            circum = math.acos(min(1.0, sum(a * c for a, c in zip(axis, corners[0]))))
+            for radius in (0.3 * circum, 3.0 * circum):
+                for bound in (radius + circum, abs(radius - circum)):
+                    for offset in (0.0, math.ulp(bound), 1e-15, 1e-12, 1e-9):
+                        for angle in (bound - offset, bound + offset):
+                            center = center_at(axis, corners[1], angle)
+                            for cover_level in (level, level + 1):
+                                assert_matches_oracle(
+                                    center, math.degrees(radius), cover_level, 20, mesh
+                                )
+        assert exact_calls
 
     @given(sky_points(), st.sampled_from(GRID_RADII), st.integers(min_value=0, max_value=6))
     @settings(max_examples=30, deadline=None)
@@ -240,6 +316,15 @@ class TestCoverMatchesOracle:
         assert mesh.cover_terms
         assert max(htm_ids.htm_level(i) for i in mesh.cover_terms) == COVER_MEMO_LEVEL
         assert len(mesh.cover_terms) <= MEMO_CAP
+        axes = 0
+        for x, y, z, d, sin_R, axis in mesh.cover_terms.values():
+            # Within a few ulp of sin(acos d): 1 − d² would lose ≈ 100 at level 4.
+            assert abs(sin_R - math.sin(math.acos(d))) <= 4 * math.ulp(sin_R)
+            if axis is not None:
+                axes += 1
+                assert axis == curve._axis_terms(x, y, z, d)
+        # 60° cones hold shallow trixels with R < r: the exact path memoised those.
+        assert axes
 
 
 class TestRangeForTrixel:

