@@ -74,6 +74,10 @@ RATCHETED_METRICS: Dict[str, str] = {
     # dimensionless ratio with the absolute rate beside it
     "kernel_speedup_vs_row_path": "higher",
     "crossmatch_objects_per_s": "higher",
+    # kernels: the same ratio on a service whose three queries ship
+    # overlapping runs of one object list — the kernel refines each distinct
+    # object once per service, the row path every pair — dimensionless
+    "shared_kernel_speedup_vs_row_path": "higher",
     # kernels: the pre-processor's run assignment over one layout search per
     # object (tests/core/preprocessor_oracle.py) on one HTM-coherent query,
     # both timed in one process in turns — dimensionless

@@ -257,7 +257,7 @@ class HybridJoinEvaluator:
         """
         if bucket.columns is None:
             return ()
-        return crossmatch_block(bucket.columns, entries)[0]
+        return crossmatch_block(bucket.columns, entries)
 
     # ------------------------------------------------------------------ #
     # virtual-mode estimates

@@ -15,6 +15,10 @@ candidates × libm calls:
 
 * every catalog row's trigonometry is computed once per cached block
   (:meth:`ColumnBlock.derived`), every workload object's once per service;
+* each distinct shipped object is refined once per service: the queries
+  batched on a bucket share the join, not only the read, so an object that
+  several of them ship (the same instance, next to itself after the sort)
+  takes the rows and separations its first pair found;
 * a candidate is dropped on its declination alone, before any libm call,
   when ``|dec2 - dec1|`` exceeds the match radius (see :data:`BAND_SLACK_RAD`);
 * survivors run the Vincenty operations of ``angular_separation`` (defined
@@ -37,7 +41,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from repro.core.workload_manager import WorkloadEntry
 from repro.storage.format import ColumnBlock
@@ -118,7 +122,18 @@ class MatchColumns(SequenceABC):
             self._separations,
         )
 
-    def __getitem__(self, index: int) -> MatchedPair:
+    def __getitem__(self, index: Union[int, slice]) -> Union[MatchedPair, List[MatchedPair]]:
+        if isinstance(index, slice):
+            # The pairs of a slice, as slicing ``list(self)`` gives them.
+            return list(
+                MatchColumns(
+                    self._block,
+                    self._query_ids[index],
+                    self._objects[index],
+                    self._row_indices[index],
+                    self._separations[index],
+                )
+            )
         return MatchedPair(
             self._query_ids[index],
             self._objects[index],
@@ -130,17 +145,18 @@ class MatchColumns(SequenceABC):
         return f"MatchColumns({len(self)} matches)"
 
 
-def _sweep(
-    block: ColumnBlock,
-    pairs: Sequence[Tuple[int, CrossMatchObject]],
-    per_query: Dict[int, int],
-) -> MatchColumns:
+def _sweep(block: ColumnBlock, pairs: Sequence[Tuple[int, CrossMatchObject]]) -> MatchColumns:
     """Refine ``(query id, object)`` *pairs*, in order, against *block*.
 
     The one copy of the window search and of the refinement arithmetic.
     The block's derived columns are requested at the first non-empty
     candidate window — never for footprint-only entries (no objects) — and
     until then the windows are searched over the stored HTM column.
+
+    A pair whose object *is* the previous pair's (the same instance, shipped
+    by another query of the batch) is not refined again: it takes the row
+    indices and separations the previous pair just found, zero included.
+    Value-equal but distinct objects are simply refined again.
     """
     radians, degrees, inf = math.radians, math.degrees, math.inf
     sin, cos, hypot, atan2 = math.sin, math.cos, math.hypot, math.atan2
@@ -155,8 +171,19 @@ def _sweep(
         ids = block.htm_ids
     else:
         ids, lons, band_lats, cos_lats, sin_lats = columns
+    # The last refined object, and its matches: row_indices[first:last].
+    previous: object = None
+    first = last = 0
     for query_id, obj in pairs:
-        per_query.setdefault(query_id, 0)
+        if obj is previous:
+            for k in range(first, last):
+                add_query_id(query_id)
+                add_object(obj)
+                add_row_index(row_indices[k])
+                add_separation(separations[k])
+            continue
+        previous = obj
+        first = last = len(row_indices)
         ra1, dec1 = obj.ra, obj.dec
         if ra1 is None or dec1 is None:
             continue
@@ -175,7 +202,6 @@ def _sweep(
         # it carry a NaN band latitude (which no comparison rejects), an
         # object outside it gets no band at all.
         band = radians(radius / 3600.0) + BAND_SLACK_RAD if -90.0 <= dec1 <= 90.0 else inf
-        found = 0
         for i in range(low, high):
             if abs(band_lats[i] - lat1) > band:
                 continue
@@ -194,15 +220,13 @@ def _sweep(
                 add_object(obj)
                 add_row_index(i)
                 add_separation(separation)
-                found += 1
-        if found:
-            per_query[query_id] += found
+                last += 1
     return MatchColumns(block, query_ids, objects, row_indices, separations)
 
 
 def crossmatch_block(
     block: ColumnBlock, entries: Sequence[WorkloadEntry]
-) -> Tuple[Sequence[MatchedPair], Dict[int, int]]:
+) -> Sequence[MatchedPair]:
     """Plane-sweep merge of a workload queue against one column block.
 
     The workload side is sorted by the start of each object's HTM window,
@@ -215,10 +239,9 @@ def crossmatch_block(
     if not flattened:
         # An empty block, or footprint-only entries (the service is charged,
         # nothing is joined): no matches, and no memo built.
-        return [], {}
+        return []
     flattened.sort(key=lambda pair: pair[1].htm_range.low)
-    per_query: Dict[int, int] = {}
-    return _sweep(block, flattened, per_query), per_query
+    return _sweep(block, flattened)
 
 
 __all__ = ["BAND_SLACK_RAD", "MatchColumns", "MatchedPair", "crossmatch_block"]

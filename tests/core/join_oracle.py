@@ -93,6 +93,19 @@ def merge_join(
     return matches, per_query
 
 
+def match_counts(matches: Iterable[MatchedPair]) -> Dict[int, int]:
+    """Matches per query id, counted from the pairs: a query without one is absent."""
+    counts: Dict[int, int] = {}
+    for pair in matches:
+        counts[pair.query_id] = counts.get(pair.query_id, 0) + 1
+    return counts
+
+
+def nonzero_counts(per_query: Dict[int, int]) -> Dict[int, int]:
+    """:func:`merge_join`'s per-query counts without the queries that matched nothing."""
+    return {query_id: count for query_id, count in per_query.items() if count}
+
+
 def range_scan(catalog: CatalogTable, htm_range: HTMRange) -> Sequence[CelestialObject]:
     """The rows of *catalog* whose HTM ID falls inside *htm_range*."""
     low = bisect.bisect_left(catalog.htm_ids, htm_range.low)
